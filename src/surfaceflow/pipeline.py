@@ -211,9 +211,16 @@ def verify_solution(instance: Instance, data: dict) -> dict:
                          [rat_str(v) for v in flow.values.values()
                           if v != int(v)]})
     declared = data.get("value")
-    if declared is not None and rat(declared) != flow.value:
-        problems.append({"kind": "value", "witness":
-                         {"declared": declared,
-                          "recomputed": rat_str(flow.value)}})
+    if declared is not None:
+        try:
+            declared_value = rat(declared)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            problems.append({"kind": "malformed", "witness":
+                             "value %r: %s" % (declared, exc)})
+        else:
+            if declared_value != flow.value:
+                problems.append({"kind": "value", "witness":
+                                 {"declared": declared,
+                                  "recomputed": rat_str(flow.value)}})
     return {"ok": not problems, "problems": problems,
             "value": rat_str(flow.value)}

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 try:
     from gmpy2 import mpq as QQ  # type: ignore
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is the optional ``gmpy`` extra
     QQ = Fraction
 
 ZERO = QQ(0)

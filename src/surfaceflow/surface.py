@@ -608,7 +608,8 @@ def edge_sets_of(cycle):
 
 
 def _cycle_darts_at(graph: EmbeddedGraph, cycle: Sequence[Dart], v: int) -> list[Dart]:
-    out = [d for d in graph.rotation[v] if (d >> 1) in {x >> 1 for x in cycle}]
+    edges = {x >> 1 for x in cycle}
+    out = [d for d in graph.rotation[v] if (d >> 1) in edges]
     if len(out) != 2:
         raise InternalInvariantError(
             "simple cycle must have exactly two darts at a vertex",

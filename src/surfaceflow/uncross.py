@@ -9,6 +9,14 @@ until every pair crosses at most once.  Each rewrite preserves the multiset
 size, never increases any edge load, and strictly decreases the potential
 ``(total edge count, total crossing count)`` lexicographically, which bounds
 the number of iterations.
+
+A rewrite is a deterministic function of its pair of cycles.  When the scan
+picks the pair it rewrote in the previous iteration and the four cycles
+involved are distinct, the multiset keys are unchanged, so the scan would
+keep picking that pair until one of its cycles runs out; ``uncross_all``
+then moves all those quanta in one step, with the same result and key order
+as unit steps.  ``check_invariants`` keeps unit steps so that the potential
+check sees every rewrite.
 """
 
 from __future__ import annotations
@@ -398,6 +406,13 @@ def uncross_all(instance: Instance, counts: dict,
     Returns ``(counts, trace)``.  With ``check_invariants`` the multiset
     size, every edge load, and the lexicographic decrease of the potential
     are verified after every rewrite (slow; intended for tests).
+
+    A pair picked again right after its own rewrite reuses that rewrite.
+    If its four cycles are distinct, the keys of ``counts`` did not change,
+    so unit steps would repeat the rewrite until one of the pair runs out:
+    all ``min(counts[c1], counts[c2])`` quanta move at once, and ``guard``
+    counts them as that many iterations.  ``check_invariants`` keeps unit
+    steps, each with its own rewrite, so the checks see every one.
     """
     g = instance.graph
     counts = dict(counts)
@@ -409,6 +424,7 @@ def uncross_all(instance: Instance, counts: dict,
 
     guard = 0
     limit = 16 * (sum(k * len(c) for c, k in counts.items()) + 1) ** 2
+    last_pair = last_new = None
     while True:
         guard += 1
         if guard > limit:
@@ -426,15 +442,23 @@ def uncross_all(instance: Instance, counts: dict,
         if pair is None:
             break
         c1, c2 = pair
-        cross = crossings(g, c1.darts, c2.darts)
-        p, q = _pick_crossings(instance, c1, c2, cross)
-        new1, new2 = uncross_pair(instance, c1, c2, p, q)
+        k = 1
+        if pair == last_pair and not check_invariants:
+            new1, new2 = last_new
+            if len({c1, c2, new1, new2}) == 4:
+                k = min(counts[c1], counts[c2])
+                guard += k - 1
+        else:
+            cross = crossings(g, c1.darts, c2.darts)
+            p, q = _pick_crossings(instance, c1, c2, cross)
+            new1, new2 = uncross_pair(instance, c1, c2, p, q)
+            last_pair, last_new = pair, (new1, new2)
         for c in (c1, c2):
-            counts[c] -= 1
+            counts[c] -= k
             if counts[c] == 0:
                 del counts[c]
         for c in (new1, new2):
-            counts[c] = counts.get(c, 0) + 1
+            counts[c] = counts.get(c, 0) + k
 
         if check_invariants:
             if sum(counts.values()) != size0:

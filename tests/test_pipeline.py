@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -11,6 +12,8 @@ from surfaceflow.oracle import exact_integral_multiflow
 from surfaceflow.pipeline import (PipelineConfig, render_report, run,
                                   solution_wire, verify_solution)
 from surfaceflow.rational import rat
+
+GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "golden"
 
 
 class TestConfig:
@@ -99,6 +102,16 @@ class TestVerify:
         verdict = verify_solution(inst, data)
         assert not verdict["ok"]
         assert verdict["problems"][0]["kind"] == "value"
+
+    @pytest.mark.parametrize("value", ["abc", "1/0", 1.5, [1]])
+    def test_malformed_value_is_a_verdict(self, value):
+        inst = generate_planar_random(12, seed=3)
+        flow, _ = run(inst)
+        data = solution_wire(flow)
+        data["value"] = value
+        verdict = verify_solution(inst, data)
+        assert not verdict["ok"]
+        assert [p["kind"] for p in verdict["problems"]] == ["malformed"]
 
     def test_overload_rejected(self):
         inst = generate_planar_random(12, seed=3)

@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import darts_for_route, map_from_drawing, torus_grid_map
+from surfaceflow import uncross as uncross_mod
 from surfaceflow.errors import PreconditionError
 from surfaceflow.flows import DCycle, Multiflow, solve_and_decompose
 from surfaceflow.instances import (DEMAND, SUPPLY, Instance,
@@ -251,3 +252,52 @@ class TestUncrossAll:
         for i, ci in enumerate(cycles):
             for cj in cycles[i + 1:]:
                 assert cr(inst.graph, ci.darts, cj.darts) <= 1
+
+
+class TestBatchedRewrites:
+    """Without ``check_invariants`` a pair's repeated rewrites are applied in
+    one step; the result, key order included, must equal the unit steps."""
+
+    @staticmethod
+    def _both_ways(monkeypatch, inst, counts):
+        rewrites = []
+        real = uncross_mod.uncross_pair
+
+        def counting(*args):
+            rewrites.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(uncross_mod, "uncross_pair", counting)
+        runs = []
+        for check in (False, True):
+            rewrites.clear()
+            out, _ = uncross_all(inst, counts, check_invariants=check)
+            runs.append((out, len(rewrites)))
+        (batched, n_batched), (unit, n_unit) = runs
+        assert batched == unit
+        assert list(batched) == list(unit)
+        assert n_batched <= n_unit
+        return n_batched, n_unit
+
+    @pytest.mark.parametrize("k1,k2", [(2, 1), (5, 3)])
+    def test_fixture_pair(self, monkeypatch, k1, k2):
+        inst, _, c1d, c2d = four_crossings_fixture()
+        counts = {DCycle.from_darts(inst, c1d): k1,
+                  DCycle.from_darts(inst, c2d): k2}
+        n_batched, n_unit = self._both_ways(monkeypatch, inst, counts)
+        if k2 > 1:
+            assert n_batched < n_unit
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_planar_instances(self, monkeypatch, seed):
+        inst = generate_planar_random(10, seed=seed, n_demands=4)
+        flow, _ = solve_and_decompose(inst)
+        counts, _ = discretize(flow, rat("1/10"))
+        self._both_ways(monkeypatch, inst, counts)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_torus_instances(self, monkeypatch, seed):
+        inst = generate_torus_grid(3, 4, demands=3, seed=seed)
+        flow, _ = solve_and_decompose(inst)
+        counts, _ = discretize(flow, rat("1/4"))
+        self._both_ways(monkeypatch, inst, counts)
