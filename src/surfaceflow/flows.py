@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InternalInvariantError, PreconditionError
-from .instances import Instance
+from .instances import Instance, is_int
 from .lp import LPResult, solve_lp
 from .rational import QQ, ZERO, rat, rat_str
 
@@ -140,6 +140,10 @@ class Multiflow:
     def from_wire(instance: Instance, data: list) -> "Multiflow":
         flow = Multiflow(instance)
         for rec in data:
+            if not (all(is_int(d) for d in rec["cycle"])
+                    and is_int(rec["demand"])):
+                raise PreconditionError(
+                    "cycle record darts and demand must be ints: %r" % (rec,))
             cycle = DCycle.from_darts(instance, rec["cycle"])
             if cycle.demand != rec["demand"]:
                 raise PreconditionError(

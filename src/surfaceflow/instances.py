@@ -31,6 +31,11 @@ SUPPLY = "supply"
 DEMAND = "demand"
 
 
+def is_int(value) -> bool:
+    """True for a JSON integer: an ``int`` that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Instance:
     """An embedded multiflow instance.
@@ -51,7 +56,7 @@ class Instance:
             if self.kinds[e] not in (SUPPLY, DEMAND):
                 raise InstanceFormatError(
                     "schema", "edge %d has unknown kind %r" % (e, self.kinds[e]))
-            if not isinstance(self.caps[e], int) or isinstance(self.caps[e], bool):
+            if not is_int(self.caps[e]):
                 raise InstanceFormatError(
                     "schema", "edge %d capacity must be an integer" % e)
             if self.caps[e] < 1:
@@ -89,7 +94,7 @@ def parse_instance(data) -> Instance:
         if key not in data:
             raise InstanceFormatError("schema", "missing field %r" % key)
     n = data["vertices"]
-    if not isinstance(n, int) or n < 1:
+    if not is_int(n) or n < 1:
         raise InstanceFormatError("schema", "vertices must be a positive int")
     raw_edges = data["edges"]
     if not isinstance(raw_edges, list):
@@ -102,15 +107,15 @@ def parse_instance(data) -> Instance:
             if key not in rec:
                 raise InstanceFormatError(
                     "schema", "edge %d missing field %r" % (i, key))
-        if rec["id"] != i:
+        if not is_int(rec["id"]) or rec["id"] != i:
             raise InstanceFormatError(
                 "schema", "edge ids must be dense and ordered (got %r at "
                 "position %d)" % (rec["id"], i))
-        if not isinstance(rec["u"], int) or not isinstance(rec["v"], int):
+        if not is_int(rec["u"]) or not is_int(rec["v"]):
             raise InstanceFormatError("schema", "edge %d endpoints must be ints" % i)
         if rec["kind"] not in (SUPPLY, DEMAND):
             raise InstanceFormatError("schema", "edge %d has bad kind" % i)
-        if not isinstance(rec["cap"], int) or isinstance(rec["cap"], bool):
+        if not is_int(rec["cap"]):
             raise InstanceFormatError("schema", "edge %d cap must be an int" % i)
         edges.append((rec["u"], rec["v"]))
         kinds.append(rec["kind"])
@@ -119,6 +124,8 @@ def parse_instance(data) -> Instance:
     if not isinstance(rotation, list) or any(
             not isinstance(r, list) for r in rotation):
         raise InstanceFormatError("rotation", "rotation must be a list of lists")
+    if not all(is_int(d) for r in rotation for d in r):
+        raise InstanceFormatError("rotation", "rotation darts must be ints")
     try:
         graph = EmbeddedGraph(n, edges, rotation)
     except StructuralError as exc:

@@ -2,12 +2,12 @@
 
 ``solve_lp`` maximizes ``c . x`` subject to ``A_ub x <= b_ub``,
 ``A_eq x = b_eq``, ``x >= 0`` and returns an exactly optimal primal/dual
-pair.  Two engines share the tableau logic:
+pair.  There are two engines, each with its own tableau code:
 
 - a dense two-phase simplex over ``QQ`` with Bland's rule (the reference
   path, immune to cycling);
-- a float mirror of the same tableau used as a warm start on larger
-  problems: its solution is snapped to small-denominator rationals and
+- a numpy float simplex on the same tableau layout, used as a warm start on
+  larger problems: its solution is snapped to small-denominator rationals and
   accepted only when exact primal feasibility, exact dual feasibility and
   exact objective equality all hold, otherwise the exact engine runs from
   scratch.
@@ -105,40 +105,35 @@ def check_certificate(c, A_ub, b_ub, A_eq, b_eq, x, y_ub, y_eq) -> bool:
 # exact dense tableau
 # ---------------------------------------------------------------------------
 
-def _build_tableau(c, A_ub, b_ub, A_eq, b_eq, numeric):
+def _build_tableau(c, A_ub, b_ub, A_eq, b_eq):
     """Rows: constraints; columns: structural | slacks | artificials | rhs."""
     n = len(c)
     m_ub, m_eq = len(A_ub), len(A_eq)
-    m = m_ub + m_eq
     width = n + m_ub + m_eq + 1
-    conv = (lambda v: float(v)) if numeric else rat
-    zero = 0.0 if numeric else ZERO
-    one = 1.0 if numeric else rat(1)
     rows = []
     basis = []
     for i, (row, b) in enumerate(zip(A_ub, b_ub)):
-        r = [zero] * width
+        r = [ZERO] * width
         for j, coef in row.items():
-            r[j] = conv(coef)
-        r[n + i] = one
-        r[-1] = conv(b)
+            r[j] = rat(coef)
+        r[n + i] = rat(1)
+        r[-1] = rat(b)
         rows.append(r)
         basis.append(n + i)
     for i, (row, b) in enumerate(zip(A_eq, b_eq)):
-        r = [zero] * width
+        r = [ZERO] * width
         sign = 1 if b >= 0 else -1
         for j, coef in row.items():
-            r[j] = conv(coef * sign) if not numeric else float(coef) * sign
-        r[n + m_ub + i] = one
-        r[-1] = conv(b * sign) if not numeric else float(b) * sign
+            r[j] = rat(coef * sign)
+        r[n + m_ub + i] = rat(1)
+        r[-1] = rat(b * sign)
         rows.append(r)
         basis.append(n + m_ub + i)
     return rows, basis, n, m_ub, m_eq
 
 
 def _simplex_exact(c, A_ub, b_ub, A_eq, b_eq):
-    rows, basis, n, m_ub, m_eq = _build_tableau(c, A_ub, b_ub, A_eq, b_eq,
-                                                numeric=False)
+    rows, basis, n, m_ub, m_eq = _build_tableau(c, A_ub, b_ub, A_eq, b_eq)
     m = len(rows)
     width = n + m_ub + m_eq + 1
     art_lo = n + m_ub

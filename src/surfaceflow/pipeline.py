@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InternalInvariantError, PreconditionError
-from .flows import Multiflow, decompose, solve_fractional
+from .flows import Multiflow, solve_and_decompose
 from .instances import Instance
 from .oracle import DEFAULT_BUDGET, exact_integral_multiflow
 from .rational import ONE, ZERO, rat, rat_str
@@ -86,14 +86,11 @@ def run(instance: Instance, config: PipelineConfig = PipelineConfig()):
         "checks": [],
     }
 
-    with _stage("lp"):
-        sol = solve_fractional(instance)
+    with _stage("lp+decompose"):
+        flow, sol = solve_and_decompose(instance)
     report["stages"]["lp"] = {"value": rat_str(sol.value),
                               "engine": sol.engine,
                               "multicut_value": rat_str(sol.value)}
-
-    with _stage("decompose"):
-        flow = decompose(instance, sol)
     report["stages"]["decompose"] = {"value": rat_str(flow.value),
                                      "support": len(flow.values)}
 

@@ -20,11 +20,13 @@ ONE = QQ(1)
 
 
 def rat(value) -> "QQ":
-    """Coerce ints, Fractions, mpqs or ``"p/q"`` strings to QQ."""
+    """Coerce ints, Fractions, mpqs or ``"p/q"`` strings to QQ; bools and
+    floats are refused."""
     if isinstance(value, str):
         return QQ(Fraction(value))
-    if isinstance(value, float):
-        raise TypeError("floats are not accepted as exact rationals: %r" % value)
+    if isinstance(value, (bool, float)):
+        raise TypeError("%s is not accepted as an exact rational: %r"
+                        % (type(value).__name__, value))
     return QQ(value)
 
 

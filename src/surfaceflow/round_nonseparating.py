@@ -26,8 +26,7 @@ from .instances import Instance
 from .rational import ZERO, floor_rat
 from .round_separating import degeneracy_coloring
 from .surface import cut_along, disjointify
-from .topology import (HomotopyClassification, _dual_components,
-                       classify_homotopy, split_support)
+from .topology import HomotopyClassification, classify_homotopy, split_support
 from .uncross import cr
 
 
@@ -75,43 +74,35 @@ def cyclic_order(cycles: Sequence[DCycle], instance: Instance) -> CyclicOrder:
     """Cyclically order a class of freely homotopic non-separating cycles.
 
     The cycles are re-routed to vertex-disjoint copies; the components of
-    the dual graph minus the copies' dual edges, together with the copies,
-    form a bipartite incidence graph which must be a single cycle.  The
-    order of the cycles along it is returned (up to rotation/reflection).
+    the surface cut along the copies, together with the copies, form a
+    bipartite incidence graph which must be a single cycle.  The order of
+    the cycles along it is returned (up to rotation/reflection); the walk
+    starts at cycle 0 towards the smaller-numbered of its two components,
+    the one holding the smaller face.
     """
     cycles = list(cycles)
     k = len(cycles)
     if k <= 2:
         return CyclicOrder(tuple(cycles))
     q, qcycles = disjointify(instance.graph, [_darts(c) for c in cycles])
-    removed = {d >> 1 for c in qcycles for d in c}
-    comps = _dual_components(q, removed)
-    comp_of = {}
-    for ci, faces in enumerate(comps):
-        for f in faces:
-            comp_of[f] = ci
-    cycle_inc = [set() for _ in range(k)]
-    comp_inc: dict[int, set] = {}
-    for i, c in enumerate(qcycles):
-        for d in c:
-            for f in (q.face_of[d], q.face_of[d ^ 1]):
-                ci = comp_of[f]
-                cycle_inc[i].add(ci)
-                comp_inc.setdefault(ci, set()).add(i)
+    complex_ = cut_along(q, qcycles)
+    cycle_inc = [{complex_.side_component[(i, side)] for side in (0, 1)}
+                 for i in range(k)]
+    comp_inc = [comp.boundary_cycles for comp in complex_.components]
     for i, inc in enumerate(cycle_inc):
         if len(inc) != 2:
             raise InternalInvariantError(
                 "cycle is not incident to exactly two cut components",
                 witness=(i, sorted(inc)))
-    for ci, inc in comp_inc.items():
+    for ci, inc in enumerate(comp_inc):
         if len(inc) != 2:
             raise InternalInvariantError(
                 "cut component is not incident to exactly two cycles",
                 witness=(ci, sorted(inc)))
-    if len(comps) != k:
+    if len(comp_inc) != k:
         raise InternalInvariantError(
             "incidence graph cannot be a single cycle",
-            witness=(k, len(comps)))
+            witness=(k, len(comp_inc)))
     order = [0]
     comp = min(cycle_inc[0])
     while True:

@@ -48,8 +48,8 @@ def half_integralize(flow: Multiflow) -> Multiflow:
 
     Re-solves the capacity LP restricted to the support with the exact
     simplex; the resulting vertex is half-integral for laminar separating
-    supports.  Small supports fall back to exhaustive search over
-    half-integral vectors if the vertex ever fails the check.
+    supports, and a vertex that is not raises ``InternalInvariantError``
+    (the support was not laminar).
     """
     inst = flow.instance
     cycles = flow.support()
@@ -57,15 +57,12 @@ def half_integralize(flow: Multiflow) -> Multiflow:
         return Multiflow(inst)
     rows, caps = _capacity_rows(inst, cycles)
     x, _, _ = _simplex_exact([rat(1)] * len(cycles), rows, caps, [], [])
-    if all(2 * v == int(2 * v) for v in x):
-        out = Multiflow(inst)
-        for c, v in zip(cycles, x):
-            out.set(c, v)
-    elif len(cycles) <= 12:
-        out = _enumerate_half_integral(inst, cycles)
-    else:
+    if any(2 * v != int(2 * v) for v in x):
         raise InternalInvariantError(
             "restricted LP vertex is not half-integral", witness=x)
+    out = Multiflow(inst)
+    for c, v in zip(cycles, x):
+        out.set(c, v)
     out.verify_feasible()
     if 2 * out.value < flow.value:
         raise InternalInvariantError(
@@ -81,43 +78,6 @@ def _capacity_rows(inst: Instance, cycles: Sequence[DCycle]):
             edge_rows.setdefault(e, {})[i] = rat(1)
     items = sorted(edge_rows.items())
     return [row for _, row in items], [rat(inst.cap(e)) for e, _ in items]
-
-
-def _enumerate_half_integral(inst: Instance,
-                             cycles: Sequence[DCycle]) -> Multiflow:
-    half = rat("1/2")
-    caps = {e: rat(inst.cap(e)) for c in cycles for e in c.edge_set}
-    best_vec, best_val = None, rat(-1)
-
-    def recurse(i, vec, val):
-        nonlocal best_vec, best_val
-        bound = val
-        for c in cycles[i:]:
-            bound += min(caps[e] for e in c.edge_set)
-        if bound <= best_val:
-            return
-        if i == len(cycles):
-            if val > best_val:
-                best_val, best_vec = val, list(vec)
-            return
-        c = cycles[i]
-        top = min(caps[e] for e in c.edge_set)
-        k = int(top / half)
-        for steps in range(k, -1, -1):
-            v = steps * half
-            for e in c.edge_set:
-                caps[e] -= v
-            vec.append(v)
-            recurse(i + 1, vec, val + v)
-            vec.pop()
-            for e in c.edge_set:
-                caps[e] += v
-
-    recurse(0, [], ZERO)
-    out = Multiflow(inst)
-    for c, v in zip(cycles, best_vec):
-        out.set(c, v)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,13 @@ vertex-disjoint cycles, splitting a vertex along a contiguous rotation arc,
 expanding an edge into an embedded band of parallel edges, adding a chord
 across a face, and ``disjointify`` which re-routes a family of pairwise
 non-crossing cycles onto pairwise vertex-disjoint ones.
+
+Two primitives answer the package's geometric questions, each in one place:
+``shared_paths`` walks the maximal common paths of two cycles (``uncross``
+classifies them as crossings, ``disjointify`` orders bands by them), and
+``face_components`` is the one union-find over faces, numbering the dual
+components left by removing some edges (``cut_along`` and ``topology`` read
+their components from it).
 """
 
 from __future__ import annotations
@@ -234,6 +241,30 @@ class CutComplex:
     side_component: dict
 
 
+def face_components(graph: EmbeddedGraph, removed_edges) -> list[int]:
+    """Component of every face in the dual graph minus ``removed_edges``.
+
+    Returns a list indexed by face; components are numbered in the order of
+    their smallest face, so face 0 is always in component 0.
+    """
+    parent = list(range(len(graph.faces)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for e in range(len(graph.edges)):
+        if e not in removed_edges:
+            a, b = find(graph.face_of[2 * e]), find(graph.face_of[2 * e + 1])
+            if a != b:
+                parent[a] = b
+    index: dict[int, int] = {}
+    return [index.setdefault(find(f), len(index))
+            for f in range(len(graph.faces))]
+
+
 def _cycle_vertices(graph: EmbeddedGraph, darts: Sequence[Dart]) -> list[int]:
     verts = []
     k = len(darts)
@@ -256,7 +287,8 @@ def cut_along(graph: EmbeddedGraph,
     dual connectivity through non-cycle edges, and for a component K the cut
     surface has ``chi(K) = #interior vertices - #interior edges + #faces``
     (the boundary copies of cycle vertices and edges cancel).  Each cycle
-    contributes exactly two boundary circles, one per side.
+    contributes exactly two boundary circles, one per side.  Components are
+    numbered as ``face_components`` numbers them, by their smallest face.
     """
     cycles = [tuple(c) for c in cycles]
     all_verts: set[int] = set()
@@ -268,29 +300,14 @@ def cut_along(graph: EmbeddedGraph,
         all_verts.update(vs)
         cycle_edges.update(d >> 1 for d in darts)
 
-    parent = list(range(len(graph.faces)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in range(len(graph.edges)):
-        if e not in cycle_edges:
-            a, b = find(graph.face_of[2 * e]), find(graph.face_of[2 * e + 1])
-            if a != b:
-                parent[a] = b
-
-    roots = sorted({find(f) for f in range(len(graph.faces))})
-    comp_index = {r: i for i, r in enumerate(roots)}
-    n_comp = len(roots)
+    comp_of = face_components(graph, cycle_edges)
+    n_comp = max(comp_of, default=-1) + 1
 
     side_component = {}
     boundary: list[list] = [[] for _ in range(n_comp)]
     for i, darts in enumerate(cycles):
         for side, ds in ((0, darts), (1, [d ^ 1 for d in darts])):
-            comps = {comp_index[find(graph.face_of[d])] for d in ds}
+            comps = {comp_of[graph.face_of[d]] for d in ds}
             if len(comps) != 1:
                 raise InternalInvariantError(
                     "one side of a cycle touches several components",
@@ -300,16 +317,15 @@ def cut_along(graph: EmbeddedGraph,
             boundary[k].append((i, side))
 
     faces_of = [[] for _ in range(n_comp)]
-    for f in range(len(graph.faces)):
-        faces_of[comp_index[find(f)]].append(f)
+    for f, k in enumerate(comp_of):
+        faces_of[k].append(f)
     chi = [len(fs) for fs in faces_of]
     for e in range(len(graph.edges)):
         if e not in cycle_edges:
-            chi[comp_index[find(graph.face_of[2 * e])]] -= 1
+            chi[comp_of[graph.face_of[2 * e]]] -= 1
     for v in range(graph.n):
         if v not in all_verts and graph.degree(v):
-            k = comp_index[find(graph.face_of[graph.rotation[v][0]])]
-            chi[k] += 1
+            chi[comp_of[graph.face_of[graph.rotation[v][0]]]] += 1
 
     components = tuple(
         CutComponent(frozenset(faces_of[k]), chi[k], tuple(sorted(boundary[k])))
@@ -418,77 +434,78 @@ def add_chord(graph: EmbeddedGraph, d1: Dart, d2: Dart) -> tuple[EmbeddedGraph, 
 # disjointifying a family of pairwise non-crossing cycles
 # ---------------------------------------------------------------------------
 
-def _shared_path_through(graph: EmbeddedGraph, edges1: set, edges2: set,
-                         e: int):
-    """Maximal common path of two simple cycles containing shared edge ``e``.
+def shared_paths(graph: EmbeddedGraph, darts1: Sequence[Dart],
+                 darts2: Sequence[Dart]) -> list:
+    """Maximal common paths of two simple cycles with different edge sets.
 
-    Both cycles are simple, so consecutive shared edges meet at a common
-    vertex and the common subgraph through ``e`` is a path.  Returns
-    ``(ordered_edges, start_vertex)`` in a canonical direction: the path is
-    walked so that its smallest-id edge is traversed slot0 -> slot1.
+    Both cycles are simple, so their common subgraph is a disjoint union of
+    paths, a shared vertex without a shared edge being a path of length
+    zero.  Returns one ``(vertices, edges)`` pair per path, each walked from
+    one of its ends; the pairs come in no particular order.
     """
-    shared = edges1 & edges2
-    inc: dict[int, list[int]] = {}
-    for f in shared:
-        for x in graph.edges[f]:
-            inc.setdefault(x, []).append(f)
+    v1 = {graph.head(d) for d in darts1}
+    v2 = {graph.head(d) for d in darts2}
+    sv = v1 & v2
+    se = {d >> 1 for d in darts1} & {d >> 1 for d in darts2}
+    inc: dict[int, list] = {v: [] for v in sv}
+    for e in se:
+        a, b = graph.edges[e]
+        inc[a].append(e)
+        inc[b].append(e)
 
-    def extend(start_edge, start_vertex):
-        out = []
-        cur_e, cur_v = start_edge, start_vertex
-        seen = {start_edge}
+    paths = []
+    seen = set()
+    for v0 in sv:
+        if v0 in seen or len(inc[v0]) == 2:
+            continue  # start walks only from path endpoints
+        verts, edges = [v0], []
+        seen.add(v0)
+        cur, prev_e = v0, None
         while True:
-            nxt = [f for f in inc.get(cur_v, ()) if f != cur_e]
-            if not nxt or nxt[0] in seen:
-                return out, cur_v
-            f = nxt[0]
-            seen.add(f)
-            out.append(f)
-            a, b = graph.edges[f]
-            cur_v = b if a == cur_v else a
-            cur_e = f
-
-    u, v = graph.edges[e]
-    back, x_end = extend(e, u)
-    fwd, y_end = extend(e, v)
-    path = list(reversed(back)) + [e] + fwd
-    start = x_end
-    e0 = min(path)
-    if _edge_direction(graph, path, start, e0) < 0:
-        path = list(reversed(path))
-        start = y_end
-    return path, start
+            nxt = [e for e in inc[cur] if e != prev_e]
+            if not nxt:
+                break
+            e = nxt[0]
+            cur = graph.edges[e][0] if graph.edges[e][1] == cur \
+                else graph.edges[e][1]
+            verts.append(cur)
+            edges.append(e)
+            seen.add(cur)
+            prev_e = e
+        paths.append((tuple(verts), tuple(edges)))
+    if len(seen) != len(sv):
+        # a leftover component is a cycle of shared edges, i.e. both cycles
+        # have the same edge set
+        raise InternalInvariantError("shared subgraph has a cycle component",
+                                     witness=sorted(sv - seen))
+    return paths
 
 
-def _edge_direction(graph: EmbeddedGraph, order: list[int], start: int,
-                    e: int) -> int:
-    """+1 if walking ``order`` from ``start`` traverses ``e`` slot0 -> slot1."""
-    cur_v = start
-    for f in order:
-        a, b = graph.edges[f]
-        if f == e:
-            return 1 if cur_v == a else -1
-        cur_v = b if a == cur_v else a
-    raise InternalInvariantError("edge missing from its own path", witness=e)
+def _walk_direction(graph: EmbeddedGraph, verts: Sequence[int],
+                    edges: Sequence[int], e: int) -> int:
+    """+1 if the walk ``verts``/``edges`` traverses ``e`` slot0 -> slot1."""
+    return 1 if graph.edges[e][0] == verts[edges.index(e)] else -1
 
 
-def _band_before(graph: EmbeddedGraph, cyc1: set, cyc2: set, e: int) -> int:
+def _band_before(graph: EmbeddedGraph, darts1: Sequence[Dart],
+                 darts2: Sequence[Dart], e: int) -> int:
     """Relative band order of two cycles at shared edge ``e``.
 
     Returns -1 if cycle 1 sits before cycle 2 in the slot-0 insertion frame
     of ``e``, +1 for the opposite, 0 if the cycles coincide.  The relation is
-    read off at the divergence end of their maximal common path: the cycle
-    whose continuation dart is met first when scanning clockwise from the
-    path's terminal dart lies on a fixed side of the band.
+    read off at the divergence end of their maximal common path through
+    ``e``, walked so that its smallest-id edge is traversed slot0 -> slot1:
+    the cycle whose continuation dart is met first when scanning clockwise
+    from the path's terminal dart lies on a fixed side of the band.
     """
+    cyc1, cyc2 = {d >> 1 for d in darts1}, {d >> 1 for d in darts2}
     if cyc1 == cyc2:
         return 0
-    path, start = _shared_path_through(graph, cyc1, cyc2, e)
-    cur_v = start
-    for f in path:
-        a, b = graph.edges[f]
-        cur_v = b if a == cur_v else a
-    y = cur_v
+    verts, path = next(p for p in shared_paths(graph, darts1, darts2)
+                       if e in p[1])
+    if _walk_direction(graph, verts, path, min(path)) < 0:
+        verts, path = verts[::-1], path[::-1]
+    y = verts[-1]
     t = path[-1]
     p_y = 2 * t if graph.edges[t][0] == y else 2 * t + 1
     path_set = set(path)
@@ -520,7 +537,7 @@ def _band_before(graph: EmbeddedGraph, cyc1: set, cyc2: set, e: int) -> int:
     # Translate into the slot-0 insertion frame of e.  In the terminal
     # edge's frame the relation is first_found * dir(t); switching frames
     # multiplies by dir(t) * dir(e), so the dir(t) factors cancel.
-    return first_found * _edge_direction(graph, path, start, e)
+    return first_found * _walk_direction(graph, verts, path, e)
 
 
 def disjointify(graph: EmbeddedGraph,
@@ -552,7 +569,7 @@ def disjointify(graph: EmbeddedGraph,
             continue
 
         def cmp(i, j, _e=e):
-            return _band_before(graph, edge_sets[i], edge_sets[j], _e)
+            return _band_before(graph, cycles[i], cycles[j], _e)
 
         plan.append((e, sorted(owners, key=cmp_to_key(cmp))))
 
@@ -601,10 +618,6 @@ def disjointify(graph: EmbeddedGraph,
         g = split_vertex(g, v, arc)
 
     return g, [tuple(c) for c in cycles]
-
-
-def edge_sets_of(cycle):
-    return {d >> 1 for d in cycle}
 
 
 def _cycle_darts_at(graph: EmbeddedGraph, cycle: Sequence[Dart], v: int) -> list[Dart]:

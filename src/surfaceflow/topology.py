@@ -7,6 +7,9 @@ containing a fixed outer face).  Non-separating, non-crossing cycles are
 tested for free homotopy by the annulus criterion: after re-routing the pair
 onto vertex-disjoint curves, the two are freely homotopic exactly when they
 cobound an annulus component of the cut surface.
+
+Dual components come from ``surface.face_components`` and cut surfaces from
+``surface.cut_along``; crossings are counted by ``uncross.cr``.
 """
 
 from __future__ import annotations
@@ -17,33 +20,21 @@ from typing import Sequence
 from .errors import InternalInvariantError, PreconditionError
 from .flows import DCycle, Multiflow
 from .rational import ZERO
-from .surface import EmbeddedGraph, cut_along, disjointify
+from .surface import EmbeddedGraph, cut_along, disjointify, face_components
 from .uncross import cr
 
 OUTER_FACE = 0  # fixed reference face playing the role of infinity
 
 
 def _dual_components(graph: EmbeddedGraph, removed_edges: set) -> list:
-    """Connected components of the dual graph minus the given dual edges."""
-    parent = list(range(len(graph.faces)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in range(len(graph.edges)):
-        if e in removed_edges:
-            continue
-        a = find(graph.face_of[2 * e])
-        b = find(graph.face_of[2 * e + 1])
-        if a != b:
-            parent[a] = b
-    comps: dict[int, set] = {}
-    for f in range(len(graph.faces)):
-        comps.setdefault(find(f), set()).add(f)
-    return [frozenset(s) for s in comps.values()]
+    """Connected components of the dual graph minus the given dual edges,
+    as face sets in the order of their smallest face."""
+    comps: list[set] = []
+    for f, k in enumerate(face_components(graph, removed_edges)):
+        if k == len(comps):
+            comps.append(set())
+        comps[k].add(f)
+    return [frozenset(s) for s in comps]
 
 
 @dataclass(frozen=True)

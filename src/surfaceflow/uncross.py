@@ -10,6 +10,10 @@ size, never increases any edge load, and strictly decreases the potential
 ``(total edge count, total crossing count)`` lexicographically, which bounds
 the number of iterations.
 
+Where two cycles meet comes from ``surface.shared_paths``, the walk that
+``disjointify`` also orders its bands by; ``shared_elements`` classifies
+each common path as a crossing or a touching, and ``cr`` counts crossings.
+
 A rewrite is a deterministic function of its pair of cycles.  When the scan
 picks the pair it rewrote in the previous iteration and the four cycles
 involved are distinct, the multiset keys are unchanged, so the scan would
@@ -28,7 +32,7 @@ from .errors import InternalInvariantError, PreconditionError
 from .flows import DCycle, Multiflow
 from .instances import Instance
 from .rational import QQ, ZERO, rat
-from .surface import EmbeddedGraph, _cycle_darts_at
+from .surface import EmbeddedGraph, _cycle_darts_at, shared_paths
 
 
 # ---------------------------------------------------------------------------
@@ -46,10 +50,6 @@ class SharedPath:
     vertices: tuple
     edges: tuple
     is_crossing: bool
-
-
-def _cycle_edge_sets(darts: Sequence[int]):
-    return {d >> 1 for d in darts}
 
 
 def _merged_rotation(graph: EmbeddedGraph, verts: Sequence[int],
@@ -84,50 +84,12 @@ def shared_elements(graph: EmbeddedGraph, darts1: Sequence[int],
     cycles (equal edge sets) share everything and cross nowhere; the result
     is empty in that case.
     """
-    e1, e2 = _cycle_edge_sets(darts1), _cycle_edge_sets(darts2)
+    e1, e2 = {d >> 1 for d in darts1}, {d >> 1 for d in darts2}
     if e1 == e2:
         return []
-    v1 = {graph.head(d) for d in darts1}
-    v2 = {graph.head(d) for d in darts2}
-    sv = v1 & v2
     se = e1 & e2
-    if not sv:
-        return []
-
-    inc: dict[int, list] = {v: [] for v in sv}
-    for e in se:
-        a, b = graph.edges[e]
-        inc[a].append(e)
-        inc[b].append(e)
-
-    elements = []
-    seen = set()
-    for v0 in sv:
-        if v0 in seen or len(inc[v0]) == 2:
-            continue  # start walks only from path endpoints
-        verts, edges = [v0], []
-        seen.add(v0)
-        cur, prev_e = v0, None
-        while True:
-            nxt = [e for e in inc[cur] if e != prev_e]
-            if not nxt:
-                break
-            e = nxt[0]
-            cur = graph.edges[e][0] if graph.edges[e][1] == cur \
-                else graph.edges[e][1]
-            verts.append(cur)
-            edges.append(e)
-            seen.add(cur)
-            prev_e = e
-        elements.append((tuple(verts), tuple(edges)))
-    if len(seen) != len(sv):
-        # a leftover component is a cycle of shared edges, i.e. both cycles
-        # coincide, contradicting the edge-set check above
-        raise InternalInvariantError("shared subgraph has a cycle component",
-                                     witness=sorted(sv - seen))
-
     out = []
-    for verts, edges in elements:
+    for verts, edges in shared_paths(graph, darts1, darts2):
         a, b = verts[0], verts[-1]
         div1 = [d for d in _cycle_darts_at(graph, darts1, a) +
                 (_cycle_darts_at(graph, darts1, b) if b != a else [])

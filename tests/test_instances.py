@@ -1,7 +1,11 @@
 import json
+import pathlib
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from surfaceflow import cli
 from surfaceflow.errors import InstanceFormatError
 from surfaceflow.instances import (DEMAND, SUPPLY, Instance,
                                    generate_gap_family,
@@ -75,6 +79,27 @@ class TestParse:
             parse_instance(doc)
         assert ei.value.code == "rotation"
 
+    @pytest.mark.parametrize("path, value, code", [
+        (("rotation", 0, 0), "x", "rotation"),
+        (("rotation", 1, 1), 1.5, "rotation"),
+        (("rotation", 1, 1), True, "rotation"),
+        (("vertices",), True, "schema"),
+        (("vertices",), 3.0, "schema"),
+        (("edges", 1, "id"), True, "schema"),
+        (("edges", 0, "u"), False, "schema"),
+        (("edges", 2, "v"), 0.0, "schema"),
+    ], ids=["dart-str", "dart-float", "dart-bool", "vertices-bool",
+            "vertices-float", "id-bool", "u-bool", "v-float"])
+    def test_non_int_value_rejected(self, path, value, code):
+        doc = small_instance_doc()
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(InstanceFormatError) as ei:
+            parse_instance(doc)
+        assert ei.value.code == code
+
     def test_bad_kind(self):
         doc = small_instance_doc()
         doc["edges"][0]["kind"] = "weird"
@@ -131,3 +156,40 @@ class TestPlanarRandom:
         a = serialize_instance(generate_planar_random(15, seed=3))
         b = serialize_instance(generate_planar_random(15, seed=3))
         assert a == b
+
+
+GAP_N1 = json.loads((pathlib.Path(__file__).resolve().parent.parent
+                     / "golden" / "gap_n1.json").read_text())
+
+
+def _leaf_paths(doc, path=()):
+    """Key paths of every scalar leaf of a parsed JSON document."""
+    if isinstance(doc, dict):
+        items = sorted(doc.items())
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return [path]
+    return [p for key, value in items for p in _leaf_paths(value, path + (key,))]
+
+
+BAD_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 40), st.floats(),
+    st.text(max_size=3), st.lists(st.integers(0, 3), max_size=2),
+    st.just({}))
+
+
+class TestSolveFuzz:
+    @settings(max_examples=40, deadline=None, database=None,
+              derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(path=st.sampled_from(_leaf_paths(GAP_N1)), value=BAD_LEAVES)
+    def test_one_bad_leaf_exits_0_or_2(self, tmp_path, path, value):
+        doc = json.loads(json.dumps(GAP_N1))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(json.dumps(doc))
+        assert cli.main(["solve", str(inst_path)]) in (0, 2)

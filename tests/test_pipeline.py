@@ -103,12 +103,28 @@ class TestVerify:
         assert not verdict["ok"]
         assert verdict["problems"][0]["kind"] == "value"
 
-    @pytest.mark.parametrize("value", ["abc", "1/0", 1.5, [1]])
+    @pytest.mark.parametrize("value", ["abc", "1/0", 1.5, [1], True])
     def test_malformed_value_is_a_verdict(self, value):
         inst = generate_planar_random(12, seed=3)
         flow, _ = run(inst)
         data = solution_wire(flow)
         data["value"] = value
+        verdict = verify_solution(inst, data)
+        assert not verdict["ok"]
+        assert [p["kind"] for p in verdict["problems"]] == ["malformed"]
+
+    @pytest.mark.parametrize("field, change", [
+        ("value", lambda old: True),
+        ("demand", float),
+        ("cycle", lambda old: [float(old[0])] + old[1:]),
+    ], ids=["value-true", "demand-float", "dart-float"])
+    def test_malformed_cycle_record_is_a_verdict(self, field, change):
+        inst = generate_gap_family(1)
+        flow, _ = run(inst)
+        data = solution_wire(flow)
+        rec = data["flow"][0]
+        assert rec["value"] == "1/1"
+        rec[field] = change(rec[field])
         verdict = verify_solution(inst, data)
         assert not verdict["ok"]
         assert [p["kind"] for p in verdict["problems"]] == ["malformed"]
@@ -158,6 +174,13 @@ class TestCli:
         assert cli.main(["oracle", str(inst_path)]) == 0
         assert cli.main(["oracle", str(inst_path), "--multicut"]) == 0
         assert cli.main(["oracle", str(inst_path), "--max-nodes", "1"]) == 4
+
+    def test_non_int_dart_exits_2(self, tmp_path):
+        doc = json.loads((GOLDEN / "gap_n1.json").read_text())
+        doc["rotation"][0][0] = "x"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert cli.main(["solve", str(bad)]) == 2
 
     def test_usage_errors(self, tmp_path):
         assert cli.main(["solve", str(tmp_path / "missing.json")]) == 2

@@ -1,5 +1,7 @@
 import pytest
 
+import surfaceflow.round_separating as round_separating_module
+from surfaceflow.errors import InternalInvariantError
 from surfaceflow.flows import DCycle, Multiflow, solve_and_decompose
 from surfaceflow.instances import generate_planar_random
 from surfaceflow.rational import rat
@@ -72,6 +74,16 @@ class TestHalfIntegralize:
         assert 2 * out.value >= fsep.value
         assert set(out.values) <= set(fsep.values)
         assert all(2 * v == int(2 * v) for v in out.values.values())
+
+    def test_non_half_integral_vertex_is_an_invariant_failure(
+            self, monkeypatch):
+        inst = two_path_instance()
+        f = Multiflow(inst)
+        f.add(DCycle.from_darts(inst, [0, 2, 9]), 1)
+        monkeypatch.setattr(round_separating_module, "_simplex_exact",
+                            lambda *args: ([rat("1/3")], [], []))
+        with pytest.raises(InternalInvariantError, match="half-integral"):
+            half_integralize(f)
 
 
 class TestReduceToUnit:

@@ -143,6 +143,17 @@ class TestCutAlong:
         cut = cut_along(g, [meridian(g, 4, 4, 0), meridian(g, 4, 4, 2)])
         assert sum(c.chi for c in cut.components) == 2 - 2 * g.genus
 
+    @pytest.mark.parametrize("cols", [(0, 2), (0, 1, 2, 3), (1, 2, 3)])
+    def test_components_numbered_by_smallest_face(self, cols):
+        g = torus_grid_map(4, 4)
+        cycles = [meridian(g, 4, 4, c) for c in cols]
+        cut = cut_along(g, cycles)
+        smallest = [min(c.faces) for c in cut.components]
+        assert smallest == sorted(smallest) and smallest[0] == 0
+        for (i, side), k in cut.side_component.items():
+            darts = cycles[i] if side == 0 else [d ^ 1 for d in cycles[i]]
+            assert {g.face_of[d] for d in darts} <= cut.components[k].faces
+
     def test_rejects_sharing_cycles(self):
         g = torus_grid_map(3, 3)
         with pytest.raises(PreconditionError):
