@@ -15,12 +15,13 @@ shortest paths and returns the prices as an optimality certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from math import lcm
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InternalInvariantError, PreconditionError
 from .instances import Instance, is_int
-from .lp import LPResult, solve_lp
-from .rational import QQ, ZERO, rat, rat_str
+from .lp import solve_lp
+from .rational import QQ, ZERO, numerators_over, rat, rat_str
 
 
 def _canonical_darts(darts: Sequence[int]) -> tuple:
@@ -102,10 +103,6 @@ class Multiflow:
     def value(self):
         return sum(self.values.values(), ZERO)
 
-    def edge_load(self, e: int):
-        return sum((v for c, v in self.values.items() if e in c.edge_set),
-                   ZERO)
-
     def edge_loads(self) -> dict:
         loads: dict = {}
         for c, v in self.values.items():
@@ -159,12 +156,14 @@ class EdgeFlowSolution:
     ``flow[d][e]`` is the net flow of demand ``d`` on supply edge ``e``,
     positive in slot0 -> slot1 direction; ``demand_value[d]`` the amount
     routed.  ``multicut`` maps every edge to its dual price (a fractional
-    multicut of the same total weight as the flow).
+    multicut); ``multicut_value`` is its capacity-weighted cost, checked
+    equal to ``value``.
     """
 
     flow: dict
     demand_value: dict
     multicut: dict
+    multicut_value: object
     value: object
     engine: str
 
@@ -176,7 +175,7 @@ def solve_fractional(instance: Instance) -> EdgeFlowSolution:
     supply = instance.supply_edges
     if not demands:
         return EdgeFlowSolution({}, {}, {e: ZERO for e in supply}, ZERO,
-                                engine="trivial")
+                                ZERO, engine="trivial")
 
     # variable layout per demand: (x+_e, x-_e for e in supply), then w_d
     per = 2 * len(supply)
@@ -248,40 +247,46 @@ def solve_fractional(instance: Instance) -> EdgeFlowSolution:
         flow[d] = nets
         demand_value[d] = res.x[var_w(di)]
     multicut = {e: res.y_ub[cap_row_of[e]] for e in list(supply) + list(demands)}
-    sol = EdgeFlowSolution(flow, demand_value, multicut, res.value, res.engine)
-    _verify_multicut(instance, sol)
-    return sol
+    multicut_value = _verify_multicut(instance, multicut, res.value)
+    return EdgeFlowSolution(flow, demand_value, multicut, multicut_value,
+                            res.value, res.engine)
 
 
-def _verify_multicut(instance: Instance, sol: EdgeFlowSolution) -> None:
+def _verify_multicut(instance: Instance, prices: dict, value):
     """The dual prices must cover every D-cycle with weight >= 1 and have
-    total capacity-weighted cost equal to the flow value (strong duality)."""
+    total capacity-weighted cost equal to the flow value (strong duality).
+
+    Runs on the prices' numerators over their common denominator ``D``, so
+    the covering test is ``dist + y_d >= D`` in ints.  Returns the cost.
+    """
     g = instance.graph
-    y = sol.multicut
-    total = sum((rat(instance.cap(e)) * v for e, v in y.items()), ZERO)
-    if total != sol.value:
+    denom = lcm(*{v.denominator for v in prices.values()})
+    scaled = dict(zip(prices, numerators_over(prices.values(), denom)))
+    total = QQ(sum(instance.cap(e) * v for e, v in scaled.items()), denom)
+    if total != value:
         raise InternalInvariantError(
             "multicut certificate cost %s != flow value %s"
-            % (total, sol.value), witness=y)
+            % (total, value), witness=prices)
     for d in instance.demand_edges:
         s, t = g.edges[d]
-        dist = shortest_path_length(instance, s, t, y)
-        if dist is not None and dist + y[d] < 1:
+        dist = shortest_path_length(instance, s, t, scaled)
+        if dist is not None and dist + scaled[d] < denom:
             raise InternalInvariantError(
                 "multicut certificate misses a D-cycle through demand %d" % d,
-                witness=(d, dist))
+                witness=(d, QQ(dist, denom)))
+    return total
 
 
 def shortest_path_length(instance: Instance, s: int, t: int,
                          weights: Mapping[int, object]):
     """Exact Bellman-Ford over supply edges (weights are non-negative)."""
     g = instance.graph
-    dist = {s: ZERO}
+    dist = {s: 0}
     for _ in range(g.n):
         changed = False
         for e in instance.supply_edges:
             a, b = g.edges[e]
-            w = weights.get(e, ZERO)
+            w = weights.get(e, 0)
             for x, yv in ((a, b), (b, a)):
                 if x in dist:
                     nd = dist[x] + w

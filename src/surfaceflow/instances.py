@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 from .errors import InstanceFormatError, InternalInvariantError, StructuralError
 from .surface import EmbeddedGraph, add_chord, split_vertex
@@ -76,9 +75,6 @@ class Instance:
 
     def is_demand(self, e: int) -> bool:
         return self.kinds[e] == DEMAND
-
-    def with_caps(self, caps: Sequence[int]) -> "Instance":
-        return Instance(self.graph, self.kinds, tuple(caps))
 
 
 def parse_instance(data) -> Instance:

@@ -10,21 +10,28 @@ pair.  There are two engines, each with its own tableau code:
   larger problems: its solution is snapped to small-denominator rationals and
   accepted only when exact primal feasibility, exact dual feasibility and
   exact objective equality all hold, otherwise the exact engine runs from
-  scratch.
+  scratch.  A pivot updates, row by row, only the rows with a nonzero entry
+  in the entering column; the other rows would only subtract ``0 * prow``,
+  so the pivot sequence is that of a full dense update.
 
 Either way the result is certified: the returned dual is exactly feasible
 with objective equal to the primal's, so optimality never rests on floating
-point.
+point.  ``check_certificate`` decides this on Python ints: one positive
+scale makes ``A``, ``b`` and ``c`` integral (the dual is unchanged), and
+``x`` and ``y`` are written over their common denominators, so every test
+is an integer sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import lcm
 from typing import Sequence
 
 from .errors import InternalInvariantError, PreconditionError
-from .rational import QQ, ZERO, rat
+from .rational import QQ, ZERO, numerators_over, rat
 
 try:
     import numpy as _np
@@ -66,39 +73,50 @@ def solve_lp(c: Sequence, A_ub: Sequence[dict], b_ub: Sequence,
         if got is not None:
             return got
     x, y_ub, y_eq = _simplex_exact(c, A_ub, b_ub, A_eq, b_eq)
-    value = sum((ci * xi for ci, xi in zip(c, x)), ZERO)
+    value = sum((ci * xi for ci, xi in zip(c, x) if xi), ZERO)
     return LPResult(x, y_ub, y_eq, value, engine="exact")
 
 
 def check_certificate(c, A_ub, b_ub, A_eq, b_eq, x, y_ub, y_eq) -> bool:
-    """Exact optimality check: primal/dual feasible with equal objectives."""
+    """Exact optimality check: primal/dual feasible with equal objectives.
+
+    With ``S`` the lcm of the denominators in ``A``, ``b`` and ``c``,
+    ``x = X / Dx`` and ``y = Y / Dy``, the tests are ``S A X <= S b Dx``,
+    ``S A^T Y >= S c Dy`` and ``S c X Dy == S b Y Dx``, all over ints.
+    """
     n = len(c)
-    if len(x) != n or any(v < 0 for v in x):
+    if len(x) != n or any(v < 0 for v in x) or any(v < 0 for v in y_ub):
         return False
+    scale = lcm(*{v.denominator for v in chain(c, b_ub, b_eq)},
+                *{v.denominator for row in chain(A_ub, A_eq)
+                  for v in row.values()})
+    c, b_ub, b_eq = (numerators_over(v, scale) for v in (c, b_ub, b_eq))
+    A_ub, A_eq = ([dict(zip(row, numerators_over(row.values(), scale)))
+                   for row in rows] for rows in (A_ub, A_eq))
+    dx = lcm(*{v.denominator for v in x})
+    x = numerators_over(x, dx)
+    dy = lcm(*{v.denominator for v in chain(y_ub, y_eq)})
+    y_ub, y_eq = numerators_over(y_ub, dy), numerators_over(y_eq, dy)
+
     for row, b in zip(A_ub, b_ub):
-        if sum((coef * x[j] for j, coef in row.items()), ZERO) > b:
+        if sum(coef * x[j] for j, coef in row.items()) > b * dx:
             return False
     for row, b in zip(A_eq, b_eq):
-        if sum((coef * x[j] for j, coef in row.items()), ZERO) != b:
+        if sum(coef * x[j] for j, coef in row.items()) != b * dx:
             return False
-    if any(v < 0 for v in y_ub):
-        return False
     # dual feasibility per column: A^T y >= c
-    col_tot = [ZERO] * n
-    for row, y in zip(A_ub, y_ub):
-        if y:
-            for j, coef in row.items():
-                col_tot[j] += coef * y
-    for row, y in zip(A_eq, y_eq):
-        if y:
-            for j, coef in row.items():
-                col_tot[j] += coef * y
-    if any(col_tot[j] < c[j] for j in range(n)):
+    col_tot = [0] * n
+    for rows, ys in ((A_ub, y_ub), (A_eq, y_eq)):
+        for row, y in zip(rows, ys):
+            if y:
+                for j, coef in row.items():
+                    col_tot[j] += coef * y
+    if any(tot < cj * dy for tot, cj in zip(col_tot, c)):
         return False
-    primal = sum((c[j] * x[j] for j in range(n)), ZERO)
-    dual = sum((b * y for b, y in zip(b_ub, y_ub)), ZERO) + \
-        sum((b * y for b, y in zip(b_eq, y_eq)), ZERO)
-    return primal == dual
+    primal = sum(cj * xj for cj, xj in zip(c, x))
+    dual = sum(b * y for b, y in zip(b_ub, y_ub)) + \
+        sum(b * y for b, y in zip(b_eq, y_eq))
+    return primal * dy == dual * dx
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +299,10 @@ def _simplex_float(c, A_ub, b_ub, A_eq, b_eq):
             T[leave] = prow
             coefs = T[:, enter].copy()
             coefs[leave] = 0.0
-            T[:] -= _np.outer(coefs, prow)
+            # only the rows with a nonzero coefficient, one at a time: no
+            # m x width temporary
+            for i in _np.flatnonzero(coefs):
+                T[i] -= coefs[i] * prow
             for o in objs:
                 o -= o[enter] * prow
             basis[leave] = enter
@@ -307,10 +328,15 @@ def _simplex_float(c, A_ub, b_ub, A_eq, b_eq):
 
 
 def _snap(values, denom):
+    """Closest rationals with denominator at most ``denom``, computed once
+    per distinct value (most entries are 0, 1 or a half)."""
+    memo = {}
     out = []
     for v in values:
-        f = Fraction(v).limit_denominator(denom)
-        out.append(QQ(f))
+        q = memo.get(v)
+        if q is None:
+            q = memo[v] = QQ(Fraction(v).limit_denominator(denom))
+        out.append(q)
     return out
 
 
@@ -327,6 +353,6 @@ def _float_then_snap(c, A_ub, b_ub, A_eq, b_eq):
         y_ub = [max(v, ZERO) for v in _snap(yubf, denom)]
         y_eq = _snap(yeqf, denom)
         if check_certificate(c, A_ub, b_ub, A_eq, b_eq, x, y_ub, y_eq):
-            value = sum((ci * xi for ci, xi in zip(c, x)), ZERO)
+            value = sum((ci * xi for ci, xi in zip(c, x) if xi), ZERO)
             return LPResult(x, y_ub, y_eq, value, engine="float+certify")
     return None

@@ -36,7 +36,11 @@ class PipelineConfig:
     verify: str = "off"
 
     def __post_init__(self):
-        eps = rat(self.epsilon)
+        try:
+            eps = rat(self.epsilon)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise PreconditionError("epsilon %r is not a rational p/q: %s"
+                                    % (self.epsilon, exc)) from exc
         if not ZERO < eps < ONE:
             raise PreconditionError("epsilon must lie strictly in (0, 1)")
         if self.branch not in BRANCHES:
@@ -90,7 +94,7 @@ def run(instance: Instance, config: PipelineConfig = PipelineConfig()):
         flow, sol = solve_and_decompose(instance)
     report["stages"]["lp"] = {"value": rat_str(sol.value),
                               "engine": sol.engine,
-                              "multicut_value": rat_str(sol.value)}
+                              "multicut_value": rat_str(sol.multicut_value)}
     report["stages"]["decompose"] = {"value": rat_str(flow.value),
                                      "support": len(flow.values)}
 

@@ -36,6 +36,12 @@ def rat_str(value) -> str:
     return "%d/%d" % (f.numerator, f.denominator)
 
 
+def numerators_over(values, denom: int) -> list:
+    """Numerators of ``values`` over ``denom``, a common multiple of their
+    denominators, as Python ints."""
+    return [v.numerator * (denom // v.denominator) for v in values]
+
+
 def floor_rat(value):
     """Floor of a rational, as a plain int."""
     f = Fraction(value)

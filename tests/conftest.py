@@ -1,9 +1,12 @@
-"""Shared map builders for the test suite."""
+"""Shared map builders and reference helpers for the test suite."""
 
 from __future__ import annotations
 
 import math
 
+from surfaceflow.flows import Multiflow
+from surfaceflow.instances import Instance
+from surfaceflow.rational import ZERO
 from surfaceflow.surface import EmbeddedGraph
 
 
@@ -131,3 +134,46 @@ def darts_for_route(graph: EmbeddedGraph, lookup: dict, route: list) -> tuple:
         assert graph.head(d) == vid[u] and graph.tail(d) == vid[v]
         darts.append(d)
     return tuple(darts)
+
+
+def edge_load(flow: Multiflow, e: int):
+    """Total value of the cycles of ``flow`` through edge ``e``."""
+    return sum((v for c, v in flow.values.items() if e in c.edge_set), ZERO)
+
+
+def with_caps(instance: Instance, caps) -> Instance:
+    """``instance`` with its capacities replaced by ``caps``."""
+    return Instance(instance.graph, instance.kinds, tuple(caps))
+
+
+def reference_check_certificate(c, A_ub, b_ub, A_eq, b_eq, x, y_ub,
+                                y_eq) -> bool:
+    """``lp.check_certificate`` entry by entry over rationals, as the
+    reference its integer version must agree with."""
+    n = len(c)
+    if len(x) != n or any(v < 0 for v in x):
+        return False
+    for row, b in zip(A_ub, b_ub):
+        if sum((coef * x[j] for j, coef in row.items()), ZERO) > b:
+            return False
+    for row, b in zip(A_eq, b_eq):
+        if sum((coef * x[j] for j, coef in row.items()), ZERO) != b:
+            return False
+    if any(v < 0 for v in y_ub):
+        return False
+    # dual feasibility per column: A^T y >= c
+    col_tot = [ZERO] * n
+    for row, y in zip(A_ub, y_ub):
+        if y:
+            for j, coef in row.items():
+                col_tot[j] += coef * y
+    for row, y in zip(A_eq, y_eq):
+        if y:
+            for j, coef in row.items():
+                col_tot[j] += coef * y
+    if any(col_tot[j] < c[j] for j in range(n)):
+        return False
+    primal = sum((c[j] * x[j] for j in range(n)), ZERO)
+    dual = sum((b * y for b, y in zip(b_ub, y_ub)), ZERO) + \
+        sum((b * y for b, y in zip(b_eq, y_eq)), ZERO)
+    return primal == dual

@@ -1,8 +1,9 @@
 import pytest
 
-from surfaceflow.errors import PreconditionError
-from surfaceflow.flows import (DCycle, Multiflow, decompose, solve_fractional,
-                               solve_and_decompose)
+from conftest import edge_load, with_caps
+from surfaceflow.errors import InternalInvariantError, PreconditionError
+from surfaceflow.flows import (DCycle, Multiflow, _verify_multicut, decompose,
+                               solve_and_decompose, solve_fractional)
 from surfaceflow.instances import (DEMAND, SUPPLY, Instance,
                                    generate_gap_family,
                                    generate_planar_random,
@@ -62,8 +63,8 @@ class TestMultiflow:
         f.add(DCycle.from_darts(inst, [0, 2, 9]), rat("1/2"))
         f.add(DCycle.from_darts(inst, [7, 5, 9]), rat("1/2"))
         assert f.value == rat(1)
-        assert f.edge_load(4) == rat(1)
-        assert f.edge_load(0) == rat("1/2")
+        assert edge_load(f, 4) == rat(1)
+        assert edge_load(f, 0) == rat("1/2")
         f.verify_feasible()
 
     def test_wire_round_trip(self):
@@ -86,7 +87,7 @@ class TestSolveFractional:
 
     def test_demand_capacity_binds(self):
         inst = two_path_instance()
-        inst = inst.with_caps((5, 5, 5, 5, 1))
+        inst = with_caps(inst, (5, 5, 5, 5, 1))
         sol = solve_fractional(inst)
         assert sol.value == rat(1)
 
@@ -116,6 +117,18 @@ class TestSolveFractional:
                 continue
             flow, sol = solve_and_decompose(inst)
             assert flow.value == sol.value
+            cost = sum(inst.cap(e) * y for e, y in sol.multicut.items())
+            assert sol.multicut_value == cost == sol.value
+
+    def test_multicut_check_rejects_bad_prices(self):
+        inst = two_path_instance()
+        # 1/3 on the demand edge and on one route: the other route's
+        # D-cycle has price 1/3 + 1/3 < 1
+        prices = {e: rat("1/3") if e in (0, 4) else rat(0) for e in range(5)}
+        with pytest.raises(InternalInvariantError, match="misses"):
+            _verify_multicut(inst, prices, rat(1))
+        with pytest.raises(InternalInvariantError, match="cost"):
+            _verify_multicut(inst, prices, rat(2))
 
     def test_torus_instances(self):
         inst = generate_torus_grid(3, 3, demands=2, seed=5)

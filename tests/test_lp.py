@@ -1,8 +1,17 @@
-import pytest
+import hashlib
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import reference_check_certificate
+from surfaceflow import flows
 from surfaceflow.errors import PreconditionError
-from surfaceflow.lp import check_certificate, solve_lp, _float_then_snap
-from surfaceflow.rational import rat
+from surfaceflow.instances import generate_torus_grid
+from surfaceflow.lp import (_float_then_snap, _simplex_exact,
+                            check_certificate, solve_lp)
+from surfaceflow.rational import rat, rat_str
 
 
 def R(*vals):
@@ -106,3 +115,92 @@ class TestFloatPath:
         assert got is not None
         assert got.value == rat(1)
         assert check_certificate(c, A, b, [], [], got.x, got.y_ub, got.y_eq)
+
+    # sha256 of the compact LP's (x, y_ub, y_eq) on 6x6 torus grids, recorded
+    # with full dense pivots: a change to the float pivot sequence fails here
+    PINNED = {
+        0: "0ffb89c03f3ff3495ec471bdcfdf94da18bcbbc7aa6ac11d4c123d0a0b9119d6",
+        1: "957978a26da18bd63bf4912a9df3610a4e016db1dbe727447deadae2ff0bc2f4",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_torus_compact_lp_is_pinned(self, monkeypatch, seed):
+        got = []
+
+        def spy(*args):
+            got.append(solve_lp(*args))
+            return got[-1]
+
+        monkeypatch.setattr(flows, "solve_lp", spy)
+        flows.solve_fractional(generate_torus_grid(
+            6, 6, demands=4, cap_mode="random", seed=seed))
+        (res,) = got
+        assert res.engine == "float+certify"
+        blob = repr([[rat_str(v) for v in vec]
+                     for vec in (res.x, res.y_ub, res.y_eq)])
+        assert hashlib.sha256(blob.encode()).hexdigest() == self.PINNED[seed]
+
+
+FRACS = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+COEFS = st.one_of(st.integers(-3, 3), FRACS)
+
+
+@st.composite
+def feasible_lps(draw):
+    """A small bounded LP with a known feasible point ``x0``."""
+    n = draw(st.integers(1, 4))
+    x0 = draw(st.lists(st.fractions(0, 2, max_denominator=6),
+                       min_size=n, max_size=n))
+    c = [rat(v) for v in draw(st.lists(FRACS, min_size=n, max_size=n))]
+
+    def rows(k):
+        return [{j: v for j, v in enumerate(draw(st.lists(
+                    COEFS, min_size=n, max_size=n))) if v}
+                for _ in range(k)]
+
+    def at(row, x):
+        return sum((coef * x[j] for j, coef in row.items()), Fraction(0))
+
+    A_ub = rows(draw(st.integers(0, 3)))
+    b_ub = [rat(max(at(row, x0), 0) + draw(st.fractions(0, 2,
+                                                          max_denominator=6)))
+            for row in A_ub]
+    A_ub.append({j: 1 for j in range(n)})  # keeps the LP bounded
+    b_ub.append(rat(sum(x0) + 1))
+    A_eq = rows(draw(st.integers(0, 2)))
+    b_eq = [rat(at(row, x0)) for row in A_eq]
+    return c, A_ub, b_ub, A_eq, b_eq
+
+
+class TestIntegerCertificate:
+    """The integer certificate gives the rational reference's verdict."""
+
+    @settings(max_examples=150, deadline=None, database=None,
+              derandomize=True)
+    @given(lp=feasible_lps(), data=st.data())
+    def test_same_verdict_as_reference(self, lp, data):
+        c, A_ub, b_ub, A_eq, b_eq = lp
+        x, y_ub, y_eq = _simplex_exact(c, A_ub, b_ub, A_eq, b_eq)
+        assert check_certificate(*lp, x, y_ub, y_eq)
+        assert reference_check_certificate(*lp, x, y_ub, y_eq)
+
+        vecs = {"x": x, "y_ub": y_ub, "y_eq": y_eq}
+        name = data.draw(st.sampled_from(
+            [k for k in sorted(vecs) if vecs[k]]))
+        vec = list(vecs[name])
+        i = data.draw(st.integers(0, len(vec) - 1))
+        how = data.draw(st.sampled_from(
+            ["plus", "minus", "negative", "longer", "shorter"]))
+        if how == "plus":
+            vec[i] += Fraction(1, 7)
+        elif how == "minus":
+            vec[i] -= Fraction(1, 7)
+        elif how == "negative":
+            vec[i] = -abs(vec[i]) - Fraction(1, 7)
+        elif how == "longer":
+            vec.append(Fraction(1, 7))
+        else:
+            del vec[i]
+        vecs[name] = vec
+        args = (*lp, vecs["x"], vecs["y_ub"], vecs["y_eq"])
+        assert check_certificate(*args) == reference_check_certificate(*args)

@@ -182,6 +182,11 @@ class TestCli:
         bad.write_text(json.dumps(doc))
         assert cli.main(["solve", str(bad)]) == 2
 
+    @pytest.mark.parametrize("epsilon", ["abc", "1/0"])
+    def test_unparsable_epsilon_exits_2(self, epsilon):
+        assert cli.main(["solve", str(GOLDEN / "gap_n1.json"),
+                         "--epsilon", epsilon]) == 2
+
     def test_usage_errors(self, tmp_path):
         assert cli.main(["solve", str(tmp_path / "missing.json")]) == 2
         bad = tmp_path / "bad.json"

@@ -13,6 +13,7 @@ from surfaceflow.round_separating import (color_and_select,
 from surfaceflow.topology import inside_faces, split_support
 from surfaceflow.uncross import cr, uncross_flow
 
+from conftest import with_caps
 from test_flows import two_path_instance
 
 
@@ -55,7 +56,7 @@ class TestHalfIntegralize:
 
     def test_two_cycles_shared_capacity_one_edge(self):
         # both routes use the demand edge of capacity 2; shrink it to 1
-        inst = two_path_instance().with_caps((1, 1, 1, 1, 1))
+        inst = with_caps(two_path_instance(), (1, 1, 1, 1, 1))
         f = Multiflow(inst)
         f.add(DCycle.from_darts(inst, [0, 2, 9]), half(1))
         f.add(DCycle.from_darts(inst, [7, 5, 9]), half(1))
@@ -88,7 +89,7 @@ class TestHalfIntegralize:
 
 class TestReduceToUnit:
     def test_floor_extraction(self):
-        inst = two_path_instance().with_caps((3, 3, 3, 3, 5))
+        inst = with_caps(two_path_instance(), (3, 3, 3, 3, 5))
         f = Multiflow(inst)
         f.add(DCycle.from_darts(inst, [0, 2, 9]), rat("5/2"))
         red = reduce_to_unit(f)
