@@ -161,14 +161,17 @@ def greedy(order, flow: Multiflow, caps: dict | None = None,
 
 
 def _nonseparating_classes(flow: Multiflow, classification):
-    _, _, nonsep, nonsep_v = split_support(flow)
-    if not nonsep:
+    """The classified non-separating cycles and their classification; the
+    support is split and classified only when no classification is given."""
+    if classification is None:
+        _, _, nonsep, nonsep_v = split_support(flow)
+        if nonsep:
+            classification = classify_homotopy(
+                flow.instance.graph, nonsep, nonsep_v)
+    if classification is None or not classification.cycles:
         raise PreconditionError(
             "support has no non-separating cycles; use the separating branch")
-    if classification is None:
-        classification = classify_homotopy(
-            flow.instance.graph, nonsep, nonsep_v)
-    return nonsep, classification
+    return classification.cycles, classification
 
 
 def select_class_and_round(flow: Multiflow,

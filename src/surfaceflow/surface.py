@@ -8,12 +8,15 @@ Faces are the orbits of ``d -> rotation-successor of reverse(d)``; the genus
 then falls out of Euler's formula and is required to be a non-negative
 integer at construction time.
 
-Besides the static queries (faces, genus, dual map) this module implements
-the surgery the rest of the package relies on: cutting the surface along
+Besides the static queries (faces, genus) this module implements the
+surgery the rest of the package relies on: cutting the surface along
 vertex-disjoint cycles, splitting a vertex along a contiguous rotation arc,
 expanding an edge into an embedded band of parallel edges, adding a chord
 across a face, and ``disjointify`` which re-routes a family of pairwise
-non-crossing cycles onto pairwise vertex-disjoint ones.
+non-crossing cycles onto pairwise vertex-disjoint ones.  Vertex splits and
+edge expansions are done once, on mutable edge and rotation lists: the
+public ``split_vertex`` and ``expand_edge`` build a map after one step, and
+``disjointify`` runs its whole plan and builds one map at the end.
 
 Two primitives answer the package's geometric questions, each in one place:
 ``shared_paths`` walks the maximal common paths of two cycles (``uncross``
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InternalInvariantError, PreconditionError, StructuralError
 
@@ -120,16 +123,19 @@ class EmbeddedGraph:
         self._rot_next = nxt
 
     def _trace_faces(self) -> tuple[tuple[Dart, ...], ...]:
+        """Face orbits, each starting at its smallest dart, in that order."""
         faces = []
-        unseen = set(range(2 * len(self.edges)))
-        while unseen:
-            d0 = min(unseen)
+        nxt = self._rot_next
+        seen = [False] * (2 * len(self.edges))
+        for d0 in range(len(seen)):
+            if seen[d0]:
+                continue
             face = []
             d = d0
             while True:
                 face.append(d)
-                unseen.discard(d)
-                d = self._rot_next[d ^ 1]
+                seen[d] = True
+                d = nxt[d ^ 1]
                 if d == d0:
                     break
             faces.append(tuple(face))
@@ -158,19 +164,7 @@ class EmbeddedGraph:
     def face_successor(self, d: Dart) -> Dart:
         return self._rot_next[d ^ 1]
 
-    # -- derived maps -------------------------------------------------------------
-
-    def dual(self) -> "DualGraph":
-        """The dual map: one vertex per face, one edge per primal edge.
-
-        Dual edge ``e`` keeps the id of primal edge ``e``; its slot-0 end is
-        the face containing primal dart ``2e``.  The dual lives on the same
-        surface (equal genus), and dualising twice gives back the primal map
-        up to relabelling vertices by their minimum dart.
-        """
-        edges = [(self.face_of[2 * e], self.face_of[2 * e + 1])
-                 for e in range(len(self.edges))]
-        return DualGraph(len(self.faces), edges, self.faces, primal=self)
+    # -- export -------------------------------------------------------------------
 
     def to_dot(self, cycles: Sequence[Sequence[Dart]] = ()) -> str:
         """Graphviz dump of the underlying multigraph; cycles get colors."""
@@ -187,16 +181,6 @@ class EmbeddedGraph:
             lines.append("  %d -- %d%s;" % (u, v, attr))
         lines.append("}")
         return "\n".join(lines)
-
-
-class DualGraph(EmbeddedGraph):
-    """Dual map; ``primal`` points back at the graph it was derived from."""
-
-    __slots__ = ("primal",)
-
-    def __init__(self, n, edges, rotation, primal):
-        self.primal = primal
-        super().__init__(n, edges, rotation)
 
 
 # ---------------------------------------------------------------------------
@@ -337,16 +321,16 @@ def cut_along(graph: EmbeddedGraph,
 # surgery primitives
 # ---------------------------------------------------------------------------
 
-def split_vertex(graph: EmbeddedGraph, v: int,
-                 arc: Sequence[Dart]) -> EmbeddedGraph:
-    """Split vertex ``v`` along a contiguous rotation arc.
+def _working_lists(graph: EmbeddedGraph) -> tuple[list, list]:
+    """Mutable copies of a map's edges and rotations for list surgery."""
+    return ([list(e) for e in graph.edges],
+            [list(r) for r in graph.rotation])
 
-    The darts of ``arc`` (a contiguous, non-empty, proper block of the
-    rotation at ``v``, given in rotation order) move to a fresh vertex, and a
-    bridge edge joins the two halves where the arc used to sit.  This is the
-    inverse of contracting the bridge, so the genus never changes.
-    """
-    rot = list(graph.rotation[v])
+
+def _split_vertex_lists(edges: list, rotation: list, v: int,
+                        arc: Sequence[Dart]) -> None:
+    """``split_vertex`` on mutable edge and rotation lists, in place."""
+    rot = rotation[v]
     arc = [int(d) for d in arc]
     if not arc or len(arc) >= len(rot):
         raise PreconditionError("arc must be a non-empty proper block")
@@ -358,17 +342,52 @@ def split_vertex(graph: EmbeddedGraph, v: int,
         if rot[(start + i) % len(rot)] != d:
             raise PreconditionError("arc is not contiguous in the rotation")
 
-    new_vertex = graph.n
-    bridge = len(graph.edges)
-    edges = [list(e) for e in graph.edges] + [[v, new_vertex]]
+    new_vertex = len(rotation)
+    bridge = len(edges)
+    edges.append([v, new_vertex])
     for d in arc:
         edges[d >> 1][d & 1] = new_vertex
     keep = [rot[(start + len(arc) + i) % len(rot)]
             for i in range(len(rot) - len(arc))]
-    rotation = [list(r) for r in graph.rotation]
     rotation[v] = [2 * bridge] + keep
     rotation.append([2 * bridge + 1] + arc)
-    return EmbeddedGraph(graph.n + 1, edges, rotation)
+
+
+def split_vertex(graph: EmbeddedGraph, v: int,
+                 arc: Sequence[Dart]) -> EmbeddedGraph:
+    """Split vertex ``v`` along a contiguous rotation arc.
+
+    The darts of ``arc`` (a contiguous, non-empty, proper block of the
+    rotation at ``v``, given in rotation order) move to a fresh vertex, and a
+    bridge edge joins the two halves where the arc used to sit.  This is the
+    inverse of contracting the bridge, so the genus never changes.
+    """
+    edges, rotation = _working_lists(graph)
+    _split_vertex_lists(edges, rotation, v, arc)
+    return EmbeddedGraph(len(rotation), edges, rotation)
+
+
+def _expand_edge_lists(edges: list, rotation: list, e: int,
+                       k: int) -> list[int]:
+    """``expand_edge`` on mutable edge and rotation lists, in place;
+    returns the parallels' edge ids in band order."""
+    if k < 1:
+        raise PreconditionError("need at least one parallel copy")
+    m = len(edges)
+    u, v = edges[e]
+    ids = [e] + list(range(m, m + k - 1))
+    edges.extend([u, v] for _ in range(k - 1))
+
+    def replace(vertex, old, block):
+        r = rotation[vertex]
+        i = r.index(old)
+        rotation[vertex] = r[:i] + block + r[i + 1:]
+
+    replace(u, 2 * e, [2 * p for p in ids])
+    # for a loop both darts live at u, and the second one is found on the
+    # rotation as updated above
+    replace(v, 2 * e + 1, [2 * p + 1 for p in reversed(ids)])
+    return ids
 
 
 def expand_edge(graph: EmbeddedGraph, e: int, k: int) -> tuple[EmbeddedGraph, list[int]]:
@@ -379,29 +398,9 @@ def expand_edge(graph: EmbeddedGraph, e: int, k: int) -> tuple[EmbeddedGraph, li
     id in the list is ``e`` itself.  Bigons appear between neighbours in the
     band, so the genus is unchanged.
     """
-    if k < 1:
-        raise PreconditionError("need at least one parallel copy")
-    m = len(graph.edges)
-    u, v = graph.edges[e]
-    ids = [e] + list(range(m, m + k - 1))
-    edges = list(graph.edges) + [(u, v)] * (k - 1)
-    rotation = [list(r) for r in graph.rotation]
-
-    def replace(vertex, old, block):
-        r = rotation[vertex]
-        i = r.index(old)
-        rotation[vertex] = r[:i] + block + r[i + 1:]
-
-    replace(u, 2 * e, [2 * p for p in ids])
-    if u == v:
-        # loop: both darts live at the same vertex; handle the second dart on
-        # the rotation as updated above
-        r = rotation[u]
-        i = r.index(2 * e + 1)
-        rotation[u] = r[:i] + [2 * p + 1 for p in reversed(ids)] + r[i + 1:]
-    else:
-        replace(v, 2 * e + 1, [2 * p + 1 for p in reversed(ids)])
-    return EmbeddedGraph(graph.n, edges, rotation), ids
+    edges, rotation = _working_lists(graph)
+    ids = _expand_edge_lists(edges, rotation, e, k)
+    return EmbeddedGraph(len(rotation), edges, rotation), ids
 
 
 def add_chord(graph: EmbeddedGraph, d1: Dart, d2: Dart) -> tuple[EmbeddedGraph, int]:
@@ -550,6 +549,10 @@ def disjointify(graph: EmbeddedGraph,
     contiguous arc separating them.  Neither step changes the genus, and each
     output cycle stays freely homotopic to its input.
 
+    The whole plan runs on one working copy of the edge and rotation lists,
+    and a single map is built (and validated) at the end; an input that
+    needs no surgery comes back as is.
+
     Returns ``(new_graph, new_cycles)`` with cycles as dart tuples.
     Crossing inputs raise :class:`PreconditionError`.
     """
@@ -573,9 +576,9 @@ def disjointify(graph: EmbeddedGraph,
 
         plan.append((e, sorted(owners, key=cmp_to_key(cmp))))
 
-    g = graph
+    edges, rotation = _working_lists(graph)
     for e, owners in plan:
-        g, ids = expand_edge(g, e, len(owners))
+        ids = _expand_edge_lists(edges, rotation, e, len(owners))
         for slot, i in enumerate(owners):
             new_e = ids[slot]
             if new_e == e:
@@ -586,24 +589,25 @@ def disjointify(graph: EmbeddedGraph,
             ]
 
     # Step 2: split shared vertices until all cycles are vertex-disjoint.
+    split = False
     while True:
         at_vertex: dict[int, list[int]] = {}
         for i, c in enumerate(cycles):
             for d in c:
-                at_vertex.setdefault(g.head(d), []).append(i)
+                at_vertex.setdefault(edges[d >> 1][d & 1], []).append(i)
         shared = sorted(v for v, owners in at_vertex.items() if len(owners) > 1)
         if not shared:
             break
         v = shared[0]
         owners = at_vertex[v]
-        rot = list(g.rotation[v])
+        rot = rotation[v]
         c0 = owners[0]
-        d_pair = _cycle_darts_at(g, cycles[c0], v)
+        d_pair = _cycle_darts_at(rotation, cycles[c0], v)
         i1, i2 = sorted(rot.index(d) for d in d_pair)
         arc_a = rot[i1 + 1:i2]
         arc_b = rot[i2 + 1:] + rot[:i1]
         c1 = owners[1]
-        c1_darts = _cycle_darts_at(g, cycles[c1], v)
+        c1_darts = _cycle_darts_at(rotation, cycles[c1], v)
         in_a = [d in arc_a for d in c1_darts]
         if all(in_a):
             arc = arc_a
@@ -615,53 +619,25 @@ def disjointify(graph: EmbeddedGraph,
                 "non-crossing family" % v)
         if not arc:
             raise InternalInvariantError("empty separating arc", witness=v)
-        g = split_vertex(g, v, arc)
+        _split_vertex_lists(edges, rotation, v, arc)
+        split = True
 
-    return g, [tuple(c) for c in cycles]
+    if not plan and not split:
+        return graph, [tuple(c) for c in cycles]
+    out = EmbeddedGraph(len(rotation), edges, rotation)
+    if out.genus != graph.genus:
+        raise InternalInvariantError("disjointify changed the genus",
+                                     witness=(graph.genus, out.genus))
+    return out, [tuple(c) for c in cycles]
 
 
-def _cycle_darts_at(graph: EmbeddedGraph, cycle: Sequence[Dart], v: int) -> list[Dart]:
+def _cycle_darts_at(rotation: Sequence[Sequence[Dart]], cycle: Sequence[Dart],
+                    v: int) -> list[Dart]:
+    """The two darts of a simple cycle in the rotation ``rotation[v]``."""
     edges = {x >> 1 for x in cycle}
-    out = [d for d in graph.rotation[v] if (d >> 1) in edges]
+    out = [d for d in rotation[v] if (d >> 1) in edges]
     if len(out) != 2:
         raise InternalInvariantError(
             "simple cycle must have exactly two darts at a vertex",
             witness=(v, cycle))
     return out
-
-
-# ---------------------------------------------------------------------------
-# map isomorphism
-# ---------------------------------------------------------------------------
-
-def canonical_form(graph: EmbeddedGraph) -> tuple:
-    """Canonical signature of a connected combinatorial map.
-
-    Darts are relabelled by a deterministic traversal (generators: rotation
-    successor and reversal) from every possible start dart; the minimum
-    resulting transition table is the signature.  Two maps are isomorphic as
-    oriented embedded graphs iff their signatures coincide.
-    """
-    m2 = 2 * len(graph.edges)
-    if m2 == 0:
-        return (graph.n,)
-    best = None
-    for d0 in range(m2):
-        label = {d0: 0}
-        order = [d0]
-        i = 0
-        while i < len(order):
-            d = order[i]
-            for nxt in (graph._rot_next[d], d ^ 1):
-                if nxt not in label:
-                    label[nxt] = len(order)
-                    order.append(nxt)
-            i += 1
-        sig = tuple((label[graph._rot_next[d]], label[d ^ 1]) for d in order)
-        if best is None or sig < best:
-            best = sig
-    return best
-
-
-def maps_isomorphic(a: EmbeddedGraph, b: EmbeddedGraph) -> bool:
-    return canonical_form(a) == canonical_form(b)

@@ -8,6 +8,11 @@ tested for free homotopy by the annulus criterion: after re-routing the pair
 onto vertex-disjoint curves, the two are freely homotopic exactly when they
 cobound an annulus component of the cut surface.
 
+Freely homotopic cycles are homologous, so ``classify_homotopy`` first gives
+every cycle its Z2-homology class, read off a tree-cotree decomposition
+(``homology_signatures``), and runs the annulus test only on pairs inside
+one class.
+
 Dual components come from ``surface.face_components`` and cut surfaces from
 ``surface.cut_along``; crossings are counted by ``uncross.cr``.
 """
@@ -93,41 +98,6 @@ def laminar_family(graph: EmbeddedGraph, cycles: Sequence) -> tuple:
     return tuple(insides), tuple(tuple(b) for b in below)
 
 
-def is_dual_cut(graph: EmbeddedGraph, edges: set) -> bool:
-    """Whether an edge set is a dual cut: the dual components obtained by
-    removing it can be two-colored so that exactly its edges cross colors."""
-    comps = _dual_components(graph, set(edges))
-    comp_of = {}
-    for i, s in enumerate(comps):
-        for f in s:
-            comp_of[f] = i
-    # every removed edge must join two distinct components, and the
-    # component graph they span must be bipartite with all of them crossing
-    color = {}
-    adj: dict[int, list] = {}
-    for e in edges:
-        a = comp_of[graph.face_of[2 * e]]
-        b = comp_of[graph.face_of[2 * e + 1]]
-        if a == b:
-            return False
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    for start in sorted(adj):
-        if start in color:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in color:
-                    color[y] = 1 - color[x]
-                    stack.append(y)
-                elif color[y] == color[x]:
-                    return False
-    return True
-
-
 def freely_homotopic(graph: EmbeddedGraph, darts1: Sequence[int],
                      darts2: Sequence[int]) -> bool:
     """Free-homotopy test for two non-separating, non-crossing cycles.
@@ -149,14 +119,81 @@ def freely_homotopic(graph: EmbeddedGraph, darts1: Sequence[int],
     return False
 
 
+def homology_signatures(graph: EmbeddedGraph) -> list[int]:
+    """A ``2g``-bit Z2-homology signature for every edge.
+
+    A BFS tree ``T`` of the primal from vertex 0 and a BFS tree ``C`` of the
+    dual from face 0 over the edges not in ``T`` leave exactly ``2g`` edges;
+    they get bits ``0..2g-1`` in edge-id order.  Tree edges get 0.  Every
+    face boundary is null-homologous, so a cotree edge, processed leaves
+    first, gets the XOR of the other edges on its child face.  The XOR of a
+    cycle's edge signatures is its Z2-homology class: 0 exactly for
+    separating simple cycles, equal for homologous cycles.
+    """
+    m = len(graph.edges)
+    in_tree = [False] * m
+    reached = [False] * graph.n
+    reached[0] = True
+    queue = [0]
+    for x in queue:
+        for d in graph.rotation[x]:
+            y = graph.tail(d)
+            if not reached[y]:
+                reached[y] = True
+                in_tree[d >> 1] = True
+                queue.append(y)
+
+    face_of = graph.face_of
+    parent_edge = [-1] * len(graph.faces)
+    reached = [False] * len(graph.faces)
+    reached[0] = True
+    order = [0]
+    for f in order:
+        for d in graph.faces[f]:
+            e, across = d >> 1, face_of[d ^ 1]
+            if not in_tree[e] and not reached[across]:
+                reached[across] = True
+                parent_edge[across] = e
+                order.append(across)
+
+    in_cotree = set(parent_edge[1:])
+    leftover = [e for e in range(m)
+                if not in_tree[e] and e not in in_cotree]
+    if len(leftover) != 2 * graph.genus:
+        raise InternalInvariantError(
+            "tree-cotree decomposition leaves %d edges on genus %d"
+            % (len(leftover), graph.genus), witness=leftover)
+    sig = [0] * m
+    for bit, e in enumerate(leftover):
+        sig[e] = 1 << bit
+    for f in reversed(order[1:]):
+        e = parent_edge[f]
+        h = 0
+        for d in graph.faces[f]:
+            if d >> 1 != e:
+                h ^= sig[d >> 1]
+        sig[e] = h
+    return sig
+
+
+def homology_class(signatures: Sequence[int], darts: Sequence[int]) -> int:
+    """Z2-homology class of a cycle: the XOR of its edges' signatures."""
+    h = 0
+    for d in darts:
+        h ^= signatures[d >> 1]
+    return h
+
+
 @dataclass(frozen=True)
 class HomotopyClassification:
     """Partition of non-separating cycles into free homotopy classes.
 
-    ``classes`` holds tuples of cycle indices, sorted by total flow value
-    (descending, ties by smallest index); ``totals`` the matching values.
+    ``cycles`` are the partitioned cycles, ``classes`` holds tuples of
+    indices into them, sorted by total flow value (descending, ties by
+    smallest index); ``totals`` the matching values.
     """
 
+    cycles: tuple
     classes: tuple
     totals: tuple
 
@@ -166,6 +203,8 @@ def classify_homotopy(graph: EmbeddedGraph, cycles: Sequence[DCycle],
     """Group cycles by free homotopy; pairs that cross are never homotopic.
 
     All inputs must be non-separating with pairwise at most one crossing.
+    Only pairs with equal Z2-homology classes can be freely homotopic, so
+    the annulus test runs inside each homology class only.
     """
     darts = [c.darts if hasattr(c, "darts") else tuple(c) for c in cycles]
     n = len(cycles)
@@ -177,12 +216,17 @@ def classify_homotopy(graph: EmbeddedGraph, cycles: Sequence[DCycle],
             x = parent[x]
         return x
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if find(i) == find(j):
-                continue
-            if freely_homotopic(graph, darts[i], darts[j]):
-                parent[find(i)] = find(j)
+    signatures = homology_signatures(graph)
+    buckets: dict[int, list] = {}
+    for i, c in enumerate(darts):
+        buckets.setdefault(homology_class(signatures, c), []).append(i)
+    for bucket in buckets.values():
+        for a, i in enumerate(bucket):
+            for j in bucket[a + 1:]:
+                if find(i) == find(j):
+                    continue
+                if freely_homotopic(graph, darts[i], darts[j]):
+                    parent[find(i)] = find(j)
     groups: dict[int, list] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
@@ -191,6 +235,7 @@ def classify_homotopy(graph: EmbeddedGraph, cycles: Sequence[DCycle],
     order = sorted(range(len(members)),
                    key=lambda k: (-totals[k], members[k][0]))
     return HomotopyClassification(
+        tuple(cycles),
         tuple(tuple(members[k]) for k in order),
         tuple(totals[k] for k in order))
 

@@ -91,11 +91,11 @@ def shared_elements(graph: EmbeddedGraph, darts1: Sequence[int],
     out = []
     for verts, edges in shared_paths(graph, darts1, darts2):
         a, b = verts[0], verts[-1]
-        div1 = [d for d in _cycle_darts_at(graph, darts1, a) +
-                (_cycle_darts_at(graph, darts1, b) if b != a else [])
+        div1 = [d for d in _cycle_darts_at(graph.rotation, darts1, a) +
+                (_cycle_darts_at(graph.rotation, darts1, b) if b != a else [])
                 if (d >> 1) not in se]
-        div2 = [d for d in _cycle_darts_at(graph, darts2, a) +
-                (_cycle_darts_at(graph, darts2, b) if b != a else [])
+        div2 = [d for d in _cycle_darts_at(graph.rotation, darts2, a) +
+                (_cycle_darts_at(graph.rotation, darts2, b) if b != a else [])
                 if (d >> 1) not in se]
         if len(div1) != 2 or len(div2) != 2:
             raise InternalInvariantError(

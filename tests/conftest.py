@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import functools
 import math
+import pathlib
+from functools import cmp_to_key
 
-from surfaceflow.flows import Multiflow
-from surfaceflow.instances import Instance
+from surfaceflow.errors import InternalInvariantError, PreconditionError
+from surfaceflow.flows import Multiflow, solve_and_decompose
+from surfaceflow.instances import Instance, generate_torus_grid, load_instance
 from surfaceflow.rational import ZERO
-from surfaceflow.surface import EmbeddedGraph
+from surfaceflow.surface import (EmbeddedGraph, _band_before,
+                                 _cycle_darts_at, _cycle_vertices,
+                                 expand_edge, face_components, split_vertex)
+from surfaceflow.uncross import uncross_flow
+
+GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "golden"
 
 
 def triangle_map() -> EmbeddedGraph:
@@ -177,3 +186,167 @@ def reference_check_certificate(c, A_ub, b_ub, A_eq, b_eq, x, y_ub,
     dual = sum((b * y for b, y in zip(b_ub, y_ub)), ZERO) + \
         sum((b * y for b, y in zip(b_eq, y_eq)), ZERO)
     return primal == dual
+
+
+class DualGraph(EmbeddedGraph):
+    """Dual map; ``primal`` points back at the graph it was derived from."""
+
+    __slots__ = ("primal",)
+
+    def __init__(self, n, edges, rotation, primal):
+        self.primal = primal
+        super().__init__(n, edges, rotation)
+
+
+def dual(graph: EmbeddedGraph) -> DualGraph:
+    """The dual map: one vertex per face, one edge per primal edge.
+
+    Dual edge ``e`` keeps the id of primal edge ``e``; its slot-0 end is the
+    face containing primal dart ``2e``.  The dual lives on the same surface
+    (equal genus), and dualising twice gives back the primal map up to
+    relabelling vertices by their minimum dart.
+    """
+    edges = [(graph.face_of[2 * e], graph.face_of[2 * e + 1])
+             for e in range(len(graph.edges))]
+    return DualGraph(len(graph.faces), edges, graph.faces, primal=graph)
+
+
+def canonical_form(graph: EmbeddedGraph) -> tuple:
+    """Canonical signature of a connected combinatorial map.
+
+    Darts are relabelled by a deterministic traversal (generators: rotation
+    successor and reversal) from every possible start dart; the minimum
+    resulting transition table is the signature.  Two maps are isomorphic as
+    oriented embedded graphs iff their signatures coincide.
+    """
+    m2 = 2 * len(graph.edges)
+    if m2 == 0:
+        return (graph.n,)
+    best = None
+    for d0 in range(m2):
+        label = {d0: 0}
+        order = [d0]
+        i = 0
+        while i < len(order):
+            d = order[i]
+            for nxt in (graph.rot_next(d), d ^ 1):
+                if nxt not in label:
+                    label[nxt] = len(order)
+                    order.append(nxt)
+            i += 1
+        sig = tuple((label[graph.rot_next(d)], label[d ^ 1]) for d in order)
+        if best is None or sig < best:
+            best = sig
+    return best
+
+
+def maps_isomorphic(a: EmbeddedGraph, b: EmbeddedGraph) -> bool:
+    return canonical_form(a) == canonical_form(b)
+
+
+def is_dual_cut(graph: EmbeddedGraph, edges: set) -> bool:
+    """Whether an edge set is a dual cut: the dual components obtained by
+    removing it can be two-colored so that exactly its edges cross colors."""
+    comp_of = face_components(graph, set(edges))
+    # every removed edge must join two distinct components, and the
+    # component graph they span must be bipartite with all of them crossing
+    color = {}
+    adj: dict[int, list] = {}
+    for e in edges:
+        a = comp_of[graph.face_of[2 * e]]
+        b = comp_of[graph.face_of[2 * e + 1]]
+        if a == b:
+            return False
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    for start in sorted(adj):
+        if start in color:
+            continue
+        color[start] = 0
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if y not in color:
+                    color[y] = 1 - color[x]
+                    stack.append(y)
+                elif color[y] == color[x]:
+                    return False
+    return True
+
+
+def reference_disjointify(graph: EmbeddedGraph, cycles):
+    """``surface.disjointify`` step by step: the same plan, applied through
+    the public ``expand_edge`` and ``split_vertex``, one map per step."""
+    cycles = [list(c) for c in cycles]
+    for c in cycles:
+        _cycle_vertices(graph, c)
+    sharers: dict[int, list[int]] = {}
+    for i, c in enumerate(cycles):
+        for e in {d >> 1 for d in c}:
+            sharers.setdefault(e, []).append(i)
+    plan = []
+    for e, owners in sorted(sharers.items()):
+        if len(owners) < 2:
+            continue
+
+        def cmp(i, j, _e=e):
+            return _band_before(graph, cycles[i], cycles[j], _e)
+
+        plan.append((e, sorted(owners, key=cmp_to_key(cmp))))
+
+    g = graph
+    for e, owners in plan:
+        g, ids = expand_edge(g, e, len(owners))
+        for slot, i in enumerate(owners):
+            new_e = ids[slot]
+            if new_e != e:
+                cycles[i] = [(2 * new_e) | (d & 1) if (d >> 1) == e else d
+                             for d in cycles[i]]
+
+    while True:
+        at_vertex: dict[int, list[int]] = {}
+        for i, c in enumerate(cycles):
+            for d in c:
+                at_vertex.setdefault(g.head(d), []).append(i)
+        shared = sorted(v for v, owners in at_vertex.items() if len(owners) > 1)
+        if not shared:
+            break
+        v = shared[0]
+        owners = at_vertex[v]
+        rot = list(g.rotation[v])
+        i1, i2 = sorted(rot.index(d) for d in
+                        _cycle_darts_at(g.rotation, cycles[owners[0]], v))
+        arc_a = rot[i1 + 1:i2]
+        arc_b = rot[i2 + 1:] + rot[:i1]
+        in_a = [d in arc_a for d in
+                _cycle_darts_at(g.rotation, cycles[owners[1]], v)]
+        if all(in_a):
+            arc = arc_a
+        elif not any(in_a):
+            arc = arc_b
+        else:
+            raise PreconditionError("cycles cross at vertex %d" % v)
+        if not arc:
+            raise InternalInvariantError("empty separating arc", witness=v)
+        g = split_vertex(g, v, arc)
+    return g, [tuple(c) for c in cycles]
+
+
+TORUS_SUPPORTS = tuple("torus6x6-seed%d" % seed for seed in range(8)) + (
+    "torus_3x3_unit.json", "torus_4x4_random.json")
+
+
+@functools.lru_cache(maxsize=None)
+def torus_support(name: str) -> tuple:
+    """``(instance, uncrossed flow)`` for one of ``TORUS_SUPPORTS``: a
+    random 6x6 torus grid with 4 demands, or a golden torus instance,
+    uncrossed at epsilon 1/2."""
+    if name.endswith(".json"):
+        inst = load_instance(GOLDEN / name)
+    else:
+        seed = int(name.rsplit("seed", 1)[1])
+        inst = generate_torus_grid(6, 6, demands=4, cap_mode="random",
+                                   seed=seed)
+    flow, _ = solve_and_decompose(inst)
+    return inst, uncross_flow(flow, "1/2")

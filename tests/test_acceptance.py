@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from conftest import is_dual_cut
 from test_uncross import (four_crossings_fixture, three_crossings_fixture,
                           two_crossings_fixture)
 
@@ -31,7 +32,7 @@ from surfaceflow.round_nonseparating import (check_cyclic_order,
 from surfaceflow.round_separating import (color_limit, degeneracy_coloring,
                                           heawood_bound, round_separating)
 from surfaceflow.topology import (classify_homotopy, freely_homotopic,
-                                  is_dual_cut, is_separating, split_support)
+                                  is_separating, split_support)
 from surfaceflow.uncross import (cr, crossings, discretize, multiset_value,
                                  uncross_all, uncross_flow)
 

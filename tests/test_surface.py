@@ -1,12 +1,15 @@
 import pytest
 
-from surfaceflow.errors import PreconditionError, StructuralError
-from surfaceflow.surface import (EmbeddedGraph, add_chord, canonical_form,
-                                 cut_along, disjointify, expand_edge,
-                                 maps_isomorphic, split_vertex)
+from surfaceflow.errors import (InternalInvariantError, PreconditionError,
+                                StructuralError)
+from surfaceflow.surface import (EmbeddedGraph, add_chord, cut_along,
+                                 disjointify, expand_edge, split_vertex)
 
-from conftest import (darts_for_route, map_from_drawing, planar_grid_map,
-                      torus_bouquet, torus_grid_map, triangle_map)
+from conftest import (TORUS_SUPPORTS, canonical_form, darts_for_route,
+                      dual, map_from_drawing, maps_isomorphic,
+                      planar_grid_map, reference_disjointify, torus_bouquet,
+                      torus_grid_map, torus_support, triangle_map)
+from surfaceflow.topology import classify_homotopy, split_support
 
 
 class TestConstruction:
@@ -59,7 +62,7 @@ class TestDual:
                                          lambda: planar_grid_map(3, 4)])
     def test_genus_preserved(self, builder):
         g = builder()
-        d = g.dual()
+        d = dual(g)
         assert d.genus == g.genus
         assert len(d.edges) == len(g.edges)
         assert d.n == len(g.faces)
@@ -70,11 +73,11 @@ class TestDual:
                                          lambda: planar_grid_map(2, 3)])
     def test_double_dual_isomorphic(self, builder):
         g = builder()
-        dd = g.dual().dual()
+        dd = dual(dual(g))
         assert maps_isomorphic(g, dd)
 
     def test_triangle_dual_shape(self):
-        d = triangle_map().dual()
+        d = dual(triangle_map())
         assert d.n == 2
         assert all(set(e) == {0, 1} for e in d.edges)
 
@@ -208,6 +211,17 @@ class TestSurgery:
         assert h.genus == 1
         assert len(h.edges) == 3
 
+    def test_expand_loop_band_order(self):
+        # both darts of the loop sit at vertex 0; the slot-1 block goes in
+        # where dart 1 is found after the slot-0 block has been inserted
+        g = torus_bouquet()
+        h, ids = expand_edge(g, 0, 3)
+        assert ids == [0, 2, 3]
+        assert h.edges == ((0, 0),) * 4
+        assert h.rotation == ((0, 4, 6, 2, 7, 5, 1, 3),)
+        assert len(h.faces) == len(g.faces) + 2
+        assert g.rotation == ((0, 2, 1, 3),)
+
     def test_add_chord(self):
         g = triangle_map()
         face = g.faces[0]
@@ -223,58 +237,139 @@ class TestSurgery:
             add_chord(g, f0[0], f1[0])
 
 
+def _disjoint_meridians():
+    g = torus_grid_map(3, 3)
+    return g, [meridian(g, 3, 3, 0), meridian(g, 3, 3, 2)]
+
+
+def _identical_meridians():
+    g = torus_grid_map(3, 3)
+    mer = meridian(g, 3, 3, 0)
+    return g, [mer, mer]
+
+
+def _shared_edge_squares():
+    g = planar_grid_map(3, 3)
+    # a unit square and the outer boundary sharing the path 3-0-1
+    c1 = _route_darts(g, [0, 1, 4, 3])
+    big = _route_darts(g, [0, 1, 2, 5, 8, 7, 6, 3])
+    return g, [c1, big]
+
+
+def _shared_path_cycles():
+    g = planar_grid_map(3, 3)
+    # outer boundary and a 2x1 block share the path 0-1-2
+    outer = _route_darts(g, [0, 1, 2, 5, 8, 7, 6, 3])
+    block = _route_darts(g, [0, 1, 2, 5, 4, 3])
+    return g, [outer, block]
+
+
+def _three_nested():
+    g = planar_grid_map(4, 4)
+    outer = _route_darts(g, [0, 1, 2, 3, 7, 11, 15, 14, 13, 12, 8, 4])
+    mid = _route_darts(g, [0, 1, 2, 3, 7, 11, 15, 14, 13, 9, 5, 4])
+    inner = _route_darts(g, [0, 1, 2, 6, 10, 9, 5, 4])
+    return g, [outer, mid, inner]
+
+
+def _crossing_pair():
+    g = torus_grid_map(3, 3)
+    # horizontal cycle through row 0 crosses the meridian once
+    horiz = [2 * (0 * 3 + j) for j in range(3)]
+    return g, [meridian(g, 3, 3, 0), horiz]
+
+
+def _parallel_loops():
+    g = torus_bouquet()
+    return g, [[0], [0], [0]]
+
+
+DISJOINTIFY_FIXTURES = {
+    "already_disjoint": _disjoint_meridians,
+    "identical_cycles": _identical_meridians,
+    "shared_edge": _shared_edge_squares,
+    "shared_path": _shared_path_cycles,
+    "three_nested": _three_nested,
+    "crossing": _crossing_pair,
+    "parallel_loops": _parallel_loops,
+}
+
+
 class TestDisjointify:
     def test_already_disjoint(self):
-        g = torus_grid_map(3, 3)
-        cycles = [meridian(g, 3, 3, 0), meridian(g, 3, 3, 2)]
+        g, cycles = _disjoint_meridians()
         h, new = disjointify(g, cycles)
         assert [tuple(c) for c in cycles] == [tuple(c) for c in new]
         assert h.genus == g.genus
 
     def test_identical_cycles_become_parallel(self):
-        g = torus_grid_map(3, 3)
-        mer = meridian(g, 3, 3, 0)
-        h, new = disjointify(g, [mer, mer])
+        g, cycles = _identical_meridians()
+        h, new = disjointify(g, cycles)
         assert h.genus == 1
         _assert_vertex_disjoint(h, new)
         cut = cut_along(h, new)
         assert all(c.is_annulus for c in cut.components)
 
     def test_shared_edge_on_grid(self):
-        g = planar_grid_map(3, 3)
-        # two unit-square cycles sharing the edge 1-4
-        c1 = _route_darts(g, [0, 1, 4, 3])
-        c2 = _route_darts(g, [1, 2, 5, 4])
-        big = _route_darts(g, [0, 1, 2, 5, 8, 7, 6, 3])
-        h, new = disjointify(g, [c1, big])
+        g, cycles = _shared_edge_squares()
+        h, new = disjointify(g, cycles)
         assert h.genus == 0
         _assert_vertex_disjoint(h, new)
 
     def test_shared_path_cycles(self):
-        g = planar_grid_map(3, 3)
-        # outer boundary and a 2x1 block share the path 0-1-2
-        outer = _route_darts(g, [0, 1, 2, 5, 8, 7, 6, 3])
-        block = _route_darts(g, [0, 1, 2, 5, 4, 3])
-        h, new = disjointify(g, [outer, block])
+        g, cycles = _shared_path_cycles()
+        h, new = disjointify(g, cycles)
         assert h.genus == 0
         _assert_vertex_disjoint(h, new)
 
     def test_three_nested(self):
-        g = planar_grid_map(4, 4)
-        outer = _route_darts(g, [0, 1, 2, 3, 7, 11, 15, 14, 13, 12, 8, 4])
-        mid = _route_darts(g, [0, 1, 2, 3, 7, 11, 15, 14, 13, 9, 5, 4])
-        inner = _route_darts(g, [0, 1, 2, 6, 10, 9, 5, 4])
-        h, new = disjointify(g, [outer, mid, inner])
+        g, cycles = _three_nested()
+        h, new = disjointify(g, cycles)
         assert h.genus == 0
         _assert_vertex_disjoint(h, new)
 
     def test_rejects_crossing(self):
-        g = torus_grid_map(3, 3)
-        mer = meridian(g, 3, 3, 0)
-        # horizontal cycle through row 0 crosses the meridian once
-        horiz = [2 * (0 * 3 + j) for j in range(3)]
+        g, cycles = _crossing_pair()
         with pytest.raises(PreconditionError):
-            disjointify(g, [mer, horiz])
+            disjointify(g, cycles)
+
+
+def _surgery_outcome(fn, graph, cycles):
+    """What a disjointify returns, as plain data, or the error it raises."""
+    try:
+        h, new = fn(graph, cycles)
+    except (PreconditionError, InternalInvariantError) as exc:
+        return type(exc)
+    return h.n, h.edges, h.rotation, [tuple(c) for c in new]
+
+
+class TestOneShotDisjointify:
+    """The one-shot ``disjointify`` against the step-by-step reference."""
+
+    @pytest.mark.parametrize("name", sorted(DISJOINTIFY_FIXTURES))
+    def test_fixture_matches_reference(self, name):
+        g, cycles = DISJOINTIFY_FIXTURES[name]()
+        assert _surgery_outcome(disjointify, g, cycles) == \
+            _surgery_outcome(reference_disjointify, g, cycles)
+
+    @pytest.mark.parametrize("name", TORUS_SUPPORTS)
+    def test_support_pairs_and_classes_match_reference(self, name):
+        inst, flow = torus_support(name)
+        g = inst.graph
+        _, _, nonsep, nonsep_v = split_support(flow)
+        families = [[a.darts, b.darts] for k, a in enumerate(nonsep)
+                    for b in nonsep[k + 1:]]
+        classes = classify_homotopy(g, nonsep, nonsep_v).classes
+        families += [[nonsep[i].darts for i in cls] for cls in classes]
+        for cycles in families:
+            assert _surgery_outcome(disjointify, g, cycles) == \
+                _surgery_outcome(reference_disjointify, g, cycles)
+
+    def test_parallel_loops_are_disjoint(self):
+        g, cycles = _parallel_loops()
+        h, new = disjointify(g, cycles)
+        assert h.genus == 1
+        _assert_vertex_disjoint(h, new)
 
 
 def _route_darts(g, route):

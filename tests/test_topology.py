@@ -1,13 +1,15 @@
 import pytest
 
-from conftest import planar_grid_map, torus_grid_map, triangle_map
+from conftest import (TORUS_SUPPORTS, is_dual_cut, planar_grid_map,
+                      torus_grid_map, torus_support, triangle_map)
 from surfaceflow.errors import PreconditionError
 from surfaceflow.flows import solve_and_decompose
 from surfaceflow.instances import generate_planar_random
 from surfaceflow.rational import rat
 from surfaceflow.topology import (OUTER_FACE, classify_homotopy,
-                                  freely_homotopic, inside_faces,
-                                  is_dual_cut, is_separating, laminar_family,
+                                  freely_homotopic, homology_class,
+                                  homology_signatures, inside_faces,
+                                  is_separating, laminar_family,
                                   split_support, _dual_components)
 from surfaceflow.uncross import cr, uncross_flow
 
@@ -149,6 +151,65 @@ class TestClassify:
                 for j in cls:
                     if i != j:
                         assert cr(g, cycles[i], cycles[j]) == 0
+
+
+def all_pairs_classes(graph, cycles) -> set:
+    """Free homotopy classes by a union-find over every pair's annulus
+    test, as the reference the homology-bucketed classification must
+    reproduce."""
+    parent = list(range(len(cycles)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i in range(len(cycles)):
+        for j in range(i + 1, len(cycles)):
+            if freely_homotopic(graph, cycles[i].darts, cycles[j].darts):
+                parent[find(i)] = find(j)
+    groups: dict = {}
+    for i in range(len(cycles)):
+        groups.setdefault(find(i), []).append(i)
+    return {tuple(g) for g in groups.values()}
+
+
+class TestHomologySignatures:
+    def test_torus_grid_classes(self):
+        g = torus_grid_map(4, 4)
+        sig = homology_signatures(g)
+        m0, m1, m2 = (homology_class(sig, meridian(j)) for j in (0, 1, 2))
+        l0, l3 = homology_class(sig, longitude(0)), \
+            homology_class(sig, longitude(3))
+        assert m0 and l0 and m0 != l0
+        assert m0 == m1 == m2 and l0 == l3
+        assert homology_class(sig, grid_cycle(g, [0, 1, 5, 4])) == 0
+        assert homology_class(sig, grid_cycle(g, [5, 6, 7, 11, 10, 9])) == 0
+
+    def test_two_bits_per_handle(self):
+        for g in (planar_grid_map(3, 4), torus_grid_map(3, 5)):
+            sig = homology_signatures(g)
+            assert len(sig) == len(g.edges)
+            combined = 0
+            for h in sig:
+                combined |= h
+            assert combined == (1 << 2 * g.genus) - 1
+
+    @pytest.mark.parametrize("name", TORUS_SUPPORTS)
+    def test_class_zero_iff_separating(self, name):
+        inst, flow = torus_support(name)
+        sig = homology_signatures(inst.graph)
+        for c in flow.support():
+            flag, _ = is_separating(inst.graph, c.darts)
+            assert (homology_class(sig, c.darts) == 0) == flag
+
+    @pytest.mark.parametrize("name", TORUS_SUPPORTS)
+    def test_bucketed_classes_match_all_pairs(self, name):
+        inst, flow = torus_support(name)
+        _, _, nonsep, nonsep_v = split_support(flow)
+        got = classify_homotopy(inst.graph, nonsep, nonsep_v)
+        assert set(got.classes) == all_pairs_classes(inst.graph, nonsep)
+        assert got.cycles == tuple(nonsep)
 
 
 class TestSplitSupport:
