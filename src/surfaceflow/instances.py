@@ -24,7 +24,8 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import InstanceFormatError, InternalInvariantError, StructuralError
-from .surface import EmbeddedGraph, add_chord, split_vertex
+from .surface import (EmbeddedGraph, add_chord_lists, split_vertex_lists,
+                      trace_faces)
 
 SUPPLY = "supply"
 DEMAND = "demand"
@@ -189,19 +190,19 @@ def generate_gap_family(n: int) -> Instance:
     for r in range(1, n + 1):
         for k in range(cols):
             ring_edge[(r, k)] = len(edges)
-            edges.append((ring_vertex(r, k), ring_vertex(r, k + 1)))
+            edges.append([ring_vertex(r, k), ring_vertex(r, k + 1)])
             kinds.append(SUPPLY)
     radial_edge = {}
     for k in range(cols):
         radial_edge[(n + 1, k)] = len(edges)  # terminal spoke segment
-        edges.append((terminal(k), ring_vertex(n, k)))
+        edges.append([terminal(k), ring_vertex(n, k)])
         kinds.append(SUPPLY)
         for r in range(n, 1, -1):
             radial_edge[(r, k)] = len(edges)
-            edges.append((ring_vertex(r, k), ring_vertex(r - 1, k)))
+            edges.append([ring_vertex(r, k), ring_vertex(r - 1, k)])
             kinds.append(SUPPLY)
     for k in range(2 * n):
-        edges.append((terminal(k), terminal(k + 2 * n)))
+        edges.append([terminal(k), terminal(k + 2 * n)])
         kinds.append(DEMAND)
 
     # clockwise rotations from the concentric drawing:
@@ -223,26 +224,28 @@ def generate_gap_family(n: int) -> Instance:
         slot = 0 if k < 2 * n else 1
         rotation[terminal(k)] = [2 * radial_edge[(n + 1, k)],
                                  2 * demand_id + slot]
-    graph = EmbeddedGraph(n * cols + cols, edges, rotation)
 
     # split every degree-4 vertex along the (inward, next-ring) arc
     for r in range(2, n + 1):
         for k in range(cols):
             v = ring_vertex(r, k)
-            rot = graph.rotation[v]
+            rot = rotation[v]
             # arc = the two darts after [out, prev]: inward spoke + next ring
             arc = [d for d in rot
                    if d == 2 * radial_edge[(r, k)] or d == 2 * ring_edge[(r, k)]]
             i1, i2 = rot.index(arc[0]), rot.index(arc[1])
             if (i1 + 1) % len(rot) != i2:
                 arc = [arc[1], arc[0]]
-            graph = split_vertex(graph, v, arc)
+            split_vertex_lists(edges, rotation, v, arc)
             kinds.append(SUPPLY)
+    graph = EmbeddedGraph(len(rotation), edges, rotation)
     caps = tuple(1 for _ in range(len(graph.edges)))
     return Instance(graph, tuple(kinds), caps)
 
 
-def _torus_map(p: int, q: int) -> EmbeddedGraph:
+def _torus_lists(p: int, q: int) -> tuple[list, list]:
+    """Edge and rotation lists of the ``p x q`` toroidal grid."""
+
     def vid(i, j):
         return (i % p) * q + (j % q)
 
@@ -251,11 +254,11 @@ def _torus_map(p: int, q: int) -> EmbeddedGraph:
     for i in range(p):
         for j in range(q):
             right[(i, j)] = len(edges)
-            edges.append((vid(i, j), vid(i, j + 1)))
+            edges.append([vid(i, j), vid(i, j + 1)])
     for i in range(p):
         for j in range(q):
             down[(i, j)] = len(edges)
-            edges.append((vid(i, j), vid(i + 1, j)))
+            edges.append([vid(i, j), vid(i + 1, j)])
     rotation = []
     for i in range(p):
         for j in range(q):
@@ -263,7 +266,7 @@ def _torus_map(p: int, q: int) -> EmbeddedGraph:
                              2 * right[(i, j)],
                              2 * down[(i, j)],
                              2 * right[(i, (j - 1) % q)] + 1])
-    return EmbeddedGraph(p * q, edges, rotation)
+    return edges, rotation
 
 
 def generate_torus_grid(p: int, q: int, demands, cap_mode: str = "unit",
@@ -281,8 +284,8 @@ def generate_torus_grid(p: int, q: int, demands, cap_mode: str = "unit",
     if p < 3 or q < 3:
         raise ValueError("toroidal grid needs p, q >= 3")
     rng = random.Random(seed)
-    graph = _torus_map(p, q)
-    n_supply = len(graph.edges)
+    edges, rotation = _torus_lists(p, q)
+    n_supply = len(edges)
     if isinstance(demands, int):
         pairs = []
         while len(pairs) < demands:
@@ -293,7 +296,8 @@ def generate_torus_grid(p: int, q: int, demands, cap_mode: str = "unit",
     else:
         pairs = [tuple(x) for x in demands]
     for u, v in pairs:
-        graph = _insert_chord_edge(graph, u, v)
+        _insert_chord_edge(edges, rotation, u, v)
+    graph = EmbeddedGraph(p * q, edges, rotation)
     kinds = tuple([SUPPLY] * n_supply + [DEMAND] * len(pairs))
     if cap_mode == "unit":
         caps = tuple(1 for _ in graph.edges)
@@ -305,26 +309,29 @@ def generate_torus_grid(p: int, q: int, demands, cap_mode: str = "unit",
     return Instance(graph, kinds, caps)
 
 
-def _insert_chord_edge(graph: EmbeddedGraph, u: int, v: int) -> EmbeddedGraph:
-    """Add an edge u-v: inside a shared face if possible, else at fixed
-    rotation positions (which may add a handle)."""
-    for face in graph.faces:
+def _corner(edges: list, d: int) -> int:
+    """Vertex of the corner after dart ``d``: the head of its reverse."""
+    return edges[d >> 1][(d ^ 1) & 1]
+
+
+def _insert_chord_edge(edges: list, rotation: list, u: int, v: int) -> None:
+    """Add an edge u-v to the lists: inside a shared face if possible, else
+    at the end of both rotations (which may add a handle)."""
+    for face in trace_faces(edges, rotation):
         d1 = d2 = None
         for d in face:
-            w = graph.head(d ^ 1)
+            w = _corner(edges, d)
             if w == u and d1 is None:
                 d1 = d
             elif w == v and d2 is None:
                 d2 = d
         if d1 is not None and d2 is not None:
-            g, _e = add_chord(graph, d1, d2)
-            return g
-    e = len(graph.edges)
-    edges = list(graph.edges) + [(u, v)]
-    rotation = [list(r) for r in graph.rotation]
+            add_chord_lists(edges, rotation, face, d1, d2)
+            return
+    e = len(edges)
+    edges.append([u, v])
     rotation[u].append(2 * e)
     rotation[v].append(2 * e + 1)
-    return EmbeddedGraph(graph.n, edges, rotation)
 
 
 def generate_planar_random(size: int, seed: int = 0,
@@ -340,23 +347,21 @@ def generate_planar_random(size: int, seed: int = 0,
         raise ValueError("size must be >= 6")
     rng = random.Random(seed)
     k = rng.randint(4, max(4, min(8, size // 2)))
-    edges = [(i, (i + 1) % k) for i in range(k)]
+    edges = [[i, (i + 1) % k] for i in range(k)]
     rotation = [[2 * ((i - 1) % k) + 1, 2 * i] for i in range(k)]
-    graph = EmbeddedGraph(k, edges, rotation)
     if n_demands is None:
         n_demands = rng.randint(1, 3)
     n_supply_chords = max(0, size - k - n_demands)
     for _ in range(n_supply_chords):
-        graph = _random_chord(graph, rng) or graph
-    n_supply = len(graph.edges)
+        _random_chord(edges, rotation, rng)
+    n_supply = len(edges)
     added = 0
     guard = 0
     while added < n_demands and guard < 200:
         guard += 1
-        g2 = _random_chord(graph, rng, distinct_endpoints=True)
-        if g2 is not None:
-            graph = g2
+        if _random_chord(edges, rotation, rng, distinct_endpoints=True):
             added += 1
+    graph = EmbeddedGraph(k, edges, rotation)
     kinds = tuple([SUPPLY] * n_supply + [DEMAND] * added)
     if cap_mode == "unit":
         caps = tuple(1 for _ in graph.edges)
@@ -370,17 +375,19 @@ def generate_planar_random(size: int, seed: int = 0,
     return inst
 
 
-def _random_chord(graph: EmbeddedGraph, rng: random.Random,
-                  distinct_endpoints: bool = False):
-    faces = [f for f in graph.faces if len(f) >= 2]
+def _random_chord(edges: list, rotation: list, rng: random.Random,
+                  distinct_endpoints: bool = False) -> bool:
+    """Add a chord across a random face of the lists; False if none was
+    added."""
+    faces = [f for f in trace_faces(edges, rotation) if len(f) >= 2]
     if not faces:
-        return None
+        return False
     for _attempt in range(20):
         face = faces[rng.randrange(len(faces))]
         i, j = rng.sample(range(len(face)), 2)
         d1, d2 = face[i], face[j]
-        if distinct_endpoints and graph.head(d1 ^ 1) == graph.head(d2 ^ 1):
+        if distinct_endpoints and _corner(edges, d1) == _corner(edges, d2):
             continue
-        g, _e = add_chord(graph, d1, d2)
-        return g
-    return None
+        add_chord_lists(edges, rotation, face, d1, d2)
+        return True
+    return False

@@ -22,7 +22,7 @@ from .oracle import DEFAULT_BUDGET, exact_integral_multiflow
 from .rational import ONE, ZERO, rat, rat_str
 from .round_nonseparating import improved_g2, select_class_and_round
 from .round_separating import color_limit, round_separating
-from .topology import classify_homotopy, split_support
+from .topology import classify_homotopy, laminar_family, split_support
 from .uncross import uncross_flow
 
 BRANCHES = ("auto", "separating", "nonseparating", "improved")
@@ -120,6 +120,12 @@ def run(instance: Instance, config: PipelineConfig = PipelineConfig()):
     }
 
     if branch == "separating":
+        if invariants:
+            # laminar_family raises InternalInvariantError on a
+            # non-laminar family, so reaching the check means it held
+            with _stage("split"):
+                laminar_family(instance.graph, [c.darts for c in sep])
+            _check(report, "separating support is laminar", True)
         with _stage("round_separating"):
             rounding = round_separating(fbar.restrict(sep))
         out = rounding.integral

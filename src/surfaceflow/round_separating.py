@@ -22,7 +22,7 @@ from .flows import DCycle, Multiflow
 from .instances import Instance
 from .lp import _simplex_exact
 from .rational import QQ, ZERO, floor_rat, rat
-from .surface import expand_edge
+from .surface import EmbeddedGraph, expand_edge_lists, working_lists
 from .topology import inside_faces
 
 
@@ -147,7 +147,7 @@ def reduce_to_unit(flow_half: Multiflow) -> UnitReduction:
         key = lambda c: (len(insides[c]), c.darts)
         return sorted(side0, key=key) + sorted(side1, key=key, reverse=True)
 
-    graph = g
+    edges, rotation = working_lists(g)
     band_of: dict[int, list] = {}
     orig_of = {e: e for e in range(len(g.edges))}
     for e in sorted(users):
@@ -155,10 +155,11 @@ def reduce_to_unit(flow_half: Multiflow) -> UnitReduction:
         if k == 1:
             band_of[e] = [e]
             continue
-        graph, ids = expand_edge(graph, e, k)
+        ids = expand_edge_lists(edges, rotation, e, k)
         band_of[e] = ids
         for p in ids:
             orig_of[p] = e
+    graph = EmbeddedGraph(len(rotation), edges, rotation)
     kinds = tuple(inst.kinds[orig_of[e]] for e in range(len(graph.edges)))
     unit_inst = Instance(graph, kinds, (1,) * len(graph.edges))
 

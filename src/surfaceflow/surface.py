@@ -4,26 +4,27 @@ An embedding is stored as a rotation system: every edge ``e`` contributes two
 darts (half-edges) ``2e`` and ``2e + 1``, attached to endpoint slot 0 and
 slot 1 of the edge respectively, and each vertex carries the clockwise cyclic
 order of the darts attached to it.  ``reverse(d) == d ^ 1`` by construction.
-Faces are the orbits of ``d -> rotation-successor of reverse(d)``; the genus
-then falls out of Euler's formula and is required to be a non-negative
-integer at construction time.
+Faces are the orbits of ``d -> rotation-successor of reverse(d)``, traced by
+``trace_faces``; the genus then falls out of Euler's formula and is required
+to be a non-negative integer at construction time.
 
 Besides the static queries (faces, genus) this module implements the
 surgery the rest of the package relies on: cutting the surface along
-vertex-disjoint cycles, splitting a vertex along a contiguous rotation arc,
-expanding an edge into an embedded band of parallel edges, adding a chord
-across a face, and ``disjointify`` which re-routes a family of pairwise
-non-crossing cycles onto pairwise vertex-disjoint ones.  Vertex splits and
-edge expansions are done once, on mutable edge and rotation lists: the
-public ``split_vertex`` and ``expand_edge`` build a map after one step, and
-``disjointify`` runs its whole plan and builds one map at the end.
+vertex-disjoint cycles, and ``disjointify`` which re-routes a family of
+pairwise non-crossing cycles onto pairwise vertex-disjoint ones.  Every map
+edit is a list edit: ``split_vertex_lists`` (split a vertex along a
+contiguous rotation arc), ``expand_edge_lists`` (an embedded band of
+parallel edges) and ``add_chord_lists`` (an edge across a face) change a
+working copy of the edge and rotation lists in place, and each caller
+(``disjointify``, the instance generators, the unit reduction) runs its
+whole plan on one copy and builds one ``EmbeddedGraph`` at the end.
 
 Two primitives answer the package's geometric questions, each in one place:
 ``shared_paths`` walks the maximal common paths of two cycles (``uncross``
 classifies them as crossings, ``disjointify`` orders bands by them), and
 ``face_components`` is the one union-find over faces, numbering the dual
-components left by removing some edges (``cut_along`` and ``topology`` read
-their components from it).
+components left by removing some edges (``cut_along`` and
+``topology.inside_faces`` read their components from it).
 """
 
 from __future__ import annotations
@@ -40,14 +41,15 @@ Dart = int
 class EmbeddedGraph:
     """A connected multigraph with a rotation system on an orientable surface.
 
-    Immutable once constructed; all surgery returns new graphs.  Vertices are
+    Immutable once constructed; surgery edits a copy of its lists
+    (``working_lists``) and builds a new graph from them.  Vertices are
     ``0..n-1``, edges ``0..m-1``, darts ``0..2m-1`` with ``head(2e) ==
     edges[e][0]`` and ``head(2e+1) == edges[e][1]`` (the head of a dart is the
     vertex it is attached to).
     """
 
     __slots__ = ("n", "edges", "rotation", "faces", "face_of", "genus",
-                 "_rot_pos", "_rot_next")
+                 "_rot_next")
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int]],
                  rotation: Sequence[Sequence[Dart]]):
@@ -56,7 +58,7 @@ class EmbeddedGraph:
         self.rotation = tuple(tuple(int(d) for d in r) for r in rotation)
         self._validate_structure()
         self._index_rotation()
-        self.faces = self._trace_faces()
+        self.faces = trace_faces(self.edges, self.rotation)
         self.face_of = {}
         for i, f in enumerate(self.faces):
             for d in f:
@@ -113,33 +115,11 @@ class EmbeddedGraph:
             raise StructuralError("graph is disconnected")
 
     def _index_rotation(self) -> None:
-        pos = {}
         nxt = {}
-        for v, rot in enumerate(self.rotation):
+        for rot in self.rotation:
             for i, d in enumerate(rot):
-                pos[d] = (v, i)
                 nxt[d] = rot[(i + 1) % len(rot)]
-        self._rot_pos = pos
         self._rot_next = nxt
-
-    def _trace_faces(self) -> tuple[tuple[Dart, ...], ...]:
-        """Face orbits, each starting at its smallest dart, in that order."""
-        faces = []
-        nxt = self._rot_next
-        seen = [False] * (2 * len(self.edges))
-        for d0 in range(len(seen)):
-            if seen[d0]:
-                continue
-            face = []
-            d = d0
-            while True:
-                face.append(d)
-                seen[d] = True
-                d = nxt[d ^ 1]
-                if d == d0:
-                    break
-            faces.append(tuple(face))
-        return tuple(faces)
 
     # -- dart helpers -------------------------------------------------------------
 
@@ -181,6 +161,31 @@ class EmbeddedGraph:
             lines.append("  %d -- %d%s;" % (u, v, attr))
         lines.append("}")
         return "\n".join(lines)
+
+
+def trace_faces(edges: Sequence[Sequence[int]],
+                rotation: Sequence[Sequence[Dart]]) -> tuple[tuple, ...]:
+    """Face orbits of a rotation system, each starting at its smallest
+    dart, in the order of those darts."""
+    nxt = [0] * (2 * len(edges))
+    for rot in rotation:
+        for i, d in enumerate(rot):
+            nxt[d] = rot[i + 1] if i + 1 < len(rot) else rot[0]
+    faces = []
+    seen = [False] * len(nxt)
+    for d0 in range(len(nxt)):
+        if seen[d0]:
+            continue
+        face = []
+        d = d0
+        while True:
+            face.append(d)
+            seen[d] = True
+            d = nxt[d ^ 1]
+            if d == d0:
+                break
+        faces.append(tuple(face))
+    return tuple(faces)
 
 
 # ---------------------------------------------------------------------------
@@ -321,15 +326,22 @@ def cut_along(graph: EmbeddedGraph,
 # surgery primitives
 # ---------------------------------------------------------------------------
 
-def _working_lists(graph: EmbeddedGraph) -> tuple[list, list]:
+def working_lists(graph: EmbeddedGraph) -> tuple[list, list]:
     """Mutable copies of a map's edges and rotations for list surgery."""
     return ([list(e) for e in graph.edges],
             [list(r) for r in graph.rotation])
 
 
-def _split_vertex_lists(edges: list, rotation: list, v: int,
-                        arc: Sequence[Dart]) -> None:
-    """``split_vertex`` on mutable edge and rotation lists, in place."""
+def split_vertex_lists(edges: list, rotation: list, v: int,
+                       arc: Sequence[Dart]) -> None:
+    """Split vertex ``v`` along a contiguous rotation arc, in place.
+
+    The darts of ``arc`` (a contiguous, non-empty, proper block of the
+    rotation at ``v``, given in rotation order) move to a fresh vertex
+    ``len(rotation)``, and a bridge edge ``len(edges)`` joins the two halves
+    where the arc used to sit.  This is the inverse of contracting the
+    bridge, so the genus never changes.
+    """
     rot = rotation[v]
     arc = [int(d) for d in arc]
     if not arc or len(arc) >= len(rot):
@@ -353,24 +365,15 @@ def _split_vertex_lists(edges: list, rotation: list, v: int,
     rotation.append([2 * bridge + 1] + arc)
 
 
-def split_vertex(graph: EmbeddedGraph, v: int,
-                 arc: Sequence[Dart]) -> EmbeddedGraph:
-    """Split vertex ``v`` along a contiguous rotation arc.
+def expand_edge_lists(edges: list, rotation: list, e: int,
+                      k: int) -> list[int]:
+    """Replace edge ``e`` by an embedded band of ``k`` parallels, in place.
 
-    The darts of ``arc`` (a contiguous, non-empty, proper block of the
-    rotation at ``v``, given in rotation order) move to a fresh vertex, and a
-    bridge edge joins the two halves where the arc used to sit.  This is the
-    inverse of contracting the bridge, so the genus never changes.
+    Returns the edge ids of the parallels in band order; slot 0 of every
+    parallel is the slot-0 endpoint of ``e``, and the first id in the list
+    is ``e`` itself.  Bigons appear between neighbours in the band, so the
+    genus is unchanged.
     """
-    edges, rotation = _working_lists(graph)
-    _split_vertex_lists(edges, rotation, v, arc)
-    return EmbeddedGraph(len(rotation), edges, rotation)
-
-
-def _expand_edge_lists(edges: list, rotation: list, e: int,
-                       k: int) -> list[int]:
-    """``expand_edge`` on mutable edge and rotation lists, in place;
-    returns the parallels' edge ids in band order."""
     if k < 1:
         raise PreconditionError("need at least one parallel copy")
     m = len(edges)
@@ -390,43 +393,26 @@ def _expand_edge_lists(edges: list, rotation: list, e: int,
     return ids
 
 
-def expand_edge(graph: EmbeddedGraph, e: int, k: int) -> tuple[EmbeddedGraph, list[int]]:
-    """Replace edge ``e`` by an embedded band of ``k`` parallel edges.
+def add_chord_lists(edges: list, rotation: list, face: Sequence[Dart],
+                    d1: Dart, d2: Dart) -> int:
+    """Add an edge across ``face``, between the corners after ``d1``, ``d2``.
 
-    Returns the new graph and the edge ids of the parallels in band order;
-    slot 0 of every parallel is the slot-0 endpoint of ``e``, and the first
-    id in the list is ``e`` itself.  Bigons appear between neighbours in the
-    band, so the genus is unchanged.
-    """
-    edges, rotation = _working_lists(graph)
-    ids = _expand_edge_lists(edges, rotation, e, k)
-    return EmbeddedGraph(len(rotation), edges, rotation), ids
-
-
-def add_chord(graph: EmbeddedGraph, d1: Dart, d2: Dart) -> tuple[EmbeddedGraph, int]:
-    """Add an edge across a face, between the corners after darts ``d1``, ``d2``.
-
-    Both darts must lie on the same face and differ; the face splits in two,
-    so the genus is unchanged.  The corner after dart ``d`` is at the vertex
-    ``head(reverse(d))``.  Returns the new graph and the new edge id.
+    ``face`` is a face of the current lists, as ``trace_faces`` gives it;
+    both darts must lie on it and differ.  The face splits in two, so the
+    genus is unchanged.  The corner after dart ``d`` is at the vertex
+    ``head(reverse(d))``.  Returns the new edge id.
     """
     if d1 == d2:
         raise PreconditionError("chord needs two distinct corners")
-    if graph.face_of[d1] != graph.face_of[d2]:
+    if d1 not in face or d2 not in face:
         raise PreconditionError("chord corners must lie on one face")
-    w1, w2 = graph.head(d1 ^ 1), graph.head(d2 ^ 1)
-    new_edge = len(graph.edges)
-    edges = list(graph.edges) + [(w1, w2)]
-    rotation = [list(r) for r in graph.rotation]
-    i = rotation[w1].index(d1 ^ 1)
-    rotation[w1].insert(i + 1, 2 * new_edge)
-    j = rotation[w2].index(d2 ^ 1)
-    rotation[w2].insert(j + 1, 2 * new_edge + 1)
-    out = EmbeddedGraph(graph.n, edges, rotation)
-    if out.genus != graph.genus:
-        raise InternalInvariantError("chord changed the genus",
-                                     witness=(d1, d2))
-    return out, new_edge
+    w1 = edges[d1 >> 1][(d1 ^ 1) & 1]
+    w2 = edges[d2 >> 1][(d2 ^ 1) & 1]
+    new_edge = len(edges)
+    edges.append([w1, w2])
+    rotation[w1].insert(rotation[w1].index(d1 ^ 1) + 1, 2 * new_edge)
+    rotation[w2].insert(rotation[w2].index(d2 ^ 1) + 1, 2 * new_edge + 1)
+    return new_edge
 
 
 # ---------------------------------------------------------------------------
@@ -576,9 +562,9 @@ def disjointify(graph: EmbeddedGraph,
 
         plan.append((e, sorted(owners, key=cmp_to_key(cmp))))
 
-    edges, rotation = _working_lists(graph)
+    edges, rotation = working_lists(graph)
     for e, owners in plan:
-        ids = _expand_edge_lists(edges, rotation, e, len(owners))
+        ids = expand_edge_lists(edges, rotation, e, len(owners))
         for slot, i in enumerate(owners):
             new_e = ids[slot]
             if new_e == e:
@@ -619,7 +605,7 @@ def disjointify(graph: EmbeddedGraph,
                 "non-crossing family" % v)
         if not arc:
             raise InternalInvariantError("empty separating arc", witness=v)
-        _split_vertex_lists(edges, rotation, v, arc)
+        split_vertex_lists(edges, rotation, v, arc)
         split = True
 
     if not plan and not split:

@@ -1,20 +1,21 @@
 """Topological predicates on cycles of an embedded graph.
 
-A simple cycle is separating when its dual edges form a cut of the dual
-graph, i.e. removing them leaves exactly two dual components.  Non-crossing
-separating cycles induce a laminar family of face sets (the side not
-containing a fixed outer face).  Non-separating, non-crossing cycles are
-tested for free homotopy by the annulus criterion: after re-routing the pair
-onto vertex-disjoint curves, the two are freely homotopic exactly when they
-cobound an annulus component of the cut surface.
+A simple cycle on an orientable surface separates it exactly when its
+Z2-homology class is 0.  ``homology_signatures`` gives every edge a 2g-bit
+signature from a tree-cotree decomposition, and a cycle's class is the XOR
+over its edges (``homology_class``); ``split_support`` flags separating
+cycles this way, and on the plane every class is 0.
 
-Freely homotopic cycles are homologous, so ``classify_homotopy`` first gives
-every cycle its Z2-homology class, read off a tree-cotree decomposition
-(``homology_signatures``), and runs the annulus test only on pairs inside
-one class.
-
-Dual components come from ``surface.face_components`` and cut surfaces from
-``surface.cut_along``; crossings are counted by ``uncross.cr``.
+The two sides of a separating cycle are the two dual components left by
+removing its edges (``surface.face_components``); ``inside_faces`` is the
+side without the fixed outer face, and non-crossing separating cycles give a
+laminar family of insides.  Non-separating, non-crossing cycles are tested
+for free homotopy by the annulus criterion: after re-routing the pair onto
+vertex-disjoint curves, the two are freely homotopic exactly when they
+cobound an annulus component of the cut surface (``surface.cut_along``).
+Freely homotopic cycles are homologous, so ``classify_homotopy`` runs the
+annulus test only on pairs inside one homology class.  Crossings are
+counted by ``uncross.cr``.
 """
 
 from __future__ import annotations
@@ -31,49 +32,21 @@ from .uncross import cr
 OUTER_FACE = 0  # fixed reference face playing the role of infinity
 
 
-def _dual_components(graph: EmbeddedGraph, removed_edges: set) -> list:
-    """Connected components of the dual graph minus the given dual edges,
-    as face sets in the order of their smallest face."""
-    comps: list[set] = []
-    for f, k in enumerate(face_components(graph, removed_edges)):
-        if k == len(comps):
-            comps.append(set())
-        comps[k].add(f)
-    return [frozenset(s) for s in comps]
-
-
-@dataclass(frozen=True)
-class SeparationCertificate:
-    """The two dual components witnessing that a cycle separates; the
-    outer face always lies in ``outside``."""
-
-    inside: frozenset
-    outside: frozenset
-
-
-def is_separating(graph: EmbeddedGraph, darts: Sequence[int]):
-    """Whether the cycle's dual edges form a dual cut.
-
-    Returns ``(flag, certificate)`` where the certificate carries the two
-    dual components for a separating cycle and is ``None`` otherwise.
-    """
-    comps = _dual_components(graph, {d >> 1 for d in darts})
-    if len(comps) == 1:
-        return False, None
-    if len(comps) != 2:
-        raise InternalInvariantError(
-            "a simple cycle cannot split the dual into %d parts" % len(comps),
-            witness=comps)
-    a, b = comps
-    inside, outside = (b, a) if OUTER_FACE in a else (a, b)
-    return True, SeparationCertificate(inside, outside)
-
-
 def inside_faces(graph: EmbeddedGraph, darts: Sequence[int]) -> frozenset:
-    flag, cert = is_separating(graph, darts)
-    if not flag:
+    """Faces on the side of a separating cycle away from ``OUTER_FACE``.
+
+    The cycle's edges split the dual into two components; face 0 is always
+    in component 0, so the inside is component 1.
+    """
+    comp_of = face_components(graph, {d >> 1 for d in darts})
+    n_comp = max(comp_of) + 1
+    if n_comp == 1:
         raise PreconditionError("cycle is not separating")
-    return cert.inside
+    if n_comp != 2:
+        raise InternalInvariantError(
+            "a simple cycle cannot split the dual into %d parts" % n_comp,
+            witness=comp_of)
+    return frozenset(f for f, k in enumerate(comp_of) if k == 1)
 
 
 def laminar_family(graph: EmbeddedGraph, cycles: Sequence) -> tuple:
@@ -243,13 +216,14 @@ def classify_homotopy(graph: EmbeddedGraph, cycles: Sequence[DCycle],
 def split_support(flow: Multiflow):
     """Split a multiflow's support into separating and non-separating parts.
 
-    Returns ``(sep_cycles, sep_values, nonsep_cycles, nonsep_values)`` in
-    the deterministic support order.
+    A cycle is separating when its Z2-homology class is 0.  Returns
+    ``(sep_cycles, sep_values, nonsep_cycles, nonsep_values)`` in the
+    deterministic support order.
     """
     sep, sep_v, nonsep, nonsep_v = [], [], [], []
+    signatures = homology_signatures(flow.instance.graph)
     for c in flow.support():
-        flag, _ = is_separating(flow.instance.graph, c.darts)
-        if flag:
+        if homology_class(signatures, c.darts) == 0:
             sep.append(c)
             sep_v.append(flow.values[c])
         else:

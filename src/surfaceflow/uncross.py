@@ -331,16 +331,6 @@ def _pick_crossings(instance: Instance, c1: DCycle, c2: DCycle, cross):
     return p, q
 
 
-class UncrossTrace:
-    """Per-iteration record of the potential, for invariant checking."""
-
-    def __init__(self):
-        self.steps = []  # (phi1, phi2) after each rewrite
-
-    def record(self, phi1: int, phi2: int):
-        self.steps.append((phi1, phi2))
-
-
 def _potentials(graph: EmbeddedGraph, counts: dict, cr_cache: dict):
     phi1 = sum(k * len(c) for c, k in counts.items())
     phi2 = 0
@@ -365,9 +355,11 @@ def uncross_all(instance: Instance, counts: dict,
                 check_invariants: bool = False) -> tuple:
     """Rewrite the multiset until every pair of cycles crosses at most once.
 
-    Returns ``(counts, trace)``.  With ``check_invariants`` the multiset
-    size, every edge load, and the lexicographic decrease of the potential
-    are verified after every rewrite (slow; intended for tests).
+    Returns ``(counts, potentials)``.  With ``check_invariants`` the
+    multiset size, every edge load, and the lexicographic decrease of the
+    potential are verified after every rewrite (slow; intended for tests),
+    and ``potentials`` lists ``(phi1, phi2)`` after each rewrite; without
+    it the list is empty.
 
     A pair picked again right after its own rewrite reuses that rewrite.
     If its four cycles are distinct, the keys of ``counts`` did not change,
@@ -379,7 +371,7 @@ def uncross_all(instance: Instance, counts: dict,
     g = instance.graph
     counts = dict(counts)
     cache: dict = {}
-    trace = UncrossTrace()
+    potentials: list = []
     size0 = sum(counts.values())
     loads0 = multiset_edge_loads(counts)
     phi = _potentials(g, counts, cache) if check_invariants else None
@@ -436,8 +428,8 @@ def uncross_all(instance: Instance, counts: dict,
                 raise InternalInvariantError(
                     "potential did not decrease", witness=(phi, new_phi))
             phi = new_phi
-            trace.record(*new_phi)
-    return counts, trace
+            potentials.append(new_phi)
+    return counts, potentials
 
 
 def uncross_flow(flow: Multiflow, epsilon,

@@ -13,7 +13,8 @@ from surfaceflow.instances import Instance, generate_torus_grid, load_instance
 from surfaceflow.rational import ZERO
 from surfaceflow.surface import (EmbeddedGraph, _band_before,
                                  _cycle_darts_at, _cycle_vertices,
-                                 expand_edge, face_components, split_vertex)
+                                 expand_edge_lists, face_components,
+                                 split_vertex_lists, working_lists)
 from surfaceflow.uncross import uncross_flow
 
 GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "golden"
@@ -244,6 +245,33 @@ def maps_isomorphic(a: EmbeddedGraph, b: EmbeddedGraph) -> bool:
     return canonical_form(a) == canonical_form(b)
 
 
+def surgery_step(graph: EmbeddedGraph, helper, *args):
+    """Apply one list-level surgery helper of ``surface`` to a copy of
+    ``graph``'s lists; returns the new map and the helper's result."""
+    edges, rotation = working_lists(graph)
+    result = helper(edges, rotation, *args)
+    return EmbeddedGraph(len(rotation), edges, rotation), result
+
+
+def count_maps(monkeypatch) -> list:
+    """Count ``EmbeddedGraph`` constructions from now on; returns a
+    one-element list holding the running count."""
+    built = [0]
+    init = EmbeddedGraph.__init__
+
+    def counting(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(EmbeddedGraph, "__init__", counting)
+    return built
+
+
+def separates(graph: EmbeddedGraph, darts) -> bool:
+    """Reference separation test: the cycle's dual edges cut the dual."""
+    return max(face_components(graph, {d >> 1 for d in darts})) > 0
+
+
 def is_dual_cut(graph: EmbeddedGraph, edges: set) -> bool:
     """Whether an edge set is a dual cut: the dual components obtained by
     removing it can be two-colored so that exactly its edges cross colors."""
@@ -277,7 +305,8 @@ def is_dual_cut(graph: EmbeddedGraph, edges: set) -> bool:
 
 def reference_disjointify(graph: EmbeddedGraph, cycles):
     """``surface.disjointify`` step by step: the same plan, applied through
-    the public ``expand_edge`` and ``split_vertex``, one map per step."""
+    ``expand_edge_lists`` and ``split_vertex_lists`` with one map built and
+    validated after every step."""
     cycles = [list(c) for c in cycles]
     for c in cycles:
         _cycle_vertices(graph, c)
@@ -297,7 +326,7 @@ def reference_disjointify(graph: EmbeddedGraph, cycles):
 
     g = graph
     for e, owners in plan:
-        g, ids = expand_edge(g, e, len(owners))
+        g, ids = surgery_step(g, expand_edge_lists, e, len(owners))
         for slot, i in enumerate(owners):
             new_e = ids[slot]
             if new_e != e:
@@ -329,7 +358,7 @@ def reference_disjointify(graph: EmbeddedGraph, cycles):
             raise PreconditionError("cycles cross at vertex %d" % v)
         if not arc:
             raise InternalInvariantError("empty separating arc", witness=v)
-        g = split_vertex(g, v, arc)
+        g, _ = surgery_step(g, split_vertex_lists, v, arc)
     return g, [tuple(c) for c in cycles]
 
 

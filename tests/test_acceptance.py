@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from conftest import is_dual_cut
+from conftest import is_dual_cut, separates
 from test_uncross import (four_crossings_fixture, three_crossings_fixture,
                           two_crossings_fixture)
 
@@ -32,7 +32,7 @@ from surfaceflow.round_nonseparating import (check_cyclic_order,
 from surfaceflow.round_separating import (color_limit, degeneracy_coloring,
                                           heawood_bound, round_separating)
 from surfaceflow.topology import (classify_homotopy, freely_homotopic,
-                                  is_separating, split_support)
+                                  split_support)
 from surfaceflow.uncross import (cr, crossings, discretize, multiset_value,
                                  uncross_all, uncross_flow)
 
@@ -93,14 +93,13 @@ class TestAcceptance:
         for inst in random_suite():
             flow, sol = solve_and_decompose(inst)
             counts, quantum = discretize(flow, EPSILON)
-            counts, trace = uncross_all(inst, counts, check_invariants=True)
+            counts, steps = uncross_all(inst, counts, check_invariants=True)
             cycles = sorted(counts, key=lambda c: c.darts)
             for i, ci in enumerate(cycles):
                 for cj in cycles[i + 1:]:
                     ok &= cr(inst.graph, ci.darts, cj.darts) <= 1
             ok &= multiset_value(counts, quantum) >= \
                 (ONE - EPSILON) * sol.value
-            steps = trace.steps
             ok &= all(steps[k + 1] < steps[k] for k in range(len(steps) - 1))
             count += 1
         _verdict(capsys, "2 uncrossing cr<=1, value, potential", ok,
@@ -124,7 +123,7 @@ class TestAcceptance:
                 for cj in support:
                     if ci is cj:
                         continue
-                    if is_separating(inst.graph, cj.darts)[0]:
+                    if separates(inst.graph, cj.darts):
                         ok &= len(crossings(inst.graph, ci.darts,
                                             cj.darts)) % 2 == 0
                         parity_pairs += 1

@@ -13,7 +13,7 @@ from surfaceflow.instances import (DEMAND, SUPPLY, Instance,
                                    generate_torus_grid, parse_instance,
                                    serialize_instance)
 
-from conftest import triangle_map
+from conftest import count_maps, triangle_map
 
 
 def small_instance_doc():
@@ -156,6 +156,20 @@ class TestPlanarRandom:
         a = serialize_instance(generate_planar_random(15, seed=3))
         b = serialize_instance(generate_planar_random(15, seed=3))
         assert a == b
+
+
+class TestOneMapPerCall:
+    """Generators grow their maps by list edits and build one map."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: generate_gap_family(3),
+        lambda: generate_torus_grid(6, 6, 4, cap_mode="random", seed=2),
+        lambda: generate_planar_random(40, seed=1),
+    ], ids=["gap", "torus", "planar"])
+    def test_one_map(self, monkeypatch, build):
+        built = count_maps(monkeypatch)
+        build()
+        assert built[0] == 1
 
 
 GAP_N1 = json.loads((pathlib.Path(__file__).resolve().parent.parent

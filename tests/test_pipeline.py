@@ -2,18 +2,24 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from surfaceflow import cli
 from surfaceflow.errors import PreconditionError
 from surfaceflow.instances import (generate_gap_family,
                                    generate_planar_random,
-                                   generate_torus_grid, save_instance)
+                                   generate_torus_grid, load_instance,
+                                   save_instance)
 from surfaceflow.oracle import exact_integral_multiflow
 from surfaceflow.pipeline import (PipelineConfig, render_report, run,
                                   solution_wire, verify_solution)
 from surfaceflow.rational import rat
 
+from test_instances import BAD_LEAVES, _leaf_paths
+
 GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "golden"
+GAP_N1_SOLUTION = solution_wire(run(load_instance(GOLDEN / "gap_n1.json"))[0])
 
 
 class TestConfig:
@@ -192,3 +198,21 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert cli.main(["solve", str(bad)]) == 2
+
+
+class TestVerifyFuzz:
+    @settings(max_examples=40, deadline=None, database=None,
+              derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(path=st.sampled_from(_leaf_paths(GAP_N1_SOLUTION)),
+           value=BAD_LEAVES)
+    def test_one_bad_leaf_exits_0_or_3(self, tmp_path, path, value):
+        doc = json.loads(json.dumps(GAP_N1_SOLUTION))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        sol_path = tmp_path / "sol.json"
+        sol_path.write_text(json.dumps(doc))
+        assert cli.main(["verify", str(GOLDEN / "gap_n1.json"),
+                         str(sol_path)]) in (0, 3)

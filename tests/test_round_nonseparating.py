@@ -5,7 +5,7 @@ import pytest
 from conftest import torus_grid_map
 from surfaceflow.errors import PreconditionError
 from surfaceflow.flows import DCycle, Multiflow, solve_and_decompose
-from surfaceflow.instances import (DEMAND, SUPPLY, Instance, _torus_map,
+from surfaceflow.instances import (DEMAND, SUPPLY, Instance,
                                    generate_planar_random,
                                    generate_torus_grid)
 from surfaceflow.lp import solve_lp
@@ -59,7 +59,7 @@ def double_torus_instance(demand_cap=2):
     meridians of the two handles are D-cycles in distinct homotopy classes
     that do not cross.
     """
-    a = _torus_map(3, 3)
+    a = torus_grid_map(3, 3)
     n, m = a.n, len(a.edges)
     edges = (list(a.edges) + [(u + n, v + n) for u, v in a.edges] + [(0, n)])
     rot = ([list(r) for r in a.rotation]
@@ -92,7 +92,7 @@ def double_torus_flow(inst):
 
 def crossing_classes_instance():
     """3x3 torus whose column-0 and row-0 edges at the origin are demands."""
-    graph = _torus_map(3, 3)
+    graph = torus_grid_map(3, 3)
     kinds = [SUPPLY] * len(graph.edges)
     kinds[9] = DEMAND   # vertical demand 0-3
     kinds[0] = DEMAND   # horizontal demand 0-1

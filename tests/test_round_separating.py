@@ -3,7 +3,8 @@ import pytest
 import surfaceflow.round_separating as round_separating_module
 from surfaceflow.errors import InternalInvariantError
 from surfaceflow.flows import DCycle, Multiflow, solve_and_decompose
-from surfaceflow.instances import generate_planar_random
+from surfaceflow.instances import (DEMAND, SUPPLY, Instance,
+                                   generate_planar_random)
 from surfaceflow.rational import rat
 from surfaceflow.round_separating import (color_and_select,
                                           degeneracy_coloring, heawood_bound,
@@ -13,7 +14,7 @@ from surfaceflow.round_separating import (color_and_select,
 from surfaceflow.topology import inside_faces, split_support
 from surfaceflow.uncross import cr, uncross_flow
 
-from conftest import with_caps
+from conftest import count_maps, darts_for_route, map_from_drawing, with_caps
 from test_flows import two_path_instance
 
 
@@ -116,6 +117,27 @@ class TestReduceToUnit:
         shared = set(red.unit_cycles[0].edge_set) & set(
             red.unit_cycles[1].edge_set)
         assert len(shared) == 1
+
+    def test_expansion_builds_one_map(self, monkeypatch):
+        # three s-t routes closed by one demand edge of capacity 2: three
+        # halves on the demand edge need two unit parallels
+        graph, lookup = map_from_drawing(
+            {"s": (0, 0), "t": (2, 0), "a": (1, 1), "b": (1, 0),
+             "c": (1, -1)},
+            [("s", "a"), ("a", "t"), ("s", "b"), ("b", "t"), ("s", "c"),
+             ("c", "t"), ("s", "t", 270, 270)])
+        inst = Instance(graph, (SUPPLY,) * 6 + (DEMAND,), (1,) * 6 + (2,))
+        f = Multiflow(inst)
+        for mid in "abc":
+            darts = darts_for_route(graph, lookup, ["s", mid, "t"])
+            f.add(DCycle.from_darts(inst, darts), half(1))
+        built = count_maps(monkeypatch)
+        red = reduce_to_unit(f)
+        assert built[0] == 1
+        unit = red.unit_instance.graph
+        assert len(unit.edges) == len(graph.edges) + 1
+        assert unit.genus == 0
+        assert len({c.edge_set & {6, 7} for c in red.unit_cycles}) == 2
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_flows_separating_and_genus_preserved(self, seed):

@@ -2,13 +2,15 @@ import pytest
 
 from surfaceflow.errors import (InternalInvariantError, PreconditionError,
                                 StructuralError)
-from surfaceflow.surface import (EmbeddedGraph, add_chord, cut_along,
-                                 disjointify, expand_edge, split_vertex)
+from surfaceflow.surface import (EmbeddedGraph, add_chord_lists, cut_along,
+                                 disjointify, expand_edge_lists,
+                                 split_vertex_lists)
 
 from conftest import (TORUS_SUPPORTS, canonical_form, darts_for_route,
                       dual, map_from_drawing, maps_isomorphic,
-                      planar_grid_map, reference_disjointify, torus_bouquet,
-                      torus_grid_map, torus_support, triangle_map)
+                      planar_grid_map, reference_disjointify, surgery_step,
+                      torus_bouquet, torus_grid_map, torus_support,
+                      triangle_map)
 from surfaceflow.topology import classify_homotopy, split_support
 
 
@@ -183,7 +185,7 @@ class TestSurgery:
     def test_split_vertex_preserves_genus(self):
         g = torus_grid_map(3, 3)
         rot = g.rotation[4]
-        h = split_vertex(g, 4, list(rot[1:3]))
+        h, _ = surgery_step(g, split_vertex_lists, 4, list(rot[1:3]))
         assert h.n == g.n + 1
         assert len(h.edges) == len(g.edges) + 1
         assert h.genus == g.genus
@@ -193,13 +195,13 @@ class TestSurgery:
         g = torus_grid_map(3, 3)
         rot = g.rotation[4]
         with pytest.raises(PreconditionError):
-            split_vertex(g, 4, [rot[0], rot[2]])
+            surgery_step(g, split_vertex_lists, 4, [rot[0], rot[2]])
         with pytest.raises(PreconditionError):
-            split_vertex(g, 4, list(rot))
+            surgery_step(g, split_vertex_lists, 4, list(rot))
 
     def test_expand_edge(self):
         g = triangle_map()
-        h, ids = expand_edge(g, 0, 3)
+        h, ids = surgery_step(g, expand_edge_lists, 0, 3)
         assert ids == [0, 3, 4]
         assert h.genus == 0
         assert len(h.faces) == len(g.faces) + 2
@@ -207,7 +209,7 @@ class TestSurgery:
 
     def test_expand_loop(self):
         g = torus_bouquet()
-        h, ids = expand_edge(g, 0, 2)
+        h, ids = surgery_step(g, expand_edge_lists, 0, 2)
         assert h.genus == 1
         assert len(h.edges) == 3
 
@@ -215,7 +217,7 @@ class TestSurgery:
         # both darts of the loop sit at vertex 0; the slot-1 block goes in
         # where dart 1 is found after the slot-0 block has been inserted
         g = torus_bouquet()
-        h, ids = expand_edge(g, 0, 3)
+        h, ids = surgery_step(g, expand_edge_lists, 0, 3)
         assert ids == [0, 2, 3]
         assert h.edges == ((0, 0),) * 4
         assert h.rotation == ((0, 4, 6, 2, 7, 5, 1, 3),)
@@ -225,7 +227,7 @@ class TestSurgery:
     def test_add_chord(self):
         g = triangle_map()
         face = g.faces[0]
-        h, e = add_chord(g, face[0], face[1])
+        h, e = surgery_step(g, add_chord_lists, face, face[0], face[1])
         assert h.genus == 0
         assert len(h.edges) == 4
         assert len(h.faces) == 3
@@ -234,7 +236,9 @@ class TestSurgery:
         g = triangle_map()
         f0, f1 = g.faces
         with pytest.raises(PreconditionError):
-            add_chord(g, f0[0], f1[0])
+            surgery_step(g, add_chord_lists, f0, f0[0], f1[0])
+        with pytest.raises(PreconditionError):
+            surgery_step(g, add_chord_lists, f0, f0[0], f0[0])
 
 
 def _disjoint_meridians():

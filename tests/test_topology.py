@@ -1,16 +1,17 @@
 import pytest
 
 from conftest import (TORUS_SUPPORTS, is_dual_cut, planar_grid_map,
-                      torus_grid_map, torus_support, triangle_map)
+                      separates, torus_grid_map, torus_support,
+                      triangle_map)
 from surfaceflow.errors import PreconditionError
 from surfaceflow.flows import solve_and_decompose
 from surfaceflow.instances import generate_planar_random
 from surfaceflow.rational import rat
+from surfaceflow.surface import face_components
 from surfaceflow.topology import (OUTER_FACE, classify_homotopy,
                                   freely_homotopic, homology_class,
                                   homology_signatures, inside_faces,
-                                  is_separating, laminar_family,
-                                  split_support, _dual_components)
+                                  laminar_family, split_support)
 from surfaceflow.uncross import cr, uncross_flow
 
 
@@ -33,31 +34,38 @@ def grid_cycle(graph, route):
                  for i in range(len(route)))
 
 
+def separating(graph, darts) -> bool:
+    """Separation as the package decides it: Z2-homology class 0, checked
+    against the dual-cut reference."""
+    flag = homology_class(homology_signatures(graph), darts) == 0
+    assert flag == separates(graph, darts)
+    return flag
+
+
 class TestIsSeparating:
     def test_face_boundary_separating(self):
         g = triangle_map()
-        flag, cert = is_separating(g, grid_cycle(g, [0, 1, 2]))
-        assert flag
-        assert OUTER_FACE in cert.outside
-        assert len(cert.inside) == 1
+        c = grid_cycle(g, [0, 1, 2])
+        assert separating(g, c)
+        inside = inside_faces(g, c)
+        assert OUTER_FACE not in inside
+        assert len(inside) == 1
 
     def test_planar_cycles_always_separating(self):
         g = planar_grid_map(3, 3)
         for route in ([0, 1, 4, 3], [0, 1, 2, 5, 8, 7, 6, 3],
                       [1, 2, 5, 4]):
-            flag, cert = is_separating(g, grid_cycle(g, route))
-            assert flag
-            assert cert.inside and cert.outside
+            c = grid_cycle(g, route)
+            assert separating(g, c)
+            assert 0 < len(inside_faces(g, c)) < len(g.faces)
 
     def test_torus_meridian_not_separating(self):
         g = torus_grid_map(4, 4)
-        flag, cert = is_separating(g, meridian(0))
-        assert not flag and cert is None
+        assert not separating(g, meridian(0))
 
     def test_torus_contractible_cycle_separating(self):
         g = torus_grid_map(4, 4)
-        flag, _ = is_separating(g, grid_cycle(g, [0, 1, 5, 4]))
-        assert flag
+        assert separating(g, grid_cycle(g, [0, 1, 5, 4]))
 
 
 class TestLaminarFamily:
@@ -97,7 +105,7 @@ class TestDualCut:
         g = torus_grid_map(4, 4)
         union = {d >> 1 for d in meridian(0)} | {d >> 1 for d in meridian(2)}
         assert is_dual_cut(g, union)
-        assert len(_dual_components(g, union)) == 2
+        assert max(face_components(g, union)) == 1
 
 
 class TestFreeHomotopy:
@@ -200,8 +208,8 @@ class TestHomologySignatures:
         inst, flow = torus_support(name)
         sig = homology_signatures(inst.graph)
         for c in flow.support():
-            flag, _ = is_separating(inst.graph, c.darts)
-            assert (homology_class(sig, c.darts) == 0) == flag
+            assert (homology_class(sig, c.darts) == 0) == \
+                separates(inst.graph, c.darts)
 
     @pytest.mark.parametrize("name", TORUS_SUPPORTS)
     def test_bucketed_classes_match_all_pairs(self, name):

@@ -219,13 +219,13 @@ class TestUncrossAll:
         inst, _, c1d, c2d = four_crossings_fixture()
         counts = {DCycle.from_darts(inst, c1d): 2,
                   DCycle.from_darts(inst, c2d): 1}
-        out, trace = uncross_all(inst, counts, check_invariants=True)
+        out, steps = uncross_all(inst, counts, check_invariants=True)
         assert sum(out.values()) == 3
         cycles = list(out)
         for i, ci in enumerate(cycles):
             for cj in cycles[i + 1:]:
                 assert cr(inst.graph, ci.darts, cj.darts) <= 1
-        assert len(trace.steps) >= 1
+        assert len(steps) >= 1
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_planar_instances(self, seed):
