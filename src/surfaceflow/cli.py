@@ -81,8 +81,7 @@ def _cmd_generate(args) -> int:
 def _cmd_oracle(args) -> int:
     instance = load_instance(args.instance)
     budget = OracleBudget(max_cycles=args.max_cycles,
-                          max_nodes=args.max_nodes,
-                          max_seconds=args.max_seconds)
+                          max_nodes=args.max_nodes)
     if args.multicut:
         value, edges = exact_min_multicut(instance, budget)
         print("multicut %d edges %s" % (value, list(edges)))
@@ -148,7 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="minimum multicut instead of maximum flow")
     p.add_argument("--max-cycles", type=int, default=20000)
     p.add_argument("--max-nodes", type=int, default=500000)
-    p.add_argument("--max-seconds", type=float, default=30.0)
     p.add_argument("--solution", help="write the optimal flow here")
     p.set_defaults(func=_cmd_oracle)
     return parser

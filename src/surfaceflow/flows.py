@@ -25,17 +25,15 @@ from .rational import QQ, ZERO, numerators_over, rat, rat_str
 
 
 def _canonical_darts(darts: Sequence[int]) -> tuple:
-    """Lexicographically minimal representative over rotations and reversal."""
-    darts = tuple(darts)
-    k = len(darts)
-    rev = tuple(d ^ 1 for d in reversed(darts))
-    best = None
-    for seq in (darts, rev):
-        for s in range(k):
-            cand = seq[s:] + seq[:s]
-            if best is None or cand < best:
-                best = cand
-    return best
+    """Lexicographically minimal representative over rotations and reversal.
+
+    The darts of a cycle are distinct, so the least rotation of each
+    direction starts at that direction's smallest dart.
+    """
+    fwd = tuple(darts)
+    rev = tuple(d ^ 1 for d in reversed(fwd))
+    i, j = fwd.index(min(fwd)), rev.index(min(rev))
+    return min(fwd[i:] + fwd[:i], rev[j:] + rev[:j])
 
 
 @dataclass(frozen=True)

@@ -5,61 +5,72 @@ deterministic branch-and-bound: over integral cycle values for the maximum
 integral multiflow, over covering edges for the minimum multicut.  They are
 deliberately exponential and guarded by an explicit work budget; exceeding
 it is a refusal (:class:`OracleBudgetExceeded`), never a wrong answer.
+
+The budget is made of counts only (enumerated cycles, depth-first dart
+extensions, search nodes), so whether an instance is refused depends on the
+instance and the budget alone, never on the machine or its load.
+
+The flow search solves one LP, the cycle LP at the root, and prunes every
+node with its dual ``y``.  A node keeps a subset of the root's cycles and
+lowers the capacities to the residual ``r``, so ``y`` stays dual-feasible
+for the node's LP and ``value + floor(sum_e r[e] * y[e])`` bounds every
+completion of the node.  The incumbent moves only on a strict improvement,
+so the answer is the first node in depth-first preorder that attains the
+optimum; a valid bound never prunes that node, whichever bound is used, so
+any valid bound gives the same answer.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
+from math import lcm
 
 from .errors import OracleBudgetExceeded
-from .flows import DCycle, Multiflow
+from .flows import DCycle, Multiflow, _canonical_darts
 from .instances import Instance
 from .lp import solve_lp
-from .rational import floor_rat
+from .rational import floor_rat, numerators_over
 
 
 @dataclass(frozen=True)
 class OracleBudget:
-    """Work limits: enumerated D-cycles, search nodes, wall-clock seconds."""
+    """Work limits, all of them counts.
+
+    ``max_cycles`` bounds the enumerated D-cycles.  ``max_nodes`` bounds the
+    depth-first dart extensions of the enumeration and, separately, the
+    nodes of each branch-and-bound search.
+    """
 
     max_cycles: int = 20000
     max_nodes: int = 500000
-    max_seconds: float = 30.0
 
 
 DEFAULT_BUDGET = OracleBudget()
 
 
-class _Clock:
-    def __init__(self, budget: OracleBudget):
-        self.deadline = time.monotonic() + budget.max_seconds
-
-    def check(self, what: str) -> None:
-        if time.monotonic() > self.deadline:
-            raise OracleBudgetExceeded("time budget exhausted during " + what)
-
-
 def enumerate_d_cycles(instance: Instance,
                        budget: OracleBudget = DEFAULT_BUDGET) -> list:
-    """All D-cycles of the instance, deduplicated, in canonical order.
+    """All D-cycles of the instance, in canonical order.
 
     For each demand edge, simple supply paths between its endpoints are
     enumerated by depth-first search with a visited-vertex set; each path
-    closes to a D-cycle through the demand dart.
+    closes to a D-cycle through the demand dart.  Such a cycle is simple,
+    chained and has exactly one demand dart, and every simple path is
+    listed once, so the cycles are built without revalidation.
     """
     graph = instance.graph
-    clock = _Clock(budget)
+    tail = [graph.tail(d) for d in range(2 * len(graph.edges))]
     adjacency: dict[int, list] = {}
     for e in instance.supply_edges:
         for d in (2 * e, 2 * e + 1):
             adjacency.setdefault(graph.head(d), []).append(d)
     for v in adjacency:
         adjacency[v].sort()
-    found: set = set()
+    found: list = []
+    steps = 0
     for d_edge in instance.demand_edges:
         dd = 2 * d_edge + 1
-        s, t = graph.head(dd), graph.tail(dd)
+        s, t = graph.head(dd), tail[dd]
         # the demand dart runs s -> t; close it with supply paths t -> s
         stack = [(t, iter(adjacency.get(t, ())))]
         path: list = []
@@ -68,11 +79,18 @@ def enumerate_d_cycles(instance: Instance,
             v, it = stack[-1]
             advanced = False
             for d in it:
-                clock.check("cycle enumeration")
-                w = graph.tail(d)
+                steps += 1
+                if steps > budget.max_nodes:
+                    raise OracleBudgetExceeded(
+                        "more than %d cycle enumeration steps"
+                        % budget.max_nodes)
+                w = tail[d]
                 if w == s:
-                    cycle = DCycle.from_darts(instance, (dd, *path, d))
-                    found.add(cycle)
+                    if s == t:
+                        # a demand loop: from_darts says why it is refused
+                        DCycle.from_darts(instance, (dd, *path, d))
+                    found.append(DCycle(_canonical_darts((dd, *path, d)),
+                                        d_edge))
                     if len(found) > budget.max_cycles:
                         raise OracleBudgetExceeded(
                             "more than %d D-cycles" % budget.max_cycles)
@@ -92,16 +110,18 @@ def enumerate_d_cycles(instance: Instance,
     return sorted(found, key=lambda c: c.darts)
 
 
-def _cycle_lp(instance: Instance, cycles, caps) -> object:
+def _cycle_lp(cycle_edges, caps) -> tuple:
+    """The cycle LP over ``cycle_edges`` (one edge tuple per cycle); returns
+    the LP result and the edge of each capacity row."""
     rows_by_edge: dict[int, dict] = {}
-    for i, c in enumerate(cycles):
-        for e in c.edge_set:
+    for i, edges in enumerate(cycle_edges):
+        for e in edges:
             rows_by_edge.setdefault(e, {})[i] = 1
     edges = sorted(rows_by_edge)
-    lp = solve_lp([1] * len(cycles),
+    lp = solve_lp([1] * len(cycle_edges),
                   [rows_by_edge[e] for e in edges],
                   [caps[e] for e in edges])
-    return lp
+    return lp, edges
 
 
 def exact_integral_multiflow(instance: Instance,
@@ -110,21 +130,22 @@ def exact_integral_multiflow(instance: Instance,
     cycles = enumerate_d_cycles(instance, budget)
     if not cycles:
         return 0, Multiflow(instance)
-    clock = _Clock(budget)
-    caps = dict(enumerate(instance.caps))
-    root = _cycle_lp(instance, cycles, caps)
+    cycle_edges = [tuple(d >> 1 for d in c.darts) for c in cycles]
+    root, rows = _cycle_lp(cycle_edges, instance.caps)
     # explore large fractional values first; the LP value caps the optimum
     order = sorted(range(len(cycles)),
                    key=lambda i: (-root.x[i], cycles[i].darts))
     cycles = [cycles[i] for i in order]
+    cycle_edges = [cycle_edges[i] for i in order]
     ceiling = floor_rat(root.value)
+    # the root dual over a common denominator: price[e] / denom = y[e]
+    denom = lcm(*(y.denominator for y in root.y_ub))
+    prices = [(e, p) for e, p in zip(rows, numerators_over(root.y_ub, denom))
+              if p]
     best_value = -1
     best: dict = {}
     current: dict = {}
     nodes = 0
-
-    def max_feasible(j, residual):
-        return min(floor_rat(residual[e]) for e in cycles[j].edge_set)
 
     def search(start, residual, value):
         # branch on the index of the next cycle with positive value, so
@@ -134,26 +155,25 @@ def exact_integral_multiflow(instance: Instance,
         if nodes > budget.max_nodes:
             raise OracleBudgetExceeded(
                 "more than %d search nodes" % budget.max_nodes)
-        clock.check("flow search")
         if value > best_value:
             best_value = value
             best = dict(current)
         if best_value == ceiling:
             return
-        choices = [(j, max_feasible(j, residual))
-                   for j in range(start, len(cycles))]
-        choices = [(j, m) for j, m in choices if m > 0]
+        if value + sum(residual[e] * p for e, p in prices) // denom \
+                <= best_value:
+            return
+        choices = []
+        for j in range(start, len(cycles)):
+            m = min([residual[e] for e in cycle_edges[j]])
+            if m > 0:
+                choices.append((j, m))
         if value + sum(m for _, m in choices) <= best_value:
             return
-        if len(choices) > 1:
-            lp = _cycle_lp(instance, [cycles[j] for j, _ in choices],
-                           residual)
-            if value + floor_rat(lp.value) <= best_value:
-                return
         for j, m in choices:
             for x in range(m, 0, -1):
-                nxt = dict(residual)
-                for e in cycles[j].edge_set:
+                nxt = residual[:]
+                for e in cycle_edges[j]:
                     nxt[e] -= x
                 current[j] = x
                 search(j + 1, nxt, value + x)
@@ -161,7 +181,7 @@ def exact_integral_multiflow(instance: Instance,
                 if best_value == ceiling:
                     return
 
-    search(0, dict(caps), 0)
+    search(0, list(instance.caps), 0)
     flow = Multiflow(instance)
     for j, x in best.items():
         flow.add(cycles[j], x)
@@ -169,8 +189,6 @@ def exact_integral_multiflow(instance: Instance,
     if flow.value != best_value:
         raise AssertionError("oracle bookkeeping mismatch")
     return best_value, flow
-
-
 def exact_min_multicut(instance: Instance,
                        budget: OracleBudget = DEFAULT_BUDGET):
     """Minimum-capacity edge set meeting every D-cycle.
@@ -182,7 +200,6 @@ def exact_min_multicut(instance: Instance,
     cycles = enumerate_d_cycles(instance, budget)
     if not cycles:
         return 0, ()
-    clock = _Clock(budget)
     cycles = sorted(cycles, key=lambda c: (len(c.edge_set), c.darts))
     # start from the trivial cut: every demand edge
     demand_cut = tuple(sorted(instance.demand_edges))
@@ -206,7 +223,6 @@ def exact_min_multicut(instance: Instance,
         if nodes > budget.max_nodes:
             raise OracleBudgetExceeded(
                 "more than %d search nodes" % budget.max_nodes)
-        clock.check("multicut search")
         if not uncovered:
             if cost < best_cost or (cost == best_cost and
                                     tuple(sorted(chosen)) < best_edges):

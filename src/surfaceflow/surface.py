@@ -48,8 +48,7 @@ class EmbeddedGraph:
     vertex it is attached to).
     """
 
-    __slots__ = ("n", "edges", "rotation", "faces", "face_of", "genus",
-                 "_rot_next")
+    __slots__ = ("n", "edges", "rotation", "faces", "face_of", "genus")
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int]],
                  rotation: Sequence[Sequence[Dart]]):
@@ -57,7 +56,6 @@ class EmbeddedGraph:
         self.edges = tuple((int(u), int(v)) for u, v in edges)
         self.rotation = tuple(tuple(int(d) for d in r) for r in rotation)
         self._validate_structure()
-        self._index_rotation()
         self.faces = trace_faces(self.edges, self.rotation)
         self.face_of = {}
         for i, f in enumerate(self.faces):
@@ -114,13 +112,6 @@ class EmbeddedGraph:
         elif self.n > 1:
             raise StructuralError("graph is disconnected")
 
-    def _index_rotation(self) -> None:
-        nxt = {}
-        for rot in self.rotation:
-            for i, d in enumerate(rot):
-                nxt[d] = rot[(i + 1) % len(rot)]
-        self._rot_next = nxt
-
     # -- dart helpers -------------------------------------------------------------
 
     def head(self, d: Dart) -> int:
@@ -131,18 +122,8 @@ class EmbeddedGraph:
         """Other endpoint of the dart's edge."""
         return self.edges[d >> 1][1 - (d & 1)]
 
-    def rot_next(self, d: Dart) -> Dart:
-        """Clockwise successor of ``d`` in the rotation at its head."""
-        return self._rot_next[d]
-
-    def darts_at(self, v: int) -> tuple[Dart, ...]:
-        return self.rotation[v]
-
     def degree(self, v: int) -> int:
         return len(self.rotation[v])
-
-    def face_successor(self, d: Dart) -> Dart:
-        return self._rot_next[d ^ 1]
 
     # -- export -------------------------------------------------------------------
 

@@ -156,6 +156,15 @@ def with_caps(instance: Instance, caps) -> Instance:
     return Instance(instance.graph, instance.kinds, tuple(caps))
 
 
+def reference_canonical_darts(darts) -> tuple:
+    """Quadratic scan for ``flows._canonical_darts``: the least of every
+    rotation of the darts and of their reversal."""
+    darts = tuple(darts)
+    rev = tuple(d ^ 1 for d in reversed(darts))
+    return min(seq[s:] + seq[:s] for seq in (darts, rev)
+               for s in range(len(darts)))
+
+
 def reference_check_certificate(c, A_ub, b_ub, A_eq, b_eq, x, y_ub,
                                 y_eq) -> bool:
     """``lp.check_certificate`` entry by entry over rationals, as the
@@ -223,6 +232,10 @@ def canonical_form(graph: EmbeddedGraph) -> tuple:
     m2 = 2 * len(graph.edges)
     if m2 == 0:
         return (graph.n,)
+    rot_next = {}
+    for rot in graph.rotation:
+        for i, d in enumerate(rot):
+            rot_next[d] = rot[(i + 1) % len(rot)]
     best = None
     for d0 in range(m2):
         label = {d0: 0}
@@ -230,12 +243,12 @@ def canonical_form(graph: EmbeddedGraph) -> tuple:
         i = 0
         while i < len(order):
             d = order[i]
-            for nxt in (graph.rot_next(d), d ^ 1):
+            for nxt in (rot_next[d], d ^ 1):
                 if nxt not in label:
                     label[nxt] = len(order)
                     order.append(nxt)
             i += 1
-        sig = tuple((label[graph.rot_next(d)], label[d ^ 1]) for d in order)
+        sig = tuple((label[rot_next[d]], label[d ^ 1]) for d in order)
         if best is None or sig < best:
             best = sig
     return best

@@ -1,14 +1,49 @@
-import pytest
+import hashlib
+import json
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import reference_canonical_darts
+from surfaceflow import oracle
 from surfaceflow.errors import (InternalInvariantError, OracleBudgetExceeded,
-                                SurfaceflowError)
-from surfaceflow.flows import solve_fractional
+                                PreconditionError, SurfaceflowError)
+from surfaceflow.flows import DCycle, _canonical_darts, solve_fractional
 from surfaceflow.instances import (DEMAND, SUPPLY, Instance,
                                    generate_gap_family,
-                                   generate_planar_random)
+                                   generate_planar_random,
+                                   generate_torus_grid)
 from surfaceflow.oracle import (OracleBudget, enumerate_d_cycles,
                                 exact_integral_multiflow, exact_min_multicut)
+from surfaceflow.pipeline import PipelineConfig, run
+from surfaceflow.rational import rat
 from surfaceflow.surface import EmbeddedGraph
+
+
+PINNED_INSTANCES = {
+    **{"planar%d" % s: (lambda s=s: generate_planar_random(
+        30, seed=s, n_demands=3, cap_mode="random")) for s in range(6)},
+    **{"torus%d" % s: (lambda s=s: generate_torus_grid(
+        3, 3, 2, cap_mode="random", seed=s)) for s in range(3)},
+    **{"gap%d" % n: (lambda n=n: generate_gap_family(n)) for n in (1, 2)},
+}
+
+# sha256 of json [flow value, flow wire, multicut value, multicut edges]:
+# a faster oracle must give the same optimum, the same flow and the same cut
+PINNED = {
+    "planar0": "363d808ffcce28159aea8f6a0683b99a4841669a318e94445724b08af04be147",
+    "planar1": "8e4bbb2314b6fd7c176d91aa233b9c85bbc980959a032e9f0970236e6c9ad8b7",
+    "planar2": "3d766c434f5aaf127a79ff5e0137fab58565d13fc6270d291b922ce2654defe3",
+    "planar3": "5dbe78451da2dbaaecfb64ba5496457de60d19d9604e51fbd54ca64ab1323a8e",
+    "planar4": "d52c3415da1f8ff8c14d7c49584f4ab8be4b6203afa7aed228177be9e803dec9",
+    "planar5": "e1a08abedca9d9b7caf6829127374339dc22eb9a637bd4e2a994dad3e4d287df",
+    "torus0": "124c51c760781a006fdcb9cdeb9a0b32612902e631eadc35cb1993e4fcf12788",
+    "torus1": "38c792ea190b069ccf9b9bc69064505b2498b7af9ad60891edf3bcec16e248cd",
+    "torus2": "16bd22cd9c48cf6881f455a36305940501f63434ed09175dd4aaf6e2f1dfdb74",
+    "gap1": "c93e6f6a33aab61368bd2c6ddf40a6563646cd8decd08a87645b443c4399c66e",
+    "gap2": "9d174cb4ae18828eaa3cb55121c97c440c3feca5c5244eecf09c25a596065dab",
+}
 
 
 def path_instance(caps=(2, 3, 2), demand_cap=4):
@@ -51,6 +86,38 @@ class TestEnumeration:
         with pytest.raises(OracleBudgetExceeded):
             enumerate_d_cycles(inst, OracleBudget(max_cycles=2))
 
+    def test_step_budget_refused(self):
+        # gap n = 1 takes 52 depth-first dart extensions
+        inst = generate_gap_family(1)
+        assert enumerate_d_cycles(inst, OracleBudget(max_nodes=52))
+        with pytest.raises(OracleBudgetExceeded, match="enumeration steps"):
+            enumerate_d_cycles(inst, OracleBudget(max_nodes=51))
+
+    def test_demand_loop_refused(self):
+        edges = [(0, 1), (1, 0), (0, 0)]
+        rotation = [[0, 3, 4, 5], [1, 2]]
+        graph = EmbeddedGraph(2, edges, rotation)
+        inst = Instance(graph, (SUPPLY, SUPPLY, DEMAND), (1, 1, 1))
+        with pytest.raises(PreconditionError):
+            enumerate_d_cycles(inst)
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_cycles_are_validated_cycles(self, name):
+        inst = PINNED_INSTANCES[name]()
+        cycles = enumerate_d_cycles(inst)
+        assert len(set(cycles)) == len(cycles)
+        for c in cycles:
+            assert DCycle.from_darts(inst, c.darts) == c
+
+
+class TestCanonicalDarts:
+    @settings(max_examples=300, deadline=None, database=None,
+              derandomize=True)
+    @given(st.lists(st.integers(0, 40), min_size=1, max_size=12,
+                    unique=True))
+    def test_matches_quadratic_scan(self, darts):
+        assert _canonical_darts(darts) == reference_canonical_darts(darts)
+
 
 class TestIntegralOracle:
     def test_bottleneck_path(self):
@@ -69,6 +136,29 @@ class TestIntegralOracle:
         value, _ = exact_integral_multiflow(inst)
         assert value == 1
         assert solve_fractional(inst).value == 4
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned_answers(self, name):
+        inst = PINNED_INSTANCES[name]()
+        value, flow = exact_integral_multiflow(inst)
+        cut, edges = exact_min_multicut(inst)
+        blob = json.dumps([value, flow.to_wire(), cut, list(edges)],
+                          sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest() == PINNED[name]
+
+    def test_one_cycle_lp_per_instance(self, monkeypatch):
+        calls = []
+        real = oracle._cycle_lp
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(oracle, "_cycle_lp", counting)
+        for name in ("planar0", "torus0", "gap1"):
+            del calls[:]
+            exact_integral_multiflow(PINNED_INSTANCES[name]())
+            assert len(calls) == 1
 
     def test_node_budget_refused(self):
         inst = generate_gap_family(1)
@@ -111,3 +201,34 @@ class TestWeakDuality:
         flow.verify_feasible()
         assert value == flow.value
         assert value <= lp.value <= cut
+
+
+# 10-30 edge planar and 3x3 / 3x4 torus instances; the small count budget
+# keeps the sweep to a few seconds and is the only reason to skip one
+SWEEP = ([(generate_planar_random, dict(size=size, seed=seed))
+          for size in (10, 15, 20, 25, 30) for seed in range(10)]
+         + [(generate_torus_grid, dict(p=p, q=q, demands=2,
+                                       cap_mode="random", seed=seed))
+            for p, q in ((3, 3), (3, 4)) for seed in range(6)])
+SWEEP_BUDGET = OracleBudget(max_cycles=2000, max_nodes=20000)
+
+
+class TestGeneratorSweep:
+    def test_oracle_sandwich(self):
+        solved = 0
+        for gen, kwargs in SWEEP:
+            inst = gen(**kwargs)
+            try:
+                opt, _ = exact_integral_multiflow(inst, SWEEP_BUDGET)
+                cut, edges = exact_min_multicut(inst, SWEEP_BUDGET)
+            except OracleBudgetExceeded:
+                continue
+            out, report = run(inst, PipelineConfig(verify="full-oracle"))
+            assert all(c["ok"] for c in report["checks"]), kwargs
+            assert report["oracle"]["value"] == opt
+            lp = rat(report["stages"]["lp"]["value"])
+            assert out.value <= opt <= lp <= cut, kwargs
+            assert all(c.edge_set & set(edges)
+                       for c in enumerate_d_cycles(inst))
+            solved += 1
+        assert solved >= 0.9 * len(SWEEP)
