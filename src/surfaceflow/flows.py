@@ -175,62 +175,37 @@ def solve_fractional(instance: Instance) -> EdgeFlowSolution:
         return EdgeFlowSolution({}, {}, {e: ZERO for e in supply}, ZERO,
                                 ZERO, engine="trivial")
 
-    # variable layout per demand: (x+_e, x-_e for e in supply), then w_d
+    # variable layout: demand di's x+ and x- on the k-th supply edge are
+    # columns di * per + 2k and di * per + 2k + 1; the w_d follow at n_flow
     per = 2 * len(supply)
-    sup_index = {e: i for i, e in enumerate(supply)}
-
-    def var_plus(di, e):
-        return di * per + 2 * sup_index[e]
-
-    def var_minus(di, e):
-        return di * per + 2 * sup_index[e] + 1
-
-    n_vars = len(demands) * per + len(demands)
-
-    def var_w(di):
-        return len(demands) * per + di
-
-    c = [ZERO] * n_vars
-    for di in range(len(demands)):
-        c[var_w(di)] = rat(1)
+    n_flow = len(demands) * per
+    # int data throughout: solve_lp makes QQ values only for its answer
+    c = [0] * n_flow + [1] * len(demands)
 
     A_eq, b_eq = [], []
     for di, d in enumerate(demands):
         s, t = g.edges[d]
-        rows = {v: {} for v in range(g.n)}
-        for e in supply:
+        rows = [{} for _ in range(g.n)]
+        for k, e in enumerate(supply):
             a, b = g.edges[e]
             if a == b:
                 continue  # a supply loop can never lie on a simple D-cycle
-            rows[a][var_plus(di, e)] = rows[a].get(var_plus(di, e), ZERO) - 1
-            rows[b][var_plus(di, e)] = rows[b].get(var_plus(di, e), ZERO) + 1
-            rows[a][var_minus(di, e)] = rows[a].get(var_minus(di, e), ZERO) + 1
-            rows[b][var_minus(di, e)] = rows[b].get(var_minus(di, e), ZERO) - 1
+            col = di * per + 2 * k
+            rows[a][col], rows[b][col] = -1, 1
+            rows[a][col + 1], rows[b][col + 1] = 1, -1
         # the demand edge carries w_d from t back to s
-        rows[t][var_w(di)] = rows[t].get(var_w(di), ZERO) - 1
-        rows[s][var_w(di)] = rows[s].get(var_w(di), ZERO) + 1
-        for v in range(g.n):
-            if v == s:
-                continue  # one conservation row per demand is redundant
-            row = {j: rat(coef) for j, coef in rows[v].items() if coef != 0}
-            if row:
+        rows[t][n_flow + di] = -1
+        for v, row in enumerate(rows):
+            # one conservation row per demand (that of s) is redundant
+            if v != s and row:
                 A_eq.append(row)
-                b_eq.append(ZERO)
+                b_eq.append(0)
 
-    A_ub, b_ub = [], []
-    cap_row_of = {}
-    for e in supply:
-        row = {}
-        for di in range(len(demands)):
-            row[var_plus(di, e)] = rat(1)
-            row[var_minus(di, e)] = rat(1)
-        cap_row_of[e] = len(A_ub)
-        A_ub.append(row)
-        b_ub.append(rat(instance.cap(e)))
-    for di, d in enumerate(demands):
-        cap_row_of[d] = len(A_ub)
-        A_ub.append({var_w(di): rat(1)})
-        b_ub.append(rat(instance.cap(d)))
+    # capacity rows: the supply edges, then the demand edges
+    A_ub = [{di * per + 2 * k + side: 1 for di in range(len(demands))
+             for side in (0, 1)} for k in range(len(supply))]
+    A_ub += [{n_flow + di: 1} for di in range(len(demands))]
+    b_ub = [instance.cap(e) for e in supply + demands]
 
     res = solve_lp(c, A_ub, b_ub, A_eq, b_eq)
 
@@ -238,13 +213,13 @@ def solve_fractional(instance: Instance) -> EdgeFlowSolution:
     demand_value = {}
     for di, d in enumerate(demands):
         nets = {}
-        for e in supply:
-            net = res.x[var_plus(di, e)] - res.x[var_minus(di, e)]
-            if net != 0:
-                nets[e] = net
+        for k, e in enumerate(supply):
+            plus, minus = res.x[di * per + 2 * k], res.x[di * per + 2 * k + 1]
+            if plus != minus:
+                nets[e] = plus - minus
         flow[d] = nets
-        demand_value[d] = res.x[var_w(di)]
-    multicut = {e: res.y_ub[cap_row_of[e]] for e in list(supply) + list(demands)}
+        demand_value[d] = res.x[n_flow + di]
+    multicut = dict(zip(supply + demands, res.y_ub))
     multicut_value = _verify_multicut(instance, multicut, res.value)
     return EdgeFlowSolution(flow, demand_value, multicut, multicut_value,
                             res.value, res.engine)
@@ -279,10 +254,11 @@ def shortest_path_length(instance: Instance, s: int, t: int,
                          weights: Mapping[int, object]):
     """Exact Bellman-Ford over supply edges (weights are non-negative)."""
     g = instance.graph
+    supply = instance.supply_edges
     dist = {s: 0}
     for _ in range(g.n):
         changed = False
-        for e in instance.supply_edges:
+        for e in supply:
             a, b = g.edges[e]
             w = weights.get(e, 0)
             for x, yv in ((a, b), (b, a)):

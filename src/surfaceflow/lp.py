@@ -2,7 +2,11 @@
 
 ``solve_lp`` maximizes ``c . x`` subject to ``A_ub x <= b_ub``,
 ``A_eq x = b_eq``, ``x >= 0`` and returns an exactly optimal primal/dual
-pair.  There are two engines, each with its own tableau code:
+pair.  The data may be Python ints or rationals.  Ints pass through as they
+are: the float warm start and the certificate use them directly, so a
+0/+-1 matrix with integer capacities is never turned into rationals on that
+path, and only the returned values are ``QQ``.  There are two engines, each
+with its own tableau code:
 
 - a dense two-phase simplex over ``QQ`` with Bland's rule (the reference
   path, immune to cycling);
@@ -17,9 +21,9 @@ pair.  There are two engines, each with its own tableau code:
 Either way the result is certified: the returned dual is exactly feasible
 with objective equal to the primal's, so optimality never rests on floating
 point.  ``check_certificate`` decides this on Python ints: one positive
-scale makes ``A``, ``b`` and ``c`` integral (the dual is unchanged), and
-``x`` and ``y`` are written over their common denominators, so every test
-is an integer sum.
+scale makes ``A``, ``b`` and ``c`` integral (the dual is unchanged; integral
+data are used as they are), and ``x`` and ``y`` are written over their
+common denominators, so every test is an integer sum.
 """
 
 from __future__ import annotations
@@ -55,15 +59,17 @@ class LPResult:
 
 def solve_lp(c: Sequence, A_ub: Sequence[dict], b_ub: Sequence,
              A_eq: Sequence[dict] = (), b_eq: Sequence = ()) -> LPResult:
-    """Maximize ``c . x`` over the given system; all data rational.
+    """Maximize ``c . x`` over the given system; all data ints or rationals.
 
-    Rows are sparse dicts ``{column: coefficient}``.  Requires ``b_ub >= 0``
+    Rows are sparse dicts ``{column: coefficient}``.  Entries of ``c`` and
+    ``b`` whose type is ``int`` pass through untouched; any other goes
+    through ``rat``, so bools and floats are refused.  ``x``, ``y_ub``,
+    ``y_eq`` and ``value`` of the result are ``QQ``.  Requires ``b_ub >= 0``
     (all capacity-style uses satisfy this).  Raises ``PreconditionError`` on
     infeasible or unbounded input.
     """
-    c = [rat(v) for v in c]
-    b_ub = [rat(v) for v in b_ub]
-    b_eq = [rat(v) for v in b_eq]
+    c, b_ub, b_eq = ([v if type(v) is int else rat(v) for v in vec]
+                     for vec in (c, b_ub, b_eq))
     if any(v < 0 for v in b_ub):
         raise PreconditionError("b_ub must be non-negative")
     n = len(c)
@@ -85,18 +91,22 @@ def check_certificate(c, A_ub, b_ub, A_eq, b_eq, x, y_ub, y_eq) -> bool:
     ``S A^T Y >= S c Dy`` and ``S c X Dy == S b Y Dx``, all over ints.
     """
     n = len(c)
-    if len(x) != n or any(v < 0 for v in x) or any(v < 0 for v in y_ub):
+    if len(x) != n:
         return False
     scale = lcm(*{v.denominator for v in chain(c, b_ub, b_eq)},
                 *{v.denominator for row in chain(A_ub, A_eq)
                   for v in row.values()})
-    c, b_ub, b_eq = (numerators_over(v, scale) for v in (c, b_ub, b_eq))
-    A_ub, A_eq = ([dict(zip(row, numerators_over(row.values(), scale)))
-                   for row in rows] for rows in (A_ub, A_eq))
+    if scale != 1:
+        c, b_ub, b_eq = (numerators_over(v, scale) for v in (c, b_ub, b_eq))
+        A_ub, A_eq = ([dict(zip(row, numerators_over(row.values(), scale)))
+                       for row in rows] for rows in (A_ub, A_eq))
     dx = lcm(*{v.denominator for v in x})
     x = numerators_over(x, dx)
     dy = lcm(*{v.denominator for v in chain(y_ub, y_eq)})
     y_ub, y_eq = numerators_over(y_ub, dy), numerators_over(y_eq, dy)
+    # signs on the int numerators: no rational comparisons
+    if any(v < 0 for v in x) or any(v < 0 for v in y_ub):
+        return False
 
     for row, b in zip(A_ub, b_ub):
         if sum(coef * x[j] for j, coef in row.items()) > b * dx:

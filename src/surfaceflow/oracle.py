@@ -189,32 +189,42 @@ def exact_integral_multiflow(instance: Instance,
     if flow.value != best_value:
         raise AssertionError("oracle bookkeeping mismatch")
     return best_value, flow
+
+
 def exact_min_multicut(instance: Instance,
                        budget: OracleBudget = DEFAULT_BUDGET):
     """Minimum-capacity edge set meeting every D-cycle.
 
     Branch-and-bound hitting set: branch on the edges of an uncovered
     cycle with the fewest edges, bound by a greedy packing of edge-disjoint
-    uncovered cycles (a valid lower bound by weak duality).
+    uncovered cycles (a valid lower bound by weak duality).  Each cycle is
+    searched as ``(sorted edges, edge bitmask, least capacity)``.
     """
     cycles = enumerate_d_cycles(instance, budget)
     if not cycles:
         return 0, ()
-    cycles = sorted(cycles, key=lambda c: (len(c.edge_set), c.darts))
+    caps = instance.caps
+    # a D-cycle is simple, so it has as many edges as darts
+    uncovered = []
+    for c in sorted(cycles, key=lambda c: (len(c.darts), c.darts)):
+        edges = sorted(d >> 1 for d in c.darts)
+        mask = 0
+        for e in edges:
+            mask |= 1 << e
+        uncovered.append((edges, mask, min(caps[e] for e in edges)))
     # start from the trivial cut: every demand edge
     demand_cut = tuple(sorted(instance.demand_edges))
-    best_cost = sum(instance.caps[e] for e in demand_cut)
+    best_cost = sum(caps[e] for e in demand_cut)
     best_edges = demand_cut
     nodes = 0
 
     def packing_bound(uncovered):
-        used: set = set()
+        used = 0
         total = 0
-        for c in uncovered:
-            if c.edge_set & used:
-                continue
-            used |= c.edge_set
-            total += min(instance.caps[e] for e in c.edge_set)
+        for _, mask, least in uncovered:
+            if not mask & used:
+                used |= mask
+                total += least
         return total
 
     def search(chosen: set, cost: int, uncovered):
@@ -231,10 +241,10 @@ def exact_min_multicut(instance: Instance,
             return
         if cost + packing_bound(uncovered) >= best_cost:
             return
-        pivot = uncovered[0]
-        for e in sorted(pivot.edge_set):
-            rest = [c for c in uncovered if e not in c.edge_set]
-            search(chosen | {e}, cost + instance.caps[e], rest)
+        for e in uncovered[0][0]:
+            bit = 1 << e
+            rest = [c for c in uncovered if not c[1] & bit]
+            search(chosen | {e}, cost + caps[e], rest)
 
-    search(set(), 0, cycles)
+    search(set(), 0, uncovered)
     return best_cost, best_edges

@@ -56,7 +56,7 @@ def half_integralize(flow: Multiflow) -> Multiflow:
     if not cycles:
         return Multiflow(inst)
     rows, caps = _capacity_rows(inst, cycles)
-    x, _, _ = _simplex_exact([rat(1)] * len(cycles), rows, caps, [], [])
+    x, _, _ = _simplex_exact([1] * len(cycles), rows, caps, [], [])
     if any(2 * v != int(2 * v) for v in x):
         raise InternalInvariantError(
             "restricted LP vertex is not half-integral", witness=x)
@@ -75,9 +75,9 @@ def _capacity_rows(inst: Instance, cycles: Sequence[DCycle]):
     edge_rows: dict[int, dict] = {}
     for i, c in enumerate(cycles):
         for e in c.edge_set:
-            edge_rows.setdefault(e, {})[i] = rat(1)
+            edge_rows.setdefault(e, {})[i] = 1
     items = sorted(edge_rows.items())
-    return [row for _, row in items], [rat(inst.cap(e)) for e, _ in items]
+    return [row for _, row in items], [inst.cap(e) for e, _ in items]
 
 
 # ---------------------------------------------------------------------------

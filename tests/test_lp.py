@@ -1,5 +1,6 @@
 import hashlib
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -8,10 +9,10 @@ from hypothesis import strategies as st
 from conftest import reference_check_certificate
 from surfaceflow import flows
 from surfaceflow.errors import PreconditionError
-from surfaceflow.instances import generate_torus_grid
+from surfaceflow.instances import generate_planar_random, generate_torus_grid
 from surfaceflow.lp import (_float_then_snap, _simplex_exact,
                             check_certificate, solve_lp)
-from surfaceflow.rational import rat, rat_str
+from surfaceflow.rational import QQ, rat, rat_str
 
 
 def R(*vals):
@@ -20,6 +21,35 @@ def R(*vals):
 
 def row(**kw):
     return {int(k[1:]): rat(v) for k, v in kw.items()}
+
+
+def torus(seed):
+    return generate_torus_grid(6, 6, demands=4, cap_mode="random", seed=seed)
+
+
+def planar(seed):
+    return generate_planar_random(size=40, n_demands=3, cap_mode="random",
+                                  seed=seed)
+
+
+def compact_lp(monkeypatch, instance):
+    """The arguments and result of ``solve_fractional``'s one LP."""
+    got = []
+
+    def spy(*args):
+        got.append((args, solve_lp(*args)))
+        return got[-1][1]
+
+    monkeypatch.setattr(flows, "solve_lp", spy)
+    flows.solve_fractional(instance)
+    (call,) = got
+    return call
+
+
+def digest(res):
+    blob = repr([[rat_str(v) for v in vec]
+                 for vec in (res.x, res.y_ub, res.y_eq)])
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 class TestExactSimplex:
@@ -76,6 +106,14 @@ class TestExactSimplex:
         res = solve_lp(R(0, 0), [row(x0=1, x1=1)], R(2))
         assert res.value == 0
 
+    @pytest.mark.parametrize("where", ["c", "b_ub"])
+    @pytest.mark.parametrize("bad", [True, 1.0])
+    def test_bool_and_float_data_refused(self, where, bad):
+        data = {"c": [1, 1], "b_ub": [2]}
+        data[where] = [bad] + data[where][1:]
+        with pytest.raises(TypeError):
+            solve_lp(data["c"], [{0: 1, 1: 1}], data["b_ub"])
+
     def test_degenerate_does_not_cycle(self):
         # classic cycling-prone instance (Beale); Bland's rule must terminate
         c = R("3/4", -150, "1/50", -6)
@@ -122,23 +160,35 @@ class TestFloatPath:
         0: "0ffb89c03f3ff3495ec471bdcfdf94da18bcbbc7aa6ac11d4c123d0a0b9119d6",
         1: "957978a26da18bd63bf4912a9df3610a4e016db1dbe727447deadae2ff0bc2f4",
     }
+    # the same on 40-edge random planar graphs, recorded while the compact
+    # LP was still built from rationals
+    PLANAR_PINNED = {
+        0: "898a153025af1b5245aa9eb48e61c82fe97e0a31e0fa124b3d909b13331016fe",
+        1: "9ab0b915b482df3eaa41ecc98a89013dc60501dabbb1c7d33ee2124d138c0a10",
+    }
 
     @pytest.mark.parametrize("seed", sorted(PINNED))
     def test_torus_compact_lp_is_pinned(self, monkeypatch, seed):
-        got = []
-
-        def spy(*args):
-            got.append(solve_lp(*args))
-            return got[-1]
-
-        monkeypatch.setattr(flows, "solve_lp", spy)
-        flows.solve_fractional(generate_torus_grid(
-            6, 6, demands=4, cap_mode="random", seed=seed))
-        (res,) = got
+        _, res = compact_lp(monkeypatch, torus(seed))
         assert res.engine == "float+certify"
-        blob = repr([[rat_str(v) for v in vec]
-                     for vec in (res.x, res.y_ub, res.y_eq)])
-        assert hashlib.sha256(blob.encode()).hexdigest() == self.PINNED[seed]
+        assert digest(res) == self.PINNED[seed]
+
+    @pytest.mark.parametrize("seed", sorted(PLANAR_PINNED))
+    def test_planar_compact_lp_is_pinned(self, monkeypatch, seed):
+        _, res = compact_lp(monkeypatch, planar(seed))
+        assert res.engine == "float+certify"
+        assert digest(res) == self.PLANAR_PINNED[seed]
+
+    @pytest.mark.parametrize("make", [torus, planar])
+    def test_compact_lp_data_are_ints(self, monkeypatch, make):
+        """solve_fractional hands solve_lp no rational: every entry of ``c``,
+        ``b`` and the rows is an int; only the answer is ``QQ``."""
+        (c, A_ub, b_ub, A_eq, b_eq), res = compact_lp(monkeypatch, make(0))
+        data = list(chain(c, b_ub, b_eq,
+                          *(row.values() for row in A_ub + A_eq)))
+        assert data and all(type(v) is int for v in data)
+        answer = [*res.x, *res.y_ub, *res.y_eq, res.value]
+        assert all(type(v) is QQ for v in answer)
 
 
 FRACS = st.fractions(min_value=-3, max_value=3, max_denominator=6)
@@ -147,33 +197,71 @@ COEFS = st.one_of(st.integers(-3, 3), FRACS)
 
 @st.composite
 def feasible_lps(draw):
-    """A small bounded LP with a known feasible point ``x0``."""
+    """A small bounded LP with a known feasible point ``x0``.
+
+    Some examples have pure-``int`` data, as the compact LP has, and some
+    rational data.
+    """
+    ints = draw(st.booleans())
+    if ints:
+        point, objective, coefs = (st.integers(0, 2), st.integers(-3, 3),
+                                   st.integers(-3, 3))
+        cast = int
+    else:
+        point, objective, coefs = (st.fractions(0, 2, max_denominator=6),
+                                   FRACS, COEFS)
+        cast = rat
     n = draw(st.integers(1, 4))
-    x0 = draw(st.lists(st.fractions(0, 2, max_denominator=6),
-                       min_size=n, max_size=n))
-    c = [rat(v) for v in draw(st.lists(FRACS, min_size=n, max_size=n))]
+    x0 = draw(st.lists(point, min_size=n, max_size=n))
+    c = [cast(v) for v in draw(st.lists(objective, min_size=n, max_size=n))]
 
     def rows(k):
         return [{j: v for j, v in enumerate(draw(st.lists(
-                    COEFS, min_size=n, max_size=n))) if v}
+                    coefs, min_size=n, max_size=n))) if v}
                 for _ in range(k)]
 
     def at(row, x):
         return sum((coef * x[j] for j, coef in row.items()), Fraction(0))
 
     A_ub = rows(draw(st.integers(0, 3)))
-    b_ub = [rat(max(at(row, x0), 0) + draw(st.fractions(0, 2,
-                                                          max_denominator=6)))
-            for row in A_ub]
+    b_ub = [cast(max(at(row, x0), 0) + draw(point)) for row in A_ub]
     A_ub.append({j: 1 for j in range(n)})  # keeps the LP bounded
-    b_ub.append(rat(sum(x0) + 1))
+    b_ub.append(cast(sum(x0) + 1))
     A_eq = rows(draw(st.integers(0, 2)))
-    b_eq = [rat(at(row, x0)) for row in A_eq]
+    b_eq = [cast(at(row, x0)) for row in A_eq]
+    if ints:
+        assert all(type(v) is int for v in chain(
+            c, b_ub, b_eq, *(row.values() for row in A_ub + A_eq)))
     return c, A_ub, b_ub, A_eq, b_eq
 
 
 class TestIntegerCertificate:
     """The integer certificate gives the rational reference's verdict."""
+
+    # (c, A_ub, b_ub, A_eq, b_eq, x, y_ub, y_eq), each failing exactly one
+    # test of the certificate, which random mutations rarely isolate
+    ONE_FAULT = {
+        "negative x": ([0], [{0: 1}], [0], [], [], [-1], [0], []),
+        "negative y_ub": ([0], [{0: -1}], [0], [], [], [0], [-1], []),
+        "inequality row": ([0], [{0: 1}], [0], [], [], [1], [0], []),
+        "equality row": ([0], [{0: 1}], [2], [{0: 1}], [1], [0], [0], [0]),
+        "dual row": ([1], [{0: 1}], [0], [], [], [0], [0], []),
+        "objective": ([1], [{0: 1}], [1], [], [], [0], [1], []),
+    }
+
+    @pytest.mark.parametrize("halved", [False, True])
+    @pytest.mark.parametrize("fault", sorted(ONE_FAULT))
+    def test_each_test_alone(self, fault, halved):
+        """On int data (no rescale) and halved data (scale 2) alike."""
+        c, A_ub, b_ub, A_eq, b_eq, *cert = self.ONE_FAULT[fault]
+        if halved:
+            c, b_ub, b_eq = ([Fraction(v, 2) for v in vec]
+                             for vec in (c, b_ub, b_eq))
+            A_ub, A_eq = ([{j: Fraction(v, 2) for j, v in row.items()}
+                           for row in rows] for rows in (A_ub, A_eq))
+        lp = (c, A_ub, b_ub, A_eq, b_eq, *cert)
+        assert not reference_check_certificate(*lp)
+        assert not check_certificate(*lp)
 
     @settings(max_examples=150, deadline=None, database=None,
               derandomize=True)

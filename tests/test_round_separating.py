@@ -77,6 +77,23 @@ class TestHalfIntegralize:
         assert set(out.values) <= set(fsep.values)
         assert all(2 * v == int(2 * v) for v in out.values.values())
 
+    def test_lp_data_are_ints(self, monkeypatch):
+        got = []
+        simplex = round_separating_module._simplex_exact
+
+        def spy(*args):
+            got.append(args)
+            return simplex(*args)
+
+        monkeypatch.setattr(round_separating_module, "_simplex_exact", spy)
+        inst = two_path_instance()
+        f = Multiflow(inst)
+        f.add(DCycle.from_darts(inst, [0, 2, 9]), rat("3/4"))
+        half_integralize(f)
+        ((c, A_ub, b_ub, _, _),) = got
+        data = [*c, *b_ub, *(v for row in A_ub for v in row.values())]
+        assert data and all(type(v) is int for v in data)
+
     def test_non_half_integral_vertex_is_an_invariant_failure(
             self, monkeypatch):
         inst = two_path_instance()
