@@ -2,6 +2,8 @@
 
 Exit codes: 0 success (and verification passed), 1 internal invariant
 failure, 2 bad input or usage, 3 verification rejected, 4 oracle refusal.
+Bad input (an unreadable or non-UTF-8 file, a generator argument out of
+its domain) ends in a one-line ``error:`` message, never a traceback.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ def _write(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
@@ -57,7 +59,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     instance = load_instance(args.instance)
-    with open(args.solution) as fh:
+    with open(args.solution, encoding="utf-8") as fh:
         data = json.load(fh)
     verdict = verify_solution(instance, data)
     print(json.dumps(verdict, sort_keys=True))
@@ -161,7 +163,7 @@ def main(argv=None) -> int:
         print("refused: %s" % exc, file=sys.stderr)
         return EXIT_REFUSED
     except (InstanceFormatError, StructuralError, PreconditionError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+            OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except InternalInvariantError as exc:

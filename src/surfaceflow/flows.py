@@ -20,11 +20,11 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import InternalInvariantError, PreconditionError
 from .instances import Instance, is_int
-from .lp import solve_lp
+from .lp import LPResult, solve_lp
 from .rational import QQ, ZERO, numerators_over, rat, rat_str
 
 
-def _canonical_darts(darts: Sequence[int]) -> tuple:
+def canonical_darts(darts: Sequence[int]) -> tuple:
     """Lexicographically minimal representative over rotations and reversal.
 
     The darts of a cycle are distinct, so the least rotation of each
@@ -65,7 +65,7 @@ class DCycle:
             raise PreconditionError(
                 "a D-cycle must contain exactly one demand edge, got %d"
                 % len(demands))
-        return DCycle(_canonical_darts(darts), demands[0])
+        return DCycle(canonical_darts(darts), demands[0])
 
     @property
     def edge_set(self) -> frozenset:
@@ -145,6 +145,25 @@ class Multiflow:
                     "cycle record demand mismatch: %r" % (rec,))
             flow.add(cycle, rat(rec["value"]))
         return flow
+
+
+def cycle_lp(cycle_edges: Sequence[Iterable[int]],
+             caps: Sequence[int]) -> tuple[LPResult, list]:
+    """The cycle-formulation LP, solved by ``solve_lp``.
+
+    One unit column per cycle (``cycle_edges`` gives each cycle's edges)
+    and one capacity row per used edge, in edge order.  Returns the LP
+    result and the edge of each row.
+    """
+    rows_by_edge: dict[int, dict] = {}
+    for i, edges in enumerate(cycle_edges):
+        for e in edges:
+            rows_by_edge.setdefault(e, {})[i] = 1
+    row_edges = sorted(rows_by_edge)
+    lp = solve_lp([1] * len(cycle_edges),
+                  [rows_by_edge[e] for e in row_edges],
+                  [caps[e] for e in row_edges])
+    return lp, row_edges
 
 
 @dataclass

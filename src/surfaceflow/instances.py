@@ -23,7 +23,8 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from .errors import InstanceFormatError, InternalInvariantError, StructuralError
+from .errors import (InstanceFormatError, InternalInvariantError,
+                     PreconditionError, StructuralError)
 from .surface import (EmbeddedGraph, add_chord_lists, split_vertex_lists,
                       trace_faces)
 
@@ -175,7 +176,7 @@ def generate_gap_family(n: int) -> Instance:
     transit paths can never share a vertex.  All capacities are 1.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise PreconditionError("gap family needs n >= 1, got %d" % n)
     cols = 4 * n
 
     def ring_vertex(r, k):  # r in 1..n
@@ -282,11 +283,19 @@ def generate_torus_grid(p: int, q: int, demands, cap_mode: str = "unit",
     ``seed``.
     """
     if p < 3 or q < 3:
-        raise ValueError("toroidal grid needs p, q >= 3")
+        raise PreconditionError("toroidal grid needs p, q >= 3, got %d x %d"
+                                % (p, q))
+    if cap_mode not in ("unit", "random"):
+        raise PreconditionError("cap_mode must be 'unit' or 'random'")
     rng = random.Random(seed)
     edges, rotation = _torus_lists(p, q)
     n_supply = len(edges)
     if isinstance(demands, int):
+        n_pairs = p * q * (p * q - 1) // 2
+        if not 0 <= demands <= n_pairs:
+            raise PreconditionError(
+                "a %d x %d grid has %d vertex pairs, cannot draw %d demands"
+                % (p, q, n_pairs, demands))
         pairs = []
         while len(pairs) < demands:
             u = rng.randrange(p * q)
@@ -301,11 +310,9 @@ def generate_torus_grid(p: int, q: int, demands, cap_mode: str = "unit",
     kinds = tuple([SUPPLY] * n_supply + [DEMAND] * len(pairs))
     if cap_mode == "unit":
         caps = tuple(1 for _ in graph.edges)
-    elif cap_mode == "random":
+    else:
         caps = tuple(rng.randint(1, 5) if k == SUPPLY else rng.randint(1, 3)
                      for k in kinds)
-    else:
-        raise ValueError("cap_mode must be 'unit' or 'random'")
     return Instance(graph, kinds, caps)
 
 
@@ -344,7 +351,10 @@ def generate_planar_random(size: int, seed: int = 0,
     ``seed``.
     """
     if size < 6:
-        raise ValueError("size must be >= 6")
+        raise PreconditionError("planar instances need size >= 6, got %d"
+                                % size)
+    if n_demands is not None and n_demands < 0:
+        raise PreconditionError("demand count must be non-negative")
     rng = random.Random(seed)
     k = rng.randint(4, max(4, min(8, size // 2)))
     edges = [[i, (i + 1) % k] for i in range(k)]

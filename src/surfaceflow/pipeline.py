@@ -11,6 +11,7 @@ recorded in the report.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass
 from typing import Sequence
@@ -53,19 +54,14 @@ class PipelineConfig:
         return rat(self.epsilon)
 
 
+@contextlib.contextmanager
 def _stage(name):
-    class _Tag:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if isinstance(exc, InternalInvariantError):
-                raise InternalInvariantError(
-                    "[stage %s] %s" % (name, exc), witness=exc.witness
-                ) from exc
-            return False
-
-    return _Tag()
+    """Prefix an ``InternalInvariantError`` with the stage it came from."""
+    try:
+        yield
+    except InternalInvariantError as exc:
+        raise InternalInvariantError(
+            "[stage %s] %s" % (name, exc), witness=exc.witness) from exc
 
 
 def _check(report, name: str, ok: bool, witness=None) -> None:

@@ -1,7 +1,8 @@
 """Rounding the separating part of a multiflow to an integral one.
 
 Pipeline: a laminar multiflow on separating cycles is first re-optimized
-over its own support to a vertex solution, which is half-integral; integer
+over its own support to a vertex solution, which is half-integral (the one
+cycle LP, ``flows.cycle_lp``, certified by ``lp.solve_lp``); integer
 parts are banked and the remaining half-cycles are moved onto parallel unit
 edges so that every parallel carries at most two halves.  Cycles sharing a
 parallel form an intersection graph that embeds on the same surface, so a
@@ -18,9 +19,8 @@ from functools import cmp_to_key
 from typing import Sequence
 
 from .errors import InternalInvariantError, PreconditionError
-from .flows import DCycle, Multiflow
+from .flows import DCycle, Multiflow, cycle_lp
 from .instances import Instance
-from .lp import _simplex_exact
 from .rational import QQ, ZERO, floor_rat, rat
 from .surface import EmbeddedGraph, expand_edge_lists, working_lists
 from .topology import inside_faces
@@ -46,17 +46,16 @@ def color_limit(genus: int) -> int:
 def half_integralize(flow: Multiflow) -> Multiflow:
     """Best multiflow on the same support with half-integral values.
 
-    Re-solves the capacity LP restricted to the support with the exact
-    simplex; the resulting vertex is half-integral for laminar separating
-    supports, and a vertex that is not raises ``InternalInvariantError``
-    (the support was not laminar).
+    Re-solves the cycle LP restricted to the support, ``flows.cycle_lp``
+    as the oracle uses it; its optimal vertex is half-integral for laminar
+    separating supports, and a vertex that is not raises
+    ``InternalInvariantError`` (the support was not laminar).
     """
     inst = flow.instance
     cycles = flow.support()
     if not cycles:
         return Multiflow(inst)
-    rows, caps = _capacity_rows(inst, cycles)
-    x, _, _ = _simplex_exact([1] * len(cycles), rows, caps, [], [])
+    x = cycle_lp([c.edge_set for c in cycles], inst.caps)[0].x
     if any(2 * v != int(2 * v) for v in x):
         raise InternalInvariantError(
             "restricted LP vertex is not half-integral", witness=x)
@@ -69,15 +68,6 @@ def half_integralize(flow: Multiflow) -> Multiflow:
             "half-integral flow below half the input value",
             witness=(out.value, flow.value))
     return out
-
-
-def _capacity_rows(inst: Instance, cycles: Sequence[DCycle]):
-    edge_rows: dict[int, dict] = {}
-    for i, c in enumerate(cycles):
-        for e in c.edge_set:
-            edge_rows.setdefault(e, {})[i] = 1
-    items = sorted(edge_rows.items())
-    return [row for _, row in items], [inst.cap(e) for e, _ in items]
 
 
 # ---------------------------------------------------------------------------

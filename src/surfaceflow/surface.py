@@ -19,12 +19,15 @@ working copy of the edge and rotation lists in place, and each caller
 (``disjointify``, the instance generators, the unit reduction) runs its
 whole plan on one copy and builds one ``EmbeddedGraph`` at the end.
 
-Two primitives answer the package's geometric questions, each in one place:
-``shared_paths`` walks the maximal common paths of two cycles (``uncross``
-classifies them as crossings, ``disjointify`` orders bands by them), and
-``face_components`` is the one union-find over faces, numbering the dual
-components left by removing some edges (``cut_along`` and
-``topology.inside_faces`` read their components from it).
+Three primitives answer the package's geometric questions, each in one
+place: ``shared_paths`` walks the maximal common paths of two cycles;
+``crosses`` says whether the cycles cross along one of them (``uncross``
+classifies its shared paths with it); and ``face_components`` is the one
+union-find over faces, numbering the dual components left by removing some
+edges (``cut_along`` and ``topology.inside_faces`` read their components
+from it).  No other module reads the rotation order around a cycle;
+``crosses`` and the band order of ``disjointify`` read it through one
+question, which of two darts comes first clockwise after a third.
 """
 
 from __future__ import annotations
@@ -447,6 +450,53 @@ def shared_paths(graph: EmbeddedGraph, darts1: Sequence[Dart],
     return paths
 
 
+def _clockwise_first(rot: Sequence[Dart], p: Dart, x: Dart, y: Dart) -> Dart:
+    """Whichever of darts ``x``, ``y`` comes first clockwise after dart
+    ``p`` in the rotation ``rot``."""
+    n, i = len(rot), rot.index(p)
+    return x if (rot.index(x) - i) % n < (rot.index(y) - i) % n else y
+
+
+def _leaving_darts(graph: EmbeddedGraph, cycles, v: int, path: set,
+                   want: int) -> list:
+    """For each cycle (an edge set), its ``want`` darts at ``v`` off
+    ``path``."""
+    out = [[d for d in graph.rotation[v] if (d >> 1) in c
+            and (d >> 1) not in path] for c in cycles]
+    if any(len(ds) != want for ds in out):
+        raise InternalInvariantError(
+            "cycles do not leave the shared path by %d dart(s) each" % want,
+            witness=(v, out, sorted(path)))
+    return out
+
+
+def crosses(graph: EmbeddedGraph, darts1: Sequence[Dart],
+            darts2: Sequence[Dart], verts: Sequence[int],
+            edges: Sequence[int]) -> bool:
+    """Whether two simple cycles cross at their maximal common path.
+
+    ``verts``/``edges`` is one path as ``shared_paths`` returns it.  At a
+    single shared vertex the cycles cross when each cycle's two darts
+    separate the other's.  Along a path with edges they cross when the same
+    cycle leaves first, clockwise after the path's own dart, at both ends:
+    exactly when the four divergent darts alternate around the vertex that
+    contracting the path would make.
+    """
+    cycles = ({d >> 1 for d in darts1}, {d >> 1 for d in darts2})
+    if not edges:
+        v = verts[0]
+        (a1, b1), (a2, b2) = _leaving_darts(graph, cycles, v, set(), 2)
+        rot = graph.rotation[v]
+        return ((_clockwise_first(rot, a1, a2, b1) == a2)
+                != (_clockwise_first(rot, a1, b2, b1) == b2))
+    first, path = [], set(edges)
+    for v, e in ((verts[0], edges[0]), (verts[-1], edges[-1])):
+        (o1,), (o2,) = _leaving_darts(graph, cycles, v, path, 1)
+        p = 2 * e if graph.edges[e][0] == v else 2 * e + 1
+        first.append(_clockwise_first(graph.rotation[v], p, o1, o2) == o1)
+    return first[0] == first[1]
+
+
 def _walk_direction(graph: EmbeddedGraph, verts: Sequence[int],
                     edges: Sequence[int], e: int) -> int:
     """+1 if the walk ``verts``/``edges`` traverses ``e`` slot0 -> slot1."""
@@ -461,49 +511,25 @@ def _band_before(graph: EmbeddedGraph, darts1: Sequence[Dart],
     of ``e``, +1 for the opposite, 0 if the cycles coincide.  The relation is
     read off at the divergence end of their maximal common path through
     ``e``, walked so that its smallest-id edge is traversed slot0 -> slot1:
-    the cycle whose continuation dart is met first when scanning clockwise
-    from the path's terminal dart lies on a fixed side of the band.
+    the cycle that leaves first clockwise after the path's terminal dart
+    lies on a fixed side of the band.
     """
-    cyc1, cyc2 = {d >> 1 for d in darts1}, {d >> 1 for d in darts2}
-    if cyc1 == cyc2:
+    cycles = ({d >> 1 for d in darts1}, {d >> 1 for d in darts2})
+    if cycles[0] == cycles[1]:
         return 0
     verts, path = next(p for p in shared_paths(graph, darts1, darts2)
                        if e in p[1])
     if _walk_direction(graph, verts, path, min(path)) < 0:
         verts, path = verts[::-1], path[::-1]
-    y = verts[-1]
-    t = path[-1]
+    y, t = verts[-1], path[-1]
+    (o1,), (o2,) = _leaving_darts(graph, cycles, y, set(path), 1)
     p_y = 2 * t if graph.edges[t][0] == y else 2 * t + 1
-    path_set = set(path)
-
-    def out_dart(cyc: set) -> Dart:
-        cands = [d for d in graph.rotation[y]
-                 if (d >> 1) in cyc and (d >> 1) not in path_set]
-        if len(cands) != 1:
-            raise InternalInvariantError(
-                "cycle does not leave the shared path cleanly",
-                witness=(y, sorted(cyc), path))
-        return cands[0]
-
-    o1, o2 = out_dart(cyc1), out_dart(cyc2)
-    rot = graph.rotation[y]
-    i = rot.index(p_y)
-    first_found = 0
-    for step in range(1, len(rot)):
-        d = rot[(i + step) % len(rot)]
-        if d == o1:
-            first_found = -1
-            break
-        if d == o2:
-            first_found = 1
-            break
-    if first_found == 0:
-        raise InternalInvariantError("divergence darts not found", witness=y)
-
+    first = -1 if _clockwise_first(graph.rotation[y], p_y, o1, o2) == o1 \
+        else 1
     # Translate into the slot-0 insertion frame of e.  In the terminal
-    # edge's frame the relation is first_found * dir(t); switching frames
+    # edge's frame the relation is first * dir(t); switching frames
     # multiplies by dir(t) * dir(e), so the dir(t) factors cancel.
-    return first_found * _walk_direction(graph, verts, path, e)
+    return first * _walk_direction(graph, verts, path, e)
 
 
 def disjointify(graph: EmbeddedGraph,

@@ -11,8 +11,10 @@ size, never increases any edge load, and strictly decreases the potential
 the number of iterations.
 
 Where two cycles meet comes from ``surface.shared_paths``, the walk that
-``disjointify`` also orders its bands by; ``shared_elements`` classifies
-each common path as a crossing or a touching, and ``cr`` counts crossings.
+``disjointify`` also orders its bands by, and whether they cross there from
+``surface.crosses``: this module never reads the rotation order itself.
+``shared_elements`` lists the common paths as crossings or touchings, and
+``cr`` counts crossings.
 
 A rewrite is a deterministic function of its pair of cycles.  When the scan
 picks the pair it rewrote in the previous iteration and the four cycles
@@ -32,7 +34,7 @@ from .errors import InternalInvariantError, PreconditionError
 from .flows import DCycle, Multiflow
 from .instances import Instance
 from .rational import QQ, ZERO, rat
-from .surface import EmbeddedGraph, _cycle_darts_at, shared_paths
+from .surface import EmbeddedGraph, crosses, shared_paths
 
 
 # ---------------------------------------------------------------------------
@@ -43,8 +45,8 @@ from .surface import EmbeddedGraph, _cycle_darts_at, shared_paths
 class SharedPath:
     """A maximal common subpath of two cycles (single vertices allowed).
 
-    ``is_crossing`` records whether the four divergent edges alternate around
-    the contracted path; a non-alternating shared path is a touching.
+    ``is_crossing`` is ``surface.crosses`` of the path; a shared path that
+    does not cross is a touching.
     """
 
     vertices: tuple
@@ -52,62 +54,20 @@ class SharedPath:
     is_crossing: bool
 
 
-def _merged_rotation(graph: EmbeddedGraph, verts: Sequence[int],
-                     edges: Sequence[int]) -> list:
-    """Rotation at the vertex obtained by contracting the given path.
-
-    Contracting one edge with darts ``d`` (merged side) and ``d'`` splices the
-    other endpoint's rotation, started right after ``d'``, into the merged
-    list in place of ``d``; orientation is preserved because all rotations
-    share the same (clockwise) sense.
-    """
-    merged = list(graph.rotation[verts[0]])
-    absorbed = {verts[0]}
-    for v, e in zip(verts[1:], edges):
-        d, d_opp = 2 * e, 2 * e + 1
-        if graph.head(d) not in absorbed:
-            d, d_opp = d_opp, d
-        rot = list(graph.rotation[v])
-        j = rot.index(d_opp)
-        seg = rot[j + 1:] + rot[:j]
-        i = merged.index(d)
-        merged = merged[:i] + seg + merged[i + 1:]
-        absorbed.add(v)
-    return merged
-
-
 def shared_elements(graph: EmbeddedGraph, darts1: Sequence[int],
                     darts2: Sequence[int]) -> list:
-    """All maximal shared subpaths of two simple cycles, classified.
+    """All maximal shared subpaths of two simple cycles, classified by
+    ``surface.crosses``.
 
     Returns them ordered by first appearance along ``darts1``.  Identical
     cycles (equal edge sets) share everything and cross nowhere; the result
     is empty in that case.
     """
-    e1, e2 = {d >> 1 for d in darts1}, {d >> 1 for d in darts2}
-    if e1 == e2:
+    if {d >> 1 for d in darts1} == {d >> 1 for d in darts2}:
         return []
-    se = e1 & e2
-    out = []
-    for verts, edges in shared_paths(graph, darts1, darts2):
-        a, b = verts[0], verts[-1]
-        div1 = [d for d in _cycle_darts_at(graph.rotation, darts1, a) +
-                (_cycle_darts_at(graph.rotation, darts1, b) if b != a else [])
-                if (d >> 1) not in se]
-        div2 = [d for d in _cycle_darts_at(graph.rotation, darts2, a) +
-                (_cycle_darts_at(graph.rotation, darts2, b) if b != a else [])
-                if (d >> 1) not in se]
-        if len(div1) != 2 or len(div2) != 2:
-            raise InternalInvariantError(
-                "shared path does not have two divergent darts per cycle",
-                witness=(verts, div1, div2))
-        merged = _merged_rotation(graph, verts, edges)
-        four = [d for d in merged if d in set(div1) | set(div2)]
-        labels = [d in set(div1) for d in four]
-        alternating = len(four) == 4 and labels[0] != labels[1] \
-            and labels[1] != labels[2] and labels[2] != labels[3]
-        out.append(SharedPath(verts, edges, alternating))
-
+    out = [SharedPath(verts, edges,
+                      crosses(graph, darts1, darts2, verts, edges))
+           for verts, edges in shared_paths(graph, darts1, darts2)]
     # order by first appearance along darts1
     pos = {graph.head(d): i for i, d in reversed(list(enumerate(darts1)))}
     out.sort(key=lambda s: min(pos[v] for v in s.vertices))

@@ -14,8 +14,9 @@ from surfaceflow.rational import ZERO
 from surfaceflow.surface import (EmbeddedGraph, _band_before,
                                  _cycle_darts_at, _cycle_vertices,
                                  expand_edge_lists, face_components,
-                                 split_vertex_lists, working_lists)
-from surfaceflow.uncross import uncross_flow
+                                 shared_paths, split_vertex_lists,
+                                 working_lists)
+from surfaceflow.uncross import SharedPath, uncross_flow
 
 GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "golden"
 
@@ -157,7 +158,7 @@ def with_caps(instance: Instance, caps) -> Instance:
 
 
 def reference_canonical_darts(darts) -> tuple:
-    """Quadratic scan for ``flows._canonical_darts``: the least of every
+    """Quadratic scan for ``flows.canonical_darts``: the least of every
     rotation of the darts and of their reversal."""
     darts = tuple(darts)
     rev = tuple(d ^ 1 for d in reversed(darts))
@@ -314,6 +315,56 @@ def is_dual_cut(graph: EmbeddedGraph, edges: set) -> bool:
                 elif color[y] == color[x]:
                     return False
     return True
+
+
+def _merged_rotation(graph: EmbeddedGraph, verts, edges) -> list:
+    """Rotation at the vertex obtained by contracting the given path.
+
+    Contracting one edge with darts ``d`` (merged side) and ``d'`` splices the
+    other endpoint's rotation, started right after ``d'``, into the merged
+    list in place of ``d``; orientation is preserved because all rotations
+    share the same (clockwise) sense.
+    """
+    merged = list(graph.rotation[verts[0]])
+    absorbed = {verts[0]}
+    for v, e in zip(verts[1:], edges):
+        d, d_opp = 2 * e, 2 * e + 1
+        if graph.head(d) not in absorbed:
+            d, d_opp = d_opp, d
+        rot = list(graph.rotation[v])
+        j = rot.index(d_opp)
+        i = merged.index(d)
+        merged = merged[:i] + rot[j + 1:] + rot[:j] + merged[i + 1:]
+        absorbed.add(v)
+    return merged
+
+
+def reference_shared_elements(graph: EmbeddedGraph, darts1, darts2) -> list:
+    """``uncross.shared_elements`` by contraction: each maximal shared path
+    is contracted to one vertex, and it is a crossing when the four
+    divergent darts of the two cycles alternate around that vertex."""
+    e1, e2 = {d >> 1 for d in darts1}, {d >> 1 for d in darts2}
+    if e1 == e2:
+        return []
+    se = e1 & e2
+    out = []
+    for verts, edges in shared_paths(graph, darts1, darts2):
+        ends = sorted({verts[0], verts[-1]})
+        div1 = {d for v in ends for d in _cycle_darts_at(graph.rotation,
+                                                         darts1, v)
+                if (d >> 1) not in se}
+        div2 = {d for v in ends for d in _cycle_darts_at(graph.rotation,
+                                                         darts2, v)
+                if (d >> 1) not in se}
+        assert len(div1) == len(div2) == 2
+        labels = [d in div1 for d in _merged_rotation(graph, verts, edges)
+                  if d in div1 | div2]
+        alternating = len(labels) == 4 and all(
+            a != b for a, b in zip(labels, labels[1:]))
+        out.append(SharedPath(verts, edges, alternating))
+    pos = {graph.head(d): i for i, d in reversed(list(enumerate(darts1)))}
+    out.sort(key=lambda s: min(pos[v] for v in s.vertices))
+    return out
 
 
 def reference_disjointify(graph: EmbeddedGraph, cycles):

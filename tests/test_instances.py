@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from surfaceflow import cli
-from surfaceflow.errors import InstanceFormatError
+from surfaceflow.errors import InstanceFormatError, PreconditionError
 from surfaceflow.instances import (DEMAND, SUPPLY, Instance,
                                    generate_gap_family,
                                    generate_planar_random,
@@ -142,6 +142,25 @@ class TestTorusGrid:
         for seed in range(5):
             inst = generate_torus_grid(3, 3, 1, seed=seed)
             assert 1 <= inst.graph.genus <= 2
+
+    def test_demand_count_domain(self):
+        # a 3x3 grid has 9 * 8 / 2 = 36 vertex pairs
+        assert len(generate_torus_grid(3, 3, 36).demand_edges) == 36
+        for demands in (37, -1):
+            with pytest.raises(PreconditionError):
+                generate_torus_grid(3, 3, demands)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate_gap_family(0),
+    lambda: generate_torus_grid(2, 3, 1),
+    lambda: generate_torus_grid(3, 3, 1, cap_mode="other"),
+    lambda: generate_planar_random(5),
+    lambda: generate_planar_random(12, n_demands=-1),
+])
+def test_generator_domain_is_a_precondition(make):
+    with pytest.raises(PreconditionError):
+        make()
 
 
 class TestPlanarRandom:

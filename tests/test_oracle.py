@@ -9,7 +9,7 @@ from conftest import reference_canonical_darts
 from surfaceflow import oracle
 from surfaceflow.errors import (InternalInvariantError, OracleBudgetExceeded,
                                 PreconditionError, SurfaceflowError)
-from surfaceflow.flows import DCycle, _canonical_darts, solve_fractional
+from surfaceflow.flows import DCycle, canonical_darts, solve_fractional
 from surfaceflow.instances import (DEMAND, SUPPLY, Instance,
                                    generate_gap_family,
                                    generate_planar_random,
@@ -116,7 +116,7 @@ class TestCanonicalDarts:
     @given(st.lists(st.integers(0, 40), min_size=1, max_size=12,
                     unique=True))
     def test_matches_quadratic_scan(self, darts):
-        assert _canonical_darts(darts) == reference_canonical_darts(darts)
+        assert canonical_darts(darts) == reference_canonical_darts(darts)
 
 
 class TestIntegralOracle:
@@ -148,13 +148,13 @@ class TestIntegralOracle:
 
     def test_one_cycle_lp_per_instance(self, monkeypatch):
         calls = []
-        real = oracle._cycle_lp
+        real = oracle.cycle_lp
 
         def counting(*args):
             calls.append(1)
             return real(*args)
 
-        monkeypatch.setattr(oracle, "_cycle_lp", counting)
+        monkeypatch.setattr(oracle, "cycle_lp", counting)
         for name in ("planar0", "torus0", "gap1"):
             del calls[:]
             exact_integral_multiflow(PINNED_INSTANCES[name]())

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from surfaceflow import cli
-from surfaceflow.errors import PreconditionError
+from surfaceflow import cli, pipeline
+from surfaceflow.errors import InternalInvariantError, PreconditionError
 from surfaceflow.instances import (generate_gap_family,
                                    generate_planar_random,
                                    generate_torus_grid, load_instance,
@@ -87,6 +87,20 @@ class TestRun:
         for key in ("lp", "decompose", "uncross", "split", "round"):
             assert key in report["stages"]
         json.loads(render_report(report))
+
+
+    def test_stage_prefixes_invariant_failure(self, monkeypatch):
+        witness = object()
+
+        def failing(*args, **kwargs):
+            raise InternalInvariantError("boom", witness=witness)
+
+        monkeypatch.setattr(pipeline, "uncross_flow", failing)
+        with pytest.raises(InternalInvariantError) as info:
+            run(load_instance(GOLDEN / "gap_n1.json"))
+        assert str(info.value) == "[stage uncross] boom"
+        assert info.value.witness is witness
+        assert str(info.value.__cause__) == "boom"
 
 
 class TestVerify:
@@ -198,6 +212,32 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert cli.main(["solve", str(bad)]) == 2
+
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "{bad}"],
+        ["solve", "{dir}"],
+        ["solve", "{inst}", "--report", "{dir}"],
+        ["verify", "{inst}", "{bad}"],
+        ["verify", "{inst}", "{dir}"],
+        ["verify", "{bad}", "{inst}"],
+        ["oracle", "{bad}"],
+        ["generate", "torus", "--p", "2"],
+        ["generate", "torus", "--p", "3", "--q", "3", "--demands", "37"],
+        ["generate", "torus", "--demands", "-1"],
+        ["generate", "gap", "--n", "0"],
+        ["generate", "planar", "--size", "5"],
+        ["generate", "planar", "--demands", "-1"],
+    ])
+    def test_bad_input_is_one_line_exit_2(self, tmp_path, capsys, argv):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff")
+        paths = {"bad": bad, "dir": tmp_path,
+                 "inst": GOLDEN / "gap_n1.json"}
+        argv = [a.format(**paths) for a in argv]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestVerifyFuzz:

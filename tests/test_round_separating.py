@@ -1,10 +1,12 @@
 import pytest
 
+import surfaceflow.flows as flows_module
 import surfaceflow.round_separating as round_separating_module
 from surfaceflow.errors import InternalInvariantError
 from surfaceflow.flows import DCycle, Multiflow, solve_and_decompose
 from surfaceflow.instances import (DEMAND, SUPPLY, Instance,
                                    generate_planar_random)
+from surfaceflow.lp import LPResult
 from surfaceflow.rational import rat
 from surfaceflow.round_separating import (color_and_select,
                                           degeneracy_coloring, heawood_bound,
@@ -79,18 +81,18 @@ class TestHalfIntegralize:
 
     def test_lp_data_are_ints(self, monkeypatch):
         got = []
-        simplex = round_separating_module._simplex_exact
+        solve = flows_module.solve_lp
 
         def spy(*args):
             got.append(args)
-            return simplex(*args)
+            return solve(*args)
 
-        monkeypatch.setattr(round_separating_module, "_simplex_exact", spy)
+        monkeypatch.setattr(flows_module, "solve_lp", spy)
         inst = two_path_instance()
         f = Multiflow(inst)
         f.add(DCycle.from_darts(inst, [0, 2, 9]), rat("3/4"))
         half_integralize(f)
-        ((c, A_ub, b_ub, _, _),) = got
+        ((c, A_ub, b_ub),) = got
         data = [*c, *b_ub, *(v for row in A_ub for v in row.values())]
         assert data and all(type(v) is int for v in data)
 
@@ -99,8 +101,10 @@ class TestHalfIntegralize:
         inst = two_path_instance()
         f = Multiflow(inst)
         f.add(DCycle.from_darts(inst, [0, 2, 9]), 1)
-        monkeypatch.setattr(round_separating_module, "_simplex_exact",
-                            lambda *args: ([rat("1/3")], [], []))
+        monkeypatch.setattr(
+            round_separating_module, "cycle_lp",
+            lambda *args: (LPResult([rat("1/3")], [], [], rat("1/3"),
+                                    "exact"), []))
         with pytest.raises(InternalInvariantError, match="half-integral"):
             half_integralize(f)
 

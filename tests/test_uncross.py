@@ -1,12 +1,14 @@
 import pytest
 
-from conftest import darts_for_route, map_from_drawing, torus_grid_map
+from conftest import (darts_for_route, map_from_drawing,
+                      reference_shared_elements, torus_grid_map)
 from surfaceflow import uncross as uncross_mod
 from surfaceflow.errors import PreconditionError
 from surfaceflow.flows import DCycle, Multiflow, solve_and_decompose
 from surfaceflow.instances import (DEMAND, SUPPLY, Instance,
                                    generate_planar_random,
                                    generate_torus_grid)
+from surfaceflow.oracle import enumerate_d_cycles
 from surfaceflow.rational import rat
 from surfaceflow.uncross import (cr, crossings, discretize, multiset_to_flow,
                                  multiset_value, shared_elements, uncross_all,
@@ -132,6 +134,20 @@ class TestCrossingCounts:
         meridian = [2 * (16 + 4 * i) for i in range(4)]
         longitude = [2 * j for j in range(4)]  # row 0
         assert cr(g, meridian, longitude) == 1
+
+    @pytest.mark.parametrize("make", [
+        *(lambda s=s: generate_planar_random(20, seed=s, n_demands=3)
+          for s in range(4)),
+        lambda: generate_torus_grid(3, 3, 1, cap_mode="random", seed=0),
+    ], ids=["planar20-0", "planar20-1", "planar20-2", "planar20-3",
+            "torus3x3-0"])
+    def test_matches_contraction_on_every_d_cycle_pair(self, make):
+        inst = make()
+        cycles = [c.darts for c in enumerate_d_cycles(inst)]
+        for i, c1 in enumerate(cycles):
+            for c2 in cycles[i + 1:]:
+                assert shared_elements(inst.graph, c1, c2) \
+                    == reference_shared_elements(inst.graph, c1, c2)
 
 
 class TestUncrossPair:
