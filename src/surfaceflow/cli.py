@@ -18,9 +18,10 @@ from .errors import (InstanceFormatError, InternalInvariantError,
 from .instances import (generate_gap_family, generate_planar_random,
                         generate_torus_grid, load_instance,
                         serialize_instance)
-from .oracle import OracleBudget, exact_integral_multiflow, exact_min_multicut
-from .pipeline import (PipelineConfig, render_report, run, solution_wire,
-                       verify_solution)
+from .oracle import (DEFAULT_BUDGET, OracleBudget, exact_integral_multiflow,
+                     exact_min_multicut)
+from .pipeline import (BRANCHES, VERIFY_LEVELS, PipelineConfig,
+                       render_report, run, solution_wire, verify_solution)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -107,11 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run the approximation pipeline")
     p.add_argument("instance")
     p.add_argument("--epsilon", default="1/2", help="uncrossing loss, p/q")
-    p.add_argument("--branch", default="auto",
-                   choices=["auto", "separating", "nonseparating",
-                            "improved"])
-    p.add_argument("--verify", default="off",
-                   choices=["off", "invariants", "full-oracle"])
+    p.add_argument("--branch", default="auto", choices=BRANCHES)
+    p.add_argument("--verify", default="off", choices=VERIFY_LEVELS)
     p.add_argument("--report", help="write the JSON report here ('-' stdout)")
     p.add_argument("--solution", help="write the solution JSON here")
     p.add_argument("--dot", help="write a DOT dump of the embedding here")
@@ -147,8 +145,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--multicut", action="store_true",
                    help="minimum multicut instead of maximum flow")
-    p.add_argument("--max-cycles", type=int, default=20000)
-    p.add_argument("--max-nodes", type=int, default=500000)
+    p.add_argument("--max-cycles", type=int,
+                   default=DEFAULT_BUDGET.max_cycles)
+    p.add_argument("--max-nodes", type=int,
+                   default=DEFAULT_BUDGET.max_nodes)
     p.add_argument("--solution", help="write the optimal flow here")
     p.set_defaults(func=_cmd_oracle)
     return parser

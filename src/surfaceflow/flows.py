@@ -71,9 +71,6 @@ class DCycle:
     def edge_set(self) -> frozenset:
         return frozenset(d >> 1 for d in self.darts)
 
-    def vertices(self, instance: Instance) -> tuple:
-        return tuple(instance.graph.head(d) for d in self.darts)
-
     def __len__(self):
         return len(self.darts)
 

@@ -156,11 +156,6 @@ def load_instance(path) -> Instance:
         return parse_instance(fh.read())
 
 
-def save_instance(inst: Instance, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_instance(inst))
-
-
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .errors import OracleBudgetExceeded
+from .errors import OracleBudgetExceeded, PreconditionError
 from .flows import DCycle, Multiflow, canonical_darts, cycle_lp
 from .instances import Instance
 # unused here (the one LP is flows.cycle_lp); perfbench's tracer test
@@ -40,11 +40,18 @@ class OracleBudget:
 
     ``max_cycles`` bounds the enumerated D-cycles.  ``max_nodes`` bounds the
     depth-first dart extensions of the enumeration and, separately, the
-    nodes of each branch-and-bound search.
+    nodes of each branch-and-bound search.  A negative limit is a usage
+    error.
     """
 
     max_cycles: int = 20000
     max_nodes: int = 500000
+
+    def __post_init__(self):
+        for name in ("max_cycles", "max_nodes"):
+            if getattr(self, name) < 0:
+                raise PreconditionError("%s must be non-negative, got %d"
+                                        % (name, getattr(self, name)))
 
 
 DEFAULT_BUDGET = OracleBudget()

@@ -26,8 +26,10 @@ classifies its shared paths with it); and ``face_components`` is the one
 union-find over faces, numbering the dual components left by removing some
 edges (``cut_along`` and ``topology.inside_faces`` read their components
 from it).  No other module reads the rotation order around a cycle;
-``crosses`` and the band order of ``disjointify`` read it through one
-question, which of two darts comes first clockwise after a third.
+``crosses`` and the band order and vertex split of ``disjointify`` read it
+through one question, which of two darts comes first clockwise after a
+third, and ``crosses`` at a single vertex and the vertex split ask one
+test of it: do two cycles' darts separate each other there.
 """
 
 from __future__ import annotations
@@ -188,10 +190,6 @@ class CutComponent:
     faces: frozenset
     chi: int
     boundary: tuple
-
-    @property
-    def is_disk(self) -> bool:
-        return self.chi == 1 and len(self.boundary) == 1
 
     @property
     def is_annulus(self) -> bool:
@@ -457,16 +455,24 @@ def _clockwise_first(rot: Sequence[Dart], p: Dart, x: Dart, y: Dart) -> Dart:
     return x if (rot.index(x) - i) % n < (rot.index(y) - i) % n else y
 
 
-def _leaving_darts(graph: EmbeddedGraph, cycles, v: int, path: set,
+def _separates(rot: Sequence[Dart], a: Dart, b: Dart, x: Dart,
+               y: Dart) -> bool:
+    """Whether darts ``a``, ``b`` separate darts ``x``, ``y`` in the
+    rotation ``rot``: one of ``x``, ``y`` lies on each arc between them."""
+    return (_clockwise_first(rot, a, x, b) == x) \
+        != (_clockwise_first(rot, a, y, b) == y)
+
+
+def _leaving_darts(rot: Sequence[Dart], cycles, path: set,
                    want: int) -> list:
-    """For each cycle (an edge set), its ``want`` darts at ``v`` off
-    ``path``."""
-    out = [[d for d in graph.rotation[v] if (d >> 1) in c
-            and (d >> 1) not in path] for c in cycles]
+    """For each cycle (an edge set), its ``want`` darts off ``path`` in the
+    rotation ``rot``, in rotation order."""
+    out = [[d for d in rot if (d >> 1) in c and (d >> 1) not in path]
+           for c in cycles]
     if any(len(ds) != want for ds in out):
         raise InternalInvariantError(
             "cycles do not leave the shared path by %d dart(s) each" % want,
-            witness=(v, out, sorted(path)))
+            witness=(tuple(rot), out, sorted(path)))
     return out
 
 
@@ -484,14 +490,12 @@ def crosses(graph: EmbeddedGraph, darts1: Sequence[Dart],
     """
     cycles = ({d >> 1 for d in darts1}, {d >> 1 for d in darts2})
     if not edges:
-        v = verts[0]
-        (a1, b1), (a2, b2) = _leaving_darts(graph, cycles, v, set(), 2)
-        rot = graph.rotation[v]
-        return ((_clockwise_first(rot, a1, a2, b1) == a2)
-                != (_clockwise_first(rot, a1, b2, b1) == b2))
+        rot = graph.rotation[verts[0]]
+        (a1, b1), (a2, b2) = _leaving_darts(rot, cycles, set(), 2)
+        return _separates(rot, a1, b1, a2, b2)
     first, path = [], set(edges)
     for v, e in ((verts[0], edges[0]), (verts[-1], edges[-1])):
-        (o1,), (o2,) = _leaving_darts(graph, cycles, v, path, 1)
+        (o1,), (o2,) = _leaving_darts(graph.rotation[v], cycles, path, 1)
         p = 2 * e if graph.edges[e][0] == v else 2 * e + 1
         first.append(_clockwise_first(graph.rotation[v], p, o1, o2) == o1)
     return first[0] == first[1]
@@ -522,7 +526,7 @@ def _band_before(graph: EmbeddedGraph, darts1: Sequence[Dart],
     if _walk_direction(graph, verts, path, min(path)) < 0:
         verts, path = verts[::-1], path[::-1]
     y, t = verts[-1], path[-1]
-    (o1,), (o2,) = _leaving_darts(graph, cycles, y, set(path), 1)
+    (o1,), (o2,) = _leaving_darts(graph.rotation[y], cycles, set(path), 1)
     p_y = 2 * t if graph.edges[t][0] == y else 2 * t + 1
     first = -1 if _clockwise_first(graph.rotation[y], p_y, o1, o2) == o1 \
         else 1
@@ -592,24 +596,21 @@ def disjointify(graph: EmbeddedGraph,
         if not shared:
             break
         v = shared[0]
-        owners = at_vertex[v]
         rot = rotation[v]
-        c0 = owners[0]
-        d_pair = _cycle_darts_at(rotation, cycles[c0], v)
-        i1, i2 = sorted(rot.index(d) for d in d_pair)
-        arc_a = rot[i1 + 1:i2]
-        arc_b = rot[i2 + 1:] + rot[:i1]
-        c1 = owners[1]
-        c1_darts = _cycle_darts_at(rotation, cycles[c1], v)
-        in_a = [d in arc_a for d in c1_darts]
-        if all(in_a):
-            arc = arc_a
-        elif not any(in_a):
-            arc = arc_b
-        else:
+        (a0, b0), (a1, b1) = _leaving_darts(
+            rot, [{d >> 1 for d in cycles[i]} for i in at_vertex[v][:2]],
+            set(), 2)
+        if _separates(rot, a0, b0, a1, b1):
             raise PreconditionError(
                 "cycles cross at vertex %d; disjointify needs a "
                 "non-crossing family" % v)
+        # the second cycle's darts lie on one arc between the first
+        # cycle's darts; that arc moves to the new vertex
+        i1, i2 = rot.index(a0), rot.index(b0)
+        if _clockwise_first(rot, a0, a1, b0) == a1:
+            arc = rot[i1 + 1:i2]
+        else:
+            arc = rot[i2 + 1:] + rot[:i1]
         if not arc:
             raise InternalInvariantError("empty separating arc", witness=v)
         split_vertex_lists(edges, rotation, v, arc)
@@ -622,15 +623,3 @@ def disjointify(graph: EmbeddedGraph,
         raise InternalInvariantError("disjointify changed the genus",
                                      witness=(graph.genus, out.genus))
     return out, [tuple(c) for c in cycles]
-
-
-def _cycle_darts_at(rotation: Sequence[Sequence[Dart]], cycle: Sequence[Dart],
-                    v: int) -> list[Dart]:
-    """The two darts of a simple cycle in the rotation ``rotation[v]``."""
-    edges = {x >> 1 for x in cycle}
-    out = [d for d in rotation[v] if (d >> 1) in edges]
-    if len(out) != 2:
-        raise InternalInvariantError(
-            "simple cycle must have exactly two darts at a vertex",
-            witness=(v, cycle))
-    return out

@@ -21,8 +21,9 @@ picks the pair it rewrote in the previous iteration and the four cycles
 involved are distinct, the multiset keys are unchanged, so the scan would
 keep picking that pair until one of its cycles runs out; ``uncross_all``
 then moves all those quanta in one step, with the same result and key order
-as unit steps.  ``check_invariants`` keeps unit steps so that the potential
-check sees every rewrite.
+as unit steps.  It takes these steps at every verify level:
+``check_invariants`` only adds checks, and a batched step of ``k`` quanta
+must lower the potential as the ``k`` unit steps it stands for would.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Sequence
 from .errors import InternalInvariantError, PreconditionError
 from .flows import DCycle, Multiflow
 from .instances import Instance
-from .rational import QQ, ZERO, rat
+from .rational import ZERO, rat
 from .surface import EmbeddedGraph, crosses, shared_paths
 
 
@@ -113,10 +114,6 @@ def discretize(flow: Multiflow, epsilon) -> tuple:
         if k:
             counts[c] = k
     return counts, quantum
-
-
-def multiset_value(counts: dict, quantum) -> QQ:
-    return sum(counts.values()) * quantum if counts else ZERO
 
 
 def multiset_to_flow(instance: Instance, counts: dict, quantum) -> Multiflow:
@@ -315,18 +312,17 @@ def uncross_all(instance: Instance, counts: dict,
                 check_invariants: bool = False) -> tuple:
     """Rewrite the multiset until every pair of cycles crosses at most once.
 
-    Returns ``(counts, potentials)``.  With ``check_invariants`` the
-    multiset size, every edge load, and the lexicographic decrease of the
-    potential are verified after every rewrite (slow; intended for tests),
-    and ``potentials`` lists ``(phi1, phi2)`` after each rewrite; without
-    it the list is empty.
+    Returns ``(counts, potentials)``.  A pair picked again right after its
+    own rewrite reuses that rewrite.  If its four cycles are distinct, the
+    keys of ``counts`` did not change, so unit steps would repeat the
+    rewrite until one of the pair runs out: all ``min(counts[c1],
+    counts[c2])`` quanta move at once, and ``guard`` counts them as that
+    many iterations.
 
-    A pair picked again right after its own rewrite reuses that rewrite.
-    If its four cycles are distinct, the keys of ``counts`` did not change,
-    so unit steps would repeat the rewrite until one of the pair runs out:
-    all ``min(counts[c1], counts[c2])`` quanta move at once, and ``guard``
-    counts them as that many iterations.  ``check_invariants`` keeps unit
-    steps, each with its own rewrite, so the checks see every one.
+    ``check_invariants`` changes no step; it verifies the multiset size,
+    every edge load, and the lexicographic decrease of the potential after
+    every step, batched or not, and ``potentials`` lists ``(phi1, phi2)``
+    after each step; without it the list is empty.
     """
     g = instance.graph
     counts = dict(counts)
@@ -357,7 +353,7 @@ def uncross_all(instance: Instance, counts: dict,
             break
         c1, c2 = pair
         k = 1
-        if pair == last_pair and not check_invariants:
+        if pair == last_pair:
             new1, new2 = last_new
             if len({c1, c2, new1, new2}) == 4:
                 k = min(counts[c1], counts[c2])
@@ -378,11 +374,11 @@ def uncross_all(instance: Instance, counts: dict,
             if sum(counts.values()) != size0:
                 raise InternalInvariantError("multiset size changed")
             loads = multiset_edge_loads(counts)
-            for e, k in loads.items():
-                if k > loads0.get(e, 0):
+            for e, load in loads.items():
+                if load > loads0.get(e, 0):
                     raise InternalInvariantError(
                         "edge load increased during uncrossing",
-                        witness=(e, k, loads0.get(e, 0)))
+                        witness=(e, load, loads0.get(e, 0)))
             new_phi = _potentials(g, counts, cache)
             if not (new_phi < phi):
                 raise InternalInvariantError(

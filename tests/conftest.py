@@ -10,12 +10,12 @@ from functools import cmp_to_key
 from surfaceflow.errors import InternalInvariantError, PreconditionError
 from surfaceflow.flows import Multiflow, solve_and_decompose
 from surfaceflow.instances import Instance, generate_torus_grid, load_instance
-from surfaceflow.rational import ZERO
-from surfaceflow.surface import (EmbeddedGraph, _band_before,
-                                 _cycle_darts_at, _cycle_vertices,
-                                 expand_edge_lists, face_components,
-                                 shared_paths, split_vertex_lists,
-                                 working_lists)
+from surfaceflow import uncross
+from surfaceflow.rational import QQ, ZERO
+from surfaceflow.surface import (CutComponent, EmbeddedGraph, _band_before,
+                                 _cycle_vertices, expand_edge_lists,
+                                 face_components, shared_paths,
+                                 split_vertex_lists, working_lists)
 from surfaceflow.uncross import SharedPath, uncross_flow
 
 GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "golden"
@@ -155,6 +155,48 @@ def edge_load(flow: Multiflow, e: int):
 def with_caps(instance: Instance, caps) -> Instance:
     """``instance`` with its capacities replaced by ``caps``."""
     return Instance(instance.graph, instance.kinds, tuple(caps))
+
+
+def multiset_value(counts: dict, quantum) -> QQ:
+    """Value of a discretized multiflow: its quanta times the quantum."""
+    return sum(counts.values()) * quantum if counts else ZERO
+
+
+def is_disk(comp: CutComponent) -> bool:
+    """Whether a component of ``surface.cut_along`` is a disk."""
+    return comp.chi == 1 and len(comp.boundary) == 1
+
+
+def reference_uncross_all(instance: Instance, counts: dict) -> dict:
+    """``uncross.uncross_all`` in unit steps: every iteration scans for the
+    first pair crossing twice and moves one quantum with a fresh
+    ``uncross.uncross_pair`` rewrite; no rewrite is reused."""
+    g = instance.graph
+    counts = dict(counts)
+    cross_counts: dict = {}
+
+    def crossing_twice(ci, cj):
+        key = frozenset((ci, cj))
+        if key not in cross_counts:
+            cross_counts[key] = uncross.cr(g, ci.darts, cj.darts)
+        return cross_counts[key] >= 2
+
+    while True:
+        cycles = list(counts)
+        pair = next(((ci, cj) for i, ci in enumerate(cycles)
+                     for cj in cycles[i + 1:] if crossing_twice(ci, cj)),
+                    None)
+        if pair is None:
+            return counts
+        c1, c2 = pair
+        p, q = uncross._pick_crossings(
+            instance, c1, c2, uncross.crossings(g, c1.darts, c2.darts))
+        for c in pair:
+            counts[c] -= 1
+            if counts[c] == 0:
+                del counts[c]
+        for c in uncross.uncross_pair(instance, c1, c2, p, q):
+            counts[c] = counts.get(c, 0) + 1
 
 
 def reference_canonical_darts(darts) -> tuple:
@@ -337,6 +379,17 @@ def _merged_rotation(graph: EmbeddedGraph, verts, edges) -> list:
         merged = merged[:i] + rot[j + 1:] + rot[:j] + merged[i + 1:]
         absorbed.add(v)
     return merged
+
+
+def _cycle_darts_at(rotation, cycle, v: int) -> list:
+    """The two darts of a simple cycle in the rotation ``rotation[v]``."""
+    edges = {x >> 1 for x in cycle}
+    out = [d for d in rotation[v] if (d >> 1) in edges]
+    if len(out) != 2:
+        raise InternalInvariantError(
+            "simple cycle must have exactly two darts at a vertex",
+            witness=(v, cycle))
+    return out
 
 
 def reference_shared_elements(graph: EmbeddedGraph, darts1, darts2) -> list:

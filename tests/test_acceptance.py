@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from conftest import is_dual_cut, separates
+from conftest import is_dual_cut, multiset_value, separates
 from test_uncross import (four_crossings_fixture, three_crossings_fixture,
                           two_crossings_fixture)
 
@@ -33,8 +33,8 @@ from surfaceflow.round_separating import (color_limit, degeneracy_coloring,
                                           heawood_bound, round_separating)
 from surfaceflow.topology import (classify_homotopy, freely_homotopic,
                                   split_support)
-from surfaceflow.uncross import (cr, crossings, discretize, multiset_value,
-                                 uncross_all, uncross_flow)
+from surfaceflow.uncross import (cr, crossings, discretize, uncross_all,
+                                 uncross_flow)
 
 EPSILON = rat("1/2")
 

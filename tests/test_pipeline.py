@@ -9,8 +9,7 @@ from surfaceflow import cli, pipeline
 from surfaceflow.errors import InternalInvariantError, PreconditionError
 from surfaceflow.instances import (generate_gap_family,
                                    generate_planar_random,
-                                   generate_torus_grid, load_instance,
-                                   save_instance)
+                                   generate_torus_grid, load_instance)
 from surfaceflow.oracle import exact_integral_multiflow
 from surfaceflow.pipeline import (PipelineConfig, render_report, run,
                                   solution_wire, verify_solution)
@@ -222,6 +221,8 @@ class TestCli:
         ["verify", "{inst}", "{dir}"],
         ["verify", "{bad}", "{inst}"],
         ["oracle", "{bad}"],
+        ["oracle", "{inst}", "--max-cycles", "-1"],
+        ["oracle", "{inst}", "--max-nodes", "-1"],
         ["generate", "torus", "--p", "2"],
         ["generate", "torus", "--p", "3", "--q", "3", "--demands", "37"],
         ["generate", "torus", "--demands", "-1"],

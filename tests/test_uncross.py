@@ -1,7 +1,8 @@
 import pytest
 
-from conftest import (darts_for_route, map_from_drawing,
-                      reference_shared_elements, torus_grid_map)
+from conftest import (darts_for_route, map_from_drawing, multiset_value,
+                      reference_shared_elements, reference_uncross_all,
+                      torus_grid_map)
 from surfaceflow import uncross as uncross_mod
 from surfaceflow.errors import PreconditionError
 from surfaceflow.flows import DCycle, Multiflow, solve_and_decompose
@@ -11,8 +12,8 @@ from surfaceflow.instances import (DEMAND, SUPPLY, Instance,
 from surfaceflow.oracle import enumerate_d_cycles
 from surfaceflow.rational import rat
 from surfaceflow.uncross import (cr, crossings, discretize, multiset_to_flow,
-                                 multiset_value, shared_elements, uncross_all,
-                                 uncross_flow, uncross_pair)
+                                 shared_elements, uncross_all, uncross_flow,
+                                 uncross_pair)
 
 
 def three_crossings_fixture():
@@ -270,24 +271,31 @@ class TestUncrossAll:
                 assert cr(inst.graph, ci.darts, cj.darts) <= 1
 
 
+def count_rewrites(monkeypatch) -> list:
+    """Record every ``uncross_pair`` call from now on; returns the list."""
+    rewrites = []
+    real = uncross_mod.uncross_pair
+
+    def counting(*args):
+        rewrites.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(uncross_mod, "uncross_pair", counting)
+    return rewrites
+
+
 class TestBatchedRewrites:
-    """Without ``check_invariants`` a pair's repeated rewrites are applied in
-    one step; the result, key order included, must equal the unit steps."""
+    """A pair's repeated rewrites are applied in one step; the result, key
+    order included, must equal ``reference_uncross_all``'s unit steps."""
 
     @staticmethod
     def _both_ways(monkeypatch, inst, counts):
-        rewrites = []
-        real = uncross_mod.uncross_pair
-
-        def counting(*args):
-            rewrites.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(uncross_mod, "uncross_pair", counting)
+        rewrites = count_rewrites(monkeypatch)
         runs = []
-        for check in (False, True):
+        for uncross in (lambda: uncross_all(inst, counts)[0],
+                        lambda: reference_uncross_all(inst, counts)):
             rewrites.clear()
-            out, _ = uncross_all(inst, counts, check_invariants=check)
+            out = uncross()
             runs.append((out, len(rewrites)))
         (batched, n_batched), (unit, n_unit) = runs
         assert batched == unit
@@ -317,3 +325,45 @@ class TestBatchedRewrites:
         flow, _ = solve_and_decompose(inst)
         counts, _ = discretize(flow, rat("1/4"))
         self._both_ways(monkeypatch, inst, counts)
+
+
+class TestOneProgramAtEveryVerifyLevel:
+    """``check_invariants`` adds checks and changes no step: the same
+    rewrites, the same multiset, key order included."""
+
+    @staticmethod
+    def _both_levels(monkeypatch, uncross):
+        rewrites = count_rewrites(monkeypatch)
+        runs = []
+        for check in (False, True):
+            rewrites.clear()
+            out = uncross(check)
+            runs.append((list(out.items()), len(rewrites)))
+        assert runs[0] == runs[1]
+
+    def test_fixture_pair(self, monkeypatch):
+        inst, _, c1d, c2d = four_crossings_fixture()
+        counts = {DCycle.from_darts(inst, c1d): 5,
+                  DCycle.from_darts(inst, c2d): 3}
+        self._both_levels(monkeypatch, lambda check: uncross_all(
+            inst, counts, check_invariants=check)[0])
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_random_planar_instances(self, monkeypatch, seed):
+        inst = generate_planar_random(10, seed=seed, n_demands=4)
+        flow, _ = solve_and_decompose(inst)
+        self._both_levels(monkeypatch, lambda check: uncross_flow(
+            flow, rat("1/10"), check_invariants=check).values)
+
+    def test_one_potential_per_step(self, monkeypatch):
+        inst, _, c1d, c2d = four_crossings_fixture()
+        counts = {DCycle.from_darts(inst, c1d): 5,
+                  DCycle.from_darts(inst, c2d): 3}
+        rewrites = count_rewrites(monkeypatch)
+        reference_uncross_all(inst, counts)
+        n_unit = len(rewrites)
+        _, potentials = uncross_all(inst, counts, check_invariants=True)
+        # fewer steps than unit rewrites, so some step was batched, and
+        # each step lowered the potential
+        assert len(potentials) < n_unit
+        assert all(a > b for a, b in zip(potentials, potentials[1:]))
