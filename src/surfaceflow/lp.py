@@ -3,13 +3,16 @@
 ``solve_lp`` maximizes ``c . x`` subject to ``A_ub x <= b_ub``,
 ``A_eq x = b_eq``, ``x >= 0`` and returns an exactly optimal primal/dual
 pair.  The data may be Python ints or rationals.  Ints pass through as they
-are: the float warm start and the certificate use them directly, so a
-0/+-1 matrix with integer capacities is never turned into rationals on that
-path, and only the returned values are ``QQ``.  There are two engines, each
-with its own tableau code:
+are: both engines and the certificate use them directly, so a 0/+-1 matrix
+with integer capacities is never turned into rationals, and only the
+returned values are ``QQ``.  There are two engines, each with its own
+tableau code:
 
-- a dense two-phase simplex over ``QQ`` with Bland's rule (the reference
-  path, immune to cycling);
+- a two-phase simplex with Bland's rule (the reference path, immune to
+  cycling) on a fraction-free tableau: each row is a list of int numerators
+  over one positive denominator, and a pivot makes the exact steps of a
+  ``QQ`` tableau (integer-preserving elimination, Edmonds 1967, Bareiss
+  1968), so no rational is made before the returned ones;
 - a numpy float simplex on the same tableau layout, used as a warm start on
   larger problems: its solution is snapped to small-denominator rationals and
   accepted only when exact primal feasibility, exact dual feasibility and
@@ -31,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 import numpy as np
@@ -128,125 +131,122 @@ def check_certificate(c, A_ub, b_ub, A_eq, b_eq, x, y_ub, y_eq) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# exact dense tableau
+# exact integer tableau
 # ---------------------------------------------------------------------------
 
-def _build_tableau(c, A_ub, b_ub, A_eq, b_eq):
-    """Rows: constraints; columns: structural | slacks | artificials | rhs."""
-    n = len(c)
-    m_ub, m_eq = len(A_ub), len(A_eq)
-    width = n + m_ub + m_eq + 1
-    rows = []
-    basis = []
-    for i, (row, b) in enumerate(zip(A_ub, b_ub)):
-        r = [ZERO] * width
-        for j, coef in row.items():
-            r[j] = rat(coef)
-        r[n + i] = rat(1)
-        r[-1] = rat(b)
-        rows.append(r)
-        basis.append(n + i)
-    for i, (row, b) in enumerate(zip(A_eq, b_eq)):
-        r = [ZERO] * width
-        sign = 1 if b >= 0 else -1
-        for j, coef in row.items():
-            r[j] = rat(coef * sign)
-        r[n + m_ub + i] = rat(1)
-        r[-1] = rat(b * sign)
-        rows.append(r)
-        basis.append(n + m_ub + i)
-    return rows, basis, n, m_ub, m_eq
-
-
 def _simplex_exact(c, A_ub, b_ub, A_eq, b_eq):
-    rows, basis, n, m_ub, m_eq = _build_tableau(c, A_ub, b_ub, A_eq, b_eq)
-    m = len(rows)
-    width = n + m_ub + m_eq + 1
+    """Two-phase simplex with Bland's rule on a fraction-free tableau.
+
+    Row ``i`` holds the rationals ``tab[i][j] / den[i]``: int numerators
+    over one positive denominator, kept reduced by the gcd of the row.  A
+    rational input row is stored over the lcm of its denominators, so the
+    entries are those of a ``QQ`` tableau.  A pivot normalizes the pivot
+    row to ``P / dp`` and turns every row ``R / dr`` with ``R[pc] != 0``,
+    the objective rows included, into ``(R * dp - R[pc] * P) / (dr * dp)``;
+    the arithmetic is exact, so the pivots are those of the ``QQ`` tableau.
+    Signs are read on numerators and the ratio test cross-multiplies (row
+    denominators cancel), so only the returned nonzero values are ``QQ``.
+    """
+    n, m_ub, m_eq = len(c), len(A_ub), len(A_eq)
+    m = m_ub + m_eq
     art_lo = n + m_ub
-    art_set = set(range(art_lo, art_lo + m_eq))
+    width = art_lo + m_eq + 1  # structural | slacks | artificials | rhs
+    tab, den = [], []
+    for i, (row, b) in enumerate(chain(zip(A_ub, b_ub), zip(A_eq, b_eq))):
+        coefs = [v if type(v) is int else rat(v) for v in row.values()]
+        d = lcm(b.denominator, *(v.denominator for v in coefs))
+        sign = -1 if i >= m_ub and b < 0 else 1
+        r = [0] * width
+        for j, p in zip(row, numerators_over(coefs, d)):
+            r[j] = sign * p
+        r[n + i] = d
+        r[-1] = sign * b.numerator * (d // b.denominator)
+        tab.append(r)
+        den.append(d)
+    basis = list(range(n, n + m))
+    # objective rows: row m is c (phase 2); row m + 1 the sum of the
+    # artificial rows, zero on their columns (phase 1: maximize -sum)
+    d = lcm(*(v.denominator for v in c))
+    tab.append(numerators_over(c, d) + [0] * (width - n))
+    den.append(d)
+    if m_eq:
+        d = lcm(*den[m_ub:m])
+        obj1 = [sum(tab[i][j] * (d // den[i]) for i in range(m_ub, m))
+                for j in range(width)]
+        obj1[art_lo:art_lo + m_eq] = [0] * m_eq
+        tab.append(obj1)
+        den.append(d)
 
-    # phase-1 objective row: minimize sum of artificials == maximize -sum
-    obj1 = [ZERO] * width
-    for i in range(m):
-        if basis[i] in art_set:
-            for j in range(width):
-                obj1[j] += rows[i][j]
-    # obj1 holds sum over artificial rows; reduced costs of -sum(artificials)
-    # are obj1 entries for non-artificial columns (artificials get 0).
-    for j in art_set:
-        obj1[j] = ZERO
+    def pivot(pr, pc):
+        p = tab[pr]
+        if p[pc] < 0:
+            p = [-v for v in p]
+        g = gcd(*p)
+        if g > 1:
+            p = [v // g for v in p]
+        tab[pr] = p
+        dp = den[pr] = p[pc]
+        nz = [(j, w) for j, w in enumerate(p) if w]
+        for i, r in enumerate(tab):
+            a = r[pc]
+            if a and i != pr:
+                if dp != 1:
+                    r = [v * dp for v in r]
+                for j, w in nz:
+                    r[j] -= a * w
+                d = den[i] * dp
+                g = gcd(d, *r)
+                if g > 1:
+                    r = [v // g for v in r]
+                    d //= g
+                tab[i], den[i] = r, d
 
-    def pivot(rows_, obj_rows, pr, pc):
-        prow = rows_[pr]
-        inv = prow[pc]
-        rows_[pr] = [v / inv for v in prow]
-        prow = rows_[pr]
-        for r in rows_ + obj_rows:
-            if r is prow:
-                continue
-            coef = r[pc]
-            if coef:
-                for j in range(width):
-                    if prow[j]:
-                        r[j] -= coef * prow[j]
-        return
-
-    obj2 = [ZERO] * width
-    for j in range(n):
-        obj2[j] = c[j]
-
-    def run(obj, allowed, obj_rows):
-        guard = 0
-        while True:
-            guard += 1
-            if guard > 200000:
-                raise InternalInvariantError("simplex iteration guard tripped")
-            enter = -1
-            for j in range(width - 1):
-                if j in art_set and not allowed:
-                    continue
-                if obj[j] > 0:
-                    enter = j
-                    break
+    def run(k):
+        for _ in range(200000):
+            # Bland: the first column with a positive reduced cost;
+            # artificials never enter
+            obj = tab[k]
+            enter = next((j for j in range(art_lo) if obj[j] > 0), -1)
             if enter < 0:
                 return
             leave = -1
-            best = None
             for i in range(m):
-                a = rows[i][enter]
+                r = tab[i]
+                a = r[enter]
                 if a > 0:
-                    ratio = rows[i][-1] / a
-                    if best is None or ratio < best or (
-                            ratio == best and basis[i] < basis[leave]):
-                        best, leave = ratio, i
-                elif a < 0 and basis[i] in art_set and rows[i][-1] == 0:
+                    # r[-1] / a < rhs / piv, ties to the smaller basis index
+                    t = r[-1] * piv - rhs * a if leave >= 0 else -1
+                    if t < 0 or (t == 0 and basis[i] < basis[leave]):
+                        leave, rhs, piv = i, r[-1], a
+                elif a < 0 and basis[i] >= art_lo and r[-1] == 0:
                     # drive a zero-valued artificial out rather than let it
                     # grow positive
-                    best, leave = ZERO, i
+                    leave = i
                     break
             if leave < 0:
                 raise PreconditionError("LP is unbounded")
-            pivot(rows, obj_rows, leave, enter)
+            pivot(leave, enter)
             basis[leave] = enter
+        raise InternalInvariantError("simplex iteration guard tripped")
 
     if m_eq:
-        run(obj1, allowed=False, obj_rows=[obj1, obj2])
-        infeas = sum((rows[i][-1] for i in range(m) if basis[i] in art_set),
-                     ZERO)
-        if infeas != 0:
+        run(m + 1)
+        # right-hand sides stay >= 0, so the artificials sum to 0 iff all are
+        if any(tab[i][-1] for i in range(m) if basis[i] >= art_lo):
             raise PreconditionError("LP is infeasible")
-    run(obj2, allowed=False, obj_rows=[obj2])
+        del tab[m + 1], den[m + 1]
+    run(m)
 
     x = [ZERO] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = rows[i][-1]
-    y_ub = [-obj2[n + i] for i in range(m_ub)]
-    y_eq = []
-    for i in range(m_eq):
-        sign = 1 if b_eq[i] >= 0 else -1
-        y_eq.append(-obj2[art_lo + i] * sign)
-    return x, y_ub, y_eq
+    for i, j in enumerate(basis):
+        if j < n and tab[i][-1]:
+            x[j] = QQ(tab[i][-1], den[i])
+    # y = -(reduced costs of the slacks and artificials), an equality row's
+    # dual signed back by its right-hand side
+    obj, d = tab[m], den[m]
+    sign = [1] * m_ub + [-1 if b < 0 else 1 for b in b_eq]
+    y = [QQ(-s * v, d) if v else ZERO for s, v in zip(sign, obj[n:-1])]
+    return x, y[:m_ub], y[m_ub:]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Both oracles first enumerate every D-cycle of the instance and then run a
 deterministic branch-and-bound: over integral cycle values for the maximum
-integral multiflow, over covering edges for the minimum multicut.  They are
+integral multiflow (``pack_cycles``, which ``half_integralize`` also runs on
+a flow's support), over covering edges for the minimum multicut.  They are
 deliberately exponential and guarded by an explicit work budget; exceeding
 it is a refusal (:class:`OracleBudgetExceeded`), never a wrong answer.
 
@@ -119,18 +120,17 @@ def enumerate_d_cycles(instance: Instance,
     return sorted(found, key=lambda c: c.darts)
 
 
-def exact_integral_multiflow(instance: Instance,
-                             budget: OracleBudget = DEFAULT_BUDGET):
-    """Provably maximum integral multiflow, as ``(value, Multiflow)``."""
-    cycles = enumerate_d_cycles(instance, budget)
-    if not cycles:
-        return 0, Multiflow(instance)
-    cycle_edges = [tuple(d >> 1 for d in c.darts) for c in cycles]
-    root, rows = cycle_lp(cycle_edges, instance.caps)
+def pack_cycles(cycle_edges, caps, root, rows,
+                budget: OracleBudget = DEFAULT_BUDGET):
+    """Maximum integral packing of cycles under int edge capacities.
+
+    ``root`` and ``rows`` are the optimal cycle LP of ``cycle_edges`` and
+    ``caps`` as ``flows.cycle_lp`` returns it.  Returns ``(value, {cycle
+    index: positive int})`` from the search of the module docstring, over
+    the cycles by decreasing root value, ties by index.
+    """
     # explore large fractional values first; the LP value caps the optimum
-    order = sorted(range(len(cycles)),
-                   key=lambda i: (-root.x[i], cycles[i].darts))
-    cycles = [cycles[i] for i in order]
+    order = sorted(range(len(cycle_edges)), key=lambda i: (-root.x[i], i))
     cycle_edges = [cycle_edges[i] for i in order]
     ceiling = floor_rat(root.value)
     # the root dual over a common denominator: price[e] / denom = y[e]
@@ -159,7 +159,7 @@ def exact_integral_multiflow(instance: Instance,
                 <= best_value:
             return
         choices = []
-        for j in range(start, len(cycles)):
+        for j in range(start, len(cycle_edges)):
             m = min([residual[e] for e in cycle_edges[j]])
             if m > 0:
                 choices.append((j, m))
@@ -176,10 +176,24 @@ def exact_integral_multiflow(instance: Instance,
                 if best_value == ceiling:
                     return
 
-    search(0, list(instance.caps), 0)
+    search(0, list(caps), 0)
+    return best_value, {order[j]: x for j, x in best.items()}
+
+
+def exact_integral_multiflow(instance: Instance,
+                             budget: OracleBudget = DEFAULT_BUDGET):
+    """Provably maximum integral multiflow, as ``(value, Multiflow)``."""
+    cycles = enumerate_d_cycles(instance, budget)
+    if not cycles:
+        return 0, Multiflow(instance)
+    # the cycles come sorted by darts, so index ties are dart ties
+    cycle_edges = [tuple(d >> 1 for d in c.darts) for c in cycles]
+    best_value, best = pack_cycles(
+        cycle_edges, instance.caps, *cycle_lp(cycle_edges, instance.caps),
+        budget)
     flow = Multiflow(instance)
-    for j, x in best.items():
-        flow.add(cycles[j], x)
+    for i, x in best.items():
+        flow.add(cycles[i], x)
     flow.verify_feasible()
     if flow.value != best_value:
         raise AssertionError("oracle bookkeeping mismatch")

@@ -1,26 +1,29 @@
 """Rounding the separating part of a multiflow to an integral one.
 
 Pipeline: a laminar multiflow on separating cycles is first re-optimized
-over its own support to a vertex solution, which is half-integral (the one
-cycle LP, ``flows.cycle_lp``, certified by ``lp.solve_lp``); integer
-parts are banked and the remaining half-cycles are moved onto parallel unit
-edges so that every parallel carries at most two halves.  Cycles sharing a
-parallel form an intersection graph that embeds on the same surface, so a
-degeneracy-greedy coloring needs at most ``chi(g)`` colors (five for the
-plane, with an exact five-coloring fallback); the largest color class is
-routed at value one on top of the banked flow.
+over its own support to a half-integral optimum (the one cycle LP,
+``flows.cycle_lp``, certified by ``lp.solve_lp``, and the oracle's packing
+search when its vertex is not half-integral); integer parts are banked and
+the remaining half-cycles are moved onto parallel unit edges so that every
+parallel carries at most two halves.  Cycles sharing a parallel form an
+intersection graph that embeds on the same surface, so a degeneracy-greedy
+coloring needs at most ``chi(g)`` colors (five for the plane, with an exact
+five-coloring fallback); the largest color class is routed at value one on
+top of the banked flow.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cmp_to_key
 from typing import Sequence
 
-from .errors import InternalInvariantError, PreconditionError
+from .errors import (InternalInvariantError, OracleBudgetExceeded,
+                     PreconditionError)
 from .flows import DCycle, Multiflow, cycle_lp
 from .instances import Instance
+from .oracle import DEFAULT_BUDGET, pack_cycles
 from .rational import QQ, ZERO, floor_rat, rat
 from .surface import EmbeddedGraph, expand_edge_lists, working_lists
 from .topology import inside_faces
@@ -47,18 +50,30 @@ def half_integralize(flow: Multiflow) -> Multiflow:
     """Best multiflow on the same support with half-integral values.
 
     Re-solves the cycle LP restricted to the support, ``flows.cycle_lp``
-    as the oracle uses it; its optimal vertex is half-integral for laminar
-    separating supports, and a vertex that is not raises
-    ``InternalInvariantError`` (the support was not laminar).
+    as the oracle uses it.  A laminar support has a half-integral optimum,
+    but not every optimal vertex is one: such a vertex is replaced by half
+    the oracle's packing under doubled capacities, whose root LP is this
+    one scaled by 2 (``x`` doubles, the dual stays optimal).  A packing
+    refused by the oracle's default budget raises
+    ``InternalInvariantError``.
     """
     inst = flow.instance
     cycles = flow.support()
     if not cycles:
         return Multiflow(inst)
-    x = cycle_lp([c.edge_set for c in cycles], inst.caps)[0].x
+    cycle_edges = [c.edge_set for c in cycles]
+    lp, rows = cycle_lp(cycle_edges, inst.caps)
+    x = lp.x
     if any(2 * v != int(2 * v) for v in x):
-        raise InternalInvariantError(
-            "restricted LP vertex is not half-integral", witness=x)
+        doubled = replace(lp, x=[2 * v for v in x], value=2 * lp.value)
+        try:
+            _, best = pack_cycles(cycle_edges, [2 * u for u in inst.caps],
+                                  doubled, rows, DEFAULT_BUDGET)
+        except OracleBudgetExceeded as exc:
+            raise InternalInvariantError(
+                "no half-integral optimum within the packing budget",
+                witness=x) from exc
+        x = [QQ(best.get(i, 0), 2) for i in range(len(cycles))]
     out = Multiflow(inst)
     for c, v in zip(cycles, x):
         out.set(c, v)

@@ -11,7 +11,7 @@ from surfaceflow.errors import InternalInvariantError, PreconditionError
 from surfaceflow.flows import Multiflow, solve_and_decompose
 from surfaceflow.instances import Instance, generate_torus_grid, load_instance
 from surfaceflow import uncross
-from surfaceflow.rational import QQ, ZERO
+from surfaceflow.rational import QQ, ZERO, rat
 from surfaceflow.surface import (CutComponent, EmbeddedGraph, _band_before,
                                  _cycle_vertices, expand_edge_lists,
                                  face_components, shared_paths,
@@ -239,6 +239,89 @@ def reference_check_certificate(c, A_ub, b_ub, A_eq, b_eq, x, y_ub,
     dual = sum((b * y for b, y in zip(b_ub, y_ub)), ZERO) + \
         sum((b * y for b, y in zip(b_eq, y_eq)), ZERO)
     return primal == dual
+
+
+def reference_simplex_exact(c, A_ub, b_ub, A_eq, b_eq):
+    """``lp._simplex_exact`` on a dense ``QQ`` tableau: the same two phases,
+    Bland's entering rule, basis-index ties and zero-artificial drive-out,
+    one rational per entry, as the reference the integer tableau must
+    agree with value for value."""
+    n, m_ub, m_eq = len(c), len(A_ub), len(A_eq)
+    width = n + m_ub + m_eq + 1
+    art_lo = n + m_ub
+    art_set = set(range(art_lo, art_lo + m_eq))
+    rows, basis = [], []
+    for i, (row, b) in enumerate(zip(A_ub, b_ub)):
+        r = [ZERO] * width
+        for j, coef in row.items():
+            r[j] = rat(coef)
+        r[n + i] = rat(1)
+        r[-1] = rat(b)
+        rows.append(r)
+        basis.append(n + i)
+    for i, (row, b) in enumerate(zip(A_eq, b_eq)):
+        r = [ZERO] * width
+        sign = 1 if b >= 0 else -1
+        for j, coef in row.items():
+            r[j] = rat(coef * sign)
+        r[art_lo + i] = rat(1)
+        r[-1] = rat(b * sign)
+        rows.append(r)
+        basis.append(art_lo + i)
+    m = len(rows)
+    # phase 1 maximizes -sum(artificials): its reduced costs are the sums
+    # of the artificial rows, zero on the artificial columns
+    obj1 = [sum((rows[i][j] for i in range(m) if basis[i] in art_set), ZERO)
+            for j in range(width)]
+    for j in art_set:
+        obj1[j] = ZERO
+    obj2 = [ZERO] * width
+    obj2[:n] = c
+
+    def pivot(obj_rows, pr, pc):
+        inv = rows[pr][pc]
+        prow = rows[pr] = [v / inv for v in rows[pr]]
+        for r in rows + obj_rows:
+            coef = r[pc]
+            if r is not prow and coef:
+                for j in range(width):
+                    r[j] -= coef * prow[j]
+
+    def run(obj, obj_rows):
+        while True:
+            enter = next((j for j in range(width - 1)
+                          if j not in art_set and obj[j] > 0), -1)
+            if enter < 0:
+                return
+            leave, best = -1, None
+            for i in range(m):
+                a = rows[i][enter]
+                if a > 0:
+                    ratio = rows[i][-1] / a
+                    if best is None or ratio < best or (
+                            ratio == best and basis[i] < basis[leave]):
+                        best, leave = ratio, i
+                elif a < 0 and basis[i] in art_set and rows[i][-1] == 0:
+                    leave = i
+                    break
+            if leave < 0:
+                raise PreconditionError("LP is unbounded")
+            pivot(obj_rows, leave, enter)
+            basis[leave] = enter
+
+    if m_eq:
+        run(obj1, [obj1, obj2])
+        if sum((rows[i][-1] for i in range(m) if basis[i] in art_set), ZERO):
+            raise PreconditionError("LP is infeasible")
+    run(obj2, [obj2])
+    x = [ZERO] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = rows[i][-1]
+    y_ub = [-obj2[n + i] for i in range(m_ub)]
+    y_eq = [-obj2[art_lo + i] * (1 if b >= 0 else -1)
+            for i, b in enumerate(b_eq)]
+    return x, y_ub, y_eq
 
 
 class DualGraph(EmbeddedGraph):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_check_certificate
+from conftest import reference_check_certificate, reference_simplex_exact
 from surfaceflow import flows
 from surfaceflow.errors import PreconditionError
 from surfaceflow.instances import generate_planar_random, generate_torus_grid
@@ -292,3 +292,81 @@ class TestIntegerCertificate:
         vecs[name] = vec
         args = (*lp, vecs["x"], vecs["y_ub"], vecs["y_eq"])
         assert check_certificate(*args) == reference_check_certificate(*args)
+
+
+@st.composite
+def any_lps(draw):
+    """``feasible_lps`` with, sometimes, the bounding row dropped (the LP
+    may be unbounded) or one equality right-hand side moved (it may be
+    infeasible); the drawn data keep their degenerate ties and the sign
+    of every ``b_eq``."""
+    c, A_ub, b_ub, A_eq, b_eq = draw(feasible_lps())
+    if draw(st.booleans()):
+        A_ub, b_ub = A_ub[:-1], b_ub[:-1]
+    if b_eq and draw(st.booleans()):
+        i = draw(st.integers(0, len(b_eq) - 1))
+        b_eq = b_eq[:i] + [b_eq[i] + draw(st.sampled_from([-1, 1]))] \
+            + b_eq[i + 1:]
+    return c, A_ub, b_ub, A_eq, b_eq
+
+
+def outcome(engine, lp):
+    """Every returned value with its type, or the refusal's message."""
+    try:
+        return [[(type(v), v) for v in vec] for vec in engine(*lp)]
+    except PreconditionError as exc:
+        return str(exc)
+
+
+class TestIntegerTableau:
+    """The fraction-free engine against the ``QQ`` tableau it replaced."""
+
+    @settings(max_examples=300, deadline=None, database=None,
+              derandomize=True)
+    @given(lp=any_lps())
+    def test_same_result_as_reference(self, lp):
+        assert outcome(_simplex_exact, lp) == \
+            outcome(reference_simplex_exact, lp)
+
+    @pytest.mark.parametrize("lp", [
+        # Beale's cycling example: degenerate ties under Bland's rule
+        (R("3/4", -150, "1/50", -6),
+         [row(x0="1/4", x1=-60, x2="-1/25", x3=9),
+          row(x0="1/2", x1=-90, x2="-1/50", x3=3), row(x2=1)],
+         R(0, 0, 1), [], []),
+        # negative b_eq on two parallel equality rows
+        ([1, 1], [{0: 1, 1: 1}], [3], [{0: -1, 1: 2}, {0: -2, 1: 4}],
+         [-1, -2]),
+        # -2 x = 0 leaves its artificial basic at zero; without the
+        # drive-out, x would grow to 3
+        ([2], [{0: 1}], [3], [{0: -2}], [0]),
+        ([1], [], [], [{0: 1}, {0: 1}], [1, 2]),     # infeasible
+        ([1, 1], [{0: 1}], [5], [], []),             # unbounded
+    ], ids=["beale", "negative-b_eq", "drive-out", "infeasible",
+            "unbounded"])
+    def test_edge_cases_match_reference(self, lp):
+        assert outcome(_simplex_exact, lp) == \
+            outcome(reference_simplex_exact, lp)
+
+    @pytest.mark.parametrize("lp", [
+        "compact", ([2, 3], [{0: 1, 1: 1}, {0: 2}], [4, 3],
+                    [{0: 1, 1: -1}], [-1])], ids=["compact", "negative-b_eq"])
+    def test_int_data_make_no_fraction(self, monkeypatch, lp):
+        """On int data the only rationals made are the returned nonzero
+        values (a zero is the shared ``ZERO``)."""
+        if lp == "compact":
+            lp = compact_lp(monkeypatch, generate_planar_random(
+                size=12, n_demands=3, cap_mode="random", seed=0))[0]
+        made = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        x, y_ub, y_eq = _simplex_exact(*lp)
+        monkeypatch.undo()
+        nonzero = [v for v in chain(x, y_ub, y_eq) if v]
+        assert nonzero and len(made) == len(nonzero)
+        assert reference_check_certificate(*lp, x, y_ub, y_eq)

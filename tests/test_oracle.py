@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_canonical_darts
-from surfaceflow import oracle
+from surfaceflow import oracle, round_separating
 from surfaceflow.errors import (InternalInvariantError, OracleBudgetExceeded,
                                 PreconditionError, SurfaceflowError)
 from surfaceflow.flows import DCycle, canonical_darts, solve_fractional
@@ -232,3 +232,39 @@ class TestGeneratorSweep:
                        for c in enumerate_d_cycles(inst))
             solved += 1
         assert solved >= 0.9 * len(SWEEP)
+
+
+# unit capacities and 6-10 demands reach reduce_to_unit's residual halves,
+# which random capacities with 3 demands never do; the last three have an
+# optimal restricted-LP vertex that is not half-integral
+UNIT_SWEEP = ([(size, demands, seed) for size in (20, 40, 60)
+               for demands in (6, 8, 10) for seed in range(30)]
+              + [(60, 6, 11), (120, 6, 26), (20, 8, 39)])
+
+
+class TestUnitCapacitySweep:
+    def test_pipeline_checks_hold(self, monkeypatch):
+        reached = {"halves": 0, "packings": 0}
+        reduce_to_unit = round_separating.reduce_to_unit
+        pack_cycles = round_separating.pack_cycles
+
+        def counting_reduce(flow):
+            red = reduce_to_unit(flow)
+            reached["halves"] += bool(red.unit_cycles)
+            return red
+
+        def counting_pack(*args):
+            reached["packings"] += 1
+            return pack_cycles(*args)
+
+        monkeypatch.setattr(round_separating, "reduce_to_unit",
+                            counting_reduce)
+        monkeypatch.setattr(round_separating, "pack_cycles", counting_pack)
+        for size, demands, seed in UNIT_SWEEP:
+            inst = generate_planar_random(size, seed=seed, n_demands=demands,
+                                          cap_mode="unit")
+            out, report = run(inst, PipelineConfig(verify="invariants"))
+            assert all(c["ok"] for c in report["checks"]), (size, seed)
+            assert out.value <= rat(report["stages"]["lp"]["value"])
+        assert reached["packings"] >= 3
+        assert reached["halves"] >= 0.15 * len(UNIT_SWEEP)

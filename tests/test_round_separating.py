@@ -1,14 +1,20 @@
+import json
+
 import pytest
 
 import surfaceflow.flows as flows_module
 import surfaceflow.round_separating as round_separating_module
+from surfaceflow import cli
 from surfaceflow.errors import InternalInvariantError
 from surfaceflow.flows import DCycle, Multiflow, solve_and_decompose
 from surfaceflow.instances import (DEMAND, SUPPLY, Instance,
                                    generate_planar_random)
 from surfaceflow.lp import LPResult
+from surfaceflow.oracle import OracleBudget
+from surfaceflow.pipeline import run
 from surfaceflow.rational import rat
-from surfaceflow.round_separating import (color_and_select,
+from surfaceflow.round_separating import (_backtrack_coloring,
+                                          color_and_select,
                                           degeneracy_coloring, heawood_bound,
                                           half_integralize,
                                           intersection_adjacency,
@@ -101,12 +107,66 @@ class TestHalfIntegralize:
         inst = two_path_instance()
         f = Multiflow(inst)
         f.add(DCycle.from_darts(inst, [0, 2, 9]), 1)
+        # a bogus vertex goes to the packing, which cannot keep half of f
         monkeypatch.setattr(
             round_separating_module, "cycle_lp",
             lambda *args: (LPResult([rat("1/3")], [], [], rat("1/3"),
                                     "exact"), []))
         with pytest.raises(InternalInvariantError, match="half-integral"):
             half_integralize(f)
+
+
+# unit-capacity planar instances, 6 demands, whose restricted cycle LP has
+# an optimal vertex with quarters although the support is laminar
+QUARTER_VERTICES = [(60, 11), (120, 26)]
+
+
+def separating_flow(monkeypatch, size, seed):
+    """The flow the pipeline hands to ``half_integralize``."""
+    got = []
+    real = round_separating_module.half_integralize
+
+    def spy(flow):
+        got.append(flow)
+        return real(flow)
+
+    monkeypatch.setattr(round_separating_module, "half_integralize", spy)
+    run(generate_planar_random(size, seed=seed, n_demands=6,
+                               cap_mode="unit"))
+    monkeypatch.undo()
+    (flow,) = got
+    return flow
+
+
+class TestQuarterVertices:
+    @pytest.mark.parametrize("size, seed", QUARTER_VERTICES)
+    def test_cli_solves_with_value_six(self, tmp_path, size, seed):
+        inst, report = tmp_path / "inst.json", tmp_path / "report.json"
+        assert cli.main(["generate", "planar", "--size", str(size),
+                         "--demands", "6", "--cap-mode", "unit",
+                         "--seed", str(seed), "-o", str(inst)]) == 0
+        assert cli.main(["solve", str(inst), "--verify", "invariants",
+                         "--report", str(report)]) == 0
+        assert json.loads(report.read_text())["output"]["value"] == "6/1"
+
+    @pytest.mark.parametrize("size, seed", QUARTER_VERTICES)
+    def test_packing_replaces_the_vertex(self, monkeypatch, size, seed):
+        flow = separating_flow(monkeypatch, size, seed)
+        lp = round_separating_module.cycle_lp(
+            [c.edge_set for c in flow.support()], flow.instance.caps)[0]
+        assert any(4 * v % 2 for v in lp.x)  # a quarter
+        out = half_integralize(flow)
+        assert out.value == lp.value == 6
+        assert all(2 * v == int(2 * v) for v in out.values.values())
+
+    def test_budget_refusal_is_an_invariant_failure(self, monkeypatch):
+        flow = separating_flow(monkeypatch, *QUARTER_VERTICES[0])
+        monkeypatch.setattr(round_separating_module, "DEFAULT_BUDGET",
+                            OracleBudget(max_nodes=0))
+        with pytest.raises(InternalInvariantError,
+                           match="packing budget") as info:
+            half_integralize(flow)
+        assert any(2 * v != int(2 * v) for v in info.value.witness)
 
 
 class TestReduceToUnit:
@@ -202,7 +262,50 @@ class TestReduceToUnit:
                                     & red.unit_cycles[b].edge_set)
 
 
+def icosahedron() -> list:
+    """Adjacency lists of the icosahedron: planar, 5-regular, 4-chromatic."""
+    pairs = []
+    for i in range(5):
+        up, low = 1 + i, 6 + i
+        pairs += [(0, up), (11, low), (up, 1 + (i + 1) % 5),
+                  (low, 6 + (i + 1) % 5), (up, low), (up, 6 + (i + 1) % 5)]
+    adj = [set() for _ in range(12)]
+    for a, b in pairs:
+        adj[a].add(b)
+        adj[b].add(a)
+    return [sorted(s) for s in adj]
+
+
+def proper(adj, color) -> bool:
+    return all(color[v] != color[w] for v in range(len(adj)) for w in adj[v])
+
+
 class TestColoring:
+    def test_backtracking_is_exact(self):
+        adj = icosahedron()
+        assert all(len(a) == 5 for a in adj)
+        color = _backtrack_coloring(adj, 4)
+        assert proper(adj, color) and max(color) < 4
+        assert _backtrack_coloring(adj, 3) is None
+
+    def test_greedy_overshoot_falls_back_to_five(self, monkeypatch):
+        # 12 residual half-cycles on a unit-capacity planar instance; a
+        # greedy coloring that spends one color per cycle must give way
+        got = []
+        real = round_separating_module.reduce_to_unit
+        monkeypatch.setattr(round_separating_module, "reduce_to_unit",
+                            lambda flow: got.append(real(flow)) or got[-1])
+        run(generate_planar_random(60, seed=24, n_demands=10,
+                                   cap_mode="unit"))
+        (red,) = got
+        assert len(red.unit_cycles) == 12
+        monkeypatch.setattr(round_separating_module, "degeneracy_coloring",
+                            lambda adj: list(range(len(adj))))
+        out, used, sizes = color_and_select(red, genus=0)
+        assert used <= 5 and sum(sizes) == 12
+        out.verify_feasible()
+        assert out.value == red.banked.value + max(sizes)
+
     def test_triangle_needs_three(self):
         adj = [[1, 2], [0, 2], [0, 1]]
         color = degeneracy_coloring(adj)
