@@ -53,6 +53,10 @@ class DCycle:
         darts = tuple(int(d) for d in darts)
         if not darts:
             raise PreconditionError("empty cycle")
+        if min(darts) < 0 or max(darts) >= 2 * len(g.edges):
+            # a negative dart would alias dart d + 2m through list indexing
+            raise PreconditionError("dart out of range 0..%d: %r"
+                                    % (2 * len(g.edges) - 1, darts))
         verts = []
         for i, d in enumerate(darts):
             if g.tail(d) != g.head(darts[(i + 1) % len(darts)]):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (InstanceFormatError, InternalInvariantError,
                      PreconditionError, StructuralError)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import contextlib
 import json
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import InternalInvariantError, PreconditionError
 from .flows import Multiflow, solve_and_decompose

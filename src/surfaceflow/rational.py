@@ -1,29 +1,24 @@
 """Exact rational arithmetic used throughout the package.
 
-All flow values, LP entries and potentials are rationals; floats only ever
-appear inside the LP warm-start heuristic.  ``QQ`` is gmpy2's ``mpq`` when
-available (much faster) and falls back to ``fractions.Fraction``; the two
-interoperate, so callers may pass either.
+All flow values and potentials are rationals; floats only ever appear
+inside the LP warm-start heuristic, and the exact LP engine works on
+integers.  ``QQ`` is ``fractions.Fraction``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as QQ  # type: ignore
-except ImportError:  # gmpy2 is the optional ``gmpy`` extra
-    QQ = Fraction
-
+QQ = Fraction
 ZERO = QQ(0)
 ONE = QQ(1)
 
 
-def rat(value) -> "QQ":
-    """Coerce ints, Fractions, mpqs or ``"p/q"`` strings to QQ; bools and
-    floats are refused."""
+def rat(value) -> QQ:
+    """Coerce ints, Fractions or ``"p/q"`` strings to QQ; bools and floats
+    are refused."""
     if isinstance(value, str):
-        return QQ(Fraction(value))
+        return QQ(value)
     if isinstance(value, (bool, float)):
         raise TypeError("%s is not accepted as an exact rational: %r"
                         % (type(value).__name__, value))

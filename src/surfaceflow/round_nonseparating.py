@@ -26,7 +26,7 @@ from .instances import Instance
 from .rational import ZERO, floor_rat
 from .round_separating import degeneracy_coloring
 from .surface import cut_along, disjointify
-from .topology import HomotopyClassification, classify_homotopy, split_support
+from .topology import HomotopyClassification
 from .uncross import cr
 
 
@@ -160,30 +160,25 @@ def greedy(order, flow: Multiflow, caps: dict | None = None,
     return out
 
 
-def _nonseparating_classes(flow: Multiflow, classification):
-    """The classified non-separating cycles and their classification; the
-    support is split and classified only when no classification is given."""
-    if classification is None:
-        _, _, nonsep, nonsep_v = split_support(flow)
-        if nonsep:
-            classification = classify_homotopy(
-                flow.instance.graph, nonsep, nonsep_v)
-    if classification is None or not classification.cycles:
+def _nonseparating_cycles(classification: HomotopyClassification) -> tuple:
+    """The classified non-separating cycles; there must be some."""
+    if not classification.cycles:
         raise PreconditionError(
             "support has no non-separating cycles; use the separating branch")
-    return classification.cycles, classification
+    return classification.cycles
 
 
 def select_class_and_round(flow: Multiflow,
-                           classification: HomotopyClassification | None = None
+                           classification: HomotopyClassification
                            ) -> Multiflow:
     """Keep the heaviest homotopy class and round it greedily.
 
-    The classes are ordered by total flow value (ties by smallest member
-    index), so the first one is the argmax; the flow on every other cycle
-    is dropped.
+    ``classification`` classifies the non-separating cycles of ``flow``'s
+    support.  The classes are ordered by total flow value (ties by smallest
+    member index), so the first one is the argmax; the flow on every other
+    cycle is dropped.
     """
-    nonsep, classification = _nonseparating_classes(flow, classification)
+    nonsep = _nonseparating_cycles(classification)
     best = [nonsep[i] for i in classification.classes[0]]
     return greedy(cyclic_order(best, flow.instance), flow)
 
@@ -232,21 +227,21 @@ def class_cross_adjacency(graph, representatives: Sequence[DCycle]) -> list:
 
 
 def improved_g2(flow: Multiflow,
-                classification: HomotopyClassification | None = None
-                ) -> Multiflow:
+                classification: HomotopyClassification) -> Multiflow:
     """Round several mutually non-crossing homotopy classes at once.
 
-    The class cross-graph is greedily colored; the color class with the
-    largest total value is kept.  Within it, every extreme-cycle edge a
-    class shares with another kept class is capped at the floor of this
-    class's own load, which decouples the classes at a cost of at most two
-    units each; the greedy rounding then runs per class and the results
+    ``classification`` classifies the non-separating cycles of ``flow``'s
+    support.  The class cross-graph is greedily colored; the color class
+    with the largest total value is kept.  Within it, every extreme-cycle
+    edge a class shares with another kept class is capped at the floor of
+    this class's own load, which decouples the classes at a cost of at most
+    two units each; the greedy rounding then runs per class and the results
     are summed.  Edges no other kept class uses keep their capacity: any
-    edge shared between two kept classes lies on extreme cycles of both,
-    so per-class floors already sum to at most the original capacity.
+    edge shared between two kept classes lies on extreme cycles of both, so
+    per-class floors already sum to at most the original capacity.
     """
     inst = flow.instance
-    nonsep, classification = _nonseparating_classes(flow, classification)
+    nonsep = _nonseparating_cycles(classification)
     classes = classification.classes
     reps = [nonsep[cls[0]] for cls in classes]
     color = degeneracy_coloring(class_cross_adjacency(inst.graph, reps))

@@ -4,9 +4,11 @@ Pipeline: a laminar multiflow on separating cycles is first re-optimized
 over its own support to a half-integral optimum (the one cycle LP,
 ``flows.cycle_lp``, certified by ``lp.solve_lp``, and the oracle's packing
 search when its vertex is not half-integral); integer parts are banked and
-the remaining half-cycles are moved onto parallel unit edges so that every
-parallel carries at most two halves.  Cycles sharing a parallel form an
-intersection graph that embeds on the same surface, so a degeneracy-greedy
+the remaining half-cycles are ordered into strands along every edge they
+use, innermost first.  Strands ``2k`` and ``2k + 1`` share the ``k``-th
+unit parallel of the edge in the paper's unit-capacity reduction, so the
+pairs alone give its intersection graph; the unit map itself is never
+built.  That graph embeds on the same surface, so a degeneracy-greedy
 coloring needs at most ``chi(g)`` colors (five for the plane, with an exact
 five-coloring fallback); the largest color class is routed at value one on
 top of the banked flow.
@@ -16,16 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cmp_to_key
-from typing import Sequence
 
 from .errors import (InternalInvariantError, OracleBudgetExceeded,
                      PreconditionError)
-from .flows import DCycle, Multiflow, cycle_lp
-from .instances import Instance
+from .flows import Multiflow, cycle_lp
 from .oracle import DEFAULT_BUDGET, pack_cycles
 from .rational import QQ, ZERO, floor_rat, rat
-from .surface import EmbeddedGraph, expand_edge_lists, working_lists
 from .topology import inside_faces
 
 
@@ -91,26 +89,34 @@ def half_integralize(flow: Multiflow) -> Multiflow:
 
 @dataclass
 class UnitReduction:
-    """Banked integer parts plus the residual half-cycles on unit parallels.
+    """Banked integer parts plus the residual half-cycles in strand order.
 
-    ``unit_instance`` carries one unit-capacity parallel per two residual
-    half-cycles on each edge; ``unit_cycles[i]`` is the re-routed copy of
-    ``orig_cycles[i]``; ``orig_of`` maps every unit edge back to the edge of
-    the original instance it came from.
+    ``residual`` lists the half-cycles in support order; ``strands[e]``
+    lists the indices of those using edge ``e`` in strand order.  In the
+    unit-capacity setting strands ``2k`` and ``2k + 1`` share the ``k``-th
+    unit parallel of ``e``, so every parallel carries at most two halves.
     """
 
     banked: Multiflow
-    unit_instance: Instance = None
-    unit_cycles: list = field(default_factory=list)
-    orig_cycles: list = field(default_factory=list)
-    orig_of: dict = field(default_factory=dict)
+    residual: list
+    strands: dict = field(default_factory=dict)
+
+    def adjacency(self) -> list:
+        """Adjacency lists of the intersection graph: two half-cycles are
+        adjacent iff they share a unit parallel of some edge."""
+        adj = [set() for _ in self.residual]
+        for s in self.strands.values():
+            for i, j in zip(s[::2], s[1::2]):
+                adj[i].add(j)
+                adj[j].add(i)
+        return [sorted(a) for a in adj]
 
 
 def reduce_to_unit(flow_half: Multiflow) -> UnitReduction:
-    """Split off integer parts and move residual halves to unit parallels.
+    """Split off integer parts and pair the residual halves on each edge.
 
     Residual cycles claim strands innermost-first on each shared edge, two
-    halves per parallel, which keeps the re-routed family non-crossing.
+    halves per unit parallel, which keeps the paired family non-crossing.
     """
     inst = flow_half.instance
     g = inst.graph
@@ -125,87 +131,35 @@ def reduce_to_unit(flow_half: Multiflow) -> UnitReduction:
             banked.set(c, ip)
         if v - ip:
             residual.append(c)
-    red = UnitReduction(banked)
-    if not residual:
-        return red
-
-    insides = {c: inside_faces(g, c.darts) for c in residual}
+    red = UnitReduction(banked, residual)
+    insides = [inside_faces(g, c.darts) for c in residual]
     users: dict[int, list] = {}
-    for c in residual:
+    for i, c in enumerate(residual):
         for e in c.edge_set:
-            users.setdefault(e, []).append(c)
+            users.setdefault(e, []).append(i)
     banked_loads = banked.edge_loads()
-    for e, cs in users.items():
-        need = (len(cs) + 1) // 2
-        if need + banked_loads.get(e, ZERO) > inst.cap(e):
+    for e, ids in users.items():
+        if (len(ids) + 1) // 2 + banked_loads.get(e, ZERO) > inst.cap(e):
             raise InternalInvariantError(
                 "residual halves exceed leftover capacity",
-                witness=(e, len(cs)))
+                witness=(e, len(ids)))
 
     # strand order along each edge: cycles whose inside touches the face of
     # the traversal dart first (innermost first), then the others outermost
     # first; nesting makes each group a chain
-    def strand_order(e, cs):
-        f0 = g.face_of[2 * e]
-        side0 = [c for c in cs if f0 in insides[c]]
-        side1 = [c for c in cs if c not in set(side0)]
-        key = lambda c: (len(insides[c]), c.darts)
-        return sorted(side0, key=key) + sorted(side1, key=key, reverse=True)
-
-    edges, rotation = working_lists(g)
-    band_of: dict[int, list] = {}
-    orig_of = {e: e for e in range(len(g.edges))}
+    key = lambda i: (len(insides[i]), residual[i].darts)
     for e in sorted(users):
-        k = (len(users[e]) + 1) // 2
-        if k == 1:
-            band_of[e] = [e]
-            continue
-        ids = expand_edge_lists(edges, rotation, e, k)
-        band_of[e] = ids
-        for p in ids:
-            orig_of[p] = e
-    graph = EmbeddedGraph(len(rotation), edges, rotation)
-    kinds = tuple(inst.kinds[orig_of[e]] for e in range(len(graph.edges)))
-    unit_inst = Instance(graph, kinds, (1,) * len(graph.edges))
-
-    assign: dict[tuple, int] = {}
-    for e, cs in users.items():
-        for i, c in enumerate(strand_order(e, cs)):
-            assign[(e, c)] = band_of[e][i // 2]
-    unit_cycles = []
-    for c in residual:
-        darts = tuple(2 * assign[(d >> 1, c)] + (d & 1) for d in c.darts)
-        unit_cycles.append(DCycle.from_darts(unit_inst, darts))
-
-    red.unit_instance = unit_inst
-    red.unit_cycles = unit_cycles
-    red.orig_cycles = list(residual)
-    red.orig_of = orig_of
-    unit_flow = Multiflow(unit_inst)
-    for c in unit_cycles:
-        unit_flow.add(c, rat("1/2"))
-    unit_flow.verify_feasible()
+        f0 = g.face_of[2 * e]
+        side0 = [i for i in users[e] if f0 in insides[i]]
+        side1 = [i for i in users[e] if f0 not in insides[i]]
+        red.strands[e] = (sorted(side0, key=key)
+                          + sorted(side1, key=key, reverse=True))
     return red
 
 
 # ---------------------------------------------------------------------------
 # coloring and selection
 # ---------------------------------------------------------------------------
-
-def intersection_adjacency(cycles: Sequence[DCycle]) -> list:
-    """Adjacency lists: two cycles are adjacent iff they share an edge."""
-    adj = [set() for _ in cycles]
-    by_edge: dict[int, list] = {}
-    for i, c in enumerate(cycles):
-        for e in c.edge_set:
-            by_edge.setdefault(e, []).append(i)
-    for ids in by_edge.values():
-        for i in ids:
-            for j in ids:
-                if i != j:
-                    adj[i].add(j)
-    return [sorted(s) for s in adj]
-
 
 def degeneracy_coloring(adj: list) -> list:
     """Greedy coloring along a reverse degeneracy order."""
@@ -260,9 +214,9 @@ def color_and_select(red: UnitReduction, genus: int):
     the original instance and includes the banked integer parts.
     """
     out = Multiflow(red.banked.instance, dict(red.banked.values))
-    if not red.unit_cycles:
+    if not red.residual:
         return out, 0, []
-    adj = intersection_adjacency(red.unit_cycles)
+    adj = red.adjacency()
     color = degeneracy_coloring(adj)
     limit = color_limit(genus)
     used = max(color) + 1
@@ -284,7 +238,7 @@ def color_and_select(red: UnitReduction, genus: int):
     sizes = [len(classes[c]) for c in sorted(classes)]
     best = max(sorted(classes), key=lambda c: len(classes[c]))
     for i in classes[best]:
-        out.add(red.orig_cycles[i], 1)
+        out.add(red.residual[i], 1)
     out.verify_feasible()
     return out, used, sizes
 

@@ -8,7 +8,7 @@ import pathlib
 from functools import cmp_to_key
 
 from surfaceflow.errors import InternalInvariantError, PreconditionError
-from surfaceflow.flows import Multiflow, solve_and_decompose
+from surfaceflow.flows import DCycle, Multiflow, solve_and_decompose
 from surfaceflow.instances import Instance, generate_torus_grid, load_instance
 from surfaceflow import uncross
 from surfaceflow.rational import QQ, ZERO, rat
@@ -16,6 +16,7 @@ from surfaceflow.surface import (CutComponent, EmbeddedGraph, _band_before,
                                  _cycle_vertices, expand_edge_lists,
                                  face_components, shared_paths,
                                  split_vertex_lists, working_lists)
+from surfaceflow.topology import classify_homotopy, split_support
 from surfaceflow.uncross import SharedPath, uncross_flow
 
 GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "golden"
@@ -155,6 +156,54 @@ def edge_load(flow: Multiflow, e: int):
 def with_caps(instance: Instance, caps) -> Instance:
     """``instance`` with its capacities replaced by ``caps``."""
     return Instance(instance.graph, instance.kinds, tuple(caps))
+
+
+def nonseparating_classes(flow: Multiflow):
+    """Split ``flow``'s support and classify its non-separating cycles, as
+    the pipeline does before the non-separating rounding."""
+    _, _, nonsep, nonsep_v = split_support(flow)
+    return classify_homotopy(flow.instance.graph, nonsep, nonsep_v)
+
+
+def intersection_adjacency(cycles) -> list:
+    """Adjacency lists: two cycles are adjacent iff they share an edge."""
+    adj = [set() for _ in cycles]
+    by_edge: dict[int, list] = {}
+    for i, c in enumerate(cycles):
+        for e in c.edge_set:
+            by_edge.setdefault(e, []).append(i)
+    for ids in by_edge.values():
+        for i in ids:
+            adj[i].update(j for j in ids if j != i)
+    return [sorted(a) for a in adj]
+
+
+def reference_unit_map(red) -> tuple[Instance, list]:
+    """The unit-capacity map behind a ``round_separating.UnitReduction``.
+
+    Every edge with residual strands becomes an embedded band of one unit
+    parallel per two strands, and strands ``2k`` and ``2k + 1`` ride
+    parallel ``k``.  Returns the unit instance and the re-routed copy of
+    each residual half-cycle, in ``red.residual`` order; routing every copy
+    at value 1/2 is a feasible flow there.
+    """
+    inst = red.banked.instance
+    edges, rotation = working_lists(inst.graph)
+    orig_of = list(range(len(edges)))
+    parallel = {}
+    for e, strands in sorted(red.strands.items()):
+        ids = expand_edge_lists(edges, rotation, e, (len(strands) + 1) // 2)
+        orig_of += [e] * (len(ids) - 1)
+        for pos, i in enumerate(strands):
+            parallel[(e, i)] = ids[pos // 2]
+    graph = EmbeddedGraph(len(rotation), edges, rotation)
+    unit = Instance(graph, tuple(inst.kinds[e] for e in orig_of),
+                    (1,) * len(orig_of))
+    cycles = [DCycle.from_darts(unit, [2 * parallel[(d >> 1, i)] + (d & 1)
+                                       for d in c.darts])
+              for i, c in enumerate(red.residual)]
+    Multiflow(unit, {c: rat("1/2") for c in cycles}).verify_feasible()
+    return unit, cycles
 
 
 def multiset_value(counts: dict, quantum) -> QQ:

@@ -8,8 +8,6 @@ a full run yields one line per criterion.
 import random
 import time
 
-import pytest
-
 from conftest import is_dual_cut, multiset_value, separates
 from test_uncross import (four_crossings_fixture, three_crossings_fixture,
                           two_crossings_fixture)
@@ -22,7 +20,7 @@ from surfaceflow.instances import (generate_gap_family,
 from surfaceflow.lp import solve_lp
 from surfaceflow.oracle import (OracleBudget, enumerate_d_cycles,
                                 exact_integral_multiflow, exact_min_multicut)
-from surfaceflow.pipeline import PipelineConfig, run
+from surfaceflow.pipeline import run
 from surfaceflow.rational import ONE, ZERO, rat
 from surfaceflow.round_nonseparating import (check_cyclic_order,
                                              class_cross_adjacency,

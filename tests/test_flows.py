@@ -55,6 +55,14 @@ class TestDCycle:
         with pytest.raises(PreconditionError):
             DCycle.from_darts(inst, [0, 1, 3, 5, 9])
 
+    @pytest.mark.parametrize("darts", [[0, 2, -1], [-10, -8, -1],
+                                       [0, 2, 19]])
+    def test_rejects_darts_out_of_range(self, darts):
+        # [-10, -8, -1] chains like [0, 2, 9] under list indexing
+        inst = two_path_instance()
+        with pytest.raises(PreconditionError, match="out of range"):
+            DCycle.from_darts(inst, darts)
+
 
 class TestMultiflow:
     def test_loads_and_value(self):

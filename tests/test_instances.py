@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from surfaceflow import cli
 from surfaceflow.errors import InstanceFormatError, PreconditionError
-from surfaceflow.instances import (DEMAND, SUPPLY, Instance,
-                                   generate_gap_family,
+from surfaceflow.instances import (generate_gap_family,
                                    generate_planar_random,
                                    generate_torus_grid, parse_instance,
                                    serialize_instance)
 
-from conftest import count_maps, triangle_map
+from conftest import count_maps
 
 
 def small_instance_doc():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_canonical_darts
+from conftest import (intersection_adjacency, reference_canonical_darts,
+                      reference_unit_map)
 from surfaceflow import oracle, round_separating
 from surfaceflow.errors import (InternalInvariantError, OracleBudgetExceeded,
                                 PreconditionError, SurfaceflowError)
@@ -242,29 +243,48 @@ UNIT_SWEEP = ([(size, demands, seed) for size in (20, 40, 60)
               + [(60, 6, 11), (120, 6, 26), (20, 8, 39)])
 
 
-class TestUnitCapacitySweep:
-    def test_pipeline_checks_hold(self, monkeypatch):
-        reached = {"halves": 0, "packings": 0}
-        reduce_to_unit = round_separating.reduce_to_unit
-        pack_cycles = round_separating.pack_cycles
+@pytest.fixture(scope="module")
+def unit_sweep():
+    """Every ``UNIT_SWEEP`` run at ``verify=invariants``: the runs, the unit
+    reductions that reached residual halves, and the packing count."""
+    runs, reductions, packings = [], [], [0]
+    reduce_to_unit = round_separating.reduce_to_unit
+    pack_cycles = round_separating.pack_cycles
 
-        def counting_reduce(flow):
-            red = reduce_to_unit(flow)
-            reached["halves"] += bool(red.unit_cycles)
-            return red
+    def keeping_reduce(flow):
+        red = reduce_to_unit(flow)
+        if red.residual:
+            reductions.append(red)
+        return red
 
-        def counting_pack(*args):
-            reached["packings"] += 1
-            return pack_cycles(*args)
+    def counting_pack(*args):
+        packings[0] += 1
+        return pack_cycles(*args)
 
-        monkeypatch.setattr(round_separating, "reduce_to_unit",
-                            counting_reduce)
-        monkeypatch.setattr(round_separating, "pack_cycles", counting_pack)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(round_separating, "reduce_to_unit", keeping_reduce)
+        mp.setattr(round_separating, "pack_cycles", counting_pack)
         for size, demands, seed in UNIT_SWEEP:
             inst = generate_planar_random(size, seed=seed, n_demands=demands,
                                           cap_mode="unit")
-            out, report = run(inst, PipelineConfig(verify="invariants"))
-            assert all(c["ok"] for c in report["checks"]), (size, seed)
+            runs.append(((size, demands, seed),
+                         *run(inst, PipelineConfig(verify="invariants"))))
+    return runs, reductions, packings[0]
+
+
+class TestUnitCapacitySweep:
+    def test_pipeline_checks_hold(self, unit_sweep):
+        runs, reductions, packings = unit_sweep
+        for key, out, report in runs:
+            assert all(c["ok"] for c in report["checks"]), key
             assert out.value <= rat(report["stages"]["lp"]["value"])
-        assert reached["packings"] >= 3
-        assert reached["halves"] >= 0.15 * len(UNIT_SWEEP)
+        assert packings >= 3
+        assert len(reductions) >= 0.15 * len(UNIT_SWEEP)
+
+    def test_strand_pairs_are_the_unit_intersections(self, unit_sweep):
+        # the coloring's adjacency, read off the strand pairs, is the
+        # intersection graph of the re-routed cycles on the unit map
+        _, reductions, _ = unit_sweep
+        for red in reductions:
+            _, cycles = reference_unit_map(red)
+            assert red.adjacency() == intersection_adjacency(cycles)

@@ -21,6 +21,15 @@ GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "golden"
 GAP_N1_SOLUTION = solution_wire(run(load_instance(GOLDEN / "gap_n1.json"))[0])
 
 
+def aliased_dart_solution() -> dict:
+    """Two copies of one D-cycle of ``gap_n1`` (m = 10, optimum 1), the
+    second written with every dart minus 2m."""
+    cycle = [0, 11, 18, 14, 6]
+    return {"value": "2/1", "flow": [
+        {"cycle": cycle, "demand": 9, "value": "1/1"},
+        {"cycle": [d - 20 for d in cycle], "demand": -1, "value": "1/1"}]}
+
+
 class TestConfig:
     def test_epsilon_range(self):
         with pytest.raises(PreconditionError):
@@ -148,6 +157,13 @@ class TestVerify:
         assert not verdict["ok"]
         assert [p["kind"] for p in verdict["problems"]] == ["malformed"]
 
+    def test_aliased_darts_are_malformed(self):
+        inst = load_instance(GOLDEN / "gap_n1.json")
+        assert len(inst.graph.edges) == 10
+        verdict = verify_solution(inst, aliased_dart_solution())
+        assert not verdict["ok"]
+        assert [p["kind"] for p in verdict["problems"]] == ["malformed"]
+
     def test_overload_rejected(self):
         inst = generate_planar_random(12, seed=3)
         flow, _ = run(inst)
@@ -186,6 +202,14 @@ class TestCli:
         data["value"] = "9/1"
         sol_path.write_text(json.dumps(data))
         assert cli.main(["verify", str(inst_path), str(sol_path)]) == 3
+
+    def test_verify_rejects_aliased_darts(self, tmp_path, capsys):
+        sol_path = tmp_path / "sol.json"
+        sol_path.write_text(json.dumps(aliased_dart_solution()))
+        assert cli.main(["verify", str(GOLDEN / "gap_n1.json"),
+                         str(sol_path)]) == 3
+        verdict = json.loads(capsys.readouterr().out)
+        assert [p["kind"] for p in verdict["problems"]] == ["malformed"]
 
     def test_oracle_and_refusal_exit_codes(self, tmp_path):
         inst_path = tmp_path / "inst.json"

@@ -1,4 +1,5 @@
-"""No package module imports a private name from a sibling module.
+"""No package module imports a private name from a sibling module, or a
+name it never reads.
 
 A ``_name`` is a module's own business; another module that needs it should
 get a public name instead, so that each job keeps one entry point.
@@ -37,3 +38,34 @@ def test_no_private_cross_module_imports():
     bad = {path.name: private_imports(path.read_text(encoding="utf-8"))
            for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: found for name, found in bad.items() if found} == {}
+
+
+def unused_imports(source: str) -> list:
+    """Names a module imports but never reads; an import line marked
+    ``# noqa: F401`` is exempt."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                and "# noqa: F401" not in lines[node.end_lineno - 1]:
+            imported.extend((alias.asname or alias.name).split(".")[0]
+                            for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in read]
+
+
+def test_detects_unused_import():
+    assert unused_imports("from __future__ import annotations\n"
+                          "import os.path\n"
+                          "from math import gcd, lcm\n"
+                          "from .lp import solve_lp  # noqa: F401\n"
+                          "x: gcd = os.sep\n") == ["lcm"]
+
+
+def test_no_unused_imports():
+    unused = {path.name: unused_imports(path.read_text(encoding="utf-8"))
+              for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, found in unused.items() if found} == {}

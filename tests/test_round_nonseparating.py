@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import torus_grid_map
+from conftest import nonseparating_classes, torus_grid_map
 from surfaceflow.errors import PreconditionError
 from surfaceflow.flows import DCycle, Multiflow, solve_and_decompose
 from surfaceflow.instances import (DEMAND, SUPPLY, Instance,
@@ -206,7 +206,7 @@ class TestSelectClass:
         v = DCycle.from_darts(inst, (18, 24, 30))
         h = DCycle.from_darts(inst, (0, 2, 4))
         flow = Multiflow(inst, {v: rat(1), h: rat("1/2")})
-        out = select_class_and_round(flow)
+        out = select_class_and_round(flow, nonseparating_classes(flow))
         assert out.support() == [v]
         assert out.value == 1
 
@@ -216,7 +216,7 @@ class TestSelectClass:
         h = DCycle.from_darts(inst, (0, 2, 4))
         flow = Multiflow(inst, {v: rat("1/2"), h: rat("1/2")})
         _, _, nonsep, _ = split_support(flow)
-        out = select_class_and_round(flow)
+        out = select_class_and_round(flow, nonseparating_classes(flow))
         assert out.support() == [nonsep[0]]
 
     def test_half_guarantee_on_pipeline_flow(self):
@@ -233,8 +233,11 @@ class TestSelectClass:
     def test_no_nonseparating_cycles_rejected(self):
         inst = generate_planar_random(10, seed=0)
         flow, _ = solve_and_decompose(inst)
-        with pytest.raises(PreconditionError):
-            select_class_and_round(flow)
+        cls = nonseparating_classes(flow)
+        assert not cls.cycles
+        for rounding in (select_class_and_round, improved_g2):
+            with pytest.raises(PreconditionError, match="non-separating"):
+                rounding(flow, cls)
 
 
 class TestExtremePair:
@@ -265,7 +268,7 @@ class TestImprovedRounding:
         adj = class_cross_adjacency(
             inst.graph, [flow.support()[c[0]] for c in cls.classes])
         assert adj == [[], []]
-        out = improved_g2(flow)
+        out = improved_g2(flow, nonseparating_classes(flow))
         out.verify_feasible()
         assert out.value == 4
         assert set(out.support()) == set(cycles)
@@ -276,7 +279,7 @@ class TestImprovedRounding:
         h = DCycle.from_darts(inst, (0, 2, 4))
         assert cr(inst.graph, v.darts, h.darts) == 1
         flow = Multiflow(inst, {v: rat(1), h: rat("1/2")})
-        out = improved_g2(flow)
+        out = improved_g2(flow, nonseparating_classes(flow))
         assert out.support() == [v]
         assert out.value == 1
 
@@ -285,8 +288,8 @@ class TestImprovedRounding:
                                    cap_mode="random", seed=1)
         flow, _ = solve_and_decompose(inst)
         fbar = uncross_flow(flow, "1/2")
-        sel = select_class_and_round(fbar)
-        imp = improved_g2(fbar)
+        sel = select_class_and_round(fbar, nonseparating_classes(fbar))
+        imp = improved_g2(fbar, nonseparating_classes(fbar))
         imp.verify_feasible()
         assert imp.value >= sel.value - 2
 

@@ -16,13 +16,13 @@ from surfaceflow.rational import rat
 from surfaceflow.round_separating import (_backtrack_coloring,
                                           color_and_select,
                                           degeneracy_coloring, heawood_bound,
-                                          half_integralize,
-                                          intersection_adjacency,
-                                          reduce_to_unit, round_separating)
+                                          half_integralize, reduce_to_unit,
+                                          round_separating)
 from surfaceflow.topology import inside_faces, split_support
-from surfaceflow.uncross import cr, uncross_flow
+from surfaceflow.uncross import uncross_flow
 
-from conftest import count_maps, darts_for_route, map_from_drawing, with_caps
+from conftest import (count_maps, darts_for_route, intersection_adjacency,
+                      map_from_drawing, reference_unit_map, with_caps)
 from test_flows import two_path_instance
 
 
@@ -176,16 +176,16 @@ class TestReduceToUnit:
         f.add(DCycle.from_darts(inst, [0, 2, 9]), rat("5/2"))
         red = reduce_to_unit(f)
         assert red.banked.value == 2
-        assert len(red.unit_cycles) == 1
-        assert red.unit_instance.caps == (1,) * len(
-            red.unit_instance.graph.edges)
+        assert len(red.residual) == 1
+        unit, _ = reference_unit_map(red)
+        assert unit.caps == (1,) * len(unit.graph.edges)
 
     def test_all_integral_gives_empty_residual(self):
         inst = two_path_instance()
         f = Multiflow(inst)
         f.add(DCycle.from_darts(inst, [0, 2, 9]), 1)
         red = reduce_to_unit(f)
-        assert red.banked.value == 1 and not red.unit_cycles
+        assert red.banked.value == 1 and not red.residual
 
     def test_shared_edge_pairs_on_one_parallel(self):
         inst = two_path_instance()
@@ -194,10 +194,11 @@ class TestReduceToUnit:
         f.add(DCycle.from_darts(inst, [7, 5, 9]), half(1))
         red = reduce_to_unit(f)
         # the demand edge is shared by two halves: one parallel, no expansion
-        assert len(red.unit_instance.graph.edges) == len(inst.graph.edges)
-        shared = set(red.unit_cycles[0].edge_set) & set(
-            red.unit_cycles[1].edge_set)
-        assert len(shared) == 1
+        assert red.strands[4] in ([0, 1], [1, 0])
+        assert red.adjacency() == [[1], [0]]
+        unit, cycles = reference_unit_map(red)
+        assert len(unit.graph.edges) == len(inst.graph.edges)
+        assert len(cycles[0].edge_set & cycles[1].edge_set) == 1
 
     def test_expansion_builds_one_map(self, monkeypatch):
         # three s-t routes closed by one demand edge of capacity 2: three
@@ -214,11 +215,38 @@ class TestReduceToUnit:
             f.add(DCycle.from_darts(inst, darts), half(1))
         built = count_maps(monkeypatch)
         red = reduce_to_unit(f)
+        assert built[0] == 0  # the pairing needs no unit map
+        assert len(red.strands[6]) == 3
+        unit, cycles = reference_unit_map(red)
         assert built[0] == 1
-        unit = red.unit_instance.graph
-        assert len(unit.edges) == len(graph.edges) + 1
-        assert unit.genus == 0
-        assert len({c.edge_set & {6, 7} for c in red.unit_cycles}) == 2
+        assert len(unit.graph.edges) == len(graph.edges) + 1
+        assert unit.graph.genus == 0
+        assert len({c.edge_set & {6, 7} for c in cycles}) == 2
+        assert red.adjacency() == intersection_adjacency(cycles)
+
+    def test_neighbouring_strands_share_a_parallel(self):
+        # four s-t routes above a demand edge of capacity 2 drawn below
+        # them: the top two and the bottom two pair up, not the first two
+        # in support order
+        mids = {"a": (1, 2), "b": (1, -1), "c": (1, 1), "d": (1, -2)}
+        spec = [pair for mid in mids for pair in (("s", mid), (mid, "t"))]
+        graph, lookup = map_from_drawing(
+            {"s": (0, 0), "t": (2, 0), **mids},
+            spec + [("s", "t", 270, 270)])
+        assert graph.genus == 0
+        inst = Instance(graph, (SUPPLY,) * 8 + (DEMAND,), (1,) * 8 + (2,))
+        f = Multiflow(inst)
+        for mid in mids:
+            darts = darts_for_route(graph, lookup, ["s", mid, "t"])
+            f.add(DCycle.from_darts(inst, darts), half(1))
+        red = reduce_to_unit(f)
+        name = {i: mid for i, c in enumerate(red.residual) for mid in mids
+                if lookup["edge"][("s", mid)] in c.edge_set}
+        pairs = {frozenset((name[i], name[j]))
+                 for i, adj in enumerate(red.adjacency()) for j in adj}
+        assert pairs == {frozenset("ac"), frozenset("bd")}
+        _, cycles = reference_unit_map(red)
+        assert red.adjacency() == intersection_adjacency(cycles)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_flows_separating_and_genus_preserved(self, seed):
@@ -228,11 +256,12 @@ class TestReduceToUnit:
         sep, _, _, _ = split_support(flow)
         fhalf = half_integralize(flow.restrict(sep))
         red = reduce_to_unit(fhalf)
-        if not red.unit_cycles:
+        if not red.residual:
             return
-        g2 = red.unit_instance.graph
+        unit, cycles = reference_unit_map(red)
+        g2 = unit.graph
         assert g2.genus == flow.instance.graph.genus
-        insides = [inside_faces(g2, c.darts) for c in red.unit_cycles]
+        insides = [inside_faces(g2, c.darts) for c in cycles]
         for i, a in enumerate(insides):
             for b in insides[i + 1:]:
                 assert a <= b or b <= a or not (a & b)
@@ -247,10 +276,10 @@ class TestReduceToUnit:
         sep, _, _, _ = split_support(flow)
         fhalf = half_integralize(flow.restrict(sep))
         red = reduce_to_unit(fhalf)
-        if len(red.unit_cycles) < 3:
+        if len(red.residual) < 3:
             return
-        g2 = red.unit_instance.graph
-        ins = [inside_faces(g2, c.darts) for c in red.unit_cycles]
+        unit, cycles = reference_unit_map(red)
+        ins = [inside_faces(unit.graph, c.darts) for c in cycles]
         n = len(ins)
         for a in range(n):
             for b in range(n):
@@ -258,8 +287,8 @@ class TestReduceToUnit:
                     if len({a, b, cc}) < 3:
                         continue
                     if ins[a] < ins[cc] and not (ins[b] < ins[cc]):
-                        assert not (red.unit_cycles[a].edge_set
-                                    & red.unit_cycles[b].edge_set)
+                        assert not (cycles[a].edge_set
+                                    & cycles[b].edge_set)
 
 
 def icosahedron() -> list:
@@ -298,7 +327,7 @@ class TestColoring:
         run(generate_planar_random(60, seed=24, n_demands=10,
                                    cap_mode="unit"))
         (red,) = got
-        assert len(red.unit_cycles) == 12
+        assert len(red.residual) == 12
         monkeypatch.setattr(round_separating_module, "degeneracy_coloring",
                             lambda adj: list(range(len(adj))))
         out, used, sizes = color_and_select(red, genus=0)

@@ -6,11 +6,10 @@ from surfaceflow.surface import (EmbeddedGraph, add_chord_lists, cut_along,
                                  disjointify, expand_edge_lists,
                                  split_vertex_lists)
 
-from conftest import (TORUS_SUPPORTS, canonical_form, darts_for_route,
-                      dual, is_disk, map_from_drawing, maps_isomorphic,
-                      planar_grid_map, reference_disjointify, surgery_step,
-                      torus_bouquet, torus_grid_map, torus_support,
-                      triangle_map)
+from conftest import (TORUS_SUPPORTS, canonical_form, dual, is_disk,
+                      maps_isomorphic, planar_grid_map, reference_disjointify,
+                      surgery_step, torus_bouquet, torus_grid_map,
+                      torus_support, triangle_map)
 from surfaceflow.topology import classify_homotopy, split_support
 
 
