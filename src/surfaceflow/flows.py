@@ -22,6 +22,7 @@ from .errors import InternalInvariantError, PreconditionError
 from .instances import Instance, is_int
 from .lp import LPResult, solve_lp
 from .rational import QQ, ZERO, numerators_over, rat, rat_str
+from .surface import cycle_vertices
 
 
 def canonical_darts(darts: Sequence[int]) -> tuple:
@@ -49,21 +50,9 @@ class DCycle:
 
     @staticmethod
     def from_darts(instance: Instance, darts: Sequence[int]) -> "DCycle":
-        g = instance.graph
+        """A simple cycle (``surface.cycle_vertices``) through one demand."""
         darts = tuple(int(d) for d in darts)
-        if not darts:
-            raise PreconditionError("empty cycle")
-        if min(darts) < 0 or max(darts) >= 2 * len(g.edges):
-            # a negative dart would alias dart d + 2m through list indexing
-            raise PreconditionError("dart out of range 0..%d: %r"
-                                    % (2 * len(g.edges) - 1, darts))
-        verts = []
-        for i, d in enumerate(darts):
-            if g.tail(d) != g.head(darts[(i + 1) % len(darts)]):
-                raise PreconditionError("darts do not chain into a cycle")
-            verts.append(g.head(d))
-        if len(set(verts)) != len(verts):
-            raise PreconditionError("cycle revisits a vertex")
+        cycle_vertices(instance.graph, darts)
         demands = [d >> 1 for d in darts if instance.is_demand(d >> 1)]
         if len(demands) != 1:
             raise PreconditionError(
@@ -351,8 +340,6 @@ def _shortest_positive_path(instance: Instance, nets: dict, s: int, t: int):
         adj.setdefault(a, []).append(dart)
     for lst in adj.values():
         lst.sort()
-    if s == t:
-        return ()
     parent = {s: None}
     frontier = [s]
     while frontier:

@@ -42,7 +42,8 @@ class Instance:
     """An embedded multiflow instance.
 
     ``graph`` is the map of supply and demand edges together; ``kinds`` and
-    ``caps`` are indexed by edge id.  Capacities are positive integers.
+    ``caps`` are indexed by edge id.  Capacities are positive integers, and
+    no demand edge is a loop.
     """
 
     graph: EmbeddedGraph
@@ -63,6 +64,10 @@ class Instance:
             if self.caps[e] < 1:
                 raise InstanceFormatError(
                     "capacity", "edge %d has non-positive capacity" % e)
+            u, v = self.graph.edges[e]
+            if self.kinds[e] == DEMAND and u == v:
+                raise InstanceFormatError(
+                    "schema", "demand edge %d is a loop" % e)
 
     @property
     def demand_edges(self) -> tuple:

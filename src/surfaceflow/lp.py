@@ -349,10 +349,7 @@ def _snap(values, denom):
 
 
 def _float_then_snap(c, A_ub, b_ub, A_eq, b_eq):
-    try:
-        got = _simplex_float(c, A_ub, b_ub, A_eq, b_eq)
-    except FloatingPointError:  # pragma: no cover
-        return None
+    got = _simplex_float(c, A_ub, b_ub, A_eq, b_eq)
     if got is None:
         return None
     xf, yubf, yeqf = got

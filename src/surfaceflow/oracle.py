@@ -64,7 +64,8 @@ def enumerate_d_cycles(instance: Instance,
 
     For each demand edge, simple supply paths between its endpoints are
     enumerated by depth-first search with a visited-vertex set; each path
-    closes to a D-cycle through the demand dart.  Such a cycle is simple,
+    closes to a D-cycle through the demand dart.  A demand edge has two
+    distinct ends (``Instance`` refuses loops), so such a cycle is simple,
     chained and has exactly one demand dart, and every simple path is
     listed once, so the cycles are built without revalidation.
     """
@@ -96,9 +97,6 @@ def enumerate_d_cycles(instance: Instance,
                         % budget.max_nodes)
                 w = tail[d]
                 if w == s:
-                    if s == t:
-                        # a demand loop: from_darts says why it is refused
-                        DCycle.from_darts(instance, (dd, *path, d))
                     found.append(DCycle(canonical_darts((dd, *path, d)),
                                         d_edge))
                     if len(found) > budget.max_cycles:

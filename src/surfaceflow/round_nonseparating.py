@@ -1,12 +1,16 @@
 """Rounding the non-separating part of a multiflow to an integral one.
 
 The non-separating cycles in an uncrossed support fall into free homotopy
-classes of pairwise non-crossing cycles.  Each class admits a cyclic order:
-cutting the surface along a vertex-disjoint re-routing of the class leaves
-components whose incidence graph with the cycles is a single cycle, and any
-edge shared by two class members is shared by a whole arc between them.  On
-a cyclically ordered family the greatest-feasible-integer greedy keeps at
-least half of the fractional value.
+classes of pairwise non-crossing cycles.  Cutting the surface along a
+vertex-disjoint re-routing of a class, ``cut_along(*disjointify(graph,
+darts))``, is read once per class: the components and the cycles form an
+incidence graph that is a single cycle, which gives the class's cyclic
+order (``cyclic_order``), and at most one component has negative Euler
+characteristic, whose boundary gives the class's two extreme cycles
+(``extreme_pair``).  Both answer with indices into the class.  Any edge
+shared by two class members is shared by a whole arc between them, and on
+such a cyclically ordered family the greatest-feasible-integer ``greedy``
+keeps at least half of the fractional value.
 
 The refined rounding colors the class cross-graph (classes adjacent when
 their representatives cross), keeps the heaviest color class, and isolates
@@ -17,7 +21,6 @@ units per class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InternalInvariantError, PreconditionError
@@ -25,19 +28,9 @@ from .flows import DCycle, Multiflow
 from .instances import Instance
 from .rational import ZERO, floor_rat
 from .round_separating import degeneracy_coloring
-from .surface import cut_along, disjointify
+from .surface import CutComplex, cut_along, disjointify
 from .topology import HomotopyClassification
 from .uncross import cr
-
-
-def _darts(cycle) -> tuple:
-    return cycle.darts if hasattr(cycle, "darts") else tuple(cycle)
-
-
-def _edges(cycle) -> frozenset:
-    if hasattr(cycle, "edge_set"):
-        return cycle.edge_set
-    return frozenset(d >> 1 for d in cycle)
 
 
 def _is_cyclic_arc(positions: set, k: int) -> bool:
@@ -57,35 +50,19 @@ def check_cyclic_order(edge_sets: Sequence) -> bool:
     return all(_is_cyclic_arc(s, k) for s in by_edge.values())
 
 
-@dataclass(frozen=True)
-class CyclicOrder:
-    """A homotopy class arranged so shared edges span contiguous arcs."""
+def cyclic_order(complex_: CutComplex) -> list:
+    """Cyclic order of a class, read off the surface cut along it.
 
-    cycles: tuple
-
-    def __post_init__(self):
-        if not check_cyclic_order([_edges(c) for c in self.cycles]):
-            raise InternalInvariantError(
-                "sequence is not cyclically ordered",
-                witness=tuple(_darts(c) for c in self.cycles))
-
-
-def cyclic_order(cycles: Sequence[DCycle], instance: Instance) -> CyclicOrder:
-    """Cyclically order a class of freely homotopic non-separating cycles.
-
-    The cycles are re-routed to vertex-disjoint copies; the components of
-    the surface cut along the copies, together with the copies, form a
-    bipartite incidence graph which must be a single cycle.  The order of
-    the cycles along it is returned (up to rotation/reflection); the walk
+    The components of the cut surface, together with the cut cycles, form a
+    bipartite incidence graph which must be a single cycle.  The cycle
+    indices along it are returned (up to rotation/reflection); the walk
     starts at cycle 0 towards the smaller-numbered of its two components,
-    the one holding the smaller face.
+    the one holding the smaller face.  Two cycles or fewer are returned as
+    they are.
     """
-    cycles = list(cycles)
-    k = len(cycles)
+    k = len(complex_.side_component) // 2
     if k <= 2:
-        return CyclicOrder(tuple(cycles))
-    q, qcycles = disjointify(instance.graph, [_darts(c) for c in cycles])
-    complex_ = cut_along(q, qcycles)
+        return list(range(k))
     cycle_inc = [{complex_.side_component[(i, side)] for side in (0, 1)}
                  for i in range(k)]
     comp_inc = [comp.boundary_cycles for comp in complex_.components]
@@ -114,10 +91,10 @@ def cyclic_order(cycles: Sequence[DCycle], instance: Instance) -> CyclicOrder:
     if len(order) != k:
         raise InternalInvariantError(
             "incidence graph is disconnected", witness=order)
-    return CyclicOrder(tuple(cycles[i] for i in order))
+    return order
 
 
-def greedy_values(edge_sets: Sequence, caps: dict) -> list:
+def greedy_values(edge_sets: Sequence, caps) -> list:
     """Greatest-feasible-integer greedy over abstract cycle edge sets."""
     load: dict[int, object] = {}
     out = []
@@ -131,29 +108,21 @@ def greedy_values(edge_sets: Sequence, caps: dict) -> list:
     return out
 
 
-def greedy(order, flow: Multiflow, caps: dict | None = None,
-           fractional_bound=None) -> Multiflow:
+def greedy(cycles: Sequence[DCycle], instance: Instance, caps,
+           fractional_bound) -> Multiflow:
     """Route each cycle in turn at the greatest feasible integer value.
 
-    With default capacities the result is checked to carry at least half of
-    ``flow``'s value on the ordered family; with reduced capacities the
-    caller supplies the fractional value the bound is checked against.
+    ``cycles`` must be cyclically ordered and ``caps[e]`` bounds edge ``e``;
+    the result is checked to carry at least half of ``fractional_bound``.
     """
-    cycles = order.cycles if isinstance(order, CyclicOrder) else tuple(order)
-    if not check_cyclic_order([_edges(c) for c in cycles]):
+    edge_sets = [c.edge_set for c in cycles]
+    if not check_cyclic_order(edge_sets):
         raise PreconditionError("input sequence is not cyclically ordered")
-    inst = flow.instance
-    if caps is None:
-        caps = dict(enumerate(inst.caps))
-        if fractional_bound is None:
-            fractional_bound = sum(
-                (flow.values.get(c, ZERO) for c in cycles), ZERO)
-    vals = greedy_values([_edges(c) for c in cycles], caps)
-    out = Multiflow(inst)
-    for c, x in zip(cycles, vals):
+    out = Multiflow(instance)
+    for c, x in zip(cycles, greedy_values(edge_sets, caps)):
         if x:
             out.add(c, x)
-    if fractional_bound is not None and 2 * out.value < fractional_bound:
+    if 2 * out.value < fractional_bound:
         raise InternalInvariantError(
             "greedy lost more than half of the fractional value",
             witness=(out.value, fractional_bound))
@@ -178,25 +147,25 @@ def select_class_and_round(flow: Multiflow,
     member index), so the first one is the argmax; the flow on every other
     cycle is dropped.
     """
+    inst = flow.instance
     nonsep = _nonseparating_cycles(classification)
     best = [nonsep[i] for i in classification.classes[0]]
-    return greedy(cyclic_order(best, flow.instance), flow)
+    if len(best) > 2:  # two cycles are in cyclic order uncut
+        cut = cut_along(*disjointify(inst.graph, [c.darts for c in best]))
+        best = [best[i] for i in cyclic_order(cut)]
+    return greedy(best, inst, inst.caps, classification.totals[0])
 
 
-def extreme_pair(instance: Instance, cls_cycles: Sequence[DCycle]):
-    """The two cycles bounding the class's sole positive-genus component.
+def extreme_pair(complex_: CutComplex):
+    """The two cycles bounding the sole positive-genus cut component.
 
-    Cutting along a vertex-disjoint re-routing of the class leaves annuli
-    plus at most one component of negative Euler characteristic; any cycle
-    of another non-crossing class sharing an edge with this class shares
-    one with that component's boundary.  Returns ``None`` when every
-    component is an annulus (the class wraps the whole surface).
+    ``complex_`` is the surface cut along a class of two or more cycles.
+    It has annuli plus at most one component of negative Euler
+    characteristic; any cycle of another non-crossing class sharing an edge
+    with the class shares one with that component's boundary.  Returns the
+    two boundary cycle indices, equal when one cycle bounds it, or ``None``
+    when every component is an annulus (the class wraps the whole surface).
     """
-    if len(cls_cycles) == 1:
-        return (cls_cycles[0], cls_cycles[0])
-    q, qcycles = disjointify(instance.graph,
-                             [_darts(c) for c in cls_cycles])
-    complex_ = cut_along(q, qcycles)
     big = [comp for comp in complex_.components if comp.chi < 0]
     if not big:
         return None
@@ -209,9 +178,7 @@ def extreme_pair(instance: Instance, cls_cycles: Sequence[DCycle]):
         raise InternalInvariantError(
             "positive-genus component bounded by more than two cycles",
             witness=idx)
-    if len(idx) == 1:
-        return (cls_cycles[idx[0]], cls_cycles[idx[0]])
-    return (cls_cycles[idx[0]], cls_cycles[idx[1]])
+    return (idx[0], idx[-1])
 
 
 def class_cross_adjacency(graph, representatives: Sequence[DCycle]) -> list:
@@ -232,12 +199,14 @@ def improved_g2(flow: Multiflow,
 
     ``classification`` classifies the non-separating cycles of ``flow``'s
     support.  The class cross-graph is greedily colored; the color class
-    with the largest total value is kept.  Within it, every extreme-cycle
-    edge a class shares with another kept class is capped at the floor of
-    this class's own load, which decouples the classes at a cost of at most
-    two units each; the greedy rounding then runs per class and the results
-    are summed.  Edges no other kept class uses keep their capacity: any
-    edge shared between two kept classes lies on extreme cycles of both, so
+    with the largest total value is kept.  Each kept class of two or more
+    cycles is cut along once, for its cyclic order and its extreme pair; a
+    single cycle is its own extreme pair.  Every extreme-cycle edge a class
+    shares with another kept class is capped at the floor of this class's
+    own load, which decouples the classes at a cost of at most two units
+    each; the greedy rounding then runs per class and the results are
+    summed.  Edges no other kept class uses keep their capacity: any edge
+    shared between two kept classes lies on extreme cycles of both, so
     per-class floors already sum to at most the original capacity.
     """
     inst = flow.instance
@@ -256,10 +225,14 @@ def improved_g2(flow: Multiflow,
         {e for j in classes[i] for e in nonsep[j].edge_set} for i in kept]
     for pos, i in enumerate(kept):
         cls_cycles = [nonsep[j] for j in classes[i]]
-        caps = dict(enumerate(inst.caps))
+        caps = list(inst.caps)
         others = set().union(*(kept_edges[p] for p in range(len(kept))
                                if p != pos)) if len(kept) > 1 else set()
-        pair = extreme_pair(inst, cls_cycles)
+        cut, pair = None, (0, 0)
+        if len(cls_cycles) > 1:
+            cut = cut_along(*disjointify(inst.graph,
+                                         [c.darts for c in cls_cycles]))
+            pair = extreme_pair(cut)
         if pair is None:
             # the class fills the surface; no other class may touch it
             if kept_edges[pos] & others:
@@ -269,12 +242,13 @@ def improved_g2(flow: Multiflow,
         else:
             loads = Multiflow(
                 inst, {c: flow.values[c] for c in cls_cycles}).edge_loads()
-            for c in {pair[0], pair[1]}:
-                for e in c.edge_set & others:
+            for j in set(pair):
+                for e in cls_cycles[j].edge_set & others:
                     caps[e] = min(caps[e], floor_rat(loads.get(e, ZERO)))
+        order = [0] if cut is None else cyclic_order(cut)
         bound = classification.totals[i] - 2
-        part = greedy(cyclic_order(cls_cycles, inst), flow, caps=caps,
-                      fractional_bound=max(bound, ZERO))
+        part = greedy([cls_cycles[j] for j in order], inst, caps,
+                      max(bound, ZERO))
         for c, v in part.values.items():
             out.add(c, v)
     out.verify_feasible()

@@ -236,17 +236,26 @@ def face_components(graph: EmbeddedGraph, removed_edges) -> list[int]:
             for f in range(len(graph.faces))]
 
 
-def _cycle_vertices(graph: EmbeddedGraph, darts: Sequence[Dart]) -> list[int]:
-    verts = []
+def cycle_vertices(graph: EmbeddedGraph, darts: Sequence[Dart]) -> list[int]:
+    """The vertices of a simple cycle given as darts, in order.
+
+    Raises :class:`PreconditionError` unless the darts lie in ``0..2m-1``
+    and chain into a closed walk that visits no vertex twice.
+    """
     k = len(darts)
     if k == 0:
         raise PreconditionError("empty cycle")
+    if min(darts) < 0 or max(darts) >= 2 * len(graph.edges):
+        # a negative dart would alias dart d + 2m through list indexing
+        raise PreconditionError("dart out of range 0..%d: %r"
+                                % (2 * len(graph.edges) - 1, tuple(darts)))
+    verts = []
     for i, d in enumerate(darts):
         if graph.tail(d) != graph.head(darts[(i + 1) % k]):
-            raise PreconditionError("darts do not form a closed walk")
+            raise PreconditionError("darts do not chain into a cycle")
         verts.append(graph.head(d))
     if len(set(verts)) != len(verts):
-        raise PreconditionError("cycle is not simple")
+        raise PreconditionError("cycle revisits a vertex")
     return verts
 
 
@@ -265,7 +274,7 @@ def cut_along(graph: EmbeddedGraph,
     all_verts: set[int] = set()
     cycle_edges: set[int] = set()
     for darts in cycles:
-        vs = _cycle_vertices(graph, darts)
+        vs = cycle_vertices(graph, darts)
         if all_verts & set(vs):
             raise PreconditionError("cycles are not vertex-disjoint")
         all_verts.update(vs)
@@ -555,7 +564,7 @@ def disjointify(graph: EmbeddedGraph,
     """
     cycles = [list(c) for c in cycles]
     for c in cycles:
-        _cycle_vertices(graph, c)
+        cycle_vertices(graph, c)
     edge_sets = [set(d >> 1 for d in c) for c in cycles]
 
     # Step 1: expand shared edges, assigning one parallel per cycle.

@@ -9,13 +9,16 @@ cycles this way, and on the plane every class is 0.
 The two sides of a separating cycle are the two dual components left by
 removing its edges (``surface.face_components``); ``inside_faces`` is the
 side without the fixed outer face, and non-crossing separating cycles give a
-laminar family of insides.  Non-separating, non-crossing cycles are tested
-for free homotopy by the annulus criterion: after re-routing the pair onto
-vertex-disjoint curves, the two are freely homotopic exactly when they
-cobound an annulus component of the cut surface (``surface.cut_along``).
-Freely homotopic cycles are homologous, so ``classify_homotopy`` runs the
-annulus test only on pairs inside one homology class.  Crossings are
-counted by ``uncross.cr``.
+laminar family of insides (``laminar_family`` checks it).  Non-separating,
+non-crossing cycles are tested for free homotopy by the annulus criterion:
+after re-routing the pair onto vertex-disjoint curves, the two are freely
+homotopic exactly when they cobound an annulus component of the cut surface
+(``surface.cut_along``).  Freely homotopic cycles are homologous, so
+``classify_homotopy`` runs the annulus test only on pairs inside one
+homology class.  Crossings are counted by ``uncross.cr``.
+
+The predicates take dart sequences; ``classify_homotopy`` takes the
+``DCycle``s of a support and returns them with their classes.
 """
 
 from __future__ import annotations
@@ -52,23 +55,18 @@ def inside_faces(graph: EmbeddedGraph, darts: Sequence[int]) -> frozenset:
 def laminar_family(graph: EmbeddedGraph, cycles: Sequence) -> tuple:
     """Face sets ``inside(C)`` for non-crossing separating cycles.
 
-    Returns ``(insides, below)`` where ``insides[i]`` is the face set of
-    cycle ``i`` and ``below[i]`` lists the indices of cycles strictly nested
-    inside cycle ``i``.  Raises an internal error if the family is not
-    laminar, which would indicate an uncrossing bug upstream.
+    Returns ``insides``, where ``insides[i]`` is the face set of cycle
+    ``i``.  Raises an internal error if the family is not laminar, which
+    would indicate an uncrossing bug upstream.
     """
-    insides = [inside_faces(graph, c) for c in cycles]
-    below = [[] for _ in cycles]
+    insides = tuple(inside_faces(graph, c) for c in cycles)
     for i, a in enumerate(insides):
-        for j, b in enumerate(insides):
-            if i == j:
-                continue
+        for j in range(i + 1, len(insides)):
+            b = insides[j]
             if not (a <= b or b <= a or not (a & b)):
                 raise InternalInvariantError(
                     "separating cycles are not laminar", witness=(i, j))
-            if a < b or (a == b and i < j):
-                below[j].append(i)
-    return tuple(insides), tuple(tuple(b) for b in below)
+    return insides
 
 
 def freely_homotopic(graph: EmbeddedGraph, darts1: Sequence[int],
@@ -179,7 +177,7 @@ def classify_homotopy(graph: EmbeddedGraph, cycles: Sequence[DCycle],
     Only pairs with equal Z2-homology classes can be freely homotopic, so
     the annulus test runs inside each homology class only.
     """
-    darts = [c.darts if hasattr(c, "darts") else tuple(c) for c in cycles]
+    darts = [c.darts for c in cycles]
     n = len(cycles)
     parent = list(range(n))
 

@@ -13,7 +13,7 @@ from surfaceflow.instances import Instance, generate_torus_grid, load_instance
 from surfaceflow import uncross
 from surfaceflow.rational import QQ, ZERO, rat
 from surfaceflow.surface import (CutComponent, EmbeddedGraph, _band_before,
-                                 _cycle_vertices, expand_edge_lists,
+                                 cycle_vertices, expand_edge_lists,
                                  face_components, shared_paths,
                                  split_vertex_lists, working_lists)
 from surfaceflow.topology import classify_homotopy, split_support
@@ -558,7 +558,7 @@ def reference_disjointify(graph: EmbeddedGraph, cycles):
     validated after every step."""
     cycles = [list(c) for c in cycles]
     for c in cycles:
-        _cycle_vertices(graph, c)
+        cycle_vertices(graph, c)
     sharers: dict[int, list[int]] = {}
     for i, c in enumerate(cycles):
         for e in {d >> 1 for d in c}:

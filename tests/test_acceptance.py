@@ -29,6 +29,7 @@ from surfaceflow.round_nonseparating import (check_cyclic_order,
                                              select_class_and_round)
 from surfaceflow.round_separating import (color_limit, degeneracy_coloring,
                                           heawood_bound, round_separating)
+from surfaceflow.surface import cut_along, disjointify
 from surfaceflow.topology import (classify_homotopy, freely_homotopic,
                                   split_support)
 from surfaceflow.uncross import (cr, crossings, discretize, uncross_all,
@@ -178,8 +179,8 @@ class TestAcceptance:
                            for e in cols],
                           [caps[e] for e in cols])
             ok &= 2 * sum(greedy_values(sets, caps)) >= lp.value
-        # emitted cyclic orders satisfy the arc property (checked in the
-        # constructor, re-checked here) and the incidence graph is a cycle
+        # emitted cyclic orders satisfy the arc property (greedy checks it
+        # again) and the incidence graph is a cycle
         orders = 0
         for inst in random_suite():
             flow, _ = solve_and_decompose(inst)
@@ -189,8 +190,10 @@ class TestAcceptance:
                 continue
             cls = classify_homotopy(inst.graph, nonsep, nonsep_v)
             for members in cls.classes:
-                order = cyclic_order([nonsep[i] for i in members], inst)
-                ok &= check_cyclic_order([c.edge_set for c in order.cycles])
+                cycles = [nonsep[i] for i in members]
+                order = cyclic_order(cut_along(*disjointify(
+                    inst.graph, [c.darts for c in cycles])))
+                ok &= check_cyclic_order([cycles[i].edge_set for i in order])
                 orders += 1
         _verdict(capsys, "5 cyclic order and greedy half", ok,
                  "%d emitted orders" % orders)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from conftest import (intersection_adjacency, reference_canonical_darts,
                       reference_unit_map)
 from surfaceflow import oracle, round_separating
-from surfaceflow.errors import (InternalInvariantError, OracleBudgetExceeded,
-                                PreconditionError, SurfaceflowError)
+from surfaceflow.errors import (InstanceFormatError, InternalInvariantError,
+                                OracleBudgetExceeded, SurfaceflowError)
 from surfaceflow.flows import DCycle, canonical_darts, solve_fractional
 from surfaceflow.instances import (DEMAND, SUPPLY, Instance,
                                    generate_gap_family,
@@ -98,9 +98,8 @@ class TestEnumeration:
         edges = [(0, 1), (1, 0), (0, 0)]
         rotation = [[0, 3, 4, 5], [1, 2]]
         graph = EmbeddedGraph(2, edges, rotation)
-        inst = Instance(graph, (SUPPLY, SUPPLY, DEMAND), (1, 1, 1))
-        with pytest.raises(PreconditionError):
-            enumerate_d_cycles(inst)
+        with pytest.raises(InstanceFormatError, match="is a loop"):
+            Instance(graph, (SUPPLY, SUPPLY, DEMAND), (1, 1, 1))
 
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_cycles_are_validated_cycles(self, name):

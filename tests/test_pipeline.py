@@ -264,6 +264,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["solve", "verify", "oracle"])
+    def test_demand_loop_is_one_line_exit_2(self, tmp_path, capsys, command):
+        # the loop's one-dart "cycle" uses no supply edge, so it is no flow
+        inst_path = tmp_path / "loop.json"
+        inst_path.write_text(json.dumps({
+            "vertices": 2, "rotation": [[0, 3, 4, 5], [1, 2]], "edges": [
+                {"id": 0, "u": 0, "v": 1, "kind": "supply", "cap": 1},
+                {"id": 1, "u": 1, "v": 0, "kind": "supply", "cap": 1},
+                {"id": 2, "u": 0, "v": 0, "kind": "demand", "cap": 1}]}))
+        sol_path = tmp_path / "sol.json"
+        sol_path.write_text(json.dumps({"value": "1/1", "flow": [
+            {"cycle": [4], "demand": 2, "value": "1/1"}]}))
+        argv = [command, str(inst_path)]
+        if command == "verify":
+            argv.append(str(sol_path))
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: demand edge 2 is a loop\n"
+
 
 class TestVerifyFuzz:
     @settings(max_examples=40, deadline=None, database=None,

@@ -1,5 +1,5 @@
 """No package module imports a private name from a sibling module, or a
-name it never reads.
+name it never reads, or asks an object what attributes it has.
 
 A ``_name`` is a module's own business; another module that needs it should
 get a public name instead, so that each job keeps one entry point.
@@ -69,3 +69,25 @@ def test_no_unused_imports():
     unused = {path.name: unused_imports(path.read_text(encoding="utf-8"))
               for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: found for name, found in unused.items() if found} == {}
+
+
+def hasattr_calls(source: str) -> list:
+    """Line numbers of the ``hasattr`` calls in a module."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == "hasattr"]
+
+
+def test_detects_hasattr():
+    assert hasattr_calls("x = 1\n"
+                         "if hasattr(x, 'darts'):\n"
+                         "    y = [hasattr(z, 'edge_set') for z in x]\n"
+                         "attr = getattr(x, 'darts', None)\n") == [2, 3]
+
+
+def test_no_hasattr():
+    """Every cycle the package handles is a ``DCycle``; duck-typed inputs
+    stay in the tests."""
+    found = {path.name: hasattr_calls(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -1,22 +1,28 @@
+import hashlib
+import json
 import random
 
 import pytest
 
 from conftest import nonseparating_classes, torus_grid_map
+from surfaceflow import round_nonseparating
 from surfaceflow.errors import PreconditionError
 from surfaceflow.flows import DCycle, Multiflow, solve_and_decompose
 from surfaceflow.instances import (DEMAND, SUPPLY, Instance,
                                    generate_planar_random,
                                    generate_torus_grid)
 from surfaceflow.lp import solve_lp
+from surfaceflow.pipeline import (PipelineConfig, render_report, run,
+                                  solution_wire)
 from surfaceflow.rational import ZERO, rat
-from surfaceflow.round_nonseparating import (CyclicOrder, check_cyclic_order,
+from surfaceflow.round_nonseparating import (check_cyclic_order,
                                              class_cross_adjacency,
                                              cyclic_order, extreme_pair,
                                              greedy, greedy_values,
                                              improved_g2,
                                              select_class_and_round)
-from surfaceflow.surface import EmbeddedGraph
+from surfaceflow.round_separating import degeneracy_coloring
+from surfaceflow.surface import EmbeddedGraph, cut_along, disjointify
 from surfaceflow.topology import (classify_homotopy, freely_homotopic,
                                   split_support)
 from surfaceflow.uncross import cr, uncross_flow
@@ -35,9 +41,27 @@ def grid_cycle(graph, route):
                  for i in range(len(route)))
 
 
-def all_supply(graph):
-    return Instance(graph, tuple([SUPPLY] * len(graph.edges)),
-                    tuple([1] * len(graph.edges)))
+def cut_class(graph, cycles):
+    """The surface cut along a vertex-disjoint re-routing of dart tuples."""
+    return cut_along(*disjointify(graph, cycles))
+
+
+def stacked_family():
+    """Four freely homotopic D-cycles of the 4x4 torus grid, in cyclic order.
+
+    ``a`` and ``d`` are the meridians of columns 0 and 2; ``b`` and ``c``
+    leave column 0 at row 2 for columns 1 and 2.  Edges 0-4 and 4-8 carry
+    ``a, b, c``, edges 8-9 and 1-0 carry ``b, c``, edges 10-14 and 14-2
+    carry ``c, d``.  Edge 0-4 is the demand of the first three, edge 2-6
+    the demand of ``d``.
+    """
+    g = torus_grid_map(4, 4)
+    kinds = [SUPPLY] * len(g.edges)
+    kinds[16] = kinds[18] = DEMAND
+    inst = Instance(g, tuple(kinds), tuple([1] * len(g.edges)))
+    routes = ([0, 4, 8, 12], [0, 4, 8, 9, 13, 1],
+              [0, 4, 8, 9, 10, 14, 2, 1], [2, 6, 10, 14])
+    return inst, [DCycle.from_darts(inst, grid_cycle(g, r)) for r in routes]
 
 
 def cyclic_equal(seq, reference):
@@ -101,16 +125,14 @@ def crossing_classes_instance():
 
 class TestCyclicOrder:
     def test_parallel_meridians_geometric_order(self):
-        inst = all_supply(torus_grid_map(4, 4))
-        ms = {j: meridian(j) for j in range(4)}
-        order = cyclic_order([ms[0], ms[2], ms[1], ms[3]], inst)
-        cols = [next(j for j in range(4) if ms[j] == c)
-                for c in order.cycles]
+        g = torus_grid_map(4, 4)
+        given = [0, 2, 1, 3]
+        order = cyclic_order(cut_class(g, [meridian(j) for j in given]))
+        cols = [given[i] for i in order]
         assert cyclic_equal(cols, [0, 1, 2, 3])
 
     def test_shared_path_stacking(self):
         g = torus_grid_map(4, 4)
-        inst = all_supply(g)
         a = meridian(0)
         b = grid_cycle(g, [0, 4, 8, 9, 13, 1])
         c = grid_cycle(g, [0, 4, 8, 9, 10, 14, 2, 1])
@@ -120,16 +142,17 @@ class TestCyclicOrder:
             for j in range(i + 1, 4):
                 assert cr(g, fam[i], fam[j]) == 0
                 assert freely_homotopic(g, fam[i], fam[j])
-        order = cyclic_order([a, c, d, b], inst)
+        given = [a, c, d, b]
+        order = cyclic_order(cut_class(g, given))
         names = {a: 0, b: 1, c: 2, d: 3}
-        assert cyclic_equal([names[x] for x in order.cycles], [0, 1, 2, 3])
+        assert cyclic_equal([names[given[i]] for i in order], [0, 1, 2, 3])
 
     def test_small_classes_trivial(self):
-        inst = all_supply(torus_grid_map(4, 4))
-        one = cyclic_order([meridian(0)], inst)
-        assert one.cycles == (meridian(0),)
-        two = cyclic_order([meridian(0), meridian(2)], inst)
-        assert set(two.cycles) == {meridian(0), meridian(2)}
+        g = torus_grid_map(4, 4)
+        one = cyclic_order(cut_class(g, [meridian(0)]))
+        assert one == [0]
+        two = cyclic_order(cut_class(g, [meridian(0), meridian(2)]))
+        assert set(two) == {0, 1}
 
     def test_definition_check(self):
         # positions {0, 2} of 4 are not a cyclic arc
@@ -138,13 +161,12 @@ class TestCyclicOrder:
         assert check_cyclic_order([{1}, {1}, {2}, {1}])
 
     def test_bad_order_rejected(self):
-        class Fake:
-            def __init__(self, es):
-                self.edge_set = frozenset(es)
-                self.darts = tuple(es)
-
-        with pytest.raises(Exception):
-            CyclicOrder((Fake({1}), Fake({2}), Fake({1}), Fake({3})))
+        inst, (a, b, c, d) = stacked_family()
+        given = [a, c, d, b]
+        order = cyclic_order(cut_class(inst.graph, [x.darts for x in given]))
+        assert check_cyclic_order([given[i].edge_set for i in order])
+        # edges 8-9 and 1-0 carry b and c, which a, b, d, c keeps apart
+        assert not check_cyclic_order([x.edge_set for x in (a, b, d, c)])
 
 
 class TestGreedy:
@@ -190,14 +212,10 @@ class TestGreedy:
             assert 2 * sum(vals) >= lp.value
 
     def test_greedy_requires_cyclic_order(self):
-        inst = crossing_classes_instance()
-        flow = Multiflow(inst)
+        inst, (a, b, c, d) = stacked_family()
+        assert greedy([a, b, c, d], inst, inst.caps, ZERO).value == 2
         with pytest.raises(PreconditionError):
-            class Fake:
-                def __init__(self, es):
-                    self.edge_set = frozenset(es)
-                    self.darts = tuple(es)
-            greedy([Fake({1}), Fake({2}), Fake({1}), Fake({3})], flow)
+            greedy([a, b, d, c], inst, inst.caps, ZERO)
 
 
 class TestSelectClass:
@@ -242,20 +260,23 @@ class TestSelectClass:
 
 class TestExtremePair:
     def test_plain_torus_has_no_extreme_pair(self):
-        inst = all_supply(torus_grid_map(3, 3))
+        g = torus_grid_map(3, 3)
         ms = [tuple(2 * (9 + 3 * i + j) for i in range(3)) for j in range(3)]
-        assert extreme_pair(inst, ms) is None
+        assert extreme_pair(cut_class(g, ms)) is None
 
     def test_singleton_class(self):
-        inst = all_supply(torus_grid_map(3, 3))
-        m = tuple(2 * (9 + 3 * i) for i in range(3))
-        assert extreme_pair(inst, [m]) == (m, m)
+        # one meridian of a genus-2 map bounds the cut surface on both sides
+        inst = double_torus_instance()
+        _, cycles = double_torus_flow(inst)
+        assert extreme_pair(cut_class(inst.graph, [cycles[0].darts])) \
+            == (0, 0)
 
     def test_double_torus_pair(self):
         inst = double_torus_instance()
         _, cycles = double_torus_flow(inst)
-        pair = extreme_pair(inst, cycles[:2])
-        assert set(pair) == set(cycles[:2])
+        pair = extreme_pair(cut_class(inst.graph,
+                                      [c.darts for c in cycles[:2]]))
+        assert set(pair) == {0, 1}
 
 
 class TestImprovedRounding:
@@ -306,3 +327,93 @@ class TestImprovedRounding:
             per_class.append(total)
         for value, total in zip(per_class, cls.totals):
             assert 2 * value >= total - 2
+
+
+def kept_classes(graph, classification) -> list:
+    """The classes ``improved_g2`` keeps: the heaviest color class of the
+    degeneracy-colored class cross-graph."""
+    nonsep = classification.cycles
+    reps = [nonsep[members[0]] for members in classification.classes]
+    color = degeneracy_coloring(class_cross_adjacency(graph, reps))
+    totals = {}
+    for i, c in enumerate(color):
+        totals[c] = totals.get(c, ZERO) + classification.totals[i]
+    best = max(sorted(totals), key=lambda c: (totals[c], -c))
+    return [m for m, c in zip(classification.classes, color) if c == best]
+
+
+class TestOneCutPerClass:
+    @pytest.mark.parametrize("shape", [(4, 4, 3, 0), (4, 4, 4, 6),
+                                       (5, 5, 4, 1)])
+    def test_improved_cuts_each_kept_class_once(self, shape, monkeypatch):
+        p, q, demands, seed = shape
+        inst = generate_torus_grid(p, q, demands, cap_mode="random",
+                                   seed=seed)
+        flow, _ = solve_and_decompose(inst)
+        fbar = uncross_flow(flow, "1/2")
+        cls = nonseparating_classes(fbar)
+        kept = kept_classes(inst.graph, cls)
+        assert max(len(members) for members in kept) >= 3
+        calls = []
+        real = round_nonseparating.disjointify
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(round_nonseparating, "disjointify", counting)
+        improved_g2(fbar, cls).verify_feasible()
+        assert len(calls) == sum(1 for members in kept if len(members) >= 2)
+
+
+# sha256 of ``render_report`` + ``solution_wire`` at verify "invariants",
+# epsilon 1/2, for generate_torus_grid(p, q, demands, cap_mode="random",
+# seed=seed), keyed by ((p, q, demands, seed), branch).  The instances have
+# classes of one to five cycles, so a change in how a class is cut, ordered
+# or rounded changes a hash.
+PINNED_ROUNDINGS = {
+    ((4, 4, 3, 0), "nonseparating"):
+        "eafe85b4f39fe3de0849bbba39040bbf81cb7b345abce41836fe7049de9eac53",
+    ((4, 4, 3, 0), "improved"):
+        "5eb7da368ad0eaa07e608475cc003e7906fcdbd2b1a3ee0c1abe1e7440394a03",
+    ((4, 4, 3, 6), "nonseparating"):
+        "02af9119fabceb25b3536fb1d702e5b7b8ef369362db86669b2c25b1c7bed0c3",
+    ((4, 4, 3, 6), "improved"):
+        "66ce526e0e409502441fad03bdce5bbfb46dec47ce4ab88871456b5daf78acc5",
+    ((4, 4, 4, 6), "nonseparating"):
+        "ff50460fb2c2af7fab96d9512e851b5bb17ddb24ed6742edc7658ac8b0b42dff",
+    ((4, 4, 4, 6), "improved"):
+        "7fe9bef3c110157a1bc9ed0206b1010f1cfc5ccb9d991de18904f6f42bb9b871",
+    ((4, 4, 4, 8), "nonseparating"):
+        "6e4f1468a5e651a9760141d37fcc6d41b0e7c7b84f0387d6a455034ee3e542bb",
+    ((4, 4, 4, 8), "improved"):
+        "29c49e6ce46874d6a2bc7fe1e30832d1366e2e38cb3186dbb5699193817b5ed6",
+    ((5, 5, 4, 1), "nonseparating"):
+        "12a37745172c7fcc6b41b55232654aae58793eded4f51ec778752fb34ff5de55",
+    ((5, 5, 4, 1), "improved"):
+        "0f01888bcbe0cbe0bcec62c608956a1525153743356a0ba1f86cb77fbb49d4c0",
+    ((5, 5, 4, 7), "nonseparating"):
+        "5801f7577481a04fbd43bbada76a831e85a6623762c5db4f3efed63edb7def9a",
+    ((5, 5, 4, 7), "improved"):
+        "b4274039c38e1f4d5a0c91c63a7cadc0d3525e6f1933ea6372d623f1f2370a1f",
+    ((6, 6, 4, 2), "nonseparating"):
+        "96b8564695403fb5a004b45ed3c7a10b68c4f9665f091adc12eb653611dd7e2b",
+    ((6, 6, 4, 2), "improved"):
+        "6b1ab0a249fe7b9e913bef987b60f2b52351e468ff16a665f11dbd723cc58fd5",
+    ((6, 6, 4, 3), "nonseparating"):
+        "5936900f497a1c9a01e2848c8f07f847aa03e74b4f059cca36b93b213315bc0a",
+    ((6, 6, 4, 3), "improved"):
+        "75a03c71a6025dee597ee7c179cad1585e2c42b1a6c9865fe5e6011647a651f7",
+}
+
+
+@pytest.mark.parametrize("shape,branch", sorted(PINNED_ROUNDINGS))
+def test_pinned_outputs(shape, branch):
+    p, q, demands, seed = shape
+    inst = generate_torus_grid(p, q, demands, cap_mode="random", seed=seed)
+    flow, report = run(inst, PipelineConfig(epsilon="1/2", branch=branch,
+                                            verify="invariants"))
+    blob = render_report(report) + json.dumps(solution_wire(flow),
+                                              sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == \
+        PINNED_ROUNDINGS[(shape, branch)]

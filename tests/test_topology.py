@@ -4,8 +4,9 @@ from conftest import (TORUS_SUPPORTS, is_dual_cut, planar_grid_map,
                       separates, torus_grid_map, torus_support,
                       triangle_map)
 from surfaceflow.errors import PreconditionError
-from surfaceflow.flows import solve_and_decompose
-from surfaceflow.instances import generate_planar_random
+from surfaceflow.flows import DCycle, solve_and_decompose
+from surfaceflow.instances import (DEMAND, SUPPLY, Instance,
+                                   generate_planar_random)
 from surfaceflow.rational import rat
 from surfaceflow.surface import face_components
 from surfaceflow.topology import (OUTER_FACE, classify_homotopy,
@@ -23,6 +24,20 @@ def meridian(j, p=4, q=4):
 def longitude(i, p=4, q=4):
     """Row cycle of the torus grid (right edges of row i)."""
     return tuple(2 * (q * i + j) for j in range(q))
+
+
+def torus_dcycles(*cycles, p=4, q=4) -> list:
+    """The dart tuples as D-cycles of the p x q torus grid whose row-0 down
+    edges and column-0 right edges are demands, so that every meridian and
+    every longitude holds exactly one demand edge."""
+    graph = torus_grid_map(p, q)
+    kinds = [SUPPLY] * len(graph.edges)
+    for j in range(q):
+        kinds[p * q + j] = DEMAND
+    for i in range(p):
+        kinds[q * i] = DEMAND
+    inst = Instance(graph, tuple(kinds), tuple([1] * len(graph.edges)))
+    return [DCycle.from_darts(inst, c) for c in cycles]
 
 
 def grid_cycle(graph, route):
@@ -73,17 +88,15 @@ class TestLaminarFamily:
         g = planar_grid_map(4, 4)
         inner = grid_cycle(g, [5, 6, 10, 9])
         outer = grid_cycle(g, [5, 6, 7, 11, 15, 14, 13, 9])
-        insides, below = laminar_family(g, [inner, outer])
+        insides = laminar_family(g, [inner, outer])
         assert insides[0] < insides[1]
-        assert below == ((), (0,))
 
     def test_disjoint_antichain(self):
         g = planar_grid_map(4, 4)
         a = grid_cycle(g, [4, 5, 9, 8])
         b = grid_cycle(g, [6, 7, 11, 10])
-        insides, below = laminar_family(g, [a, b])
+        insides = laminar_family(g, [a, b])
         assert not (insides[0] & insides[1])
-        assert below == ((), ())
 
     def test_not_separating_rejected(self):
         g = torus_grid_map(4, 4)
@@ -140,25 +153,25 @@ class TestFreeHomotopy:
 class TestClassify:
     def test_two_classes_on_torus(self):
         g = torus_grid_map(4, 4)
-        cycles = [meridian(0), meridian(1), longitude(0)]
+        cycles = torus_dcycles(meridian(0), meridian(1), longitude(0))
         got = classify_homotopy(g, cycles, [rat(1), rat(2), rat(4)])
         assert got.classes == ((2,), (0, 1))
         assert got.totals == (rat(4), rat(3))
 
     def test_single_cycle(self):
         g = torus_grid_map(4, 4)
-        got = classify_homotopy(g, [meridian(0)], [rat(1)])
+        got = classify_homotopy(g, torus_dcycles(meridian(0)), [rat(1)])
         assert got.classes == ((0,),)
 
     def test_no_two_classified_cycles_cross(self):
         g = torus_grid_map(4, 4)
-        cycles = [meridian(0), meridian(2), longitude(1)]
+        cycles = torus_dcycles(meridian(0), meridian(2), longitude(1))
         got = classify_homotopy(g, cycles, [rat(1)] * 3)
         for cls in got.classes:
             for i in cls:
                 for j in cls:
                     if i != j:
-                        assert cr(g, cycles[i], cycles[j]) == 0
+                        assert cr(g, cycles[i].darts, cycles[j].darts) == 0
 
 
 def all_pairs_classes(graph, cycles) -> set:
