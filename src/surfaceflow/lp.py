@@ -17,9 +17,15 @@ tableau code:
   larger problems: its solution is snapped to small-denominator rationals and
   accepted only when exact primal feasibility, exact dual feasibility and
   exact objective equality all hold, otherwise the exact engine runs from
-  scratch.  A pivot updates, row by row, only the rows with a nonzero entry
-  in the entering column; the other rows would only subtract ``0 * prow``,
-  so the pivot sequence is that of a full dense update.
+  scratch.  The two objective rows sit under the constraints, so a pivot is
+  one rank-1 update of the touched entries: the rows with a nonzero in the
+  entering column (phase 1 updates the constraint rows and both objective
+  rows, phase 2 the constraint rows and ``c``) times the nonzero columns of
+  the normalized pivot row.  Up to ``_UPDATE_BLOCK`` entries that is one
+  fancy-indexed subtraction; a larger update goes row by row in place, so
+  no temporary outgrows a block or a row.  Either way each touched entry
+  gets ``T[i, j] - T[i, pc] * prow[j]`` and every other entry would only
+  subtract zero, so the pivot sequence is that of a full dense update.
 
 Either way the result is certified: the returned dual is exactly feasible
 with objective equal to the primal's, so optimality never rests on floating
@@ -44,6 +50,9 @@ from .rational import QQ, ZERO, numerators_over, rat
 
 
 _FLOAT_THRESHOLD = 160  # structural columns above which the warm start runs
+# entries (touched rows x nonzero pivot-row columns) up to which a pivot is
+# one fancy-indexed update; above it the rows are updated one at a time
+_UPDATE_BLOCK = 4096
 _SNAP_DENOMS = (1, 2, 3, 4, 6, 8, 12, 24, 48, 60, 120, 360, 2520, 10 ** 4, 10 ** 6)
 
 
@@ -254,85 +263,78 @@ def _simplex_exact(c, A_ub, b_ub, A_eq, b_eq):
 # ---------------------------------------------------------------------------
 
 def _simplex_float(c, A_ub, b_ub, A_eq, b_eq):
-    n = len(c)
-    m_ub, m_eq = len(A_ub), len(A_eq)
+    n, m_ub, m_eq = len(c), len(A_ub), len(A_eq)
     m = m_ub + m_eq
-    width = n + m_ub + m_eq + 1
     art_lo = n + m_ub
-    T = np.zeros((m, width))
-    basis = []
+    width = art_lo + m_eq + 1  # structural | slacks | artificials | rhs
+    # rows 0..m-1 the constraints, row m the phase-2 objective c, row m + 1
+    # the phase-1 sum of the equality rows (zero on the artificials)
+    T = np.zeros((m + 2, width))
     for i, (row, b) in enumerate(zip(A_ub, b_ub)):
-        for j, coef in row.items():
-            T[i, j] = float(coef)
+        T[i, list(row)] = [float(coef) for coef in row.values()]
         T[i, n + i] = 1.0
         T[i, -1] = float(b)
-        basis.append(n + i)
-    for i, (row, b) in enumerate(zip(A_eq, b_eq)):
-        sign = 1.0 if b >= 0 else -1.0
-        for j, coef in row.items():
-            T[m_ub + i, j] = float(coef) * sign
+    signs = [1.0 if b >= 0 else -1.0 for b in b_eq]
+    for i, (row, b, sign) in enumerate(zip(A_eq, b_eq, signs)):
+        T[m_ub + i, list(row)] = [float(coef) * sign
+                                  for coef in row.values()]
         T[m_ub + i, art_lo + i] = 1.0
         T[m_ub + i, -1] = float(b) * sign
-        basis.append(art_lo + i)
-    obj1 = T[m_ub:].sum(axis=0) if m_eq else np.zeros(width)
-    obj1[art_lo:art_lo + m_eq] = 0.0
-    obj2 = np.zeros(width)
-    obj2[:n] = [float(v) for v in c]
+    basis = np.arange(n, n + m)
+    if m_eq:
+        T[m + 1] = T[m_ub:m].sum(axis=0)
+        T[m + 1, art_lo:-1] = 0.0
+    T[m, :n] = [float(v) for v in c]
     tol = 1e-9
-    art_cols = np.zeros(width, dtype=bool)
-    art_cols[art_lo:art_lo + m_eq] = True
-    basis = np.array(basis)
+    rhs = T[:m, -1]
+    ratios = np.empty(m)
 
-    def run(obj, objs):
+    def run(k):
+        obj = T[k, :art_lo]  # the artificials never enter
+        U = T[:k + 1]  # constraint rows and the live objective rows
         for it in range(60000):
-            red = obj[:-1].copy()
-            red[art_cols[:-1]] = -1.0
             if it % 997 < 30:  # periodic Bland steps to break potential cycling
-                cand = np.nonzero(red > tol)[0]
-                if cand.size == 0:
-                    return True
-                enter = int(cand[0])
+                enter = int((obj > tol).argmax())
             else:
-                enter = int(np.argmax(red))
-                if red[enter] <= tol:
-                    return True
-            col = T[:, enter]
+                enter = int(obj.argmax())
+            if obj[enter] <= tol:
+                return True
+            col = T[:m, enter]
             pos = col > tol
             if not pos.any():
                 return False  # unbounded direction; let exact engine decide
-            ratios = np.full(m, np.inf)
-            ratios[pos] = T[pos, -1] / col[pos]
-            leave = int(np.argmin(ratios))
-            prow = T[leave] / T[leave, enter]
-            T[leave] = prow
-            coefs = T[:, enter].copy()
-            coefs[leave] = 0.0
-            # only the rows with a nonzero coefficient, one at a time: no
-            # m x width temporary
-            for i in np.flatnonzero(coefs):
-                T[i] -= coefs[i] * prow
-            for o in objs:
-                o -= o[enter] * prow
+            ratios.fill(np.inf)
+            np.divide(rhs, col, out=ratios, where=pos)
+            leave = int(ratios.argmin())
+            prow = U[leave] = U[leave] / U[leave, enter]
+            rows = U[:, enter].nonzero()[0]
+            rows = rows[rows != leave]
+            coefs = U[rows, enter]
+            cols = prow.nonzero()[0]
+            if rows.size * cols.size <= _UPDATE_BLOCK:
+                U[rows[:, None], cols] -= coefs[:, None] * prow[cols]
+            else:
+                # large updates row by row, in place: no rows x width
+                # temporary
+                for i, a in zip(rows, coefs):
+                    U[i] -= a * prow
             basis[leave] = enter
         return False
 
     if m_eq:
-        if not run(obj1, [obj1, obj2]):
+        if not run(m + 1):
             return None
         if sum(T[i, -1] for i in range(m) if basis[i] >= art_lo) > 1e-6:
             return None
-    if not run(obj2, [obj2]):
+    if not run(m):
         return None
     x = np.zeros(n)
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = T[i, -1]
-    y_ub = [-obj2[n + i] for i in range(m_ub)]
-    y_eq = []
-    for i in range(m_eq):
-        sign = 1.0 if b_eq[i] >= 0 else -1.0
-        y_eq.append(-obj2[art_lo + i] * sign)
-    return list(x), y_ub, y_eq
+    structural = basis < n
+    x[basis[structural]] = rhs[structural]
+    # y = -(reduced costs of the slacks and artificials), an equality row's
+    # dual signed back by its right-hand side
+    return (list(x), list(-T[m, n:art_lo]),
+            list(-T[m, art_lo:-1] * np.array(signs)))
 
 
 def _snap(values, denom):

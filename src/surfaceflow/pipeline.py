@@ -184,24 +184,41 @@ def render_report(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=1) + "\n"
 
 
+SOLUTION_SCHEMA = "surfaceflow-solution/1"
+
+
 def solution_wire(flow: Multiflow) -> dict:
-    return {"schema": "surfaceflow-solution/1",
+    return {"schema": SOLUTION_SCHEMA,
             "value": rat_str(flow.value),
             "flow": flow.to_wire()}
 
 
-def verify_solution(instance: Instance, data: dict) -> dict:
+def _malformed(witness: str) -> dict:
+    return {"ok": False,
+            "problems": [{"kind": "malformed", "witness": witness}]}
+
+
+def verify_solution(instance: Instance, data) -> dict:
     """Independent check of a serialized solution against an instance.
 
     Recomputes feasibility, integrality and the total value; any mismatch
-    is reported with a witness instead of raising.
+    is reported with a witness instead of raising.  A document that is not
+    a solution is ``malformed``: the top level must be an object with a
+    ``flow`` list, and its ``schema``, if present, must be
+    ``SOLUTION_SCHEMA``.
     """
-    problems = []
+    if not isinstance(data, dict):
+        return _malformed("solution is not a JSON object")
+    if data.get("schema", SOLUTION_SCHEMA) != SOLUTION_SCHEMA:
+        return _malformed("schema %r is not %r"
+                          % (data["schema"], SOLUTION_SCHEMA))
+    if not isinstance(data.get("flow"), list):
+        return _malformed("flow is missing or not a list")
     try:
-        flow = Multiflow.from_wire(instance, data.get("flow", []))
+        flow = Multiflow.from_wire(instance, data["flow"])
     except Exception as exc:  # malformed cycles are a verdict, not a crash
-        return {"ok": False, "problems":
-                [{"kind": "malformed", "witness": str(exc)}]}
+        return _malformed(str(exc))
+    problems = []
     for e, load in sorted(flow.edge_loads().items()):
         if load > instance.cap(e):
             problems.append({"kind": "capacity", "witness":

@@ -7,6 +7,8 @@ import math
 import pathlib
 from functools import cmp_to_key
 
+import numpy as np
+
 from surfaceflow.errors import InternalInvariantError, PreconditionError
 from surfaceflow.flows import DCycle, Multiflow, solve_and_decompose
 from surfaceflow.instances import Instance, generate_torus_grid, load_instance
@@ -371,6 +373,92 @@ def reference_simplex_exact(c, A_ub, b_ub, A_eq, b_eq):
     y_eq = [-obj2[art_lo + i] * (1 if b >= 0 else -1)
             for i, b in enumerate(b_eq)]
     return x, y_ub, y_eq
+
+
+def reference_simplex_float(c, A_ub, b_ub, A_eq, b_eq):
+    """``lp._simplex_float`` with separate objective arrays and a
+    full-width update of each touched row: the reference whose pivot
+    sequence, and so whose returned floats, the float engine must
+    reproduce."""
+    n = len(c)
+    m_ub, m_eq = len(A_ub), len(A_eq)
+    m = m_ub + m_eq
+    width = n + m_ub + m_eq + 1
+    art_lo = n + m_ub
+    T = np.zeros((m, width))
+    basis = []
+    for i, (row, b) in enumerate(zip(A_ub, b_ub)):
+        for j, coef in row.items():
+            T[i, j] = float(coef)
+        T[i, n + i] = 1.0
+        T[i, -1] = float(b)
+        basis.append(n + i)
+    for i, (row, b) in enumerate(zip(A_eq, b_eq)):
+        sign = 1.0 if b >= 0 else -1.0
+        for j, coef in row.items():
+            T[m_ub + i, j] = float(coef) * sign
+        T[m_ub + i, art_lo + i] = 1.0
+        T[m_ub + i, -1] = float(b) * sign
+        basis.append(art_lo + i)
+    obj1 = T[m_ub:].sum(axis=0) if m_eq else np.zeros(width)
+    obj1[art_lo:art_lo + m_eq] = 0.0
+    obj2 = np.zeros(width)
+    obj2[:n] = [float(v) for v in c]
+    tol = 1e-9
+    art_cols = np.zeros(width, dtype=bool)
+    art_cols[art_lo:art_lo + m_eq] = True
+    basis = np.array(basis)
+
+    def run(obj, objs):
+        for it in range(60000):
+            red = obj[:-1].copy()
+            red[art_cols[:-1]] = -1.0
+            if it % 997 < 30:  # periodic Bland steps to break potential cycling
+                cand = np.nonzero(red > tol)[0]
+                if cand.size == 0:
+                    return True
+                enter = int(cand[0])
+            else:
+                enter = int(np.argmax(red))
+                if red[enter] <= tol:
+                    return True
+            col = T[:, enter]
+            pos = col > tol
+            if not pos.any():
+                return False  # unbounded direction; let exact engine decide
+            ratios = np.full(m, np.inf)
+            ratios[pos] = T[pos, -1] / col[pos]
+            leave = int(np.argmin(ratios))
+            prow = T[leave] / T[leave, enter]
+            T[leave] = prow
+            coefs = T[:, enter].copy()
+            coefs[leave] = 0.0
+            # only the rows with a nonzero coefficient, one at a time: no
+            # m x width temporary
+            for i in np.flatnonzero(coefs):
+                T[i] -= coefs[i] * prow
+            for o in objs:
+                o -= o[enter] * prow
+            basis[leave] = enter
+        return False
+
+    if m_eq:
+        if not run(obj1, [obj1, obj2]):
+            return None
+        if sum(T[i, -1] for i in range(m) if basis[i] >= art_lo) > 1e-6:
+            return None
+    if not run(obj2, [obj2]):
+        return None
+    x = np.zeros(n)
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = T[i, -1]
+    y_ub = [-obj2[n + i] for i in range(m_ub)]
+    y_eq = []
+    for i in range(m_eq):
+        sign = 1.0 if b_eq[i] >= 0 else -1.0
+        y_eq.append(-obj2[art_lo + i] * sign)
+    return list(x), y_ub, y_eq
 
 
 class DualGraph(EmbeddedGraph):

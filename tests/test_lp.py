@@ -1,4 +1,6 @@
 import hashlib
+import random
+import tracemalloc
 from fractions import Fraction
 from itertools import chain
 
@@ -6,12 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_check_certificate, reference_simplex_exact
-from surfaceflow import flows
+from conftest import (reference_check_certificate, reference_simplex_exact,
+                      reference_simplex_float)
+from surfaceflow import flows, lp
 from surfaceflow.errors import PreconditionError
 from surfaceflow.instances import generate_planar_random, generate_torus_grid
-from surfaceflow.lp import (_float_then_snap, _simplex_exact,
+from surfaceflow.lp import (_FLOAT_THRESHOLD, _float_then_snap,
+                            _simplex_exact, _simplex_float,
                             check_certificate, solve_lp)
+from surfaceflow.oracle import DEFAULT_BUDGET, enumerate_d_cycles
 from surfaceflow.rational import QQ, rat, rat_str
 
 
@@ -32,18 +37,37 @@ def planar(seed):
                                   seed=seed)
 
 
-def compact_lp(monkeypatch, instance):
-    """The arguments and result of ``solve_fractional``'s one LP."""
+def spied_lp(monkeypatch, solve):
+    """The arguments and result of the one LP that ``solve()`` hands
+    ``solve_lp`` through ``flows``."""
     got = []
 
-    def spy(*args):
+    def spy(c, A_ub, b_ub, A_eq=(), b_eq=()):
+        args = (c, A_ub, b_ub, A_eq, b_eq)
         got.append((args, solve_lp(*args)))
         return got[-1][1]
 
     monkeypatch.setattr(flows, "solve_lp", spy)
-    flows.solve_fractional(instance)
+    solve()
     (call,) = got
     return call
+
+
+def compact_lp(monkeypatch, instance):
+    """The arguments and result of ``solve_fractional``'s one LP."""
+    return spied_lp(monkeypatch, lambda: flows.solve_fractional(instance))
+
+
+def root_cycle_lp(monkeypatch):
+    """The arguments and result of the oracle's root cycle LP on a 30-edge
+    planar instance of the ``oracle`` mix: 1,029 unit columns, 30 capacity
+    rows, no equality rows."""
+    inst = generate_planar_random(size=30, n_demands=3, cap_mode="random",
+                                  seed=7)
+    cycle_edges = [tuple(d >> 1 for d in c.darts)
+                   for c in enumerate_d_cycles(inst, DEFAULT_BUDGET)]
+    return spied_lp(monkeypatch,
+                    lambda: flows.cycle_lp(cycle_edges, inst.caps))
 
 
 def digest(res):
@@ -178,6 +202,44 @@ class TestFloatPath:
         _, res = compact_lp(monkeypatch, planar(seed))
         assert res.engine == "float+certify"
         assert digest(res) == self.PLANAR_PINNED[seed]
+
+    # the same for the oracle's root cycle LP, which has no equality rows
+    CYCLE_PINNED = \
+        "7200c6ad74a78599bd731a01251ac86de1ce62e92fcba9916377822858064cf4"
+
+    def test_root_cycle_lp_is_pinned(self, monkeypatch):
+        (c, A_ub, _, A_eq, _), res = root_cycle_lp(monkeypatch)
+        assert len(c) > _FLOAT_THRESHOLD and len(A_ub) == 30 and not A_eq
+        assert res.engine == "float+certify"
+        assert digest(res) == self.CYCLE_PINNED
+
+    @pytest.mark.parametrize("block", [0, 10 ** 9], ids=["rows", "block"])
+    def test_each_update_form_keeps_the_pins(self, monkeypatch, block):
+        """Every pivot as a row loop, or every pivot as one block update:
+        the pivot sequence, and so the pinned answers, stay the same."""
+        monkeypatch.setattr(lp, "_UPDATE_BLOCK", block)
+        assert digest(root_cycle_lp(monkeypatch)[1]) == self.CYCLE_PINNED
+        assert digest(compact_lp(monkeypatch, torus(0))[1]) == \
+            self.PINNED[0]
+
+    @pytest.mark.parametrize("lp_of", ["torus", "cycle"])
+    def test_peak_memory_is_the_tableau(self, monkeypatch, lp_of):
+        """One float solve allocates its ``(m + 2) x width`` tableau and at
+        most 256 KiB besides: no update makes a rows x width temporary."""
+        if lp_of == "torus":
+            args = compact_lp(monkeypatch, torus(0))[0]
+        else:
+            args = root_cycle_lp(monkeypatch)[0]
+        c, A_ub, _, A_eq, _ = args
+        m = len(A_ub) + len(A_eq)
+        width = len(c) + m + 1
+        tracemalloc.start()
+        try:
+            assert _simplex_float(*args) is not None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (m + 2) * width * 8 + 256 * 1024
 
     @pytest.mark.parametrize("make", [torus, planar])
     def test_compact_lp_data_are_ints(self, monkeypatch, make):
@@ -370,3 +432,60 @@ class TestIntegerTableau:
         nonzero = [v for v in chain(x, y_ub, y_eq) if v]
         assert nonzero and len(made) == len(nonzero)
         assert reference_check_certificate(*lp, x, y_ub, y_eq)
+
+
+@st.composite
+def wide_lps(draw):
+    """An LP above ``_FLOAT_THRESHOLD`` with 0/+-1 rows, costs in 0..2 and
+    right-hand sides that are often 0, so pricing and ratio ties abound.
+
+    Hypothesis draws the shape and a seed; the hundreds of entries come
+    from the seed.  ``b_ub`` is non-negative and ``b_eq = A_eq x0`` for a
+    drawn ``x0 >= 0``, so both phases run; with ``flip`` every equality row
+    is negated, which makes its nonzero right-hand sides negative.
+    """
+    n = draw(st.integers(_FLOAT_THRESHOLD + 1, _FLOAT_THRESHOLD + 60))
+    m_ub = draw(st.integers(1, 12))
+    m_eq = draw(st.integers(0, 6))
+    density = draw(st.sampled_from([0.02, 0.1, 0.4]))
+    values = draw(st.sampled_from([(1,), (-1, 1), (-1, 0, 1, 1)]))
+    bounded, flip = draw(st.booleans()), draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def rows(k):
+        return [{j: v for j in range(n) if rng.random() < density
+                 for v in [rng.choice(values)] if v} for _ in range(k)]
+
+    def at(row):
+        return sum(v * x0[j] for j, v in row.items())
+
+    x0 = [rng.choice((0, 0, 1, 2)) for _ in range(n)]
+    c = [rng.choice((0, 1, 1, 2)) for _ in range(n)]
+    A_ub = rows(m_ub)
+    b_ub = [max(at(row), 0) + rng.choice((0, 0, 1)) for row in A_ub]
+    if bounded:
+        A_ub.append({j: 1 for j in range(n)})
+        b_ub.append(sum(x0) + 1)
+    A_eq = rows(m_eq)
+    b_eq = [at(row) for row in A_eq]
+    if flip:
+        A_eq = [{j: -v for j, v in row.items()} for row in A_eq]
+        b_eq = [-b for b in b_eq]
+    return c, A_ub, b_ub, A_eq, b_eq
+
+
+class TestFloatTableau:
+    """The float engine against the dense-row engine it replaced: the same
+    pivots give the same floats, with each update form on its own."""
+
+    @pytest.mark.parametrize("block", [0, None, 10 ** 9],
+                             ids=["rows", "default", "block"])
+    @settings(max_examples=60, deadline=None, database=None,
+              derandomize=True)
+    @given(lp_=wide_lps())
+    def test_same_result_as_reference(self, block, lp_):
+        with pytest.MonkeyPatch.context() as mp:
+            if block is not None:
+                mp.setattr(lp, "_UPDATE_BLOCK", block)
+            got = _simplex_float(*lp_)
+        assert got == reference_simplex_float(*lp_)

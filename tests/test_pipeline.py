@@ -164,6 +164,28 @@ class TestVerify:
         assert not verdict["ok"]
         assert [p["kind"] for p in verdict["problems"]] == ["malformed"]
 
+    @pytest.mark.parametrize("data", [
+        json.loads((GOLDEN / "gap_n2.json").read_text()),  # an instance
+        {}, [], "x", None,
+        {"flow": {}}, {"value": "0/1"},
+        {"schema": "surfaceflow-report/1", "flow": []},
+        {"schema": None, "flow": []},
+    ], ids=["instance", "empty", "list", "string", "null", "flow-object",
+            "no-flow", "report-schema", "null-schema"])
+    def test_not_a_solution_is_malformed(self, data):
+        inst = load_instance(GOLDEN / "gap_n2.json")
+        verdict = verify_solution(inst, data)
+        assert not verdict["ok"]
+        assert [p["kind"] for p in verdict["problems"]] == ["malformed"]
+
+    def test_schema_may_be_omitted(self):
+        inst = load_instance(GOLDEN / "gap_n1.json")
+        data = dict(GAP_N1_SOLUTION)
+        del data["schema"]
+        assert verify_solution(inst, data)["ok"]
+        assert verify_solution(inst, {"flow": []}) == \
+            {"ok": True, "problems": [], "value": "0/1"}
+
     def test_overload_rejected(self):
         inst = generate_planar_random(12, seed=3)
         flow, _ = run(inst)
@@ -209,6 +231,20 @@ class TestCli:
         assert cli.main(["verify", str(GOLDEN / "gap_n1.json"),
                          str(sol_path)]) == 3
         verdict = json.loads(capsys.readouterr().out)
+        assert [p["kind"] for p in verdict["problems"]] == ["malformed"]
+
+    @pytest.mark.parametrize("doc", ["instance", "{}"])
+    def test_verify_refuses_a_file_that_is_no_solution(self, tmp_path,
+                                                        capsys, doc):
+        inst_path = GOLDEN / "gap_n2.json"
+        if doc == "instance":
+            sol_path = inst_path
+        else:
+            sol_path = tmp_path / "sol.json"
+            sol_path.write_text(doc)
+        assert cli.main(["verify", str(inst_path), str(sol_path)]) == 3
+        verdict = json.loads(capsys.readouterr().out)
+        assert not verdict["ok"]
         assert [p["kind"] for p in verdict["problems"]] == ["malformed"]
 
     def test_oracle_and_refusal_exit_codes(self, tmp_path):
