@@ -68,6 +68,16 @@ class DCycle:
         return len(self.darts)
 
 
+def edge_loads(amounts: dict) -> dict:
+    """Per-edge sum of a ``{DCycle: amount}`` dict: int amounts (a cycle
+    multiset) give int loads, ``QQ`` amounts ``QQ`` loads."""
+    loads: dict = {}
+    for c, v in amounts.items():
+        for e in c.edge_set:
+            loads[e] = loads.get(e, 0) + v
+    return loads
+
+
 @dataclass
 class Multiflow:
     """A rational assignment of values to D-cycles."""
@@ -91,13 +101,6 @@ class Multiflow:
     def value(self):
         return sum(self.values.values(), ZERO)
 
-    def edge_loads(self) -> dict:
-        loads: dict = {}
-        for c, v in self.values.items():
-            for e in c.edge_set:
-                loads[e] = loads.get(e, ZERO) + v
-        return loads
-
     def support(self) -> list:
         """Cycles with positive value, in a deterministic order."""
         return sorted(self.values, key=lambda c: c.darts)
@@ -109,7 +112,7 @@ class Multiflow:
 
     def verify_feasible(self) -> None:
         """Raise if any capacity is exceeded (exact comparison)."""
-        for e, load in self.edge_loads().items():
+        for e, load in edge_loads(self.values).items():
             if load > self.instance.cap(e):
                 raise InternalInvariantError(
                     "edge %d overloaded: %s > %d" % (e, load,

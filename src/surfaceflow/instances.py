@@ -116,10 +116,6 @@ def parse_instance(data) -> Instance:
                 "position %d)" % (rec["id"], i))
         if not is_int(rec["u"]) or not is_int(rec["v"]):
             raise InstanceFormatError("schema", "edge %d endpoints must be ints" % i)
-        if rec["kind"] not in (SUPPLY, DEMAND):
-            raise InstanceFormatError("schema", "edge %d has bad kind" % i)
-        if not is_int(rec["cap"]):
-            raise InstanceFormatError("schema", "edge %d cap must be an int" % i)
         edges.append((rec["u"], rec["v"]))
         kinds.append(rec["kind"])
         caps.append(rec["cap"])

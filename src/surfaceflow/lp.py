@@ -1,12 +1,13 @@
-"""Self-contained simplex solvers over exact rationals.
+"""Self-contained simplex solvers over exact integers.
 
 ``solve_lp`` maximizes ``c . x`` subject to ``A_ub x <= b_ub``,
 ``A_eq x = b_eq``, ``x >= 0`` and returns an exactly optimal primal/dual
-pair.  The data may be Python ints or rationals.  Ints pass through as they
-are: both engines and the certificate use them directly, so a 0/+-1 matrix
-with integer capacities is never turned into rationals, and only the
-returned values are ``QQ``.  There are two engines, each with its own
-tableau code:
+pair.  The data are the LPs the package poses, the compact edge-flow LP and
+the cycle LP: Python ints throughout (0/+-1 rows, integer capacities) with
+non-negative right-hand sides.  Both engines and the certificate use the
+ints as they are, so only the returned values are ``QQ``, and every row's
+slack or artificial starts basic at a non-negative value.  There are two
+engines, each with its own tableau code:
 
 - a two-phase simplex with Bland's rule (the reference path, immune to
   cycling) on a fraction-free tableau: each row is a list of int numerators
@@ -29,10 +30,9 @@ tableau code:
 
 Either way the result is certified: the returned dual is exactly feasible
 with objective equal to the primal's, so optimality never rests on floating
-point.  ``check_certificate`` decides this on Python ints: one positive
-scale makes ``A``, ``b`` and ``c`` integral (the dual is unchanged; integral
-data are used as they are), and ``x`` and ``y`` are written over their
-common denominators, so every test is an integer sum.
+point.  ``check_certificate`` decides this on Python ints: ``x`` and ``y``
+are written over their common denominators, so on int data every test is an
+integer sum.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InternalInvariantError, PreconditionError
-from .rational import QQ, ZERO, numerators_over, rat
+from .rational import QQ, ZERO, numerators_over
 
 
 _FLOAT_THRESHOLD = 160  # structural columns above which the warm start runs
@@ -67,49 +67,44 @@ class LPResult:
     engine: str
 
 
-def solve_lp(c: Sequence, A_ub: Sequence[dict], b_ub: Sequence,
-             A_eq: Sequence[dict] = (), b_eq: Sequence = ()) -> LPResult:
-    """Maximize ``c . x`` over the given system; all data ints or rationals.
+def solve_lp(c: Sequence[int], A_ub: Sequence[dict], b_ub: Sequence[int],
+             A_eq: Sequence[dict] = (), b_eq: Sequence[int] = ()) -> LPResult:
+    """Maximize ``c . x`` over the given system; all data Python ints.
 
-    Rows are sparse dicts ``{column: coefficient}``.  Entries of ``c`` and
-    ``b`` whose type is ``int`` pass through untouched; any other goes
-    through ``rat``, so bools and floats are refused.  ``x``, ``y_ub``,
-    ``y_eq`` and ``value`` of the result are ``QQ``.  Requires ``b_ub >= 0``
-    (all capacity-style uses satisfy this).  Raises ``PreconditionError`` on
-    infeasible or unbounded input.
+    Rows are sparse dicts ``{column: int coefficient}``.  An entry of ``c``,
+    ``b_ub`` or ``b_eq`` that is not an ``int`` (a bool, a float, a
+    ``Fraction``) raises ``TypeError``, and a negative one of ``b_ub`` or
+    ``b_eq`` raises ``PreconditionError``, as does infeasible or unbounded
+    input.  ``x``, ``y_ub``, ``y_eq`` and ``value`` of the result are ``QQ``.
     """
-    c, b_ub, b_eq = ([v if type(v) is int else rat(v) for v in vec]
-                     for vec in (c, b_ub, b_eq))
-    if any(v < 0 for v in b_ub):
-        raise PreconditionError("b_ub must be non-negative")
-    n = len(c)
+    for v in chain(c, b_ub, b_eq):
+        if type(v) is not int:
+            raise TypeError("LP data must be ints, got %s %r"
+                            % (type(v).__name__, v))
+    if any(v < 0 for v in chain(b_ub, b_eq)):
+        raise PreconditionError("right-hand sides must be non-negative")
 
-    if n > _FLOAT_THRESHOLD:
+    engine, got = "float+certify", None
+    if len(c) > _FLOAT_THRESHOLD:
         got = _float_then_snap(c, A_ub, b_ub, A_eq, b_eq)
-        if got is not None:
-            return got
-    x, y_ub, y_eq = _simplex_exact(c, A_ub, b_ub, A_eq, b_eq)
+    if got is None:
+        engine, got = "exact", _simplex_exact(c, A_ub, b_ub, A_eq, b_eq)
+    x, y_ub, y_eq = got
     value = sum((ci * xi for ci, xi in zip(c, x) if xi), ZERO)
-    return LPResult(x, y_ub, y_eq, value, engine="exact")
+    return LPResult(x, y_ub, y_eq, value, engine)
 
 
 def check_certificate(c, A_ub, b_ub, A_eq, b_eq, x, y_ub, y_eq) -> bool:
     """Exact optimality check: primal/dual feasible with equal objectives.
 
-    With ``S`` the lcm of the denominators in ``A``, ``b`` and ``c``,
-    ``x = X / Dx`` and ``y = Y / Dy``, the tests are ``S A X <= S b Dx``,
-    ``S A^T Y >= S c Dy`` and ``S c X Dy == S b Y Dx``, all over ints.
+    With ``x = X / Dx`` and ``y = Y / Dy``, the tests are
+    ``A X <= b Dx``, ``A^T Y >= c Dy`` and ``c X Dy == b Y Dx``: integer
+    sums on the int data ``solve_lp`` takes (rational data would be decided
+    exactly too, through ``Fraction`` arithmetic).
     """
     n = len(c)
     if len(x) != n:
         return False
-    scale = lcm(*{v.denominator for v in chain(c, b_ub, b_eq)},
-                *{v.denominator for row in chain(A_ub, A_eq)
-                  for v in row.values()})
-    if scale != 1:
-        c, b_ub, b_eq = (numerators_over(v, scale) for v in (c, b_ub, b_eq))
-        A_ub, A_eq = ([dict(zip(row, numerators_over(row.values(), scale)))
-                       for row in rows] for rows in (A_ub, A_eq))
     dx = lcm(*{v.denominator for v in x})
     x = numerators_over(x, dx)
     dy = lcm(*{v.denominator for v in chain(y_ub, y_eq)})
@@ -147,12 +142,13 @@ def _simplex_exact(c, A_ub, b_ub, A_eq, b_eq):
     """Two-phase simplex with Bland's rule on a fraction-free tableau.
 
     Row ``i`` holds the rationals ``tab[i][j] / den[i]``: int numerators
-    over one positive denominator, kept reduced by the gcd of the row.  A
-    rational input row is stored over the lcm of its denominators, so the
-    entries are those of a ``QQ`` tableau.  A pivot normalizes the pivot
-    row to ``P / dp`` and turns every row ``R / dr`` with ``R[pc] != 0``,
-    the objective rows included, into ``(R * dp - R[pc] * P) / (dr * dp)``;
-    the arithmetic is exact, so the pivots are those of the ``QQ`` tableau.
+    over one positive denominator, kept reduced by the gcd of the row.  On
+    the int data every row starts over denominator 1, with its slack or
+    artificial basic at the non-negative right-hand side.  A pivot
+    normalizes the pivot row to ``P / dp`` and turns every row ``R / dr``
+    with ``R[pc] != 0``, the objective rows included, into
+    ``(R * dp - R[pc] * P) / (dr * dp)``; the arithmetic is exact, so the
+    pivots are those of the ``QQ`` tableau.
     Signs are read on numerators and the ratio test cross-multiplies (row
     denominators cancel), so only the returned nonzero values are ``QQ``.
     """
@@ -160,31 +156,23 @@ def _simplex_exact(c, A_ub, b_ub, A_eq, b_eq):
     m = m_ub + m_eq
     art_lo = n + m_ub
     width = art_lo + m_eq + 1  # structural | slacks | artificials | rhs
-    tab, den = [], []
+    tab = []
     for i, (row, b) in enumerate(chain(zip(A_ub, b_ub), zip(A_eq, b_eq))):
-        coefs = [v if type(v) is int else rat(v) for v in row.values()]
-        d = lcm(b.denominator, *(v.denominator for v in coefs))
-        sign = -1 if i >= m_ub and b < 0 else 1
         r = [0] * width
-        for j, p in zip(row, numerators_over(coefs, d)):
-            r[j] = sign * p
-        r[n + i] = d
-        r[-1] = sign * b.numerator * (d // b.denominator)
+        for j, v in row.items():
+            r[j] = v
+        r[n + i] = 1
+        r[-1] = b
         tab.append(r)
-        den.append(d)
     basis = list(range(n, n + m))
     # objective rows: row m is c (phase 2); row m + 1 the sum of the
     # artificial rows, zero on their columns (phase 1: maximize -sum)
-    d = lcm(*(v.denominator for v in c))
-    tab.append(numerators_over(c, d) + [0] * (width - n))
-    den.append(d)
+    tab.append(list(c) + [0] * (width - n))
     if m_eq:
-        d = lcm(*den[m_ub:m])
-        obj1 = [sum(tab[i][j] * (d // den[i]) for i in range(m_ub, m))
-                for j in range(width)]
+        obj1 = [sum(col) for col in zip(*tab[m_ub:m])]
         obj1[art_lo:art_lo + m_eq] = [0] * m_eq
         tab.append(obj1)
-        den.append(d)
+    den = [1] * len(tab)
 
     def pivot(pr, pc):
         p = tab[pr]
@@ -250,11 +238,9 @@ def _simplex_exact(c, A_ub, b_ub, A_eq, b_eq):
     for i, j in enumerate(basis):
         if j < n and tab[i][-1]:
             x[j] = QQ(tab[i][-1], den[i])
-    # y = -(reduced costs of the slacks and artificials), an equality row's
-    # dual signed back by its right-hand side
+    # y = -(reduced costs of the slacks and artificials)
     obj, d = tab[m], den[m]
-    sign = [1] * m_ub + [-1 if b < 0 else 1 for b in b_eq]
-    y = [QQ(-s * v, d) if v else ZERO for s, v in zip(sign, obj[n:-1])]
+    y = [QQ(-v, d) if v else ZERO for v in obj[n:-1]]
     return x, y[:m_ub], y[m_ub:]
 
 
@@ -270,21 +256,16 @@ def _simplex_float(c, A_ub, b_ub, A_eq, b_eq):
     # rows 0..m-1 the constraints, row m the phase-2 objective c, row m + 1
     # the phase-1 sum of the equality rows (zero on the artificials)
     T = np.zeros((m + 2, width))
-    for i, (row, b) in enumerate(zip(A_ub, b_ub)):
-        T[i, list(row)] = [float(coef) for coef in row.values()]
+    # row i's slack or artificial is column n + i in either block
+    for i, (row, b) in enumerate(chain(zip(A_ub, b_ub), zip(A_eq, b_eq))):
+        T[i, list(row)] = list(row.values())
         T[i, n + i] = 1.0
-        T[i, -1] = float(b)
-    signs = [1.0 if b >= 0 else -1.0 for b in b_eq]
-    for i, (row, b, sign) in enumerate(zip(A_eq, b_eq, signs)):
-        T[m_ub + i, list(row)] = [float(coef) * sign
-                                  for coef in row.values()]
-        T[m_ub + i, art_lo + i] = 1.0
-        T[m_ub + i, -1] = float(b) * sign
+        T[i, -1] = b
     basis = np.arange(n, n + m)
     if m_eq:
         T[m + 1] = T[m_ub:m].sum(axis=0)
         T[m + 1, art_lo:-1] = 0.0
-    T[m, :n] = [float(v) for v in c]
+    T[m, :n] = c
     tol = 1e-9
     rhs = T[:m, -1]
     ratios = np.empty(m)
@@ -331,10 +312,8 @@ def _simplex_float(c, A_ub, b_ub, A_eq, b_eq):
     x = np.zeros(n)
     structural = basis < n
     x[basis[structural]] = rhs[structural]
-    # y = -(reduced costs of the slacks and artificials), an equality row's
-    # dual signed back by its right-hand side
-    return (list(x), list(-T[m, n:art_lo]),
-            list(-T[m, art_lo:-1] * np.array(signs)))
+    # y = -(reduced costs of the slacks and artificials)
+    return list(x), list(-T[m, n:art_lo]), list(-T[m, art_lo:-1])
 
 
 def _snap(values, denom):
@@ -360,6 +339,5 @@ def _float_then_snap(c, A_ub, b_ub, A_eq, b_eq):
         y_ub = [max(v, ZERO) for v in _snap(yubf, denom)]
         y_eq = _snap(yeqf, denom)
         if check_certificate(c, A_ub, b_ub, A_eq, b_eq, x, y_ub, y_eq):
-            value = sum((ci * xi for ci, xi in zip(c, x) if xi), ZERO)
-            return LPResult(x, y_ub, y_eq, value, engine="float+certify")
+            return x, y_ub, y_eq
     return None

@@ -26,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .errors import OracleBudgetExceeded, PreconditionError
+from .errors import (InternalInvariantError, OracleBudgetExceeded,
+                     PreconditionError)
 from .flows import DCycle, Multiflow, canonical_darts, cycle_lp
 from .instances import Instance
 # unused here (the one LP is flows.cycle_lp); perfbench's tracer test
@@ -194,7 +195,8 @@ def exact_integral_multiflow(instance: Instance,
         flow.add(cycles[i], x)
     flow.verify_feasible()
     if flow.value != best_value:
-        raise AssertionError("oracle bookkeeping mismatch")
+        raise InternalInvariantError("oracle bookkeeping mismatch",
+                                     witness=(flow.value, best_value))
     return best_value, flow
 
 

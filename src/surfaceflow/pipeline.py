@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import InternalInvariantError, PreconditionError
-from .flows import Multiflow, solve_and_decompose
+from .flows import Multiflow, edge_loads, solve_and_decompose
 from .instances import Instance
 from .oracle import DEFAULT_BUDGET, exact_integral_multiflow
 from .rational import ONE, ZERO, rat, rat_str
@@ -219,7 +219,7 @@ def verify_solution(instance: Instance, data) -> dict:
     except Exception as exc:  # malformed cycles are a verdict, not a crash
         return _malformed(str(exc))
     problems = []
-    for e, load in sorted(flow.edge_loads().items()):
+    for e, load in sorted(edge_loads(flow.values).items()):
         if load > instance.cap(e):
             problems.append({"kind": "capacity", "witness":
                              {"edge": e, "load": rat_str(load),

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import InternalInvariantError, PreconditionError
-from .flows import DCycle, Multiflow
+from .flows import DCycle, Multiflow, edge_loads
 from .instances import Instance
 from .rational import ZERO, floor_rat
 from .round_separating import degeneracy_coloring
@@ -240,8 +240,7 @@ def improved_g2(flow: Multiflow,
                     "annular class shares edges with another kept class",
                     witness=i)
         else:
-            loads = Multiflow(
-                inst, {c: flow.values[c] for c in cls_cycles}).edge_loads()
+            loads = edge_loads({c: flow.values[c] for c in cls_cycles})
             for j in set(pair):
                 for e in cls_cycles[j].edge_set & others:
                     caps[e] = min(caps[e], floor_rat(loads.get(e, ZERO)))

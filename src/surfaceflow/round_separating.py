@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 from .errors import (InternalInvariantError, OracleBudgetExceeded,
                      PreconditionError)
-from .flows import Multiflow, cycle_lp
+from .flows import Multiflow, cycle_lp, edge_loads
 from .oracle import DEFAULT_BUDGET, pack_cycles
 from .rational import QQ, ZERO, floor_rat, rat
 from .topology import inside_faces
@@ -137,7 +137,7 @@ def reduce_to_unit(flow_half: Multiflow) -> UnitReduction:
     for i, c in enumerate(residual):
         for e in c.edge_set:
             users.setdefault(e, []).append(i)
-    banked_loads = banked.edge_loads()
+    banked_loads = edge_loads(banked.values)
     for e, ids in users.items():
         if (len(ids) + 1) // 2 + banked_loads.get(e, ZERO) > inst.cap(e):
             raise InternalInvariantError(

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InternalInvariantError, PreconditionError
-from .flows import DCycle, Multiflow
+from .flows import DCycle, Multiflow, edge_loads
 from .instances import Instance
 from .rational import ZERO, rat
 from .surface import EmbeddedGraph, crosses, shared_paths
@@ -121,14 +121,6 @@ def multiset_to_flow(instance: Instance, counts: dict, quantum) -> Multiflow:
     for c, k in counts.items():
         flow.set(c, k * quantum)
     return flow
-
-
-def multiset_edge_loads(counts: dict) -> dict:
-    loads: dict[int, int] = {}
-    for c, k in counts.items():
-        for e in c.edge_set:
-            loads[e] = loads.get(e, 0) + k
-    return loads
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +321,7 @@ def uncross_all(instance: Instance, counts: dict,
     cache: dict = {}
     potentials: list = []
     size0 = sum(counts.values())
-    loads0 = multiset_edge_loads(counts)
+    loads0 = edge_loads(counts)
     phi = _potentials(g, counts, cache) if check_invariants else None
 
     guard = 0
@@ -373,7 +365,7 @@ def uncross_all(instance: Instance, counts: dict,
         if check_invariants:
             if sum(counts.values()) != size0:
                 raise InternalInvariantError("multiset size changed")
-            loads = multiset_edge_loads(counts)
+            loads = edge_loads(counts)
             for e, load in loads.items():
                 if load > loads0.get(e, 0):
                     raise InternalInvariantError(

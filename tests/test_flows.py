@@ -3,7 +3,8 @@ import pytest
 from conftest import edge_load, with_caps
 from surfaceflow.errors import InternalInvariantError, PreconditionError
 from surfaceflow.flows import (DCycle, Multiflow, _verify_multicut, decompose,
-                               solve_and_decompose, solve_fractional)
+                               edge_loads, solve_and_decompose,
+                               solve_fractional)
 from surfaceflow.instances import (DEMAND, SUPPLY, Instance,
                                    generate_gap_family,
                                    generate_planar_random,
@@ -74,6 +75,20 @@ class TestMultiflow:
         assert edge_load(f, 4) == rat(1)
         assert edge_load(f, 0) == rat("1/2")
         f.verify_feasible()
+
+    def test_edge_loads_keep_the_amount_type(self):
+        """One per-edge sum for flows and cycle multisets: ``QQ`` values
+        give ``QQ`` loads, int counts int loads."""
+        inst = two_path_instance()
+        c1 = DCycle.from_darts(inst, [0, 2, 9])
+        c2 = DCycle.from_darts(inst, [7, 5, 9])
+        f = Multiflow(inst, {c1: rat("1/2"), c2: rat("3/2")})
+        loads = edge_loads(f.values)
+        assert loads == {e: edge_load(f, e) for e in c1.edge_set | c2.edge_set}
+        assert {type(v) for v in loads.values()} == {type(rat(1))}
+        counts = edge_loads({c1: 2, c2: 3})
+        assert counts[4] == 5 and counts[0] == 2
+        assert {type(v) for v in counts.values()} == {int}
 
     def test_wire_round_trip(self):
         inst = two_path_instance()

@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,36 @@ def R(*vals):
 
 
 def row(**kw):
-    return {int(k[1:]): rat(v) for k, v in kw.items()}
+    return {int(k[1:]): v for k, v in kw.items()}
+
+
+def int_lp(c, A_ub, b_ub, A_eq, b_eq):
+    """The same LP over ints, as ``solve_lp`` takes it: ``c``, and each row
+    with its right-hand side, scaled by the lcm of their denominators, and
+    an equality row with a negative right-hand side negated.  The feasible
+    set, and so the optimal ``x``, stay the same."""
+    def scaled(vec):
+        d = lcm(*(Fraction(v).denominator for v in vec))
+        return [int(v * d) for v in vec]
+
+    def rows(A, b, eq):
+        A_out, b_out = [], []
+        for r, rhs in zip(A, b):
+            *coefs, rhs = scaled([*r.values(), rhs])
+            sign = -1 if eq and rhs < 0 else 1
+            A_out.append({j: sign * v for j, v in zip(r, coefs)})
+            b_out.append(sign * rhs)
+        return A_out, b_out
+
+    return (scaled(c), *rows(A_ub, b_ub, False), *rows(A_eq, b_eq, True))
+
+
+# Beale's cycling example, scaled to ints: degenerate ties under Bland's
+# rule; its optimum 1/20 becomes 5 with ``c`` scaled by 100
+BEALE = int_lp(R("3/4", -150, "1/50", -6),
+               [{0: rat("1/4"), 1: -60, 2: rat("-1/25"), 3: 9},
+                {0: rat("1/2"), 1: -90, 2: rat("-1/50"), 3: 3}, {2: 1}],
+               [0, 0, 1], [], [])
 
 
 def torus(seed):
@@ -79,17 +109,17 @@ def digest(res):
 class TestExactSimplex:
     def test_simple_2d(self):
         # max 3x + 5y  s.t.  x <= 4, 2y <= 12, 3x + 2y <= 18
-        res = solve_lp(R(3, 5),
+        res = solve_lp([3, 5],
                        [row(x0=1), row(x1=2), row(x0=3, x1=2)],
-                       R(4, 12, 18))
+                       [4, 12, 18])
         assert res.value == rat(36)
         assert res.x == R(2, 6)
         assert res.engine == "exact"
 
     def test_duals_satisfy_certificate(self):
-        c = R(3, 5)
+        c = [3, 5]
         A = [row(x0=1), row(x1=2), row(x0=3, x1=2)]
-        b = R(4, 12, 18)
+        b = [4, 12, 18]
         res = solve_lp(c, A, b)
         assert check_certificate(c, A, b, [], [], res.x, res.y_ub, res.y_eq)
         assert sum(y * bi for y, bi in zip(res.y_ub, b)) == res.value
@@ -97,86 +127,91 @@ class TestExactSimplex:
     def test_fractional_optimum(self):
         # max x + y  s.t.  2x + y <= 3, x + 2y <= 3  ->  x = y = 1 at corner,
         # then perturb to force a non-integer vertex
-        res = solve_lp(R(1, 1), [row(x0=2, x1=1), row(x0=1, x1=2)], R(3, 3))
+        res = solve_lp([1, 1], [row(x0=2, x1=1), row(x0=1, x1=2)], [3, 3])
         assert res.value == rat(2)
-        res = solve_lp(R(2, 1), [row(x0=3, x1=1), row(x0=1, x1=3)], R(4, 4))
+        res = solve_lp([2, 1], [row(x0=3, x1=1), row(x0=1, x1=3)], [4, 4])
         assert res.x == [rat(1), rat(1)]
         assert res.value == rat(3)
 
     def test_equality_rows(self):
-        # max x + 2y  s.t.  x + y = 1,  y <= 3/4
-        res = solve_lp(R(1, 2), [row(x1=1)], [rat("3/4")],
-                       [row(x0=1, x1=1)], R(1))
+        # max x + 2y  s.t.  x + y = 1,  4y <= 3
+        res = solve_lp([1, 2], [row(x1=4)], [3], [row(x0=1, x1=1)], [1])
         assert res.x == [rat("1/4"), rat("3/4")]
         assert res.value == rat("7/4")
-        assert check_certificate(R(1, 2), [row(x1=1)], [rat("3/4")],
-                                 [row(x0=1, x1=1)], R(1),
+        assert check_certificate([1, 2], [row(x1=4)], [3],
+                                 [row(x0=1, x1=1)], [1],
                                  res.x, res.y_ub, res.y_eq)
 
     def test_infeasible_equalities(self):
         with pytest.raises(PreconditionError):
-            solve_lp(R(1), [row(x0=1)], R(1),
-                     [row(x0=1), row(x0=1)], R(1, 2))
+            solve_lp([1], [row(x0=1)], [1],
+                     [row(x0=1), row(x0=1)], [1, 2])
 
     def test_unbounded(self):
         with pytest.raises(PreconditionError):
-            solve_lp(R(1, 1), [row(x0=1)], R(5))
+            solve_lp([1, 1], [row(x0=1)], [5])
 
     def test_negative_ub_rhs_rejected(self):
         with pytest.raises(PreconditionError):
-            solve_lp(R(1), [row(x0=-1)], R(-1))
+            solve_lp([1], [row(x0=-1)], [-1])
+
+    def test_negative_eq_rhs_rejected(self):
+        """``-x = -1`` is refused, not negated: its row ``x = 1`` is what
+        the caller poses."""
+        with pytest.raises(PreconditionError):
+            solve_lp([1], [], [], [row(x0=-1)], [-1])
 
     def test_zero_objective(self):
-        res = solve_lp(R(0, 0), [row(x0=1, x1=1)], R(2))
+        res = solve_lp([0, 0], [row(x0=1, x1=1)], [2])
         assert res.value == 0
 
-    @pytest.mark.parametrize("where", ["c", "b_ub"])
-    @pytest.mark.parametrize("bad", [True, 1.0])
+    @pytest.mark.parametrize("where", ["c", "b_ub", "b_eq"])
+    @pytest.mark.parametrize("bad", [
+        True, 1.0, pytest.param(Fraction(1), id="Fraction")])
     def test_bool_and_float_data_refused(self, where, bad):
-        data = {"c": [1, 1], "b_ub": [2]}
+        """Only ints: a bool, a float or a ``Fraction``, even an integral
+        one, is refused."""
+        data = {"c": [1, 1], "b_ub": [2], "b_eq": [1]}
         data[where] = [bad] + data[where][1:]
         with pytest.raises(TypeError):
-            solve_lp(data["c"], [{0: 1, 1: 1}], data["b_ub"])
+            solve_lp(data["c"], [{0: 1, 1: 1}], data["b_ub"], [{0: 1}],
+                     data["b_eq"])
 
     def test_degenerate_does_not_cycle(self):
         # classic cycling-prone instance (Beale); Bland's rule must terminate
-        c = R("3/4", -150, "1/50", -6)
-        A = [row(x0="1/4", x1=-60, x2="-1/25", x3=9),
-             row(x0="1/2", x1=-90, x2="-1/50", x3=3),
-             row(x2=1)]
-        b = R(0, 0, 1)
-        res = solve_lp(c, A, b)
-        assert res.value == rat("1/20")
+        assert solve_lp(*BEALE).value == rat(5)
 
 
 class TestFloatPath:
     def test_large_lp_uses_float_warm_start(self):
-        # transportation-style LP with > 160 columns and a rational optimum
+        # transportation-style LP with > 160 columns and a rational optimum:
+        # row sums at most i + 1/2, column sums at most j + 2/3
         k = 15
         n = k * k
-        c = [rat((i % 7) + 1) for i in range(n)]
+        c = [(i % 7) + 1 for i in range(n)]
         A_ub, b_ub = [], []
         for i in range(k):  # row sums
-            A_ub.append({i * k + j: rat(1) for j in range(k)})
-            b_ub.append(rat("%d/2" % (2 * i + 1)))
+            A_ub.append({i * k + j: 2 for j in range(k)})
+            b_ub.append(2 * i + 1)
         for j in range(k):  # column sums
-            A_ub.append({i * k + j: rat(1) for i in range(k)})
-            b_ub.append(rat("%d/3" % (3 * j + 2)))
+            A_ub.append({i * k + j: 3 for i in range(k)})
+            b_ub.append(3 * j + 2)
         res = solve_lp(c, A_ub, b_ub)
         assert check_certificate(c, A_ub, b_ub, [], [],
                                  res.x, res.y_ub, res.y_eq)
         snapped = _float_then_snap(c, A_ub, b_ub, [], [])
         if snapped is not None:
-            assert snapped.value == res.value
+            assert sum(ci * xi for ci, xi in zip(c, snapped[0])) == res.value
 
     def test_snap_recovers_halves(self):
-        c = [rat(1)] * 2
+        c = [1, 1]
         A = [row(x0=2), row(x1=2), row(x0=1, x1=1)]
-        b = R(1, 1, 1)
+        b = [1, 1, 1]
         got = _float_then_snap(c, A, b, [], [])
         assert got is not None
-        assert got.value == rat(1)
-        assert check_certificate(c, A, b, [], [], got.x, got.y_ub, got.y_eq)
+        x, y_ub, y_eq = got
+        assert sum(x) == rat(1)
+        assert check_certificate(c, A, b, [], [], x, y_ub, y_eq)
 
     # sha256 of the compact LP's (x, y_ub, y_eq) on 6x6 torus grids, recorded
     # with full dense pivots: a change to the float pivot sequence fails here
@@ -259,10 +294,11 @@ COEFS = st.one_of(st.integers(-3, 3), FRACS)
 
 @st.composite
 def feasible_lps(draw):
-    """A small bounded LP with a known feasible point ``x0``.
+    """A small bounded LP with a known feasible point ``x0``, over ints.
 
-    Some examples have pure-``int`` data, as the compact LP has, and some
-    rational data.
+    Some examples are drawn with ``int`` data, as the compact LP has, and
+    some with rational data; ``int_lp`` scales the latter row by row to
+    ints and negates an equality row whose right-hand side is negative.
     """
     ints = draw(st.booleans())
     if ints:
@@ -291,10 +327,7 @@ def feasible_lps(draw):
     b_ub.append(cast(sum(x0) + 1))
     A_eq = rows(draw(st.integers(0, 2)))
     b_eq = [cast(at(row, x0)) for row in A_eq]
-    if ints:
-        assert all(type(v) is int for v in chain(
-            c, b_ub, b_eq, *(row.values() for row in A_ub + A_eq)))
-    return c, A_ub, b_ub, A_eq, b_eq
+    return int_lp(c, A_ub, b_ub, A_eq, b_eq)
 
 
 class TestIntegerCertificate:
@@ -360,8 +393,8 @@ class TestIntegerCertificate:
 def any_lps(draw):
     """``feasible_lps`` with, sometimes, the bounding row dropped (the LP
     may be unbounded) or one equality right-hand side moved (it may be
-    infeasible); the drawn data keep their degenerate ties and the sign
-    of every ``b_eq``."""
+    infeasible); the drawn data keep their degenerate ties, and a moved
+    right-hand side that turns negative negates its row."""
     c, A_ub, b_ub, A_eq, b_eq = draw(feasible_lps())
     if draw(st.booleans()):
         A_ub, b_ub = A_ub[:-1], b_ub[:-1]
@@ -369,7 +402,7 @@ def any_lps(draw):
         i = draw(st.integers(0, len(b_eq) - 1))
         b_eq = b_eq[:i] + [b_eq[i] + draw(st.sampled_from([-1, 1]))] \
             + b_eq[i + 1:]
-    return c, A_ub, b_ub, A_eq, b_eq
+    return int_lp(c, A_ub, b_ub, A_eq, b_eq)
 
 
 def outcome(engine, lp):
@@ -391,20 +424,16 @@ class TestIntegerTableau:
             outcome(reference_simplex_exact, lp)
 
     @pytest.mark.parametrize("lp", [
-        # Beale's cycling example: degenerate ties under Bland's rule
-        (R("3/4", -150, "1/50", -6),
-         [row(x0="1/4", x1=-60, x2="-1/25", x3=9),
-          row(x0="1/2", x1=-90, x2="-1/50", x3=3), row(x2=1)],
-         R(0, 0, 1), [], []),
-        # negative b_eq on two parallel equality rows
-        ([1, 1], [{0: 1, 1: 1}], [3], [{0: -1, 1: 2}, {0: -2, 1: 4}],
-         [-1, -2]),
+        BEALE,
+        # two parallel equality rows, one of them redundant
+        ([1, 1], [{0: 1, 1: 1}], [3], [{0: 1, 1: -2}, {0: 2, 1: -4}],
+         [1, 2]),
         # -2 x = 0 leaves its artificial basic at zero; without the
         # drive-out, x would grow to 3
         ([2], [{0: 1}], [3], [{0: -2}], [0]),
         ([1], [], [], [{0: 1}, {0: 1}], [1, 2]),     # infeasible
         ([1, 1], [{0: 1}], [5], [], []),             # unbounded
-    ], ids=["beale", "negative-b_eq", "drive-out", "infeasible",
+    ], ids=["beale", "parallel-equalities", "drive-out", "infeasible",
             "unbounded"])
     def test_edge_cases_match_reference(self, lp):
         assert outcome(_simplex_exact, lp) == \
@@ -412,7 +441,7 @@ class TestIntegerTableau:
 
     @pytest.mark.parametrize("lp", [
         "compact", ([2, 3], [{0: 1, 1: 1}, {0: 2}], [4, 3],
-                    [{0: 1, 1: -1}], [-1])], ids=["compact", "negative-b_eq"])
+                    [{0: -1, 1: 1}], [1])], ids=["compact", "equality-row"])
     def test_int_data_make_no_fraction(self, monkeypatch, lp):
         """On int data the only rationals made are the returned nonzero
         values (a zero is the shared ``ZERO``)."""
@@ -441,8 +470,9 @@ def wide_lps(draw):
 
     Hypothesis draws the shape and a seed; the hundreds of entries come
     from the seed.  ``b_ub`` is non-negative and ``b_eq = A_eq x0`` for a
-    drawn ``x0 >= 0``, so both phases run; with ``flip`` every equality row
-    is negated, which makes its nonzero right-hand sides negative.
+    drawn ``x0 >= 0``, so both phases run; ``int_lp`` negates a row whose
+    ``b_eq`` is negative, and with ``flip`` so is every equality row with
+    a zero right-hand side.
     """
     n = draw(st.integers(_FLOAT_THRESHOLD + 1, _FLOAT_THRESHOLD + 60))
     m_ub = draw(st.integers(1, 12))
@@ -469,9 +499,9 @@ def wide_lps(draw):
     A_eq = rows(m_eq)
     b_eq = [at(row) for row in A_eq]
     if flip:
-        A_eq = [{j: -v for j, v in row.items()} for row in A_eq]
-        b_eq = [-b for b in b_eq]
-    return c, A_ub, b_ub, A_eq, b_eq
+        A_eq = [{j: -v for j, v in row.items()} if b == 0 else row
+                for row, b in zip(A_eq, b_eq)]
+    return int_lp(c, A_ub, b_ub, A_eq, b_eq)
 
 
 class TestFloatTableau:

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from surfaceflow import cli, pipeline
-from surfaceflow.errors import InternalInvariantError, PreconditionError
+from surfaceflow import cli, oracle, pipeline
+from surfaceflow.errors import (InstanceFormatError, InternalInvariantError,
+                               PreconditionError)
 from surfaceflow.instances import (generate_gap_family,
                                    generate_planar_random,
-                                   generate_torus_grid, load_instance)
+                                   generate_torus_grid, load_instance,
+                                   parse_instance)
 from surfaceflow.oracle import exact_integral_multiflow
 from surfaceflow.pipeline import (PipelineConfig, render_report, run,
                                   solution_wire, verify_solution)
@@ -253,6 +255,45 @@ class TestCli:
         assert cli.main(["oracle", str(inst_path)]) == 0
         assert cli.main(["oracle", str(inst_path), "--multicut"]) == 0
         assert cli.main(["oracle", str(inst_path), "--max-nodes", "1"]) == 4
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "{inst}"], ["solve", "{inst}", "--verify", "full-oracle"]],
+        ids=["oracle", "solve"])
+    def test_oracle_bookkeeping_mismatch_exits_1(self, monkeypatch, capsys,
+                                                  argv):
+        """A packing that misreports its value fails an internal invariant:
+        exit 1 with one line, not a traceback."""
+        pack = oracle.pack_cycles
+
+        def misreporting(*args):
+            value, best = pack(*args)
+            return value + 1, best
+
+        monkeypatch.setattr(oracle, "pack_cycles", misreporting)
+        inst = GOLDEN / "gap_n1.json"
+        assert cli.main([a.format(inst=inst) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("internal invariant failed: ")
+        assert "oracle bookkeeping mismatch" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("field, value", [
+        ("kind", "weird"), ("cap", 1.0), ("cap", "1"), ("cap", True)],
+        ids=["kind", "cap-float", "cap-str", "cap-bool"])
+    def test_bad_kind_or_cap_is_schema_exit_2(self, tmp_path, capsys, field,
+                                              value):
+        """``Instance`` is the one check of kinds and capacities; the
+        parser hands them over unchecked."""
+        doc = json.loads((GOLDEN / "gap_n1.json").read_text())
+        doc["edges"][3][field] = value
+        with pytest.raises(InstanceFormatError) as info:
+            parse_instance(doc)
+        assert info.value.code == "schema"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert cli.main(["solve", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: edge 3 ") and err.count("\n") == 1
 
     def test_non_int_dart_exits_2(self, tmp_path):
         doc = json.loads((GOLDEN / "gap_n1.json").read_text())

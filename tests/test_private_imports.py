@@ -1,5 +1,6 @@
 """No package module imports a private name from a sibling module, or a
-name it never reads, or asks an object what attributes it has.
+name it never reads, or asks an object what attributes it has, or checks
+with ``assert``.
 
 A ``_name`` is a module's own business; another module that needs it should
 get a public name instead, so that each job keeps one entry point.
@@ -89,5 +90,34 @@ def test_no_hasattr():
     """Every cycle the package handles is a ``DCycle``; duck-typed inputs
     stay in the tests."""
     found = {path.name: hasattr_calls(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def assertions(source: str) -> list:
+    """Line numbers of the ``assert`` statements and of every use of
+    ``AssertionError`` in a module."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Assert)
+                  or isinstance(node, ast.Name)
+                  and node.id == "AssertionError")
+
+
+def test_detects_assertions():
+    assert assertions("assert x, 'why'\n"
+                      "if x:\n"
+                      "    raise AssertionError('mismatch')\n"
+                      "y = 'assert'\n"
+                      "try:\n"
+                      "    pass\n"
+                      "except AssertionError:\n"
+                      "    pass\n") == [1, 3, 7]
+
+
+def test_no_assertions():
+    """``python -O`` strips ``assert``, and ``cli.main`` reports only the
+    package's own errors: a failed invariant raises
+    ``InternalInvariantError`` with a witness."""
+    found = {path.name: assertions(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
