@@ -287,8 +287,10 @@ def generate_torus_grid(p: int, q: int, demands, cap_mode: str = "unit",
     edges, rotation = _torus_lists(p, q)
     n_supply = len(edges)
     if isinstance(demands, int):
+        if demands < 0:
+            raise PreconditionError("demand count must be non-negative")
         n_pairs = p * q * (p * q - 1) // 2
-        if not 0 <= demands <= n_pairs:
+        if demands > n_pairs:
             raise PreconditionError(
                 "a %d x %d grid has %d vertex pairs, cannot draw %d demands"
                 % (p, q, n_pairs, demands))

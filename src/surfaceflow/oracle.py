@@ -7,6 +7,11 @@ a flow's support), over covering edges for the minimum multicut.  They are
 deliberately exponential and guarded by an explicit work budget; exceeding
 it is a refusal (:class:`OracleBudgetExceeded`), never a wrong answer.
 
+The two oracles share one enumeration.  ``enumerate_d_cycles`` keeps its
+last answer, keyed on the instance object (``is``) and the budget (``==``),
+so a ``full-oracle`` pipeline run followed by ``exact_min_multicut`` on the
+same instance enumerates once.  A refusal is never kept.
+
 The budget is made of counts only (enumerated cycles, depth-first dart
 extensions, search nodes), so whether an instance is refused depends on the
 instance and the budget alone, never on the machine or its load.
@@ -25,10 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
+from operator import itemgetter
 
 from .errors import (InternalInvariantError, OracleBudgetExceeded,
                      PreconditionError)
-from .flows import DCycle, Multiflow, canonical_darts, cycle_lp
+from .flows import DCycle, Multiflow, cycle_lp
 from .instances import Instance
 # unused here (the one LP is flows.cycle_lp); perfbench's tracer test
 # looks for this binding
@@ -59,64 +65,105 @@ class OracleBudget:
 DEFAULT_BUDGET = OracleBudget()
 
 
+# the last successful enumeration: (instance, budget, cycles)
+_last: tuple = (None, None, ())
+
+
 def enumerate_d_cycles(instance: Instance,
-                       budget: OracleBudget = DEFAULT_BUDGET) -> list:
-    """All D-cycles of the instance, in canonical order.
+                       budget: OracleBudget = DEFAULT_BUDGET) -> tuple:
+    """All D-cycles of the instance, as a tuple sorted by canonical darts.
+
+    The last successful answer is kept, with its instance object and
+    budget, and returned again for the same object (``is``) under an equal
+    budget (``==``), so ``exact_integral_multiflow`` and
+    ``exact_min_multicut`` on one instance share one enumeration.  An equal
+    but distinct instance object is enumerated again.  A refusal is not
+    kept: the same instance and budget are enumerated, and refused, again.
+    """
+    global _last
+    kept_instance, kept_budget, cycles = _last
+    if kept_instance is instance and kept_budget == budget:
+        return cycles
+    cycles = _search_d_cycles(instance, budget)
+    _last = (instance, budget, cycles)
+    return cycles
+
+
+def _search_d_cycles(instance: Instance, budget: OracleBudget) -> tuple:
+    """The depth-first enumeration behind ``enumerate_d_cycles``.
 
     For each demand edge, simple supply paths between its endpoints are
-    enumerated by depth-first search with a visited-vertex set; each path
-    closes to a D-cycle through the demand dart.  A demand edge has two
-    distinct ends (``Instance`` refuses loops), so such a cycle is simple,
-    chained and has exactly one demand dart, and every simple path is
-    listed once, so the cycles are built without revalidation.
+    enumerated by depth-first search over the darts at each vertex, in
+    ascending order, with an on-path flag per vertex; each path closes to
+    a D-cycle through the demand dart.  A demand edge has two distinct ends
+    (``Instance`` refuses loops), so such a cycle is simple, chained and has
+    exactly one demand dart, and every simple path is listed once, so the
+    cycles are built without revalidation.  Each step is one dart tried.
     """
     graph = instance.graph
-    tail = [graph.tail(d) for d in range(2 * len(graph.edges))]
-    adjacency: dict[int, list] = {}
+    edges = graph.edges
+    # (dart, the vertex it leads to) for the supply darts at each vertex,
+    # in ascending dart order
+    out: list = [[] for _ in range(graph.n)]
     for e in instance.supply_edges:
-        for d in (2 * e, 2 * e + 1):
-            adjacency.setdefault(graph.head(d), []).append(d)
-    for v in adjacency:
-        adjacency[v].sort()
+        u, v = edges[e]
+        out[u].append((2 * e, v))
+        out[v].append((2 * e + 1, u))
+    max_nodes, max_cycles = budget.max_nodes, budget.max_cycles
+    on_path = [False] * graph.n
     found: list = []
     steps = 0
     for d_edge in instance.demand_edges:
-        dd = 2 * d_edge + 1
-        s, t = graph.head(dd), tail[dd]
-        # the demand dart runs s -> t; close it with supply paths t -> s
-        stack = [(t, iter(adjacency.get(t, ())))]
-        path: list = []
-        visited = {t}
+        # the demand dart 2e+1 runs s -> t; close it with supply paths t -> s
+        t, s = edges[d_edge]
+        path = [2 * d_edge + 1]
+        back = [2 * d_edge]         # back[k] == path[k] ^ 1
+        verts = [t]
+        on_path[t] = True
+        stack = [iter(out[t])]
         while stack:
-            v, it = stack[-1]
-            advanced = False
-            for d in it:
+            for d, w in stack[-1]:
                 steps += 1
-                if steps > budget.max_nodes:
+                if steps > max_nodes:
                     raise OracleBudgetExceeded(
-                        "more than %d cycle enumeration steps"
-                        % budget.max_nodes)
-                w = tail[d]
+                        "more than %d cycle enumeration steps" % max_nodes)
                 if w == s:
-                    found.append(DCycle(canonical_darts((dd, *path, d)),
-                                        d_edge))
-                    if len(found) > budget.max_cycles:
+                    found.append((_canonical(path, back, d), d_edge))
+                    if len(found) > max_cycles:
                         raise OracleBudgetExceeded(
-                            "more than %d D-cycles" % budget.max_cycles)
-                    continue
-                if w in visited:
-                    continue
-                visited.add(w)
-                path.append(d)
-                stack.append((w, iter(adjacency.get(w, ()))))
-                advanced = True
-                break
-            if not advanced:
+                            "more than %d D-cycles" % max_cycles)
+                elif not on_path[w]:
+                    on_path[w] = True
+                    path.append(d)
+                    back.append(d ^ 1)
+                    verts.append(w)
+                    stack.append(iter(out[w]))
+                    break
+            else:
                 stack.pop()
-                if path:
-                    path.pop()
-                visited.discard(v)
-    return sorted(found, key=lambda c: c.darts)
+                path.pop()
+                back.pop()
+                on_path[verts.pop()] = False
+    # canonical dart tuples of distinct cycles differ, so no two keys tie
+    found.sort(key=itemgetter(0))
+    return tuple(DCycle(darts, d_edge) for darts, d_edge in found)
+
+
+def _canonical(path: list, back: list, d: int) -> tuple:
+    """``flows.canonical_darts`` of the simple cycle ``path + [d]``, where
+    ``back`` holds each dart of ``path`` reversed.
+
+    A simple cycle never holds both darts of one edge, so with ``m`` its
+    least dart, the least rotation of its reversal starts at ``m ^ 1`` and
+    wins exactly when ``m`` is odd.
+    """
+    m = min(path)
+    if d < m:
+        return (d ^ 1, *back[::-1]) if d & 1 else (d, *path)
+    i = path.index(m)
+    if m & 1:
+        return (*back[i::-1], d ^ 1, *back[:i:-1])
+    return (*path[i:], d, *path[:i])
 
 
 def pack_cycles(cycle_edges, caps, root, rows,
@@ -128,8 +175,12 @@ def pack_cycles(cycle_edges, caps, root, rows,
     index: positive int})`` from the search of the module docstring, over
     the cycles by decreasing root value, ties by index.
     """
-    # explore large fractional values first; the LP value caps the optimum
-    order = sorted(range(len(cycle_edges)), key=lambda i: (-root.x[i], i))
+    # explore large fractional values first, ties by index (a reversed
+    # sort keeps ties in order); the LP value caps the optimum.  num[i] is
+    # root.x[i] over the common denominator of root.x
+    num = numerators_over(root.x, lcm(*(x.denominator for x in root.x)))
+    order = sorted(range(len(cycle_edges)), key=num.__getitem__,
+                   reverse=True)
     cycle_edges = [cycle_edges[i] for i in order]
     ceiling = floor_rat(root.value)
     # the root dual over a common denominator: price[e] / denom = y[e]

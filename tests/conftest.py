@@ -9,8 +9,10 @@ from functools import cmp_to_key
 
 import numpy as np
 
-from surfaceflow.errors import InternalInvariantError, PreconditionError
-from surfaceflow.flows import DCycle, Multiflow, solve_and_decompose
+from surfaceflow.errors import (InternalInvariantError, OracleBudgetExceeded,
+                                PreconditionError)
+from surfaceflow.flows import (DCycle, Multiflow, canonical_darts,
+                               solve_and_decompose)
 from surfaceflow.instances import Instance, generate_torus_grid, load_instance
 from surfaceflow import uncross
 from surfaceflow.rational import QQ, ZERO, rat
@@ -248,6 +250,59 @@ def reference_uncross_all(instance: Instance, counts: dict) -> dict:
                 del counts[c]
         for c in uncross.uncross_pair(instance, c1, c2, p, q):
             counts[c] = counts.get(c, 0) + 1
+
+
+def reference_enumerate_d_cycles(instance: Instance, budget) -> list:
+    """``oracle.enumerate_d_cycles`` without its memo or its lean walk: a
+    depth-first search over a vertex -> sorted darts map with a visited set,
+    ``canonical_darts`` per cycle, one sort by darts.  Same cycles, same
+    steps (one per dart tried) and same refusals."""
+    graph = instance.graph
+    tail = [graph.tail(d) for d in range(2 * len(graph.edges))]
+    adjacency: dict[int, list] = {}
+    for e in instance.supply_edges:
+        for d in (2 * e, 2 * e + 1):
+            adjacency.setdefault(graph.head(d), []).append(d)
+    for v in adjacency:
+        adjacency[v].sort()
+    found: list = []
+    steps = 0
+    for d_edge in instance.demand_edges:
+        dd = 2 * d_edge + 1
+        s, t = graph.head(dd), tail[dd]
+        stack = [(t, iter(adjacency.get(t, ())))]
+        path: list = []
+        visited = {t}
+        while stack:
+            v, it = stack[-1]
+            advanced = False
+            for d in it:
+                steps += 1
+                if steps > budget.max_nodes:
+                    raise OracleBudgetExceeded(
+                        "more than %d cycle enumeration steps"
+                        % budget.max_nodes)
+                w = tail[d]
+                if w == s:
+                    found.append(DCycle(canonical_darts((dd, *path, d)),
+                                        d_edge))
+                    if len(found) > budget.max_cycles:
+                        raise OracleBudgetExceeded(
+                            "more than %d D-cycles" % budget.max_cycles)
+                    continue
+                if w in visited:
+                    continue
+                visited.add(w)
+                path.append(d)
+                stack.append((w, iter(adjacency.get(w, ()))))
+                advanced = True
+                break
+            if not advanced:
+                stack.pop()
+                if path:
+                    path.pop()
+                visited.discard(v)
+    return sorted(found, key=lambda c: c.darts)
 
 
 def reference_canonical_darts(darts) -> tuple:

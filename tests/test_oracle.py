@@ -1,12 +1,13 @@
 import hashlib
 import json
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (intersection_adjacency, reference_canonical_darts,
-                      reference_unit_map)
+                      reference_enumerate_d_cycles, reference_unit_map)
 from surfaceflow import oracle, round_separating
 from surfaceflow.errors import (InstanceFormatError, InternalInvariantError,
                                 OracleBudgetExceeded, SurfaceflowError)
@@ -14,7 +15,7 @@ from surfaceflow.flows import DCycle, canonical_darts, solve_fractional
 from surfaceflow.instances import (DEMAND, SUPPLY, Instance,
                                    generate_gap_family,
                                    generate_planar_random,
-                                   generate_torus_grid)
+                                   generate_torus_grid, serialize_instance)
 from surfaceflow.oracle import (OracleBudget, enumerate_d_cycles,
                                 exact_integral_multiflow, exact_min_multicut)
 from surfaceflow.pipeline import PipelineConfig, run
@@ -77,9 +78,10 @@ class TestEnumeration:
         assert all(c.demand == 4 for c in cycles)
 
     def test_deterministic(self):
-        inst = generate_planar_random(14, seed=3)
-        a = enumerate_d_cycles(inst)
-        b = enumerate_d_cycles(inst)
+        # two generations: one instance object would read the kept answer
+        a = enumerate_d_cycles(generate_planar_random(14, seed=3))
+        b = enumerate_d_cycles(generate_planar_random(14, seed=3))
+        assert a is not b
         assert a == b
 
     def test_cycle_budget_refused(self):
@@ -108,6 +110,114 @@ class TestEnumeration:
         assert len(set(cycles)) == len(cycles)
         for c in cycles:
             assert DCycle.from_darts(inst, c.darts) == c
+
+
+# the pinned instances plus 14-30 edge planar graphs and 3x3 / 4x4 tori
+ENUMERATION_SWEEP = {
+    **PINNED_INSTANCES,
+    **{"planar%d-seed%d" % (size, seed): (
+        lambda size=size, seed=seed: generate_planar_random(size, seed=seed))
+       for size in (14, 18, 22, 26, 30) for seed in range(3)},
+    **{"torus3x3-unit%d" % seed: (
+        lambda seed=seed: generate_torus_grid(3, 3, 3, seed=seed))
+       for seed in range(2)},
+    "torus4x4": lambda: generate_torus_grid(4, 4, 2, cap_mode="random",
+                                            seed=1),
+}
+
+
+def refusal(enumerate_cycles, inst, budget):
+    """The refusal message, or ``None`` when the budget suffices."""
+    try:
+        enumerate_cycles(inst, budget)
+    except OracleBudgetExceeded as exc:
+        return str(exc)
+    return None
+
+
+class TestEnumerationMatchesReference:
+    @pytest.mark.parametrize("name", sorted(ENUMERATION_SWEEP))
+    def test_same_cycles_steps_and_refusals(self, name):
+        inst = ENUMERATION_SWEEP[name]()
+        cycles = enumerate_d_cycles(inst)
+        # the least passing budget: one step per dart tried, at least one
+        # per cycle
+        n_cycles = len(cycles)
+        n_steps = n_cycles + bisect_left(
+            range(n_cycles, oracle.DEFAULT_BUDGET.max_nodes + 1), True,
+            key=lambda n: refusal(enumerate_d_cycles, inst,
+                                  OracleBudget(max_nodes=n)) is None)
+        least = OracleBudget(max_cycles=n_cycles, max_nodes=n_steps)
+        assert list(enumerate_d_cycles(inst, least)) \
+            == reference_enumerate_d_cycles(inst, least) == list(cycles)
+        for budget, message in (
+                (OracleBudget(max_cycles=n_cycles, max_nodes=n_steps - 1),
+                 "more than %d cycle enumeration steps" % (n_steps - 1)),
+                (OracleBudget(max_cycles=n_cycles - 1, max_nodes=n_steps),
+                 "more than %d D-cycles" % (n_cycles - 1))):
+            assert refusal(enumerate_d_cycles, inst, budget) == message
+            assert refusal(reference_enumerate_d_cycles, inst, budget) \
+                == message
+
+
+@pytest.fixture
+def dfs_runs(monkeypatch):
+    """Counts the depth-first enumerations behind ``enumerate_d_cycles``,
+    starting from an empty memo."""
+    runs = []
+    search = oracle._search_d_cycles
+
+    def counting(*args):
+        runs.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(oracle, "_last", (None, None, ()))
+    monkeypatch.setattr(oracle, "_search_d_cycles", counting)
+    return runs
+
+
+class TestEnumerationMemo:
+    def test_full_oracle_run_and_multicut_enumerate_once(self, dfs_runs):
+        inst = PINNED_INSTANCES["planar0"]()
+        run(inst, PipelineConfig(verify="full-oracle"))
+        exact_min_multicut(inst)
+        assert len(dfs_runs) == 1
+
+    def test_result_is_a_tuple(self, dfs_runs):
+        inst = PINNED_INSTANCES["torus0"]()
+        cycles = enumerate_d_cycles(inst)
+        assert type(cycles) is tuple
+        assert enumerate_d_cycles(inst) is cycles
+        assert len(dfs_runs) == 1
+
+    def test_equal_instance_enumerates_again(self, dfs_runs):
+        a = PINNED_INSTANCES["planar1"]()
+        b = PINNED_INSTANCES["planar1"]()
+        assert a is not b
+        assert serialize_instance(a) == serialize_instance(b)
+        assert enumerate_d_cycles(a) == enumerate_d_cycles(b)
+        assert len(dfs_runs) == 2
+
+    def test_other_budget_enumerates_again(self, dfs_runs):
+        inst = PINNED_INSTANCES["gap1"]()
+        budget = OracleBudget(max_nodes=1000)
+        enumerate_d_cycles(inst)
+        enumerate_d_cycles(inst, budget)
+        enumerate_d_cycles(inst, OracleBudget(max_nodes=1000))
+        assert [b for _, b in dfs_runs] == [oracle.DEFAULT_BUDGET, budget]
+
+    def test_refusal_is_not_kept(self, dfs_runs):
+        inst = PINNED_INSTANCES["gap1"]()
+        enumerate_d_cycles(inst)
+        small = OracleBudget(max_cycles=2)
+        for _ in range(2):
+            with pytest.raises(OracleBudgetExceeded,
+                               match="more than 2 D-cycles"):
+                enumerate_d_cycles(inst, small)
+        assert len(dfs_runs) == 3
+        # the refusals did not displace the kept answer either
+        enumerate_d_cycles(inst)
+        assert len(dfs_runs) == 3
 
 
 class TestCanonicalDarts:

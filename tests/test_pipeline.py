@@ -307,6 +307,13 @@ class TestCli:
         assert cli.main(["solve", str(GOLDEN / "gap_n1.json"),
                          "--epsilon", epsilon]) == 2
 
+    @pytest.mark.parametrize("family", ["torus", "planar"])
+    def test_negative_demand_count_exits_2(self, capsys, family):
+        # the torus generator used to blame the grid's vertex pairs
+        assert cli.main(["generate", family, "--demands", "-1"]) == 2
+        assert capsys.readouterr().err == \
+            "error: demand count must be non-negative\n"
+
     def test_usage_errors(self, tmp_path):
         assert cli.main(["solve", str(tmp_path / "missing.json")]) == 2
         bad = tmp_path / "bad.json"
