@@ -15,6 +15,7 @@ shortest paths and returns the prices as an optimality certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -242,7 +243,8 @@ def _verify_multicut(instance: Instance, prices: dict, value):
     total capacity-weighted cost equal to the flow value (strong duality).
 
     Runs on the prices' numerators over their common denominator ``D``, so
-    the covering test is ``dist + y_d >= D`` in ints.  Returns the cost.
+    the covering test is ``dist + y_d >= D`` in ints, with ``dist`` from
+    Dijkstra; a negative price is refused.  Returns the cost.
     """
     g = instance.graph
     denom = lcm(*{v.denominator for v in prices.values()})
@@ -252,6 +254,9 @@ def _verify_multicut(instance: Instance, prices: dict, value):
         raise InternalInvariantError(
             "multicut certificate cost %s != flow value %s"
             % (total, value), witness=prices)
+    if any(v < 0 for v in scaled.values()):
+        raise InternalInvariantError(
+            "multicut certificate has a negative price", witness=prices)
     for d in instance.demand_edges:
         s, t = g.edges[d]
         dist = shortest_path_length(instance, s, t, scaled)
@@ -263,25 +268,31 @@ def _verify_multicut(instance: Instance, prices: dict, value):
 
 
 def shortest_path_length(instance: Instance, s: int, t: int,
-                         weights: Mapping[int, object]):
-    """Exact Bellman-Ford over supply edges (weights are non-negative)."""
+                         weights: Mapping[int, int]):
+    """Dijkstra over the supply edges, with non-negative int weights (an
+    edge missing from ``weights`` weighs 0); ``None`` if ``t`` is not
+    reachable from ``s``."""
     g = instance.graph
-    supply = instance.supply_edges
+    adj = [[] for _ in range(g.n)]
+    for e in instance.supply_edges:
+        a, b = g.edges[e]
+        w = weights.get(e, 0)
+        adj[a].append((b, w))
+        adj[b].append((a, w))
     dist = {s: 0}
-    for _ in range(g.n):
-        changed = False
-        for e in supply:
-            a, b = g.edges[e]
-            w = weights.get(e, 0)
-            for x, yv in ((a, b), (b, a)):
-                if x in dist:
-                    nd = dist[x] + w
-                    if yv not in dist or nd < dist[yv]:
-                        dist[yv] = nd
-                        changed = True
-        if not changed:
-            break
-    return dist.get(t)
+    heap = [(0, s)]
+    while heap:
+        du, u = heappop(heap)
+        if u == t:
+            return du
+        if du > dist[u]:
+            continue  # a stale entry: u was reached more cheaply since
+        for v, w in adj[u]:
+            dv = du + w
+            if v not in dist or dv < dist[v]:
+                dist[v] = dv
+                heappush(heap, (dv, v))
+    return None
 
 
 def decompose(instance: Instance, sol: EdgeFlowSolution) -> Multiflow:

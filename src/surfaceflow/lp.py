@@ -22,11 +22,16 @@ engines, each with its own tableau code:
   one rank-1 update of the touched entries: the rows with a nonzero in the
   entering column (phase 1 updates the constraint rows and both objective
   rows, phase 2 the constraint rows and ``c``) times the nonzero columns of
-  the normalized pivot row.  Up to ``_UPDATE_BLOCK`` entries that is one
-  fancy-indexed subtraction; a larger update goes row by row in place, so
-  no temporary outgrows a block or a row.  Either way each touched entry
-  gets ``T[i, j] - T[i, pc] * prow[j]`` and every other entry would only
-  subtract zero, so the pivot sequence is that of a full dense update.
+  the pivot row, which is divided in place.  Up to ``_UPDATE_BLOCK``
+  entries that is one fancy-indexed subtraction.  A larger update covers
+  the pivot row's nonzero column span only: over chunks of the touched rows
+  when the span is at most ``_ROW_SPAN`` columns, one row at a time in
+  place when it is wider.  Every form gives each touched entry
+  ``T[i, j] - T[i, pc] * prow[j]``, and every other entry would only
+  subtract zero, so the pivot sequence is that of a full dense update.  The
+  tableau is filled with one coordinate assignment per block of rows.  A
+  chunk and a block hold at most ``_CHUNK`` entries (or one row), so no
+  temporary outgrows a small fixed size or one row.
 
 Either way the result is certified: the returned dual is exactly feasible
 with objective equal to the primal's, so optimality never rests on floating
@@ -51,8 +56,15 @@ from .rational import QQ, ZERO, numerators_over
 
 _FLOAT_THRESHOLD = 160  # structural columns above which the warm start runs
 # entries (touched rows x nonzero pivot-row columns) up to which a pivot is
-# one fancy-indexed update; above it the rows are updated one at a time
+# one fancy-indexed update
 _UPDATE_BLOCK = 4096
+# columns of the pivot row's nonzero span above which a larger update goes
+# row by row in place: a fancy-indexed chunk copies its rows out and back,
+# which costs more than one call per row once rows are this wide
+_ROW_SPAN = 1024
+# entries per chunk of rows of a larger update over a narrower span, and
+# per block of rows of the tableau build
+_CHUNK = 8192
 _SNAP_DENOMS = (1, 2, 3, 4, 6, 8, 12, 24, 48, 60, 120, 360, 2520, 10 ** 4, 10 ** 6)
 
 
@@ -256,11 +268,21 @@ def _simplex_float(c, A_ub, b_ub, A_eq, b_eq):
     # rows 0..m-1 the constraints, row m the phase-2 objective c, row m + 1
     # the phase-1 sum of the equality rows (zero on the artificials)
     T = np.zeros((m + 2, width))
+    A = list(chain(A_ub, A_eq))
+    lens = [len(row) for row in A]
+    # the rows' entries as one coordinate assignment per block of rows,
+    # at most _CHUNK entries a block (or one row)
+    step = max(1, _CHUNK // max(lens, default=1))
+    for lo in range(0, m, step):
+        block, sizes = A[lo:lo + step], lens[lo:lo + step]
+        nnz = sum(sizes)
+        T[np.repeat(np.arange(lo, lo + len(block)), sizes),
+          np.fromiter(chain.from_iterable(block), np.intp, nnz)] = \
+            np.fromiter(chain.from_iterable(row.values() for row in block),
+                        float, nnz)
     # row i's slack or artificial is column n + i in either block
-    for i, (row, b) in enumerate(chain(zip(A_ub, b_ub), zip(A_eq, b_eq))):
-        T[i, list(row)] = list(row.values())
-        T[i, n + i] = 1.0
-        T[i, -1] = b
+    np.fill_diagonal(T[:m, n:n + m], 1.0)
+    T[:m, -1] = np.fromiter(chain(b_ub, b_eq), float, m)
     basis = np.arange(n, n + m)
     if m_eq:
         T[m + 1] = T[m_ub:m].sum(axis=0)
@@ -268,7 +290,6 @@ def _simplex_float(c, A_ub, b_ub, A_eq, b_eq):
     T[m, :n] = c
     tol = 1e-9
     rhs = T[:m, -1]
-    ratios = np.empty(m)
 
     def run(k):
         obj = T[k, :art_lo]  # the artificials never enter
@@ -280,25 +301,34 @@ def _simplex_float(c, A_ub, b_ub, A_eq, b_eq):
                 enter = int(obj.argmax())
             if obj[enter] <= tol:
                 return True
-            col = T[:m, enter]
-            pos = col > tol
-            if not pos.any():
+            # the entering column, read once: the pivot row's division
+            # leaves every other row's entry as it is
+            coefs = U[:, enter].copy()
+            col = coefs[:m]
+            cand = (col > tol).nonzero()[0]
+            if not cand.size:
                 return False  # unbounded direction; let exact engine decide
-            ratios.fill(np.inf)
-            np.divide(rhs, col, out=ratios, where=pos)
-            leave = int(ratios.argmin())
-            prow = U[leave] = U[leave] / U[leave, enter]
-            rows = U[:, enter].nonzero()[0]
-            rows = rows[rows != leave]
-            coefs = U[rows, enter]
+            leave = int(cand[(rhs[cand] / col[cand]).argmin()])
+            prow = U[leave]
+            prow /= prow[enter]
+            coefs[leave] = 0.0
+            rows = coefs.nonzero()[0]
+            coefs = coefs[rows]
             cols = prow.nonzero()[0]
             if rows.size * cols.size <= _UPDATE_BLOCK:
                 U[rows[:, None], cols] -= coefs[:, None] * prow[cols]
             else:
-                # large updates row by row, in place: no rows x width
-                # temporary
-                for i, a in zip(rows, coefs):
-                    U[i] -= a * prow
+                # over the pivot row's nonzero span only
+                lo, hi = cols[0], cols[-1] + 1
+                span = prow[lo:hi]
+                if hi - lo > _ROW_SPAN:
+                    for i, a in zip(rows.tolist(), coefs.tolist()):
+                        U[i, lo:hi] -= a * span
+                else:
+                    step = max(1, _CHUNK // (hi - lo))
+                    for r in range(0, rows.size, step):
+                        U[rows[r:r + step], lo:hi] -= \
+                            coefs[r:r + step, None] * span
             basis[leave] = enter
         return False
 
@@ -313,18 +343,19 @@ def _simplex_float(c, A_ub, b_ub, A_eq, b_eq):
     structural = basis < n
     x[basis[structural]] = rhs[structural]
     # y = -(reduced costs of the slacks and artificials)
-    return list(x), list(-T[m, n:art_lo]), list(-T[m, art_lo:-1])
+    return x.tolist(), (-T[m, n:art_lo]).tolist(), \
+        (-T[m, art_lo:-1]).tolist()
 
 
-def _snap(values, denom):
+def _snap(values, denom, memo):
     """Closest rationals with denominator at most ``denom``, computed once
-    per distinct value (most entries are 0, 1 or a half)."""
-    memo = {}
+    per distinct value (most entries are 0, 1 or a half); ``memo`` holds
+    the values already snapped at ``denom``."""
     out = []
     for v in values:
         q = memo.get(v)
         if q is None:
-            q = memo[v] = QQ(Fraction(v).limit_denominator(denom))
+            q = memo[v] = Fraction(v).limit_denominator(denom)
         out.append(q)
     return out
 
@@ -334,10 +365,13 @@ def _float_then_snap(c, A_ub, b_ub, A_eq, b_eq):
     if got is None:
         return None
     xf, yubf, yeqf = got
+    # a negative float snaps to a rational <= 0 (0 is closer than any
+    # positive one), so clamping first gives the same prices as clamping
+    # the snapped ones
+    yubf = [max(v, 0.0) for v in yubf]
     for denom in _SNAP_DENOMS:
-        x = _snap(xf, denom)
-        y_ub = [max(v, ZERO) for v in _snap(yubf, denom)]
-        y_eq = _snap(yeqf, denom)
+        memo = {}
+        x, y_ub, y_eq = (_snap(vec, denom, memo) for vec in (xf, yubf, yeqf))
         if check_certificate(c, A_ub, b_ub, A_eq, b_eq, x, y_ub, y_eq):
             return x, y_ub, y_eq
     return None

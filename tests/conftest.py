@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import math
 import pathlib
+from fractions import Fraction
 from functools import cmp_to_key
 
 import numpy as np
@@ -14,7 +15,7 @@ from surfaceflow.errors import (InternalInvariantError, OracleBudgetExceeded,
 from surfaceflow.flows import (DCycle, Multiflow, canonical_darts,
                                solve_and_decompose)
 from surfaceflow.instances import Instance, generate_torus_grid, load_instance
-from surfaceflow import uncross
+from surfaceflow import lp, uncross
 from surfaceflow.rational import QQ, ZERO, rat
 from surfaceflow.surface import (CutComponent, EmbeddedGraph, _band_before,
                                  cycle_vertices, expand_edge_lists,
@@ -514,6 +515,56 @@ def reference_simplex_float(c, A_ub, b_ub, A_eq, b_eq):
         sign = 1.0 if b_eq[i] >= 0 else -1.0
         y_eq.append(-obj2[art_lo + i] * sign)
     return list(x), y_ub, y_eq
+
+
+def reference_float_then_snap(c, A_ub, b_ub, A_eq, b_eq):
+    """``lp._float_then_snap`` as it was first written: each vector snapped
+    with its own memo at each denominator of the ladder, and every snapped
+    price of ``y_ub`` clamped at zero afterwards."""
+    got = lp._simplex_float(c, A_ub, b_ub, A_eq, b_eq)
+    if got is None:
+        return None
+
+    def snap(values, denom):
+        memo = {}
+        out = []
+        for v in values:
+            q = memo.get(v)
+            if q is None:
+                q = memo[v] = QQ(Fraction(v).limit_denominator(denom))
+            out.append(q)
+        return out
+
+    xf, yubf, yeqf = got
+    for denom in lp._SNAP_DENOMS:
+        x = snap(xf, denom)
+        y_ub = [max(v, ZERO) for v in snap(yubf, denom)]
+        y_eq = snap(yeqf, denom)
+        if lp.check_certificate(c, A_ub, b_ub, A_eq, b_eq, x, y_ub, y_eq):
+            return x, y_ub, y_eq
+    return None
+
+
+def reference_shortest_path_length(instance: Instance, s: int, t: int,
+                                   weights) -> int | None:
+    """Bellman-Ford over the supply edges, as ``flows`` first checked the
+    multicut: the reference its Dijkstra must agree with."""
+    g = instance.graph
+    dist = {s: 0}
+    for _ in range(g.n):
+        changed = False
+        for e in instance.supply_edges:
+            a, b = g.edges[e]
+            w = weights.get(e, 0)
+            for x, y in ((a, b), (b, a)):
+                if x in dist:
+                    nd = dist[x] + w
+                    if y not in dist or nd < dist[y]:
+                        dist[y] = nd
+                        changed = True
+        if not changed:
+            break
+    return dist.get(t)
 
 
 class DualGraph(EmbeddedGraph):

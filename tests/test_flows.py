@@ -1,10 +1,14 @@
-import pytest
+import random
 
-from conftest import edge_load, with_caps
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import edge_load, reference_shortest_path_length, with_caps
 from surfaceflow.errors import InternalInvariantError, PreconditionError
 from surfaceflow.flows import (DCycle, Multiflow, _verify_multicut, decompose,
-                               edge_loads, solve_and_decompose,
-                               solve_fractional)
+                               edge_loads, shortest_path_length,
+                               solve_and_decompose, solve_fractional)
 from surfaceflow.instances import (DEMAND, SUPPLY, Instance,
                                    generate_gap_family,
                                    generate_planar_random,
@@ -153,6 +157,14 @@ class TestSolveFractional:
         with pytest.raises(InternalInvariantError, match="cost"):
             _verify_multicut(inst, prices, rat(2))
 
+    def test_multicut_check_rejects_a_negative_price(self):
+        """Dijkstra needs non-negative weights: a negative price is refused
+        even when the cost matches and every D-cycle is covered."""
+        inst = two_path_instance()
+        prices = {0: rat(1), 1: rat(-1), 2: rat(1), 3: rat(0), 4: rat(1)}
+        with pytest.raises(InternalInvariantError, match="negative"):
+            _verify_multicut(inst, prices, rat(3))
+
     def test_torus_instances(self):
         inst = generate_torus_grid(3, 3, demands=2, seed=5)
         flow, sol = solve_and_decompose(inst)
@@ -163,3 +175,46 @@ class TestSolveFractional:
         a = solve_and_decompose(inst)[0].to_wire()
         b = solve_and_decompose(inst)[0].to_wire()
         assert a == b
+
+
+def every_pair_distance(inst, weights):
+    """``(s, t, Dijkstra, Bellman-Ford)`` for every vertex pair."""
+    n = inst.graph.n
+    return [(s, t, shortest_path_length(inst, s, t, weights),
+             reference_shortest_path_length(inst, s, t, weights))
+            for s in range(n) for t in range(n)]
+
+
+class TestShortestPath:
+    """Dijkstra against the Bellman-Ford it replaced, on every vertex pair."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: generate_planar_random(30, n_demands=3, cap_mode="random",
+                                       seed=3),
+        lambda: generate_torus_grid(4, 4, demands=2, cap_mode="random",
+                                    seed=1),
+        lambda: generate_gap_family(2),
+    ], ids=["planar", "torus", "gap"])
+    def test_lp_prices_same_as_reference(self, make):
+        """On the scaled LP prices that the multicut check runs on."""
+        inst = make()
+        prices = solve_fractional(inst).multicut
+        denom = max(v.denominator for v in prices.values())
+        weights = {e: int(v * denom) for e, v in prices.items()}
+        for s, t, got, want in every_pair_distance(inst, weights):
+            assert got == want, (s, t)
+
+    @settings(max_examples=40, deadline=None, database=None,
+              derandomize=True)
+    @given(seed=st.integers(0, 2 ** 16), size=st.integers(6, 24),
+           top=st.sampled_from([0, 1, 3, 1000]), data=st.data())
+    def test_int_weights_same_as_reference(self, seed, size, top, data):
+        """On drawn int weights, some edges left out (weight 0)."""
+        inst = generate_planar_random(size, n_demands=2, seed=seed)
+        edges = inst.supply_edges
+        draw = data.draw(st.lists(st.integers(0, top), min_size=len(edges),
+                                  max_size=len(edges)))
+        rng = random.Random(seed)
+        weights = {e: w for e, w in zip(edges, draw) if rng.random() < 0.9}
+        for s, t, got, want in every_pair_distance(inst, weights):
+            assert got == want, (s, t)

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (reference_check_certificate, reference_simplex_exact,
-                      reference_simplex_float)
+from conftest import (reference_check_certificate, reference_float_then_snap,
+                      reference_simplex_exact, reference_simplex_float)
 from surfaceflow import flows, lp
 from surfaceflow.errors import PreconditionError
 from surfaceflow.instances import generate_planar_random, generate_torus_grid
@@ -88,12 +88,17 @@ def compact_lp(monkeypatch, instance):
     return spied_lp(monkeypatch, lambda: flows.solve_fractional(instance))
 
 
-def root_cycle_lp(monkeypatch):
+# the generator seed of the ``oracle`` pool's (perfbench seed 1) 30-edge
+# planar instance with the most D-cycles: its root cycle LP has 1,817 columns
+WIDEST_CYCLE_SEED = 939657385
+
+
+def root_cycle_lp(monkeypatch, seed=7):
     """The arguments and result of the oracle's root cycle LP on a 30-edge
-    planar instance of the ``oracle`` mix: 1,029 unit columns, 30 capacity
-    rows, no equality rows."""
+    planar instance of the ``oracle`` mix: at seed 7, 1,029 unit columns,
+    30 capacity rows, no equality rows."""
     inst = generate_planar_random(size=30, n_demands=3, cap_mode="random",
-                                  seed=7)
+                                  seed=seed)
     cycle_edges = [tuple(d >> 1 for d in c.darts)
                    for c in enumerate_d_cycles(inst, DEFAULT_BUDGET)]
     return spied_lp(monkeypatch,
@@ -182,6 +187,20 @@ class TestExactSimplex:
         assert solve_lp(*BEALE).value == rat(5)
 
 
+# (_UPDATE_BLOCK, _ROW_SPAN, _CHUNK) that force one update form on every
+# pivot; None keeps the module's value
+UPDATE_FORMS = [(0, 0, None), (0, 10 ** 9, 1), (0, 10 ** 9, None),
+                (0, 10 ** 9, 10 ** 9), (10 ** 9, None, None)]
+UPDATE_FORM_IDS = ["rows", "row-chunks", "chunks", "one-chunk", "block"]
+
+
+def update_form(mp, block, row_span, chunk):
+    for name, value in (("_UPDATE_BLOCK", block), ("_ROW_SPAN", row_span),
+                        ("_CHUNK", chunk)):
+        if value is not None:
+            mp.setattr(lp, name, value)
+
+
 class TestFloatPath:
     def test_large_lp_uses_float_warm_start(self):
         # transportation-style LP with > 160 columns and a rational optimum:
@@ -248,23 +267,41 @@ class TestFloatPath:
         assert res.engine == "float+certify"
         assert digest(res) == self.CYCLE_PINNED
 
-    @pytest.mark.parametrize("block", [0, 10 ** 9], ids=["rows", "block"])
-    def test_each_update_form_keeps_the_pins(self, monkeypatch, block):
-        """Every pivot as a row loop, or every pivot as one block update:
-        the pivot sequence, and so the pinned answers, stay the same."""
-        monkeypatch.setattr(lp, "_UPDATE_BLOCK", block)
+    @pytest.mark.parametrize("lp_of", ["torus0", "torus1", "planar0",
+                                       "planar1", "cycle"])
+    def test_snap_ladder_same_as_reference(self, monkeypatch, lp_of):
+        """The clamp before the snap and the memo shared by ``x``, ``y_ub``
+        and ``y_eq`` give the ladder's rationals on the pinned LPs."""
+        if lp_of == "cycle":
+            args = root_cycle_lp(monkeypatch)[0]
+        else:
+            make = torus if lp_of.startswith("torus") else planar
+            args = compact_lp(monkeypatch, make(int(lp_of[-1])))[0]
+        got = _float_then_snap(*args)
+        assert got is not None and got == reference_float_then_snap(*args)
+
+    @pytest.mark.parametrize("form", UPDATE_FORMS, ids=UPDATE_FORM_IDS)
+    def test_each_update_form_keeps_the_pins(self, monkeypatch, form):
+        """Every pivot row by row, in chunks of rows (of one row, of the
+        default size, or all rows at once), or as one block update: the
+        pivot sequence, and so the pinned answers, stay the same."""
+        update_form(monkeypatch, *form)
         assert digest(root_cycle_lp(monkeypatch)[1]) == self.CYCLE_PINNED
         assert digest(compact_lp(monkeypatch, torus(0))[1]) == \
             self.PINNED[0]
 
-    @pytest.mark.parametrize("lp_of", ["torus", "cycle"])
+    @pytest.mark.parametrize("lp_of", ["torus", "planar", "cycle",
+                                       "widest-cycle"])
     def test_peak_memory_is_the_tableau(self, monkeypatch, lp_of):
         """One float solve allocates its ``(m + 2) x width`` tableau and at
-        most 256 KiB besides: no update makes a rows x width temporary."""
-        if lp_of == "torus":
-            args = compact_lp(monkeypatch, torus(0))[0]
+        most 256 KiB besides: neither the build nor an update makes a
+        rows x width temporary."""
+        if lp_of in ("torus", "planar"):
+            make = torus if lp_of == "torus" else planar
+            args = compact_lp(monkeypatch, make(0))[0]
         else:
-            args = root_cycle_lp(monkeypatch)[0]
+            seed = 7 if lp_of == "cycle" else WIDEST_CYCLE_SEED
+            args = root_cycle_lp(monkeypatch, seed)[0]
         c, A_ub, _, A_eq, _ = args
         m = len(A_ub) + len(A_eq)
         width = len(c) + m + 1
@@ -508,14 +545,19 @@ class TestFloatTableau:
     """The float engine against the dense-row engine it replaced: the same
     pivots give the same floats, with each update form on its own."""
 
-    @pytest.mark.parametrize("block", [0, None, 10 ** 9],
-                             ids=["rows", "default", "block"])
+    @pytest.mark.parametrize("form", [(None, None, None), *UPDATE_FORMS],
+                             ids=["default", *UPDATE_FORM_IDS])
     @settings(max_examples=60, deadline=None, database=None,
               derandomize=True)
     @given(lp_=wide_lps())
-    def test_same_result_as_reference(self, block, lp_):
+    def test_same_result_as_reference(self, form, lp_):
         with pytest.MonkeyPatch.context() as mp:
-            if block is not None:
-                mp.setattr(lp, "_UPDATE_BLOCK", block)
+            update_form(mp, *form)
             got = _simplex_float(*lp_)
         assert got == reference_simplex_float(*lp_)
+
+    @settings(max_examples=60, deadline=None, database=None,
+              derandomize=True)
+    @given(lp_=wide_lps())
+    def test_snap_ladder_same_as_reference(self, lp_):
+        assert _float_then_snap(*lp_) == reference_float_then_snap(*lp_)
