@@ -112,25 +112,29 @@ def check_certificate(c, A_ub, b_ub, A_eq, b_eq, x, y_ub, y_eq) -> bool:
     With ``x = X / Dx`` and ``y = Y / Dy``, the tests are
     ``A X <= b Dx``, ``A^T Y >= c Dy`` and ``c X Dy == b Y Dx``: integer
     sums on the int data ``solve_lp`` takes (rational data would be decided
-    exactly too, through ``Fraction`` arithmetic).
+    exactly too, through ``Fraction`` arithmetic).  The primal tests come
+    first: a snapped ``x`` that breaks a row is refused before ``y`` is put
+    over its common denominator.
     """
     n = len(c)
     if len(x) != n:
         return False
     dx = lcm(*{v.denominator for v in x})
     x = numerators_over(x, dx)
-    dy = lcm(*{v.denominator for v in chain(y_ub, y_eq)})
-    y_ub, y_eq = numerators_over(y_ub, dy), numerators_over(y_eq, dy)
     # signs on the int numerators: no rational comparisons
-    if any(v < 0 for v in x) or any(v < 0 for v in y_ub):
+    if any(v < 0 for v in x):
         return False
-
     for row, b in zip(A_ub, b_ub):
         if sum(coef * x[j] for j, coef in row.items()) > b * dx:
             return False
     for row, b in zip(A_eq, b_eq):
         if sum(coef * x[j] for j, coef in row.items()) != b * dx:
             return False
+
+    dy = lcm(*{v.denominator for v in chain(y_ub, y_eq)})
+    y_ub, y_eq = numerators_over(y_ub, dy), numerators_over(y_eq, dy)
+    if any(v < 0 for v in y_ub):
+        return False
     # dual feasibility per column: A^T y >= c
     col_tot = [0] * n
     for rows, ys in ((A_ub, y_ub), (A_eq, y_eq)):

@@ -10,7 +10,15 @@ it is a refusal (:class:`OracleBudgetExceeded`), never a wrong answer.
 The two oracles share one enumeration.  ``enumerate_d_cycles`` keeps its
 last answer, keyed on the instance object (``is``) and the budget (``==``),
 so a ``full-oracle`` pipeline run followed by ``exact_min_multicut`` on the
-same instance enumerates once.  A refusal is never kept.
+same instance enumerates once.  A refusal is never kept.  Beside the
+``DCycle``s it keeps a cycle table with one row per cycle: the cycle's edges
+in dart order, its edge bitmask (bit ``e`` set for edge ``e``) and its least
+capacity.  The depth-first search carries the mask and the least capacity
+along its path, one OR and one comparison per pushed dart.  Both oracles
+read the table, never rebuilding per-cycle data: a cycle meets an edge set
+exactly when its mask ANDs nonzero with the set's mask, which is how the
+multicut search drops covered cycles and how the packing search skips
+every cycle through a saturated edge without reading its residuals.
 
 The budget is made of counts only (enumerated cycles, depth-first dart
 extensions, search nodes), so whether an instance is refused depends on the
@@ -65,8 +73,8 @@ class OracleBudget:
 DEFAULT_BUDGET = OracleBudget()
 
 
-# the last successful enumeration: (instance, budget, cycles)
-_last: tuple = (None, None, ())
+# the last successful enumeration: (instance, budget, cycles, table)
+_last: tuple = (None, None, (), ())
 
 
 def enumerate_d_cycles(instance: Instance,
@@ -81,16 +89,25 @@ def enumerate_d_cycles(instance: Instance,
     kept: the same instance and budget are enumerated, and refused, again.
     """
     global _last
-    kept_instance, kept_budget, cycles = _last
+    kept_instance, kept_budget, cycles, _ = _last
     if kept_instance is instance and kept_budget == budget:
         return cycles
-    cycles = _search_d_cycles(instance, budget)
-    _last = (instance, budget, cycles)
+    cycles, table = _search_d_cycles(instance, budget)
+    _last = (instance, budget, cycles, table)
     return cycles
 
 
+def _cycle_table(instance: Instance, budget: OracleBudget) -> tuple:
+    """``(cycles, table)``: ``enumerate_d_cycles`` and its kept table, whose
+    row ``i`` is ``(edges, mask, least)`` of ``cycles[i]``: its edges in
+    dart order, its edge bitmask and its least capacity."""
+    cycles = enumerate_d_cycles(instance, budget)
+    return cycles, _last[3]
+
+
 def _search_d_cycles(instance: Instance, budget: OracleBudget) -> tuple:
-    """The depth-first enumeration behind ``enumerate_d_cycles``.
+    """The depth-first enumeration behind ``enumerate_d_cycles``, as
+    ``(cycles, table)``.
 
     For each demand edge, simple supply paths between its endpoints are
     enumerated by depth-first search over the darts at each vertex, in
@@ -99,9 +116,13 @@ def _search_d_cycles(instance: Instance, budget: OracleBudget) -> tuple:
     (``Instance`` refuses loops), so such a cycle is simple, chained and has
     exactly one demand dart, and every simple path is listed once, so the
     cycles are built without revalidation.  Each step is one dart tried.
+    A pushed dart also ORs its edge onto the path's edge bitmask and lowers
+    the path's least capacity, so a cycle's table row reads its edges once,
+    for its edge tuple.
     """
     graph = instance.graph
     edges = graph.edges
+    caps = instance.caps
     # (dart, the vertex it leads to) for the supply darts at each vertex,
     # in ascending dart order
     out: list = [[] for _ in range(graph.n)]
@@ -118,6 +139,10 @@ def _search_d_cycles(instance: Instance, budget: OracleBudget) -> tuple:
         t, s = edges[d_edge]
         path = [2 * d_edge + 1]
         back = [2 * d_edge]         # back[k] == path[k] ^ 1
+        # masks[k] and least[k]: the edge bitmask and the least capacity
+        # of path[:k + 1]
+        masks = [1 << d_edge]
+        least = [caps[d_edge]]
         verts = [t]
         on_path[t] = True
         stack = [iter(out[t])]
@@ -128,7 +153,11 @@ def _search_d_cycles(instance: Instance, budget: OracleBudget) -> tuple:
                     raise OracleBudgetExceeded(
                         "more than %d cycle enumeration steps" % max_nodes)
                 if w == s:
-                    found.append((_canonical(path, back, d), d_edge))
+                    e = d >> 1
+                    cap = caps[e]
+                    found.append((_canonical(path, back, d), d_edge,
+                                  masks[-1] | 1 << e,
+                                  cap if cap < least[-1] else least[-1]))
                     if len(found) > max_cycles:
                         raise OracleBudgetExceeded(
                             "more than %d D-cycles" % max_cycles)
@@ -136,6 +165,10 @@ def _search_d_cycles(instance: Instance, budget: OracleBudget) -> tuple:
                     on_path[w] = True
                     path.append(d)
                     back.append(d ^ 1)
+                    e = d >> 1
+                    cap = caps[e]
+                    masks.append(masks[-1] | 1 << e)
+                    least.append(cap if cap < least[-1] else least[-1])
                     verts.append(w)
                     stack.append(iter(out[w]))
                     break
@@ -143,10 +176,15 @@ def _search_d_cycles(instance: Instance, budget: OracleBudget) -> tuple:
                 stack.pop()
                 path.pop()
                 back.pop()
+                masks.pop()
+                least.pop()
                 on_path[verts.pop()] = False
     # canonical dart tuples of distinct cycles differ, so no two keys tie
     found.sort(key=itemgetter(0))
-    return tuple(DCycle(darts, d_edge) for darts, d_edge in found)
+    cycles = tuple(DCycle(darts, d_edge) for darts, d_edge, _, _ in found)
+    table = tuple((tuple([d >> 1 for d in darts]), mask, cap)
+                  for darts, _, mask, cap in found)
+    return cycles, table
 
 
 def _canonical(path: list, back: list, d: int) -> tuple:
@@ -166,14 +204,16 @@ def _canonical(path: list, back: list, d: int) -> tuple:
     return (*path[i:], d, *path[:i])
 
 
-def pack_cycles(cycle_edges, caps, root, rows,
-                budget: OracleBudget = DEFAULT_BUDGET):
-    """Maximum integral packing of cycles under int edge capacities.
+def pack_cycles(cycle_edges, masks, caps, root, rows,
+                budget: OracleBudget):
+    """Maximum integral packing of cycles under positive int edge
+    capacities.
 
-    ``root`` and ``rows`` are the optimal cycle LP of ``cycle_edges`` and
-    ``caps`` as ``flows.cycle_lp`` returns it.  Returns ``(value, {cycle
-    index: positive int})`` from the search of the module docstring, over
-    the cycles by decreasing root value, ties by index.
+    ``masks[i]`` is the edge bitmask of ``cycle_edges[i]``; ``root`` and
+    ``rows`` are the optimal cycle LP of ``cycle_edges`` and ``caps`` as
+    ``flows.cycle_lp`` returns it.  Returns ``(value, {cycle index:
+    positive int})`` from the search of the module docstring, over the
+    cycles by decreasing root value, ties by index.
     """
     # explore large fractional values first, ties by index (a reversed
     # sort keeps ties in order); the LP value caps the optimum.  num[i] is
@@ -182,6 +222,8 @@ def pack_cycles(cycle_edges, caps, root, rows,
     order = sorted(range(len(cycle_edges)), key=num.__getitem__,
                    reverse=True)
     cycle_edges = [cycle_edges[i] for i in order]
+    masks = [masks[i] for i in order]
+    n = len(cycle_edges)
     ceiling = floor_rat(root.value)
     # the root dual over a common denominator: price[e] / denom = y[e]
     denom = lcm(*(y.denominator for y in root.y_ub))
@@ -192,9 +234,12 @@ def pack_cycles(cycle_edges, caps, root, rows,
     current: dict = {}
     nodes = 0
 
-    def search(start, residual, value):
+    def search(start, residual, zero, value):
         # branch on the index of the next cycle with positive value, so
-        # the depth is the support size, not the number of cycles
+        # the depth is the support size, not the number of cycles.
+        # ``zero`` is the mask of the saturated edges: residuals never go
+        # negative, so a cycle has a positive least residual exactly when
+        # its mask misses ``zero``
         nonlocal nodes, best_value, best
         nodes += 1
         if nodes > budget.max_nodes:
@@ -208,11 +253,8 @@ def pack_cycles(cycle_edges, caps, root, rows,
         if value + sum(residual[e] * p for e, p in prices) // denom \
                 <= best_value:
             return
-        choices = []
-        for j in range(start, len(cycle_edges)):
-            m = min([residual[e] for e in cycle_edges[j]])
-            if m > 0:
-                choices.append((j, m))
+        choices = [(j, min([residual[e] for e in cycle_edges[j]]))
+                   for j in range(start, n) if not masks[j] & zero]
         if value + sum(m for _, m in choices) <= best_value:
             return
         for j, m in choices:
@@ -220,27 +262,33 @@ def pack_cycles(cycle_edges, caps, root, rows,
                 nxt = residual[:]
                 for e in cycle_edges[j]:
                     nxt[e] -= x
+                # only the cycle's least residual can reach 0, at x == m
+                saturated = zero
+                if x == m:
+                    for e in cycle_edges[j]:
+                        if not nxt[e]:
+                            saturated |= 1 << e
                 current[j] = x
-                search(j + 1, nxt, value + x)
+                search(j + 1, nxt, saturated, value + x)
                 del current[j]
                 if best_value == ceiling:
                     return
 
-    search(0, list(caps), 0)
+    search(0, list(caps), 0, 0)
     return best_value, {order[j]: x for j, x in best.items()}
 
 
 def exact_integral_multiflow(instance: Instance,
                              budget: OracleBudget = DEFAULT_BUDGET):
     """Provably maximum integral multiflow, as ``(value, Multiflow)``."""
-    cycles = enumerate_d_cycles(instance, budget)
+    cycles, table = _cycle_table(instance, budget)
     if not cycles:
         return 0, Multiflow(instance)
     # the cycles come sorted by darts, so index ties are dart ties
-    cycle_edges = [tuple(d >> 1 for d in c.darts) for c in cycles]
+    cycle_edges, masks, _ = zip(*table)
     best_value, best = pack_cycles(
-        cycle_edges, instance.caps, *cycle_lp(cycle_edges, instance.caps),
-        budget)
+        cycle_edges, masks, instance.caps,
+        *cycle_lp(cycle_edges, instance.caps), budget)
     flow = Multiflow(instance)
     for i, x in best.items():
         flow.add(cycles[i], x)
@@ -258,20 +306,18 @@ def exact_min_multicut(instance: Instance,
     Branch-and-bound hitting set: branch on the edges of an uncovered
     cycle with the fewest edges, bound by a greedy packing of edge-disjoint
     uncovered cycles (a valid lower bound by weak duality).  Each cycle is
-    searched as ``(sorted edges, edge bitmask, least capacity)``.
+    searched as its row of the cycle table, ``(edges, edge bitmask, least
+    capacity)``, in ``(length, darts)`` order, and branched on in edge
+    order.
     """
-    cycles = enumerate_d_cycles(instance, budget)
-    if not cycles:
+    _, table = _cycle_table(instance, budget)
+    if not table:
         return 0, ()
     caps = instance.caps
-    # a D-cycle is simple, so it has as many edges as darts
-    uncovered = []
-    for c in sorted(cycles, key=lambda c: (len(c.darts), c.darts)):
-        edges = sorted(d >> 1 for d in c.darts)
-        mask = 0
-        for e in edges:
-            mask |= 1 << e
-        uncovered.append((edges, mask, min(caps[e] for e in edges)))
+    # the table is in darts order and a D-cycle, being simple, has as many
+    # edges as darts, so a stable sort on the edge count gives the
+    # (length, darts) order
+    uncovered = sorted(table, key=lambda row: len(row[0]))
     # start from the trivial cut: every demand edge
     demand_cut = tuple(sorted(instance.demand_edges))
     best_cost = sum(caps[e] for e in demand_cut)
@@ -301,7 +347,7 @@ def exact_min_multicut(instance: Instance,
             return
         if cost + packing_bound(uncovered) >= best_cost:
             return
-        for e in uncovered[0][0]:
+        for e in sorted(uncovered[0][0]):
             bit = 1 << e
             rest = [c for c in uncovered if not c[1] & bit]
             search(chosen | {e}, cost + caps[e], rest)

@@ -64,9 +64,11 @@ def half_integralize(flow: Multiflow) -> Multiflow:
     x = lp.x
     if any(2 * v != int(2 * v) for v in x):
         doubled = replace(lp, x=[2 * v for v in x], value=2 * lp.value)
+        masks = [sum(1 << e for e in edges) for edges in cycle_edges]
         try:
-            _, best = pack_cycles(cycle_edges, [2 * u for u in inst.caps],
-                                  doubled, rows, DEFAULT_BUDGET)
+            _, best = pack_cycles(cycle_edges, masks,
+                                  [2 * u for u in inst.caps], doubled, rows,
+                                  DEFAULT_BUDGET)
         except OracleBudgetExceeded as exc:
             raise InternalInvariantError(
                 "no half-integral optimum within the packing budget",

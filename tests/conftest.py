@@ -15,8 +15,8 @@ from surfaceflow.errors import (InternalInvariantError, OracleBudgetExceeded,
 from surfaceflow.flows import (DCycle, Multiflow, canonical_darts,
                                solve_and_decompose)
 from surfaceflow.instances import Instance, generate_torus_grid, load_instance
-from surfaceflow import lp, uncross
-from surfaceflow.rational import QQ, ZERO, rat
+from surfaceflow import lp, oracle, uncross
+from surfaceflow.rational import QQ, ZERO, floor_rat, numerators_over, rat
 from surfaceflow.surface import (CutComponent, EmbeddedGraph, _band_before,
                                  cycle_vertices, expand_edge_lists,
                                  face_components, shared_paths,
@@ -304,6 +304,112 @@ def reference_enumerate_d_cycles(instance: Instance, budget) -> list:
                     path.pop()
                 visited.discard(v)
     return sorted(found, key=lambda c: c.darts)
+
+
+def reference_pack_cycles(cycle_edges, caps, root, rows, budget):
+    """``oracle.pack_cycles`` without edge bitmasks: every node takes the
+    least residual of every remaining cycle and keeps the positive ones.
+    Same value, same packing, same nodes and same refusals."""
+    num = numerators_over(root.x, math.lcm(*(x.denominator for x in root.x)))
+    order = sorted(range(len(cycle_edges)), key=num.__getitem__,
+                   reverse=True)
+    cycle_edges = [cycle_edges[i] for i in order]
+    ceiling = floor_rat(root.value)
+    denom = math.lcm(*(y.denominator for y in root.y_ub))
+    prices = [(e, p) for e, p in zip(rows, numerators_over(root.y_ub, denom))
+              if p]
+    best_value = -1
+    best: dict = {}
+    current: dict = {}
+    nodes = 0
+
+    def search(start, residual, value):
+        nonlocal nodes, best_value, best
+        nodes += 1
+        if nodes > budget.max_nodes:
+            raise OracleBudgetExceeded(
+                "more than %d search nodes" % budget.max_nodes)
+        if value > best_value:
+            best_value = value
+            best = dict(current)
+        if best_value == ceiling:
+            return
+        if value + sum(residual[e] * p for e, p in prices) // denom \
+                <= best_value:
+            return
+        choices = []
+        for j in range(start, len(cycle_edges)):
+            m = min([residual[e] for e in cycle_edges[j]])
+            if m > 0:
+                choices.append((j, m))
+        if value + sum(m for _, m in choices) <= best_value:
+            return
+        for j, m in choices:
+            for x in range(m, 0, -1):
+                nxt = residual[:]
+                for e in cycle_edges[j]:
+                    nxt[e] -= x
+                current[j] = x
+                search(j + 1, nxt, value + x)
+                del current[j]
+                if best_value == ceiling:
+                    return
+
+    search(0, list(caps), 0)
+    return best_value, {order[j]: x for j, x in best.items()}
+
+
+def reference_exact_min_multicut(instance: Instance, budget):
+    """``oracle.exact_min_multicut`` without the cycle table: every cycle's
+    sorted edges, bitmask and least capacity rebuilt from its ``DCycle``,
+    searched in ``(length, darts)`` order.  Same cut, same nodes and same
+    refusals."""
+    cycles = oracle.enumerate_d_cycles(instance, budget)
+    if not cycles:
+        return 0, ()
+    caps = instance.caps
+    uncovered = []
+    for c in sorted(cycles, key=lambda c: (len(c.darts), c.darts)):
+        edges = sorted(d >> 1 for d in c.darts)
+        mask = 0
+        for e in edges:
+            mask |= 1 << e
+        uncovered.append((edges, mask, min(caps[e] for e in edges)))
+    demand_cut = tuple(sorted(instance.demand_edges))
+    best_cost = sum(caps[e] for e in demand_cut)
+    best_edges = demand_cut
+    nodes = 0
+
+    def packing_bound(uncovered):
+        used = 0
+        total = 0
+        for _, mask, least in uncovered:
+            if not mask & used:
+                used |= mask
+                total += least
+        return total
+
+    def search(chosen: set, cost: int, uncovered):
+        nonlocal nodes, best_cost, best_edges
+        nodes += 1
+        if nodes > budget.max_nodes:
+            raise OracleBudgetExceeded(
+                "more than %d search nodes" % budget.max_nodes)
+        if not uncovered:
+            if cost < best_cost or (cost == best_cost and
+                                    tuple(sorted(chosen)) < best_edges):
+                best_cost = cost
+                best_edges = tuple(sorted(chosen))
+            return
+        if cost + packing_bound(uncovered) >= best_cost:
+            return
+        for e in uncovered[0][0]:
+            bit = 1 << e
+            rest = [c for c in uncovered if not c[1] & bit]
+            search(chosen | {e}, cost + caps[e], rest)
+
+    search(set(), 0, uncovered)
+    return best_cost, best_edges
 
 
 def reference_canonical_darts(darts) -> tuple:

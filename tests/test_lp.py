@@ -105,6 +105,22 @@ def root_cycle_lp(monkeypatch, seed=7):
                     lambda: flows.cycle_lp(cycle_edges, inst.caps))
 
 
+def ladder_rungs(args) -> list:
+    """The ``(x, y_ub, y_eq)`` that ``_float_then_snap`` would check at
+    every denominator of its ladder on the LP ``args`` (none when the float
+    engine gives up), for a comparison of verdicts rung by rung."""
+    got = _simplex_float(*args)
+    if got is None:
+        return []
+    xf, yubf, yeqf = got
+    yubf = [max(v, 0.0) for v in yubf]
+    rungs = []
+    for denom in lp._SNAP_DENOMS:
+        memo = {}
+        rungs.append([lp._snap(vec, denom, memo) for vec in (xf, yubf, yeqf)])
+    return rungs
+
+
 def digest(res):
     blob = repr([[rat_str(v) for v in vec]
                  for vec in (res.x, res.y_ub, res.y_eq)])
@@ -279,6 +295,29 @@ class TestFloatPath:
             args = compact_lp(monkeypatch, make(int(lp_of[-1])))[0]
         got = _float_then_snap(*args)
         assert got is not None and got == reference_float_then_snap(*args)
+
+    # 6x6 torus grids whose compact LP has refused rungs: 3 at seed 5, 4
+    # at seed 8 (after a certified first rung), 6 at seed 13
+    REFUSING = ("torus5", "torus8", "torus13")
+
+    @pytest.mark.parametrize("lp_of", ["torus0", "torus1", "planar0",
+                                       "planar1", "cycle", *REFUSING])
+    def test_every_rung_same_verdict_as_reference(self, monkeypatch, lp_of):
+        """``check_certificate`` tests the primal side before it puts ``y``
+        over a common denominator; every rung of the ladder, refused or
+        certified, gets the reference's verdict."""
+        if lp_of == "cycle":
+            args = root_cycle_lp(monkeypatch)[0]
+        else:
+            make = torus if lp_of.startswith("torus") else planar
+            seed = int(lp_of.removeprefix("torus").removeprefix("planar"))
+            args = compact_lp(monkeypatch, make(seed))[0]
+        rungs = ladder_rungs(args)
+        verdicts = [check_certificate(*args, *rung) for rung in rungs]
+        assert verdicts == [reference_check_certificate(*args, *rung)
+                            for rung in rungs]
+        assert len(verdicts) == len(lp._SNAP_DENOMS) and any(verdicts)
+        assert all(verdicts) == (lp_of not in self.REFUSING)
 
     @pytest.mark.parametrize("form", UPDATE_FORMS, ids=UPDATE_FORM_IDS)
     def test_each_update_form_keeps_the_pins(self, monkeypatch, form):
@@ -561,3 +600,11 @@ class TestFloatTableau:
     @given(lp_=wide_lps())
     def test_snap_ladder_same_as_reference(self, lp_):
         assert _float_then_snap(*lp_) == reference_float_then_snap(*lp_)
+
+    @settings(max_examples=60, deadline=None, database=None,
+              derandomize=True)
+    @given(lp_=wide_lps())
+    def test_every_rung_same_verdict_as_reference(self, lp_):
+        for rung in ladder_rungs(lp_):
+            assert check_certificate(*lp_, *rung) \
+                == reference_check_certificate(*lp_, *rung)

@@ -1,23 +1,28 @@
 import hashlib
 import json
 from bisect import bisect_left
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (intersection_adjacency, reference_canonical_darts,
-                      reference_enumerate_d_cycles, reference_unit_map)
+                      reference_enumerate_d_cycles,
+                      reference_exact_min_multicut, reference_pack_cycles,
+                      reference_unit_map)
 from surfaceflow import oracle, round_separating
 from surfaceflow.errors import (InstanceFormatError, InternalInvariantError,
                                 OracleBudgetExceeded, SurfaceflowError)
-from surfaceflow.flows import DCycle, canonical_darts, solve_fractional
+from surfaceflow.flows import (DCycle, canonical_darts, cycle_lp,
+                               solve_fractional)
 from surfaceflow.instances import (DEMAND, SUPPLY, Instance,
                                    generate_gap_family,
                                    generate_planar_random,
                                    generate_torus_grid, serialize_instance)
 from surfaceflow.oracle import (OracleBudget, enumerate_d_cycles,
-                                exact_integral_multiflow, exact_min_multicut)
+                                exact_integral_multiflow, exact_min_multicut,
+                                pack_cycles)
 from surfaceflow.pipeline import PipelineConfig, run
 from surfaceflow.rational import rat
 from surfaceflow.surface import EmbeddedGraph
@@ -171,7 +176,7 @@ def dfs_runs(monkeypatch):
         runs.append(args)
         return search(*args)
 
-    monkeypatch.setattr(oracle, "_last", (None, None, ()))
+    monkeypatch.setattr(oracle, "_last", (None, None, (), ()))
     monkeypatch.setattr(oracle, "_search_d_cycles", counting)
     return runs
 
@@ -218,6 +223,24 @@ class TestEnumerationMemo:
         # the refusals did not displace the kept answer either
         enumerate_d_cycles(inst)
         assert len(dfs_runs) == 3
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_kept_table_is_recomputed_from_the_cycles(self, dfs_runs, name):
+        inst = PINNED_INSTANCES[name]()
+        cycles = enumerate_d_cycles(inst)
+        rows = []
+        for c in cycles:
+            edges = tuple(d >> 1 for d in c.darts)
+            rows.append((edges, sum(1 << e for e in c.edge_set),
+                         min(inst.caps[e] for e in edges)))
+        assert oracle._last == (inst, oracle.DEFAULT_BUDGET, cycles,
+                                tuple(rows))
+
+    def test_refusal_keeps_neither_cycles_nor_table(self, dfs_runs):
+        inst = PINNED_INSTANCES["gap1"]()
+        with pytest.raises(OracleBudgetExceeded):
+            enumerate_d_cycles(inst, OracleBudget(max_cycles=2))
+        assert oracle._last == (None, None, (), ())
 
 
 class TestCanonicalDarts:
@@ -321,6 +344,107 @@ SWEEP = ([(generate_planar_random, dict(size=size, seed=seed))
                                        cap_mode="random", seed=seed))
             for p, q in ((3, 3), (3, 4)) for seed in range(6)])
 SWEEP_BUDGET = OracleBudget(max_cycles=2000, max_nodes=20000)
+
+
+def answer(search, *args):
+    """``search(*args)``, or the message of its refusal."""
+    try:
+        return search(*args)
+    except OracleBudgetExceeded as exc:
+        return str(exc)
+
+
+def packing_args(inst, doubled) -> tuple:
+    """``pack_cycles``' input on every D-cycle of ``inst``, without the
+    budget: as ``exact_integral_multiflow`` poses it, or ``doubled`` as
+    ``half_integralize`` does (capacities and root ``x`` doubled)."""
+    _, table = oracle._cycle_table(inst, oracle.DEFAULT_BUDGET)
+    cycle_edges, masks, _ = zip(*table)
+    caps = inst.caps
+    root, rows = cycle_lp(cycle_edges, caps)
+    if doubled:
+        caps = [2 * u for u in caps]
+        root = replace(root, x=[2 * v for v in root.x],
+                       value=2 * root.value)
+    return cycle_edges, masks, caps, root, rows
+
+
+def least_passing(search) -> int:
+    """The least ``max_nodes`` at which ``search(budget)`` is not refused."""
+    return bisect_left(
+        range(oracle.DEFAULT_BUDGET.max_nodes + 1), True,
+        key=lambda n: not isinstance(
+            answer(search, OracleBudget(max_nodes=n)), str))
+
+
+@pytest.fixture
+def search_budget_only(monkeypatch):
+    """Every enumeration runs at the default budget, so the budget handed to
+    ``exact_min_multicut`` bounds its search alone."""
+    search = oracle._search_d_cycles
+    monkeypatch.setattr(oracle, "_last", (None, None, (), ()))
+    monkeypatch.setattr(oracle, "_search_d_cycles",
+                        lambda inst, _: search(inst, oracle.DEFAULT_BUDGET))
+
+
+# 20-edge planar graphs with 10 demands, where the multicut search branches
+# below its root (253, 28 and 38 nodes) and branching in another edge order
+# visits another number of nodes
+BRANCHING = {
+    "planar20-10demands-seed%d" % seed: (
+        lambda seed=seed: generate_planar_random(
+            20, seed=seed, n_demands=10, cap_mode="random"))
+    for seed in (0, 2, 5)}
+
+# the pinned instances and the generator sweep below, for the two searches
+SEARCH_SWEEP = {
+    **PINNED_INSTANCES,
+    **BRANCHING,
+    **{"sweep%02d-%s" % (i, gen.__name__.split("_")[1]): (
+        lambda gen=gen, kwargs=kwargs: gen(**kwargs))
+       for i, (gen, kwargs) in enumerate(SWEEP)},
+}
+
+
+class TestSearchesMatchReference:
+    """The packing and multicut searches on the cycle table against their
+    versions that rebuild every cycle's data (``conftest``)."""
+
+    @pytest.mark.parametrize("doubled", [False, True],
+                             ids=["oracle", "half-integralize"])
+    @pytest.mark.parametrize("name", sorted(SEARCH_SWEEP))
+    def test_same_packing(self, name, doubled):
+        cycle_edges, masks, caps, root, rows = packing_args(
+            SEARCH_SWEEP[name](), doubled)
+        assert answer(pack_cycles, cycle_edges, masks, caps, root, rows,
+                      SWEEP_BUDGET) \
+            == answer(reference_pack_cycles, cycle_edges, caps, root, rows,
+                      SWEEP_BUDGET)
+
+    @pytest.mark.parametrize("name", sorted(SEARCH_SWEEP))
+    def test_same_cut(self, name, search_budget_only):
+        inst = SEARCH_SWEEP[name]()
+        assert answer(exact_min_multicut, inst, SWEEP_BUDGET) \
+            == answer(reference_exact_min_multicut, inst, SWEEP_BUDGET)
+
+    @pytest.mark.parametrize("name", sorted(PINNED) + sorted(BRANCHING))
+    def test_same_least_budget_and_refusal(self, name, search_budget_only):
+        inst = SEARCH_SWEEP[name]()
+        cycle_edges, masks, caps, root, rows = packing_args(inst, False)
+        for new, ref in (
+                (lambda b: pack_cycles(cycle_edges, masks, caps, root, rows,
+                                       b),
+                 lambda b: reference_pack_cycles(cycle_edges, caps, root,
+                                                 rows, b)),
+                (lambda b: exact_min_multicut(inst, b),
+                 lambda b: reference_exact_min_multicut(inst, b))):
+            n = least_passing(new)
+            assert 1 <= n <= oracle.DEFAULT_BUDGET.max_nodes
+            enough, short = OracleBudget(max_nodes=n), \
+                OracleBudget(max_nodes=n - 1)
+            assert answer(new, enough) == answer(ref, enough)
+            assert answer(new, short) == answer(ref, short) \
+                == "more than %d search nodes" % (n - 1)
 
 
 class TestGeneratorSweep:

@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,7 +14,7 @@ from surfaceflow.errors import (InstanceFormatError, InternalInvariantError,
 from surfaceflow.instances import (generate_gap_family,
                                    generate_planar_random,
                                    generate_torus_grid, load_instance,
-                                   parse_instance)
+                                   parse_instance, serialize_instance)
 from surfaceflow.oracle import exact_integral_multiflow
 from surfaceflow.pipeline import (PipelineConfig, render_report, run,
                                   solution_wire, verify_solution)
@@ -19,7 +22,8 @@ from surfaceflow.rational import rat
 
 from test_instances import BAD_LEAVES, _leaf_paths
 
-GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "golden"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "golden"
 GAP_N1_SOLUTION = solution_wire(run(load_instance(GOLDEN / "gap_n1.json"))[0])
 
 
@@ -216,6 +220,18 @@ class TestCli:
         assert report["schema"] == "surfaceflow-report/1"
         assert dot_path.read_text().startswith("graph")
         assert cli.main(["verify", str(inst_path), str(sol_path)]) == 0
+
+    def test_python_m_runs_the_cli(self, tmp_path):
+        """``python -m surfaceflow`` runs the command line from a checkout,
+        with no console script installed."""
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        done = subprocess.run(
+            [sys.executable, "-m", "surfaceflow", "generate", "gap", "--n",
+             "1"], capture_output=True, text=True, env=env, cwd=tmp_path,
+            timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert serialize_instance(parse_instance(done.stdout)) \
+            == serialize_instance(generate_gap_family(1))
 
     def test_verify_rejects_tampering(self, tmp_path):
         inst_path = tmp_path / "inst.json"

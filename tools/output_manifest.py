@@ -4,8 +4,12 @@ For every instance of the ``torus``, ``planar`` and ``oracle`` pools at
 seeds 1 and 2 (the instances ``perfbench/workloads.py`` generates), the
 instance goes through its JSON form and ``pipeline.run`` at the pool's
 epsilon, once with ``verify="off"`` and once with ``verify="invariants"``.
-The digest is the sha256 of the report bytes followed by the solution
-bytes, both as ``surfaceflow solve --report --solution`` writes them.
+The ``oracle`` pool, which its workload solves at ``verify="full-oracle"``
+followed by ``oracle.exact_min_multicut``, is solved that way too, so both
+exact oracles are covered.  The digest is the sha256 of the report bytes
+followed by the solution bytes, both as ``surfaceflow solve --report
+--solution`` writes them, and at ``full-oracle`` by the multicut's value
+and edges as one JSON line.
 
 Usage, from the repository root::
 
@@ -32,6 +36,9 @@ MANIFEST = ROOT / "tools" / "output_manifest.json"
 POOLS = ("torus", "planar", "oracle")
 SEEDS = (1, 2)
 VERIFY = ("off", "invariants")
+# the verify levels of each pool: the oracle pool's workload level too
+LEVELS = {"torus": VERIFY, "planar": VERIFY,
+          "oracle": VERIFY + ("full-oracle",)}
 
 
 def import_modules(src: Path = ROOT / "src") -> dict:
@@ -40,7 +47,8 @@ def import_modules(src: Path = ROOT / "src") -> dict:
         if path not in sys.path:
             sys.path.insert(0, path)
     return {name: importlib.import_module(name) for name in
-            ("surfaceflow.instances", "surfaceflow.pipeline", "workloads")}
+            ("surfaceflow.instances", "surfaceflow.oracle",
+             "surfaceflow.pipeline", "workloads")}
 
 
 def key(pool: str, seed: int, verify: str) -> str:
@@ -52,6 +60,7 @@ def digests(mods: dict, pool: str, seed: int, verify: str,
     """The sha256 hex digests of the first ``limit`` (default: all)
     instances of ``pool`` at ``seed``, solved at ``verify``."""
     instances = mods["surfaceflow.instances"]
+    oracle = mods["surfaceflow.oracle"]
     pipeline = mods["surfaceflow.pipeline"]
     workloads = mods["workloads"]
     workload = workloads.WORKLOADS[pool]
@@ -62,14 +71,17 @@ def digests(mods: dict, pool: str, seed: int, verify: str,
         flow, report = pipeline.run(inst, config)
         solution = json.dumps(pipeline.solution_wire(flow), sort_keys=True,
                               indent=1) + "\n"
-        blob = (pipeline.render_report(report) + solution).encode()
-        out.append(hashlib.sha256(blob).hexdigest())
+        blob = pipeline.render_report(report) + solution
+        if verify == "full-oracle":
+            cut, edges = oracle.exact_min_multicut(inst)
+            blob += json.dumps([cut, list(edges)]) + "\n"
+        out.append(hashlib.sha256(blob.encode()).hexdigest())
     return out
 
 
 def manifest(mods: dict) -> dict:
     return {key(pool, seed, verify): digests(mods, pool, seed, verify)
-            for pool in POOLS for seed in SEEDS for verify in VERIFY}
+            for pool in POOLS for seed in SEEDS for verify in LEVELS[pool]}
 
 
 def render(doc: dict) -> str:
