@@ -10,19 +10,23 @@ converts into a D-cycle multiflow of support at most ``|D| * |E|``.
 The LP dual's capacity prices form a fractional multicut: every D-cycle has
 total price at least 1.  ``solve_fractional`` verifies this exactly via
 shortest paths and returns the prices as an optimality certificate.
+
+The LP answers in ints (``lp.LPResult``), and so do the layers here: the
+edge flows, the multicut check and the decomposition run on int numerators
+over the LP's denominators.  A ``QQ`` is made where a value leaves: one per
+peeled cycle, one per multicut price, and the values of the solution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InternalInvariantError, PreconditionError
 from .instances import Instance, is_int
 from .lp import LPResult, solve_lp
-from .rational import QQ, ZERO, numerators_over, rat, rat_str
+from .rational import QQ, ZERO, rat, rat_str
 from .surface import cycle_vertices
 
 
@@ -164,15 +168,18 @@ def cycle_lp(cycle_edges: Sequence[Iterable[int]],
 class EdgeFlowSolution:
     """Optimal compact-LP solution: per-demand signed edge flows.
 
-    ``flow[d][e]`` is the net flow of demand ``d`` on supply edge ``e``,
-    positive in slot0 -> slot1 direction; ``demand_value[d]`` the amount
-    routed.  ``multicut`` maps every edge to its dual price (a fractional
-    multicut); ``multicut_value`` is its capacity-weighted cost, checked
-    equal to ``value``.
+    The flows are the LP's int numerators over its denominator ``denom``:
+    ``flow[d][e] / denom`` is the net flow of demand ``d`` on supply edge
+    ``e``, positive in slot0 -> slot1 direction, and
+    ``demand_value[d] / denom`` the amount routed.  ``multicut`` maps every
+    edge to its dual price as a ``QQ`` (a fractional multicut);
+    ``multicut_value`` is its capacity-weighted cost, checked equal to
+    ``value``.
     """
 
     flow: dict
     demand_value: dict
+    denom: int
     multicut: dict
     multicut_value: object
     value: object
@@ -185,14 +192,14 @@ def solve_fractional(instance: Instance) -> EdgeFlowSolution:
     demands = instance.demand_edges
     supply = instance.supply_edges
     if not demands:
-        return EdgeFlowSolution({}, {}, {e: ZERO for e in supply}, ZERO,
+        return EdgeFlowSolution({}, {}, 1, {e: ZERO for e in supply}, ZERO,
                                 ZERO, engine="trivial")
 
     # variable layout: demand di's x+ and x- on the k-th supply edge are
     # columns di * per + 2k and di * per + 2k + 1; the w_d follow at n_flow
     per = 2 * len(supply)
     n_flow = len(demands) * per
-    # int data throughout: solve_lp makes QQ values only for its answer
+    # int data throughout, and an int answer
     c = [0] * n_flow + [1] * len(demands)
 
     A_eq, b_eq = [], []
@@ -222,45 +229,45 @@ def solve_fractional(instance: Instance) -> EdgeFlowSolution:
 
     res = solve_lp(c, A_ub, b_ub, A_eq, b_eq)
 
+    X = res.X
     flow = {}
     demand_value = {}
     for di, d in enumerate(demands):
-        nets = {}
-        for k, e in enumerate(supply):
-            plus, minus = res.x[di * per + 2 * k], res.x[di * per + 2 * k + 1]
-            if plus != minus:
-                nets[e] = plus - minus
-        flow[d] = nets
-        demand_value[d] = res.x[n_flow + di]
-    multicut = dict(zip(supply + demands, res.y_ub))
-    multicut_value = _verify_multicut(instance, multicut, res.value)
-    return EdgeFlowSolution(flow, demand_value, multicut, multicut_value,
-                            res.value, res.engine)
+        lo = di * per
+        flow[d] = {e: plus - minus for e, plus, minus in
+                   zip(supply, X[lo:lo + per:2], X[lo + 1:lo + per:2])
+                   if plus != minus}
+        demand_value[d] = X[n_flow + di]
+    prices = dict(zip(supply + demands, res.Y_ub))
+    multicut_value = _verify_multicut(instance, prices, res.dy, res.value)
+    multicut = {e: QQ(p, res.dy) if p else ZERO for e, p in prices.items()}
+    return EdgeFlowSolution(flow, demand_value, res.dx, multicut,
+                            multicut_value, res.value, res.engine)
 
 
-def _verify_multicut(instance: Instance, prices: dict, value):
-    """The dual prices must cover every D-cycle with weight >= 1 and have
-    total capacity-weighted cost equal to the flow value (strong duality).
+def _verify_multicut(instance: Instance, prices: dict, denom: int, value):
+    """The dual prices ``prices[e] / denom`` (int numerators over one
+    positive denominator) must cover every D-cycle with weight >= 1 and
+    have total capacity-weighted cost equal to the flow value (strong
+    duality).
 
-    Runs on the prices' numerators over their common denominator ``D``, so
-    the covering test is ``dist + y_d >= D`` in ints, with ``dist`` from
-    Dijkstra; a negative price is refused.  Returns the cost.
+    The covering test is ``dist + prices[d] >= denom`` in ints, with
+    ``dist`` from Dijkstra; a negative price is refused.  Returns the cost.
     """
     g = instance.graph
-    denom = lcm(*{v.denominator for v in prices.values()})
-    scaled = dict(zip(prices, numerators_over(prices.values(), denom)))
-    total = QQ(sum(instance.cap(e) * v for e, v in scaled.items()), denom)
+    total = QQ(sum(instance.cap(e) * p for e, p in prices.items()), denom)
     if total != value:
         raise InternalInvariantError(
             "multicut certificate cost %s != flow value %s"
-            % (total, value), witness=prices)
-    if any(v < 0 for v in scaled.values()):
+            % (total, value), witness=(prices, denom))
+    if min(prices.values(), default=0) < 0:
         raise InternalInvariantError(
-            "multicut certificate has a negative price", witness=prices)
+            "multicut certificate has a negative price",
+            witness=(prices, denom))
     for d in instance.demand_edges:
         s, t = g.edges[d]
-        dist = shortest_path_length(instance, s, t, scaled)
-        if dist is not None and dist + scaled[d] < denom:
+        dist = shortest_path_length(instance, s, t, prices)
+        if dist is not None and dist + prices[d] < denom:
             raise InternalInvariantError(
                 "multicut certificate misses a D-cycle through demand %d" % d,
                 witness=(d, QQ(dist, denom)))
@@ -301,13 +308,15 @@ def decompose(instance: Instance, sol: EdgeFlowSolution) -> Multiflow:
     Per demand, repeatedly extracts a shortest (fewest edges, then smallest
     dart ids) positive-flow path from ``s`` to ``t`` and peels off its
     bottleneck.  Cycles in the flow that avoid the demand edge are discarded;
-    they carry no objective value.
+    they carry no objective value.  The peeling runs on the solution's int
+    numerators; each peeled cycle's value is the one ``QQ`` made, its
+    bottleneck over ``sol.denom``.
     """
     g = instance.graph
     flow = Multiflow(instance)
     for d in instance.demand_edges:
         s, t = g.edges[d]
-        remaining = sol.demand_value.get(d, ZERO)
+        remaining = sol.demand_value.get(d, 0)
         nets = dict(sol.flow.get(d, {}))
         demand_dart = 2 * d + 1  # attached to t, pointing back to s
         guard = 0
@@ -334,7 +343,7 @@ def decompose(instance: Instance, sol: EdgeFlowSolution) -> Multiflow:
                     del nets[e]
             remaining -= bottleneck
             cycle = DCycle.from_darts(instance, list(path) + [demand_dart])
-            flow.add(cycle, bottleneck)
+            flow.add(cycle, QQ(bottleneck, sol.denom))
     return flow
 
 

@@ -5,17 +5,24 @@
 pair.  The data are the LPs the package poses, the compact edge-flow LP and
 the cycle LP: Python ints throughout (0/+-1 rows, integer capacities) with
 non-negative right-hand sides.  Both engines and the certificate use the
-ints as they are, so only the returned values are ``QQ``, and every row's
-slack or artificial starts basic at a non-negative value.  There are two
-engines, each with its own tableau code:
+ints as they are, and every row's slack or artificial starts basic at a
+non-negative value.  The answer stays in ints too: ``x`` is ``X / dx`` and
+``y`` is ``Y / dy``, int numerators over one positive denominator per
+vector, the least one.  Past the float snap's one
+``Fraction.limit_denominator`` per distinct value, the only rational
+``solve_lp`` makes is the objective value; its callers make a ``QQ`` where
+a value leaves them.  There are two engines, each with its own tableau
+code:
 
 - a two-phase simplex with Bland's rule (the reference path, immune to
   cycling) on a fraction-free tableau: each row is a list of int numerators
   over one positive denominator, and a pivot makes the exact steps of a
   ``QQ`` tableau (integer-preserving elimination, Edmonds 1967, Bareiss
-  1968), so no rational is made before the returned ones;
+  1968), so no rational is made at all: the answer is read off the rows'
+  numerators and denominators;
 - a numpy float simplex on the same tableau layout, used as a warm start on
-  larger problems: its solution is snapped to small-denominator rationals and
+  larger problems: its solution is snapped, one distinct value at a time, to
+  small-denominator rationals put over one denominator per vector, and
   accepted only when exact primal feasibility, exact dual feasibility and
   exact objective equality all hold, otherwise the exact engine runs from
   scratch.  The two objective rows sit under the constraints, so a pivot is
@@ -35,9 +42,12 @@ engines, each with its own tableau code:
 
 Either way the result is certified: the returned dual is exactly feasible
 with objective equal to the primal's, so optimality never rests on floating
-point.  ``check_certificate`` decides this on Python ints: ``x`` and ``y``
-are written over their common denominators, so on int data every test is an
-integer sum.
+point.  ``check_certificate`` decides this on the answer's ints, so on int
+data every test is an integer sum.
+
+An LP of the wrong shape raises ``PreconditionError``: a ``b_ub`` or
+``b_eq`` of another length than its rows, or a column outside
+``0..len(c) - 1``, found where the engines' tableau builds read every entry.
 """
 
 from __future__ import annotations
@@ -51,7 +61,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InternalInvariantError, PreconditionError
-from .rational import QQ, ZERO, numerators_over
+from .rational import QQ
 
 
 _FLOAT_THRESHOLD = 160  # structural columns above which the warm start runs
@@ -70,11 +80,21 @@ _SNAP_DENOMS = (1, 2, 3, 4, 6, 8, 12, 24, 48, 60, 120, 360, 2520, 10 ** 4, 10 **
 
 @dataclass
 class LPResult:
-    """Optimal primal ``x``, duals for the two row blocks, and the value."""
+    """An optimal primal/dual pair in ints, and the value.
 
-    x: list
-    y_ub: list
-    y_eq: list
+    The primal is ``x[j] = X[j] / dx`` and the duals of the two row blocks
+    are ``y_ub[i] = Y_ub[i] / dy`` and ``y_eq[i] = Y_eq[i] / dy``: int
+    numerators over one positive denominator per vector (``Y_ub`` and
+    ``Y_eq`` share ``dy``), the least one, so ``gcd(dx, *X) == 1`` and
+    ``gcd(dy, *Y_ub, *Y_eq) == 1``.  ``value`` is the one ``QQ``,
+    ``c . X / dx``; ``engine`` names the engine that answered.
+    """
+
+    X: list
+    dx: int
+    Y_ub: list
+    Y_eq: list
+    dy: int
     value: object
     engine: str
 
@@ -86,13 +106,14 @@ def solve_lp(c: Sequence[int], A_ub: Sequence[dict], b_ub: Sequence[int],
     Rows are sparse dicts ``{column: int coefficient}``.  An entry of ``c``,
     ``b_ub`` or ``b_eq`` that is not an ``int`` (a bool, a float, a
     ``Fraction``) raises ``TypeError``, and a negative one of ``b_ub`` or
-    ``b_eq`` raises ``PreconditionError``, as does infeasible or unbounded
-    input.  ``x``, ``y_ub``, ``y_eq`` and ``value`` of the result are ``QQ``.
+    ``b_eq`` raises ``PreconditionError``, as does an LP of the wrong shape
+    (see the module docstring) and infeasible or unbounded input.
     """
     for v in chain(c, b_ub, b_eq):
         if type(v) is not int:
             raise TypeError("LP data must be ints, got %s %r"
                             % (type(v).__name__, v))
+    _check_rhs_lengths(A_ub, b_ub, A_eq, b_eq)
     if any(v < 0 for v in chain(b_ub, b_eq)):
         raise PreconditionError("right-hand sides must be non-negative")
 
@@ -101,52 +122,67 @@ def solve_lp(c: Sequence[int], A_ub: Sequence[dict], b_ub: Sequence[int],
         got = _float_then_snap(c, A_ub, b_ub, A_eq, b_eq)
     if got is None:
         engine, got = "exact", _simplex_exact(c, A_ub, b_ub, A_eq, b_eq)
-    x, y_ub, y_eq = got
-    value = sum((ci * xi for ci, xi in zip(c, x) if xi), ZERO)
-    return LPResult(x, y_ub, y_eq, value, engine)
+    X, dx, Y_ub, Y_eq, dy = got
+    value = QQ(sum(ci * xi for ci, xi in zip(c, X) if xi), dx)
+    return LPResult(X, dx, Y_ub, Y_eq, dy, value, engine)
 
 
-def check_certificate(c, A_ub, b_ub, A_eq, b_eq, x, y_ub, y_eq) -> bool:
-    """Exact optimality check: primal/dual feasible with equal objectives.
+def _check_rhs_lengths(A_ub, b_ub, A_eq, b_eq) -> None:
+    if len(b_ub) != len(A_ub) or len(b_eq) != len(A_eq):
+        raise PreconditionError(
+            "%d and %d right-hand sides for %d and %d rows"
+            % (len(b_ub), len(b_eq), len(A_ub), len(A_eq)))
 
-    With ``x = X / Dx`` and ``y = Y / Dy``, the tests are
-    ``A X <= b Dx``, ``A^T Y >= c Dy`` and ``c X Dy == b Y Dx``: integer
-    sums on the int data ``solve_lp`` takes (rational data would be decided
-    exactly too, through ``Fraction`` arithmetic).  The primal tests come
-    first: a snapped ``x`` that breaks a row is refused before ``y`` is put
-    over its common denominator.
+
+def _column_error(n: int) -> PreconditionError:
+    return PreconditionError("a row has a column outside 0..%d" % (n - 1))
+
+
+def check_certificate(c, A_ub, b_ub, A_eq, b_eq, X, dx, Y_ub, Y_eq,
+                      dy) -> bool:
+    """Exact optimality check of ``x = X / dx`` and ``y = Y / dy``:
+    primal/dual feasible with equal objectives.
+
+    ``X``, ``Y_ub`` and ``Y_eq`` are int numerators and ``dx``, ``dy``
+    their denominators, as ``LPResult`` holds them.  The tests are
+    ``X >= 0``, ``A X <= b dx``, ``Y_ub >= 0``, ``A^T Y >= c dy`` and
+    ``c X dy == b Y dx``: integer sums on the int data ``solve_lp`` takes
+    (rational data would be decided exactly too, through ``Fraction``
+    arithmetic).  The primal tests come first, so a snapped ``x`` that
+    breaks a row is refused before ``y`` is read.  A vector of the wrong
+    length or a denominator that is not positive gives ``False``; a
+    ``b_ub`` or ``b_eq`` of the wrong length raises ``PreconditionError``.
+    Columns are read as given: ``solve_lp`` refuses a bad one before it
+    certifies anything.
     """
+    _check_rhs_lengths(A_ub, b_ub, A_eq, b_eq)
     n = len(c)
-    if len(x) != n:
+    if (len(X) != n or len(Y_ub) != len(A_ub) or len(Y_eq) != len(A_eq)
+            or dx <= 0 or dy <= 0):
         return False
-    dx = lcm(*{v.denominator for v in x})
-    x = numerators_over(x, dx)
-    # signs on the int numerators: no rational comparisons
-    if any(v < 0 for v in x):
+    if min(X, default=0) < 0:
         return False
     for row, b in zip(A_ub, b_ub):
-        if sum(coef * x[j] for j, coef in row.items()) > b * dx:
+        if sum(coef * X[j] for j, coef in row.items()) > b * dx:
             return False
     for row, b in zip(A_eq, b_eq):
-        if sum(coef * x[j] for j, coef in row.items()) != b * dx:
+        if sum(coef * X[j] for j, coef in row.items()) != b * dx:
             return False
 
-    dy = lcm(*{v.denominator for v in chain(y_ub, y_eq)})
-    y_ub, y_eq = numerators_over(y_ub, dy), numerators_over(y_eq, dy)
-    if any(v < 0 for v in y_ub):
+    if min(Y_ub, default=0) < 0:
         return False
     # dual feasibility per column: A^T y >= c
     col_tot = [0] * n
-    for rows, ys in ((A_ub, y_ub), (A_eq, y_eq)):
+    for rows, ys in ((A_ub, Y_ub), (A_eq, Y_eq)):
         for row, y in zip(rows, ys):
             if y:
                 for j, coef in row.items():
                     col_tot[j] += coef * y
     if any(tot < cj * dy for tot, cj in zip(col_tot, c)):
         return False
-    primal = sum(cj * xj for cj, xj in zip(c, x))
-    dual = sum(b * y for b, y in zip(b_ub, y_ub)) + \
-        sum(b * y for b, y in zip(b_eq, y_eq))
+    primal = sum(cj * xj for cj, xj in zip(c, X))
+    dual = sum(b * y for b, y in zip(b_ub, Y_ub)) + \
+        sum(b * y for b, y in zip(b_eq, Y_eq))
     return primal * dy == dual * dx
 
 
@@ -166,7 +202,8 @@ def _simplex_exact(c, A_ub, b_ub, A_eq, b_eq):
     ``(R * dp - R[pc] * P) / (dr * dp)``; the arithmetic is exact, so the
     pivots are those of the ``QQ`` tableau.
     Signs are read on numerators and the ratio test cross-multiplies (row
-    denominators cancel), so only the returned nonzero values are ``QQ``.
+    denominators cancel), so no rational is made: the answer is
+    ``(X, dx, Y_ub, Y_eq, dy)``, each vector over its least denominator.
     """
     n, m_ub, m_eq = len(c), len(A_ub), len(A_eq)
     m = m_ub + m_eq
@@ -176,6 +213,8 @@ def _simplex_exact(c, A_ub, b_ub, A_eq, b_eq):
     for i, (row, b) in enumerate(chain(zip(A_ub, b_ub), zip(A_eq, b_eq))):
         r = [0] * width
         for j, v in row.items():
+            if not 0 <= j < n:
+                raise _column_error(n)
             r[j] = v
         r[n + i] = 1
         r[-1] = b
@@ -250,14 +289,22 @@ def _simplex_exact(c, A_ub, b_ub, A_eq, b_eq):
         del tab[m + 1], den[m + 1]
     run(m)
 
-    x = [ZERO] * n
+    # x[j] is the right-hand side of its basic row over the row's
+    # denominator; y = -(reduced costs of the slacks and artificials)
+    dx = lcm(*[den[i] for i, j in enumerate(basis) if j < n])
+    X = [0] * n
     for i, j in enumerate(basis):
-        if j < n and tab[i][-1]:
-            x[j] = QQ(tab[i][-1], den[i])
-    # y = -(reduced costs of the slacks and artificials)
-    obj, d = tab[m], den[m]
-    y = [QQ(-v, d) if v else ZERO for v in obj[n:-1]]
-    return x, y[:m_ub], y[m_ub:]
+        if j < n:
+            X[j] = tab[i][-1] * (dx // den[i])
+    X, dx = _lowest(X, dx)
+    Y, dy = _lowest([-v for v in tab[m][n:-1]], den[m])
+    return X, dx, Y[:m_ub], Y[m_ub:], dy
+
+
+def _lowest(nums: list, d: int) -> tuple:
+    """``nums / d`` as numerators over the least common denominator."""
+    g = gcd(d, *nums)
+    return ([v // g for v in nums], d // g) if g > 1 else (nums, d)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +327,10 @@ def _simplex_float(c, A_ub, b_ub, A_eq, b_eq):
     for lo in range(0, m, step):
         block, sizes = A[lo:lo + step], lens[lo:lo + step]
         nnz = sum(sizes)
-        T[np.repeat(np.arange(lo, lo + len(block)), sizes),
-          np.fromiter(chain.from_iterable(block), np.intp, nnz)] = \
+        cols = np.fromiter(chain.from_iterable(block), np.intp, nnz)
+        if nnz and (cols.min() < 0 or cols.max() >= n):
+            raise _column_error(n)
+        T[np.repeat(np.arange(lo, lo + len(block)), sizes), cols] = \
             np.fromiter(chain.from_iterable(row.values() for row in block),
                         float, nnz)
     # row i's slack or artificial is column n + i in either block
@@ -352,16 +401,19 @@ def _simplex_float(c, A_ub, b_ub, A_eq, b_eq):
 
 
 def _snap(values, denom, memo):
-    """Closest rationals with denominator at most ``denom``, computed once
-    per distinct value (most entries are 0, 1 or a half); ``memo`` holds
-    the values already snapped at ``denom``."""
-    out = []
-    for v in values:
+    """The closest rationals with denominator at most ``denom``, as
+    ``(numerators, their least common denominator)``.  Each distinct value
+    is snapped once (most entries are 0, 1 or a half); ``memo`` holds the
+    values already snapped at ``denom``."""
+    snapped = {}
+    for v in set(values):
         q = memo.get(v)
         if q is None:
             q = memo[v] = Fraction(v).limit_denominator(denom)
-        out.append(q)
-    return out
+        snapped[v] = q
+    d = lcm(*[q.denominator for q in snapped.values()])
+    num = {v: q.numerator * (d // q.denominator) for v, q in snapped.items()}
+    return [num[v] for v in values], d
 
 
 def _float_then_snap(c, A_ub, b_ub, A_eq, b_eq):
@@ -372,10 +424,14 @@ def _float_then_snap(c, A_ub, b_ub, A_eq, b_eq):
     # a negative float snaps to a rational <= 0 (0 is closer than any
     # positive one), so clamping first gives the same prices as clamping
     # the snapped ones
-    yubf = [max(v, 0.0) for v in yubf]
+    yf = [max(v, 0.0) for v in yubf] + yeqf
+    m_ub = len(yubf)
     for denom in _SNAP_DENOMS:
         memo = {}
-        x, y_ub, y_eq = (_snap(vec, denom, memo) for vec in (xf, yubf, yeqf))
-        if check_certificate(c, A_ub, b_ub, A_eq, b_eq, x, y_ub, y_eq):
-            return x, y_ub, y_eq
+        X, dx = _snap(xf, denom, memo)
+        Y, dy = _snap(yf, denom, memo)
+        Y_ub, Y_eq = Y[:m_ub], Y[m_ub:]
+        if check_certificate(c, A_ub, b_ub, A_eq, b_eq, X, dx, Y_ub, Y_eq,
+                             dy):
+            return X, dx, Y_ub, Y_eq, dy
     return None

@@ -37,7 +37,6 @@ any valid bound gives the same answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from operator import itemgetter
 
 from .errors import (InternalInvariantError, OracleBudgetExceeded,
@@ -47,7 +46,7 @@ from .instances import Instance
 # unused here (the one LP is flows.cycle_lp); perfbench's tracer test
 # looks for this binding
 from .lp import solve_lp  # noqa: F401
-from .rational import floor_rat, numerators_over
+from .rational import floor_rat
 
 
 @dataclass(frozen=True)
@@ -204,31 +203,31 @@ def _canonical(path: list, back: list, d: int) -> tuple:
     return (*path[i:], d, *path[:i])
 
 
-def pack_cycles(cycle_edges, masks, caps, root, rows,
+def pack_cycles(cycle_edges, masks, leasts, caps, root, rows,
                 budget: OracleBudget):
     """Maximum integral packing of cycles under positive int edge
     capacities.
 
-    ``masks[i]`` is the edge bitmask of ``cycle_edges[i]``; ``root`` and
-    ``rows`` are the optimal cycle LP of ``cycle_edges`` and ``caps`` as
-    ``flows.cycle_lp`` returns it.  Returns ``(value, {cycle index:
-    positive int})`` from the search of the module docstring, over the
-    cycles by decreasing root value, ties by index.
+    ``masks[i]`` is the edge bitmask of ``cycle_edges[i]`` and
+    ``leasts[i]`` its least capacity in ``caps``, as the cycle table holds
+    them; ``root`` and ``rows`` are the optimal cycle LP of ``cycle_edges``
+    and ``caps`` as ``flows.cycle_lp`` returns it.  Returns ``(value,
+    {cycle index: positive int})`` from the search of the module docstring,
+    over the cycles by decreasing root value, ties by index.
     """
     # explore large fractional values first, ties by index (a reversed
-    # sort keeps ties in order); the LP value caps the optimum.  num[i] is
-    # root.x[i] over the common denominator of root.x
-    num = numerators_over(root.x, lcm(*(x.denominator for x in root.x)))
-    order = sorted(range(len(cycle_edges)), key=num.__getitem__,
+    # sort keeps ties in order); the LP value caps the optimum.  The root
+    # x is root.X over one denominator, so its order is that of root.X
+    order = sorted(range(len(cycle_edges)), key=root.X.__getitem__,
                    reverse=True)
     cycle_edges = [cycle_edges[i] for i in order]
     masks = [masks[i] for i in order]
+    leasts = [leasts[i] for i in order]
     n = len(cycle_edges)
     ceiling = floor_rat(root.value)
-    # the root dual over a common denominator: price[e] / denom = y[e]
-    denom = lcm(*(y.denominator for y in root.y_ub))
-    prices = [(e, p) for e, p in zip(rows, numerators_over(root.y_ub, denom))
-              if p]
+    # the root dual: price / denom = y[e]
+    denom = root.dy
+    prices = [(e, p) for e, p in zip(rows, root.Y_ub) if p]
     best_value = -1
     best: dict = {}
     current: dict = {}
@@ -253,8 +252,12 @@ def pack_cycles(cycle_edges, masks, caps, root, rows,
         if value + sum(residual[e] * p for e, p in prices) // denom \
                 <= best_value:
             return
-        choices = [(j, min([residual[e] for e in cycle_edges[j]]))
-                   for j in range(start, n) if not masks[j] & zero]
+        if start:
+            choices = [(j, min([residual[e] for e in cycle_edges[j]]))
+                       for j in range(start, n) if not masks[j] & zero]
+        else:
+            # the root, where every residual is its capacity
+            choices = list(enumerate(leasts))
         if value + sum(m for _, m in choices) <= best_value:
             return
         for j, m in choices:
@@ -285,9 +288,9 @@ def exact_integral_multiflow(instance: Instance,
     if not cycles:
         return 0, Multiflow(instance)
     # the cycles come sorted by darts, so index ties are dart ties
-    cycle_edges, masks, _ = zip(*table)
+    cycle_edges, masks, leasts = zip(*table)
     best_value, best = pack_cycles(
-        cycle_edges, masks, instance.caps,
+        cycle_edges, masks, leasts, instance.caps,
         *cycle_lp(cycle_edges, instance.caps), budget)
     flow = Multiflow(instance)
     for i, x in best.items():

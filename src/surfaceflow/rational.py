@@ -1,8 +1,9 @@
 """Exact rational arithmetic used throughout the package.
 
 All flow values and potentials are rationals; floats only ever appear
-inside the LP warm-start heuristic, and the exact LP engine works on
-integers.  ``QQ`` is ``fractions.Fraction``.
+inside the LP warm-start heuristic.  The LP layer works on integers: its
+answer is int numerators over one denominator per vector, and a ``QQ`` is
+made only where a value leaves it.  ``QQ`` is ``fractions.Fraction``.
 """
 
 from __future__ import annotations
@@ -29,12 +30,6 @@ def rat_str(value) -> str:
     """Serialize a rational as ``"p/q"`` (always with the slash, e.g. ``"3/1"``)."""
     f = Fraction(value)
     return "%d/%d" % (f.numerator, f.denominator)
-
-
-def numerators_over(values, denom: int) -> list:
-    """Numerators of ``values`` over ``denom``, a common multiple of their
-    denominators, as Python ints."""
-    return [v.numerator * (denom // v.denominator) for v in values]
 
 
 def floor_rat(value):

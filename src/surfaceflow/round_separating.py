@@ -53,7 +53,8 @@ def half_integralize(flow: Multiflow) -> Multiflow:
     the oracle's packing under doubled capacities, whose root LP is this
     one scaled by 2 (``x`` doubles, the dual stays optimal).  A packing
     refused by the oracle's default budget raises
-    ``InternalInvariantError``.
+    ``InternalInvariantError``.  The LP's int answer is read as it is:
+    ``x`` is half-integral when ``2 X`` is a multiple of ``dx``.
     """
     inst = flow.instance
     cycles = flow.support()
@@ -61,19 +62,22 @@ def half_integralize(flow: Multiflow) -> Multiflow:
         return Multiflow(inst)
     cycle_edges = [c.edge_set for c in cycles]
     lp, rows = cycle_lp(cycle_edges, inst.caps)
-    x = lp.x
-    if any(2 * v != int(2 * v) for v in x):
-        doubled = replace(lp, x=[2 * v for v in x], value=2 * lp.value)
+    X, dx = lp.X, lp.dx
+    if any(2 * v % dx for v in X):
+        doubled = replace(lp, X=[2 * v for v in X], value=2 * lp.value)
+        caps = [2 * u for u in inst.caps]
         masks = [sum(1 << e for e in edges) for edges in cycle_edges]
+        leasts = [min([caps[e] for e in edges]) for edges in cycle_edges]
         try:
-            _, best = pack_cycles(cycle_edges, masks,
-                                  [2 * u for u in inst.caps], doubled, rows,
-                                  DEFAULT_BUDGET)
+            _, best = pack_cycles(cycle_edges, masks, leasts, caps, doubled,
+                                  rows, DEFAULT_BUDGET)
         except OracleBudgetExceeded as exc:
             raise InternalInvariantError(
                 "no half-integral optimum within the packing budget",
-                witness=x) from exc
+                witness=[QQ(v, dx) for v in X]) from exc
         x = [QQ(best.get(i, 0), 2) for i in range(len(cycles))]
+    else:
+        x = [QQ(v, dx) for v in X]
     out = Multiflow(inst)
     for c, v in zip(cycles, x):
         out.set(c, v)

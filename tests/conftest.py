@@ -16,7 +16,7 @@ from surfaceflow.flows import (DCycle, Multiflow, canonical_darts,
                                solve_and_decompose)
 from surfaceflow.instances import Instance, generate_torus_grid, load_instance
 from surfaceflow import lp, oracle, uncross
-from surfaceflow.rational import QQ, ZERO, floor_rat, numerators_over, rat
+from surfaceflow.rational import QQ, ZERO, floor_rat, rat
 from surfaceflow.surface import (CutComponent, EmbeddedGraph, _band_before,
                                  cycle_vertices, expand_edge_lists,
                                  face_components, shared_paths,
@@ -307,17 +307,15 @@ def reference_enumerate_d_cycles(instance: Instance, budget) -> list:
 
 
 def reference_pack_cycles(cycle_edges, caps, root, rows, budget):
-    """``oracle.pack_cycles`` without edge bitmasks: every node takes the
-    least residual of every remaining cycle and keeps the positive ones.
-    Same value, same packing, same nodes and same refusals."""
-    num = numerators_over(root.x, math.lcm(*(x.denominator for x in root.x)))
-    order = sorted(range(len(cycle_edges)), key=num.__getitem__,
-                   reverse=True)
+    """``oracle.pack_cycles`` without edge bitmasks, least-capacity table or
+    int root: every node, the root too, takes the least residual of every
+    remaining cycle and keeps the positive ones, and the root LP is read as
+    rationals.  Same value, same packing, same nodes and same refusals."""
+    x, y_ub, _ = lp_answer(root)
+    order = sorted(range(len(cycle_edges)), key=x.__getitem__, reverse=True)
     cycle_edges = [cycle_edges[i] for i in order]
     ceiling = floor_rat(root.value)
-    denom = math.lcm(*(y.denominator for y in root.y_ub))
-    prices = [(e, p) for e, p in zip(rows, numerators_over(root.y_ub, denom))
-              if p]
+    prices = [(e, y) for e, y in zip(rows, y_ub) if y]
     best_value = -1
     best: dict = {}
     current: dict = {}
@@ -334,7 +332,7 @@ def reference_pack_cycles(cycle_edges, caps, root, rows, budget):
             best = dict(current)
         if best_value == ceiling:
             return
-        if value + sum(residual[e] * p for e, p in prices) // denom \
+        if value + floor_rat(sum((residual[e] * y for e, y in prices), ZERO)) \
                 <= best_value:
             return
         choices = []
@@ -421,11 +419,47 @@ def reference_canonical_darts(darts) -> tuple:
                for s in range(len(darts)))
 
 
+def numerators_over(values, denom: int) -> list:
+    """Numerators of ``values`` over ``denom``, a common multiple of their
+    denominators, as Python ints."""
+    return [v.numerator * (denom // v.denominator) for v in values]
+
+
+def over(nums, denom) -> list:
+    """The rationals ``nums[i] / denom``."""
+    return [QQ(v, denom) for v in nums]
+
+
+def rationals(X, dx, Y_ub, Y_eq, dy) -> tuple:
+    """An int LP answer as its rational vectors ``(x, y_ub, y_eq)``."""
+    return over(X, dx), over(Y_ub, dy), over(Y_eq, dy)
+
+
+def lp_answer(res) -> tuple:
+    """An ``LPResult``'s int answer as rational vectors ``(x, y_ub, y_eq)``."""
+    return rationals(res.X, res.dx, res.Y_ub, res.Y_eq, res.dy)
+
+
+def int_answer(x, y_ub, y_eq) -> tuple:
+    """Rational vectors ``(x, y_ub, y_eq)`` as an int answer ``(X, dx,
+    Y_ub, Y_eq, dy)``, each vector over its least common denominator, as
+    ``lp.check_certificate`` takes it."""
+    dx = math.lcm(*(QQ(v).denominator for v in x))
+    dy = math.lcm(*(QQ(v).denominator for v in (*y_ub, *y_eq)))
+    return (numerators_over(map(QQ, x), dx), dx,
+            numerators_over(map(QQ, y_ub), dy),
+            numerators_over(map(QQ, y_eq), dy), dy)
+
+
 def reference_check_certificate(c, A_ub, b_ub, A_eq, b_eq, x, y_ub,
                                 y_eq) -> bool:
     """``lp.check_certificate`` entry by entry over rationals, as the
     reference its integer version must agree with."""
     n = len(c)
+    if len(b_ub) != len(A_ub) or len(b_eq) != len(A_eq):
+        raise PreconditionError("right-hand sides do not match the rows")
+    if len(y_ub) != len(A_ub) or len(y_eq) != len(A_eq):
+        return False
     if len(x) != n or any(v < 0 for v in x):
         return False
     for row, b in zip(A_ub, b_ub):
@@ -623,13 +657,14 @@ def reference_simplex_float(c, A_ub, b_ub, A_eq, b_eq):
     return list(x), y_ub, y_eq
 
 
-def reference_float_then_snap(c, A_ub, b_ub, A_eq, b_eq):
-    """``lp._float_then_snap`` as it was first written: each vector snapped
-    with its own memo at each denominator of the ladder, and every snapped
-    price of ``y_ub`` clamped at zero afterwards."""
+def reference_ladder(c, A_ub, b_ub, A_eq, b_eq) -> list:
+    """The rational ``(x, y_ub, y_eq)`` of every rung of ``lp``'s snap
+    ladder, as it was first written: each vector snapped with its own memo
+    at each denominator of the ladder, and every snapped price of ``y_ub``
+    clamped at zero afterwards.  Empty when the float engine gives up."""
     got = lp._simplex_float(c, A_ub, b_ub, A_eq, b_eq)
     if got is None:
-        return None
+        return []
 
     def snap(values, denom):
         memo = {}
@@ -642,13 +677,17 @@ def reference_float_then_snap(c, A_ub, b_ub, A_eq, b_eq):
         return out
 
     xf, yubf, yeqf = got
-    for denom in lp._SNAP_DENOMS:
-        x = snap(xf, denom)
-        y_ub = [max(v, ZERO) for v in snap(yubf, denom)]
-        y_eq = snap(yeqf, denom)
-        if lp.check_certificate(c, A_ub, b_ub, A_eq, b_eq, x, y_ub, y_eq):
-            return x, y_ub, y_eq
-    return None
+    return [(snap(xf, denom), [max(v, ZERO) for v in snap(yubf, denom)],
+             snap(yeqf, denom)) for denom in lp._SNAP_DENOMS]
+
+
+def reference_float_then_snap(c, A_ub, b_ub, A_eq, b_eq):
+    """``lp._float_then_snap`` on rationals: the first rung of
+    ``reference_ladder`` that ``reference_check_certificate`` certifies,
+    as ``(x, y_ub, y_eq)``, or ``None``."""
+    return next((rung for rung in reference_ladder(c, A_ub, b_ub, A_eq, b_eq)
+                 if reference_check_certificate(c, A_ub, b_ub, A_eq, b_eq,
+                                                *rung)), None)
 
 
 def reference_shortest_path_length(instance: Instance, s: int, t: int,

@@ -1,0 +1,77 @@
+"""``tools/ab_pairs.py``: one run's metrics, and the pairs' summary.
+
+The tool's git worktree round trip is not run here, so that the suite
+never adds a worktree to the repository under test.
+"""
+
+import importlib.util
+import json
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location(
+        "ab_pairs", ROOT / "tools" / "ab_pairs.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+TOOL = load_tool()
+
+# a stand-in for perfbench/run.py: echoes its arguments as a metric
+STUB = """import json, sys
+print("perfbench stub")
+print(json.dumps({"correct": %s, "attempted": 2, "failed": %d,
+                  "metrics": {"wall_s": {"value": 1.5, "unit": "s"},
+                              "argv": {"value": sys.argv[1:],
+                                       "unit": "count"}}}))
+"""
+
+
+def stub_tree(tmp_path, correct=True):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        STUB % (correct, 0 if correct else 1))
+    return tmp_path
+
+
+def test_metrics_are_the_benchmarks_end_to_end():
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert TOOL.end_to_end() == [(m["name"], m["better"])
+                                 for m in spec["end_to_end"]]
+
+
+def test_run_once_reads_the_last_line(tmp_path):
+    got = TOOL.run_once(stub_tree(tmp_path), "planar", 2)
+    assert got == {"wall_s": 1.5, "argv": [
+        "--workload", "planar", "--seed", "2", "--seconds", "30",
+        "--trace", "0"]}
+
+
+def test_run_once_refuses_failed_instances(tmp_path):
+    with pytest.raises(SystemExit, match="1 failed instance"):
+        TOOL.run_once(stub_tree(tmp_path, correct=False), "planar", 1)
+
+
+def test_report_counts_wins_by_direction(capsys):
+    def run(wall_s, ok_rate):
+        return {"wall_s": wall_s, "ok_rate": ok_rate}
+
+    pairs = [(run(2.0, 1.0), run(1.0, 1.0)), (run(2.0, 0.5), run(2.0, 1.0)),
+             (run(1.0, 1.0), run(3.0, 0.9))]
+    TOOL.report(pairs, [("wall_s", "lower"), ("ok_rate", "higher")])
+    wall, ok = capsys.readouterr().out.splitlines()
+    # a tie wins neither side
+    assert "median 2 -> 2 (+0.0%" in wall and "won 1 of 3" in wall
+    assert "won 1 of 3" in ok
+
+
+def test_pairs_must_be_positive():
+    """Refused before any worktree is made."""
+    with pytest.raises(SystemExit):
+        TOOL.main(["--base", "HEAD", "--workload", "planar", "--pairs", "0"])

@@ -151,19 +151,19 @@ class TestSolveFractional:
         inst = two_path_instance()
         # 1/3 on the demand edge and on one route: the other route's
         # D-cycle has price 1/3 + 1/3 < 1
-        prices = {e: rat("1/3") if e in (0, 4) else rat(0) for e in range(5)}
+        prices = {e: 1 if e in (0, 4) else 0 for e in range(5)}
         with pytest.raises(InternalInvariantError, match="misses"):
-            _verify_multicut(inst, prices, rat(1))
+            _verify_multicut(inst, prices, 3, rat(1))
         with pytest.raises(InternalInvariantError, match="cost"):
-            _verify_multicut(inst, prices, rat(2))
+            _verify_multicut(inst, prices, 3, rat(2))
 
     def test_multicut_check_rejects_a_negative_price(self):
         """Dijkstra needs non-negative weights: a negative price is refused
         even when the cost matches and every D-cycle is covered."""
         inst = two_path_instance()
-        prices = {0: rat(1), 1: rat(-1), 2: rat(1), 3: rat(0), 4: rat(1)}
+        prices = {0: 1, 1: -1, 2: 1, 3: 0, 4: 1}
         with pytest.raises(InternalInvariantError, match="negative"):
-            _verify_multicut(inst, prices, rat(3))
+            _verify_multicut(inst, prices, 1, rat(3))
 
     def test_torus_instances(self):
         inst = generate_torus_grid(3, 3, demands=2, seed=5)

@@ -3,14 +3,16 @@ import random
 import tracemalloc
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (reference_check_certificate, reference_float_then_snap,
-                      reference_simplex_exact, reference_simplex_float)
+from conftest import (int_answer, lp_answer, rationals,
+                      reference_check_certificate, reference_float_then_snap,
+                      reference_ladder, reference_simplex_exact,
+                      reference_simplex_float)
 from surfaceflow import flows, lp
 from surfaceflow.errors import PreconditionError
 from surfaceflow.instances import generate_planar_random, generate_torus_grid
@@ -106,24 +108,38 @@ def root_cycle_lp(monkeypatch, seed=7):
 
 
 def ladder_rungs(args) -> list:
-    """The ``(x, y_ub, y_eq)`` that ``_float_then_snap`` would check at
-    every denominator of its ladder on the LP ``args`` (none when the float
-    engine gives up), for a comparison of verdicts rung by rung."""
+    """The ``(X, dx, Y_ub, Y_eq, dy)`` that ``_float_then_snap`` would
+    check at every denominator of its ladder on the LP ``args`` (none when
+    the float engine gives up), for a comparison rung by rung."""
     got = _simplex_float(*args)
     if got is None:
         return []
     xf, yubf, yeqf = got
-    yubf = [max(v, 0.0) for v in yubf]
+    yf = [max(v, 0.0) for v in yubf] + yeqf
     rungs = []
     for denom in lp._SNAP_DENOMS:
         memo = {}
-        rungs.append([lp._snap(vec, denom, memo) for vec in (xf, yubf, yeqf)])
+        X, dx = lp._snap(xf, denom, memo)
+        Y, dy = lp._snap(yf, denom, memo)
+        rungs.append((X, dx, Y[:len(yubf)], Y[len(yubf):], dy))
     return rungs
 
 
+def least_ints(X, dx, Y_ub, Y_eq, dy) -> bool:
+    """Int numerators over one positive denominator per vector, the least
+    one."""
+    return (all(type(v) is int for v in (*X, dx, *Y_ub, *Y_eq, dy))
+            and dx > 0 and dy > 0 and gcd(dx, *X) == 1
+            and gcd(dy, *Y_ub, *Y_eq) == 1)
+
+
+def answer_of(res) -> tuple:
+    return res.X, res.dx, res.Y_ub, res.Y_eq, res.dy
+
+
 def digest(res):
-    blob = repr([[rat_str(v) for v in vec]
-                 for vec in (res.x, res.y_ub, res.y_eq)])
+    """sha256 of the rationals ``X / dx`` and ``Y / dy``, as ``rat_str``."""
+    blob = repr([[rat_str(v) for v in vec] for vec in lp_answer(res)])
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -134,16 +150,17 @@ class TestExactSimplex:
                        [row(x0=1), row(x1=2), row(x0=3, x1=2)],
                        [4, 12, 18])
         assert res.value == rat(36)
-        assert res.x == R(2, 6)
+        assert lp_answer(res)[0] == R(2, 6)
         assert res.engine == "exact"
+        assert least_ints(*answer_of(res))
 
     def test_duals_satisfy_certificate(self):
         c = [3, 5]
         A = [row(x0=1), row(x1=2), row(x0=3, x1=2)]
         b = [4, 12, 18]
         res = solve_lp(c, A, b)
-        assert check_certificate(c, A, b, [], [], res.x, res.y_ub, res.y_eq)
-        assert sum(y * bi for y, bi in zip(res.y_ub, b)) == res.value
+        assert check_certificate(c, A, b, [], [], *answer_of(res))
+        assert sum(y * bi for y, bi in zip(lp_answer(res)[1], b)) == res.value
 
     def test_fractional_optimum(self):
         # max x + y  s.t.  2x + y <= 3, x + 2y <= 3  ->  x = y = 1 at corner,
@@ -151,17 +168,17 @@ class TestExactSimplex:
         res = solve_lp([1, 1], [row(x0=2, x1=1), row(x0=1, x1=2)], [3, 3])
         assert res.value == rat(2)
         res = solve_lp([2, 1], [row(x0=3, x1=1), row(x0=1, x1=3)], [4, 4])
-        assert res.x == [rat(1), rat(1)]
+        assert lp_answer(res)[0] == [rat(1), rat(1)]
         assert res.value == rat(3)
 
     def test_equality_rows(self):
         # max x + 2y  s.t.  x + y = 1,  4y <= 3
         res = solve_lp([1, 2], [row(x1=4)], [3], [row(x0=1, x1=1)], [1])
-        assert res.x == [rat("1/4"), rat("3/4")]
+        assert lp_answer(res)[0] == [rat("1/4"), rat("3/4")]
+        assert (res.X, res.dx) == ([1, 3], 4)
         assert res.value == rat("7/4")
         assert check_certificate([1, 2], [row(x1=4)], [3],
-                                 [row(x0=1, x1=1)], [1],
-                                 res.x, res.y_ub, res.y_eq)
+                                 [row(x0=1, x1=1)], [1], *answer_of(res))
 
     def test_infeasible_equalities(self):
         with pytest.raises(PreconditionError):
@@ -203,6 +220,55 @@ class TestExactSimplex:
         assert solve_lp(*BEALE).value == rat(5)
 
 
+# a float-engine LP: one row over every column of a width above the
+# threshold
+WIDE = _FLOAT_THRESHOLD + 1
+
+
+class TestShape:
+    """An LP of the wrong shape is refused; a certificate of the wrong
+    length is not certified."""
+
+    @pytest.mark.parametrize("n", [1, WIDE], ids=["exact", "float"])
+    @pytest.mark.parametrize("past_end", [True, False],
+                             ids=["past-end", "negative"])
+    def test_column_outside_c_refused(self, n, past_end):
+        """Column ``n`` would land in row 0's slack, column ``-1`` in the
+        right-hand side."""
+        row = {j: 1 for j in range(n)}
+        row[n if past_end else -1] = 1
+        with pytest.raises(PreconditionError, match="column"):
+            solve_lp([1] * n, [row], [5])
+
+    @pytest.mark.parametrize("lp_", [
+        ([1], [{0: 1}], [5, 0], [], []),
+        ([1], [{0: 1}, {0: 1}], [5], [], []),
+        ([1], [{0: 1}], [5], [{0: 1}], []),
+        ([1], [{0: 1}], [5], [], [1]),
+    ], ids=["long-b_ub", "short-b_ub", "short-b_eq", "long-b_eq"])
+    def test_rhs_length_refused(self, lp_):
+        with pytest.raises(PreconditionError, match="right-hand sides"):
+            solve_lp(*lp_)
+        with pytest.raises(PreconditionError, match="right-hand sides"):
+            check_certificate(*lp_, [0], 1, [0] * len(lp_[1]),
+                              [0] * len(lp_[3]), 1)
+
+    # max x0 + x1 s.t. x0 + x1 <= 2, x0 - x1 = 0: x = (1, 1), y = (1, 0)
+    LP = ([1, 1], [{0: 1, 1: 1}], [2], [{0: 1, 1: -1}], [0])
+    CERT = ([1, 1], 1, [1], [0], 1)
+
+    @pytest.mark.parametrize("which, change", [
+        (0, [1]), (0, [1, 1, 0]), (2, []), (2, [1, 0]), (3, []),
+        (3, [0, 0]), (1, 0), (4, 0), (4, -1)],
+        ids=["short-X", "long-X", "short-Y_ub", "long-Y_ub", "short-Y_eq",
+             "long-Y_eq", "zero-dx", "zero-dy", "negative-dy"])
+    def test_wrong_certificate_shape_not_certified(self, which, change):
+        assert check_certificate(*self.LP, *self.CERT)
+        cert = list(self.CERT)
+        cert[which] = change
+        assert not check_certificate(*self.LP, *cert)
+
+
 # (_UPDATE_BLOCK, _ROW_SPAN, _CHUNK) that force one update form on every
 # pivot; None keeps the module's value
 UPDATE_FORMS = [(0, 0, None), (0, 10 ** 9, 1), (0, 10 ** 9, None),
@@ -232,11 +298,12 @@ class TestFloatPath:
             A_ub.append({i * k + j: 3 for i in range(k)})
             b_ub.append(3 * j + 2)
         res = solve_lp(c, A_ub, b_ub)
-        assert check_certificate(c, A_ub, b_ub, [], [],
-                                 res.x, res.y_ub, res.y_eq)
+        assert check_certificate(c, A_ub, b_ub, [], [], *answer_of(res))
         snapped = _float_then_snap(c, A_ub, b_ub, [], [])
         if snapped is not None:
-            assert sum(ci * xi for ci, xi in zip(c, snapped[0])) == res.value
+            X, dx = snapped[:2]
+            assert rat(sum(ci * xi for ci, xi in zip(c, X))) / dx == \
+                res.value
 
     def test_snap_recovers_halves(self):
         c = [1, 1]
@@ -244,9 +311,9 @@ class TestFloatPath:
         b = [1, 1, 1]
         got = _float_then_snap(c, A, b, [], [])
         assert got is not None
-        x, y_ub, y_eq = got
-        assert sum(x) == rat(1)
-        assert check_certificate(c, A, b, [], [], x, y_ub, y_eq)
+        X, dx = got[:2]
+        assert sum(X) == dx and dx == 2
+        assert check_certificate(c, A, b, [], [], *got)
 
     # sha256 of the compact LP's (x, y_ub, y_eq) on 6x6 torus grids, recorded
     # with full dense pivots: a change to the float pivot sequence fails here
@@ -294,7 +361,8 @@ class TestFloatPath:
             make = torus if lp_of.startswith("torus") else planar
             args = compact_lp(monkeypatch, make(int(lp_of[-1])))[0]
         got = _float_then_snap(*args)
-        assert got is not None and got == reference_float_then_snap(*args)
+        assert got is not None and least_ints(*got)
+        assert rationals(*got) == reference_float_then_snap(*args)
 
     # 6x6 torus grids whose compact LP has refused rungs: 3 at seed 5, 4
     # at seed 8 (after a certified first rung), 6 at seed 13
@@ -303,9 +371,9 @@ class TestFloatPath:
     @pytest.mark.parametrize("lp_of", ["torus0", "torus1", "planar0",
                                        "planar1", "cycle", *REFUSING])
     def test_every_rung_same_verdict_as_reference(self, monkeypatch, lp_of):
-        """``check_certificate`` tests the primal side before it puts ``y``
-        over a common denominator; every rung of the ladder, refused or
-        certified, gets the reference's verdict."""
+        """Every rung of the ladder, refused or certified, is the
+        reference's rationals over their least denominators, and
+        ``check_certificate`` on its ints gives the reference's verdict."""
         if lp_of == "cycle":
             args = root_cycle_lp(monkeypatch)[0]
         else:
@@ -313,9 +381,12 @@ class TestFloatPath:
             seed = int(lp_of.removeprefix("torus").removeprefix("planar"))
             args = compact_lp(monkeypatch, make(seed))[0]
         rungs = ladder_rungs(args)
+        reference = reference_ladder(*args)
+        assert [rationals(*rung) for rung in rungs] == reference
+        assert all(least_ints(*rung) for rung in rungs)
         verdicts = [check_certificate(*args, *rung) for rung in rungs]
         assert verdicts == [reference_check_certificate(*args, *rung)
-                            for rung in rungs]
+                            for rung in reference]
         assert len(verdicts) == len(lp._SNAP_DENOMS) and any(verdicts)
         assert all(verdicts) == (lp_of not in self.REFUSING)
 
@@ -355,13 +426,14 @@ class TestFloatPath:
     @pytest.mark.parametrize("make", [torus, planar])
     def test_compact_lp_data_are_ints(self, monkeypatch, make):
         """solve_fractional hands solve_lp no rational: every entry of ``c``,
-        ``b`` and the rows is an int; only the answer is ``QQ``."""
+        ``b`` and the rows is an int; the answer is ints over their least
+        denominators, and only the value is ``QQ``."""
         (c, A_ub, b_ub, A_eq, b_eq), res = compact_lp(monkeypatch, make(0))
         data = list(chain(c, b_ub, b_eq,
                           *(row.values() for row in A_ub + A_eq)))
         assert data and all(type(v) is int for v in data)
-        answer = [*res.x, *res.y_ub, *res.y_eq, res.value]
-        assert all(type(v) is QQ for v in answer)
+        assert least_ints(*answer_of(res))
+        assert type(res.value) is QQ
 
 
 FRACS = st.fractions(min_value=-3, max_value=3, max_denominator=6)
@@ -420,27 +492,34 @@ class TestIntegerCertificate:
         "objective": ([1], [{0: 1}], [1], [], [], [0], [1], []),
     }
 
+    @pytest.mark.parametrize("denom", [1, 3])
     @pytest.mark.parametrize("halved", [False, True])
     @pytest.mark.parametrize("fault", sorted(ONE_FAULT))
-    def test_each_test_alone(self, fault, halved):
-        """On int data (no rescale) and halved data (scale 2) alike."""
+    def test_each_test_alone(self, fault, halved, denom):
+        """On int data (no rescale) and halved data (scale 2) alike, with
+        the certificate's ints over denominator 1 or 3."""
         c, A_ub, b_ub, A_eq, b_eq, *cert = self.ONE_FAULT[fault]
         if halved:
             c, b_ub, b_eq = ([Fraction(v, 2) for v in vec]
                              for vec in (c, b_ub, b_eq))
             A_ub, A_eq = ([{j: Fraction(v, 2) for j, v in row.items()}
                            for row in rows] for rows in (A_ub, A_eq))
-        lp = (c, A_ub, b_ub, A_eq, b_eq, *cert)
-        assert not reference_check_certificate(*lp)
-        assert not check_certificate(*lp)
+        lp = (c, A_ub, b_ub, A_eq, b_eq)
+        assert not reference_check_certificate(*lp, *cert)
+        X, Y_ub, Y_eq = ([denom * v for v in vec] for vec in cert)
+        assert not check_certificate(*lp, X, denom, Y_ub, Y_eq, denom)
 
     @settings(max_examples=150, deadline=None, database=None,
               derandomize=True)
     @given(lp=feasible_lps(), data=st.data())
     def test_same_verdict_as_reference(self, lp, data):
-        c, A_ub, b_ub, A_eq, b_eq = lp
-        x, y_ub, y_eq = _simplex_exact(c, A_ub, b_ub, A_eq, b_eq)
-        assert check_certificate(*lp, x, y_ub, y_eq)
+        """The exact engine's ints are the reference engine's rationals,
+        and a mutated certificate gets the reference's verdict."""
+        got = _simplex_exact(*lp)
+        assert least_ints(*got)
+        x, y_ub, y_eq = rationals(*got)
+        assert [x, y_ub, y_eq] == list(reference_simplex_exact(*lp))
+        assert check_certificate(*lp, *got)
         assert reference_check_certificate(*lp, x, y_ub, y_eq)
 
         vecs = {"x": x, "y_ub": y_ub, "y_eq": y_eq}
@@ -461,8 +540,9 @@ class TestIntegerCertificate:
         else:
             del vec[i]
         vecs[name] = vec
-        args = (*lp, vecs["x"], vecs["y_ub"], vecs["y_eq"])
-        assert check_certificate(*args) == reference_check_certificate(*args)
+        cert = (vecs["x"], vecs["y_ub"], vecs["y_eq"])
+        assert check_certificate(*lp, *int_answer(*cert)) == \
+            reference_check_certificate(*lp, *cert)
 
 
 @st.composite
@@ -482,11 +562,17 @@ def any_lps(draw):
 
 
 def outcome(engine, lp):
-    """Every returned value with its type, or the refusal's message."""
+    """The returned rational vectors, or the refusal's message.  An int
+    answer ``(X, dx, Y_ub, Y_eq, dy)`` must be over least denominators and
+    is read as its rationals."""
     try:
-        return [[(type(v), v) for v in vec] for vec in engine(*lp)]
+        got = engine(*lp)
     except PreconditionError as exc:
         return str(exc)
+    if len(got) == 5:
+        assert least_ints(*got)
+        got = rationals(*got)
+    return [list(vec) for vec in got]
 
 
 class TestIntegerTableau:
@@ -519,8 +605,8 @@ class TestIntegerTableau:
         "compact", ([2, 3], [{0: 1, 1: 1}, {0: 2}], [4, 3],
                     [{0: -1, 1: 1}], [1])], ids=["compact", "equality-row"])
     def test_int_data_make_no_fraction(self, monkeypatch, lp):
-        """On int data the only rationals made are the returned nonzero
-        values (a zero is the shared ``ZERO``)."""
+        """On int data the engine makes no rational: its answer is ints
+        over one denominator per vector."""
         if lp == "compact":
             lp = compact_lp(monkeypatch, generate_planar_random(
                 size=12, n_demands=3, cap_mode="random", seed=0))[0]
@@ -532,11 +618,11 @@ class TestIntegerTableau:
             return new(cls, *args, **kwargs)
 
         monkeypatch.setattr(Fraction, "__new__", counting)
-        x, y_ub, y_eq = _simplex_exact(*lp)
+        got = _simplex_exact(*lp)
         monkeypatch.undo()
-        nonzero = [v for v in chain(x, y_ub, y_eq) if v]
-        assert nonzero and len(made) == len(nonzero)
-        assert reference_check_certificate(*lp, x, y_ub, y_eq)
+        assert made == [] and least_ints(*got)
+        assert any(chain(got[0], got[2], got[3]))
+        assert reference_check_certificate(*lp, *rationals(*got))
 
 
 @st.composite
@@ -599,12 +685,18 @@ class TestFloatTableau:
               derandomize=True)
     @given(lp_=wide_lps())
     def test_snap_ladder_same_as_reference(self, lp_):
-        assert _float_then_snap(*lp_) == reference_float_then_snap(*lp_)
+        got = _float_then_snap(*lp_)
+        if got is not None:
+            assert least_ints(*got)
+            got = rationals(*got)
+        assert got == reference_float_then_snap(*lp_)
 
     @settings(max_examples=60, deadline=None, database=None,
               derandomize=True)
     @given(lp_=wide_lps())
     def test_every_rung_same_verdict_as_reference(self, lp_):
-        for rung in ladder_rungs(lp_):
+        rungs, reference = ladder_rungs(lp_), reference_ladder(*lp_)
+        assert [rationals(*rung) for rung in rungs] == reference
+        for rung, ref in zip(rungs, reference):
             assert check_certificate(*lp_, *rung) \
-                == reference_check_certificate(*lp_, *rung)
+                == reference_check_certificate(*lp_, *ref)

@@ -357,16 +357,18 @@ def answer(search, *args):
 def packing_args(inst, doubled) -> tuple:
     """``pack_cycles``' input on every D-cycle of ``inst``, without the
     budget: as ``exact_integral_multiflow`` poses it, or ``doubled`` as
-    ``half_integralize`` does (capacities and root ``x`` doubled)."""
+    ``half_integralize`` does (capacities, least capacities and root ``x``
+    doubled)."""
     _, table = oracle._cycle_table(inst, oracle.DEFAULT_BUDGET)
-    cycle_edges, masks, _ = zip(*table)
+    cycle_edges, masks, leasts = zip(*table)
     caps = inst.caps
     root, rows = cycle_lp(cycle_edges, caps)
     if doubled:
         caps = [2 * u for u in caps]
-        root = replace(root, x=[2 * v for v in root.x],
+        leasts = [2 * u for u in leasts]
+        root = replace(root, X=[2 * v for v in root.X],
                        value=2 * root.value)
-    return cycle_edges, masks, caps, root, rows
+    return cycle_edges, masks, leasts, caps, root, rows
 
 
 def least_passing(search) -> int:
@@ -414,10 +416,10 @@ class TestSearchesMatchReference:
                              ids=["oracle", "half-integralize"])
     @pytest.mark.parametrize("name", sorted(SEARCH_SWEEP))
     def test_same_packing(self, name, doubled):
-        cycle_edges, masks, caps, root, rows = packing_args(
+        cycle_edges, masks, leasts, caps, root, rows = packing_args(
             SEARCH_SWEEP[name](), doubled)
-        assert answer(pack_cycles, cycle_edges, masks, caps, root, rows,
-                      SWEEP_BUDGET) \
+        assert answer(pack_cycles, cycle_edges, masks, leasts, caps, root,
+                      rows, SWEEP_BUDGET) \
             == answer(reference_pack_cycles, cycle_edges, caps, root, rows,
                       SWEEP_BUDGET)
 
@@ -430,10 +432,11 @@ class TestSearchesMatchReference:
     @pytest.mark.parametrize("name", sorted(PINNED) + sorted(BRANCHING))
     def test_same_least_budget_and_refusal(self, name, search_budget_only):
         inst = SEARCH_SWEEP[name]()
-        cycle_edges, masks, caps, root, rows = packing_args(inst, False)
+        cycle_edges, masks, leasts, caps, root, rows = packing_args(inst,
+                                                                    False)
         for new, ref in (
-                (lambda b: pack_cycles(cycle_edges, masks, caps, root, rows,
-                                       b),
+                (lambda b: pack_cycles(cycle_edges, masks, leasts, caps,
+                                       root, rows, b),
                  lambda b: reference_pack_cycles(cycle_edges, caps, root,
                                                  rows, b)),
                 (lambda b: exact_min_multicut(inst, b),
