@@ -61,7 +61,12 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     instance = load_instance(args.instance)
     with open(args.solution, encoding="utf-8") as fh:
-        data = json.load(fh)
+        text = fh.read()
+    try:
+        data = json.loads(text)
+    except ValueError as exc:  # also an int past the digit limit
+        raise PreconditionError("solution is not valid JSON: %s"
+                                % exc) from exc
     verdict = verify_solution(instance, data)
     print(json.dumps(verdict, sort_keys=True))
     return EXIT_OK if verdict["ok"] else EXIT_REJECTED
@@ -163,7 +168,7 @@ def main(argv=None) -> int:
         print("refused: %s" % exc, file=sys.stderr)
         return EXIT_REFUSED
     except (InstanceFormatError, StructuralError, PreconditionError,
-            OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            OSError, UnicodeDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except InternalInvariantError as exc:

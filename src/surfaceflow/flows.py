@@ -11,16 +11,20 @@ The LP dual's capacity prices form a fractional multicut: every D-cycle has
 total price at least 1.  ``solve_fractional`` verifies this exactly via
 shortest paths and returns the prices as an optimality certificate.
 
-The LP answers in ints (``lp.LPResult``), and so do the layers here: the
-edge flows, the multicut check and the decomposition run on int numerators
-over the LP's denominators.  A ``QQ`` is made where a value leaves: one per
-peeled cycle, one per multicut price, and the values of the solution.
+The LP answers in ints (``lp.LPResult``), and so do the layers here and
+after: the edge flows, the multicut check and the decomposition run on int
+numerators over the LP's denominators, and a ``Multiflow`` holds int
+numerators over one denominator.  A ``QQ`` is made only where a value
+leaves: the multicut's cost, ``Multiflow.value``, the witness of a failed
+check, and ``from_wire``'s parse of outside input; ``rational.rat_str``
+writes a value as ``"p/q"`` from its ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InternalInvariantError, PreconditionError
@@ -75,7 +79,8 @@ class DCycle:
 
 def edge_loads(amounts: dict) -> dict:
     """Per-edge sum of a ``{DCycle: amount}`` dict: int amounts (a cycle
-    multiset) give int loads, ``QQ`` amounts ``QQ`` loads."""
+    multiset, or a ``Multiflow``'s numerators) give int loads, ``QQ``
+    amounts ``QQ`` loads."""
     loads: dict = {}
     for c, v in amounts.items():
         for e in c.edge_set:
@@ -85,26 +90,58 @@ def edge_loads(amounts: dict) -> dict:
 
 @dataclass
 class Multiflow:
-    """A rational assignment of values to D-cycles."""
+    """Values on D-cycles: int numerators over one positive denominator.
+
+    ``values[c] / denom`` is the flow on cycle ``c``; a cycle with value 0
+    has no entry.  ``total`` is the value's numerator over ``denom``, and
+    the layers compare and sum these ints; ``value`` is the one ``QQ``, for
+    readers outside the package.
+    """
 
     instance: Instance
     values: dict = field(default_factory=dict)
+    denom: int = 1
 
-    def set(self, cycle: DCycle, value) -> None:
-        value = rat(value)
-        if value < 0:
+    def __post_init__(self):
+        if type(self.denom) is not int or self.denom < 1:
+            raise PreconditionError("a flow's denominator must be a "
+                                    "positive int, got %r" % (self.denom,))
+        if any(type(v) is not int for v in self.values.values()):
+            raise TypeError("flow numerators must be ints")
+
+    @staticmethod
+    def from_rationals(instance: Instance, amounts: dict) -> "Multiflow":
+        """The flow ``{DCycle: rational}`` over the least common
+        denominator of its values."""
+        amounts = {c: rat(v) for c, v in amounts.items()}
+        denom = lcm(*(v.denominator for v in amounts.values()))
+        flow = Multiflow(instance, {}, denom)
+        for c, v in amounts.items():
+            flow.add(c, v.numerator * (denom // v.denominator))
+        return flow
+
+    def add(self, cycle: DCycle, num: int) -> None:
+        """Add ``num / denom`` to the value of ``cycle``."""
+        if type(num) is not int:
+            raise TypeError("flow numerators must be ints, got %s %r"
+                            % (type(num).__name__, num))
+        num += self.values.get(cycle, 0)
+        if num < 0:
             raise PreconditionError("flow values must be non-negative")
-        if value == 0:
-            self.values.pop(cycle, None)
+        if num:
+            self.values[cycle] = num
         else:
-            self.values[cycle] = value
+            self.values.pop(cycle, None)
 
-    def add(self, cycle: DCycle, value) -> None:
-        self.set(cycle, self.values.get(cycle, ZERO) + rat(value))
+    @property
+    def total(self) -> int:
+        """The flow value's numerator over ``denom``."""
+        return sum(self.values.values())
 
     @property
     def value(self):
-        return sum(self.values.values(), ZERO)
+        """The flow value, as a ``QQ``."""
+        return QQ(self.total, self.denom)
 
     def support(self) -> list:
         """Cycles with positive value, in a deterministic order."""
@@ -113,25 +150,29 @@ class Multiflow:
     def restrict(self, keep: Iterable[DCycle]) -> "Multiflow":
         keep = set(keep)
         return Multiflow(self.instance,
-                         {c: v for c, v in self.values.items() if c in keep})
+                         {c: v for c, v in self.values.items() if c in keep},
+                         self.denom)
 
     def verify_feasible(self) -> None:
-        """Raise if any capacity is exceeded (exact comparison)."""
+        """Raise if any capacity is exceeded: every edge load, an int over
+        ``denom``, is compared with ``cap * denom``."""
+        caps, denom = self.instance.caps, self.denom
         for e, load in edge_loads(self.values).items():
-            if load > self.instance.cap(e):
+            if load > caps[e] * denom:
+                load = QQ(load, denom)
                 raise InternalInvariantError(
-                    "edge %d overloaded: %s > %d" % (e, load,
-                                                     self.instance.cap(e)),
+                    "edge %d overloaded: %s > %d" % (e, load, caps[e]),
                     witness=(e, load))
 
     def to_wire(self) -> list:
         return [{"cycle": list(c.darts), "demand": c.demand,
-                 "value": rat_str(v)} for c, v in
+                 "value": rat_str(v, self.denom)} for c, v in
                 sorted(self.values.items(), key=lambda kv: kv[0].darts)]
 
     @staticmethod
     def from_wire(instance: Instance, data: list) -> "Multiflow":
-        flow = Multiflow(instance)
+        """Parse cycle records; the values of a repeated cycle add up."""
+        amounts: dict = {}
         for rec in data:
             if not (all(is_int(d) for d in rec["cycle"])
                     and is_int(rec["demand"])):
@@ -141,8 +182,14 @@ class Multiflow:
             if cycle.demand != rec["demand"]:
                 raise PreconditionError(
                     "cycle record demand mismatch: %r" % (rec,))
-            flow.add(cycle, rat(rec["value"]))
-        return flow
+            value = amounts.get(cycle, ZERO) + rat(rec["value"])
+            if value < 0:
+                raise PreconditionError("flow values must be non-negative")
+            if value:
+                amounts[cycle] = value
+            else:
+                amounts.pop(cycle, None)
+        return Multiflow.from_rationals(instance, amounts)
 
 
 def cycle_lp(cycle_edges: Sequence[Iterable[int]],
@@ -172,15 +219,17 @@ class EdgeFlowSolution:
     ``flow[d][e] / denom`` is the net flow of demand ``d`` on supply edge
     ``e``, positive in slot0 -> slot1 direction, and
     ``demand_value[d] / denom`` the amount routed.  ``multicut`` maps every
-    edge to its dual price as a ``QQ`` (a fractional multicut);
-    ``multicut_value`` is its capacity-weighted cost, checked equal to
-    ``value``.
+    edge to the int numerator of its dual price over ``dy``, the LP's dual
+    denominator (a fractional multicut).  ``multicut_value``, its
+    capacity-weighted cost checked equal to ``value``, and ``value`` are
+    the ``QQ``s the report prints.
     """
 
     flow: dict
     demand_value: dict
     denom: int
     multicut: dict
+    dy: int
     multicut_value: object
     value: object
     engine: str
@@ -192,7 +241,7 @@ def solve_fractional(instance: Instance) -> EdgeFlowSolution:
     demands = instance.demand_edges
     supply = instance.supply_edges
     if not demands:
-        return EdgeFlowSolution({}, {}, 1, {e: ZERO for e in supply}, ZERO,
+        return EdgeFlowSolution({}, {}, 1, {e: 0 for e in supply}, 1, ZERO,
                                 ZERO, engine="trivial")
 
     # variable layout: demand di's x+ and x- on the k-th supply edge are
@@ -240,8 +289,7 @@ def solve_fractional(instance: Instance) -> EdgeFlowSolution:
         demand_value[d] = X[n_flow + di]
     prices = dict(zip(supply + demands, res.Y_ub))
     multicut_value = _verify_multicut(instance, prices, res.dy, res.value)
-    multicut = {e: QQ(p, res.dy) if p else ZERO for e, p in prices.items()}
-    return EdgeFlowSolution(flow, demand_value, res.dx, multicut,
+    return EdgeFlowSolution(flow, demand_value, res.dx, prices, res.dy,
                             multicut_value, res.value, res.engine)
 
 
@@ -309,11 +357,10 @@ def decompose(instance: Instance, sol: EdgeFlowSolution) -> Multiflow:
     dart ids) positive-flow path from ``s`` to ``t`` and peels off its
     bottleneck.  Cycles in the flow that avoid the demand edge are discarded;
     they carry no objective value.  The peeling runs on the solution's int
-    numerators; each peeled cycle's value is the one ``QQ`` made, its
-    bottleneck over ``sol.denom``.
+    numerators, and the flow keeps them over ``sol.denom``.
     """
     g = instance.graph
-    flow = Multiflow(instance)
+    flow = Multiflow(instance, {}, sol.denom)
     for d in instance.demand_edges:
         s, t = g.edges[d]
         remaining = sol.demand_value.get(d, 0)
@@ -343,7 +390,7 @@ def decompose(instance: Instance, sol: EdgeFlowSolution) -> Multiflow:
                     del nets[e]
             remaining -= bottleneck
             cycle = DCycle.from_darts(instance, list(path) + [demand_dart])
-            flow.add(cycle, QQ(bottleneck, sol.denom))
+            flow.add(cycle, bottleneck)
     return flow
 
 
@@ -392,7 +439,8 @@ def solve_and_decompose(instance: Instance):
     """
     sol = solve_fractional(instance)
     flow = decompose(instance, sol)
-    if flow.value != sol.value:
+    if flow.total * sol.value.denominator \
+            != sol.value.numerator * flow.denom:
         raise InternalInvariantError(
             "decomposition lost value: %s != %s" % (flow.value, sol.value))
     bound = len(instance.demand_edges) * max(1, len(instance.graph.edges))

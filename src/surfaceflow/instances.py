@@ -89,7 +89,7 @@ def parse_instance(data) -> Instance:
     if isinstance(data, (str, bytes)):
         try:
             data = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an int past the digit limit
             raise InstanceFormatError("schema", "invalid JSON: %s" % exc)
     if not isinstance(data, dict):
         raise InstanceFormatError("schema", "instance must be a JSON object")

@@ -296,9 +296,9 @@ def exact_integral_multiflow(instance: Instance,
     for i, x in best.items():
         flow.add(cycles[i], x)
     flow.verify_feasible()
-    if flow.value != best_value:
+    if flow.total != best_value:
         raise InternalInvariantError("oracle bookkeeping mismatch",
-                                     witness=(flow.value, best_value))
+                                     witness=(flow.total, best_value))
     return best_value, flow
 
 

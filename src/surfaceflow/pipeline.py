@@ -7,11 +7,17 @@ non-separating one (heaviest homotopy class, cyclic order, greedy); the
 improved branch rounds a whole color class of homotopy classes instead.
 Every stage's guaranteed bound is re-checked on the actual numbers and
 recorded in the report.
+
+The flows are int numerators over one denominator each
+(``flows.Multiflow``), and the bounds are compared in ints.  The only
+``QQ``s read here are the LP's value, the multicut's cost and ``epsilon``;
+the report's ``p/q`` strings are written from ints (``rat_str``).
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 from dataclasses import dataclass
 
@@ -19,7 +25,7 @@ from .errors import InternalInvariantError, PreconditionError
 from .flows import Multiflow, edge_loads, solve_and_decompose
 from .instances import Instance
 from .oracle import DEFAULT_BUDGET, exact_integral_multiflow
-from .rational import ONE, ZERO, rat, rat_str
+from .rational import QQ, rat, rat_str
 from .round_nonseparating import improved_g2, select_class_and_round
 from .round_separating import color_limit, round_separating
 from .topology import classify_homotopy, laminar_family, split_support
@@ -37,19 +43,20 @@ class PipelineConfig:
 
     def __post_init__(self):
         try:
-            eps = rat(self.epsilon)
+            eps = self.eps
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise PreconditionError("epsilon %r is not a rational p/q: %s"
                                     % (self.epsilon, exc)) from exc
-        if not ZERO < eps < ONE:
+        if not 0 < eps < 1:
             raise PreconditionError("epsilon must lie strictly in (0, 1)")
         if self.branch not in BRANCHES:
             raise PreconditionError("unknown branch %r" % (self.branch,))
         if self.verify not in VERIFY_LEVELS:
             raise PreconditionError("unknown verify level %r" % (self.verify,))
 
-    @property
+    @functools.cached_property
     def eps(self):
+        """``epsilon`` as a ``QQ``, parsed once per config."""
         return rat(self.epsilon)
 
 
@@ -63,11 +70,12 @@ def _stage(name):
             "[stage %s] %s" % (name, exc), witness=exc.witness) from exc
 
 
-def _check(report, name: str, ok: bool, witness=None) -> None:
+def _check(report, name: str, ok: bool, witness) -> None:
+    """Record a check; ``witness()`` gives the failing values."""
     report["checks"].append({"name": name, "ok": bool(ok)})
     if not ok:
         raise InternalInvariantError(
-            "pipeline bound %r failed" % name, witness=witness)
+            "pipeline bound %r failed" % name, witness=witness())
 
 
 def run(instance: Instance, config: PipelineConfig = PipelineConfig()):
@@ -87,30 +95,36 @@ def run(instance: Instance, config: PipelineConfig = PipelineConfig()):
 
     with _stage("lp+decompose"):
         flow, sol = solve_and_decompose(instance)
+    lp_num, lp_den = sol.value.numerator, sol.value.denominator
     report["stages"]["lp"] = {"value": rat_str(sol.value),
                               "engine": sol.engine,
                               "multicut_value": rat_str(sol.multicut_value)}
-    report["stages"]["decompose"] = {"value": rat_str(flow.value),
+    report["stages"]["decompose"] = {"value": rat_str(flow.total,
+                                                      flow.denom),
                                      "support": len(flow.values)}
 
+    eps = config.eps
     with _stage("uncross"):
-        fbar = uncross_flow(flow, config.eps, check_invariants=invariants)
-    report["stages"]["uncross"] = {"value": rat_str(fbar.value),
+        fbar = uncross_flow(flow, eps, check_invariants=invariants)
+    # the values below are numerators over the uncrossed flow's denominator
+    denom, fbar_total = fbar.denom, fbar.total
+    report["stages"]["uncross"] = {"value": rat_str(fbar_total, denom),
                                    "support": len(fbar.values)}
     _check(report, "uncross value >= (1 - epsilon) * LP",
-           fbar.value >= (ONE - config.eps) * sol.value,
-           witness=(fbar.value, sol.value))
+           fbar_total * eps.denominator * lp_den
+           >= (eps.denominator - eps.numerator) * lp_num * denom,
+           lambda: (fbar.value, sol.value))
 
     sep, sep_v, nonsep, nonsep_v = split_support(fbar)
-    sep_total = sum(sep_v, ZERO)
-    nonsep_total = sum(nonsep_v, ZERO)
+    sep_total = sum(sep_v)
+    nonsep_total = sum(nonsep_v)
     branch = config.branch
     if branch == "auto":
-        branch = "separating" if 2 * sep_total >= fbar.value \
+        branch = "separating" if 2 * sep_total >= fbar_total \
             else "nonseparating"
     report["stages"]["split"] = {
-        "separating_value": rat_str(sep_total),
-        "nonseparating_value": rat_str(nonsep_total),
+        "separating_value": rat_str(sep_total, denom),
+        "nonseparating_value": rat_str(nonsep_total, denom),
         "branch": branch,
     }
 
@@ -120,62 +134,67 @@ def run(instance: Instance, config: PipelineConfig = PipelineConfig()):
             # non-laminar family, so reaching the check means it held
             with _stage("split"):
                 laminar_family(instance.graph, [c.darts for c in sep])
-            _check(report, "separating support is laminar", True)
+            _check(report, "separating support is laminar", True, None)
         with _stage("round_separating"):
             rounding = round_separating(fbar.restrict(sep))
-        out = rounding.integral
+        out, half = rounding.integral, rounding.half
         limit = color_limit(instance.graph.genus)
         report["stages"]["round"] = {
             "branch": "separating",
-            "half_value": rat_str(rounding.half.value),
+            "half_value": rat_str(half.total, half.denom),
             "banked_value": rat_str(rounding.banked_value),
             "colors_used": rounding.colors_used,
             "class_sizes": rounding.class_sizes,
         }
         _check(report, "half-integral value >= separating value / 2",
-               2 * rounding.half.value >= sep_total,
-               witness=(rounding.half.value, sep_total))
+               2 * half.total * denom >= sep_total * half.denom,
+               lambda: (half.value, QQ(sep_total, denom)))
         _check(report, "integral value >= 2 * half value / color limit",
-               limit * out.value >= 2 * rounding.half.value,
-               witness=(out.value, rounding.half.value, limit))
+               limit * out.total * half.denom >= 2 * half.total * out.denom,
+               lambda: (out.value, half.value, limit))
     else:
         with _stage("classify"):
             classification = classify_homotopy(instance.graph, nonsep,
                                                nonsep_v)
         report["stages"]["classify"] = {
             "classes": [list(c) for c in classification.classes],
-            "totals": [rat_str(t) for t in classification.totals],
+            "totals": [rat_str(t, denom) for t in classification.totals],
         }
         if branch == "improved":
             with _stage("round_improved"):
                 out = improved_g2(fbar, classification)
             report["stages"]["round"] = {"branch": "improved",
-                                         "value": rat_str(out.value)}
+                                         "value": rat_str(out.total,
+                                                          out.denom)}
         else:
             with _stage("round_nonseparating"):
                 out = select_class_and_round(fbar, classification)
             report["stages"]["round"] = {"branch": "nonseparating",
-                                         "value": rat_str(out.value)}
+                                         "value": rat_str(out.total,
+                                                          out.denom)}
+            best = classification.totals[0]
             _check(report, "greedy value >= class value / 2",
-                   2 * out.value >= classification.totals[0],
-                   witness=(out.value, classification.totals[0]))
+                   2 * out.total * denom >= best * out.denom,
+                   lambda: (out.value, QQ(best, denom)))
 
     with _stage("output"):
         out.verify_feasible()
         for c, v in out.values.items():
-            if v != int(v):
+            if v % out.denom:
                 raise InternalInvariantError(
-                    "non-integral output value", witness=(c.darts, v))
-    report["output"] = {"value": rat_str(out.value),
+                    "non-integral output value",
+                    witness=(c.darts, QQ(v, out.denom)))
+    out_total = out.total
+    report["output"] = {"value": rat_str(out_total, out.denom),
                         "flow": out.to_wire()}
 
     if config.verify == "full-oracle":
         opt, _ = exact_integral_multiflow(instance, DEFAULT_BUDGET)
         report["oracle"] = {"value": opt}
         _check(report, "pipeline value <= exact optimum",
-               out.value <= opt, witness=(out.value, opt))
+               out_total <= opt * out.denom, lambda: (out.value, opt))
         _check(report, "exact optimum <= LP value",
-               opt <= sol.value, witness=(opt, sol.value))
+               opt * lp_den <= lp_num, lambda: (opt, sol.value))
     return out, report
 
 
@@ -189,7 +208,7 @@ SOLUTION_SCHEMA = "surfaceflow-solution/1"
 
 def solution_wire(flow: Multiflow) -> dict:
     return {"schema": SOLUTION_SCHEMA,
-            "value": rat_str(flow.value),
+            "value": rat_str(flow.total, flow.denom),
             "flow": flow.to_wire()}
 
 
@@ -205,7 +224,8 @@ def verify_solution(instance: Instance, data) -> dict:
     is reported with a witness instead of raising.  A document that is not
     a solution is ``malformed``: the top level must be an object with a
     ``flow`` list, and its ``schema``, if present, must be
-    ``SOLUTION_SCHEMA``.
+    ``SOLUTION_SCHEMA``.  So is one with a value this check cannot write
+    out, a number past Python's int-to-string digit limit.
     """
     if not isinstance(data, dict):
         return _malformed("solution is not a JSON object")
@@ -218,17 +238,21 @@ def verify_solution(instance: Instance, data) -> dict:
         flow = Multiflow.from_wire(instance, data["flow"])
     except Exception as exc:  # malformed cycles are a verdict, not a crash
         return _malformed(str(exc))
+    denom = flow.denom
     problems = []
-    for e, load in sorted(edge_loads(flow.values).items()):
-        if load > instance.cap(e):
-            problems.append({"kind": "capacity", "witness":
-                             {"edge": e, "load": rat_str(load),
-                              "cap": instance.cap(e)}})
-    integral = all(v == int(v) for v in flow.values.values())
-    if not integral:
-        problems.append({"kind": "integrality", "witness":
-                         [rat_str(v) for v in flow.values.values()
-                          if v != int(v)]})
+    try:
+        for e, load in sorted(edge_loads(flow.values).items()):
+            if load > instance.cap(e) * denom:
+                problems.append({"kind": "capacity", "witness":
+                                 {"edge": e, "load": rat_str(load, denom),
+                                  "cap": instance.cap(e)}})
+        fractional = [v for v in flow.values.values() if v % denom]
+        if fractional:
+            problems.append({"kind": "integrality", "witness":
+                             [rat_str(v, denom) for v in fractional]})
+        value = rat_str(flow.total, denom)
+    except ValueError as exc:  # past the int-to-string digit limit
+        return _malformed("a value cannot be written out: %s" % exc)
     declared = data.get("value")
     if declared is not None:
         try:
@@ -237,9 +261,9 @@ def verify_solution(instance: Instance, data) -> dict:
             problems.append({"kind": "malformed", "witness":
                              "value %r: %s" % (declared, exc)})
         else:
-            if declared_value != flow.value:
+            if declared_value.numerator * denom \
+                    != flow.total * declared_value.denominator:
                 problems.append({"kind": "value", "witness":
                                  {"declared": declared,
-                                  "recomputed": rat_str(flow.value)}})
-    return {"ok": not problems, "problems": problems,
-            "value": rat_str(flow.value)}
+                                  "recomputed": value}})
+    return {"ok": not problems, "problems": problems, "value": value}

@@ -26,7 +26,7 @@ from typing import Sequence
 from .errors import InternalInvariantError, PreconditionError
 from .flows import DCycle, Multiflow, edge_loads
 from .instances import Instance
-from .rational import ZERO, floor_rat
+from .rational import QQ
 from .round_separating import degeneracy_coloring
 from .surface import CutComplex, cut_along, disjointify
 from .topology import HomotopyClassification
@@ -95,25 +95,26 @@ def cyclic_order(complex_: CutComplex) -> list:
 
 
 def greedy_values(edge_sets: Sequence, caps) -> list:
-    """Greatest-feasible-integer greedy over abstract cycle edge sets."""
-    load: dict[int, object] = {}
+    """Greatest-feasible-integer greedy over abstract cycle edge sets,
+    with int capacities ``caps[e]``."""
+    load: dict[int, int] = {}
     out = []
     for es in edge_sets:
-        x = min(floor_rat(caps[e] - load.get(e, ZERO)) for e in es)
-        x = max(x, 0)
+        x = max(min(caps[e] - load.get(e, 0) for e in es), 0)
         out.append(x)
         if x:
             for e in es:
-                load[e] = load.get(e, ZERO) + x
+                load[e] = load.get(e, 0) + x
     return out
 
 
-def greedy(cycles: Sequence[DCycle], instance: Instance, caps,
-           fractional_bound) -> Multiflow:
+def greedy(cycles: Sequence[DCycle], instance: Instance, caps: Sequence[int],
+           bound: int, denom: int) -> Multiflow:
     """Route each cycle in turn at the greatest feasible integer value.
 
-    ``cycles`` must be cyclically ordered and ``caps[e]`` bounds edge ``e``;
-    the result is checked to carry at least half of ``fractional_bound``.
+    ``cycles`` must be cyclically ordered and the int ``caps[e]`` bounds
+    edge ``e``; the result is checked to carry at least half of the
+    fractional value ``bound / denom``.
     """
     edge_sets = [c.edge_set for c in cycles]
     if not check_cyclic_order(edge_sets):
@@ -122,10 +123,10 @@ def greedy(cycles: Sequence[DCycle], instance: Instance, caps,
     for c, x in zip(cycles, greedy_values(edge_sets, caps)):
         if x:
             out.add(c, x)
-    if 2 * out.value < fractional_bound:
+    if 2 * out.total * denom < bound:
         raise InternalInvariantError(
             "greedy lost more than half of the fractional value",
-            witness=(out.value, fractional_bound))
+            witness=(out.value, QQ(bound, denom)))
     return out
 
 
@@ -143,9 +144,10 @@ def select_class_and_round(flow: Multiflow,
     """Keep the heaviest homotopy class and round it greedily.
 
     ``classification`` classifies the non-separating cycles of ``flow``'s
-    support.  The classes are ordered by total flow value (ties by smallest
-    member index), so the first one is the argmax; the flow on every other
-    cycle is dropped.
+    support, with their numerators over ``flow.denom`` as values.  The
+    classes are ordered by total flow value (ties by smallest member
+    index), so the first one is the argmax; the flow on every other cycle
+    is dropped.
     """
     inst = flow.instance
     nonsep = _nonseparating_cycles(classification)
@@ -153,7 +155,8 @@ def select_class_and_round(flow: Multiflow,
     if len(best) > 2:  # two cycles are in cyclic order uncut
         cut = cut_along(*disjointify(inst.graph, [c.darts for c in best]))
         best = [best[i] for i in cyclic_order(cut)]
-    return greedy(best, inst, inst.caps, classification.totals[0])
+    return greedy(best, inst, inst.caps, classification.totals[0],
+                  flow.denom)
 
 
 def extreme_pair(complex_: CutComplex):
@@ -198,7 +201,8 @@ def improved_g2(flow: Multiflow,
     """Round several mutually non-crossing homotopy classes at once.
 
     ``classification`` classifies the non-separating cycles of ``flow``'s
-    support.  The class cross-graph is greedily colored; the color class
+    support, with their numerators over ``flow.denom`` as values.  The
+    class cross-graph is greedily colored; the color class
     with the largest total value is kept.  Each kept class of two or more
     cycles is cut along once, for its cyclic order and its extreme pair; a
     single cycle is its own extreme pair.  Every extreme-cycle edge a class
@@ -209,14 +213,14 @@ def improved_g2(flow: Multiflow,
     shared between two kept classes lies on extreme cycles of both, so
     per-class floors already sum to at most the original capacity.
     """
-    inst = flow.instance
+    inst, denom = flow.instance, flow.denom
     nonsep = _nonseparating_cycles(classification)
     classes = classification.classes
     reps = [nonsep[cls[0]] for cls in classes]
     color = degeneracy_coloring(class_cross_adjacency(inst.graph, reps))
-    totals: dict[int, object] = {}
+    totals: dict[int, int] = {}
     for i, c in enumerate(color):
-        totals[c] = totals.get(c, ZERO) + classification.totals[i]
+        totals[c] = totals.get(c, 0) + classification.totals[i]
     best = max(sorted(totals), key=lambda c: (totals[c], -c))
     kept = [i for i, c in enumerate(color) if c == best]
 
@@ -243,11 +247,11 @@ def improved_g2(flow: Multiflow,
             loads = edge_loads({c: flow.values[c] for c in cls_cycles})
             for j in set(pair):
                 for e in cls_cycles[j].edge_set & others:
-                    caps[e] = min(caps[e], floor_rat(loads.get(e, ZERO)))
+                    caps[e] = min(caps[e], loads.get(e, 0) // denom)
         order = [0] if cut is None else cyclic_order(cut)
-        bound = classification.totals[i] - 2
+        bound = classification.totals[i] - 2 * denom
         part = greedy([cls_cycles[j] for j in order], inst, caps,
-                      max(bound, ZERO))
+                      max(bound, 0), denom)
         for c, v in part.values.items():
             out.add(c, v)
     out.verify_feasible()

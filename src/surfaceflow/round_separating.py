@@ -12,6 +12,11 @@ built.  That graph embeds on the same surface, so a degeneracy-greedy
 coloring needs at most ``chi(g)`` colors (five for the plane, with an exact
 five-coloring fallback); the largest color class is routed at value one on
 top of the banked flow.
+
+The flows stay int numerators over one denominator each: the half-integral
+flow is the LP's ``X`` over ``dx`` (or the packing over 2), the banked and
+integral flows are over 1, and every bound is compared in ints.  A ``QQ``
+is made only for the witness of a failed check.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .errors import (InternalInvariantError, OracleBudgetExceeded,
                      PreconditionError)
 from .flows import Multiflow, cycle_lp, edge_loads
 from .oracle import DEFAULT_BUDGET, pack_cycles
-from .rational import QQ, ZERO, floor_rat, rat
+from .rational import QQ
 from .topology import inside_faces
 
 
@@ -54,7 +59,8 @@ def half_integralize(flow: Multiflow) -> Multiflow:
     one scaled by 2 (``x`` doubles, the dual stays optimal).  A packing
     refused by the oracle's default budget raises
     ``InternalInvariantError``.  The LP's int answer is read as it is:
-    ``x`` is half-integral when ``2 X`` is a multiple of ``dx``.
+    ``x`` is half-integral when ``2 X`` is a multiple of ``dx``, and the
+    result holds ``X`` over ``dx``, or the packing over 2.
     """
     inst = flow.instance
     cycles = flow.support()
@@ -75,14 +81,10 @@ def half_integralize(flow: Multiflow) -> Multiflow:
             raise InternalInvariantError(
                 "no half-integral optimum within the packing budget",
                 witness=[QQ(v, dx) for v in X]) from exc
-        x = [QQ(best.get(i, 0), 2) for i in range(len(cycles))]
-    else:
-        x = [QQ(v, dx) for v in X]
-    out = Multiflow(inst)
-    for c, v in zip(cycles, x):
-        out.set(c, v)
+        X, dx = [best.get(i, 0) for i in range(len(cycles))], 2
+    out = Multiflow(inst, {c: v for c, v in zip(cycles, X) if v}, dx)
     out.verify_feasible()
-    if 2 * out.value < flow.value:
+    if 2 * out.total * flow.denom < flow.total * out.denom:
         raise InternalInvariantError(
             "half-integral flow below half the input value",
             witness=(out.value, flow.value))
@@ -126,16 +128,16 @@ def reduce_to_unit(flow_half: Multiflow) -> UnitReduction:
     """
     inst = flow_half.instance
     g = inst.graph
+    denom = flow_half.denom
     banked = Multiflow(inst)
     residual = []
     for c in flow_half.support():
-        v = flow_half.values[c]
-        ip = floor_rat(v)
-        if v - ip not in (ZERO, rat("1/2")):
+        ip, rest = divmod(flow_half.values[c], denom)
+        if rest and 2 * rest != denom:
             raise PreconditionError("flow is not half-integral")
         if ip:
-            banked.set(c, ip)
-        if v - ip:
+            banked.add(c, ip)
+        if rest:
             residual.append(c)
     red = UnitReduction(banked, residual)
     insides = [inside_faces(g, c.darts) for c in residual]
@@ -145,7 +147,7 @@ def reduce_to_unit(flow_half: Multiflow) -> UnitReduction:
             users.setdefault(e, []).append(i)
     banked_loads = edge_loads(banked.values)
     for e, ids in users.items():
-        if (len(ids) + 1) // 2 + banked_loads.get(e, ZERO) > inst.cap(e):
+        if (len(ids) + 1) // 2 + banked_loads.get(e, 0) > inst.cap(e):
             raise InternalInvariantError(
                 "residual halves exceed leftover capacity",
                 witness=(e, len(ids)))
@@ -255,7 +257,7 @@ class SeparatingRounding:
 
     half: Multiflow
     integral: Multiflow
-    banked_value: QQ
+    banked_value: int
     colors_used: int
     class_sizes: list
 
@@ -267,8 +269,9 @@ def round_separating(flow_sep: Multiflow) -> SeparatingRounding:
     genus = flow_sep.instance.graph.genus
     integral, used, sizes = color_and_select(red, genus)
     limit = color_limit(genus)
-    if limit * integral.value < 2 * half.value:
+    if limit * integral.total * half.denom \
+            < 2 * half.total * integral.denom:
         raise InternalInvariantError(
             "integral value below the guaranteed fraction",
             witness=(integral.value, half.value))
-    return SeparatingRounding(half, integral, red.banked.value, used, sizes)
+    return SeparatingRounding(half, integral, red.banked.total, used, sizes)

@@ -18,7 +18,9 @@ homotopic exactly when they cobound an annulus component of the cut surface
 homology class.  Crossings are counted by ``uncross.cr``.
 
 The predicates take dart sequences; ``classify_homotopy`` takes the
-``DCycle``s of a support and returns them with their classes.
+``DCycle``s of a support with their values and returns them with their
+classes.  The values are the flow's int numerators over its denominator,
+as ``split_support`` returns them, and the class totals are their sums.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from typing import Sequence
 
 from .errors import InternalInvariantError, PreconditionError
 from .flows import DCycle, Multiflow
-from .rational import ZERO
 from .surface import EmbeddedGraph, cut_along, disjointify, face_components
 from .uncross import cr
 
@@ -161,7 +162,9 @@ class HomotopyClassification:
 
     ``cycles`` are the partitioned cycles, ``classes`` holds tuples of
     indices into them, sorted by total flow value (descending, ties by
-    smallest index); ``totals`` the matching values.
+    smallest index); ``totals`` the matching sums of the values given, in
+    their units (the pipeline gives int numerators over its flow's
+    denominator).
     """
 
     cycles: tuple
@@ -202,7 +205,7 @@ def classify_homotopy(graph: EmbeddedGraph, cycles: Sequence[DCycle],
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
     members = sorted(groups.values(), key=lambda g: g[0])
-    totals = [sum((values[i] for i in g), ZERO) for g in members]
+    totals = [sum(values[i] for i in g) for g in members]
     order = sorted(range(len(members)),
                    key=lambda k: (-totals[k], members[k][0]))
     return HomotopyClassification(
@@ -216,7 +219,8 @@ def split_support(flow: Multiflow):
 
     A cycle is separating when its Z2-homology class is 0.  Returns
     ``(sep_cycles, sep_values, nonsep_cycles, nonsep_values)`` in the
-    deterministic support order.
+    deterministic support order; the values are the flow's int numerators
+    over ``flow.denom``.
     """
     sep, sep_v, nonsep, nonsep_v = [], [], [], []
     signatures = homology_signatures(flow.instance.graph)

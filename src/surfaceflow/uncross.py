@@ -24,17 +24,22 @@ then moves all those quanta in one step, with the same result and key order
 as unit steps.  It takes these steps at every verify level:
 ``check_invariants`` only adds checks, and a batched step of ``k`` quanta
 must lower the potential as the ``k`` unit steps it stands for would.
+
+No ``QQ`` is made here: ``discretize`` reads the flow's int numerators and
+gives the quantum as a pair ``(qn, qd)`` of ints, the multiset is int
+counts, and ``multiset_to_flow`` writes ``k * qn`` over ``qd``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Sequence
 
 from .errors import InternalInvariantError, PreconditionError
 from .flows import DCycle, Multiflow, edge_loads
 from .instances import Instance
-from .rational import ZERO, rat
+from .rational import rat
 from .surface import EmbeddedGraph, crosses, shared_paths
 
 
@@ -96,31 +101,38 @@ def discretize(flow: Multiflow, epsilon) -> tuple:
 
     The quantum is ``epsilon * |f| / (|E| * |D|)``, so the loss is at most
     ``epsilon * |f|`` whenever the support has size at most ``|E| * |D|``.
-    Returns ``(counts, quantum)`` where counts maps each D-cycle to the
-    integer number of quanta it carries.
+    Returns ``(counts, (qn, qd))`` where counts maps each D-cycle to the
+    integer number of quanta it carries and ``qn / qd`` is the quantum, in
+    lowest terms (``(0, 1)`` for an empty flow).  A cycle of value
+    ``num / denom`` carries ``(num * qd) // (denom * qn)`` quanta.
     """
     epsilon = rat(epsilon)
     if epsilon <= 0:
         raise PreconditionError("epsilon must be positive")
-    total = flow.value
+    total = flow.total
     if total == 0:
-        return {}, ZERO
+        return {}, (0, 1)
     inst = flow.instance
-    quantum = epsilon * total / (len(inst.graph.edges)
-                                 * max(1, len(inst.demand_edges)))
+    qn = epsilon.numerator * total
+    qd = (epsilon.denominator * flow.denom * len(inst.graph.edges)
+          * max(1, len(inst.demand_edges)))
+    g = gcd(qn, qd)
+    qn, qd = qn // g, qd // g
+    per = flow.denom * qn
     counts = {}
     for c, v in flow.values.items():
-        k = int(v / quantum)
+        k = v * qd // per
         if k:
             counts[c] = k
-    return counts, quantum
+    return counts, (qn, qd)
 
 
 def multiset_to_flow(instance: Instance, counts: dict, quantum) -> Multiflow:
-    flow = Multiflow(instance)
-    for c, k in counts.items():
-        flow.set(c, k * quantum)
-    return flow
+    """The flow carrying ``k`` quanta ``qn / qd`` on each cycle of the
+    multiset: ``k * qn`` over ``qd``."""
+    qn, qd = quantum
+    return Multiflow(instance, {c: k * qn for c, k in counts.items() if k},
+                     qd)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import json
 import math
 import pathlib
 from fractions import Fraction
@@ -13,7 +14,7 @@ import numpy as np
 from surfaceflow.errors import (InternalInvariantError, OracleBudgetExceeded,
                                 PreconditionError)
 from surfaceflow.flows import (DCycle, Multiflow, canonical_darts,
-                               solve_and_decompose)
+                               edge_loads, solve_and_decompose)
 from surfaceflow.instances import Instance, generate_torus_grid, load_instance
 from surfaceflow import lp, oracle, uncross
 from surfaceflow.rational import QQ, ZERO, floor_rat, rat
@@ -153,9 +154,15 @@ def darts_for_route(graph: EmbeddedGraph, lookup: dict, route: list) -> tuple:
     return tuple(darts)
 
 
+def amounts(flow: Multiflow) -> dict:
+    """The flow's values as ``QQ``s, in its key order."""
+    return {c: QQ(v, flow.denom) for c, v in flow.values.items()}
+
+
 def edge_load(flow: Multiflow, e: int):
     """Total value of the cycles of ``flow`` through edge ``e``."""
-    return sum((v for c, v in flow.values.items() if e in c.edge_set), ZERO)
+    return sum((v for c, v in amounts(flow).items() if e in c.edge_set),
+               ZERO)
 
 
 def with_caps(instance: Instance, caps) -> Instance:
@@ -207,13 +214,88 @@ def reference_unit_map(red) -> tuple[Instance, list]:
     cycles = [DCycle.from_darts(unit, [2 * parallel[(d >> 1, i)] + (d & 1)
                                        for d in c.darts])
               for i, c in enumerate(red.residual)]
-    Multiflow(unit, {c: rat("1/2") for c in cycles}).verify_feasible()
+    Multiflow(unit, {c: 1 for c in cycles}, 2).verify_feasible()
     return unit, cycles
 
 
 def multiset_value(counts: dict, quantum) -> QQ:
-    """Value of a discretized multiflow: its quanta times the quantum."""
-    return sum(counts.values()) * quantum if counts else ZERO
+    """Value of a discretized multiflow: its quanta times the quantum
+    ``qn / qd``."""
+    qn, qd = quantum
+    return QQ(sum(counts.values()) * qn, qd)
+
+
+# The ``Fraction`` flow: the operations of a multiflow that kept one ``QQ``
+# per cycle, on ``{DCycle: QQ}`` dicts, as references for the int flow.
+
+def reference_edge_loads(values: dict) -> dict:
+    """Per-edge ``QQ`` sums, in first-use order."""
+    loads: dict = {}
+    for c, v in values.items():
+        for e in c.edge_set:
+            loads[e] = loads.get(e, ZERO) + v
+    return loads
+
+
+def reference_overloaded(instance: Instance, values: dict):
+    """The edge ``verify_feasible`` reports: the first overloaded edge in
+    load order, or ``None``."""
+    return next((e for e, load in reference_edge_loads(values).items()
+                 if load > instance.cap(e)), None)
+
+
+def reference_to_wire(values: dict) -> list:
+    """Cycle records sorted by darts, each value as ``p/q`` of its
+    ``QQ``."""
+    return [{"cycle": list(c.darts), "demand": c.demand,
+             "value": "%d/%d" % (v.numerator, v.denominator)}
+            for c, v in sorted(values.items(), key=lambda kv: kv[0].darts)]
+
+
+def reference_discretize(instance: Instance, values: dict, epsilon) -> tuple:
+    """``(counts, quantum)``: each value's whole number of quanta
+    ``epsilon * |f| / (|E| |D|)``, with the quantum a ``QQ``."""
+    total = sum(values.values(), ZERO)
+    if total == 0:
+        return {}, ZERO
+    quantum = epsilon * total / (len(instance.graph.edges)
+                                 * max(1, len(instance.demand_edges)))
+    counts = {}
+    for c, v in values.items():
+        k = int(v / quantum)
+        if k:
+            counts[c] = k
+    return counts, quantum
+
+
+def reference_multiset_to_flow(counts: dict, quantum) -> dict:
+    return {c: k * quantum for c, k in counts.items()}
+
+
+def reference_split_totals(instance: Instance, values: dict) -> tuple:
+    """``(separating, non-separating)`` value sums, separation decided by
+    ``separates``."""
+    sep = [v for c, v in values.items()
+           if separates(instance.graph, c.darts)]
+    return sum(sep, ZERO), sum(values.values(), ZERO) - sum(sep, ZERO)
+
+
+def assert_flow_matches_reference(flow: Multiflow) -> None:
+    """``value``, ``edge_loads``, the ``verify_feasible`` verdict and the
+    ``to_wire`` bytes of an int flow equal the ``Fraction`` flow's."""
+    values = amounts(flow)
+    assert flow.value == sum(values.values(), ZERO)
+    assert {e: QQ(load, flow.denom) for e, load in
+            edge_loads(flow.values).items()} == reference_edge_loads(values)
+    overloaded = reference_overloaded(flow.instance, values)
+    try:
+        flow.verify_feasible()
+    except InternalInvariantError as exc:
+        assert overloaded is not None and exc.witness[0] == overloaded
+    else:
+        assert overloaded is None
+    assert json.dumps(flow.to_wire()) \
+        == json.dumps(reference_to_wire(values))
 
 
 def is_disk(comp: CutComponent) -> bool:

@@ -42,7 +42,7 @@ def stub_tree(tmp_path, correct=True):
 
 def test_metrics_are_the_benchmarks_end_to_end():
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    assert TOOL.end_to_end() == [(m["name"], m["better"])
+    assert TOOL.end_to_end() == [(m["name"], m["better"], m["bound"])
                                  for m in spec["end_to_end"]]
 
 
@@ -64,11 +64,42 @@ def test_report_counts_wins_by_direction(capsys):
 
     pairs = [(run(2.0, 1.0), run(1.0, 1.0)), (run(2.0, 0.5), run(2.0, 1.0)),
              (run(1.0, 1.0), run(3.0, 0.9))]
-    TOOL.report(pairs, [("wall_s", "lower"), ("ok_rate", "higher")])
+    TOOL.report(pairs, [("wall_s", "lower", 0.25),
+                        ("ok_rate", "higher", 0.005)])
     wall, ok = capsys.readouterr().out.splitlines()
     # a tie wins neither side
     assert "median 2 -> 2 (+0.0%" in wall and "won 1 of 3" in wall
     assert "won 1 of 3" in ok
+    assert wall.endswith("quartiles [1.5, 2] -> [1.5, 2.5]: within bound")
+    assert ok.endswith("quartiles [0.75, 1] -> [0.95, 1]: unresolved")
+
+
+# base runs of a lower-is-better metric: median 1.00, quartiles 0.99 and
+# 1.01
+BASE = [0.97, 0.98, 0.99, 0.99, 1.0, 1.0, 1.01, 1.01, 1.02, 1.03]
+
+
+@pytest.mark.parametrize("work, bound, want", [
+    ([b - 0.1 for b in BASE], 0.25, "gain"),
+    # 8 of 10 pairs won is not enough, however large the gap
+    ([b - 0.5 for b in BASE[:8]] + [2.0, 2.0], 0.25, "within bound"),
+    # 10 of 10 won, but by less than the base's spread
+    ([b - 0.001 for b in BASE], 0.25, "within bound"),
+    ([b + 0.3 for b in BASE], 0.25, "worse than bound"),
+    ([b + 0.01 for b in BASE], 0.005, "worse than bound"),
+    ([b + 0.01 for b in BASE], 0.015, "unresolved"),
+    ([b + 0.01 for b in BASE], 0.05, "within bound"),
+], ids=["gain", "8-of-10", "inside-spread", "worse", "worse-small-bound",
+        "unresolved", "within"])
+def test_verdicts(work, bound, want):
+    assert TOOL.verdict(BASE, work, "lower", bound) == want
+
+
+def test_verdict_follows_the_direction():
+    """A higher-is-better metric gains when the working tree is higher."""
+    up = [b + 0.1 for b in BASE]
+    assert TOOL.verdict(BASE, up, "higher", 0.25) == "gain"
+    assert TOOL.verdict(up, BASE, "higher", 0.05) == "worse than bound"
 
 
 def test_pairs_must_be_positive():

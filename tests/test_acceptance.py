@@ -21,7 +21,7 @@ from surfaceflow.lp import solve_lp
 from surfaceflow.oracle import (OracleBudget, enumerate_d_cycles,
                                 exact_integral_multiflow, exact_min_multicut)
 from surfaceflow.pipeline import run
-from surfaceflow.rational import ONE, ZERO, rat
+from surfaceflow.rational import ONE, QQ, ZERO, rat
 from surfaceflow.round_nonseparating import (check_cyclic_order,
                                              class_cross_adjacency,
                                              cyclic_order, greedy_values,
@@ -139,7 +139,7 @@ class TestAcceptance:
             if not sep:
                 continue
             rounding = round_separating(fbar.restrict(sep))
-            sep_total = sum(sep_v, ZERO)
+            sep_total = QQ(sum(sep_v), fbar.denom)
             c = color_limit(inst.graph.genus)
             ok &= 2 * rounding.half.value >= sep_total
             ok &= c * rounding.integral.value >= 2 * rounding.half.value
@@ -273,9 +273,10 @@ class TestAcceptance:
             for i, members in enumerate(cls.classes):
                 if color[i] != best:
                     continue
-                value = sum((out.values.get(nonsep[j], ZERO)
-                             for j in members), ZERO)
-                ok &= 2 * value >= cls.totals[i] - 2    # kept-class loss <= 2
+                value = QQ(sum(out.values.get(nonsep[j], 0)
+                               for j in members), out.denom)
+                # kept-class loss <= 2
+                ok &= 2 * value >= QQ(cls.totals[i], fbar.denom) - 2
             if len(cls.classes) == 1:
                 sel = select_class_and_round(fbar, cls)
                 ok &= out.value >= sel.value - 2

@@ -1,10 +1,15 @@
+import json
 import random
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import edge_load, reference_shortest_path_length, with_caps
+from conftest import (amounts, assert_flow_matches_reference, edge_load,
+                      reference_discretize, reference_multiset_to_flow,
+                      reference_shortest_path_length, reference_split_totals,
+                      with_caps)
 from surfaceflow.errors import InternalInvariantError, PreconditionError
 from surfaceflow.flows import (DCycle, Multiflow, _verify_multicut, decompose,
                                edge_loads, shortest_path_length,
@@ -13,8 +18,11 @@ from surfaceflow.instances import (DEMAND, SUPPLY, Instance,
                                    generate_gap_family,
                                    generate_planar_random,
                                    generate_torus_grid)
-from surfaceflow.rational import rat
+from surfaceflow.oracle import enumerate_d_cycles
+from surfaceflow.rational import QQ, rat, rat_str
 from surfaceflow.surface import EmbeddedGraph
+from surfaceflow.topology import split_support
+from surfaceflow.uncross import discretize, multiset_to_flow
 
 
 def two_path_instance(cap_mid=1):
@@ -72,9 +80,9 @@ class TestDCycle:
 class TestMultiflow:
     def test_loads_and_value(self):
         inst = two_path_instance()
-        f = Multiflow(inst)
-        f.add(DCycle.from_darts(inst, [0, 2, 9]), rat("1/2"))
-        f.add(DCycle.from_darts(inst, [7, 5, 9]), rat("1/2"))
+        f = Multiflow(inst, {}, 2)
+        f.add(DCycle.from_darts(inst, [0, 2, 9]), 1)
+        f.add(DCycle.from_darts(inst, [7, 5, 9]), 1)
         assert f.value == rat(1)
         assert edge_load(f, 4) == rat(1)
         assert edge_load(f, 0) == rat("1/2")
@@ -86,8 +94,8 @@ class TestMultiflow:
         inst = two_path_instance()
         c1 = DCycle.from_darts(inst, [0, 2, 9])
         c2 = DCycle.from_darts(inst, [7, 5, 9])
-        f = Multiflow(inst, {c1: rat("1/2"), c2: rat("3/2")})
-        loads = edge_loads(f.values)
+        f = Multiflow(inst, {c1: 1, c2: 3}, 2)
+        loads = edge_loads({c1: rat("1/2"), c2: rat("3/2")})
         assert loads == {e: edge_load(f, e) for e in c1.edge_set | c2.edge_set}
         assert {type(v) for v in loads.values()} == {type(rat(1))}
         counts = edge_loads({c1: 2, c2: 3})
@@ -96,10 +104,101 @@ class TestMultiflow:
 
     def test_wire_round_trip(self):
         inst = two_path_instance()
-        f = Multiflow(inst)
-        f.add(DCycle.from_darts(inst, [0, 2, 9]), rat("3/2"))
+        f = Multiflow(inst, {}, 2)
+        f.add(DCycle.from_darts(inst, [0, 2, 9]), 3)
         back = Multiflow.from_wire(inst, f.to_wire())
-        assert back.values == f.values
+        assert (back.values, back.denom) == (f.values, f.denom)
+
+
+# a torus (separating and non-separating cycles) and a planar instance,
+# with all their D-cycles
+DRAWN_ON = [(inst, enumerate_d_cycles(inst)) for inst in (
+    generate_torus_grid(3, 3, 2, cap_mode="random", seed=1),
+    generate_planar_random(12, seed=1, n_demands=3))]
+
+
+@st.composite
+def multiflows(draw) -> tuple:
+    """An int flow and its ``QQ`` values: up to eight D-cycles of a
+    ``DRAWN_ON`` instance at drawn rationals, which may overload an edge,
+    over the least common denominator times a drawn factor."""
+    inst, cycles = draw(st.sampled_from(DRAWN_ON))
+    chosen = draw(st.lists(st.sampled_from(cycles), max_size=8, unique=True))
+    values = {c: QQ(draw(st.integers(1, 30)), draw(st.integers(1, 12)))
+              for c in chosen}
+    denom = lcm(*(v.denominator for v in values.values())) \
+        * draw(st.integers(1, 4))
+    return Multiflow(inst, {c: int(v * denom) for c, v in values.items()},
+                     denom), values
+
+
+class TestIntFlowReference:
+    """The int flow against the ``Fraction`` flow of ``conftest``."""
+
+    @settings(max_examples=150, deadline=None, database=None,
+              derandomize=True)
+    @given(drawn=multiflows())
+    def test_value_loads_verdict_and_wire(self, drawn):
+        flow, values = drawn
+        assert amounts(flow) == values
+        assert_flow_matches_reference(flow)
+        back = Multiflow.from_wire(flow.instance, flow.to_wire())
+        assert amounts(back) == values
+
+    @settings(max_examples=150, deadline=None, database=None,
+              derandomize=True)
+    @given(drawn=multiflows(),
+           epsilon=st.sampled_from(["1/2", "1/10", "2/3", "1/7"]))
+    def test_discretize_and_back(self, drawn, epsilon):
+        flow, values = drawn
+        counts, quantum = discretize(flow, epsilon)
+        want, want_quantum = reference_discretize(flow.instance, values,
+                                                  rat(epsilon))
+        assert list(counts.items()) == list(want.items())
+        assert QQ(*quantum) == want_quantum
+        back = multiset_to_flow(flow.instance, counts, quantum)
+        assert amounts(back) == reference_multiset_to_flow(want,
+                                                           want_quantum)
+        assert_flow_matches_reference(back)
+
+    @settings(max_examples=100, deadline=None, database=None,
+              derandomize=True)
+    @given(drawn=multiflows())
+    def test_split_support_sums(self, drawn):
+        flow, values = drawn
+        sep, sep_v, nonsep, nonsep_v = split_support(flow)
+        assert sorted(sep + nonsep, key=lambda c: c.darts) \
+            == sorted(values, key=lambda c: c.darts)
+        assert (QQ(sum(sep_v), flow.denom), QQ(sum(nonsep_v), flow.denom)) \
+            == reference_split_totals(flow.instance, values)
+
+    def test_flows_are_ints(self):
+        inst = two_path_instance()
+        c = DCycle.from_darts(inst, [0, 2, 9])
+        with pytest.raises(TypeError):
+            Multiflow(inst, {c: rat("1/2")})
+        with pytest.raises(TypeError):
+            Multiflow(inst).add(c, rat(1))
+        with pytest.raises(PreconditionError):
+            Multiflow(inst, {c: 1}, 0)
+
+
+class TestRational:
+    @pytest.mark.parametrize("text, value", [
+        ("1/10", QQ(1, 10)), ("0.1", QQ(1, 10)), ("-3/6", QQ(-1, 2)),
+        (" 7 ", QQ(7))])
+    def test_fractions_and_decimals_read(self, text, value):
+        assert rat(text) == value
+
+    @pytest.mark.parametrize("text", ["1e5000", "1E-3", "2.5e1"])
+    def test_exponents_refused(self, text):
+        with pytest.raises(ValueError, match="exponent"):
+            rat(text)
+
+    def test_rat_str_reduces_ints(self):
+        assert rat_str(6, 4) == rat_str(QQ(6, 4)) == "3/2"
+        assert rat_str(0, 7) == "0/1" and rat_str(-4, 2) == "-2/1"
+        assert rat_str(QQ(3, 4), 3) == "1/4"
 
 
 class TestSolveFractional:
@@ -144,7 +243,8 @@ class TestSolveFractional:
                 continue
             flow, sol = solve_and_decompose(inst)
             assert flow.value == sol.value
-            cost = sum(inst.cap(e) * y for e, y in sol.multicut.items())
+            cost = QQ(sum(inst.cap(e) * y for e, y in sol.multicut.items()),
+                      sol.dy)
             assert sol.multicut_value == cost == sol.value
 
     def test_multicut_check_rejects_bad_prices(self):
@@ -198,9 +298,7 @@ class TestShortestPath:
     def test_lp_prices_same_as_reference(self, make):
         """On the scaled LP prices that the multicut check runs on."""
         inst = make()
-        prices = solve_fractional(inst).multicut
-        denom = max(v.denominator for v in prices.values())
-        weights = {e: int(v * denom) for e, v in prices.items()}
+        weights = solve_fractional(inst).multicut
         for s, t, got, want in every_pair_distance(inst, weights):
             assert got == want, (s, t)
 

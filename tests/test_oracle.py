@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (intersection_adjacency, reference_canonical_darts,
-                      reference_enumerate_d_cycles,
-                      reference_exact_min_multicut, reference_pack_cycles,
-                      reference_unit_map)
-from surfaceflow import oracle, round_separating
+from conftest import (amounts, assert_flow_matches_reference,
+                      intersection_adjacency, reference_canonical_darts,
+                      reference_discretize, reference_enumerate_d_cycles,
+                      reference_exact_min_multicut,
+                      reference_multiset_to_flow, reference_pack_cycles,
+                      reference_split_totals, reference_unit_map)
+from surfaceflow import oracle, pipeline, round_separating, uncross
 from surfaceflow.errors import (InstanceFormatError, InternalInvariantError,
                                 OracleBudgetExceeded, SurfaceflowError)
 from surfaceflow.flows import (DCycle, canonical_darts, cycle_lp,
@@ -24,8 +26,9 @@ from surfaceflow.oracle import (OracleBudget, enumerate_d_cycles,
                                 exact_integral_multiflow, exact_min_multicut,
                                 pack_cycles)
 from surfaceflow.pipeline import PipelineConfig, run
-from surfaceflow.rational import rat
+from surfaceflow.rational import QQ, rat
 from surfaceflow.surface import EmbeddedGraph
+from surfaceflow.uncross import multiset_to_flow
 
 
 PINNED_INSTANCES = {
@@ -482,10 +485,13 @@ UNIT_SWEEP = ([(size, demands, seed) for size in (20, 40, 60)
 @pytest.fixture(scope="module")
 def unit_sweep():
     """Every ``UNIT_SWEEP`` run at ``verify=invariants``: the runs, the unit
-    reductions that reached residual halves, and the packing count."""
+    reductions that reached residual halves, the packing count, and the
+    flows with the answers of ``discretize`` and ``split_support``."""
     runs, reductions, packings = [], [], [0]
+    seen = {"discretize": [], "split": []}
     reduce_to_unit = round_separating.reduce_to_unit
     pack_cycles = round_separating.pack_cycles
+    discretize, split_support = uncross.discretize, pipeline.split_support
 
     def keeping_reduce(flow):
         red = reduce_to_unit(flow)
@@ -497,20 +503,32 @@ def unit_sweep():
         packings[0] += 1
         return pack_cycles(*args)
 
+    def keeping_discretize(flow, epsilon):
+        got = discretize(flow, epsilon)
+        seen["discretize"].append((flow, epsilon, got))
+        return got
+
+    def keeping_split(flow):
+        got = split_support(flow)
+        seen["split"].append((flow, got))
+        return got
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(round_separating, "reduce_to_unit", keeping_reduce)
         mp.setattr(round_separating, "pack_cycles", counting_pack)
+        mp.setattr(uncross, "discretize", keeping_discretize)
+        mp.setattr(pipeline, "split_support", keeping_split)
         for size, demands, seed in UNIT_SWEEP:
             inst = generate_planar_random(size, seed=seed, n_demands=demands,
                                           cap_mode="unit")
             runs.append(((size, demands, seed),
                          *run(inst, PipelineConfig(verify="invariants"))))
-    return runs, reductions, packings[0]
+    return runs, reductions, packings[0], seen
 
 
 class TestUnitCapacitySweep:
     def test_pipeline_checks_hold(self, unit_sweep):
-        runs, reductions, packings = unit_sweep
+        runs, reductions, packings, _ = unit_sweep
         for key, out, report in runs:
             assert all(c["ok"] for c in report["checks"]), key
             assert out.value <= rat(report["stages"]["lp"]["value"])
@@ -520,7 +538,30 @@ class TestUnitCapacitySweep:
     def test_strand_pairs_are_the_unit_intersections(self, unit_sweep):
         # the coloring's adjacency, read off the strand pairs, is the
         # intersection graph of the re-routed cycles on the unit map
-        _, reductions, _ = unit_sweep
+        _, reductions, _, _ = unit_sweep
         for red in reductions:
             _, cycles = reference_unit_map(red)
             assert red.adjacency() == intersection_adjacency(cycles)
+
+    def test_int_flows_match_the_fraction_reference(self, unit_sweep):
+        """Every flow the sweep discretizes, splits or outputs, against the
+        ``Fraction`` flow's operations."""
+        runs, _, _, seen = unit_sweep
+        assert len(seen["discretize"]) == len(seen["split"]) == len(runs)
+        for flow, epsilon, (counts, quantum) in seen["discretize"]:
+            values = amounts(flow)
+            want, want_quantum = reference_discretize(flow.instance, values,
+                                                      epsilon)
+            assert list(counts.items()) == list(want.items())
+            assert QQ(*quantum) == want_quantum
+            back = multiset_to_flow(flow.instance, counts, quantum)
+            assert amounts(back) == reference_multiset_to_flow(
+                want, want_quantum)
+            assert_flow_matches_reference(flow)
+            assert_flow_matches_reference(back)
+        for flow, (_, sep_v, _, nonsep_v) in seen["split"]:
+            assert (QQ(sum(sep_v), flow.denom),
+                    QQ(sum(nonsep_v), flow.denom)) \
+                == reference_split_totals(flow.instance, amounts(flow))
+        for _, out, _ in runs:
+            assert_flow_matches_reference(out)

@@ -383,6 +383,73 @@ class TestCli:
         assert capsys.readouterr().err == "error: demand edge 2 is a loop\n"
 
 
+# 5,000 digits: past Python's default limit of 4,300 for int <-> str, so
+# json cannot read the number and ``%d`` cannot write it
+LONG_INT = "9" * 5000
+PLACEHOLDER = 123454321
+
+
+def torus_and_solution(tmp_path) -> tuple:
+    """``generate torus --p 3 --q 3 --demands 2 --seed 1`` and its own
+    solution: both paths, and both documents parsed."""
+    inst_path, sol_path = tmp_path / "inst.json", tmp_path / "sol.json"
+    assert cli.main(["generate", "torus", "--p", "3", "--q", "3",
+                     "--demands", "2", "--seed", "1",
+                     "-o", str(inst_path)]) == 0
+    assert cli.main(["solve", str(inst_path), "--solution",
+                     str(sol_path)]) == 0
+    return (inst_path, json.loads(inst_path.read_text()), sol_path,
+            json.loads(sol_path.read_text()))
+
+
+def write_with_long_int(path, doc) -> None:
+    """Write ``doc`` with ``PLACEHOLDER`` spelled as ``LONG_INT``."""
+    path.write_text(json.dumps(doc).replace(str(PLACEHOLDER), LONG_INT))
+
+
+class TestLongNumbers:
+    """Numbers past the int-to-string digit limit end in one ``error:``
+    line (exit 2) where the JSON cannot be read, and in a ``malformed``
+    verdict (exit 3) where ``verify`` cannot state a value."""
+
+    def test_long_capacity_exits_2(self, tmp_path, capsys):
+        _, inst, _, _ = torus_and_solution(tmp_path)
+        inst["edges"][0]["cap"] = PLACEHOLDER
+        bad = tmp_path / "bad.json"
+        write_with_long_int(bad, inst)
+        capsys.readouterr()
+        assert cli.main(["solve", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid JSON: ") \
+            and err.count("\n") == 1
+
+    def test_long_demand_in_solution_exits_2(self, tmp_path, capsys):
+        inst_path, _, sol_path, sol = torus_and_solution(tmp_path)
+        sol["flow"][0]["demand"] = PLACEHOLDER
+        write_with_long_int(sol_path, sol)
+        capsys.readouterr()
+        assert cli.main(["verify", str(inst_path), str(sol_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: solution is not valid JSON: ") \
+            and err.count("\n") == 1
+
+    @pytest.mark.parametrize("values", [
+        ["1e5000"], ["1/%d" % 2 ** 9000, "1/%d" % 3 ** 6000]],
+        ids=["exponent", "long-denominator"])
+    def test_unstatable_value_is_malformed(self, tmp_path, capsys, values):
+        """``1e5000`` is refused by ``rat``; two values whose sum has a
+        5,573-digit denominator are read, but their total cannot be
+        written."""
+        inst_path, _, sol_path, sol = torus_and_solution(tmp_path)
+        for rec, value in zip(sol["flow"], values):
+            rec["value"] = value
+        sol_path.write_text(json.dumps(sol))
+        capsys.readouterr()
+        assert cli.main(["verify", str(inst_path), str(sol_path)]) == 3
+        verdict = json.loads(capsys.readouterr().out)
+        assert [p["kind"] for p in verdict["problems"]] == ["malformed"]
+
+
 class TestVerifyFuzz:
     @settings(max_examples=40, deadline=None, database=None,
               derandomize=True,

@@ -14,7 +14,7 @@ from surfaceflow.instances import (DEMAND, SUPPLY, Instance,
 from surfaceflow.lp import solve_lp
 from surfaceflow.pipeline import (PipelineConfig, render_report, run,
                                   solution_wire)
-from surfaceflow.rational import ZERO, rat
+from surfaceflow.rational import QQ, ZERO
 from surfaceflow.round_nonseparating import (check_cyclic_order,
                                              class_cross_adjacency,
                                              cyclic_order, extreme_pair,
@@ -213,9 +213,9 @@ class TestGreedy:
 
     def test_greedy_requires_cyclic_order(self):
         inst, (a, b, c, d) = stacked_family()
-        assert greedy([a, b, c, d], inst, inst.caps, ZERO).value == 2
+        assert greedy([a, b, c, d], inst, inst.caps, 0, 1).value == 2
         with pytest.raises(PreconditionError):
-            greedy([a, b, d, c], inst, inst.caps, ZERO)
+            greedy([a, b, d, c], inst, inst.caps, 0, 1)
 
 
 class TestSelectClass:
@@ -223,7 +223,7 @@ class TestSelectClass:
         inst = crossing_classes_instance()
         v = DCycle.from_darts(inst, (18, 24, 30))
         h = DCycle.from_darts(inst, (0, 2, 4))
-        flow = Multiflow(inst, {v: rat(1), h: rat("1/2")})
+        flow = Multiflow(inst, {v: 2, h: 1}, 2)
         out = select_class_and_round(flow, nonseparating_classes(flow))
         assert out.support() == [v]
         assert out.value == 1
@@ -232,7 +232,7 @@ class TestSelectClass:
         inst = crossing_classes_instance()
         v = DCycle.from_darts(inst, (18, 24, 30))
         h = DCycle.from_darts(inst, (0, 2, 4))
-        flow = Multiflow(inst, {v: rat("1/2"), h: rat("1/2")})
+        flow = Multiflow(inst, {v: 1, h: 1}, 2)
         _, _, nonsep, _ = split_support(flow)
         out = select_class_and_round(flow, nonseparating_classes(flow))
         assert out.support() == [nonsep[0]]
@@ -246,7 +246,7 @@ class TestSelectClass:
         cls = classify_homotopy(inst.graph, nonsep, nonsep_v)
         out = select_class_and_round(fbar, cls)
         out.verify_feasible()
-        assert 2 * out.value >= cls.totals[0]
+        assert 2 * out.value >= QQ(cls.totals[0], fbar.denom)
 
     def test_no_nonseparating_cycles_rejected(self):
         inst = generate_planar_random(10, seed=0)
@@ -299,7 +299,7 @@ class TestImprovedRounding:
         v = DCycle.from_darts(inst, (18, 24, 30))
         h = DCycle.from_darts(inst, (0, 2, 4))
         assert cr(inst.graph, v.darts, h.darts) == 1
-        flow = Multiflow(inst, {v: rat(1), h: rat("1/2")})
+        flow = Multiflow(inst, {v: 2, h: 1}, 2)
         out = improved_g2(flow, nonseparating_classes(flow))
         assert out.support() == [v]
         assert out.value == 1
@@ -322,11 +322,11 @@ class TestImprovedRounding:
         out = improved_g2(flow, cls)
         per_class = []
         for members in cls.classes:
-            total = sum((out.values.get(flow.support()[i], ZERO)
-                         for i in members), ZERO)
+            total = QQ(sum(out.values.get(flow.support()[i], 0)
+                           for i in members), out.denom)
             per_class.append(total)
         for value, total in zip(per_class, cls.totals):
-            assert 2 * value >= total - 2
+            assert 2 * value >= QQ(total, flow.denom) - 2
 
 
 def kept_classes(graph, classification) -> list:

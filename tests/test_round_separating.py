@@ -21,8 +21,9 @@ from surfaceflow.round_separating import (_backtrack_coloring,
 from surfaceflow.topology import inside_faces, split_support
 from surfaceflow.uncross import uncross_flow
 
-from conftest import (count_maps, darts_for_route, intersection_adjacency,
-                      map_from_drawing, reference_unit_map, with_caps)
+from conftest import (amounts, count_maps, darts_for_route,
+                      intersection_adjacency, map_from_drawing,
+                      reference_unit_map, with_caps)
 from test_flows import two_path_instance
 
 
@@ -53,22 +54,22 @@ class TestHalfIntegralize:
         f.add(DCycle.from_darts(inst, [0, 2, 9]), 1)
         out = half_integralize(f)
         assert out.value >= f.value
-        assert all(2 * v == int(2 * v) for v in out.values.values())
+        assert all(2 * v == int(2 * v) for v in amounts(out).values())
 
     def test_single_three_quarters_cycle(self):
         inst = two_path_instance()
-        f = Multiflow(inst)
-        f.add(DCycle.from_darts(inst, [0, 2, 9]), rat("3/4"))
+        f = Multiflow(inst, {}, 4)
+        f.add(DCycle.from_darts(inst, [0, 2, 9]), 3)
         out = half_integralize(f)
         assert out.value >= half(1)
-        assert all(2 * v == int(2 * v) for v in out.values.values())
+        assert all(2 * v == int(2 * v) for v in amounts(out).values())
 
     def test_two_cycles_shared_capacity_one_edge(self):
         # both routes use the demand edge of capacity 2; shrink it to 1
         inst = with_caps(two_path_instance(), (1, 1, 1, 1, 1))
-        f = Multiflow(inst)
-        f.add(DCycle.from_darts(inst, [0, 2, 9]), half(1))
-        f.add(DCycle.from_darts(inst, [7, 5, 9]), half(1))
+        f = Multiflow(inst, {}, 2)
+        f.add(DCycle.from_darts(inst, [0, 2, 9]), 1)
+        f.add(DCycle.from_darts(inst, [7, 5, 9]), 1)
         out = half_integralize(f)
         out.verify_feasible()
         assert out.value >= half(1)
@@ -83,7 +84,7 @@ class TestHalfIntegralize:
         out = half_integralize(fsep)
         assert 2 * out.value >= fsep.value
         assert set(out.values) <= set(fsep.values)
-        assert all(2 * v == int(2 * v) for v in out.values.values())
+        assert all(2 * v == int(2 * v) for v in amounts(out).values())
 
     def test_lp_data_are_ints(self, monkeypatch):
         got = []
@@ -95,8 +96,8 @@ class TestHalfIntegralize:
 
         monkeypatch.setattr(flows_module, "solve_lp", spy)
         inst = two_path_instance()
-        f = Multiflow(inst)
-        f.add(DCycle.from_darts(inst, [0, 2, 9]), rat("3/4"))
+        f = Multiflow(inst, {}, 4)
+        f.add(DCycle.from_darts(inst, [0, 2, 9]), 3)
         half_integralize(f)
         ((c, A_ub, b_ub),) = got
         data = [*c, *b_ub, *(v for row in A_ub for v in row.values())]
@@ -157,7 +158,7 @@ class TestQuarterVertices:
         assert lp.dx == 4  # a quarter
         out = half_integralize(flow)
         assert out.value == lp.value == 6
-        assert all(2 * v == int(2 * v) for v in out.values.values())
+        assert all(2 * v == int(2 * v) for v in amounts(out).values())
 
     def test_budget_refusal_is_an_invariant_failure(self, monkeypatch):
         flow = separating_flow(monkeypatch, *QUARTER_VERTICES[0])
@@ -172,8 +173,8 @@ class TestQuarterVertices:
 class TestReduceToUnit:
     def test_floor_extraction(self):
         inst = with_caps(two_path_instance(), (3, 3, 3, 3, 5))
-        f = Multiflow(inst)
-        f.add(DCycle.from_darts(inst, [0, 2, 9]), rat("5/2"))
+        f = Multiflow(inst, {}, 2)
+        f.add(DCycle.from_darts(inst, [0, 2, 9]), 5)
         red = reduce_to_unit(f)
         assert red.banked.value == 2
         assert len(red.residual) == 1
@@ -189,9 +190,9 @@ class TestReduceToUnit:
 
     def test_shared_edge_pairs_on_one_parallel(self):
         inst = two_path_instance()
-        f = Multiflow(inst)
-        f.add(DCycle.from_darts(inst, [0, 2, 9]), half(1))
-        f.add(DCycle.from_darts(inst, [7, 5, 9]), half(1))
+        f = Multiflow(inst, {}, 2)
+        f.add(DCycle.from_darts(inst, [0, 2, 9]), 1)
+        f.add(DCycle.from_darts(inst, [7, 5, 9]), 1)
         red = reduce_to_unit(f)
         # the demand edge is shared by two halves: one parallel, no expansion
         assert red.strands[4] in ([0, 1], [1, 0])
@@ -209,10 +210,10 @@ class TestReduceToUnit:
             [("s", "a"), ("a", "t"), ("s", "b"), ("b", "t"), ("s", "c"),
              ("c", "t"), ("s", "t", 270, 270)])
         inst = Instance(graph, (SUPPLY,) * 6 + (DEMAND,), (1,) * 6 + (2,))
-        f = Multiflow(inst)
+        f = Multiflow(inst, {}, 2)
         for mid in "abc":
             darts = darts_for_route(graph, lookup, ["s", mid, "t"])
-            f.add(DCycle.from_darts(inst, darts), half(1))
+            f.add(DCycle.from_darts(inst, darts), 1)
         built = count_maps(monkeypatch)
         red = reduce_to_unit(f)
         assert built[0] == 0  # the pairing needs no unit map
@@ -235,10 +236,10 @@ class TestReduceToUnit:
             spec + [("s", "t", 270, 270)])
         assert graph.genus == 0
         inst = Instance(graph, (SUPPLY,) * 8 + (DEMAND,), (1,) * 8 + (2,))
-        f = Multiflow(inst)
+        f = Multiflow(inst, {}, 2)
         for mid in mids:
             darts = darts_for_route(graph, lookup, ["s", mid, "t"])
-            f.add(DCycle.from_darts(inst, darts), half(1))
+            f.add(DCycle.from_darts(inst, darts), 1)
         red = reduce_to_unit(f)
         name = {i: mid for i, c in enumerate(red.residual) for mid in mids
                 if lookup["edge"][("s", mid)] in c.edge_set}
@@ -342,8 +343,8 @@ class TestColoring:
 
     def test_edge_disjoint_support_single_color(self):
         inst = two_path_instance()
-        f = Multiflow(inst)
-        f.add(DCycle.from_darts(inst, [0, 2, 9]), half(1))
+        f = Multiflow(inst, {}, 2)
+        f.add(DCycle.from_darts(inst, [0, 2, 9]), 1)
         red = reduce_to_unit(f)
         out, used, sizes = color_and_select(red, genus=0)
         assert used == 1 and sizes == [1]
@@ -361,4 +362,4 @@ class TestColoring:
         assert 5 * res.integral.value >= 2 * res.half.value
         assert res.colors_used <= 5
         res.integral.verify_feasible()
-        assert all(v == int(v) for v in res.integral.values.values())
+        assert all(v == int(v) for v in amounts(res.integral).values())

@@ -215,9 +215,9 @@ class TestUncrossPair:
 class TestDiscretize:
     def test_counts_and_loss(self):
         inst, _, c1d, c2d = four_crossings_fixture()
-        flow = Multiflow(inst)
-        flow.add(DCycle.from_darts(inst, c1d), rat("2/3"))
-        flow.add(DCycle.from_darts(inst, c2d), rat("5/7"))
+        flow = Multiflow.from_rationals(inst, {
+            DCycle.from_darts(inst, c1d): rat("2/3"),
+            DCycle.from_darts(inst, c2d): rat("5/7")})
         counts, quantum = discretize(flow, rat("1/2"))
         assert multiset_value(counts, quantum) <= flow.value
         assert multiset_value(counts, quantum) >= \

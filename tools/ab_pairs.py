@@ -18,9 +18,21 @@ host's speed does not favour either side.  The runs write only where
 For each pair the end-to-end metrics of ``BENCHMARK.json`` are printed,
 base then working tree, from the JSON object on each run's last output
 line.  Then, per metric, the medians of both sides, the change of the
-medians, and the number of pairs the working tree won by the metric's
-direction (a tie wins neither side).  The exit status is 1 when a run fails
-or reports a failed instance.
+medians, the number of pairs the working tree won by the metric's
+direction (a tie wins neither side), the quartiles of both sides, and one
+verdict:
+
+- ``gain``: the working tree won at least 9 in 10 pairs, and its median is
+  better by more than the base's interquartile range;
+- ``worse than bound``: the median is worse, relative to the base's, by
+  more than the metric's ``bound`` in ``BENCHMARK.json``;
+- ``unresolved``: the base's interquartile range, relative to its median,
+  exceeds the bound, so the runs spread too widely to tell;
+- ``within bound`` otherwise.
+
+A claimed gain needs ``gain``; every other metric needs ``gain`` or
+``within bound``.  The exit status is 1 when a run fails or reports a
+failed instance.
 """
 
 from __future__ import annotations
@@ -40,9 +52,10 @@ SECONDS = "30"
 
 
 def end_to_end() -> list:
-    """``(name, better)`` of each end-to-end metric in ``BENCHMARK.json``."""
+    """``(name, better, bound)`` of each end-to-end metric in
+    ``BENCHMARK.json``."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return [(m["name"], m["better"]) for m in spec["end_to_end"]]
+    return [(m["name"], m["better"], m["bound"]) for m in spec["end_to_end"]]
 
 
 def run_once(tree: Path, workload: str, seed: int) -> dict:
@@ -65,16 +78,42 @@ def wins(base: float, work: float, better: str) -> bool:
     return work < base if better == "lower" else work > base
 
 
+def quartiles(values: list) -> tuple:
+    """First and third quartile (both the value itself for one run)."""
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def verdict(base: list, work: list, better: str, bound: float) -> str:
+    """The claim rule on one metric's paired runs (see the module
+    docstring)."""
+    mb, mw = statistics.median(base), statistics.median(work)
+    q1, q3 = quartiles(base)
+    won = sum(wins(b, w, better) for b, w in zip(base, work))
+    gap = mb - mw if better == "lower" else mw - mb
+    if 10 * won >= 9 * len(base) and gap > q3 - q1:
+        return "gain"
+    if -gap > bound * abs(mb):
+        return "worse than bound"
+    if q3 - q1 > bound * abs(mb):
+        return "unresolved"
+    return "within bound"
+
+
 def report(pairs: list, metrics: list) -> None:
-    for name, better in metrics:
+    for name, better, bound in metrics:
         base = [b[name] for b, _ in pairs]
         work = [w[name] for _, w in pairs]
         mb, mw = statistics.median(base), statistics.median(work)
         change = "%+.1f%%" % (100 * (mw - mb) / mb) if mb else "n/a"
         won = sum(wins(b, w, better) for b, w in zip(base, work))
-        print("%-12s median %.4g -> %.4g (%s, %s is better), "
-              "won %d of %d" % (name, mb, mw, change, better, won,
-                                len(pairs)))
+        print("%-12s median %.4g -> %.4g (%s, %s is better), won %d of %d, "
+              "quartiles [%.4g, %.4g] -> [%.4g, %.4g]: %s"
+              % (name, mb, mw, change, better, won, len(pairs),
+                 *quartiles(base), *quartiles(work),
+                 verdict(base, work, better, bound)))
 
 
 def main(argv=None) -> int:
@@ -106,7 +145,7 @@ def main(argv=None) -> int:
                 i + 1, order[0], ", ".join(
                     "%s %.4g -> %.4g" % (name, sides["base"][name],
                                          sides["work"][name])
-                    for name, _ in metrics)), flush=True)
+                    for name, _, _ in metrics)), flush=True)
     finally:
         subprocess.run(["git", "worktree", "remove", "--force",
                         str(base_tree)], cwd=ROOT, check=False)
