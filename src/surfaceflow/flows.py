@@ -46,16 +46,27 @@ def canonical_darts(darts: Sequence[int]) -> tuple:
     return min(fwd[i:] + fwd[:i], rev[j:] + rev[:j])
 
 
-@dataclass(frozen=True)
 class DCycle:
     """A simple cycle through exactly one demand edge, as a dart sequence.
 
     Stored canonically (minimal over rotation and reversal), so equal cycles
-    compare and hash equal regardless of traversal.
+    compare and hash equal regardless of traversal; equality and the hash,
+    computed once, read ``darts`` and ``demand`` only.  The record carries
+    what every layer asks of a cycle: ``edges``, in dart order; ``mask``,
+    with bit ``e`` set for each edge ``e``; and ``least``, their least
+    capacity in the cycle's instance.  No field is assigned after
+    construction.
     """
 
-    darts: tuple
-    demand: int
+    __slots__ = ("darts", "demand", "edges", "mask", "least", "_hash")
+
+    def __init__(self, darts: tuple, demand: int, mask: int, least: int):
+        self.darts = darts
+        self.demand = demand
+        self.edges = tuple([d >> 1 for d in darts])
+        self.mask = mask
+        self.least = least
+        self._hash = hash((darts, demand))
 
     @staticmethod
     def from_darts(instance: Instance, darts: Sequence[int]) -> "DCycle":
@@ -67,14 +78,24 @@ class DCycle:
             raise PreconditionError(
                 "a D-cycle must contain exactly one demand edge, got %d"
                 % len(demands))
-        return DCycle(canonical_darts(darts), demands[0])
+        edges = [d >> 1 for d in darts]
+        # a simple cycle uses each edge once, so the sum is the OR
+        return DCycle(canonical_darts(darts), demands[0],
+                      sum([1 << e for e in edges]),
+                      min([instance.caps[e] for e in edges]))
 
-    @property
-    def edge_set(self) -> frozenset:
-        return frozenset(d >> 1 for d in self.darts)
+    def __eq__(self, other):
+        return other.__class__ is DCycle and self.darts == other.darts \
+            and self.demand == other.demand
+
+    def __hash__(self):
+        return self._hash
 
     def __len__(self):
         return len(self.darts)
+
+    def __repr__(self):
+        return "DCycle(darts=%r, demand=%r)" % (self.darts, self.demand)
 
 
 def edge_loads(amounts: dict) -> dict:
@@ -83,7 +104,7 @@ def edge_loads(amounts: dict) -> dict:
     amounts ``QQ`` loads."""
     loads: dict = {}
     for c, v in amounts.items():
-        for e in c.edge_set:
+        for e in c.edges:
             loads[e] = loads.get(e, 0) + v
     return loads
 
@@ -274,7 +295,7 @@ def solve_fractional(instance: Instance) -> EdgeFlowSolution:
     A_ub = [{di * per + 2 * k + side: 1 for di in range(len(demands))
              for side in (0, 1)} for k in range(len(supply))]
     A_ub += [{n_flow + di: 1} for di in range(len(demands))]
-    b_ub = [instance.cap(e) for e in supply + demands]
+    b_ub = [instance.caps[e] for e in supply + demands]
 
     res = solve_lp(c, A_ub, b_ub, A_eq, b_eq)
 
@@ -303,7 +324,7 @@ def _verify_multicut(instance: Instance, prices: dict, denom: int, value):
     ``dist`` from Dijkstra; a negative price is refused.  Returns the cost.
     """
     g = instance.graph
-    total = QQ(sum(instance.cap(e) * p for e, p in prices.items()), denom)
+    total = QQ(sum(instance.caps[e] * p for e, p in prices.items()), denom)
     if total != value:
         raise InternalInvariantError(
             "multicut certificate cost %s != flow value %s"

@@ -42,8 +42,8 @@ class Instance:
     """An embedded multiflow instance.
 
     ``graph`` is the map of supply and demand edges together; ``kinds`` and
-    ``caps`` are indexed by edge id.  Capacities are positive integers, and
-    no demand edge is a loop.
+    ``caps`` are tuples indexed by edge id, so an instance hashes.
+    Capacities are positive integers, and no demand edge is a loop.
     """
 
     graph: EmbeddedGraph
@@ -51,6 +51,8 @@ class Instance:
     caps: tuple
 
     def __post_init__(self):
+        if type(self.kinds) is not tuple or type(self.caps) is not tuple:
+            raise InstanceFormatError("schema", "kinds/caps must be tuples")
         m = len(self.graph.edges)
         if len(self.kinds) != m or len(self.caps) != m:
             raise InstanceFormatError("schema", "kind/cap lists must match edges")
@@ -76,9 +78,6 @@ class Instance:
     @property
     def supply_edges(self) -> tuple:
         return tuple(e for e, k in enumerate(self.kinds) if k == SUPPLY)
-
-    def cap(self, e: int) -> int:
-        return self.caps[e]
 
     def is_demand(self, e: int) -> bool:
         return self.kinds[e] == DEMAND

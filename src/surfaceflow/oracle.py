@@ -7,18 +7,14 @@ a flow's support), over covering edges for the minimum multicut.  They are
 deliberately exponential and guarded by an explicit work budget; exceeding
 it is a refusal (:class:`OracleBudgetExceeded`), never a wrong answer.
 
-The two oracles share one enumeration.  ``enumerate_d_cycles`` keeps its
-last answer, keyed on the instance object (``is``) and the budget (``==``),
-so a ``full-oracle`` pipeline run followed by ``exact_min_multicut`` on the
-same instance enumerates once.  A refusal is never kept.  Beside the
-``DCycle``s it keeps a cycle table with one row per cycle: the cycle's edges
-in dart order, its edge bitmask (bit ``e`` set for edge ``e``) and its least
-capacity.  The depth-first search carries the mask and the least capacity
-along its path, one OR and one comparison per pushed dart.  Both oracles
-read the table, never rebuilding per-cycle data: a cycle meets an edge set
-exactly when its mask ANDs nonzero with the set's mask, which is how the
-multicut search drops covered cycles and how the packing search skips
-every cycle through a saturated edge without reading its residuals.
+The two oracles share one enumeration: ``enumerate_d_cycles`` keeps its
+last answer (``functools.lru_cache(maxsize=1)``), so a ``full-oracle``
+pipeline run followed by ``exact_min_multicut`` enumerates once.  Both
+oracles read each ``DCycle``'s edges, edge bitmask and least capacity,
+never rebuilding per-cycle data: a cycle meets an edge set exactly when its
+mask ANDs nonzero with the set's mask, which is how the multicut search
+drops covered cycles and how the packing search skips every cycle through
+a saturated edge without reading its residuals.
 
 The budget is made of counts only (enumerated cycles, depth-first dart
 extensions, search nodes), so whether an instance is refused depends on the
@@ -37,7 +33,8 @@ any valid bound gives the same answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import lru_cache
+from operator import attrgetter
 
 from .errors import (InternalInvariantError, OracleBudgetExceeded,
                      PreconditionError)
@@ -72,41 +69,22 @@ class OracleBudget:
 DEFAULT_BUDGET = OracleBudget()
 
 
-# the last successful enumeration: (instance, budget, cycles, table)
-_last: tuple = (None, None, (), ())
-
-
 def enumerate_d_cycles(instance: Instance,
                        budget: OracleBudget = DEFAULT_BUDGET) -> tuple:
     """All D-cycles of the instance, as a tuple sorted by canonical darts.
 
-    The last successful answer is kept, with its instance object and
-    budget, and returned again for the same object (``is``) under an equal
-    budget (``==``), so ``exact_integral_multiflow`` and
-    ``exact_min_multicut`` on one instance share one enumeration.  An equal
-    but distinct instance object is enumerated again.  A refusal is not
-    kept: the same instance and budget are enumerated, and refused, again.
+    The last successful answer is kept and returned again for the same
+    instance under an equal budget.  An ``Instance`` hashes its map by
+    identity, so an equal instance parsed again is enumerated again.  A
+    refusal is not kept, and the kept answer stays.
     """
-    global _last
-    kept_instance, kept_budget, cycles, _ = _last
-    if kept_instance is instance and kept_budget == budget:
-        return cycles
-    cycles, table = _search_d_cycles(instance, budget)
-    _last = (instance, budget, cycles, table)
-    return cycles
+    # positional, so that every call has the same cache key
+    return _search_d_cycles(instance, budget)
 
 
-def _cycle_table(instance: Instance, budget: OracleBudget) -> tuple:
-    """``(cycles, table)``: ``enumerate_d_cycles`` and its kept table, whose
-    row ``i`` is ``(edges, mask, least)`` of ``cycles[i]``: its edges in
-    dart order, its edge bitmask and its least capacity."""
-    cycles = enumerate_d_cycles(instance, budget)
-    return cycles, _last[3]
-
-
+@lru_cache(maxsize=1)
 def _search_d_cycles(instance: Instance, budget: OracleBudget) -> tuple:
-    """The depth-first enumeration behind ``enumerate_d_cycles``, as
-    ``(cycles, table)``.
+    """The depth-first enumeration behind ``enumerate_d_cycles``.
 
     For each demand edge, simple supply paths between its endpoints are
     enumerated by depth-first search over the darts at each vertex, in
@@ -116,8 +94,7 @@ def _search_d_cycles(instance: Instance, budget: OracleBudget) -> tuple:
     exactly one demand dart, and every simple path is listed once, so the
     cycles are built without revalidation.  Each step is one dart tried.
     A pushed dart also ORs its edge onto the path's edge bitmask and lowers
-    the path's least capacity, so a cycle's table row reads its edges once,
-    for its edge tuple.
+    the path's least capacity, which a cycle's record takes as they are.
     """
     graph = instance.graph
     edges = graph.edges
@@ -154,9 +131,9 @@ def _search_d_cycles(instance: Instance, budget: OracleBudget) -> tuple:
                 if w == s:
                     e = d >> 1
                     cap = caps[e]
-                    found.append((_canonical(path, back, d), d_edge,
-                                  masks[-1] | 1 << e,
-                                  cap if cap < least[-1] else least[-1]))
+                    found.append(DCycle(_canonical(path, back, d), d_edge,
+                                        masks[-1] | 1 << e,
+                                        cap if cap < least[-1] else least[-1]))
                     if len(found) > max_cycles:
                         raise OracleBudgetExceeded(
                             "more than %d D-cycles" % max_cycles)
@@ -179,11 +156,8 @@ def _search_d_cycles(instance: Instance, budget: OracleBudget) -> tuple:
                 least.pop()
                 on_path[verts.pop()] = False
     # canonical dart tuples of distinct cycles differ, so no two keys tie
-    found.sort(key=itemgetter(0))
-    cycles = tuple(DCycle(darts, d_edge) for darts, d_edge, _, _ in found)
-    table = tuple((tuple([d >> 1 for d in darts]), mask, cap)
-                  for darts, _, mask, cap in found)
-    return cycles, table
+    found.sort(key=attrgetter("darts"))
+    return tuple(found)
 
 
 def _canonical(path: list, back: list, d: int) -> tuple:
@@ -203,25 +177,24 @@ def _canonical(path: list, back: list, d: int) -> tuple:
     return (*path[i:], d, *path[:i])
 
 
-def pack_cycles(cycle_edges, masks, leasts, caps, root, rows,
-                budget: OracleBudget):
-    """Maximum integral packing of cycles under positive int edge
+def pack_cycles(cycles, leasts, caps, root, rows, budget: OracleBudget):
+    """Maximum integral packing of ``DCycle``s under positive int edge
     capacities.
 
-    ``masks[i]`` is the edge bitmask of ``cycle_edges[i]`` and
-    ``leasts[i]`` its least capacity in ``caps``, as the cycle table holds
-    them; ``root`` and ``rows`` are the optimal cycle LP of ``cycle_edges``
-    and ``caps`` as ``flows.cycle_lp`` returns it.  Returns ``(value,
-    {cycle index: positive int})`` from the search of the module docstring,
-    over the cycles by decreasing root value, ties by index.
+    ``leasts[i]`` is the least capacity of ``cycles[i]`` in ``caps``: its
+    ``least`` when ``caps`` are its instance's, twice that when they are
+    doubled.  ``root`` and ``rows`` are the optimal cycle LP of the cycles'
+    edges and ``caps`` as ``flows.cycle_lp`` returns it.  Returns
+    ``(value, {cycle index: positive int})`` from the search of the module
+    docstring, over the cycles by decreasing root value, ties by index.
     """
     # explore large fractional values first, ties by index (a reversed
     # sort keeps ties in order); the LP value caps the optimum.  The root
     # x is root.X over one denominator, so its order is that of root.X
-    order = sorted(range(len(cycle_edges)), key=root.X.__getitem__,
+    order = sorted(range(len(cycles)), key=root.X.__getitem__,
                    reverse=True)
-    cycle_edges = [cycle_edges[i] for i in order]
-    masks = [masks[i] for i in order]
+    cycle_edges = [cycles[i].edges for i in order]
+    masks = [cycles[i].mask for i in order]
     leasts = [leasts[i] for i in order]
     n = len(cycle_edges)
     ceiling = floor_rat(root.value)
@@ -284,14 +257,13 @@ def pack_cycles(cycle_edges, masks, leasts, caps, root, rows,
 def exact_integral_multiflow(instance: Instance,
                              budget: OracleBudget = DEFAULT_BUDGET):
     """Provably maximum integral multiflow, as ``(value, Multiflow)``."""
-    cycles, table = _cycle_table(instance, budget)
+    cycles = enumerate_d_cycles(instance, budget)
     if not cycles:
         return 0, Multiflow(instance)
     # the cycles come sorted by darts, so index ties are dart ties
-    cycle_edges, masks, leasts = zip(*table)
     best_value, best = pack_cycles(
-        cycle_edges, masks, leasts, instance.caps,
-        *cycle_lp(cycle_edges, instance.caps), budget)
+        cycles, [c.least for c in cycles], instance.caps,
+        *cycle_lp([c.edges for c in cycles], instance.caps), budget)
     flow = Multiflow(instance)
     for i, x in best.items():
         flow.add(cycles[i], x)
@@ -309,18 +281,17 @@ def exact_min_multicut(instance: Instance,
     Branch-and-bound hitting set: branch on the edges of an uncovered
     cycle with the fewest edges, bound by a greedy packing of edge-disjoint
     uncovered cycles (a valid lower bound by weak duality).  Each cycle is
-    searched as its row of the cycle table, ``(edges, edge bitmask, least
-    capacity)``, in ``(length, darts)`` order, and branched on in edge
-    order.
+    searched by its ``edges``, ``mask`` and ``least``, in ``(length,
+    darts)`` order, and branched on in edge order.
     """
-    _, table = _cycle_table(instance, budget)
-    if not table:
+    cycles = enumerate_d_cycles(instance, budget)
+    if not cycles:
         return 0, ()
     caps = instance.caps
-    # the table is in darts order and a D-cycle, being simple, has as many
-    # edges as darts, so a stable sort on the edge count gives the
+    # the cycles are in darts order and a D-cycle, being simple, has as
+    # many edges as darts, so a stable sort on the length gives the
     # (length, darts) order
-    uncovered = sorted(table, key=lambda row: len(row[0]))
+    uncovered = sorted(cycles, key=len)
     # start from the trivial cut: every demand edge
     demand_cut = tuple(sorted(instance.demand_edges))
     best_cost = sum(caps[e] for e in demand_cut)
@@ -330,10 +301,10 @@ def exact_min_multicut(instance: Instance,
     def packing_bound(uncovered):
         used = 0
         total = 0
-        for _, mask, least in uncovered:
-            if not mask & used:
-                used |= mask
-                total += least
+        for c in uncovered:
+            if not c.mask & used:
+                used |= c.mask
+                total += c.least
         return total
 
     def search(chosen: set, cost: int, uncovered):
@@ -350,9 +321,9 @@ def exact_min_multicut(instance: Instance,
             return
         if cost + packing_bound(uncovered) >= best_cost:
             return
-        for e in sorted(uncovered[0][0]):
+        for e in sorted(uncovered[0].edges):
             bit = 1 << e
-            rest = [c for c in uncovered if not c[1] & bit]
+            rest = [c for c in uncovered if not c.mask & bit]
             search(chosen | {e}, cost + caps[e], rest)
 
     search(set(), 0, uncovered)

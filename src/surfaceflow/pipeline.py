@@ -242,10 +242,10 @@ def verify_solution(instance: Instance, data) -> dict:
     problems = []
     try:
         for e, load in sorted(edge_loads(flow.values).items()):
-            if load > instance.cap(e) * denom:
+            if load > instance.caps[e] * denom:
                 problems.append({"kind": "capacity", "witness":
                                  {"edge": e, "load": rat_str(load, denom),
-                                  "cap": instance.cap(e)}})
+                                  "cap": instance.caps[e]}})
         fractional = [v for v in flow.values.values() if v % denom]
         if fractional:
             problems.append({"kind": "integrality", "witness":

@@ -18,7 +18,6 @@ from math import gcd
 
 QQ = Fraction
 ZERO = QQ(0)
-ONE = QQ(1)
 
 
 def rat(value) -> QQ:

@@ -116,7 +116,7 @@ def greedy(cycles: Sequence[DCycle], instance: Instance, caps: Sequence[int],
     edge ``e``; the result is checked to carry at least half of the
     fractional value ``bound / denom``.
     """
-    edge_sets = [c.edge_set for c in cycles]
+    edge_sets = [c.edges for c in cycles]
     if not check_cyclic_order(edge_sets):
         raise PreconditionError("input sequence is not cyclically ordered")
     out = Multiflow(instance)
@@ -226,7 +226,7 @@ def improved_g2(flow: Multiflow,
 
     out = Multiflow(inst)
     kept_edges = [
-        {e for j in classes[i] for e in nonsep[j].edge_set} for i in kept]
+        {e for j in classes[i] for e in nonsep[j].edges} for i in kept]
     for pos, i in enumerate(kept):
         cls_cycles = [nonsep[j] for j in classes[i]]
         caps = list(inst.caps)
@@ -246,7 +246,7 @@ def improved_g2(flow: Multiflow,
         else:
             loads = edge_loads({c: flow.values[c] for c in cls_cycles})
             for j in set(pair):
-                for e in cls_cycles[j].edge_set & others:
+                for e in others.intersection(cls_cycles[j].edges):
                     caps[e] = min(caps[e], loads.get(e, 0) // denom)
         order = [0] if cut is None else cyclic_order(cut)
         bound = classification.totals[i] - 2 * denom

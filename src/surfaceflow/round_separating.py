@@ -66,17 +66,14 @@ def half_integralize(flow: Multiflow) -> Multiflow:
     cycles = flow.support()
     if not cycles:
         return Multiflow(inst)
-    cycle_edges = [c.edge_set for c in cycles]
-    lp, rows = cycle_lp(cycle_edges, inst.caps)
+    lp, rows = cycle_lp([c.edges for c in cycles], inst.caps)
     X, dx = lp.X, lp.dx
     if any(2 * v % dx for v in X):
         doubled = replace(lp, X=[2 * v for v in X], value=2 * lp.value)
-        caps = [2 * u for u in inst.caps]
-        masks = [sum(1 << e for e in edges) for edges in cycle_edges]
-        leasts = [min([caps[e] for e in edges]) for edges in cycle_edges]
         try:
-            _, best = pack_cycles(cycle_edges, masks, leasts, caps, doubled,
-                                  rows, DEFAULT_BUDGET)
+            _, best = pack_cycles(
+                cycles, [2 * c.least for c in cycles],
+                [2 * u for u in inst.caps], doubled, rows, DEFAULT_BUDGET)
         except OracleBudgetExceeded as exc:
             raise InternalInvariantError(
                 "no half-integral optimum within the packing budget",
@@ -143,11 +140,11 @@ def reduce_to_unit(flow_half: Multiflow) -> UnitReduction:
     insides = [inside_faces(g, c.darts) for c in residual]
     users: dict[int, list] = {}
     for i, c in enumerate(residual):
-        for e in c.edge_set:
+        for e in c.edges:
             users.setdefault(e, []).append(i)
     banked_loads = edge_loads(banked.values)
     for e, ids in users.items():
-        if (len(ids) + 1) // 2 + banked_loads.get(e, 0) > inst.cap(e):
+        if (len(ids) + 1) // 2 + banked_loads.get(e, 0) > inst.caps[e]:
             raise InternalInvariantError(
                 "residual halves exceed leftover capacity",
                 witness=(e, len(ids)))

@@ -28,8 +28,9 @@ edges (``cut_along`` and ``topology.inside_faces`` read their components
 from it).  No other module reads the rotation order around a cycle;
 ``crosses`` and the band order and vertex split of ``disjointify`` read it
 through one question, which of two darts comes first clockwise after a
-third, and ``crosses`` at a single vertex and the vertex split ask one
-test of it: do two cycles' darts separate each other there.
+third: ``crosses`` along a path and the band order as which cycle leaves a
+shared path first (``_leaves_first``), ``crosses`` at a single vertex and
+the vertex split as whether two cycles' darts separate each other there.
 """
 
 from __future__ import annotations
@@ -485,6 +486,17 @@ def _leaving_darts(rot: Sequence[Dart], cycles, path: set,
     return out
 
 
+def _leaves_first(graph: EmbeddedGraph, cycles, path: set, v: int,
+                  e: int) -> bool:
+    """Whether the first of two cycles (edge sets) that share the path
+    ``path`` leaves it first, clockwise after the path's dart of edge ``e``
+    at its end vertex ``v``."""
+    rot = graph.rotation[v]
+    (o1,), (o2,) = _leaving_darts(rot, cycles, path, 1)
+    p = 2 * e if graph.edges[e][0] == v else 2 * e + 1
+    return _clockwise_first(rot, p, o1, o2) == o1
+
+
 def crosses(graph: EmbeddedGraph, darts1: Sequence[Dart],
             darts2: Sequence[Dart], verts: Sequence[int],
             edges: Sequence[int]) -> bool:
@@ -502,12 +514,9 @@ def crosses(graph: EmbeddedGraph, darts1: Sequence[Dart],
         rot = graph.rotation[verts[0]]
         (a1, b1), (a2, b2) = _leaving_darts(rot, cycles, set(), 2)
         return _separates(rot, a1, b1, a2, b2)
-    first, path = [], set(edges)
-    for v, e in ((verts[0], edges[0]), (verts[-1], edges[-1])):
-        (o1,), (o2,) = _leaving_darts(graph.rotation[v], cycles, path, 1)
-        p = 2 * e if graph.edges[e][0] == v else 2 * e + 1
-        first.append(_clockwise_first(graph.rotation[v], p, o1, o2) == o1)
-    return first[0] == first[1]
+    path = set(edges)
+    return _leaves_first(graph, cycles, path, verts[0], edges[0]) \
+        == _leaves_first(graph, cycles, path, verts[-1], edges[-1])
 
 
 def _walk_direction(graph: EmbeddedGraph, verts: Sequence[int],
@@ -534,13 +543,10 @@ def _band_before(graph: EmbeddedGraph, darts1: Sequence[Dart],
                        if e in p[1])
     if _walk_direction(graph, verts, path, min(path)) < 0:
         verts, path = verts[::-1], path[::-1]
-    y, t = verts[-1], path[-1]
-    (o1,), (o2,) = _leaving_darts(graph.rotation[y], cycles, set(path), 1)
-    p_y = 2 * t if graph.edges[t][0] == y else 2 * t + 1
-    first = -1 if _clockwise_first(graph.rotation[y], p_y, o1, o2) == o1 \
-        else 1
-    # Translate into the slot-0 insertion frame of e.  In the terminal
-    # edge's frame the relation is first * dir(t); switching frames
+    first = -1 if _leaves_first(graph, cycles, set(path), verts[-1],
+                                path[-1]) else 1
+    # Translate into the slot-0 insertion frame of e.  In the frame of the
+    # terminal edge t the relation is first * dir(t); switching frames
     # multiplies by dir(t) * dir(e), so the dir(t) factors cancel.
     return first * _walk_direction(graph, verts, path, e)
 

@@ -13,8 +13,9 @@ the number of iterations.
 Where two cycles meet comes from ``surface.shared_paths``, the walk that
 ``disjointify`` also orders its bands by, and whether they cross there from
 ``surface.crosses``: this module never reads the rotation order itself.
-``shared_elements`` lists the common paths as crossings or touchings, and
-``cr`` counts crossings.
+``shared_elements`` lists the common paths as crossings or touchings, in
+order along the first cycle, and ``cr`` counts the crossings without
+ordering them.
 
 A rewrite is a deterministic function of its pair of cycles.  When the scan
 picks the pair it rewrote in the previous iteration and the four cycles
@@ -88,8 +89,11 @@ def crossings(graph: EmbeddedGraph, darts1: Sequence[int],
 
 def cr(graph: EmbeddedGraph, darts1: Sequence[int],
        darts2: Sequence[int]) -> int:
-    """Number of crossings of two simple cycles."""
-    return len(crossings(graph, darts1, darts2))
+    """``len(crossings(...))``, counted without ordering the paths."""
+    if {d >> 1 for d in darts1} == {d >> 1 for d in darts2}:
+        return 0
+    return sum(crosses(graph, darts1, darts2, verts, edges)
+               for verts, edges in shared_paths(graph, darts1, darts2))
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,15 @@ import json
 import math
 import pathlib
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, reduce
+from operator import or_
 
 import numpy as np
 
 from surfaceflow.errors import (InternalInvariantError, OracleBudgetExceeded,
                                 PreconditionError)
-from surfaceflow.flows import (DCycle, Multiflow, canonical_darts,
-                               edge_loads, solve_and_decompose)
+from surfaceflow.flows import (DCycle, Multiflow, edge_loads,
+                               solve_and_decompose)
 from surfaceflow.instances import Instance, generate_torus_grid, load_instance
 from surfaceflow import lp, oracle, uncross
 from surfaceflow.rational import QQ, ZERO, floor_rat, rat
@@ -161,7 +162,7 @@ def amounts(flow: Multiflow) -> dict:
 
 def edge_load(flow: Multiflow, e: int):
     """Total value of the cycles of ``flow`` through edge ``e``."""
-    return sum((v for c, v in amounts(flow).items() if e in c.edge_set),
+    return sum((v for c, v in amounts(flow).items() if e in c.edges),
                ZERO)
 
 
@@ -182,7 +183,7 @@ def intersection_adjacency(cycles) -> list:
     adj = [set() for _ in cycles]
     by_edge: dict[int, list] = {}
     for i, c in enumerate(cycles):
-        for e in c.edge_set:
+        for e in c.edges:
             by_edge.setdefault(e, []).append(i)
     for ids in by_edge.values():
         for i in ids:
@@ -232,7 +233,7 @@ def reference_edge_loads(values: dict) -> dict:
     """Per-edge ``QQ`` sums, in first-use order."""
     loads: dict = {}
     for c, v in values.items():
-        for e in c.edge_set:
+        for e in c.edges:
             loads[e] = loads.get(e, ZERO) + v
     return loads
 
@@ -241,7 +242,7 @@ def reference_overloaded(instance: Instance, values: dict):
     """The edge ``verify_feasible`` reports: the first overloaded edge in
     load order, or ``None``."""
     return next((e for e, load in reference_edge_loads(values).items()
-                 if load > instance.cap(e)), None)
+                 if load > instance.caps[e]), None)
 
 
 def reference_to_wire(values: dict) -> list:
@@ -335,10 +336,24 @@ def reference_uncross_all(instance: Instance, counts: dict) -> dict:
             counts[c] = counts.get(c, 0) + 1
 
 
+def cycle_record(c: DCycle) -> tuple:
+    """Every field of a ``DCycle``; its equality reads the first two."""
+    return c.darts, c.demand, c.edges, c.mask, c.least
+
+
+def assert_cycle_fields(c: DCycle, caps) -> None:
+    """``edges``, ``mask`` and ``least`` of ``c`` are those of its darts
+    under the capacities ``caps``."""
+    edges = tuple(d >> 1 for d in c.darts)
+    assert c.edges == edges
+    assert c.mask == reduce(or_, (1 << e for e in edges))
+    assert c.least == min(caps[e] for e in edges)
+
+
 def reference_enumerate_d_cycles(instance: Instance, budget) -> list:
     """``oracle.enumerate_d_cycles`` without its memo or its lean walk: a
     depth-first search over a vertex -> sorted darts map with a visited set,
-    ``canonical_darts`` per cycle, one sort by darts.  Same cycles, same
+    ``DCycle.from_darts`` per cycle, one sort by darts.  Same cycles, same
     steps (one per dart tried) and same refusals."""
     graph = instance.graph
     tail = [graph.tail(d) for d in range(2 * len(graph.edges))]
@@ -367,8 +382,8 @@ def reference_enumerate_d_cycles(instance: Instance, budget) -> list:
                         % budget.max_nodes)
                 w = tail[d]
                 if w == s:
-                    found.append(DCycle(canonical_darts((dd, *path, d)),
-                                        d_edge))
+                    found.append(DCycle.from_darts(instance,
+                                                   (dd, *path, d)))
                     if len(found) > budget.max_cycles:
                         raise OracleBudgetExceeded(
                             "more than %d D-cycles" % budget.max_cycles)
@@ -389,8 +404,8 @@ def reference_enumerate_d_cycles(instance: Instance, budget) -> list:
 
 
 def reference_pack_cycles(cycle_edges, caps, root, rows, budget):
-    """``oracle.pack_cycles`` without edge bitmasks, least-capacity table or
-    int root: every node, the root too, takes the least residual of every
+    """``oracle.pack_cycles`` on the cycles' edges alone, without their
+    bitmasks, least capacities or int root: every node, the root too, takes the least residual of every
     remaining cycle and keeps the positive ones, and the root LP is read as
     rationals.  Same value, same packing, same nodes and same refusals."""
     x, y_ub, _ = lp_answer(root)

@@ -21,7 +21,7 @@ from surfaceflow.lp import solve_lp
 from surfaceflow.oracle import (OracleBudget, enumerate_d_cycles,
                                 exact_integral_multiflow, exact_min_multicut)
 from surfaceflow.pipeline import run
-from surfaceflow.rational import ONE, QQ, ZERO, rat
+from surfaceflow.rational import QQ, ZERO, rat
 from surfaceflow.round_nonseparating import (check_cyclic_order,
                                              class_cross_adjacency,
                                              cyclic_order, greedy_values,
@@ -98,7 +98,7 @@ class TestAcceptance:
                 for cj in cycles[i + 1:]:
                     ok &= cr(inst.graph, ci.darts, cj.darts) <= 1
             ok &= multiset_value(counts, quantum) >= \
-                (ONE - EPSILON) * sol.value
+                (1 - EPSILON) * sol.value
             ok &= all(steps[k + 1] < steps[k] for k in range(len(steps) - 1))
             count += 1
         _verdict(capsys, "2 uncrossing cr<=1, value, potential", ok,
@@ -193,7 +193,7 @@ class TestAcceptance:
                 cycles = [nonsep[i] for i in members]
                 order = cyclic_order(cut_along(*disjointify(
                     inst.graph, [c.darts for c in cycles])))
-                ok &= check_cyclic_order([cycles[i].edge_set for i in order])
+                ok &= check_cyclic_order([cycles[i].edges for i in order])
                 orders += 1
         _verdict(capsys, "5 cyclic order and greedy half", ok,
                  "%d emitted orders" % orders)

@@ -49,7 +49,18 @@ class TestDCycle:
         c = DCycle.from_darts(inst, [8, 3, 1])  # reversed traversal
         assert a == b == c
         assert a.demand == 4
-        assert a.edge_set == frozenset({0, 1, 4})
+        assert (a.darts, a.edges, a.mask, a.least) \
+            == ((0, 2, 9), (0, 1, 4), 0b10011, 1)
+
+    def test_equality_and_hash_read_darts_and_demand_only(self):
+        inst = two_path_instance()
+        a = DCycle.from_darts(inst, [0, 2, 9])
+        twin = DCycle(a.darts, a.demand, 0, 0)
+        assert twin == a and hash(twin) == hash(a)
+        assert {a: 1, twin: 2} == {a: 2}
+        assert a != DCycle(a.darts, 3, a.mask, a.least)
+        assert a != (a.darts, a.demand)
+        assert repr(a) == "DCycle(darts=(0, 2, 9), demand=4)"
 
     def test_rejects_multiple_demands(self):
         inst = two_path_instance()
@@ -96,7 +107,8 @@ class TestMultiflow:
         c2 = DCycle.from_darts(inst, [7, 5, 9])
         f = Multiflow(inst, {c1: 1, c2: 3}, 2)
         loads = edge_loads({c1: rat("1/2"), c2: rat("3/2")})
-        assert loads == {e: edge_load(f, e) for e in c1.edge_set | c2.edge_set}
+        assert loads == {e: edge_load(f, e)
+                         for e in set(c1.edges) | set(c2.edges)}
         assert {type(v) for v in loads.values()} == {type(rat(1))}
         counts = edge_loads({c1: 2, c2: 3})
         assert counts[4] == 5 and counts[0] == 2
@@ -243,7 +255,7 @@ class TestSolveFractional:
                 continue
             flow, sol = solve_and_decompose(inst)
             assert flow.value == sol.value
-            cost = QQ(sum(inst.cap(e) * y for e, y in sol.multicut.items()),
+            cost = QQ(sum(inst.caps[e] * y for e, y in sol.multicut.items()),
                       sol.dy)
             assert sol.multicut_value == cost == sol.value
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 from bisect import bisect_left
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (amounts, assert_flow_matches_reference,
+from conftest import (amounts, assert_cycle_fields,
+                      assert_flow_matches_reference, cycle_record,
                       intersection_adjacency, reference_canonical_darts,
                       reference_discretize, reference_enumerate_d_cycles,
                       reference_exact_min_multicut,
@@ -21,7 +23,8 @@ from surfaceflow.flows import (DCycle, canonical_darts, cycle_lp,
 from surfaceflow.instances import (DEMAND, SUPPLY, Instance,
                                    generate_gap_family,
                                    generate_planar_random,
-                                   generate_torus_grid, serialize_instance)
+                                   generate_torus_grid, parse_instance,
+                                   serialize_instance)
 from surfaceflow.oracle import (OracleBudget, enumerate_d_cycles,
                                 exact_integral_multiflow, exact_min_multicut,
                                 pack_cycles)
@@ -54,6 +57,12 @@ PINNED = {
     "gap1": "c93e6f6a33aab61368bd2c6ddf40a6563646cd8decd08a87645b443c4399c66e",
     "gap2": "9d174cb4ae18828eaa3cb55121c97c440c3feca5c5244eecf09c25a596065dab",
 }
+
+
+@functools.cache
+def pinned(name):
+    """One instance object per pinned name, for the property tests."""
+    return PINNED_INSTANCES[name]()
 
 
 def path_instance(caps=(2, 3, 2), demand_cap=4):
@@ -117,7 +126,8 @@ class TestEnumeration:
         cycles = enumerate_d_cycles(inst)
         assert len(set(cycles)) == len(cycles)
         for c in cycles:
-            assert DCycle.from_darts(inst, c.darts) == c
+            assert cycle_record(DCycle.from_darts(inst, c.darts)) \
+                == cycle_record(c)
 
 
 # the pinned instances plus 14-30 edge planar graphs and 3x3 / 4x4 tori
@@ -158,6 +168,10 @@ class TestEnumerationMatchesReference:
         least = OracleBudget(max_cycles=n_cycles, max_nodes=n_steps)
         assert list(enumerate_d_cycles(inst, least)) \
             == reference_enumerate_d_cycles(inst, least) == list(cycles)
+        # the reference makes its records with ``from_darts``
+        assert [cycle_record(c) for c in cycles] == [
+            cycle_record(c) for c in reference_enumerate_d_cycles(inst,
+                                                                 least)]
         for budget, message in (
                 (OracleBudget(max_cycles=n_cycles, max_nodes=n_steps - 1),
                  "more than %d cycle enumeration steps" % (n_steps - 1)),
@@ -169,81 +183,104 @@ class TestEnumerationMatchesReference:
 
 
 @pytest.fixture
-def dfs_runs(monkeypatch):
-    """Counts the depth-first enumerations behind ``enumerate_d_cycles``,
-    starting from an empty memo."""
-    runs = []
+def memo():
+    """The enumeration memo behind ``enumerate_d_cycles``, empty at the
+    start and at the end of the test."""
     search = oracle._search_d_cycles
+    search.cache_clear()
+    yield search
+    search.cache_clear()
 
-    def counting(*args):
-        runs.append(args)
-        return search(*args)
 
-    monkeypatch.setattr(oracle, "_last", (None, None, (), ()))
-    monkeypatch.setattr(oracle, "_search_d_cycles", counting)
-    return runs
+def hits_misses(memo) -> tuple:
+    info = memo.cache_info()
+    return info.hits, info.misses
 
 
 class TestEnumerationMemo:
-    def test_full_oracle_run_and_multicut_enumerate_once(self, dfs_runs):
+    def test_full_oracle_run_and_multicut_enumerate_once(self, memo):
         inst = PINNED_INSTANCES["planar0"]()
         run(inst, PipelineConfig(verify="full-oracle"))
         exact_min_multicut(inst)
-        assert len(dfs_runs) == 1
+        assert hits_misses(memo) == (1, 1)
 
-    def test_result_is_a_tuple(self, dfs_runs):
+    def test_same_object_and_equal_budget_hit(self, memo):
         inst = PINNED_INSTANCES["torus0"]()
         cycles = enumerate_d_cycles(inst)
         assert type(cycles) is tuple
         assert enumerate_d_cycles(inst) is cycles
-        assert len(dfs_runs) == 1
+        assert enumerate_d_cycles(inst, OracleBudget()) is cycles
+        assert hits_misses(memo) == (2, 1)
 
-    def test_equal_instance_enumerates_again(self, dfs_runs):
+    def test_parsed_copy_misses(self, memo):
         a = PINNED_INSTANCES["planar1"]()
-        b = PINNED_INSTANCES["planar1"]()
-        assert a is not b
+        b = parse_instance(serialize_instance(a))
+        assert a != b
         assert serialize_instance(a) == serialize_instance(b)
         assert enumerate_d_cycles(a) == enumerate_d_cycles(b)
-        assert len(dfs_runs) == 2
+        assert hits_misses(memo) == (0, 2)
 
-    def test_other_budget_enumerates_again(self, dfs_runs):
+    def test_other_budget_misses(self, memo):
         inst = PINNED_INSTANCES["gap1"]()
-        budget = OracleBudget(max_nodes=1000)
         enumerate_d_cycles(inst)
-        enumerate_d_cycles(inst, budget)
         enumerate_d_cycles(inst, OracleBudget(max_nodes=1000))
-        assert [b for _, b in dfs_runs] == [oracle.DEFAULT_BUDGET, budget]
+        enumerate_d_cycles(inst, OracleBudget(max_nodes=1000))
+        assert hits_misses(memo) == (1, 2)
 
-    def test_refusal_is_not_kept(self, dfs_runs):
+    def test_refusal_is_not_kept(self, memo):
         inst = PINNED_INSTANCES["gap1"]()
-        enumerate_d_cycles(inst)
+        cycles = enumerate_d_cycles(inst)
         small = OracleBudget(max_cycles=2)
         for _ in range(2):
             with pytest.raises(OracleBudgetExceeded,
                                match="more than 2 D-cycles"):
                 enumerate_d_cycles(inst, small)
-        assert len(dfs_runs) == 3
+        assert hits_misses(memo) == (0, 3)
         # the refusals did not displace the kept answer either
-        enumerate_d_cycles(inst)
-        assert len(dfs_runs) == 3
+        assert enumerate_d_cycles(inst) is cycles
+        assert hits_misses(memo) == (1, 3)
 
-    @pytest.mark.parametrize("name", sorted(PINNED))
-    def test_kept_table_is_recomputed_from_the_cycles(self, dfs_runs, name):
-        inst = PINNED_INSTANCES[name]()
-        cycles = enumerate_d_cycles(inst)
-        rows = []
-        for c in cycles:
-            edges = tuple(d >> 1 for d in c.darts)
-            rows.append((edges, sum(1 << e for e in c.edge_set),
-                         min(inst.caps[e] for e in edges)))
-        assert oracle._last == (inst, oracle.DEFAULT_BUDGET, cycles,
-                                tuple(rows))
-
-    def test_refusal_keeps_neither_cycles_nor_table(self, dfs_runs):
+    def test_refusal_keeps_nothing(self, memo):
         inst = PINNED_INSTANCES["gap1"]()
         with pytest.raises(OracleBudgetExceeded):
             enumerate_d_cycles(inst, OracleBudget(max_cycles=2))
-        assert oracle._last == (None, None, (), ())
+        assert memo.cache_info().currsize == 0
+
+    def test_instance_of_lists_is_refused_at_construction(self):
+        inst = PINNED_INSTANCES["gap1"]()
+        for kinds, caps in ((list(inst.kinds), inst.caps),
+                            (inst.kinds, list(inst.caps))):
+            with pytest.raises(InstanceFormatError, match="tuples"):
+                Instance(inst.graph, kinds, caps)
+
+
+class TestCycleRecord:
+    """A ``DCycle``'s ``edges``, ``mask`` and ``least`` are those of its
+    darts, whether the enumeration or ``from_darts`` made it."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_enumerated_fields_are_derived(self, name):
+        inst = PINNED_INSTANCES[name]()
+        for c in enumerate_d_cycles(inst):
+            assert_cycle_fields(c, inst.caps)
+
+    @settings(max_examples=200, deadline=None, database=None,
+              derandomize=True)
+    @given(st.sampled_from(sorted(PINNED)), st.integers(0, 10 ** 6),
+           st.integers(0, 100), st.booleans())
+    def test_from_darts_makes_the_enumerated_record(self, name, index,
+                                                     shift, reverse):
+        inst = pinned(name)
+        cycles = enumerate_d_cycles(inst)
+        c = cycles[index % len(cycles)]
+        darts = [d ^ 1 for d in reversed(c.darts)] if reverse \
+            else list(c.darts)
+        shift %= len(darts)
+        made = DCycle.from_darts(inst, darts[shift:] + darts[:shift])
+        assert_cycle_fields(made, inst.caps)
+        assert cycle_record(made) == cycle_record(c)
+        assert made == c and hash(made) == hash(c)
+        assert {c: 1, made: 2} == {c: 2}
 
 
 class TestCanonicalDarts:
@@ -324,7 +361,7 @@ class TestMulticutOracle:
         inst = two_path_instance()
         cut, edges = exact_min_multicut(inst)
         for c in enumerate_d_cycles(inst):
-            assert c.edge_set & set(edges)
+            assert set(c.edges) & set(edges)
 
 
 class TestWeakDuality:
@@ -362,16 +399,16 @@ def packing_args(inst, doubled) -> tuple:
     budget: as ``exact_integral_multiflow`` poses it, or ``doubled`` as
     ``half_integralize`` does (capacities, least capacities and root ``x``
     doubled)."""
-    _, table = oracle._cycle_table(inst, oracle.DEFAULT_BUDGET)
-    cycle_edges, masks, leasts = zip(*table)
+    cycles = enumerate_d_cycles(inst)
     caps = inst.caps
-    root, rows = cycle_lp(cycle_edges, caps)
+    leasts = [c.least for c in cycles]
+    root, rows = cycle_lp([c.edges for c in cycles], caps)
     if doubled:
         caps = [2 * u for u in caps]
         leasts = [2 * u for u in leasts]
         root = replace(root, X=[2 * v for v in root.X],
                        value=2 * root.value)
-    return cycle_edges, masks, leasts, caps, root, rows
+    return cycles, leasts, caps, root, rows
 
 
 def least_passing(search) -> int:
@@ -387,7 +424,6 @@ def search_budget_only(monkeypatch):
     """Every enumeration runs at the default budget, so the budget handed to
     ``exact_min_multicut`` bounds its search alone."""
     search = oracle._search_d_cycles
-    monkeypatch.setattr(oracle, "_last", (None, None, (), ()))
     monkeypatch.setattr(oracle, "_search_d_cycles",
                         lambda inst, _: search(inst, oracle.DEFAULT_BUDGET))
 
@@ -412,19 +448,19 @@ SEARCH_SWEEP = {
 
 
 class TestSearchesMatchReference:
-    """The packing and multicut searches on the cycle table against their
-    versions that rebuild every cycle's data (``conftest``)."""
+    """The packing and multicut searches on the cycles' records against
+    their versions that rebuild every cycle's data (``conftest``)."""
 
     @pytest.mark.parametrize("doubled", [False, True],
                              ids=["oracle", "half-integralize"])
     @pytest.mark.parametrize("name", sorted(SEARCH_SWEEP))
     def test_same_packing(self, name, doubled):
-        cycle_edges, masks, leasts, caps, root, rows = packing_args(
+        cycles, leasts, caps, root, rows = packing_args(
             SEARCH_SWEEP[name](), doubled)
-        assert answer(pack_cycles, cycle_edges, masks, leasts, caps, root,
-                      rows, SWEEP_BUDGET) \
-            == answer(reference_pack_cycles, cycle_edges, caps, root, rows,
-                      SWEEP_BUDGET)
+        assert answer(pack_cycles, cycles, leasts, caps, root, rows,
+                      SWEEP_BUDGET) \
+            == answer(reference_pack_cycles, [c.edges for c in cycles],
+                      caps, root, rows, SWEEP_BUDGET)
 
     @pytest.mark.parametrize("name", sorted(SEARCH_SWEEP))
     def test_same_cut(self, name, search_budget_only):
@@ -435,11 +471,10 @@ class TestSearchesMatchReference:
     @pytest.mark.parametrize("name", sorted(PINNED) + sorted(BRANCHING))
     def test_same_least_budget_and_refusal(self, name, search_budget_only):
         inst = SEARCH_SWEEP[name]()
-        cycle_edges, masks, leasts, caps, root, rows = packing_args(inst,
-                                                                    False)
+        cycles, leasts, caps, root, rows = packing_args(inst, False)
+        cycle_edges = [c.edges for c in cycles]
         for new, ref in (
-                (lambda b: pack_cycles(cycle_edges, masks, leasts, caps,
-                                       root, rows, b),
+                (lambda b: pack_cycles(cycles, leasts, caps, root, rows, b),
                  lambda b: reference_pack_cycles(cycle_edges, caps, root,
                                                  rows, b)),
                 (lambda b: exact_min_multicut(inst, b),
@@ -468,7 +503,7 @@ class TestGeneratorSweep:
             assert report["oracle"]["value"] == opt
             lp = rat(report["stages"]["lp"]["value"])
             assert out.value <= opt <= lp <= cut, kwargs
-            assert all(c.edge_set & set(edges)
+            assert all(set(c.edges) & set(edges)
                        for c in enumerate_d_cycles(inst))
             solved += 1
         assert solved >= 0.9 * len(SWEEP)
@@ -534,6 +569,17 @@ class TestUnitCapacitySweep:
             assert out.value <= rat(report["stages"]["lp"]["value"])
         assert packings >= 3
         assert len(reductions) >= 0.15 * len(UNIT_SWEEP)
+
+    def test_cycle_records_are_derived(self, unit_sweep):
+        """Every cycle of the flows the sweep decomposes, splits after
+        uncrossing, or outputs, all made by ``from_darts``."""
+        runs, _, _, seen = unit_sweep
+        flows = ([flow for flow, _, _ in seen["discretize"]]
+                 + [flow for flow, _ in seen["split"]]
+                 + [out for _, out, _ in runs])
+        for flow in flows:
+            for c in flow.values:
+                assert_cycle_fields(c, flow.instance.caps)
 
     def test_strand_pairs_are_the_unit_intersections(self, unit_sweep):
         # the coloring's adjacency, read off the strand pairs, is the

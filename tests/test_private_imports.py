@@ -1,6 +1,6 @@
 """No package module imports a private name from a sibling module, or a
 name it never reads, or asks an object what attributes it has, or checks
-with ``assert``.
+with ``assert``, or rebinds a module global from a function.
 
 A ``_name`` is a module's own business; another module that needs it should
 get a public name instead, so that each job keeps one entry point.
@@ -119,5 +119,32 @@ def test_no_assertions():
     package's own errors: a failed invariant raises
     ``InternalInvariantError`` with a witness."""
     found = {path.name: assertions(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def global_statements(source: str) -> list:
+    """Line numbers of the ``global`` statements in a module."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Global))
+
+
+def test_detects_global_statements():
+    assert global_statements("_last = None\n"
+                             "def keep(x):\n"
+                             "    global _last\n"
+                             "    _last = x\n"
+                             "def count():\n"
+                             "    n = 0\n"
+                             "    def up():\n"
+                             "        nonlocal n\n"
+                             "        n += 1\n"
+                             "    global_x = 1\n") == [3]
+
+
+def test_no_global_statements():
+    """Module state that a function rebinds is a hidden side channel; a
+    kept answer is ``functools.lru_cache``'s business."""
+    found = {path.name: global_statements(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}

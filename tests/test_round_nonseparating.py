@@ -164,9 +164,9 @@ class TestCyclicOrder:
         inst, (a, b, c, d) = stacked_family()
         given = [a, c, d, b]
         order = cyclic_order(cut_class(inst.graph, [x.darts for x in given]))
-        assert check_cyclic_order([given[i].edge_set for i in order])
+        assert check_cyclic_order([given[i].edges for i in order])
         # edges 8-9 and 1-0 carry b and c, which a, b, d, c keeps apart
-        assert not check_cyclic_order([x.edge_set for x in (a, b, d, c)])
+        assert not check_cyclic_order([x.edges for x in (a, b, d, c)])
 
 
 class TestGreedy:

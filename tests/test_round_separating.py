@@ -154,7 +154,7 @@ class TestQuarterVertices:
     def test_packing_replaces_the_vertex(self, monkeypatch, size, seed):
         flow = separating_flow(monkeypatch, size, seed)
         lp = round_separating_module.cycle_lp(
-            [c.edge_set for c in flow.support()], flow.instance.caps)[0]
+            [c.edges for c in flow.support()], flow.instance.caps)[0]
         assert lp.dx == 4  # a quarter
         out = half_integralize(flow)
         assert out.value == lp.value == 6
@@ -199,7 +199,7 @@ class TestReduceToUnit:
         assert red.adjacency() == [[1], [0]]
         unit, cycles = reference_unit_map(red)
         assert len(unit.graph.edges) == len(inst.graph.edges)
-        assert len(cycles[0].edge_set & cycles[1].edge_set) == 1
+        assert len(set(cycles[0].edges) & set(cycles[1].edges)) == 1
 
     def test_expansion_builds_one_map(self, monkeypatch):
         # three s-t routes closed by one demand edge of capacity 2: three
@@ -222,7 +222,7 @@ class TestReduceToUnit:
         assert built[0] == 1
         assert len(unit.graph.edges) == len(graph.edges) + 1
         assert unit.graph.genus == 0
-        assert len({c.edge_set & {6, 7} for c in cycles}) == 2
+        assert len({frozenset(c.edges) & {6, 7} for c in cycles}) == 2
         assert red.adjacency() == intersection_adjacency(cycles)
 
     def test_neighbouring_strands_share_a_parallel(self):
@@ -242,7 +242,7 @@ class TestReduceToUnit:
             f.add(DCycle.from_darts(inst, darts), 1)
         red = reduce_to_unit(f)
         name = {i: mid for i, c in enumerate(red.residual) for mid in mids
-                if lookup["edge"][("s", mid)] in c.edge_set}
+                if lookup["edge"][("s", mid)] in c.edges}
         pairs = {frozenset((name[i], name[j]))
                  for i, adj in enumerate(red.adjacency()) for j in adj}
         assert pairs == {frozenset("ac"), frozenset("bd")}
@@ -288,8 +288,7 @@ class TestReduceToUnit:
                     if len({a, b, cc}) < 3:
                         continue
                     if ins[a] < ins[cc] and not (ins[b] < ins[cc]):
-                        assert not (cycles[a].edge_set
-                                    & cycles[b].edge_set)
+                        assert not cycles[a].mask & cycles[b].mask
 
 
 def icosahedron() -> list:
