@@ -54,8 +54,9 @@ class DCycle:
     computed once, read ``darts`` and ``demand`` only.  The record carries
     what every layer asks of a cycle: ``edges``, in dart order; ``mask``,
     with bit ``e`` set for each edge ``e``; and ``least``, their least
-    capacity in the cycle's instance.  No field is assigned after
-    construction.
+    capacity in the instance that made the cycle, valid there only.
+    ``DCycle(...)`` takes its fields as given; ``from_darts`` validates.
+    No field is assigned after construction.
     """
 
     __slots__ = ("darts", "demand", "edges", "mask", "least", "_hash")

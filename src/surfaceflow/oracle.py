@@ -182,9 +182,9 @@ def pack_cycles(cycles, leasts, caps, root, rows, budget: OracleBudget):
     capacities.
 
     ``leasts[i]`` is the least capacity of ``cycles[i]`` in ``caps``: its
-    ``least`` when ``caps`` are its instance's, twice that when they are
-    doubled.  ``root`` and ``rows`` are the optimal cycle LP of the cycles'
-    edges and ``caps`` as ``flows.cycle_lp`` returns it.  Returns
+    ``least`` when ``caps`` are those of the instance that made it.
+    ``root`` and ``rows`` are the optimal cycle LP of the cycles' edges and
+    ``caps`` as ``flows.cycle_lp`` returns it.  Returns
     ``(value, {cycle index: positive int})`` from the search of the module
     docstring, over the cycles by decreasing root value, ties by index.
     """

@@ -70,10 +70,12 @@ def half_integralize(flow: Multiflow) -> Multiflow:
     X, dx = lp.X, lp.dx
     if any(2 * v % dx for v in X):
         doubled = replace(lp, X=[2 * v for v in X], value=2 * lp.value)
+        caps = [2 * u for u in inst.caps]
+        # not ``c.least``, which holds for the instance that made ``c``
+        leasts = [min([caps[e] for e in c.edges]) for c in cycles]
         try:
-            _, best = pack_cycles(
-                cycles, [2 * c.least for c in cycles],
-                [2 * u for u in inst.caps], doubled, rows, DEFAULT_BUDGET)
+            _, best = pack_cycles(cycles, leasts, caps, doubled, rows,
+                                  DEFAULT_BUDGET)
         except OracleBudgetExceeded as exc:
             raise InternalInvariantError(
                 "no half-integral optimum within the packing budget",

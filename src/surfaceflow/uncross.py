@@ -61,21 +61,22 @@ class SharedPath:
     is_crossing: bool
 
 
+def _classified(graph: EmbeddedGraph, darts1: Sequence[int],
+                darts2: Sequence[int]) -> list:
+    """``shared_elements`` unordered.  Identical cycles (equal edge sets)
+    share everything and cross nowhere: the result is empty."""
+    if {d >> 1 for d in darts1} == {d >> 1 for d in darts2}:
+        return []
+    return [SharedPath(verts, edges,
+                       crosses(graph, darts1, darts2, verts, edges))
+            for verts, edges in shared_paths(graph, darts1, darts2)]
+
+
 def shared_elements(graph: EmbeddedGraph, darts1: Sequence[int],
                     darts2: Sequence[int]) -> list:
     """All maximal shared subpaths of two simple cycles, classified by
-    ``surface.crosses``.
-
-    Returns them ordered by first appearance along ``darts1``.  Identical
-    cycles (equal edge sets) share everything and cross nowhere; the result
-    is empty in that case.
-    """
-    if {d >> 1 for d in darts1} == {d >> 1 for d in darts2}:
-        return []
-    out = [SharedPath(verts, edges,
-                      crosses(graph, darts1, darts2, verts, edges))
-           for verts, edges in shared_paths(graph, darts1, darts2)]
-    # order by first appearance along darts1
+    ``surface.crosses``, ordered by first appearance along ``darts1``."""
+    out = _classified(graph, darts1, darts2)
     pos = {graph.head(d): i for i, d in reversed(list(enumerate(darts1)))}
     out.sort(key=lambda s: min(pos[v] for v in s.vertices))
     return out
@@ -90,10 +91,7 @@ def crossings(graph: EmbeddedGraph, darts1: Sequence[int],
 def cr(graph: EmbeddedGraph, darts1: Sequence[int],
        darts2: Sequence[int]) -> int:
     """``len(crossings(...))``, counted without ordering the paths."""
-    if {d >> 1 for d in darts1} == {d >> 1 for d in darts2}:
-        return 0
-    return sum(crosses(graph, darts1, darts2, verts, edges)
-               for verts, edges in shared_paths(graph, darts1, darts2))
+    return sum(s.is_crossing for s in _classified(graph, darts1, darts2))
 
 
 # ---------------------------------------------------------------------------

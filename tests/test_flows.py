@@ -55,7 +55,9 @@ class TestDCycle:
     def test_equality_and_hash_read_darts_and_demand_only(self):
         inst = two_path_instance()
         a = DCycle.from_darts(inst, [0, 2, 9])
-        twin = DCycle(a.darts, a.demand, 0, 0)
+        # the same cycle made against other capacities: its least differs
+        twin = DCycle.from_darts(with_caps(inst, (7, 7, 7, 7, 7)), [9, 0, 2])
+        assert (twin.darts, twin.least) == (a.darts, 7) and a.least == 1
         assert twin == a and hash(twin) == hash(a)
         assert {a: 1, twin: 2} == {a: 2}
         assert a != DCycle(a.darts, 3, a.mask, a.least)

@@ -160,6 +160,20 @@ class TestQuarterVertices:
         assert out.value == lp.value == 6
         assert all(2 * v == int(2 * v) for v in amounts(out).values())
 
+    def test_packing_reads_the_flow_instance_caps(self, monkeypatch):
+        # equal cycles made against other capacities carry another least
+        # capacity; the packing must read the flow's own instance
+        flow = separating_flow(monkeypatch, *QUARTER_VERTICES[0])
+        inst = flow.instance
+        wide = with_caps(inst, [3 * u for u in inst.caps])
+        foreign = Multiflow(inst, {DCycle.from_darts(wide, c.darts): v
+                                   for c, v in flow.values.items()},
+                            flow.denom)
+        assert foreign.values == flow.values
+        assert all(c.least == 3 for c in foreign.values)
+        assert amounts(half_integralize(foreign)) \
+            == amounts(half_integralize(flow))
+
     def test_budget_refusal_is_an_invariant_failure(self, monkeypatch):
         flow = separating_flow(monkeypatch, *QUARTER_VERTICES[0])
         monkeypatch.setattr(round_separating_module, "DEFAULT_BUDGET",
