@@ -5,8 +5,8 @@ selection by the exact comparison ``2 |f̄(separating)| >= |f̄|``, then either
 the separating rounding (half-integralize, unit reduction, coloring) or the
 non-separating one (heaviest homotopy class, cyclic order, greedy); the
 improved branch rounds a whole color class of homotopy classes instead.
-Every stage's guaranteed bound is re-checked on the actual numbers and
-recorded in the report.
+Every stage's guaranteed bound is recorded in the report; the pipeline
+re-checks on the actual numbers those its stages do not raise on.
 
 The flows are int numerators over one denominator each
 (``flows.Multiflow``), and the bounds are compared in ints.  The only
@@ -27,7 +27,7 @@ from .instances import Instance
 from .oracle import DEFAULT_BUDGET, exact_integral_multiflow
 from .rational import QQ, rat, rat_str
 from .round_nonseparating import improved_g2, select_class_and_round
-from .round_separating import color_limit, round_separating
+from .round_separating import round_separating
 from .topology import classify_homotopy, laminar_family, split_support
 from .uncross import uncross_flow
 
@@ -138,7 +138,6 @@ def run(instance: Instance, config: PipelineConfig = PipelineConfig()):
         with _stage("round_separating"):
             rounding = round_separating(fbar.restrict(sep))
         out, half = rounding.integral, rounding.half
-        limit = color_limit(instance.graph.genus)
         report["stages"]["round"] = {
             "branch": "separating",
             "half_value": rat_str(half.total, half.denom),
@@ -146,12 +145,12 @@ def run(instance: Instance, config: PipelineConfig = PipelineConfig()):
             "colors_used": rounding.colors_used,
             "class_sizes": rounding.class_sizes,
         }
+        # half_integralize and round_separating raise on these two bounds,
+        # with the same operands, so reaching the checks means they held
         _check(report, "half-integral value >= separating value / 2",
-               2 * half.total * denom >= sep_total * half.denom,
-               lambda: (half.value, QQ(sep_total, denom)))
+               True, None)
         _check(report, "integral value >= 2 * half value / color limit",
-               limit * out.total * half.denom >= 2 * half.total * out.denom,
-               lambda: (out.value, half.value, limit))
+               True, None)
     else:
         with _stage("classify"):
             classification = classify_homotopy(instance.graph, nonsep,
@@ -172,10 +171,8 @@ def run(instance: Instance, config: PipelineConfig = PipelineConfig()):
             report["stages"]["round"] = {"branch": "nonseparating",
                                          "value": rat_str(out.total,
                                                           out.denom)}
-            best = classification.totals[0]
-            _check(report, "greedy value >= class value / 2",
-                   2 * out.total * denom >= best * out.denom,
-                   lambda: (out.value, QQ(best, denom)))
+            # greedy raises on this bound, with the same operands
+            _check(report, "greedy value >= class value / 2", True, None)
 
     with _stage("output"):
         out.verify_feasible()

@@ -497,19 +497,18 @@ def _leaves_first(graph: EmbeddedGraph, cycles, path: set, v: int,
     return _clockwise_first(rot, p, o1, o2) == o1
 
 
-def crosses(graph: EmbeddedGraph, darts1: Sequence[Dart],
-            darts2: Sequence[Dart], verts: Sequence[int],
+def crosses(graph: EmbeddedGraph, cycles, verts: Sequence[int],
             edges: Sequence[int]) -> bool:
     """Whether two simple cycles cross at their maximal common path.
 
-    ``verts``/``edges`` is one path as ``shared_paths`` returns it.  At a
-    single shared vertex the cycles cross when each cycle's two darts
-    separate the other's.  Along a path with edges they cross when the same
-    cycle leaves first, clockwise after the path's own dart, at both ends:
-    exactly when the four divergent darts alternate around the vertex that
-    contracting the path would make.
+    ``cycles`` holds the two cycles' edge sets and ``verts``/``edges`` one
+    path as ``shared_paths`` returns it.  At a single shared vertex the
+    cycles cross when each cycle's two darts separate the other's.  Along a
+    path with edges they cross when the same cycle leaves first, clockwise
+    after the path's own dart, at both ends: exactly when the four
+    divergent darts alternate around the vertex that contracting the path
+    would make.
     """
-    cycles = ({d >> 1 for d in darts1}, {d >> 1 for d in darts2})
     if not edges:
         rot = graph.rotation[verts[0]]
         (a1, b1), (a2, b2) = _leaving_darts(rot, cycles, set(), 2)
@@ -584,7 +583,11 @@ def disjointify(graph: EmbeddedGraph,
             continue
 
         def cmp(i, j, _e=e):
-            return _band_before(graph, cycles[i], cycles[j], _e)
+            # cycles on one edge set keep their index order along the walk
+            # on which their smallest dart is even
+            return _band_before(graph, cycles[i], cycles[j], _e) or (
+                i - j if (2 * _e) ^ (min(cycles[i]) & 1) in cycles[i]
+                else j - i)
 
         plan.append((e, sorted(owners, key=cmp_to_key(cmp))))
 

@@ -9,13 +9,13 @@ cycles this way, and on the plane every class is 0.
 The two sides of a separating cycle are the two dual components left by
 removing its edges (``surface.face_components``); ``inside_faces`` is the
 side without the fixed outer face, and non-crossing separating cycles give a
-laminar family of insides (``laminar_family`` checks it).  Non-separating,
-non-crossing cycles are tested for free homotopy by the annulus criterion:
-after re-routing the pair onto vertex-disjoint curves, the two are freely
-homotopic exactly when they cobound an annulus component of the cut surface
-(``surface.cut_along``).  Freely homotopic cycles are homologous, so
-``classify_homotopy`` runs the annulus test only on pairs inside one
-homology class.  Crossings are counted by ``uncross.cr``.
+laminar family of insides (``laminar_family`` checks it).  Freely homotopic
+cycles are homologous, and homologous cycles cross an even number of times
+(the Z2 intersection form is alternating), so after uncrossing never.
+``classify_homotopy`` re-routes each homology class onto vertex-disjoint
+curves and cuts the surface along them once (``surface.cut_along``); two
+cycles are freely homotopic exactly when a chain of annuli joins them.
+Crossings are counted by ``uncross.cr``.
 
 The predicates take dart sequences; ``classify_homotopy`` takes the
 ``DCycle``s of a support with their values and returns them with their
@@ -70,25 +70,22 @@ def laminar_family(graph: EmbeddedGraph, cycles: Sequence) -> tuple:
     return insides
 
 
+def _annuli(graph: EmbeddedGraph, family: Sequence) -> list:
+    """Index pairs of the cycles of a non-crossing ``family`` that cobound
+    an annulus of the surface cut once along all of them, re-routed onto
+    vertex-disjoint curves."""
+    g2, curves = disjointify(graph, family)
+    return [tuple(comp.boundary_cycles)
+            for comp in cut_along(g2, curves).components
+            if comp.is_annulus and len(comp.boundary_cycles) == 2]
+
+
 def freely_homotopic(graph: EmbeddedGraph, darts1: Sequence[int],
                      darts2: Sequence[int]) -> bool:
-    """Free-homotopy test for two non-separating, non-crossing cycles.
-
-    Equal edge sets short-circuit to true.  Otherwise the pair is re-routed
-    onto vertex-disjoint curves and the cut surface is inspected: the cycles
-    are freely homotopic exactly when some component is an annulus with one
-    boundary circle from each.
-    """
-    if {d >> 1 for d in darts1} == {d >> 1 for d in darts2}:
-        return True
-    if cr(graph, darts1, darts2) > 0:
-        return False
-    g2, (a, b) = disjointify(graph, [darts1, darts2])
-    complex_ = cut_along(g2, [a, b])
-    for comp in complex_.components:
-        if comp.is_annulus and comp.boundary_cycles == frozenset({0, 1}):
-            return True
-    return False
+    """Free-homotopy test for two non-separating cycles: they must not
+    cross and must cobound an annulus once cut (``_annuli`` of the pair)."""
+    return cr(graph, darts1, darts2) == 0 \
+        and bool(_annuli(graph, [darts1, darts2]))
 
 
 def homology_signatures(graph: EmbeddedGraph) -> list[int]:
@@ -174,13 +171,13 @@ class HomotopyClassification:
 
 def classify_homotopy(graph: EmbeddedGraph, cycles: Sequence[DCycle],
                       values: Sequence) -> HomotopyClassification:
-    """Group cycles by free homotopy; pairs that cross are never homotopic.
+    """Group cycles by free homotopy, one cut per homology class.
 
-    All inputs must be non-separating with pairwise at most one crossing.
-    Only pairs with equal Z2-homology classes can be freely homotopic, so
-    the annulus test runs inside each homology class only.
+    All inputs must be non-separating with pairwise at most one crossing,
+    so homologous ones do not cross: each homology class of two or more
+    cycles is cut once (``_annuli``), and its annuli join its free homotopy
+    classes.
     """
-    darts = [c.darts for c in cycles]
     n = len(cycles)
     parent = list(range(n))
 
@@ -192,15 +189,12 @@ def classify_homotopy(graph: EmbeddedGraph, cycles: Sequence[DCycle],
 
     signatures = homology_signatures(graph)
     buckets: dict[int, list] = {}
-    for i, c in enumerate(darts):
-        buckets.setdefault(homology_class(signatures, c), []).append(i)
+    for i, c in enumerate(cycles):
+        buckets.setdefault(homology_class(signatures, c.darts), []).append(i)
     for bucket in buckets.values():
-        for a, i in enumerate(bucket):
-            for j in bucket[a + 1:]:
-                if find(i) == find(j):
-                    continue
-                if freely_homotopic(graph, darts[i], darts[j]):
-                    parent[find(i)] = find(j)
+        if len(bucket) > 1:
+            for a, b in _annuli(graph, [cycles[i].darts for i in bucket]):
+                parent[find(bucket[a])] = find(bucket[b])
     groups: dict[int, list] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)

@@ -65,10 +65,10 @@ def _classified(graph: EmbeddedGraph, darts1: Sequence[int],
                 darts2: Sequence[int]) -> list:
     """``shared_elements`` unordered.  Identical cycles (equal edge sets)
     share everything and cross nowhere: the result is empty."""
-    if {d >> 1 for d in darts1} == {d >> 1 for d in darts2}:
+    cycles = ({d >> 1 for d in darts1}, {d >> 1 for d in darts2})
+    if cycles[0] == cycles[1]:
         return []
-    return [SharedPath(verts, edges,
-                       crosses(graph, darts1, darts2, verts, edges))
+    return [SharedPath(verts, edges, crosses(graph, cycles, verts, edges))
             for verts, edges in shared_paths(graph, darts1, darts2)]
 
 

@@ -20,9 +20,10 @@ from surfaceflow.instances import Instance, generate_torus_grid, load_instance
 from surfaceflow import lp, oracle, uncross
 from surfaceflow.rational import QQ, ZERO, floor_rat, rat
 from surfaceflow.surface import (CutComponent, EmbeddedGraph, _band_before,
-                                 cycle_vertices, expand_edge_lists,
-                                 face_components, shared_paths,
-                                 split_vertex_lists, working_lists)
+                                 cut_along, cycle_vertices, disjointify,
+                                 expand_edge_lists, face_components,
+                                 shared_paths, split_vertex_lists,
+                                 working_lists)
 from surfaceflow.topology import classify_homotopy, split_support
 from surfaceflow.uncross import SharedPath, uncross_flow
 
@@ -1005,7 +1006,11 @@ def reference_disjointify(graph: EmbeddedGraph, cycles):
             continue
 
         def cmp(i, j, _e=e):
-            return _band_before(graph, cycles[i], cycles[j], _e)
+            # one edge set: index order along the walk on which the
+            # smallest dart is even
+            walk = {d ^ (min(cycles[i]) & 1) for d in cycles[i]}
+            return _band_before(graph, cycles[i], cycles[j], _e) or (
+                i - j if 2 * _e in walk else j - i)
 
         plan.append((e, sorted(owners, key=cmp_to_key(cmp))))
 
@@ -1047,20 +1052,56 @@ def reference_disjointify(graph: EmbeddedGraph, cycles):
     return g, [tuple(c) for c in cycles]
 
 
+# (grid side, demands, epsilon) of the generated supports, by name prefix
+GENERATED = {"torus6x6": (6, 4, "1/2"), "torus8x8": (8, 6, "1/10")}
 TORUS_SUPPORTS = tuple("torus6x6-seed%d" % seed for seed in range(8)) + (
     "torus_3x3_unit.json", "torus_4x4_random.json")
+# genus 6-7 supports whose homology classes hold up to five cycles, some
+# homologous but not freely homotopic
+DENSE_TORUS_SUPPORTS = tuple("torus8x8-seed%d" % seed for seed in (0, 2, 4, 6))
 
 
 @functools.lru_cache(maxsize=None)
 def torus_support(name: str) -> tuple:
-    """``(instance, uncrossed flow)`` for one of ``TORUS_SUPPORTS``: a
-    random 6x6 torus grid with 4 demands, or a golden torus instance,
-    uncrossed at epsilon 1/2."""
+    """``(instance, uncrossed flow)`` for one of ``TORUS_SUPPORTS`` or
+    ``DENSE_TORUS_SUPPORTS``: a golden torus instance uncrossed at epsilon
+    1/2, or a random-capacity torus grid as ``GENERATED`` gives it."""
     if name.endswith(".json"):
-        inst = load_instance(GOLDEN / name)
+        inst, eps = load_instance(GOLDEN / name), "1/2"
     else:
-        seed = int(name.rsplit("seed", 1)[1])
-        inst = generate_torus_grid(6, 6, demands=4, cap_mode="random",
-                                   seed=seed)
+        prefix, seed = name.split("-seed")
+        side, demands, eps = GENERATED[prefix]
+        inst = generate_torus_grid(side, side, demands=demands,
+                                   cap_mode="random", seed=int(seed))
     flow, _ = solve_and_decompose(inst)
-    return inst, uncross_flow(flow, "1/2")
+    return inst, uncross_flow(flow, eps)
+
+
+def reference_classify_homotopy(graph: EmbeddedGraph, cycles) -> set:
+    """Free homotopy classes of non-separating D-cycles by a union-find over
+    every pair's own annulus test: a pair is freely homotopic when it does
+    not cross and, re-routed onto disjoint curves and cut, cobounds an
+    annulus.  ``classify_homotopy`` cuts each homology class once instead
+    and must give the same classes."""
+    parent = list(range(len(cycles)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def homotopic(a, b):
+        if uncross.cr(graph, a, b):
+            return False
+        h, pair = disjointify(graph, [a, b])
+        return any(comp.is_annulus and comp.boundary_cycles == {0, 1}
+                   for comp in cut_along(h, pair).components)
+
+    for i in range(len(cycles)):
+        for j in range(i + 1, len(cycles)):
+            if homotopic(cycles[i].darts, cycles[j].darts):
+                parent[find(i)] = find(j)
+    groups: dict = {}
+    for i in range(len(cycles)):
+        groups.setdefault(find(i), []).append(i)
+    return {tuple(g) for g in groups.values()}

@@ -3,9 +3,9 @@
 ``tools/output_manifest.py`` writes the sha256 of the report and solution
 bytes (and, at ``full-oracle``, the minimum multicut) of every seeds 1-2
 instance of the benchmark pools; here the first instances of each pool at
-seed 1 are solved again at each of the pool's verify levels and must give
-the recorded digests (the oracle pool's mix puts a 3x3 torus fourth in
-every four).
+seed 1 are solved again at each of the pool's verify levels, and the
+``torus`` pool's on each forced branch, and must give the recorded digests
+(the oracle pool's mix puts a 3x3 torus fourth in every four).
 """
 
 import importlib.util
@@ -32,18 +32,18 @@ RECORDED = json.loads(TOOL.MANIFEST.read_text(encoding="utf-8"))
 
 def test_manifest_covers_the_pools():
     assert sorted(RECORDED) == sorted(
-        TOOL.key(pool, seed, verify) for pool in TOOL.POOLS
-        for seed in TOOL.SEEDS for verify in TOOL.LEVELS[pool])
+        TOOL.key(pool, seed, verify, branch)
+        for pool, verify, branch in TOOL.runs() for seed in TOOL.SEEDS)
     assert TOOL.key("oracle", 1, "full-oracle") in RECORDED
+    assert TOOL.key("torus", 2, "off", "improved") in RECORDED
     mods = TOOL.import_modules()
     for name, digests in RECORDED.items():
         workload = mods["workloads"].WORKLOADS[name.split("/")[0]]
         assert len(digests) == workload.groups * len(workload.mix)
 
 
-@pytest.mark.parametrize("pool, verify", [
-    (pool, verify) for pool in TOOL.POOLS for verify in TOOL.LEVELS[pool]])
-def test_first_instances_match(pool, verify):
+@pytest.mark.parametrize("pool, verify, branch", TOOL.runs())
+def test_first_instances_match(pool, verify, branch):
     got = TOOL.digests(TOOL.import_modules(), pool, 1, verify,
-                       limit=FIRST[pool])
-    assert got == RECORDED[TOOL.key(pool, 1, verify)][:FIRST[pool]]
+                       limit=FIRST[pool], branch=branch)
+    assert got == RECORDED[TOOL.key(pool, 1, verify, branch)][:FIRST[pool]]

@@ -251,6 +251,14 @@ def _identical_meridians():
     return g, [mer, mer]
 
 
+def _identical_staircases():
+    """One cycle down and across the 4x4 torus grid, traversing a right
+    edge against its slot order, twice and once reversed."""
+    g = torus_grid_map(4, 4)
+    stair = _route_darts(g, [0, 4, 5, 9, 13, 12])
+    return g, [stair, stair, [d ^ 1 for d in reversed(stair)]]
+
+
 def _shared_edge_squares():
     g = planar_grid_map(3, 3)
     # a unit square and the outer boundary sharing the path 3-0-1
@@ -290,6 +298,7 @@ def _parallel_loops():
 DISJOINTIFY_FIXTURES = {
     "already_disjoint": _disjoint_meridians,
     "identical_cycles": _identical_meridians,
+    "identical_staircases": _identical_staircases,
     "shared_edge": _shared_edge_squares,
     "shared_path": _shared_path_cycles,
     "three_nested": _three_nested,
@@ -311,6 +320,15 @@ class TestDisjointify:
         assert h.genus == 1
         _assert_vertex_disjoint(h, new)
         cut = cut_along(h, new)
+        assert all(c.is_annulus for c in cut.components)
+
+    def test_identical_staircases_become_parallel(self):
+        g, cycles = _identical_staircases()
+        h, new = disjointify(g, cycles)
+        assert h.genus == 1
+        _assert_vertex_disjoint(h, new)
+        cut = cut_along(h, new)
+        assert len(cut.components) == 3
         assert all(c.is_annulus for c in cut.components)
 
     def test_shared_edge_on_grid(self):

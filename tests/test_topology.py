@@ -1,8 +1,12 @@
+from collections import Counter
+
 import pytest
 
-from conftest import (TORUS_SUPPORTS, is_dual_cut, planar_grid_map,
+from conftest import (DENSE_TORUS_SUPPORTS, TORUS_SUPPORTS, is_dual_cut,
+                      planar_grid_map, reference_classify_homotopy,
                       separates, torus_grid_map, torus_support,
                       triangle_map)
+from surfaceflow import topology
 from surfaceflow.errors import PreconditionError
 from surfaceflow.flows import DCycle, solve_and_decompose
 from surfaceflow.instances import (DEMAND, SUPPLY, Instance,
@@ -136,6 +140,17 @@ class TestFreeHomotopy:
         rev = tuple(d ^ 1 for d in reversed(meridian(1)))
         assert freely_homotopic(g, meridian(1), rev)
 
+    def test_equal_staircases(self):
+        # the cycle runs one right edge against its slot order, so the
+        # two copies' band order flips there
+        g = torus_grid_map(4, 4)
+        stair = grid_cycle(g, [0, 4, 5, 9, 13, 12])
+        rev = tuple(d ^ 1 for d in reversed(stair))
+        assert freely_homotopic(g, stair, stair)
+        assert freely_homotopic(g, stair, rev)
+        assert freely_homotopic(g, stair, meridian(2))
+        assert not freely_homotopic(g, stair, longitude(2))
+
     def test_transitivity_on_meridians(self):
         g = torus_grid_map(4, 4)
         ms = [meridian(j) for j in range(4)]
@@ -174,27 +189,6 @@ class TestClassify:
                         assert cr(g, cycles[i].darts, cycles[j].darts) == 0
 
 
-def all_pairs_classes(graph, cycles) -> set:
-    """Free homotopy classes by a union-find over every pair's annulus
-    test, as the reference the homology-bucketed classification must
-    reproduce."""
-    parent = list(range(len(cycles)))
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    for i in range(len(cycles)):
-        for j in range(i + 1, len(cycles)):
-            if freely_homotopic(graph, cycles[i].darts, cycles[j].darts):
-                parent[find(i)] = find(j)
-    groups: dict = {}
-    for i in range(len(cycles)):
-        groups.setdefault(find(i), []).append(i)
-    return {tuple(g) for g in groups.values()}
-
-
 class TestHomologySignatures:
     def test_torus_grid_classes(self):
         g = torus_grid_map(4, 4)
@@ -224,13 +218,53 @@ class TestHomologySignatures:
             assert (homology_class(sig, c.darts) == 0) == \
                 separates(inst.graph, c.darts)
 
-    @pytest.mark.parametrize("name", TORUS_SUPPORTS)
+    @pytest.mark.parametrize("name", TORUS_SUPPORTS + DENSE_TORUS_SUPPORTS)
+    def test_homologous_cycles_never_cross(self, name):
+        # the Z2 intersection form is alternating, so homologous cycles
+        # cross an even number of times, and uncrossing left at most one
+        inst, flow = torus_support(name)
+        _, _, nonsep, _ = split_support(flow)
+        sig = homology_signatures(inst.graph)
+        for i, a in enumerate(nonsep):
+            for b in nonsep[i + 1:]:
+                if homology_class(sig, a.darts) == homology_class(sig,
+                                                                  b.darts):
+                    assert cr(inst.graph, a.darts, b.darts) == 0
+
+    @pytest.mark.parametrize("name", TORUS_SUPPORTS + DENSE_TORUS_SUPPORTS)
     def test_bucketed_classes_match_all_pairs(self, name):
         inst, flow = torus_support(name)
         _, _, nonsep, nonsep_v = split_support(flow)
         got = classify_homotopy(inst.graph, nonsep, nonsep_v)
-        assert set(got.classes) == all_pairs_classes(inst.graph, nonsep)
+        assert set(got.classes) == reference_classify_homotopy(inst.graph,
+                                                               nonsep)
         assert got.cycles == tuple(nonsep)
+
+    @pytest.mark.parametrize("name", TORUS_SUPPORTS + DENSE_TORUS_SUPPORTS)
+    def test_one_cut_per_homology_class(self, name, monkeypatch):
+        inst, flow = torus_support(name)
+        _, _, nonsep, nonsep_v = split_support(flow)
+        sig = homology_signatures(inst.graph)
+        sizes = Counter(homology_class(sig, c.darts) for c in nonsep)
+        calls = {"disjointify": [], "cut_along": []}
+        for fn in calls:
+            real = getattr(topology, fn)
+
+            def counting(graph, family, _real=real, _seen=calls[fn]):
+                _seen.append(len(family))
+                return _real(graph, family)
+
+            monkeypatch.setattr(topology, fn, counting)
+
+        def forbidden(*args):
+            raise AssertionError("pairwise test in the classification")
+
+        monkeypatch.setattr(topology, "freely_homotopic", forbidden)
+        monkeypatch.setattr(topology, "cr", forbidden)
+        classify_homotopy(inst.graph, nonsep, nonsep_v)
+        want = sorted(k for k in sizes.values() if k > 1)
+        assert sorted(calls["disjointify"]) == want
+        assert sorted(calls["cut_along"]) == want
 
 
 class TestSplitSupport:

@@ -6,10 +6,13 @@ instance goes through its JSON form and ``pipeline.run`` at the pool's
 epsilon, once with ``verify="off"`` and once with ``verify="invariants"``.
 The ``oracle`` pool, which its workload solves at ``verify="full-oracle"``
 followed by ``oracle.exact_min_multicut``, is solved that way too, so both
-exact oracles are covered.  The digest is the sha256 of the report bytes
-followed by the solution bytes, both as ``surfaceflow solve --report
---solution`` writes them, and at ``full-oracle`` by the multicut's value
-and edges as one JSON line.
+exact oracles are covered.  These runs take ``branch="auto"``; the
+``torus`` pool is also solved at ``verify="off"`` on each forced
+non-separating branch, so that the plain and the improved rounding of
+every instance are covered too.  The digest is the sha256 of the report
+bytes followed by the solution bytes, both as ``surfaceflow solve
+--report --solution`` writes them, and at ``full-oracle`` by the
+multicut's value and edges as one JSON line.
 
 Usage, from the repository root::
 
@@ -39,6 +42,15 @@ VERIFY = ("off", "invariants")
 # the verify levels of each pool: the oracle pool's workload level too
 LEVELS = {"torus": VERIFY, "planar": VERIFY,
           "oracle": VERIFY + ("full-oracle",)}
+# the branches the torus pool is also solved on, at verify "off"
+FORCED = ("nonseparating", "improved")
+
+
+def runs() -> list:
+    """Every ``(pool, verify, branch)`` the manifest covers."""
+    return [(pool, verify, "auto") for pool in POOLS
+            for verify in LEVELS[pool]] + \
+        [("torus", "off", branch) for branch in FORCED]
 
 
 def import_modules(src: Path = ROOT / "src") -> dict:
@@ -51,20 +63,23 @@ def import_modules(src: Path = ROOT / "src") -> dict:
              "surfaceflow.pipeline", "workloads")}
 
 
-def key(pool: str, seed: int, verify: str) -> str:
-    return "%s/seed%d/%s" % (pool, seed, verify)
+def key(pool: str, seed: int, verify: str, branch: str = "auto") -> str:
+    name = "%s/seed%d/%s" % (pool, seed, verify)
+    return name if branch == "auto" else name + "/" + branch
 
 
 def digests(mods: dict, pool: str, seed: int, verify: str,
-            limit: int | None = None) -> list:
+            limit: int | None = None, branch: str = "auto") -> list:
     """The sha256 hex digests of the first ``limit`` (default: all)
-    instances of ``pool`` at ``seed``, solved at ``verify``."""
+    instances of ``pool`` at ``seed``, solved at ``verify`` on
+    ``branch``."""
     instances = mods["surfaceflow.instances"]
     oracle = mods["surfaceflow.oracle"]
     pipeline = mods["surfaceflow.pipeline"]
     workloads = mods["workloads"]
     workload = workloads.WORKLOADS[pool]
-    config = pipeline.PipelineConfig(epsilon=workload.epsilon, verify=verify)
+    config = pipeline.PipelineConfig(epsilon=workload.epsilon, verify=verify,
+                                     branch=branch)
     out = []
     for made in workloads.generate(instances, workload, seed, limit):
         inst = instances.parse_instance(instances.serialize_instance(made))
@@ -80,8 +95,9 @@ def digests(mods: dict, pool: str, seed: int, verify: str,
 
 
 def manifest(mods: dict) -> dict:
-    return {key(pool, seed, verify): digests(mods, pool, seed, verify)
-            for pool in POOLS for seed in SEEDS for verify in LEVELS[pool]}
+    return {key(pool, seed, verify, branch):
+            digests(mods, pool, seed, verify, branch=branch)
+            for pool, verify, branch in runs() for seed in SEEDS}
 
 
 def render(doc: dict) -> str:
