@@ -156,7 +156,7 @@ def run(instance: Instance, config: PipelineConfig = PipelineConfig()):
             classification = classify_homotopy(instance.graph, nonsep,
                                                nonsep_v)
         report["stages"]["classify"] = {
-            "classes": [list(c) for c in classification.classes],
+            "classes": [sorted(c) for c in classification.classes],
             "totals": [rat_str(t, denom) for t in classification.totals],
         }
         if branch == "improved":

@@ -411,19 +411,19 @@ def add_chord_lists(edges: list, rotation: list, face: Sequence[Dart],
 # disjointifying a family of pairwise non-crossing cycles
 # ---------------------------------------------------------------------------
 
-def shared_paths(graph: EmbeddedGraph, darts1: Sequence[Dart],
-                 darts2: Sequence[Dart]) -> list:
+def shared_paths(graph: EmbeddedGraph, cycles) -> list:
     """Maximal common paths of two simple cycles with different edge sets.
 
-    Both cycles are simple, so their common subgraph is a disjoint union of
-    paths, a shared vertex without a shared edge being a path of length
-    zero.  Returns one ``(vertices, edges)`` pair per path, each walked from
-    one of its ends; the pairs come in no particular order.
+    ``cycles`` holds the two cycles' edge sets.  Both cycles are simple, so
+    their common subgraph is a disjoint union of paths, a shared vertex
+    without a shared edge being a path of length zero.  Returns one
+    ``(vertices, edges)`` pair per path, each walked from one of its ends;
+    the pairs come in no particular order.
     """
-    v1 = {graph.head(d) for d in darts1}
-    v2 = {graph.head(d) for d in darts2}
-    sv = v1 & v2
-    se = {d >> 1 for d in darts1} & {d >> 1 for d in darts2}
+    ends = graph.edges
+    v1 = {v for e in cycles[0] for v in ends[e]}
+    sv = {v for e in cycles[1] for v in ends[e] if v in v1}
+    se = cycles[0] & cycles[1]
     inc: dict[int, list] = {v: [] for v in sv}
     for e in se:
         a, b = graph.edges[e]
@@ -524,22 +524,20 @@ def _walk_direction(graph: EmbeddedGraph, verts: Sequence[int],
     return 1 if graph.edges[e][0] == verts[edges.index(e)] else -1
 
 
-def _band_before(graph: EmbeddedGraph, darts1: Sequence[Dart],
-                 darts2: Sequence[Dart], e: int) -> int:
+def _band_before(graph: EmbeddedGraph, cycles, e: int) -> int:
     """Relative band order of two cycles at shared edge ``e``.
 
-    Returns -1 if cycle 1 sits before cycle 2 in the slot-0 insertion frame
-    of ``e``, +1 for the opposite, 0 if the cycles coincide.  The relation is
-    read off at the divergence end of their maximal common path through
-    ``e``, walked so that its smallest-id edge is traversed slot0 -> slot1:
-    the cycle that leaves first clockwise after the path's terminal dart
-    lies on a fixed side of the band.
+    ``cycles`` holds the two cycles' edge sets.  Returns -1 if cycle 1 sits
+    before cycle 2 in the slot-0 insertion frame of ``e``, +1 for the
+    opposite, 0 if the cycles coincide.  The relation is read off at the
+    divergence end of their maximal common path through ``e``, walked so
+    that its smallest-id edge is traversed slot0 -> slot1: the cycle that
+    leaves first clockwise after the path's terminal dart lies on a fixed
+    side of the band.
     """
-    cycles = ({d >> 1 for d in darts1}, {d >> 1 for d in darts2})
     if cycles[0] == cycles[1]:
         return 0
-    verts, path = next(p for p in shared_paths(graph, darts1, darts2)
-                       if e in p[1])
+    verts, path = next(p for p in shared_paths(graph, cycles) if e in p[1])
     if _walk_direction(graph, verts, path, min(path)) < 0:
         verts, path = verts[::-1], path[::-1]
     first = -1 if _leaves_first(graph, cycles, set(path), verts[-1],
@@ -585,9 +583,9 @@ def disjointify(graph: EmbeddedGraph,
         def cmp(i, j, _e=e):
             # cycles on one edge set keep their index order along the walk
             # on which their smallest dart is even
-            return _band_before(graph, cycles[i], cycles[j], _e) or (
-                i - j if (2 * _e) ^ (min(cycles[i]) & 1) in cycles[i]
-                else j - i)
+            return _band_before(graph, (edge_sets[i], edge_sets[j]), _e) \
+                or (i - j if (2 * _e) ^ (min(cycles[i]) & 1) in cycles[i]
+                    else j - i)
 
         plan.append((e, sorted(owners, key=cmp_to_key(cmp))))
 

@@ -14,13 +14,18 @@ cycles are homologous, and homologous cycles cross an even number of times
 (the Z2 intersection form is alternating), so after uncrossing never.
 ``classify_homotopy`` re-routes each homology class onto vertex-disjoint
 curves and cuts the surface along them once (``surface.cut_along``); two
-cycles are freely homotopic exactly when a chain of annuli joins them.
+cycles are freely homotopic exactly when a chain of annuli joins them
+(Epstein's annulus criterion for disjoint curves).  The chain is walked
+once per class: it lists the class in the cyclic order the rounding needs,
+and its two ends are the boundary of the cut's one component of negative
+Euler characteristic, unless the annuli close up around the surface.
 Crossings are counted by ``uncross.cr``.
 
 The predicates take dart sequences; ``classify_homotopy`` takes the
 ``DCycle``s of a support with their values and returns them with their
-classes.  The values are the flow's int numerators over its denominator,
-as ``split_support`` returns them, and the class totals are their sums.
+classes, each class's order and its ends.  The values are the flow's int
+numerators over its denominator, as ``split_support`` returns them, and
+the class totals are their sums.
 """
 
 from __future__ import annotations
@@ -30,7 +35,8 @@ from typing import Sequence
 
 from .errors import InternalInvariantError, PreconditionError
 from .flows import DCycle, Multiflow
-from .surface import EmbeddedGraph, cut_along, disjointify, face_components
+from .surface import (CutComplex, EmbeddedGraph, cut_along, disjointify,
+                      face_components)
 from .uncross import cr
 
 OUTER_FACE = 0  # fixed reference face playing the role of infinity
@@ -70,22 +76,26 @@ def laminar_family(graph: EmbeddedGraph, cycles: Sequence) -> tuple:
     return insides
 
 
-def _annuli(graph: EmbeddedGraph, family: Sequence) -> list:
-    """Index pairs of the cycles of a non-crossing ``family`` that cobound
-    an annulus of the surface cut once along all of them, re-routed onto
-    vertex-disjoint curves."""
+def _across(graph: EmbeddedGraph, family: Sequence) -> tuple:
+    """The surface cut once along a non-crossing ``family``, re-routed onto
+    vertex-disjoint curves, and for each cycle side ``(i, s)`` that bounds
+    an annulus with another cycle of the family, that cycle and its side."""
     g2, curves = disjointify(graph, family)
-    return [tuple(comp.boundary_cycles)
-            for comp in cut_along(g2, curves).components
-            if comp.is_annulus and len(comp.boundary_cycles) == 2]
+    cut = cut_along(g2, curves)
+    across = {}
+    for comp in cut.components:
+        if comp.is_annulus and len(comp.boundary_cycles) == 2:
+            a, b = comp.boundary
+            across[a], across[b] = b, a
+    return cut, across
 
 
 def freely_homotopic(graph: EmbeddedGraph, darts1: Sequence[int],
                      darts2: Sequence[int]) -> bool:
     """Free-homotopy test for two non-separating cycles: they must not
-    cross and must cobound an annulus once cut (``_annuli`` of the pair)."""
+    cross and must cobound an annulus once cut (``_across`` of the pair)."""
     return cr(graph, darts1, darts2) == 0 \
-        and bool(_annuli(graph, [darts1, darts2]))
+        and bool(_across(graph, [darts1, darts2])[1])
 
 
 def homology_signatures(graph: EmbeddedGraph) -> list[int]:
@@ -157,16 +167,50 @@ def homology_class(signatures: Sequence[int], darts: Sequence[int]) -> int:
 class HomotopyClassification:
     """Partition of non-separating cycles into free homotopy classes.
 
-    ``cycles`` are the partitioned cycles, ``classes`` holds tuples of
+    ``cycles`` are the partitioned cycles, and ``classes`` holds tuples of
     indices into them, sorted by total flow value (descending, ties by
-    smallest index); ``totals`` the matching sums of the values given, in
-    their units (the pipeline gives int numerators over its flow's
-    denominator).
+    smallest index).  Each class is listed in the cyclic order its annuli
+    give it, from its smallest index.  ``totals`` are the matching sums of
+    the values given, in their units (the pipeline gives int numerators
+    over its flow's denominator).  ``ends`` holds each class's two end
+    cycles, the ends of its chain of annuli, as an ascending index pair:
+    ``(i, i)`` for a single cycle, ``None`` when the annuli close up and
+    the class fills the surface.
     """
 
     cycles: tuple
     classes: tuple
     totals: tuple
+    ends: tuple
+
+
+def _walk(cut: CutComplex, across: dict, start: int, seen: set) -> tuple:
+    """The class of cycle ``start`` of a cut family, in cyclic order, with
+    its end pair (``None`` when the annuli close up).
+
+    The walk crosses annuli from ``start`` toward its smaller-numbered side
+    component; at an end of the chain it goes on from the other end, back
+    toward ``start``.  Visited cycles join ``seen``.
+    """
+    sides = cut.side_component
+    first = int(sides[(start, 1)] < sides[(start, 0)])
+    seen.add(start)
+    arms = []
+    for side in (first, 1 - first):
+        arm, at = [], (start, side)
+        while at in across:
+            i, s = across[at]
+            if i == start and not arms:
+                return [start] + arm, None
+            if i in seen:
+                raise InternalInvariantError(
+                    "homotopy walk revisits a cycle", witness=(start, arm, i))
+            seen.add(i)
+            arm.append(i)
+            at = (i, 1 - s)
+        arms.append(arm)
+    pair = sorted(arm[-1] if arm else start for arm in arms)
+    return [start] + arms[0] + arms[1][::-1], tuple(pair)
 
 
 def classify_homotopy(graph: EmbeddedGraph, cycles: Sequence[DCycle],
@@ -175,37 +219,38 @@ def classify_homotopy(graph: EmbeddedGraph, cycles: Sequence[DCycle],
 
     All inputs must be non-separating with pairwise at most one crossing,
     so homologous ones do not cross: each homology class of two or more
-    cycles is cut once (``_annuli``), and its annuli join its free homotopy
-    classes.
+    cycles is cut once (``_across``), and a walk over its annuli from its
+    least uncovered cycle lists one free homotopy class in cyclic order.
     """
-    n = len(cycles)
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     signatures = homology_signatures(graph)
     buckets: dict[int, list] = {}
     for i, c in enumerate(cycles):
         buckets.setdefault(homology_class(signatures, c.darts), []).append(i)
+    members, ends = [], []
     for bucket in buckets.values():
-        if len(bucket) > 1:
-            for a, b in _annuli(graph, [cycles[i].darts for i in bucket]):
-                parent[find(bucket[a])] = find(bucket[b])
-    groups: dict[int, list] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    members = sorted(groups.values(), key=lambda g: g[0])
-    totals = [sum(values[i] for i in g) for g in members]
+        if len(bucket) == 1:
+            members.append(bucket)
+            ends.append((bucket[0], bucket[0]))
+            continue
+        cut, across = _across(graph, [cycles[i].darts for i in bucket])
+        seen: set = set()
+        for start in range(len(bucket)):
+            if start not in seen:
+                order, pair = _walk(cut, across, start, seen)
+                members.append([bucket[k] for k in order])
+                ends.append(None if pair is None
+                            else tuple(bucket[k] for k in pair))
+    if sorted(i for m in members for i in m) != list(range(len(cycles))):
+        raise InternalInvariantError(
+            "homotopy classes do not partition the cycles", witness=members)
+    totals = [sum(values[i] for i in m) for m in members]
     order = sorted(range(len(members)),
                    key=lambda k: (-totals[k], members[k][0]))
     return HomotopyClassification(
         tuple(cycles),
         tuple(tuple(members[k]) for k in order),
-        tuple(totals[k] for k in order))
+        tuple(totals[k] for k in order),
+        tuple(ends[k] for k in order))
 
 
 def split_support(flow: Multiflow):

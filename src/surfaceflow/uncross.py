@@ -69,7 +69,7 @@ def _classified(graph: EmbeddedGraph, darts1: Sequence[int],
     if cycles[0] == cycles[1]:
         return []
     return [SharedPath(verts, edges, crosses(graph, cycles, verts, edges))
-            for verts, edges in shared_paths(graph, darts1, darts2)]
+            for verts, edges in shared_paths(graph, cycles)]
 
 
 def shared_elements(graph: EmbeddedGraph, darts1: Sequence[int],

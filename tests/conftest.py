@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import functools
+import importlib.util
 import json
 import math
 import pathlib
+import sys
 from fractions import Fraction
 from functools import cmp_to_key, reduce
 from operator import or_
@@ -16,7 +18,9 @@ from surfaceflow.errors import (InternalInvariantError, OracleBudgetExceeded,
                                 PreconditionError)
 from surfaceflow.flows import (DCycle, Multiflow, edge_loads,
                                solve_and_decompose)
-from surfaceflow.instances import Instance, generate_torus_grid, load_instance
+from surfaceflow import instances
+from surfaceflow.instances import (DEMAND, SUPPLY, Instance,
+                                   generate_torus_grid, load_instance)
 from surfaceflow import lp, oracle, uncross
 from surfaceflow.rational import QQ, ZERO, floor_rat, rat
 from surfaceflow.surface import (CutComponent, EmbeddedGraph, _band_before,
@@ -28,6 +32,7 @@ from surfaceflow.topology import classify_homotopy, split_support
 from surfaceflow.uncross import SharedPath, uncross_flow
 
 GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "golden"
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def triangle_map() -> EmbeddedGraph:
@@ -42,6 +47,25 @@ def torus_bouquet() -> EmbeddedGraph:
     edges = [(0, 0), (0, 0)]
     rotation = [[0, 2, 1, 3]]
     return EmbeddedGraph(1, edges, rotation)
+
+
+def torus_demand_instance(p: int = 4, q: int = 4) -> Instance:
+    """The p x q torus grid at unit capacities whose row-0 down edges and
+    column-0 right edges are demands, so that every meridian and every
+    longitude holds exactly one demand edge."""
+    graph = torus_grid_map(p, q)
+    kinds = [SUPPLY] * len(graph.edges)
+    for j in range(q):
+        kinds[p * q + j] = DEMAND
+    for i in range(p):
+        kinds[q * i] = DEMAND
+    return Instance(graph, tuple(kinds), tuple([1] * len(graph.edges)))
+
+
+def torus_dcycles(*cycles, p=4, q=4) -> list:
+    """The dart tuples as D-cycles of ``torus_demand_instance(p, q)``."""
+    inst = torus_demand_instance(p, q)
+    return [DCycle.from_darts(inst, c) for c in cycles]
 
 
 def torus_grid_map(p: int, q: int) -> EmbeddedGraph:
@@ -970,7 +994,7 @@ def reference_shared_elements(graph: EmbeddedGraph, darts1, darts2) -> list:
         return []
     se = e1 & e2
     out = []
-    for verts, edges in shared_paths(graph, darts1, darts2):
+    for verts, edges in shared_paths(graph, (e1, e2)):
         ends = sorted({verts[0], verts[-1]})
         div1 = {d for v in ends for d in _cycle_darts_at(graph.rotation,
                                                          darts1, v)
@@ -1009,7 +1033,8 @@ def reference_disjointify(graph: EmbeddedGraph, cycles):
             # one edge set: index order along the walk on which the
             # smallest dart is even
             walk = {d ^ (min(cycles[i]) & 1) for d in cycles[i]}
-            return _band_before(graph, cycles[i], cycles[j], _e) or (
+            pair = ({d >> 1 for d in cycles[i]}, {d >> 1 for d in cycles[j]})
+            return _band_before(graph, pair, _e) or (
                 i - j if 2 * _e in walk else j - i)
 
         plan.append((e, sorted(owners, key=cmp_to_key(cmp))))
@@ -1077,6 +1102,23 @@ def torus_support(name: str) -> tuple:
     return inst, uncross_flow(flow, eps)
 
 
+@functools.lru_cache(maxsize=None)
+def torus_pool_supports(limit: int) -> tuple:
+    """``(instance, uncrossed flow)`` for the first ``limit`` instances of
+    the benchmark's seed-1 ``torus`` pool, uncrossed at its epsilon."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclass looks itself up there
+    spec.loader.exec_module(workloads)
+    workload = workloads.WORKLOADS["torus"]
+    out = []
+    for inst in workloads.generate(instances, workload, 1, limit):
+        flow, _ = solve_and_decompose(inst)
+        out.append((inst, uncross_flow(flow, workload.epsilon)))
+    return tuple(out)
+
+
 def reference_classify_homotopy(graph: EmbeddedGraph, cycles) -> set:
     """Free homotopy classes of non-separating D-cycles by a union-find over
     every pair's own annulus test: a pair is freely homotopic when it does
@@ -1105,3 +1147,58 @@ def reference_classify_homotopy(graph: EmbeddedGraph, cycles) -> set:
     for i in range(len(cycles)):
         groups.setdefault(find(i), []).append(i)
     return {tuple(g) for g in groups.values()}
+
+
+def cyclic_equal(seq, reference):
+    """Equality of circular sequences up to rotation and reflection."""
+    k = len(reference)
+    if len(seq) != k:
+        return False
+    doubled = list(reference) * 2
+    forward = any(doubled[i:i + k] == list(seq) for i in range(k))
+    doubled = list(reversed(reference)) * 2
+    backward = any(doubled[i:i + k] == list(seq) for i in range(k))
+    return forward or backward
+
+
+def reference_cyclic_order(complex_) -> list:
+    """Cyclic order of a class, read off the surface cut along it alone.
+
+    The components of the cut surface, together with the cut cycles, form a
+    bipartite incidence graph which must be a single cycle.  The cycle
+    indices along it are returned; the walk starts at cycle 0 towards the
+    smaller-numbered of its two components.  Two cycles or fewer are
+    returned as they are.  ``classify_homotopy`` reads the same order off
+    the annuli of the cut along the whole homology class.
+    """
+    k = len(complex_.side_component) // 2
+    if k <= 2:
+        return list(range(k))
+    cycle_inc = [{complex_.side_component[(i, side)] for side in (0, 1)}
+                 for i in range(k)]
+    comp_inc = [comp.boundary_cycles for comp in complex_.components]
+    assert all(len(inc) == 2 for inc in cycle_inc + comp_inc)
+    assert len(comp_inc) == k
+    order = [0]
+    comp = min(cycle_inc[0])
+    while True:
+        (nxt,) = comp_inc[comp] - {order[-1]}
+        if nxt == 0:
+            break
+        order.append(nxt)
+        (comp,) = cycle_inc[nxt] - {comp}
+    assert len(order) == k
+    return order
+
+
+def reference_extreme_pair(complex_):
+    """The two cycles bounding the sole negative-chi component of the
+    surface cut along a class alone, as an ascending index pair (equal when
+    one cycle bounds it), or ``None`` when every component is an annulus."""
+    big = [comp for comp in complex_.components if comp.chi < 0]
+    if not big:
+        return None
+    assert len(big) == 1
+    idx = sorted(big[0].boundary_cycles)
+    assert len(idx) <= 2
+    return (idx[0], idx[-1])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from surfaceflow import cli, oracle, pipeline
 from surfaceflow.errors import (InstanceFormatError, InternalInvariantError,
                                PreconditionError)
+from surfaceflow.flows import DCycle
 from surfaceflow.instances import (generate_gap_family,
                                    generate_planar_random,
                                    generate_torus_grid, load_instance,
@@ -20,6 +21,7 @@ from surfaceflow.pipeline import (PipelineConfig, render_report, run,
                                   solution_wire, verify_solution)
 from surfaceflow.rational import rat
 
+from conftest import torus_demand_instance
 from test_instances import BAD_LEAVES, _leaf_paths
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -102,6 +104,23 @@ class TestRun:
             assert key in report["stages"]
         json.loads(render_report(report))
 
+
+    def test_report_lists_each_class_ascending(self, monkeypatch):
+        # four meridians listed as columns 0, 2, 1, 3: the classification
+        # gives their class in cyclic order, the report in index order
+        inst = torus_demand_instance()
+        meridians = [DCycle.from_darts(
+            inst, tuple(2 * (16 + 4 * i + j) for i in range(4)))
+            for j in (0, 2, 1, 3)]
+        monkeypatch.setattr(pipeline, "split_support", lambda flow: (
+            [], [], meridians, [flow.denom] * 4))
+        real, made = pipeline.classify_homotopy, []
+        monkeypatch.setattr(pipeline, "classify_homotopy", lambda *args: (
+            made.append(real(*args)) or made[-1]))
+        _, report = run(inst, PipelineConfig(branch="nonseparating"))
+        (members,) = made[0].classes
+        assert list(members) != sorted(members)
+        assert report["stages"]["classify"]["classes"] == [[0, 1, 2, 3]]
 
     def test_stage_prefixes_invariant_failure(self, monkeypatch):
         witness = object()

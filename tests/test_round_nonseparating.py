@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from conftest import nonseparating_classes, torus_grid_map
+from conftest import (cyclic_equal, nonseparating_classes, torus_dcycles,
+                      torus_grid_map)
 from surfaceflow import round_nonseparating
 from surfaceflow.errors import PreconditionError
 from surfaceflow.flows import DCycle, Multiflow, solve_and_decompose
@@ -16,13 +17,11 @@ from surfaceflow.pipeline import (PipelineConfig, render_report, run,
                                   solution_wire)
 from surfaceflow.rational import QQ, ZERO
 from surfaceflow.round_nonseparating import (check_cyclic_order,
-                                             class_cross_adjacency,
-                                             cyclic_order, extreme_pair,
-                                             greedy, greedy_values,
-                                             improved_g2,
+                                             class_cross_adjacency, greedy,
+                                             greedy_values, improved_g2,
                                              select_class_and_round)
 from surfaceflow.round_separating import degeneracy_coloring
-from surfaceflow.surface import EmbeddedGraph, cut_along, disjointify
+from surfaceflow.surface import EmbeddedGraph
 from surfaceflow.topology import (classify_homotopy, freely_homotopic,
                                   split_support)
 from surfaceflow.uncross import cr, uncross_flow
@@ -41,9 +40,9 @@ def grid_cycle(graph, route):
                  for i in range(len(route)))
 
 
-def cut_class(graph, cycles):
-    """The surface cut along a vertex-disjoint re-routing of dart tuples."""
-    return cut_along(*disjointify(graph, cycles))
+def classify(graph, cycles):
+    """``classify_homotopy`` of D-cycles, each at value one."""
+    return classify_homotopy(graph, cycles, [1] * len(cycles))
 
 
 def stacked_family():
@@ -62,18 +61,6 @@ def stacked_family():
     routes = ([0, 4, 8, 12], [0, 4, 8, 9, 13, 1],
               [0, 4, 8, 9, 10, 14, 2, 1], [2, 6, 10, 14])
     return inst, [DCycle.from_darts(inst, grid_cycle(g, r)) for r in routes]
-
-
-def cyclic_equal(seq, reference):
-    """Equality of circular sequences up to rotation and reflection."""
-    k = len(reference)
-    if len(seq) != k:
-        return False
-    doubled = list(reference) * 2
-    forward = any(doubled[i:i + k] == list(seq) for i in range(k))
-    doubled = list(reversed(reference)) * 2
-    backward = any(doubled[i:i + k] == list(seq) for i in range(k))
-    return forward or backward
 
 
 def double_torus_instance(demand_cap=2):
@@ -127,32 +114,29 @@ class TestCyclicOrder:
     def test_parallel_meridians_geometric_order(self):
         g = torus_grid_map(4, 4)
         given = [0, 2, 1, 3]
-        order = cyclic_order(cut_class(g, [meridian(j) for j in given]))
+        (order,) = classify(g, torus_dcycles(*(meridian(j)
+                                               for j in given))).classes
         cols = [given[i] for i in order]
         assert cyclic_equal(cols, [0, 1, 2, 3])
 
     def test_shared_path_stacking(self):
-        g = torus_grid_map(4, 4)
-        a = meridian(0)
-        b = grid_cycle(g, [0, 4, 8, 9, 13, 1])
-        c = grid_cycle(g, [0, 4, 8, 9, 10, 14, 2, 1])
-        d = meridian(2)
+        inst, (a, b, c, d) = stacked_family()
+        g = inst.graph
         fam = [a, b, c, d]
         for i in range(4):
             for j in range(i + 1, 4):
-                assert cr(g, fam[i], fam[j]) == 0
-                assert freely_homotopic(g, fam[i], fam[j])
+                assert cr(g, fam[i].darts, fam[j].darts) == 0
+                assert freely_homotopic(g, fam[i].darts, fam[j].darts)
         given = [a, c, d, b]
-        order = cyclic_order(cut_class(g, given))
+        (order,) = classify(g, given).classes
         names = {a: 0, b: 1, c: 2, d: 3}
         assert cyclic_equal([names[given[i]] for i in order], [0, 1, 2, 3])
 
     def test_small_classes_trivial(self):
         g = torus_grid_map(4, 4)
-        one = cyclic_order(cut_class(g, [meridian(0)]))
-        assert one == [0]
-        two = cyclic_order(cut_class(g, [meridian(0), meridian(2)]))
-        assert set(two) == {0, 1}
+        assert classify(g, torus_dcycles(meridian(0))).classes == ((0,),)
+        two = classify(g, torus_dcycles(meridian(0), meridian(2)))
+        assert two.classes == ((0, 1),)
 
     def test_definition_check(self):
         # positions {0, 2} of 4 are not a cyclic arc
@@ -163,7 +147,7 @@ class TestCyclicOrder:
     def test_bad_order_rejected(self):
         inst, (a, b, c, d) = stacked_family()
         given = [a, c, d, b]
-        order = cyclic_order(cut_class(inst.graph, [x.darts for x in given]))
+        (order,) = classify(inst.graph, given).classes
         assert check_cyclic_order([given[i].edges for i in order])
         # edges 8-9 and 1-0 carry b and c, which a, b, d, c keeps apart
         assert not check_cyclic_order([x.edges for x in (a, b, d, c)])
@@ -258,25 +242,22 @@ class TestSelectClass:
                 rounding(flow, cls)
 
 
-class TestExtremePair:
-    def test_plain_torus_has_no_extreme_pair(self):
-        g = torus_grid_map(3, 3)
+class TestEnds:
+    def test_plain_torus_has_no_ends(self):
         ms = [tuple(2 * (9 + 3 * i + j) for i in range(3)) for j in range(3)]
-        assert extreme_pair(cut_class(g, ms)) is None
+        got = classify(torus_grid_map(3, 3), torus_dcycles(*ms, p=3, q=3))
+        assert got.ends == (None,)
 
     def test_singleton_class(self):
         # one meridian of a genus-2 map bounds the cut surface on both sides
         inst = double_torus_instance()
         _, cycles = double_torus_flow(inst)
-        assert extreme_pair(cut_class(inst.graph, [cycles[0].darts])) \
-            == (0, 0)
+        assert classify(inst.graph, cycles[:1]).ends == ((0, 0),)
 
     def test_double_torus_pair(self):
         inst = double_torus_instance()
         _, cycles = double_torus_flow(inst)
-        pair = extreme_pair(cut_class(inst.graph,
-                                      [c.darts for c in cycles[:2]]))
-        assert set(pair) == {0, 1}
+        assert classify(inst.graph, cycles[:2]).ends == ((0, 1),)
 
 
 class TestImprovedRounding:
@@ -342,10 +323,10 @@ def kept_classes(graph, classification) -> list:
     return [m for m, c in zip(classification.classes, color) if c == best]
 
 
-class TestOneCutPerClass:
+class TestNoSurgery:
     @pytest.mark.parametrize("shape", [(4, 4, 3, 0), (4, 4, 4, 6),
                                        (5, 5, 4, 1)])
-    def test_improved_cuts_each_kept_class_once(self, shape, monkeypatch):
+    def test_rounding_reads_the_classification(self, shape, monkeypatch):
         p, q, demands, seed = shape
         inst = generate_torus_grid(p, q, demands, cap_mode="random",
                                    seed=seed)
@@ -354,16 +335,15 @@ class TestOneCutPerClass:
         cls = nonseparating_classes(fbar)
         kept = kept_classes(inst.graph, cls)
         assert max(len(members) for members in kept) >= 3
-        calls = []
-        real = round_nonseparating.disjointify
+        assert len(cls.classes[0]) >= 2
 
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
+        def forbidden(*args):
+            raise AssertionError("surgery in the rounding")
 
-        monkeypatch.setattr(round_nonseparating, "disjointify", counting)
+        for fn in ("disjointify", "cut_along"):
+            monkeypatch.setattr(round_nonseparating, fn, forbidden)
+        select_class_and_round(fbar, cls).verify_feasible()
         improved_g2(fbar, cls).verify_feasible()
-        assert len(calls) == sum(1 for members in kept if len(members) >= 2)
 
 
 # sha256 of ``render_report`` + ``solution_wire`` at verify "invariants",

@@ -2,17 +2,18 @@ from collections import Counter
 
 import pytest
 
-from conftest import (DENSE_TORUS_SUPPORTS, TORUS_SUPPORTS, is_dual_cut,
-                      planar_grid_map, reference_classify_homotopy,
-                      separates, torus_grid_map, torus_support,
-                      triangle_map)
+from conftest import (DENSE_TORUS_SUPPORTS, TORUS_SUPPORTS, cyclic_equal,
+                      is_dual_cut, planar_grid_map, reference_classify_homotopy,
+                      reference_cyclic_order, reference_extreme_pair,
+                      separates, torus_dcycles, torus_grid_map,
+                      torus_pool_supports, torus_support, triangle_map)
 from surfaceflow import topology
-from surfaceflow.errors import PreconditionError
-from surfaceflow.flows import DCycle, solve_and_decompose
-from surfaceflow.instances import (DEMAND, SUPPLY, Instance,
-                                   generate_planar_random)
+from surfaceflow.errors import InternalInvariantError, PreconditionError
+from surfaceflow.flows import solve_and_decompose
+from surfaceflow.instances import generate_planar_random
 from surfaceflow.rational import rat
-from surfaceflow.surface import face_components
+from surfaceflow.surface import (CutComplex, cut_along, disjointify,
+                                 face_components)
 from surfaceflow.topology import (OUTER_FACE, classify_homotopy,
                                   freely_homotopic, homology_class,
                                   homology_signatures, inside_faces,
@@ -28,20 +29,6 @@ def meridian(j, p=4, q=4):
 def longitude(i, p=4, q=4):
     """Row cycle of the torus grid (right edges of row i)."""
     return tuple(2 * (q * i + j) for j in range(q))
-
-
-def torus_dcycles(*cycles, p=4, q=4) -> list:
-    """The dart tuples as D-cycles of the p x q torus grid whose row-0 down
-    edges and column-0 right edges are demands, so that every meridian and
-    every longitude holds exactly one demand edge."""
-    graph = torus_grid_map(p, q)
-    kinds = [SUPPLY] * len(graph.edges)
-    for j in range(q):
-        kinds[p * q + j] = DEMAND
-    for i in range(p):
-        kinds[q * i] = DEMAND
-    inst = Instance(graph, tuple(kinds), tuple([1] * len(graph.edges)))
-    return [DCycle.from_darts(inst, c) for c in cycles]
 
 
 def grid_cycle(graph, route):
@@ -172,6 +159,8 @@ class TestClassify:
         got = classify_homotopy(g, cycles, [rat(1), rat(2), rat(4)])
         assert got.classes == ((2,), (0, 1))
         assert got.totals == (rat(4), rat(3))
+        # two meridians cut the torus into two annuli: their chain closes
+        assert got.ends == ((2, 2), None)
 
     def test_single_cycle(self):
         g = torus_grid_map(4, 4)
@@ -236,8 +225,8 @@ class TestHomologySignatures:
         inst, flow = torus_support(name)
         _, _, nonsep, nonsep_v = split_support(flow)
         got = classify_homotopy(inst.graph, nonsep, nonsep_v)
-        assert set(got.classes) == reference_classify_homotopy(inst.graph,
-                                                               nonsep)
+        assert {tuple(sorted(c)) for c in got.classes} == \
+            reference_classify_homotopy(inst.graph, nonsep)
         assert got.cycles == tuple(nonsep)
 
     @pytest.mark.parametrize("name", TORUS_SUPPORTS + DENSE_TORUS_SUPPORTS)
@@ -265,6 +254,65 @@ class TestHomologySignatures:
         want = sorted(k for k in sizes.values() if k > 1)
         assert sorted(calls["disjointify"]) == want
         assert sorted(calls["cut_along"]) == want
+
+
+POOL_SUPPORTS = 20
+
+
+def supports_to_pin():
+    """The named supports and the first seed-1 ``torus`` pool supports."""
+    yield from (torus_support(name)
+                for name in TORUS_SUPPORTS + DENSE_TORUS_SUPPORTS)
+    yield from torus_pool_supports(POOL_SUPPORTS)
+
+
+class TestClassOrderAndEnds:
+    def test_against_each_class_cut_alone(self):
+        """Each class of two or more cycles, cut alone in ascending index
+        order as the rounding once cut it, has the order and the end pair
+        of the classification; exactly so where the class is its whole
+        homology class, up to rotation and reflection otherwise."""
+        whole = 0
+        for inst, flow in supports_to_pin():
+            _, _, nonsep, nonsep_v = split_support(flow)
+            got = classify_homotopy(inst.graph, nonsep, nonsep_v)
+            sig = homology_signatures(inst.graph)
+            sizes = Counter(homology_class(sig, c.darts) for c in nonsep)
+            for members, ends in zip(got.classes, got.ends):
+                if len(members) < 2:
+                    assert ends == (members[0], members[0])
+                    continue
+                assert members[0] == min(members)
+                family = sorted(members)
+                cut = cut_along(*disjointify(
+                    inst.graph, [nonsep[i].darts for i in family]))
+                pair = reference_extreme_pair(cut)
+                assert ends == (None if pair is None
+                                else tuple(family[k] for k in pair))
+                order = [family[k] for k in reference_cyclic_order(cut)]
+                if sizes[homology_class(sig, nonsep[members[0]].darts)] \
+                        == len(members):
+                    assert list(members) == order
+                    whole += 1
+                else:
+                    assert cyclic_equal(members, order)
+        assert whole > 0
+
+    def test_walk_refuses_a_revisit(self):
+        # a malformed annulus table that leads the walk back to cycle 1
+        cut = CutComplex((), {(0, 0): 0, (0, 1): 1})
+        across = {(0, 0): (1, 0), (1, 1): (2, 0), (2, 1): (1, 1)}
+        with pytest.raises(InternalInvariantError, match="revisits"):
+            topology._walk(cut, across, 0, set())
+
+    def test_classes_must_partition_the_cycles(self, monkeypatch):
+        g = torus_grid_map(4, 4)
+        cycles = torus_dcycles(meridian(0), meridian(2))
+        # every walk claims cycle 0 and none claims cycle 1
+        monkeypatch.setattr(topology, "_walk",
+                            lambda cut, across, start, seen: ([0], None))
+        with pytest.raises(InternalInvariantError, match="partition"):
+            classify_homotopy(g, cycles, [rat(1)] * 2)
 
 
 class TestSplitSupport:

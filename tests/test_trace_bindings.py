@@ -3,9 +3,11 @@
 ``perfbench/spans.py`` names the traced functions by module and name and
 wraps ``surface.EmbeddedGraph.__init__`` to count maps; a renamed or deleted
 function would only break a traced benchmark run, so Tier-1 checks the
-names here.
+names here.  A package module may keep an import it never reads
+(``# noqa: F401``) only as a binding the tracer patches, and says so.
 """
 
+import ast
 import importlib
 import importlib.util
 import pathlib
@@ -15,8 +17,9 @@ import pytest
 
 import surfaceflow
 
-SPANS = (pathlib.Path(__file__).resolve().parent.parent
-         / "perfbench" / "spans.py")
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
+PACKAGE = ROOT / "src" / "surfaceflow"
 
 
 @pytest.fixture(scope="module")
@@ -51,3 +54,42 @@ def test_tracer_installs_and_restores(spans):
     finally:
         tracer.uninstall()
     assert surface.EmbeddedGraph.__init__ is init
+
+
+def pinned_imports(source: str) -> list:
+    """``(module, name, comment)`` for each name of every import marked
+    ``# noqa: F401``; ``comment`` joins the comment lines right above it."""
+    lines = source.splitlines()
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                and "# noqa: F401" in lines[node.end_lineno - 1]:
+            k = node.lineno - 1
+            while k and lines[k - 1].lstrip().startswith("#"):
+                k -= 1
+            comment = " ".join(lines[k:node.lineno - 1])
+            found.extend((getattr(node, "module", None), alias.name, comment)
+                         for alias in node.names)
+    return found
+
+
+def test_detects_pinned_imports():
+    assert pinned_imports("import os  # noqa: F401\n"
+                          "# kept for perfbench\n"
+                          "# and its tracer\n"
+                          "from .lp import solve_lp, check_certificate"
+                          "  # noqa: F401\n"
+                          "from .flows import decompose\n") == [
+        (None, "os", ""),
+        ("lp", "solve_lp", "# kept for perfbench # and its tracer"),
+        ("lp", "check_certificate", "# kept for perfbench # and its tracer")]
+
+
+def test_pinned_imports_are_traced_bindings(spans):
+    traced = {(mod, fn) for mod, fn, _hook in spans.TRACED}
+    pinned = {path.name: pinned_imports(path.read_text(encoding="utf-8"))
+              for path in sorted(PACKAGE.glob("*.py"))}
+    bad = {name: [(mod, fn) for mod, fn, comment in found
+                  if (mod, fn) not in traced or "perfbench" not in comment]
+           for name, found in pinned.items()}
+    assert {name: found for name, found in bad.items() if found} == {}
