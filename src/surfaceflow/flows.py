@@ -287,7 +287,9 @@ def solve_fractional(instance: Instance) -> EdgeFlowSolution:
         # the demand edge carries w_d from t back to s
         rows[t][n_flow + di] = -1
         for v, row in enumerate(rows):
-            # one conservation row per demand (that of s) is redundant
+            # one conservation row per demand (that of s) is redundant;
+            # leaving it out makes s the root of the node-arc rows, whose
+            # spanning forest is the float engine's start
             if v != s and row:
                 A_eq.append(row)
                 b_eq.append(0)

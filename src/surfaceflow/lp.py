@@ -25,11 +25,14 @@ code:
   small-denominator rationals put over one denominator per vector, and
   accepted only when exact primal feasibility, exact dual feasibility and
   exact objective equality all hold, otherwise the exact engine runs from
-  scratch.  The two objective rows sit under the constraints, so a pivot is
-  one rank-1 update of the touched entries: the rows with a nonzero in the
-  entering column (phase 1 updates the constraint rows and both objective
-  rows, phase 2 the constraint rows and ``c``) times the nonzero columns of
-  the pivot row, which is divided in place.  Up to ``_UPDATE_BLOCK``
+  scratch.  It has no phase-1 loop: equality rows must be node-arc rows
+  with zero right-hand sides (as the compact LP's conservation rows are),
+  and the tableau phase 1 would end in is built from a spanning forest of
+  them (``_forest_start``); other equality rows leave the LP to the exact
+  engine.  The objective row ``c`` sits under the constraints, so a pivot
+  is one rank-1 update of the touched entries: the rows with a nonzero in
+  the entering column, ``c`` included, times the nonzero columns of the
+  pivot row, which is divided in place.  Up to ``_UPDATE_BLOCK``
   entries that is one fancy-indexed subtraction.  A larger update covers
   the pivot row's nonzero column span only: over chunks of the touched rows
   when the span is at most ``_ROW_SPAN`` columns, one row at a time in
@@ -54,6 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import chain
 from math import gcd, lcm
 from typing import Sequence
@@ -316,14 +320,13 @@ def _simplex_float(c, A_ub, b_ub, A_eq, b_eq):
     m = m_ub + m_eq
     art_lo = n + m_ub
     width = art_lo + m_eq + 1  # structural | slacks | artificials | rhs
-    # rows 0..m-1 the constraints, row m the phase-2 objective c, row m + 1
-    # the phase-1 sum of the equality rows (zero on the artificials)
-    T = np.zeros((m + 2, width))
+    # rows 0..m-1 the constraints, row m the objective c
+    T = np.zeros((m + 1, width))
     A = list(chain(A_ub, A_eq))
     lens = [len(row) for row in A]
     # the rows' entries as one coordinate assignment per block of rows,
     # at most _CHUNK entries a block (or one row)
-    step = max(1, _CHUNK // max(lens, default=1))
+    step = max(1, _CHUNK // max(1, *lens))
     for lo in range(0, m, step):
         block, sizes = A[lo:lo + step], lens[lo:lo + step]
         nnz = sum(sizes)
@@ -336,68 +339,121 @@ def _simplex_float(c, A_ub, b_ub, A_eq, b_eq):
     # row i's slack or artificial is column n + i in either block
     np.fill_diagonal(T[:m, n:n + m], 1.0)
     T[:m, -1] = np.fromiter(chain(b_ub, b_eq), float, m)
-    basis = np.arange(n, n + m)
-    if m_eq:
-        T[m + 1] = T[m_ub:m].sum(axis=0)
-        T[m + 1, art_lo:-1] = 0.0
     T[m, :n] = c
+    basis = np.arange(n, n + m)
+    if m_eq and not _forest_start(T, basis, c, A_ub, b_ub, A_eq, b_eq):
+        return None
     tol = 1e-9
     rhs = T[:m, -1]
-
-    def run(k):
-        obj = T[k, :art_lo]  # the artificials never enter
-        U = T[:k + 1]  # constraint rows and the live objective rows
-        for it in range(60000):
-            if it % 997 < 30:  # periodic Bland steps to break potential cycling
-                enter = int((obj > tol).argmax())
+    obj = T[m, :art_lo]  # the artificials never enter
+    for it in range(60000):
+        if it % 997 < 30:  # periodic Bland steps to break potential cycling
+            enter = int((obj > tol).argmax())
+        else:
+            enter = int(obj.argmax())
+        if obj[enter] <= tol:
+            break
+        # the entering column, read once: the pivot row's division leaves
+        # every other row's entry as it is
+        coefs = T[:, enter].copy()
+        col = coefs[:m]
+        cand = (col > tol).nonzero()[0]
+        if not cand.size:
+            return None  # unbounded direction; let exact engine decide
+        leave = int(cand[(rhs[cand] / col[cand]).argmin()])
+        prow = T[leave]
+        prow /= prow[enter]
+        coefs[leave] = 0.0
+        rows = coefs.nonzero()[0]
+        coefs = coefs[rows]
+        cols = prow.nonzero()[0]
+        if rows.size * cols.size <= _UPDATE_BLOCK:
+            T[rows[:, None], cols] -= coefs[:, None] * prow[cols]
+        else:
+            # over the pivot row's nonzero span only
+            lo, hi = cols[0], cols[-1] + 1
+            span = prow[lo:hi]
+            if hi - lo > _ROW_SPAN:
+                for i, a in zip(rows.tolist(), coefs.tolist()):
+                    T[i, lo:hi] -= a * span
             else:
-                enter = int(obj.argmax())
-            if obj[enter] <= tol:
-                return True
-            # the entering column, read once: the pivot row's division
-            # leaves every other row's entry as it is
-            coefs = U[:, enter].copy()
-            col = coefs[:m]
-            cand = (col > tol).nonzero()[0]
-            if not cand.size:
-                return False  # unbounded direction; let exact engine decide
-            leave = int(cand[(rhs[cand] / col[cand]).argmin()])
-            prow = U[leave]
-            prow /= prow[enter]
-            coefs[leave] = 0.0
-            rows = coefs.nonzero()[0]
-            coefs = coefs[rows]
-            cols = prow.nonzero()[0]
-            if rows.size * cols.size <= _UPDATE_BLOCK:
-                U[rows[:, None], cols] -= coefs[:, None] * prow[cols]
-            else:
-                # over the pivot row's nonzero span only
-                lo, hi = cols[0], cols[-1] + 1
-                span = prow[lo:hi]
-                if hi - lo > _ROW_SPAN:
-                    for i, a in zip(rows.tolist(), coefs.tolist()):
-                        U[i, lo:hi] -= a * span
-                else:
-                    step = max(1, _CHUNK // (hi - lo))
-                    for r in range(0, rows.size, step):
-                        U[rows[r:r + step], lo:hi] -= \
-                            coefs[r:r + step, None] * span
-            basis[leave] = enter
-        return False
-
-    if m_eq:
-        if not run(m + 1):
-            return None
-        if sum(T[i, -1] for i in range(m) if basis[i] >= art_lo) > 1e-6:
-            return None
-    if not run(m):
-        return None
+                step = max(1, _CHUNK // (hi - lo))
+                for r in range(0, rows.size, step):
+                    T[rows[r:r + step], lo:hi] -= \
+                        coefs[r:r + step, None] * span
+        basis[leave] = enter
+    else:
+        return None  # the iteration guard
     x = np.zeros(n)
     structural = basis < n
     x[basis[structural]] = rhs[structural]
     # y = -(reduced costs of the slacks and artificials)
     return x.tolist(), (-T[m, n:art_lo]).tolist(), \
         (-T[m, art_lo:-1]).tolist()
+
+
+def _forest_start(T, basis, c, A_ub, b_ub, A_eq, b_eq) -> bool:
+    """Put ``T`` and ``basis`` in the state phase 1 would end in, built
+    directly; ``False`` when the equality rows are not node-arc rows.
+
+    The start needs ``b_eq == 0``, ``b_ub > 0`` and every column with at
+    most one ``+1`` (its head row), at most one ``-1`` (its tail row) and
+    no other entry among the equality rows.  Phase 1 on such rows only
+    grows a spanning forest: its reduced costs stay in {-1, 0, 1}, so
+    Dantzig's and Bland's choices agree on the lowest column whose head row
+    is unreached and whose tail row is reached or absent, and that column
+    enters at its head row, at ratio 0 with pivot element 1.  So the arcs
+    come off a heap of column indices; each reached row becomes the sum of
+    its subtree's original rows (artificial columns included), and every
+    other row, ``c``'s too, loses its original entry on each tree arc times
+    the arc's row.  Every value is a small int, as in the pivots this
+    replaces.
+    """
+    if any(b_eq) or min(b_ub, default=1) <= 0:
+        return False
+    n, m_ub, m_eq = len(c), len(A_ub), len(A_eq)
+    head, tail = [-1] * n, [-1] * n
+    out = [[] for _ in range(m_eq)]  # the columns leaving each row
+    for r, row in enumerate(A_eq):
+        for j, v in row.items():
+            if v == 1 and head[j] < 0:
+                head[j] = r
+            elif v == -1 and tail[j] < 0:
+                tail[j] = r
+                out[r].append(j)
+            else:
+                return False
+    # the lowest entering column first; arcs out of no row start the heap
+    heap = [j for j, h, t in zip(range(n), head, tail) if h >= 0 > t]
+    reached = [False] * m_eq
+    tree = []
+    while heap:
+        j = heappop(heap)
+        h = head[j]
+        if not reached[h]:
+            reached[h] = True
+            tree.append(j)
+            for k in out[h]:
+                if head[k] >= 0 and not reached[head[k]]:
+                    heappush(heap, k)
+    if len(tree) >= 60000:
+        return False  # the pivot loop's guard
+    m = len(T) - 1
+    eq = list(T[m_ub:m])  # row views
+    # children before parents: each reached row the sum of its subtree's
+    for j in reversed(tree):
+        if tail[j] >= 0:
+            eq[tail[j]] += eq[head[j]]
+    # every other row, the objective's too, loses its original entry on
+    # each tree arc times the arc's row
+    arcs = set(tree)
+    for i, row in zip([*range(m_ub), m], [*A_ub, {j: c[j] for j in tree}]):
+        for j, a in row.items():
+            if a and j in arcs:
+                s = eq[head[j]]
+                T[i] -= s if a == 1 else a * s
+    basis[[m_ub + head[j] for j in tree]] = tree
+    return True
 
 
 def _snap(values, denom, memo):

@@ -305,6 +305,12 @@ class TestFloatPath:
             assert rat(sum(ci * xi for ci, xi in zip(c, X))) / dx == \
                 res.value
 
+    def test_rows_without_entries(self):
+        """A float-engine LP whose every row is empty: no block of the
+        tableau build is sized by a zero row length."""
+        res = solve_lp([0] * WIDE, [{}], [5], [{}], [0])
+        assert res.engine == "float+certify" and res.value == 0
+
     def test_snap_recovers_halves(self):
         c = [1, 1]
         A = [row(x0=2), row(x1=2), row(x0=1, x1=1)]
@@ -403,9 +409,9 @@ class TestFloatPath:
     @pytest.mark.parametrize("lp_of", ["torus", "planar", "cycle",
                                        "widest-cycle"])
     def test_peak_memory_is_the_tableau(self, monkeypatch, lp_of):
-        """One float solve allocates its ``(m + 2) x width`` tableau and at
-        most 256 KiB besides: neither the build nor an update makes a
-        rows x width temporary."""
+        """One float solve allocates its ``(m + 1) x width`` tableau and at
+        most 256 KiB besides: neither the build, nor the forest start, nor
+        an update makes a rows x width temporary."""
         if lp_of in ("torus", "planar"):
             make = torus if lp_of == "torus" else planar
             args = compact_lp(monkeypatch, make(0))[0]
@@ -421,7 +427,7 @@ class TestFloatPath:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (m + 2) * width * 8 + 256 * 1024
+        assert peak <= (m + 1) * width * 8 + 256 * 1024
 
     @pytest.mark.parametrize("make", [torus, planar])
     def test_compact_lp_data_are_ints(self, monkeypatch, make):
@@ -666,9 +672,50 @@ def wide_lps(draw):
     return int_lp(c, A_ub, b_ub, A_eq, b_eq)
 
 
+def node_arc(lp_) -> bool:
+    """Whether the float engine's forest start takes ``lp_``: every
+    ``b_eq`` is 0, every ``b_ub`` positive, and every column has at most
+    one ``+1`` and at most one ``-1`` and no other entry among the equality
+    rows."""
+    _, _, b_ub, A_eq, b_eq = lp_
+    entries = [(j, v) for row in A_eq for j, v in row.items()]
+    return (not any(b_eq) and all(b > 0 for b in b_ub)
+            and all(v in (1, -1) for _, v in entries)
+            and len(set(entries)) == len(entries))
+
+
+def assert_exact_answer(lp_):
+    """The float engine refuses ``lp_``, and ``solve_lp`` answers it with
+    the exact engine at ``reference_simplex_exact``'s value (or refuses it
+    as the reference does)."""
+    assert _simplex_float(*lp_) is None
+    try:
+        x = reference_simplex_exact(*lp_)[0]
+    except PreconditionError as exc:
+        with pytest.raises(PreconditionError) as got:
+            solve_lp(*lp_)
+        assert str(got.value) == str(exc)
+        return
+    res = solve_lp(*lp_)
+    assert res.engine == "exact"
+    assert res.value == sum((ci * xi for ci, xi in zip(lp_[0], x)), QQ(0))
+
+
+def network_lp(n=_FLOAT_THRESHOLD + 10):
+    """A node-arc LP the forest start takes: vertex 0 has no row, column
+    ``j`` runs from vertex ``j % 6`` to vertex ``(j + 1) % 6``, and one row
+    bounds the total flow."""
+    A_eq = [{j: 1 if (j + 1) % 6 == v else -1 for j in range(n)
+             if v in (j % 6, (j + 1) % 6)} for v in range(1, 6)]
+    return ([1 + j % 3 for j in range(n)], [{j: 1 for j in range(n)}], [7],
+            A_eq, [0] * 5)
+
+
 class TestFloatTableau:
     """The float engine against the dense-row engine it replaced: the same
-    pivots give the same floats, with each update form on its own."""
+    pivots give the same floats, with each update form on its own.  An
+    equality block outside the node-arc form has no phase 1 to match: the
+    float engine refuses it and the exact engine answers."""
 
     @pytest.mark.parametrize("form", [(None, None, None), *UPDATE_FORMS],
                              ids=["default", *UPDATE_FORM_IDS])
@@ -676,10 +723,42 @@ class TestFloatTableau:
               derandomize=True)
     @given(lp_=wide_lps())
     def test_same_result_as_reference(self, form, lp_):
+        """Without its equality rows, ``lp_`` pivots as the reference."""
+        lp_ = (*lp_[:3], [], [])
         with pytest.MonkeyPatch.context() as mp:
             update_form(mp, *form)
             got = _simplex_float(*lp_)
         assert got == reference_simplex_float(*lp_)
+
+    @settings(max_examples=60, deadline=None, database=None,
+              derandomize=True)
+    @given(lp_=wide_lps())
+    def test_equality_rows_outside_the_forest_form_go_exact(self, lp_):
+        if lp_[3] and not node_arc(lp_):
+            assert_exact_answer(lp_)
+
+    def test_network_lp_takes_the_forest_start(self):
+        lp_ = network_lp()
+        got = _simplex_float(*lp_)
+        assert got is not None and got == reference_simplex_float(*lp_)
+        assert solve_lp(*lp_).engine == "float+certify"
+
+    @pytest.mark.parametrize("change", [
+        "coefficient-2", "two-heads", "nonzero-b_eq", "zero-b_ub"])
+    def test_outside_the_forest_form_goes_exact(self, change):
+        c, A_ub, b_ub, A_eq, b_eq = network_lp()
+        if change == "coefficient-2":
+            A_eq[0][0] = 2  # column 0 runs into vertex 1
+        elif change == "two-heads":
+            A_eq[2][0] = 1  # and into vertex 3
+        elif change == "nonzero-b_eq":
+            b_eq[0] = 1
+        else:
+            A_ub.append({5: 1})
+            b_ub.append(0)
+        lp_ = (c, A_ub, b_ub, A_eq, b_eq)
+        assert not node_arc(lp_)
+        assert_exact_answer(lp_)
 
     @settings(max_examples=60, deadline=None, database=None,
               derandomize=True)
@@ -700,3 +779,85 @@ class TestFloatTableau:
         for rung, ref in zip(rungs, reference):
             assert check_certificate(*lp_, *rung) \
                 == reference_check_certificate(*lp_, *ref)
+
+
+@st.composite
+def network_lps(draw):
+    """A node-arc LP above ``_FLOAT_THRESHOLD``, the form the float
+    engine's forest start takes: every ``b_eq`` is 0, every ``b_ub``
+    positive, and a column has at most a ``+1`` in its head's row and a
+    ``-1`` in its tail's row.
+
+    The first vertices are roots with no row, so an arc at a root keeps
+    only its other entry.  The last vertices are islands that only islands
+    point into, so their rows stay unreached.  Some columns have no
+    equality entry, and some repeat or reverse an earlier arc, so parallel
+    and antiparallel arcs abound.  The rows come in a drawn order.  ``A_ub``
+    has coefficients in {-1, 1, 2}, and its last row, over every column,
+    keeps the LP bounded; every arc has a nonzero cost.  Hypothesis draws
+    the shape and a seed; the entries come from the seed.
+    """
+    n = draw(st.integers(_FLOAT_THRESHOLD + 1, _FLOAT_THRESHOLD + 60))
+    verts = draw(st.integers(8, 40))
+    roots = draw(st.integers(1, 4))
+    reach = verts - draw(st.integers(0, 4))  # islands from here on
+    m_ub = draw(st.integers(0, 8))
+    density = draw(st.sampled_from([0.02, 0.1, 0.4]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def allowed(u, v):
+        return u != v and (v < reach or u >= reach)
+
+    arcs = []
+    while len(arcs) < n:
+        kind = rng.random()
+        if kind < 0.1:
+            arcs.append(None)  # no equality entry
+        elif kind < 0.3 and any(arcs):
+            u, v = rng.choice([a for a in arcs if a])
+            if kind < 0.2:
+                arcs.append((u, v))
+            elif allowed(v, u):
+                arcs.append((v, u))
+        else:
+            u, v = rng.randrange(verts), rng.randrange(verts)
+            if allowed(u, v):
+                arcs.append((u, v))
+    order = list(range(roots, verts))
+    rng.shuffle(order)
+    row_of = {v: i for i, v in enumerate(order)}
+    A_eq = [{} for _ in order]
+    for j, arc in enumerate(arcs):
+        if arc:
+            u, v = arc
+            if u in row_of:
+                A_eq[row_of[u]][j] = -1
+            if v in row_of:
+                A_eq[row_of[v]][j] = 1
+    c = [rng.choice((-2, -1, 1, 2)) if arc else rng.choice((0, 1, 2))
+         for arc in arcs]
+    A_ub = [{j: rng.choice((-1, 1, 2)) for j in range(n)
+             if rng.random() < density} for _ in range(m_ub)]
+    b_ub = [rng.randint(1, 3) for _ in A_ub]
+    A_ub.append({j: 1 for j in range(n)})
+    b_ub.append(rng.randint(1, 6))
+    return c, A_ub, b_ub, A_eq, [0] * len(A_eq)
+
+
+class TestForestStart:
+    """The float engine builds the tableau phase 1 ends in from a spanning
+    forest; on node-arc LPs it gives the floats of the two-phase reference,
+    whose phase 1 pivots, under each update form."""
+
+    @pytest.mark.parametrize("form", [(None, None, None), *UPDATE_FORMS],
+                             ids=["default", *UPDATE_FORM_IDS])
+    @settings(max_examples=40, deadline=None, database=None,
+              derandomize=True)
+    @given(lp_=network_lps())
+    def test_same_result_as_reference(self, form, lp_):
+        assert node_arc(lp_)
+        with pytest.MonkeyPatch.context() as mp:
+            update_form(mp, *form)
+            got = _simplex_float(*lp_)
+        assert got is not None
+        assert got == reference_simplex_float(*lp_)
