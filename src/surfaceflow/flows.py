@@ -289,7 +289,7 @@ def solve_fractional(instance: Instance) -> EdgeFlowSolution:
         for v, row in enumerate(rows):
             # one conservation row per demand (that of s) is redundant;
             # leaving it out makes s the root of the node-arc rows, whose
-            # spanning forest is the float engine's start
+            # spanning forest is both engines' start
             if v != s and row:
                 A_eq.append(row)
                 b_eq.append(0)

@@ -6,37 +6,37 @@ pair.  The data are the LPs the package poses, the compact edge-flow LP and
 the cycle LP: Python ints throughout (0/+-1 rows, integer capacities) with
 non-negative right-hand sides.  Both engines and the certificate use the
 ints as they are, and every row's slack or artificial starts basic at a
-non-negative value.  The answer stays in ints too: ``x`` is ``X / dx`` and
-``y`` is ``Y / dy``, int numerators over one positive denominator per
-vector, the least one.  Past the float snap's one
-``Fraction.limit_denominator`` per distinct value, the only rational
-``solve_lp`` makes is the objective value; its callers make a ``QQ`` where
-a value leaves them.  There are two engines, each with its own tableau
-code:
+non-negative value.  Neither engine has a phase 1: equality rows must be
+node-arc rows with zero right-hand sides (the compact LP's conservation
+rows; the cycle LP has none), both engines start from one spanning forest
+of them (``_spanning_forest``), and other equality rows are refused.  The
+answer stays in ints too: ``x`` is ``X / dx`` and ``y`` is ``Y / dy``, int
+numerators over one positive denominator per vector, the least one.  Past
+the float snap's one ``Fraction.limit_denominator`` per distinct value, the
+only rational ``solve_lp`` makes is the objective value; its callers make a
+``QQ`` where a value leaves them.  There are two engines, each with its own
+tableau code:
 
-- a two-phase simplex with Bland's rule (the reference path, immune to
-  cycling) on a fraction-free tableau: each row is a list of int numerators
-  over one positive denominator, and a pivot makes the exact steps of a
-  ``QQ`` tableau (integer-preserving elimination, Edmonds 1967, Bareiss
-  1968), so no rational is made at all: the answer is read off the rows'
-  numerators and denominators;
+- Bland's rule from the forest (the reference path, immune to cycling) on
+  a fraction-free tableau: each row is a list of int numerators over one
+  positive denominator, and a pivot makes the exact steps of a ``QQ``
+  tableau (integer-preserving elimination, Edmonds 1967, Bareiss 1968), so
+  no rational is made at all: the answer is read off the rows' numerators
+  and denominators;
 - a numpy float simplex on the same tableau layout, used as a warm start on
   larger problems: its solution is snapped, one distinct value at a time, to
   small-denominator rationals put over one denominator per vector, and
   accepted only when exact primal feasibility, exact dual feasibility and
-  exact objective equality all hold, otherwise the exact engine runs from
-  scratch.  It has no phase-1 loop: equality rows must be node-arc rows
-  with zero right-hand sides (as the compact LP's conservation rows are),
-  and the tableau phase 1 would end in is built from a spanning forest of
-  them (``_forest_start``); other equality rows leave the LP to the exact
-  engine.  The objective row ``c`` sits under the constraints, so a pivot
-  is one rank-1 update of the touched entries: the rows with a nonzero in
-  the entering column, ``c`` included, times the nonzero columns of the
-  pivot row, which is divided in place.  Up to ``_UPDATE_BLOCK``
-  entries that is one fancy-indexed subtraction.  A larger update covers
-  the pivot row's nonzero column span only: over chunks of the touched rows
-  when the span is at most ``_ROW_SPAN`` columns, one row at a time in
-  place when it is wider.  Every form gives each touched entry
+  exact objective equality all hold, otherwise the exact engine runs.
+  ``_forest_start`` builds the tableau of the forest's pivots directly.
+  The objective row ``c`` sits under the constraints, so a pivot is one
+  rank-1 update of the touched entries: the rows with a nonzero in the
+  entering column, ``c`` included, times the nonzero columns of the pivot
+  row, which is divided in place.  Up to ``_UPDATE_BLOCK`` entries that is
+  one fancy-indexed subtraction.  A larger update covers the pivot row's
+  nonzero column span only: over chunks of the touched rows when the span
+  is at most ``_ROW_SPAN`` columns, one row at a time in place when it is
+  wider.  Every form gives each touched entry
   ``T[i, j] - T[i, pc] * prow[j]``, and every other entry would only
   subtract zero, so the pivot sequence is that of a full dense update.  The
   tableau is filled with one coordinate assignment per block of rows.  A
@@ -50,7 +50,8 @@ data every test is an integer sum.
 
 An LP of the wrong shape raises ``PreconditionError``: a ``b_ub`` or
 ``b_eq`` of another length than its rows, or a column outside
-``0..len(c) - 1``, found where the engines' tableau builds read every entry.
+``0..len(c) - 1``, found where the forest and the tableau builds read
+every entry.
 """
 
 from __future__ import annotations
@@ -109,23 +110,27 @@ def solve_lp(c: Sequence[int], A_ub: Sequence[dict], b_ub: Sequence[int],
 
     Rows are sparse dicts ``{column: int coefficient}``.  An entry of ``c``,
     ``b_ub`` or ``b_eq`` that is not an ``int`` (a bool, a float, a
-    ``Fraction``) raises ``TypeError``, and a negative one of ``b_ub`` or
-    ``b_eq`` raises ``PreconditionError``, as does an LP of the wrong shape
-    (see the module docstring) and infeasible or unbounded input.
+    ``Fraction``) raises ``TypeError``.  A negative ``b_ub`` entry, equality
+    rows other than node-arc rows with zero right-hand sides (see
+    ``_spanning_forest``), an LP of the wrong shape (see the module
+    docstring) and unbounded input raise ``PreconditionError``; there is no
+    infeasible case, as ``x = 0`` is feasible.
     """
     for v in chain(c, b_ub, b_eq):
         if type(v) is not int:
             raise TypeError("LP data must be ints, got %s %r"
                             % (type(v).__name__, v))
     _check_rhs_lengths(A_ub, b_ub, A_eq, b_eq)
-    if any(v < 0 for v in chain(b_ub, b_eq)):
+    if min(b_ub, default=0) < 0:
         raise PreconditionError("right-hand sides must be non-negative")
+    forest = _spanning_forest(len(c), A_eq, b_eq)
 
     engine, got = "float+certify", None
     if len(c) > _FLOAT_THRESHOLD:
-        got = _float_then_snap(c, A_ub, b_ub, A_eq, b_eq)
+        got = _float_then_snap(c, A_ub, b_ub, A_eq, b_eq, forest)
     if got is None:
-        engine, got = "exact", _simplex_exact(c, A_ub, b_ub, A_eq, b_eq)
+        engine = "exact"
+        got = _simplex_exact(c, A_ub, b_ub, A_eq, b_eq, forest)
     X, dx, Y_ub, Y_eq, dy = got
     value = QQ(sum(ci * xi for ci, xi in zip(c, X) if xi), dx)
     return LPResult(X, dx, Y_ub, Y_eq, dy, value, engine)
@@ -142,6 +147,51 @@ def _column_error(n: int) -> PreconditionError:
     return PreconditionError("a row has a column outside 0..%d" % (n - 1))
 
 
+def _spanning_forest(n: int, A_eq, b_eq) -> tuple:
+    """``(tree, head, tail)``: the arcs phase 1 would pivot in, in order,
+    and each column's head and tail row (``-1`` for none).
+
+    A nonzero ``b_eq``, or a column with an equality entry besides one
+    ``+1`` (its head) and one ``-1`` (its tail), raises
+    ``PreconditionError``.  Phase 1 on node-arc rows only grows a spanning
+    forest: its reduced costs stay in {-1, 0, 1}, so Dantzig's and Bland's
+    rules both pick the lowest column whose head row is unreached and whose
+    tail row is reached or absent; it enters at its head row at ratio 0
+    with pivot 1 (the only ratio 0 where every ``b_ub`` is positive; the
+    forest is a feasible start either way), so the arcs come off a heap of
+    column indices.  Unreached rows keep their artificials.
+    """
+    if any(b_eq):
+        raise PreconditionError("equality right-hand sides must be zero")
+    head, tail = [-1] * n, [-1] * n
+    out = [[] for _ in A_eq]  # the columns leaving each row
+    for r, row in enumerate(A_eq):
+        for j, v in row.items():
+            if not 0 <= j < n:
+                raise _column_error(n)
+            if v == 1 and head[j] < 0:
+                head[j] = r
+            elif v == -1 and tail[j] < 0:
+                tail[j] = r
+                out[r].append(j)
+            else:
+                raise PreconditionError("equality rows must be node-arc rows")
+    # the lowest entering column first; arcs out of no row start the heap
+    heap = [j for j, h, t in zip(range(n), head, tail) if h >= 0 > t]
+    reached = [False] * len(A_eq)
+    tree = []
+    while heap:
+        j = heappop(heap)
+        h = head[j]
+        if not reached[h]:
+            reached[h] = True
+            tree.append(j)
+            for k in out[h]:
+                if head[k] >= 0 and not reached[head[k]]:
+                    heappush(heap, k)
+    return tree, head, tail
+
+
 def check_certificate(c, A_ub, b_ub, A_eq, b_eq, X, dx, Y_ub, Y_eq,
                       dy) -> bool:
     """Exact optimality check of ``x = X / dx`` and ``y = Y / dy``:
@@ -150,9 +200,9 @@ def check_certificate(c, A_ub, b_ub, A_eq, b_eq, X, dx, Y_ub, Y_eq,
     ``X``, ``Y_ub`` and ``Y_eq`` are int numerators and ``dx``, ``dy``
     their denominators, as ``LPResult`` holds them.  The tests are
     ``X >= 0``, ``A X <= b dx``, ``Y_ub >= 0``, ``A^T Y >= c dy`` and
-    ``c X dy == b Y dx``: integer sums on the int data ``solve_lp`` takes
-    (rational data would be decided exactly too, through ``Fraction``
-    arithmetic).  The primal tests come first, so a snapped ``x`` that
+    ``c X dy == b Y dx``: integer sums on int data, on any equality rows
+    (not only node-arc ones; rational data are decided exactly too, through
+    ``Fraction``).  The primal tests come first, so a snapped ``x`` that
     breaks a row is refused before ``y`` is read.  A vector of the wrong
     length or a denominator that is not positive gives ``False``; a
     ``b_ub`` or ``b_eq`` of the wrong length raises ``PreconditionError``.
@@ -194,17 +244,17 @@ def check_certificate(c, A_ub, b_ub, A_eq, b_eq, X, dx, Y_ub, Y_eq,
 # exact integer tableau
 # ---------------------------------------------------------------------------
 
-def _simplex_exact(c, A_ub, b_ub, A_eq, b_eq):
-    """Two-phase simplex with Bland's rule on a fraction-free tableau.
+def _simplex_exact(c, A_ub, b_ub, A_eq, b_eq, forest):
+    """Bland's rule from the spanning forest on a fraction-free tableau.
 
     Row ``i`` holds the rationals ``tab[i][j] / den[i]``: int numerators
     over one positive denominator, kept reduced by the gcd of the row.  On
     the int data every row starts over denominator 1, with its slack or
     artificial basic at the non-negative right-hand side.  A pivot
     normalizes the pivot row to ``P / dp`` and turns every row ``R / dr``
-    with ``R[pc] != 0``, the objective rows included, into
+    with ``R[pc] != 0``, the objective row included, into
     ``(R * dp - R[pc] * P) / (dr * dp)``; the arithmetic is exact, so the
-    pivots are those of the ``QQ`` tableau.
+    pivots are those of the ``QQ`` tableau, the forest's at their head rows.
     Signs are read on numerators and the ratio test cross-multiplies (row
     denominators cancel), so no rational is made: the answer is
     ``(X, dx, Y_ub, Y_eq, dy)``, each vector over its least denominator.
@@ -224,14 +274,8 @@ def _simplex_exact(c, A_ub, b_ub, A_eq, b_eq):
         r[-1] = b
         tab.append(r)
     basis = list(range(n, n + m))
-    # objective rows: row m is c (phase 2); row m + 1 the sum of the
-    # artificial rows, zero on their columns (phase 1: maximize -sum)
-    tab.append(list(c) + [0] * (width - n))
-    if m_eq:
-        obj1 = [sum(col) for col in zip(*tab[m_ub:m])]
-        obj1[art_lo:art_lo + m_eq] = [0] * m_eq
-        tab.append(obj1)
-    den = [1] * len(tab)
+    tab.append(list(c) + [0] * (width - n))  # row m: the objective
+    den = [1] * (m + 1)
 
     def pivot(pr, pc):
         p = tab[pr]
@@ -257,41 +301,37 @@ def _simplex_exact(c, A_ub, b_ub, A_eq, b_eq):
                     d //= g
                 tab[i], den[i] = r, d
 
-    def run(k):
-        for _ in range(200000):
-            # Bland: the first column with a positive reduced cost;
-            # artificials never enter
-            obj = tab[k]
-            enter = next((j for j in range(art_lo) if obj[j] > 0), -1)
-            if enter < 0:
-                return
-            leave = -1
-            for i in range(m):
-                r = tab[i]
-                a = r[enter]
-                if a > 0:
-                    # r[-1] / a < rhs / piv, ties to the smaller basis index
-                    t = r[-1] * piv - rhs * a if leave >= 0 else -1
-                    if t < 0 or (t == 0 and basis[i] < basis[leave]):
-                        leave, rhs, piv = i, r[-1], a
-                elif a < 0 and basis[i] >= art_lo and r[-1] == 0:
-                    # drive a zero-valued artificial out rather than let it
-                    # grow positive
-                    leave = i
-                    break
-            if leave < 0:
-                raise PreconditionError("LP is unbounded")
-            pivot(leave, enter)
-            basis[leave] = enter
+    tree, head, _ = forest
+    for j in tree:
+        pivot(m_ub + head[j], j)
+        basis[m_ub + head[j]] = j
+    for _ in range(200000):
+        # Bland: the first column with a positive reduced cost; artificials
+        # never enter
+        obj = tab[m]
+        enter = next((j for j in range(art_lo) if obj[j] > 0), -1)
+        if enter < 0:
+            break
+        leave = -1
+        for i in range(m):
+            r = tab[i]
+            a = r[enter]
+            if a > 0:
+                # r[-1] / a < rhs / piv, ties to the smaller basis index
+                t = r[-1] * piv - rhs * a if leave >= 0 else -1
+                if t < 0 or (t == 0 and basis[i] < basis[leave]):
+                    leave, rhs, piv = i, r[-1], a
+            elif a < 0 and basis[i] >= art_lo and r[-1] == 0:
+                # drive a zero-valued artificial out rather than let it
+                # grow positive: rows no arc reaches keep theirs
+                leave = i
+                break
+        if leave < 0:
+            raise PreconditionError("LP is unbounded")
+        pivot(leave, enter)
+        basis[leave] = enter
+    else:
         raise InternalInvariantError("simplex iteration guard tripped")
-
-    if m_eq:
-        run(m + 1)
-        # right-hand sides stay >= 0, so the artificials sum to 0 iff all are
-        if any(tab[i][-1] for i in range(m) if basis[i] >= art_lo):
-            raise PreconditionError("LP is infeasible")
-        del tab[m + 1], den[m + 1]
-    run(m)
 
     # x[j] is the right-hand side of its basic row over the row's
     # denominator; y = -(reduced costs of the slacks and artificials)
@@ -315,7 +355,7 @@ def _lowest(nums: list, d: int) -> tuple:
 # float warm start
 # ---------------------------------------------------------------------------
 
-def _simplex_float(c, A_ub, b_ub, A_eq, b_eq):
+def _simplex_float(c, A_ub, b_ub, A_eq, b_eq, forest):
     n, m_ub, m_eq = len(c), len(A_ub), len(A_eq)
     m = m_ub + m_eq
     art_lo = n + m_ub
@@ -341,8 +381,8 @@ def _simplex_float(c, A_ub, b_ub, A_eq, b_eq):
     T[:m, -1] = np.fromiter(chain(b_ub, b_eq), float, m)
     T[m, :n] = c
     basis = np.arange(n, n + m)
-    if m_eq and not _forest_start(T, basis, c, A_ub, b_ub, A_eq, b_eq):
-        return None
+    if m_eq:
+        _forest_start(T, basis, c, A_ub, forest)
     tol = 1e-9
     rhs = T[:m, -1]
     obj = T[m, :art_lo]  # the artificials never enter
@@ -392,53 +432,13 @@ def _simplex_float(c, A_ub, b_ub, A_eq, b_eq):
         (-T[m, art_lo:-1]).tolist()
 
 
-def _forest_start(T, basis, c, A_ub, b_ub, A_eq, b_eq) -> bool:
-    """Put ``T`` and ``basis`` in the state phase 1 would end in, built
-    directly; ``False`` when the equality rows are not node-arc rows.
-
-    The start needs ``b_eq == 0``, ``b_ub > 0`` and every column with at
-    most one ``+1`` (its head row), at most one ``-1`` (its tail row) and
-    no other entry among the equality rows.  Phase 1 on such rows only
-    grows a spanning forest: its reduced costs stay in {-1, 0, 1}, so
-    Dantzig's and Bland's choices agree on the lowest column whose head row
-    is unreached and whose tail row is reached or absent, and that column
-    enters at its head row, at ratio 0 with pivot element 1.  So the arcs
-    come off a heap of column indices; each reached row becomes the sum of
-    its subtree's original rows (artificial columns included), and every
-    other row, ``c``'s too, loses its original entry on each tree arc times
-    the arc's row.  Every value is a small int, as in the pivots this
-    replaces.
-    """
-    if any(b_eq) or min(b_ub, default=1) <= 0:
-        return False
-    n, m_ub, m_eq = len(c), len(A_ub), len(A_eq)
-    head, tail = [-1] * n, [-1] * n
-    out = [[] for _ in range(m_eq)]  # the columns leaving each row
-    for r, row in enumerate(A_eq):
-        for j, v in row.items():
-            if v == 1 and head[j] < 0:
-                head[j] = r
-            elif v == -1 and tail[j] < 0:
-                tail[j] = r
-                out[r].append(j)
-            else:
-                return False
-    # the lowest entering column first; arcs out of no row start the heap
-    heap = [j for j, h, t in zip(range(n), head, tail) if h >= 0 > t]
-    reached = [False] * m_eq
-    tree = []
-    while heap:
-        j = heappop(heap)
-        h = head[j]
-        if not reached[h]:
-            reached[h] = True
-            tree.append(j)
-            for k in out[h]:
-                if head[k] >= 0 and not reached[head[k]]:
-                    heappush(heap, k)
-    if len(tree) >= 60000:
-        return False  # the pivot loop's guard
-    m = len(T) - 1
+def _forest_start(T, basis, c, A_ub, forest) -> None:
+    """Put ``T`` and ``basis`` in the state the forest's pivots make: each
+    reached row the sum of its subtree's original rows (artificial columns
+    included), and every other row, ``c``'s too, less its original entry on
+    each tree arc times the arc's row.  Every value is a small int."""
+    tree, head, tail = forest
+    m_ub, m = len(A_ub), len(T) - 1
     eq = list(T[m_ub:m])  # row views
     # children before parents: each reached row the sum of its subtree's
     for j in reversed(tree):
@@ -453,7 +453,6 @@ def _forest_start(T, basis, c, A_ub, b_ub, A_eq, b_eq) -> bool:
                 s = eq[head[j]]
                 T[i] -= s if a == 1 else a * s
     basis[[m_ub + head[j] for j in tree]] = tree
-    return True
 
 
 def _snap(values, denom, memo):
@@ -472,8 +471,8 @@ def _snap(values, denom, memo):
     return [num[v] for v in values], d
 
 
-def _float_then_snap(c, A_ub, b_ub, A_eq, b_eq):
-    got = _simplex_float(c, A_ub, b_ub, A_eq, b_eq)
+def _float_then_snap(c, A_ub, b_ub, A_eq, b_eq, forest):
+    got = _simplex_float(c, A_ub, b_ub, A_eq, b_eq, forest)
     if got is None:
         return None
     xf, yubf, yeqf = got

@@ -610,11 +610,19 @@ def reference_check_certificate(c, A_ub, b_ub, A_eq, b_eq, x, y_ub,
     return primal == dual
 
 
+def with_forest(c, A_ub, b_ub, A_eq, b_eq) -> tuple:
+    """The LP and its spanning forest: the arguments ``lp``'s engines
+    take."""
+    return c, A_ub, b_ub, A_eq, b_eq, lp._spanning_forest(len(c), A_eq, b_eq)
+
+
 def reference_simplex_exact(c, A_ub, b_ub, A_eq, b_eq):
-    """``lp._simplex_exact`` on a dense ``QQ`` tableau: the same two phases,
-    Bland's entering rule, basis-index ties and zero-artificial drive-out,
-    one rational per entry, as the reference the integer tableau must
-    agree with value for value."""
+    """Two-phase simplex on a dense ``QQ`` tableau: Bland's entering rule,
+    basis-index ties and zero-artificial drive-out in both phases, one
+    rational per entry.  On node-arc equality rows with positive ``b_ub``
+    its phase 1 ends where ``lp._simplex_exact``'s forest starts, so the
+    integer tableau must agree with it value for value; it also takes
+    general equality rows, which ``lp`` refuses."""
     n, m_ub, m_eq = len(c), len(A_ub), len(A_eq)
     width = n + m_ub + m_eq + 1
     art_lo = n + m_ub
@@ -784,7 +792,7 @@ def reference_ladder(c, A_ub, b_ub, A_eq, b_eq) -> list:
     ladder, as it was first written: each vector snapped with its own memo
     at each denominator of the ladder, and every snapped price of ``y_ub``
     clamped at zero afterwards.  Empty when the float engine gives up."""
-    got = lp._simplex_float(c, A_ub, b_ub, A_eq, b_eq)
+    got = lp._simplex_float(*with_forest(c, A_ub, b_ub, A_eq, b_eq))
     if got is None:
         return []
 
@@ -1103,19 +1111,35 @@ def torus_support(name: str) -> tuple:
 
 
 @functools.lru_cache(maxsize=None)
-def torus_pool_supports(limit: int) -> tuple:
-    """``(instance, uncrossed flow)`` for the first ``limit`` instances of
-    the benchmark's seed-1 ``torus`` pool, uncrossed at its epsilon."""
+def perfbench_workloads():
+    """The benchmark's ``workloads`` module, loaded from its file."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", PERFBENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = workloads  # its dataclass looks itself up there
     spec.loader.exec_module(workloads)
-    workload = workloads.WORKLOADS["torus"]
+    return workloads
+
+
+def pool_instances(name: str, seed: int = 1, limit: int | None = None):
+    """The instances of the benchmark's ``name`` pool at ``seed``, in the
+    order ``workloads.generate`` yields them, the first ``limit`` only."""
+    workloads = perfbench_workloads()
+    return workloads.generate(instances, workloads.WORKLOADS[name], seed,
+                              limit)
+
+
+@functools.lru_cache(maxsize=None)
+def torus_pool_supports(indices: tuple, seed: int = 1) -> tuple:
+    """``(instance, uncrossed flow)`` for the instances at the 0-based
+    ``indices`` of the benchmark's ``torus`` pool at ``seed``, uncrossed at
+    its epsilon."""
+    epsilon = perfbench_workloads().WORKLOADS["torus"].epsilon
+    insts = list(pool_instances("torus", seed, max(indices) + 1))
     out = []
-    for inst in workloads.generate(instances, workload, 1, limit):
-        flow, _ = solve_and_decompose(inst)
-        out.append((inst, uncross_flow(flow, workload.epsilon)))
+    for i in indices:
+        flow, _ = solve_and_decompose(insts[i])
+        out.append((insts[i], uncross_flow(flow, epsilon)))
     return tuple(out)
 
 

@@ -1,12 +1,15 @@
-"""``tools/ab_pairs.py``: one run's metrics, and the pairs' summary.
+"""``tools/ab_pairs.py``: the base revision's extraction, one run's
+metrics, and the pairs' summary.
 
-The tool's git worktree round trip is not run here, so that the suite
-never adds a worktree to the repository under test.
+The extraction runs on a repository made in a temporary directory, so the
+suite never touches the repository under test.
 """
 
 import importlib.util
 import json
 import pathlib
+import subprocess
+import tempfile
 
 import pytest
 
@@ -38,6 +41,68 @@ def stub_tree(tmp_path, correct=True):
     (tmp_path / "perfbench" / "run.py").write_text(
         STUB % (correct, 0 if correct else 1))
     return tmp_path
+
+
+def git_repo(path):
+    """A repository at ``path`` with one commit: the ``perfbench`` stub."""
+    path.mkdir()
+    stub_tree(path)
+    for cmd in (["init", "-q"], ["add", "-A"],
+                ["-c", "user.name=stub", "-c", "user.email=stub@example.org",
+                 "commit", "-q", "-m", "stub"]):
+        subprocess.run(["git", *cmd], cwd=path, check=True)
+    return path
+
+
+def git_files(repo) -> list:
+    """Every path under ``repo``'s ``.git``, with its size."""
+    return sorted((str(p.relative_to(repo)), p.stat().st_size)
+                  for p in (repo / ".git").rglob("*") if p.is_file())
+
+
+def test_extract_reads_the_revision_only(tmp_path):
+    """HEAD's files come out as committed, without a ``.git``; the
+    repository's ``.git`` is unchanged, so no worktree was added."""
+    repo = git_repo(tmp_path / "repo")
+    before = git_files(repo)
+    (repo / "perfbench" / "run.py").write_text("# not committed\n")
+    dest = tmp_path / "base"
+    TOOL.extract(repo, "HEAD", dest)
+    assert sorted(str(p.relative_to(dest)) for p in dest.rglob("*")) == [
+        "perfbench", "perfbench/run.py"]
+    assert (dest / "perfbench" / "run.py").read_text() == STUB % (True, 0)
+    assert git_files(repo) == before
+
+
+def test_extract_refuses_an_unknown_revision(tmp_path):
+    repo = git_repo(tmp_path / "repo")
+    with pytest.raises(SystemExit, match="could not extract"):
+        TOOL.extract(repo, "no-such-revision", tmp_path / "base")
+
+
+def test_pairs_run_in_the_extracted_base(tmp_path, monkeypatch):
+    """``main`` alternates the sides over the extracted base and the
+    working tree, then removes its temporary directory."""
+    repo = git_repo(tmp_path / "repo")
+    before = git_files(repo)
+    (tmp_path / "tmp").mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    monkeypatch.setattr(TOOL, "ROOT", repo)
+    monkeypatch.setattr(TOOL, "end_to_end", lambda: [("wall_s", "lower",
+                                                      0.25)])
+    runs = []
+
+    def run_once(tree, workload, seed):
+        runs.append((tree == repo, (tree / "perfbench" / "run.py").exists()))
+        return {"wall_s": 1.0}
+
+    monkeypatch.setattr(TOOL, "run_once", run_once)
+    assert TOOL.main(["--base", "HEAD", "--workload", "planar",
+                      "--pairs", "2"]) == 0
+    assert runs == [(False, True), (True, True), (True, True),
+                    (False, True)]
+    assert list((tmp_path / "tmp").iterdir()) == []
+    assert git_files(repo) == before
 
 
 def test_metrics_are_the_benchmarks_end_to_end():
@@ -103,6 +168,6 @@ def test_verdict_follows_the_direction():
 
 
 def test_pairs_must_be_positive():
-    """Refused before any worktree is made."""
+    """Refused before anything is extracted."""
     with pytest.raises(SystemExit):
         TOOL.main(["--base", "HEAD", "--workload", "planar", "--pairs", "0"])

@@ -90,6 +90,23 @@ class TestRun:
         assert report["oracle"]["value"] == opt
         assert flow.value <= opt
 
+    def test_demand_across_supply_components(self):
+        """Demand 1-2 joins the supply components {0, 1} and {2, 3}: its
+        conservation rows at 2 and 3 are reached by no arc of the LP's
+        spanning forest, and only demand 0-1 can be routed."""
+        inst = parse_instance({"vertices": 4, "edges": [
+            {"id": 0, "u": 0, "v": 1, "kind": "supply", "cap": 2},
+            {"id": 1, "u": 2, "v": 3, "kind": "supply", "cap": 2},
+            {"id": 2, "u": 1, "v": 2, "kind": "demand", "cap": 1},
+            {"id": 3, "u": 0, "v": 1, "kind": "demand", "cap": 1}],
+            "rotation": [[0, 6], [1, 7, 4], [5, 2], [3]]})
+        flow, report = run(inst, PipelineConfig(verify="full-oracle"))
+        assert report["stages"]["lp"]["engine"] == "exact"
+        assert report["stages"]["lp"]["value"] == "1/1"
+        assert report["output"]["value"] == "1/1" and flow.value == 1
+        assert report["oracle"]["value"] == 1
+        assert all(check["ok"] for check in report["checks"])
+
     def test_report_deterministic(self):
         inst = generate_planar_random(12, seed=5)
         _, r1 = run(inst)

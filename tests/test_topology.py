@@ -257,13 +257,19 @@ class TestHomologySignatures:
 
 
 POOL_SUPPORTS = 20
+# seed-2 ``torus`` pool instances with a class strictly inside its homology
+# class: at 58 (genus 5) class [10, 12] of [10, 12, 14], at 93 (genus 4)
+# class [1, 2] of [1, 2, 8]
+INSIDE_SUPPORTS = (58, 93)
 
 
 def supports_to_pin():
-    """The named supports and the first seed-1 ``torus`` pool supports."""
+    """The named supports, the first seed-1 ``torus`` pool supports and
+    the ``INSIDE_SUPPORTS``."""
     yield from (torus_support(name)
                 for name in TORUS_SUPPORTS + DENSE_TORUS_SUPPORTS)
-    yield from torus_pool_supports(POOL_SUPPORTS)
+    yield from torus_pool_supports(tuple(range(POOL_SUPPORTS)))
+    yield from torus_pool_supports(INSIDE_SUPPORTS, seed=2)
 
 
 class TestClassOrderAndEnds:
@@ -272,7 +278,7 @@ class TestClassOrderAndEnds:
         order as the rounding once cut it, has the order and the end pair
         of the classification; exactly so where the class is its whole
         homology class, up to rotation and reflection otherwise."""
-        whole = 0
+        whole = inside = 0
         for inst, flow in supports_to_pin():
             _, _, nonsep, nonsep_v = split_support(flow)
             got = classify_homotopy(inst.graph, nonsep, nonsep_v)
@@ -296,7 +302,8 @@ class TestClassOrderAndEnds:
                     whole += 1
                 else:
                     assert cyclic_equal(members, order)
-        assert whole > 0
+                    inside += 1
+        assert whole > 0 and inside > 0
 
     def test_walk_refuses_a_revisit(self):
         # a malformed annulus table that leads the walk back to cycle 1

@@ -5,8 +5,9 @@ Usage, from the repository root::
     python3 tools/ab_pairs.py --base REV --workload planar --pairs 5
     python3 tools/ab_pairs.py --base HEAD~1 --workload torus --pairs 3 --seed 2
 
-``REV`` is checked out into a temporary ``git worktree``, which is removed
-afterwards.  Each pair is two runs of
+``REV``'s files are extracted with ``git archive REV | tar -x`` into a
+temporary directory, which is removed afterwards; the repository's
+``.git`` is only read.  Each pair is two runs of
 
     python3 perfbench/run.py --workload W --seed S --seconds 30 --trace 0
 
@@ -56,6 +57,16 @@ def end_to_end() -> list:
     ``BENCHMARK.json``."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     return [(m["name"], m["better"], m["bound"]) for m in spec["end_to_end"]]
+
+
+def extract(repo: Path, rev: str, dest: Path) -> None:
+    """The files of ``repo`` at ``rev`` in ``dest``, made if missing."""
+    dest.mkdir(parents=True, exist_ok=True)
+    with subprocess.Popen(["git", "archive", rev], cwd=repo,
+                          stdout=subprocess.PIPE) as git:
+        tar = subprocess.run(["tar", "-x", "-C", str(dest)], stdin=git.stdout)
+    if git.returncode or tar.returncode:
+        raise SystemExit("ab_pairs: could not extract %s" % rev)
 
 
 def run_once(tree: Path, workload: str, seed: int) -> dict:
@@ -130,10 +141,9 @@ def main(argv=None) -> int:
 
     tmp = Path(tempfile.mkdtemp(prefix="ab_pairs-"))
     base_tree = tmp / "base"
-    subprocess.run(["git", "worktree", "add", "--detach", "--quiet",
-                    str(base_tree), args.base], cwd=ROOT, check=True)
     pairs = []
     try:
+        extract(ROOT, args.base, base_tree)
         for i in range(args.pairs):
             sides = {}
             order = ("base", "work") if i % 2 == 0 else ("work", "base")
@@ -147,10 +157,7 @@ def main(argv=None) -> int:
                                          sides["work"][name])
                     for name, _, _ in metrics)), flush=True)
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force",
-                        str(base_tree)], cwd=ROOT, check=False)
         shutil.rmtree(tmp, ignore_errors=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, check=False)
     print("%s seed %d, %d pairs, base %s against the working tree:"
           % (args.workload, args.seed, len(pairs), args.base))
     report(pairs, metrics)
