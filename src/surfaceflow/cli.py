@@ -12,9 +12,8 @@ import argparse
 import json
 import sys
 
-from .errors import (InstanceFormatError, InternalInvariantError,
-                     OracleBudgetExceeded, PreconditionError,
-                     StructuralError)
+from .errors import (InternalInvariantError, OracleBudgetExceeded,
+                     PreconditionError, StructuralError)
 from .instances import (generate_gap_family, generate_planar_random,
                         generate_torus_grid, load_instance,
                         serialize_instance)
@@ -167,8 +166,8 @@ def main(argv=None) -> int:
     except OracleBudgetExceeded as exc:
         print("refused: %s" % exc, file=sys.stderr)
         return EXIT_REFUSED
-    except (InstanceFormatError, StructuralError, PreconditionError,
-            OSError, UnicodeDecodeError) as exc:
+    except (StructuralError, PreconditionError, OSError,
+            UnicodeDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except InternalInvariantError as exc:

@@ -14,25 +14,27 @@ class SurfaceflowError(Exception):
 
 
 class StructuralError(SurfaceflowError):
-    """A combinatorial map or instance is malformed (bad rotation, dangling
-    dart, disconnected graph, non-dense ids, ...)."""
+    """A combinatorial map or instance is malformed.
 
-
-class InstanceFormatError(StructuralError):
-    """Instance JSON violates the wire schema.
-
-    ``code`` distinguishes the failure family so callers (and the CLI) can
-    report it without parsing the message:
-
-    - ``"schema"``: missing/mistyped fields, non-dense ids;
-    - ``"capacity"``: zero or negative capacity;
-    - ``"disconnected"``: underlying graph not connected;
-    - ``"rotation"``: rotation lists are not a permutation of the darts.
+    ``code`` names the fault's family, so callers (and the CLI) report it
+    without parsing the message; it is set where the fault is raised.  The
+    map's checks (``surface.EmbeddedGraph``) raise ``"schema"`` (a vertex
+    count or endpoint that is not an int in range), ``"rotation"`` (the
+    rotation lists are not a permutation of the darts, each at its own
+    vertex) and ``"disconnected"``; ``instances.Instance`` raises
+    ``"capacity"`` (a zero or negative capacity) and ``"schema"`` (a bad
+    kind, a capacity that is not an int, a demand loop).
     """
 
     def __init__(self, code: str, message: str):
         super().__init__(message)
         self.code = code
+
+
+class InstanceFormatError(StructuralError):
+    """Instance JSON violates the wire schema; ``parse_instance`` raises it
+    with the code of the check that failed, its own (``"schema"``: a
+    missing or mistyped field, non-dense ids) or the map's."""
 
 
 class PreconditionError(SurfaceflowError):

@@ -72,7 +72,6 @@ class DCycle:
     @staticmethod
     def from_darts(instance: Instance, darts: Sequence[int]) -> "DCycle":
         """A simple cycle (``surface.cycle_vertices``) through one demand."""
-        darts = tuple(int(d) for d in darts)
         cycle_vertices(instance.graph, darts)
         demands = [d >> 1 for d in darts if instance.is_demand(d >> 1)]
         if len(demands) != 1:
@@ -196,10 +195,9 @@ class Multiflow:
         """Parse cycle records; the values of a repeated cycle add up."""
         amounts: dict = {}
         for rec in data:
-            if not (all(is_int(d) for d in rec["cycle"])
-                    and is_int(rec["demand"])):
+            if not is_int(rec["demand"]):
                 raise PreconditionError(
-                    "cycle record darts and demand must be ints: %r" % (rec,))
+                    "cycle record demand must be an int: %r" % (rec,))
             cycle = DCycle.from_darts(instance, rec["cycle"])
             if cycle.demand != rec["demand"]:
                 raise PreconditionError(
@@ -422,18 +420,14 @@ def _shortest_positive_path(instance: Instance, nets: dict, s: int, t: int):
     """BFS over residual arcs; deterministic smallest-dart tie-breaks.
 
     Arcs: edge e with net > 0 goes slot0 -> slot1 (traversal dart ``2e``),
-    net < 0 the other way (dart ``2e+1``).
+    net < 0 the other way (dart ``2e+1``); ``nets`` holds no zero.  Each
+    vertex lists its darts in edge order, which is dart order.
     """
     g = instance.graph
     adj: dict[int, list] = {}
     for e, net in sorted(nets.items()):
-        if net == 0:
-            continue
         dart = 2 * e if net > 0 else 2 * e + 1
-        a = g.head(dart)
-        adj.setdefault(a, []).append(dart)
-    for lst in adj.values():
-        lst.sort()
+        adj.setdefault(g.head(dart), []).append(dart)
     parent = {s: None}
     frontier = [s]
     while frontier:

@@ -84,7 +84,10 @@ class Instance:
 
 
 def parse_instance(data) -> Instance:
-    """Parse and validate the wire format (a JSON string or a parsed dict)."""
+    """Parse and validate the wire format (a JSON string or a parsed dict).
+
+    Only the JSON's shape is checked here: ``EmbeddedGraph`` checks and
+    codes the map's numbers, ``Instance`` the kinds and capacities."""
     if isinstance(data, (str, bytes)):
         try:
             data = json.loads(data)
@@ -95,9 +98,6 @@ def parse_instance(data) -> Instance:
     for key in ("vertices", "edges", "rotation"):
         if key not in data:
             raise InstanceFormatError("schema", "missing field %r" % key)
-    n = data["vertices"]
-    if not is_int(n) or n < 1:
-        raise InstanceFormatError("schema", "vertices must be a positive int")
     raw_edges = data["edges"]
     if not isinstance(raw_edges, list):
         raise InstanceFormatError("schema", "edges must be a list")
@@ -113,8 +113,6 @@ def parse_instance(data) -> Instance:
             raise InstanceFormatError(
                 "schema", "edge ids must be dense and ordered (got %r at "
                 "position %d)" % (rec["id"], i))
-        if not is_int(rec["u"]) or not is_int(rec["v"]):
-            raise InstanceFormatError("schema", "edge %d endpoints must be ints" % i)
         edges.append((rec["u"], rec["v"]))
         kinds.append(rec["kind"])
         caps.append(rec["cap"])
@@ -122,17 +120,10 @@ def parse_instance(data) -> Instance:
     if not isinstance(rotation, list) or any(
             not isinstance(r, list) for r in rotation):
         raise InstanceFormatError("rotation", "rotation must be a list of lists")
-    if not all(is_int(d) for r in rotation for d in r):
-        raise InstanceFormatError("rotation", "rotation darts must be ints")
     try:
-        graph = EmbeddedGraph(n, edges, rotation)
+        graph = EmbeddedGraph(data["vertices"], edges, rotation)
     except StructuralError as exc:
-        msg = str(exc)
-        if "disconnected" in msg:
-            raise InstanceFormatError("disconnected", msg)
-        if "dart" in msg or "rotation" in msg or "omits" in msg:
-            raise InstanceFormatError("rotation", msg)
-        raise InstanceFormatError("schema", msg)
+        raise InstanceFormatError(exc.code, str(exc)) from exc
     return Instance(graph, tuple(kinds), tuple(caps))
 
 

@@ -58,9 +58,9 @@ class EmbeddedGraph:
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int]],
                  rotation: Sequence[Sequence[Dart]]):
-        self.n = int(n)
-        self.edges = tuple((int(u), int(v)) for u, v in edges)
-        self.rotation = tuple(tuple(int(d) for d in r) for r in rotation)
+        self.n = n
+        self.edges = tuple((u, v) for u, v in edges)
+        self.rotation = tuple(tuple(r) for r in rotation)
         self._validate_structure()
         self.faces = trace_faces(self.edges, self.rotation)
         self.face_of = {}
@@ -69,54 +69,57 @@ class EmbeddedGraph:
                 self.face_of[d] = i
         euler = self.n - len(self.edges) + len(self.faces)
         if euler % 2 != 0 or euler > 2:
-            raise StructuralError(
+            # a permutation of the darts on a connected graph always passes
+            raise InternalInvariantError(
                 "rotation system does not describe an orientable surface: "
-                "V - E + F = %d" % euler)
+                "V - E + F = %d" % euler, witness=euler)
         self.genus = (2 - euler) // 2
 
     # -- construction-time checks -------------------------------------------------
 
     def _validate_structure(self) -> None:
-        if self.n < 1:
-            raise StructuralError("graph needs at least one vertex")
-        if len(self.rotation) != self.n:
-            raise StructuralError("rotation must list one cycle per vertex")
-        m = len(self.edges)
+        # every number must be an int (not a bool) in its range
+        n = self.n
+        if type(n) is not int or n < 1:
+            raise StructuralError("schema", "vertices must be a positive int")
+        if len(self.rotation) != n:
+            raise StructuralError("rotation",
+                                  "rotation must list one cycle per vertex")
+        m2 = 2 * len(self.edges)
         for e, (u, v) in enumerate(self.edges):
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise StructuralError("edge %d has endpoint out of range" % e)
-        seen: dict[int, int] = {}
+            if type(u) is not int or type(v) is not int \
+                    or not (0 <= u < n and 0 <= v < n):
+                raise StructuralError("schema", "edge %d endpoints must be "
+                                      "ints in 0..%d" % (e, n - 1))
+        seen = set()
         for v, rot in enumerate(self.rotation):
             for d in rot:
-                if not (0 <= d < 2 * m):
-                    raise StructuralError("dart %d out of range" % d)
+                if type(d) is not int or not 0 <= d < m2:
+                    raise StructuralError("rotation", "rotation dart %r is "
+                                          "not an int in 0..%d" % (d, m2 - 1))
                 if self.edges[d >> 1][d & 1] != v:
                     raise StructuralError(
-                        "dart %d listed at vertex %d but attached to %d"
-                        % (d, v, self.edges[d >> 1][d & 1]))
+                        "rotation", "dart %d listed at vertex %d but attached "
+                        "to %d" % (d, v, self.edges[d >> 1][d & 1]))
                 if d in seen:
-                    raise StructuralError("dart %d listed twice" % d)
-                seen[d] = v
-        if len(seen) != 2 * m:
-            raise StructuralError("rotation omits %d dart(s)" % (2 * m - len(seen)))
-        # connectivity of the underlying graph
-        if m:
-            reached = {self.edges[0][0]}
-            stack = [self.edges[0][0]]
-            adj: list[list[int]] = [[] for _ in range(self.n)]
-            for u, v in self.edges:
-                adj[u].append(v)
-                adj[v].append(u)
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if y not in reached:
-                        reached.add(y)
-                        stack.append(y)
-            if len(reached) != self.n:
-                raise StructuralError("graph is disconnected")
-        elif self.n > 1:
-            raise StructuralError("graph is disconnected")
+                    raise StructuralError("rotation", "dart %d listed twice" % d)
+                seen.add(d)
+        if len(seen) != m2:
+            raise StructuralError("rotation", "rotation omits %d dart(s)"
+                                  % (m2 - len(seen)))
+        # connectivity of the underlying graph, searched from vertex 0
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        reached, stack = {0}, [0]
+        while stack:
+            for y in adj[stack.pop()]:
+                if y not in reached:
+                    reached.add(y)
+                    stack.append(y)
+        if len(reached) != n:
+            raise StructuralError("disconnected", "graph is disconnected")
 
     # -- dart helpers -------------------------------------------------------------
 
@@ -240,12 +243,15 @@ def face_components(graph: EmbeddedGraph, removed_edges) -> list[int]:
 def cycle_vertices(graph: EmbeddedGraph, darts: Sequence[Dart]) -> list[int]:
     """The vertices of a simple cycle given as darts, in order.
 
-    Raises :class:`PreconditionError` unless the darts lie in ``0..2m-1``
-    and chain into a closed walk that visits no vertex twice.
+    Raises :class:`PreconditionError` unless the darts are ints (not
+    ``bool``) in ``0..2m-1`` and chain into a closed walk that visits no
+    vertex twice.
     """
     k = len(darts)
     if k == 0:
         raise PreconditionError("empty cycle")
+    if any(type(d) is not int for d in darts):
+        raise PreconditionError("darts must be ints: %r" % (tuple(darts),))
     if min(darts) < 0 or max(darts) >= 2 * len(graph.edges):
         # a negative dart would alias dart d + 2m through list indexing
         raise PreconditionError("dart out of range 0..%d: %r"
@@ -335,7 +341,6 @@ def split_vertex_lists(edges: list, rotation: list, v: int,
     bridge, so the genus never changes.
     """
     rot = rotation[v]
-    arc = [int(d) for d in arc]
     if not arc or len(arc) >= len(rot):
         raise PreconditionError("arc must be a non-empty proper block")
     try:
@@ -354,7 +359,7 @@ def split_vertex_lists(edges: list, rotation: list, v: int,
     keep = [rot[(start + len(arc) + i) % len(rot)]
             for i in range(len(rot) - len(arc))]
     rotation[v] = [2 * bridge] + keep
-    rotation.append([2 * bridge + 1] + arc)
+    rotation.append([2 * bridge + 1, *arc])
 
 
 def expand_edge_lists(edges: list, rotation: list, e: int,

@@ -20,7 +20,7 @@ from surfaceflow.instances import (DEMAND, SUPPLY, Instance,
                                    generate_torus_grid)
 from surfaceflow.oracle import enumerate_d_cycles
 from surfaceflow.rational import QQ, rat, rat_str
-from surfaceflow.surface import EmbeddedGraph
+from surfaceflow.surface import EmbeddedGraph, cycle_vertices
 from surfaceflow.topology import split_support
 from surfaceflow.uncross import discretize, multiset_to_flow
 
@@ -87,6 +87,19 @@ class TestDCycle:
         # [-10, -8, -1] chains like [0, 2, 9] under list indexing
         inst = two_path_instance()
         with pytest.raises(PreconditionError, match="out of range"):
+            DCycle.from_darts(inst, darts)
+
+    @pytest.mark.parametrize("darts", [[0.0, 2, 9], [0, 2, 9.0], [0, 2.5, 9],
+                                       [False, 2, 9], [0, 2, True]],
+                             ids=["float", "float-last", "float-half",
+                                  "bool", "bool-last"])
+    def test_rejects_non_int_darts(self, darts):
+        """``cycle_vertices`` is the one check of a cycle's darts: a float
+        or a bool is refused, not coerced."""
+        inst = two_path_instance()
+        with pytest.raises(PreconditionError, match="darts must be ints"):
+            cycle_vertices(inst.graph, darts)
+        with pytest.raises(PreconditionError, match="darts must be ints"):
             DCycle.from_darts(inst, darts)
 
 

@@ -6,11 +6,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from surfaceflow import cli
-from surfaceflow.errors import InstanceFormatError, PreconditionError
+from surfaceflow import surface
+from surfaceflow.errors import (InstanceFormatError, InternalInvariantError,
+                                PreconditionError, StructuralError)
 from surfaceflow.instances import (generate_gap_family,
                                    generate_planar_random,
                                    generate_torus_grid, parse_instance,
                                    serialize_instance)
+from surfaceflow.surface import EmbeddedGraph
 
 from conftest import count_maps
 
@@ -105,6 +108,75 @@ class TestParse:
         with pytest.raises(InstanceFormatError) as ei:
             parse_instance(doc)
         assert ei.value.code == "schema"
+
+
+TRI_EDGES = [(0, 1), (1, 2), (2, 0)]
+TRI_ROTATION = [[0, 5], [2, 1], [4, 3]]
+
+# (n, edges, rotation, code): every raise site of EmbeddedGraph's checks;
+# the Euler check guards a guarantee instead (test_euler_site_is_internal)
+MAP_FAULTS = {
+    "vertices-zero": (0, [], [], "schema"),
+    "vertices-float": (3.0, TRI_EDGES, TRI_ROTATION, "schema"),
+    "vertices-bool": (True, [(0, 0)], [[0, 1]], "schema"),
+    "vertices-str": ("3", TRI_EDGES, TRI_ROTATION, "schema"),
+    "rotation-length": (3, TRI_EDGES, TRI_ROTATION[:2], "rotation"),
+    "endpoint-float": (3, [(0, 1.0), (1, 2), (2, 0)], TRI_ROTATION,
+                       "schema"),
+    "endpoint-bool": (3, [(0, True), (1, 2), (2, 0)], TRI_ROTATION,
+                      "schema"),
+    "endpoint-range": (3, [(0, 3), (1, 2), (2, 0)], TRI_ROTATION, "schema"),
+    "endpoint-negative": (3, [(-1, 1), (1, 2), (2, 0)], TRI_ROTATION,
+                          "schema"),
+    "dart-float": (3, TRI_EDGES, [[0, 5], [2, 1.0], [4, 3]], "rotation"),
+    "dart-bool": (3, TRI_EDGES, [[0, 5], [2, True], [4, 3]], "rotation"),
+    "dart-str": (3, TRI_EDGES, [["x", 5], [2, 1], [4, 3]], "rotation"),
+    "dart-range": (3, TRI_EDGES, [[0, 6], [2, 1], [4, 3]], "rotation"),
+    "dart-negative": (3, TRI_EDGES, [[0, -1], [2, 1], [4, 3]], "rotation"),
+    "dart-wrong-vertex": (3, TRI_EDGES, TRI_ROTATION[::-1], "rotation"),
+    "dart-twice": (3, TRI_EDGES, [[0, 5, 0], [2, 1], [4, 3]], "rotation"),
+    "dart-omitted": (3, TRI_EDGES, [[0], [2, 1], [4, 3]], "rotation"),
+    "disconnected": (4, [(0, 1), (2, 3)], [[0], [1], [2], [3]],
+                     "disconnected"),
+    "disconnected-no-edges": (2, [], [[], []], "disconnected"),
+}
+
+
+def map_doc(n, edges, rotation) -> dict:
+    """The wire document of a map, every edge a supply edge of cap 1."""
+    return {"vertices": n,
+            "edges": [{"id": e, "u": u, "v": v, "kind": "supply", "cap": 1}
+                      for e, (u, v) in enumerate(edges)],
+            "rotation": rotation}
+
+
+class TestMapFaults:
+    """``EmbeddedGraph`` checks each number of a map once, type and range
+    together, and codes its fault where it raises; ``parse_instance``
+    hands the fault on unchanged."""
+
+    @pytest.mark.parametrize("name", sorted(MAP_FAULTS))
+    def test_code_at_each_raise_site(self, name):
+        n, edges, rotation, code = MAP_FAULTS[name]
+        with pytest.raises(StructuralError) as direct:
+            EmbeddedGraph(n, edges, rotation)
+        assert direct.value.code == code
+        with pytest.raises(InstanceFormatError) as wire:
+            parse_instance(map_doc(n, edges, rotation))
+        assert (wire.value.code, str(wire.value)) \
+            == (code, str(direct.value))
+
+    def test_euler_site_is_internal(self, monkeypatch):
+        """No map that passes the checks has an odd ``V - E + F``; a lost
+        face fakes one, and it fails as a guarantee, not as an input."""
+        trace = surface.trace_faces
+        monkeypatch.setattr(surface, "trace_faces",
+                            lambda edges, rotation: trace(edges, rotation)[1:])
+        with pytest.raises(InternalInvariantError, match="orientable") as ei:
+            EmbeddedGraph(3, TRI_EDGES, TRI_ROTATION)
+        assert ei.value.witness == 1
+        with pytest.raises(InternalInvariantError, match="orientable"):
+            parse_instance(map_doc(3, TRI_EDGES, TRI_ROTATION))
 
 
 class TestGapFamily:

@@ -186,8 +186,12 @@ class TestVerify:
     @pytest.mark.parametrize("field, change", [
         ("value", lambda old: True),
         ("demand", float),
+        ("demand", str),
         ("cycle", lambda old: [float(old[0])] + old[1:]),
-    ], ids=["value-true", "demand-float", "dart-float"])
+        ("cycle", lambda old: [True] + old[1:]),
+        ("cycle", lambda old: ["x"] + old[1:]),
+    ], ids=["value-true", "demand-float", "demand-str", "dart-float",
+            "dart-bool", "dart-str"])
     def test_malformed_cycle_record_is_a_verdict(self, field, change):
         inst = generate_gap_family(1)
         flow, _ = run(inst)
@@ -286,6 +290,21 @@ class TestCli:
                          str(sol_path)]) == 3
         verdict = json.loads(capsys.readouterr().out)
         assert [p["kind"] for p in verdict["problems"]] == ["malformed"]
+
+    @pytest.mark.parametrize("dart", [0.0, True, "0"])
+    def test_verify_rejects_a_non_int_dart(self, tmp_path, capsys, dart):
+        """``surface.cycle_vertices`` is the one check of a record's darts;
+        its refusal is the verdict's witness."""
+        data = json.loads(json.dumps(GAP_N1_SOLUTION))
+        data["flow"][0]["cycle"][1] = dart
+        sol_path = tmp_path / "sol.json"
+        sol_path.write_text(json.dumps(data))
+        assert cli.main(["verify", str(GOLDEN / "gap_n1.json"),
+                         str(sol_path)]) == 3
+        verdict = json.loads(capsys.readouterr().out)
+        assert [p["kind"] for p in verdict["problems"]] == ["malformed"]
+        assert verdict["problems"][0]["witness"].startswith(
+            "darts must be ints: ")
 
     @pytest.mark.parametrize("doc", ["instance", "{}"])
     def test_verify_refuses_a_file_that_is_no_solution(self, tmp_path,

@@ -1,6 +1,7 @@
 """No package module imports a private name from a sibling module, or a
 name it never reads, or asks an object what attributes it has, or checks
-with ``assert``, or rebinds a module global from a function.
+with ``assert``, or rebinds a module global from a function, or decides
+from the text of an exception it caught.
 
 A ``_name`` is a module's own business; another module that needs it should
 get a public name instead, so that each job keeps one entry point.
@@ -147,5 +148,84 @@ def test_no_global_statements():
     """Module state that a function rebinds is a hidden side channel; a
     kept answer is ``functools.lru_cache``'s business."""
     found = {path.name: global_statements(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+TEXT_TESTS = {"startswith", "endswith", "find", "index", "count", "search",
+              "match", "fullmatch"}
+
+
+def exception_text_tests(source: str) -> list:
+    """Line numbers where an ``except`` body decides from the text of the
+    exception it caught: a comparison (``in``, ``==``, ...) or a string or
+    ``re`` test (``startswith``, ``search``, ...) reading ``str(exc)``,
+    ``repr(exc)``, a format of ``exc``, ``exc.args``, or a name bound from
+    one of these in that body.  Passing the text on, or reading another
+    attribute such as ``exc.code``, decides nothing."""
+    found = set()
+    for handler in ast.walk(ast.parse(source)):
+        if not isinstance(handler, ast.ExceptHandler) or not handler.name:
+            continue
+        body = [node for stmt in handler.body for node in ast.walk(stmt)]
+        # exc itself, but not as the object of an attribute other than args
+        owners = {id(node.value) for node in body
+                  if isinstance(node, ast.Attribute) and node.attr != "args"}
+        texts = {handler.name}
+
+        def reads_text(expr):
+            return any(isinstance(node, ast.Name) and node.id in texts
+                       and (node.id != handler.name or id(node) not in owners)
+                       for node in ast.walk(expr))
+
+        grown = True
+        while grown:  # names bound from the text, to a fixed point
+            grown = False
+            for node in body:
+                if isinstance(node, ast.Assign) and reads_text(node.value):
+                    new = {t.id for t in node.targets
+                           if isinstance(t, ast.Name)} - texts
+                    texts |= new
+                    grown = grown or bool(new)
+        for node in body:
+            if isinstance(node, ast.Compare) \
+                    and reads_text(ast.Tuple([node.left, *node.comparators])):
+                found.add(node.lineno)
+            elif isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in TEXT_TESTS \
+                    and reads_text(ast.Tuple([node.func.value, *node.args])):
+                found.add(node.lineno)
+    return sorted(found)
+
+
+def test_detects_exception_text_tests():
+    assert exception_text_tests(
+        "try:\n"
+        "    pass\n"
+        "except ValueError as exc:\n"
+        "    msg = str(exc)\n"
+        "    if 'disconnected' in msg:\n"
+        "        raise KeyError(msg)\n"
+        "    if repr(exc).startswith('x') or re.search('y', msg):\n"
+        "        pass\n"
+        "    note = 'why: %s' % exc\n"
+        "    if note == 'why: x' or exc.code == 'rotation':\n"
+        "        pass\n"
+        "    if 'x' in exc.args:\n"
+        "        pass\n"
+        "except KeyError as err:\n"
+        "    raise ValueError(err.code, str(err)) from err\n"
+        "except OSError:\n"
+        "    pass\n"
+        "if 'x' in str(ValueError()):\n"
+        "    pass\n") == [5, 7, 10, 12]
+
+
+def test_no_decision_from_exception_text():
+    """A fault's family travels as data (``StructuralError.code``), so no
+    caller has to keep in step with the wording of another module's
+    messages."""
+    found = {path.name: exception_text_tests(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
