@@ -23,18 +23,15 @@ class StructuralError(SurfaceflowError):
     rotation lists are not a permutation of the darts, each at its own
     vertex) and ``"disconnected"``; ``instances.Instance`` raises
     ``"capacity"`` (a zero or negative capacity) and ``"schema"`` (a bad
-    kind, a capacity that is not an int, a demand loop).
+    kind, a capacity that is not an int, a demand loop);
+    ``instances.parse_instance`` raises ``"schema"`` (invalid JSON, a
+    missing or mistyped field, non-dense ids) and ``"rotation"`` (a
+    rotation that is not a list of lists), and lets the others through.
     """
 
     def __init__(self, code: str, message: str):
         super().__init__(message)
         self.code = code
-
-
-class InstanceFormatError(StructuralError):
-    """Instance JSON violates the wire schema; ``parse_instance`` raises it
-    with the code of the check that failed, its own (``"schema"``: a
-    missing or mistyped field, non-dense ids) or the map's."""
 
 
 class PreconditionError(SurfaceflowError):

@@ -23,10 +23,9 @@ import json
 import random
 from dataclasses import dataclass
 
-from .errors import (InstanceFormatError, InternalInvariantError,
-                     PreconditionError, StructuralError)
-from .surface import (EmbeddedGraph, add_chord_lists, split_vertex_lists,
-                      trace_faces)
+from .errors import InternalInvariantError, PreconditionError, StructuralError
+from .surface import (EmbeddedGraph, add_chord_lists, split_face,
+                      split_vertex_lists, trace_faces)
 
 SUPPLY = "supply"
 DEMAND = "demand"
@@ -52,23 +51,23 @@ class Instance:
 
     def __post_init__(self):
         if type(self.kinds) is not tuple or type(self.caps) is not tuple:
-            raise InstanceFormatError("schema", "kinds/caps must be tuples")
+            raise StructuralError("schema", "kinds/caps must be tuples")
         m = len(self.graph.edges)
         if len(self.kinds) != m or len(self.caps) != m:
-            raise InstanceFormatError("schema", "kind/cap lists must match edges")
+            raise StructuralError("schema", "kind/cap lists must match edges")
         for e in range(m):
             if self.kinds[e] not in (SUPPLY, DEMAND):
-                raise InstanceFormatError(
+                raise StructuralError(
                     "schema", "edge %d has unknown kind %r" % (e, self.kinds[e]))
             if not is_int(self.caps[e]):
-                raise InstanceFormatError(
+                raise StructuralError(
                     "schema", "edge %d capacity must be an integer" % e)
             if self.caps[e] < 1:
-                raise InstanceFormatError(
+                raise StructuralError(
                     "capacity", "edge %d has non-positive capacity" % e)
             u, v = self.graph.edges[e]
             if self.kinds[e] == DEMAND and u == v:
-                raise InstanceFormatError(
+                raise StructuralError(
                     "schema", "demand edge %d is a loop" % e)
 
     @property
@@ -87,30 +86,32 @@ def parse_instance(data) -> Instance:
     """Parse and validate the wire format (a JSON string or a parsed dict).
 
     Only the JSON's shape is checked here: ``EmbeddedGraph`` checks and
-    codes the map's numbers, ``Instance`` the kinds and capacities."""
+    codes the map's numbers, ``Instance`` the kinds and capacities.  Each
+    fault is a ``StructuralError`` raised, with its code, where it is
+    found."""
     if isinstance(data, (str, bytes)):
         try:
             data = json.loads(data)
         except ValueError as exc:  # also an int past the digit limit
-            raise InstanceFormatError("schema", "invalid JSON: %s" % exc)
+            raise StructuralError("schema", "invalid JSON: %s" % exc)
     if not isinstance(data, dict):
-        raise InstanceFormatError("schema", "instance must be a JSON object")
+        raise StructuralError("schema", "instance must be a JSON object")
     for key in ("vertices", "edges", "rotation"):
         if key not in data:
-            raise InstanceFormatError("schema", "missing field %r" % key)
+            raise StructuralError("schema", "missing field %r" % key)
     raw_edges = data["edges"]
     if not isinstance(raw_edges, list):
-        raise InstanceFormatError("schema", "edges must be a list")
+        raise StructuralError("schema", "edges must be a list")
     edges, kinds, caps = [], [], []
     for i, rec in enumerate(raw_edges):
         if not isinstance(rec, dict):
-            raise InstanceFormatError("schema", "edge %d must be an object" % i)
+            raise StructuralError("schema", "edge %d must be an object" % i)
         for key in ("id", "u", "v", "kind", "cap"):
             if key not in rec:
-                raise InstanceFormatError(
+                raise StructuralError(
                     "schema", "edge %d missing field %r" % (i, key))
         if not is_int(rec["id"]) or rec["id"] != i:
-            raise InstanceFormatError(
+            raise StructuralError(
                 "schema", "edge ids must be dense and ordered (got %r at "
                 "position %d)" % (rec["id"], i))
         edges.append((rec["u"], rec["v"]))
@@ -119,11 +120,8 @@ def parse_instance(data) -> Instance:
     rotation = data["rotation"]
     if not isinstance(rotation, list) or any(
             not isinstance(r, list) for r in rotation):
-        raise InstanceFormatError("rotation", "rotation must be a list of lists")
-    try:
-        graph = EmbeddedGraph(data["vertices"], edges, rotation)
-    except StructuralError as exc:
-        raise InstanceFormatError(exc.code, str(exc)) from exc
+        raise StructuralError("rotation", "rotation must be a list of lists")
+    graph = EmbeddedGraph(data["vertices"], edges, rotation)
     return Instance(graph, tuple(kinds), tuple(caps))
 
 
@@ -336,7 +334,9 @@ def generate_planar_random(size: int, seed: int = 0,
 
     Grown from a cycle by adding chords across random faces; demand edges
     are chords too, so the combined map stays planar.  Deterministic in
-    ``seed``.
+    ``seed``.  The face list is traced once and kept across the chords
+    (``split_face``), so a chord across face ``F`` costs ``O(|F| + #faces)``
+    and the finished map is traced once more, by ``EmbeddedGraph``.
     """
     if size < 6:
         raise PreconditionError("planar instances need size >= 6, got %d"
@@ -350,14 +350,16 @@ def generate_planar_random(size: int, seed: int = 0,
     if n_demands is None:
         n_demands = rng.randint(1, 3)
     n_supply_chords = max(0, size - k - n_demands)
+    faces = list(trace_faces(edges, rotation))
     for _ in range(n_supply_chords):
-        _random_chord(edges, rotation, rng)
+        _random_chord(edges, rotation, faces, rng)
     n_supply = len(edges)
     added = 0
     guard = 0
     while added < n_demands and guard < 200:
         guard += 1
-        if _random_chord(edges, rotation, rng, distinct_endpoints=True):
+        if _random_chord(edges, rotation, faces, rng,
+                         distinct_endpoints=True):
             added += 1
     graph = EmbeddedGraph(k, edges, rotation)
     kinds = tuple([SUPPLY] * n_supply + [DEMAND] * added)
@@ -373,19 +375,22 @@ def generate_planar_random(size: int, seed: int = 0,
     return inst
 
 
-def _random_chord(edges: list, rotation: list, rng: random.Random,
+def _random_chord(edges: list, rotation: list, faces: list,
+                  rng: random.Random,
                   distinct_endpoints: bool = False) -> bool:
-    """Add a chord across a random face of the lists; False if none was
-    added."""
-    faces = [f for f in trace_faces(edges, rotation) if len(f) >= 2]
-    if not faces:
-        return False
+    """Add a chord across a random face of the lists and split that face
+    in ``faces``, their face list in ``trace_faces`` order; False if none
+    was added.  Every face has two darts or more: the starting cycle's two
+    have at least four, and each half of a split holds a chord dart and
+    one of the face's."""
     for _attempt in range(20):
-        face = faces[rng.randrange(len(faces))]
+        k = rng.randrange(len(faces))
+        face = faces[k]
         i, j = rng.sample(range(len(face)), 2)
-        d1, d2 = face[i], face[j]
-        if distinct_endpoints and _corner(edges, d1) == _corner(edges, d2):
+        if distinct_endpoints \
+                and _corner(edges, face[i]) == _corner(edges, face[j]):
             continue
-        add_chord_lists(edges, rotation, face, d1, d2)
+        e = add_chord_lists(edges, rotation, face, face[i], face[j])
+        split_face(faces, k, i, j, e)
         return True
     return False

@@ -11,11 +11,10 @@ node-arc rows with zero right-hand sides (the compact LP's conservation
 rows; the cycle LP has none), both engines start from one spanning forest
 of them (``_spanning_forest``), and other equality rows are refused.  The
 answer stays in ints too: ``x`` is ``X / dx`` and ``y`` is ``Y / dy``, int
-numerators over one positive denominator per vector, the least one.  Past
-the float snap's one ``Fraction.limit_denominator`` per distinct value, the
-only rational ``solve_lp`` makes is the objective value; its callers make a
-``QQ`` where a value leaves them.  There are two engines, each with its own
-tableau code:
+numerators over one positive denominator per vector, the least one.  The
+float snap works in ints too, so the only rational ``solve_lp`` makes is
+the objective value; its callers make a ``QQ`` where a value leaves them.
+There are two engines, each with its own tableau code:
 
 - Bland's rule from the forest (the reference path, immune to cycling) on
   a fraction-free tableau: each row is a list of int numerators over one
@@ -25,8 +24,10 @@ tableau code:
   and denominators;
 - a numpy float simplex on the same tableau layout, used as a warm start on
   larger problems: its solution is snapped, one distinct value at a time, to
-  small-denominator rationals put over one denominator per vector, and
-  accepted only when exact primal feasibility, exact dual feasibility and
+  small-denominator rationals put over one denominator per vector (each
+  value's continued fraction is expanded once, in ints, and read at every
+  rung of the denominator ladder, as ``Fraction.limit_denominator`` would
+  answer), and accepted only when exact primal feasibility, exact dual feasibility and
   exact objective equality all hold, otherwise the exact engine runs.
   ``_forest_start`` builds the tableau of the forest's pivots directly.
   The objective row ``c`` sits under the constraints, so a pivot is one
@@ -57,7 +58,6 @@ every entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import chain
 from math import gcd, lcm
@@ -455,19 +455,58 @@ def _forest_start(T, basis, c, A_ub, forest) -> None:
     basis[[m_ub + head[j] for j in tree]] = tree
 
 
+def _expand(v: float) -> tuple:
+    """``(n, N, steps)``: the float ``v`` as ``n / N`` in lowest terms, and
+    the steps of its continued fraction as ``Fraction.limit_denominator``
+    walks them, one ``(q2, p0, q0, p1, q1, d)`` per step: the convergents
+    ``p0/q0`` and ``p1/q1`` before the step, the remainder's denominator
+    ``d`` and the next convergent's denominator ``q2``.  The last ``q2``
+    is ``N``."""
+    n, N = v.as_integer_ratio()
+    steps = []
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    a, d = n, N
+    while d:
+        t = a // d
+        q2 = q0 + t * q1
+        steps.append((q2, p0, q0, p1, q1, d))
+        p0, q0, p1, q1 = p1, q1, p0 + t * p1, q2
+        a, d = d, a - t * d
+    return n, N, steps
+
+
+def _closest(expansion: tuple, denom: int) -> tuple:
+    """``Fraction(v).limit_denominator(denom)`` as ``(numerator,
+    denominator)``, read off ``_expand(v)``: the last convergent within
+    ``denom`` or the semiconvergent past it, whichever is closer to ``v``,
+    the convergent on a tie."""
+    n, N, steps = expansion
+    if N <= denom:
+        return n, N
+    for q2, p0, q0, p1, q1, d in steps:
+        if q2 > denom:
+            break
+    k = (denom - q0) // q1
+    # the two candidates lie on either side of v, 1 / (q1 (q0 + k q1))
+    # apart, and the convergent is d / (q1 N) from v
+    if 2 * d * (q0 + k * q1) <= N:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
+
+
 def _snap(values, denom, memo):
     """The closest rationals with denominator at most ``denom``, as
     ``(numerators, their least common denominator)``.  Each distinct value
-    is snapped once (most entries are 0, 1 or a half); ``memo`` holds the
-    values already snapped at ``denom``."""
+    is snapped once (most entries are 0, 1 or a half), from its
+    continued fraction, which ``memo`` keeps for every rung."""
     snapped = {}
     for v in set(values):
-        q = memo.get(v)
-        if q is None:
-            q = memo[v] = Fraction(v).limit_denominator(denom)
-        snapped[v] = q
-    d = lcm(*[q.denominator for q in snapped.values()])
-    num = {v: q.numerator * (d // q.denominator) for v, q in snapped.items()}
+        ex = memo.get(v)
+        if ex is None:
+            ex = memo[v] = _expand(v)
+        snapped[v] = _closest(ex, denom)
+    d = lcm(*[q for _, q in snapped.values()])
+    num = {v: p * (d // q) for v, (p, q) in snapped.items()}
     return [num[v] for v in values], d
 
 
@@ -481,8 +520,8 @@ def _float_then_snap(c, A_ub, b_ub, A_eq, b_eq, forest):
     # the snapped ones
     yf = [max(v, 0.0) for v in yubf] + yeqf
     m_ub = len(yubf)
+    memo = {}
     for denom in _SNAP_DENOMS:
-        memo = {}
         X, dx = _snap(xf, denom, memo)
         Y, dy = _snap(yf, denom, memo)
         Y_ub, Y_eq = Y[:m_ub], Y[m_ub:]

@@ -17,7 +17,10 @@ contiguous rotation arc), ``expand_edge_lists`` (an embedded band of
 parallel edges) and ``add_chord_lists`` (an edge across a face) change a
 working copy of the edge and rotation lists in place, and each caller
 (``disjointify``, the instance generators, the unit reduction) runs its
-whole plan on one copy and builds one ``EmbeddedGraph`` at the end.
+whole plan on one copy and builds one ``EmbeddedGraph`` at the end.  A
+caller that adds many chords keeps the face list beside its lists:
+``split_face`` replaces the one face a chord splits by its two halves, so
+no chord re-traces the map.
 
 Three primitives answer the package's geometric questions, each in one
 place: ``shared_paths`` walks the maximal common paths of two cycles;
@@ -35,6 +38,7 @@ the vertex split as whether two cycles' darts separate each other there.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import Sequence
@@ -394,10 +398,12 @@ def add_chord_lists(edges: list, rotation: list, face: Sequence[Dart],
                     d1: Dart, d2: Dart) -> int:
     """Add an edge across ``face``, between the corners after ``d1``, ``d2``.
 
-    ``face`` is a face of the current lists, as ``trace_faces`` gives it;
-    both darts must lie on it and differ.  The face splits in two, so the
-    genus is unchanged.  The corner after dart ``d`` is at the vertex
-    ``head(reverse(d))``.  Returns the new edge id.
+    ``face`` is a face of the current lists, its darts in face order (as
+    ``trace_faces`` or ``split_face`` gives it); both darts must lie on it
+    and differ.  The face splits in two, so the genus is unchanged.  The
+    corner after dart ``d`` is at the vertex ``head(reverse(d))``; the new
+    edge's dart ``2e`` goes there after ``d1``, ``2e + 1`` after ``d2``.
+    Returns the new edge id ``e``.
     """
     if d1 == d2:
         raise PreconditionError("chord needs two distinct corners")
@@ -410,6 +416,31 @@ def add_chord_lists(edges: list, rotation: list, face: Sequence[Dart],
     rotation[w1].insert(rotation[w1].index(d1 ^ 1) + 1, 2 * new_edge)
     rotation[w2].insert(rotation[w2].index(d2 ^ 1) + 1, 2 * new_edge + 1)
     return new_edge
+
+
+def split_face(faces: list, k: int, i: int, j: int, e: int) -> None:
+    """Replace ``faces[k]`` by the two faces chord ``e`` splits it into.
+
+    ``faces`` lists the faces of the lists before the chord as
+    ``trace_faces`` does, each starting at its least dart, in the order of
+    those darts; ``add_chord_lists`` has added ``e`` across ``f =
+    faces[k]`` between the corners after ``f[i]`` and ``f[j]``.  A face
+    steps from ``d`` to the dart after ``reverse(d)`` in its rotation, so
+    the halves are ``(f[i], 2e, f[j+1], ..., f[i-1])`` and ``(f[j], 2e+1,
+    f[i+1], ..., f[j-1])``, cyclically; afterwards ``faces`` is what
+    ``trace_faces`` gives for the new lists.  Costs ``O(len(f) +
+    len(faces))``.
+    """
+    f = faces[k]
+    x = 2 * e
+    if i > j:
+        i, j, x = j, i, x + 1
+    # the half through f[0] keeps f's least dart in front: the chord's
+    # darts are the largest
+    faces[k] = f[:i + 1] + (x,) + f[j + 1:]
+    rest = f[i + 1:j + 1]
+    t = rest.index(min(rest))
+    insort(faces, rest[t:] + (x ^ 1,) + rest[:t], lo=k + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 
@@ -5,10 +6,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from surfaceflow import cli
-from surfaceflow import surface
-from surfaceflow.errors import (InstanceFormatError, InternalInvariantError,
-                                PreconditionError, StructuralError)
+from surfaceflow import cli, instances, surface
+from surfaceflow.errors import (InternalInvariantError, PreconditionError,
+                                StructuralError)
 from surfaceflow.instances import (generate_gap_family,
                                    generate_planar_random,
                                    generate_torus_grid, parse_instance,
@@ -43,21 +43,21 @@ class TestParse:
     def test_missing_field(self):
         doc = small_instance_doc()
         del doc["rotation"]
-        with pytest.raises(InstanceFormatError) as ei:
+        with pytest.raises(StructuralError) as ei:
             parse_instance(doc)
         assert ei.value.code == "schema"
 
     def test_non_dense_ids(self):
         doc = small_instance_doc()
         doc["edges"][1]["id"] = 7
-        with pytest.raises(InstanceFormatError) as ei:
+        with pytest.raises(StructuralError) as ei:
             parse_instance(doc)
         assert ei.value.code == "schema"
 
     def test_zero_capacity(self):
         doc = small_instance_doc()
         doc["edges"][0]["cap"] = 0
-        with pytest.raises(InstanceFormatError) as ei:
+        with pytest.raises(StructuralError) as ei:
             parse_instance(doc)
         assert ei.value.code == "capacity"
 
@@ -70,42 +70,30 @@ class TestParse:
             ],
             "rotation": [[0], [1], [2], [3]],
         }
-        with pytest.raises(InstanceFormatError) as ei:
+        with pytest.raises(StructuralError) as ei:
             parse_instance(doc)
         assert ei.value.code == "disconnected"
 
     def test_invalid_rotation(self):
         doc = small_instance_doc()
         doc["rotation"] = [[0, 5, 5], [2, 1], [4, 3]]
-        with pytest.raises(InstanceFormatError) as ei:
+        with pytest.raises(StructuralError) as ei:
             parse_instance(doc)
         assert ei.value.code == "rotation"
 
-    @pytest.mark.parametrize("path, value, code", [
-        (("rotation", 0, 0), "x", "rotation"),
-        (("rotation", 1, 1), 1.5, "rotation"),
-        (("rotation", 1, 1), True, "rotation"),
-        (("vertices",), True, "schema"),
-        (("vertices",), 3.0, "schema"),
-        (("edges", 1, "id"), True, "schema"),
-        (("edges", 0, "u"), False, "schema"),
-        (("edges", 2, "v"), 0.0, "schema"),
-    ], ids=["dart-str", "dart-float", "dart-bool", "vertices-bool",
-            "vertices-float", "id-bool", "u-bool", "v-float"])
-    def test_non_int_value_rejected(self, path, value, code):
+    def test_bool_id_rejected(self):
+        """The dense-``id`` check is the parser's own; every number of the
+        map is ``TestMapFaults``'s."""
         doc = small_instance_doc()
-        parent = doc
-        for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = value
-        with pytest.raises(InstanceFormatError) as ei:
+        doc["edges"][1]["id"] = True
+        with pytest.raises(StructuralError) as ei:
             parse_instance(doc)
-        assert ei.value.code == code
+        assert ei.value.code == "schema"
 
     def test_bad_kind(self):
         doc = small_instance_doc()
         doc["edges"][0]["kind"] = "weird"
-        with pytest.raises(InstanceFormatError) as ei:
+        with pytest.raises(StructuralError) as ei:
             parse_instance(doc)
         assert ei.value.code == "schema"
 
@@ -161,10 +149,10 @@ class TestMapFaults:
         with pytest.raises(StructuralError) as direct:
             EmbeddedGraph(n, edges, rotation)
         assert direct.value.code == code
-        with pytest.raises(InstanceFormatError) as wire:
+        with pytest.raises(StructuralError) as wire:
             parse_instance(map_doc(n, edges, rotation))
-        assert (wire.value.code, str(wire.value)) \
-            == (code, str(direct.value))
+        assert (type(wire.value), wire.value.code, str(wire.value)) \
+            == (StructuralError, code, str(direct.value))
 
     def test_euler_site_is_internal(self, monkeypatch):
         """No map that passes the checks has an odd ``V - E + F``; a lost
@@ -246,6 +234,85 @@ class TestPlanarRandom:
         a = serialize_instance(generate_planar_random(15, seed=3))
         b = serialize_instance(generate_planar_random(15, seed=3))
         assert a == b
+
+
+# sha256 of the serialized instances of generate_planar_random over
+# PLANAR_SEEDS x PLANAR_DEMANDS, per (size, cap_mode); recorded before the
+# generator kept its face list across chords
+PLANAR_SEEDS = range(6)
+PLANAR_DEMANDS = (None, 3, 10)
+PLANAR_PINS = {
+    (6, "unit"): "6c251912c586afc1fb2fbbf5e32c07e8"
+                 "22a6c2c359e65452c2c4c96c2da9b5f4",
+    (6, "random"): "223699bfabda9344eb5695641c71ffb8"
+                   "add66df01308cb12f6bcf556229f594a",
+    (30, "unit"): "1a41840da7f73014ab904522ef29c690"
+                  "83b8df8d77b4306a166af8ad4c9905b4",
+    (30, "random"): "25d0c5ae7107a61a4f834cbf6ff8e44e"
+                    "29addb90955b56717380c9bd0602f35c",
+    (40, "unit"): "73d88623765c54b0473de5348a79ee6d"
+                  "63824b3fcb5c790949c4a957a710c953",
+    (40, "random"): "6d73a3f2dc850c8b95dca8c3d3ec5536"
+                    "49a8d5570534ad0073247b2b83803d09",
+    (300, "unit"): "6d5bc16527a2fa2def23f3f62d10e857"
+                   "3d2f702f057ff43238d042d0b559efbc",
+    (300, "random"): "096a2388e918c63e369ed2b380e9b0fb"
+                     "8bf588d1e0ae2d079fd6132e8fe95ece",
+}
+
+
+class TestPlanarFaceList:
+    """The planar generator keeps its face list across chords instead of
+    re-tracing the map per chord."""
+
+    @pytest.mark.parametrize("size, cap_mode", sorted(PLANAR_PINS))
+    def test_pinned_bytes(self, size, cap_mode):
+        h = hashlib.sha256()
+        for seed in PLANAR_SEEDS:
+            for n_demands in PLANAR_DEMANDS:
+                h.update(serialize_instance(generate_planar_random(
+                    size, seed=seed, cap_mode=cap_mode,
+                    n_demands=n_demands)).encode())
+        assert h.hexdigest() == PLANAR_PINS[size, cap_mode]
+
+    @pytest.mark.parametrize("size, seed, n_demands",
+                             [(6, 0, None), (30, 1, 3), (40, 2, 10),
+                              (120, 3, 5)])
+    def test_kept_list_is_the_trace_after_each_chord(self, monkeypatch, size,
+                                                     seed, n_demands):
+        lists, split = [], instances.split_face
+        add = instances.add_chord_lists
+
+        def adding(edges, rotation, *args):
+            lists[:] = [edges, rotation]
+            return add(edges, rotation, *args)
+
+        def splitting(faces, *args):
+            split(faces, *args)
+            assert tuple(faces) == surface.trace_faces(*lists)
+            checked.append(len(faces))
+
+        checked = []
+        monkeypatch.setattr(instances, "add_chord_lists", adding)
+        monkeypatch.setattr(instances, "split_face", splitting)
+        inst = generate_planar_random(size, seed=seed, n_demands=n_demands)
+        g = inst.graph
+        # one check per chord: every edge off the starting cycle is one
+        assert len(checked) == len(g.edges) - g.n
+        assert checked[-1] == len(g.faces)
+
+    @pytest.mark.parametrize("size", [6, 40, 300, 1000])
+    def test_traces_at_most_twice(self, monkeypatch, size):
+        calls, trace = [], surface.trace_faces
+
+        def counting(*args):
+            calls.append(1)
+            return trace(*args)
+
+        monkeypatch.setattr(surface, "trace_faces", counting)
+        monkeypatch.setattr(instances, "trace_faces", counting)
+        generate_planar_random(size, seed=size)
+        assert 1 <= len(calls) <= 2
 
 
 class TestOneMapPerCall:

@@ -138,9 +138,8 @@ def ladder_rungs(args) -> list:
         return []
     xf, yubf, yeqf = got
     yf = [max(v, 0.0) for v in yubf] + yeqf
-    rungs = []
+    rungs, memo = [], {}
     for denom in lp._SNAP_DENOMS:
-        memo = {}
         X, dx = lp._snap(xf, denom, memo)
         Y, dy = lp._snap(yf, denom, memo)
         rungs.append((X, dx, Y[:len(yubf)], Y[len(yubf):], dy))
@@ -386,6 +385,38 @@ class TestFloatPath:
         X, dx = got[:2]
         assert sum(X) == dx and dx == 2
         assert check_certificate(c, A, b, [], [], *got)
+
+    def test_snap_makes_no_fraction(self, monkeypatch):
+        """The ladder snaps in ints: no rung makes a ``Fraction``."""
+        lp_ = with_forest(*compact_lp(monkeypatch, generate_torus_grid(
+            4, 4, 3, cap_mode="random", seed=1))[0])
+        made, new = [], Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        got = _float_then_snap(*lp_)
+        monkeypatch.undo()
+        assert made == [] and got is not None and least_ints(*got)
+
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(v=st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(-10 ** 6, 10 ** 6).map(float),
+        st.integers(-10 ** 6, 10 ** 6).map(lambda k: k / 2),
+        st.tuples(st.fractions(max_denominator=5000),
+                  st.floats(-1e-9, 1e-9)).map(lambda t: float(t[0]) + t[1])),
+        denom=st.one_of(st.sampled_from(lp._SNAP_DENOMS),
+                        st.integers(1, 10 ** 7)))
+    def test_closest_is_limit_denominator(self, v, denom):
+        """Each rung's rational, read off the continued fraction in ints,
+        is ``Fraction.limit_denominator``'s: negatives, integers and halves
+        included, and a tie goes the same way."""
+        q = Fraction(v).limit_denominator(denom)
+        assert lp._closest(lp._expand(v), denom) \
+            == (q.numerator, q.denominator)
 
     # sha256 of the compact LP's (x, y_ub, y_eq) on 6x6 torus grids, recorded
     # with full dense pivots: a change to the float pivot sequence fails here

@@ -2,10 +2,11 @@
 
 ``tools/output_manifest.py`` writes the sha256 of the report and solution
 bytes (and, at ``full-oracle``, the minimum multicut) of every seeds 1-2
-instance of the benchmark pools; here the first instances of each pool at
-seed 1 are solved again at each of the pool's verify levels, and the
-``torus`` pool's on each forced branch, and must give the recorded digests
-(the oracle pool's mix puts a 3x3 torus fourth in every four).
+instance of the benchmark pools, and of each such instance's JSON bytes;
+here the first instances of each pool at seed 1 are generated again and
+solved at each of the pool's verify levels, and the ``torus`` pool's on
+each forced branch, and must give the recorded digests (the oracle pool's
+mix puts a 3x3 torus fourth in every four).
 """
 
 import importlib.util
@@ -31,11 +32,10 @@ RECORDED = json.loads(TOOL.MANIFEST.read_text(encoding="utf-8"))
 
 
 def test_manifest_covers_the_pools():
-    assert sorted(RECORDED) == sorted(
-        TOOL.key(pool, seed, verify, branch)
-        for pool, verify, branch in TOOL.runs() for seed in TOOL.SEEDS)
+    assert sorted(RECORDED) == sorted(TOOL.keys())
     assert TOOL.key("oracle", 1, "full-oracle") in RECORDED
     assert TOOL.key("torus", 2, "off", "improved") in RECORDED
+    assert TOOL.key("planar", 2, TOOL.INSTANCE) in RECORDED
     mods = TOOL.import_modules()
     for name, digests in RECORDED.items():
         workload = mods["workloads"].WORKLOADS[name.split("/")[0]]
@@ -47,3 +47,10 @@ def test_first_instances_match(pool, verify, branch):
     got = TOOL.digests(TOOL.import_modules(), pool, 1, verify,
                        limit=FIRST[pool], branch=branch)
     assert got == RECORDED[TOOL.key(pool, 1, verify, branch)][:FIRST[pool]]
+
+
+@pytest.mark.parametrize("pool", TOOL.POOLS)
+def test_first_instance_bytes_match(pool):
+    got = TOOL.instance_digests(TOOL.import_modules(), pool, 1,
+                                limit=FIRST[pool])
+    assert got == RECORDED[TOOL.key(pool, 1, TOOL.INSTANCE)][:FIRST[pool]]

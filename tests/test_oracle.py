@@ -16,8 +16,8 @@ from conftest import (amounts, assert_cycle_fields,
                       reference_multiset_to_flow, reference_pack_cycles,
                       reference_split_totals, reference_unit_map)
 from surfaceflow import oracle, pipeline, round_separating, uncross
-from surfaceflow.errors import (InstanceFormatError, InternalInvariantError,
-                                OracleBudgetExceeded, SurfaceflowError)
+from surfaceflow.errors import (InternalInvariantError, OracleBudgetExceeded,
+                                StructuralError, SurfaceflowError)
 from surfaceflow.flows import (DCycle, canonical_darts, cycle_lp,
                                solve_fractional)
 from surfaceflow.instances import (DEMAND, SUPPLY, Instance,
@@ -117,7 +117,7 @@ class TestEnumeration:
         edges = [(0, 1), (1, 0), (0, 0)]
         rotation = [[0, 3, 4, 5], [1, 2]]
         graph = EmbeddedGraph(2, edges, rotation)
-        with pytest.raises(InstanceFormatError, match="is a loop"):
+        with pytest.raises(StructuralError, match="is a loop"):
             Instance(graph, (SUPPLY, SUPPLY, DEMAND), (1, 1, 1))
 
     @pytest.mark.parametrize("name", sorted(PINNED))
@@ -250,7 +250,7 @@ class TestEnumerationMemo:
         inst = PINNED_INSTANCES["gap1"]()
         for kinds, caps in ((list(inst.kinds), inst.caps),
                             (inst.kinds, list(inst.caps))):
-            with pytest.raises(InstanceFormatError, match="tuples"):
+            with pytest.raises(StructuralError, match="tuples"):
                 Instance(inst.graph, kinds, caps)
 
 

@@ -9,8 +9,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from surfaceflow import cli, oracle, pipeline
-from surfaceflow.errors import (InstanceFormatError, InternalInvariantError,
-                               PreconditionError)
+from surfaceflow.errors import (InternalInvariantError, PreconditionError,
+                               StructuralError)
 from surfaceflow.flows import DCycle
 from surfaceflow.instances import (generate_gap_family,
                                    generate_planar_random,
@@ -357,7 +357,7 @@ class TestCli:
         parser hands them over unchecked."""
         doc = json.loads((GOLDEN / "gap_n1.json").read_text())
         doc["edges"][3][field] = value
-        with pytest.raises(InstanceFormatError) as info:
+        with pytest.raises(StructuralError) as info:
             parse_instance(doc)
         assert info.value.code == "schema"
         bad = tmp_path / "bad.json"

@@ -1,10 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfaceflow.errors import (InternalInvariantError, PreconditionError,
                                 StructuralError)
 from surfaceflow.surface import (EmbeddedGraph, add_chord_lists, cut_along,
-                                 disjointify, expand_edge_lists,
-                                 split_vertex_lists)
+                                 disjointify, expand_edge_lists, split_face,
+                                 split_vertex_lists, trace_faces,
+                                 working_lists)
 
 from conftest import (TORUS_SUPPORTS, canonical_form, dual, is_disk,
                       maps_isomorphic, planar_grid_map, reference_disjointify,
@@ -238,6 +241,43 @@ class TestSurgery:
             surgery_step(g, add_chord_lists, f0, f0[0], f1[0])
         with pytest.raises(PreconditionError):
             surgery_step(g, add_chord_lists, f0, f0[0], f0[0])
+
+
+# maps to grow chords on: planar, a one-vertex torus with loops, a torus
+# grid
+CHORD_BASES = {"triangle": triangle_map, "bouquet": torus_bouquet,
+               "torus-3x3": lambda: torus_grid_map(3, 3)}
+
+
+class TestSplitFace:
+    """``split_face`` keeps a face list equal to ``trace_faces`` of the
+    lists, chord after chord, on any orientable map."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(base=st.sampled_from(sorted(CHORD_BASES)), data=st.data())
+    def test_kept_list_is_the_trace(self, base, data):
+        g = CHORD_BASES[base]()
+        edges, rotation = working_lists(g)
+        faces = list(g.faces)
+        for _ in range(data.draw(st.integers(1, 25))):
+            k = data.draw(st.integers(0, len(faces) - 1))
+            face = faces[k]
+            i, j = data.draw(st.lists(st.integers(0, len(face) - 1),
+                                      min_size=2, max_size=2, unique=True))
+            e = add_chord_lists(edges, rotation, face, face[i], face[j])
+            split_face(faces, k, i, j, e)
+            assert tuple(faces) == trace_faces(edges, rotation)
+        assert EmbeddedGraph(g.n, edges, rotation).genus == g.genus
+
+    def test_adjacent_corners_make_a_two_dart_face(self):
+        g = triangle_map()
+        edges, rotation = working_lists(g)
+        faces = list(g.faces)
+        f = faces[0]
+        e = add_chord_lists(edges, rotation, f, f[1], f[2])
+        split_face(faces, 0, 1, 2, e)
+        assert (f[2], 2 * e + 1) in faces
+        assert tuple(faces) == trace_faces(edges, rotation)
 
 
 def _disjoint_meridians():

@@ -12,7 +12,10 @@ non-separating branch, so that the plain and the improved rounding of
 every instance are covered too.  The digest is the sha256 of the report
 bytes followed by the solution bytes, both as ``surfaceflow solve
 --report --solution`` writes them, and at ``full-oracle`` by the
-multicut's value and edges as one JSON line.
+multicut's value and edges as one JSON line.  Under ``POOL/seedS/instance``
+the manifest also keeps the sha256 of every instance's JSON bytes, as
+``serialize_instance`` writes them, so a generator change that keeps the
+solves shows too.
 
 Usage, from the repository root::
 
@@ -44,6 +47,8 @@ LEVELS = {"torus": VERIFY, "planar": VERIFY,
           "oracle": VERIFY + ("full-oracle",)}
 # the branches the torus pool is also solved on, at verify "off"
 FORCED = ("nonseparating", "improved")
+# the key part under which the instance bytes are digested
+INSTANCE = "instance"
 
 
 def runs() -> list:
@@ -61,6 +66,14 @@ def import_modules(src: Path = ROOT / "src") -> dict:
     return {name: importlib.import_module(name) for name in
             ("surfaceflow.instances", "surfaceflow.oracle",
              "surfaceflow.pipeline", "workloads")}
+
+
+def keys() -> list:
+    """Every key of the manifest: one per run and seed, and one per pool
+    and seed for the instance bytes."""
+    return [key(pool, seed, verify, branch) for pool, verify, branch in runs()
+            for seed in SEEDS] + \
+        [key(pool, seed, INSTANCE) for pool in POOLS for seed in SEEDS]
 
 
 def key(pool: str, seed: int, verify: str, branch: str = "auto") -> str:
@@ -94,10 +107,24 @@ def digests(mods: dict, pool: str, seed: int, verify: str,
     return out
 
 
+def instance_digests(mods: dict, pool: str, seed: int,
+                     limit: int | None = None) -> list:
+    """The sha256 hex digests of the serialized bytes of the first
+    ``limit`` (default: all) instances of ``pool`` at ``seed``."""
+    instances = mods["surfaceflow.instances"]
+    return [hashlib.sha256(
+                instances.serialize_instance(made).encode()).hexdigest()
+            for made in mods["workloads"].generate(
+                instances, mods["workloads"].WORKLOADS[pool], seed, limit)]
+
+
 def manifest(mods: dict) -> dict:
-    return {key(pool, seed, verify, branch):
-            digests(mods, pool, seed, verify, branch=branch)
-            for pool, verify, branch in runs() for seed in SEEDS}
+    doc = {key(pool, seed, verify, branch):
+           digests(mods, pool, seed, verify, branch=branch)
+           for pool, verify, branch in runs() for seed in SEEDS}
+    doc.update((key(pool, seed, INSTANCE), instance_digests(mods, pool, seed))
+               for pool in POOLS for seed in SEEDS)
+    return doc
 
 
 def render(doc: dict) -> str:
