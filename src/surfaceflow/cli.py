@@ -20,7 +20,7 @@ from .instances import (generate_gap_family, generate_planar_random,
 from .oracle import (DEFAULT_BUDGET, OracleBudget, exact_integral_multiflow,
                      exact_min_multicut)
 from .pipeline import (BRANCHES, VERIFY_LEVELS, PipelineConfig,
-                       render_report, run, solution_wire, verify_solution)
+                       render_report, run, solution_text, verify_solution)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -45,9 +45,7 @@ def _cmd_solve(args) -> int:
     if args.report:
         _write(args.report, render_report(report))
     if args.solution:
-        _write(args.solution,
-               json.dumps(solution_wire(flow), sort_keys=True, indent=1)
-               + "\n")
+        _write(args.solution, solution_text(flow))
     if args.dot:
         _write(args.dot, instance.graph.to_dot(
             [c.darts for c in flow.support()]))
@@ -96,9 +94,7 @@ def _cmd_oracle(args) -> int:
         value, flow = exact_integral_multiflow(instance, budget)
         print("optimum %d" % value)
         if args.solution:
-            _write(args.solution,
-                   json.dumps(solution_wire(flow), sort_keys=True, indent=1)
-                   + "\n")
+            _write(args.solution, solution_text(flow))
     return EXIT_OK
 
 

@@ -125,19 +125,28 @@ def parse_instance(data) -> Instance:
     return Instance(graph, tuple(kinds), tuple(caps))
 
 
+_EDGE_RECORD = ('  {\n   "cap": %d,\n   "id": %d,\n   "kind": "%s",\n'
+                '   "u": %d,\n   "v": %d\n  }')
+
+
 def serialize_instance(inst: Instance) -> str:
-    """Deterministic JSON for an instance (stable bytes for fixed input)."""
+    """The instance's wire text: exactly ``json.dumps(doc, indent=1,
+    sort_keys=True) + "\\n"`` of the wire document, so the bytes are fixed
+    for a fixed instance.
+
+    The text is written directly, since ``indent`` keeps ``json`` on its
+    pure-Python encoder.  Nothing needs escaping: ``Instance`` admits only
+    the two kinds and int (not bool) capacities, and ``EmbeddedGraph`` only
+    int endpoints and darts, at least one edge and no empty rotation."""
     g = inst.graph
-    doc = {
-        "vertices": g.n,
-        "edges": [
-            {"id": e, "u": u, "v": v, "kind": inst.kinds[e],
-             "cap": inst.caps[e]}
-            for e, (u, v) in enumerate(g.edges)
-        ],
-        "rotation": [list(r) for r in g.rotation],
-    }
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    edges = ",\n".join([
+        _EDGE_RECORD % (cap, e, kind, u, v)
+        for e, ((u, v), kind, cap) in enumerate(
+            zip(g.edges, inst.kinds, inst.caps))])
+    rotation = ",\n".join(["  [\n   " + ",\n   ".join(map(str, r)) + "\n  ]"
+                           for r in g.rotation])
+    return ('{\n "edges": [\n%s\n ],\n "rotation": [\n%s\n ],\n'
+            ' "vertices": %d\n}\n' % (edges, rotation, g.n))
 
 
 def load_instance(path) -> Instance:

@@ -209,6 +209,11 @@ def solution_wire(flow: Multiflow) -> dict:
             "flow": flow.to_wire()}
 
 
+def solution_text(flow: Multiflow) -> str:
+    """Byte-stable JSON rendering of a solution, as ``render_report``'s."""
+    return json.dumps(solution_wire(flow), sort_keys=True, indent=1) + "\n"
+
+
 def _malformed(witness: str) -> dict:
     return {"ok": False,
             "problems": [{"kind": "malformed", "witness": witness}]}

@@ -49,7 +49,8 @@ Dart = int
 
 
 class EmbeddedGraph:
-    """A connected multigraph with a rotation system on an orientable surface.
+    """A connected multigraph with at least one edge and a rotation system
+    on an orientable surface.
 
     Immutable once constructed; surgery edits a copy of its lists
     (``working_lists``) and builds a new graph from them.  Vertices are
@@ -73,7 +74,8 @@ class EmbeddedGraph:
                 self.face_of[d] = i
         euler = self.n - len(self.edges) + len(self.faces)
         if euler % 2 != 0 or euler > 2:
-            # a permutation of the darts on a connected graph always passes
+            # a permutation of the darts on a connected graph with an edge
+            # always passes
             raise InternalInvariantError(
                 "rotation system does not describe an orientable surface: "
                 "V - E + F = %d" % euler, witness=euler)
@@ -124,6 +126,8 @@ class EmbeddedGraph:
                     stack.append(y)
         if len(reached) != n:
             raise StructuralError("disconnected", "graph is disconnected")
+        if not self.edges:  # one vertex alone: no dart, so no face
+            raise StructuralError("schema", "map must have an edge")
 
     # -- dart helpers -------------------------------------------------------------
 

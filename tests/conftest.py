@@ -244,6 +244,23 @@ def reference_unit_map(red) -> tuple[Instance, list]:
     return unit, cycles
 
 
+def reference_serialize_instance(inst: Instance) -> str:
+    """The wire document built as a dict and written by ``json``'s
+    sort-keyed, one-space-indent encoder: the bytes
+    ``instances.serialize_instance`` writes."""
+    g = inst.graph
+    doc = {
+        "vertices": g.n,
+        "edges": [
+            {"id": e, "u": u, "v": v, "kind": inst.kinds[e],
+             "cap": inst.caps[e]}
+            for e, (u, v) in enumerate(g.edges)
+        ],
+        "rotation": [list(r) for r in g.rotation],
+    }
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
 def multiset_value(counts: dict, quantum) -> QQ:
     """Value of a discretized multiflow: its quanta times the quantum
     ``qn / qd``."""

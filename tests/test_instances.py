@@ -1,6 +1,5 @@
 import hashlib
 import json
-import pathlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -9,13 +8,14 @@ from hypothesis import strategies as st
 from surfaceflow import cli, instances, surface
 from surfaceflow.errors import (InternalInvariantError, PreconditionError,
                                 StructuralError)
-from surfaceflow.instances import (generate_gap_family,
+from surfaceflow.instances import (Instance, generate_gap_family,
                                    generate_planar_random,
                                    generate_torus_grid, parse_instance,
                                    serialize_instance)
 from surfaceflow.surface import EmbeddedGraph
 
-from conftest import count_maps
+from conftest import (GOLDEN, count_maps, reference_serialize_instance,
+                      torus_bouquet)
 
 
 def small_instance_doc():
@@ -127,6 +127,7 @@ MAP_FAULTS = {
     "disconnected": (4, [(0, 1), (2, 3)], [[0], [1], [2], [3]],
                      "disconnected"),
     "disconnected-no-edges": (2, [], [[], []], "disconnected"),
+    "no-edges": (1, [], [[]], "schema"),
 }
 
 
@@ -315,6 +316,57 @@ class TestPlanarFaceList:
         assert 1 <= len(calls) <= 2
 
 
+class TestSerializeReference:
+    """``serialize_instance`` writes the bytes of the dict-plus-``json``
+    reference on every generator family and on a hand-built loop."""
+
+    def assert_same(self, inst):
+        assert serialize_instance(inst) == reference_serialize_instance(inst)
+
+    @pytest.mark.parametrize("name", sorted(
+        p.name for p in GOLDEN.glob("*.json")))
+    def test_golden(self, name):
+        self.assert_same(instances.load_instance(GOLDEN / name))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_gap_family(self, n):
+        self.assert_same(generate_gap_family(n))
+
+    @pytest.mark.parametrize("cap_mode", ["unit", "random"])
+    def test_torus_grids(self, cap_mode):
+        genera = set()
+        for p in range(3, 9):
+            for q in range(3, 9):
+                for demands in range(13):
+                    inst = generate_torus_grid(p, q, demands,
+                                               cap_mode=cap_mode, seed=demands)
+                    self.assert_same(inst)
+                    if demands:
+                        genera.add(inst.graph.genus)
+        # an in-face chord keeps genus 1, a handle chord raises it
+        assert 1 in genera and max(genera) > 2
+
+    @pytest.mark.parametrize("cap_mode", ["unit", "random"])
+    def test_planar_sizes(self, cap_mode):
+        for size in range(6, 301):
+            self.assert_same(generate_planar_random(size, seed=size,
+                                                    cap_mode=cap_mode))
+
+    def test_supply_loop(self):
+        self.assert_same(Instance(torus_bouquet(), ("supply", "supply"),
+                                  (1, 7)))
+
+    def test_capacity_past_digit_limit(self):
+        """A programmatic capacity that cannot be written as decimal fails
+        the same way through both writers."""
+        inst = Instance(torus_bouquet(), ("supply", "supply"), (1, 10 ** 5000))
+        with pytest.raises(ValueError) as fast:
+            serialize_instance(inst)
+        with pytest.raises(ValueError) as reference:
+            reference_serialize_instance(inst)
+        assert str(fast.value) == str(reference.value)
+
+
 class TestOneMapPerCall:
     """Generators grow their maps by list edits and build one map."""
 
@@ -329,8 +381,7 @@ class TestOneMapPerCall:
         assert built[0] == 1
 
 
-GAP_N1 = json.loads((pathlib.Path(__file__).resolve().parent.parent
-                     / "golden" / "gap_n1.json").read_text())
+GAP_N1 = json.loads((GOLDEN / "gap_n1.json").read_text())
 
 
 def _leaf_paths(doc, path=()):

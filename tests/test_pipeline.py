@@ -18,7 +18,8 @@ from surfaceflow.instances import (generate_gap_family,
                                    parse_instance, serialize_instance)
 from surfaceflow.oracle import exact_integral_multiflow
 from surfaceflow.pipeline import (PipelineConfig, render_report, run,
-                                  solution_wire, verify_solution)
+                                  solution_text, solution_wire,
+                                  verify_solution)
 from surfaceflow.rational import rat
 
 from conftest import torus_demand_instance
@@ -261,6 +262,17 @@ class TestCli:
         assert dot_path.read_text().startswith("graph")
         assert cli.main(["verify", str(inst_path), str(sol_path)]) == 0
 
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    def test_solution_file_is_solution_text(self, tmp_path, command):
+        sol_path = tmp_path / "sol.json"
+        inst = load_instance(GOLDEN / "gap_n1.json")
+        assert cli.main([command, str(GOLDEN / "gap_n1.json"),
+                         "--solution", str(sol_path)]) == 0
+        flow = run(inst)[0] if command == "solve" \
+            else exact_integral_multiflow(inst)[1]
+        assert sol_path.read_text() == solution_text(flow) \
+            == json.dumps(solution_wire(flow), sort_keys=True, indent=1) + "\n"
+
     def test_python_m_runs_the_cli(self, tmp_path):
         """``python -m surfaceflow`` runs the command line from a checkout,
         with no console script installed."""
@@ -436,6 +448,16 @@ class TestCli:
             argv.append(str(sol_path))
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == "error: demand edge 2 is a loop\n"
+
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    def test_edgeless_map_is_one_line_exit_2(self, tmp_path, capsys,
+                                             command):
+        # one vertex and no dart has no face, so V - E + F = 1
+        inst_path = tmp_path / "edgeless.json"
+        inst_path.write_text(json.dumps(
+            {"vertices": 1, "edges": [], "rotation": [[]]}))
+        assert cli.main([command, str(inst_path)]) == 2
+        assert capsys.readouterr().err == "error: map must have an edge\n"
 
 
 # 5,000 digits: past Python's default limit of 4,300 for int <-> str, so
