@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import chain
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -212,21 +213,19 @@ class Multiflow:
         return Multiflow.from_rationals(instance, amounts)
 
 
-def cycle_lp(cycle_edges: Sequence[Iterable[int]],
+def cycle_lp(cycle_edges: Sequence[Sequence[int]],
              caps: Sequence[int]) -> tuple[LPResult, list]:
     """The cycle-formulation LP, solved by ``solve_lp``.
 
-    One unit column per cycle (``cycle_edges`` gives each cycle's edges)
-    and one capacity row per used edge, in edge order.  Returns the LP
-    result and the edge of each row.
+    One unit column per cycle (``cycle_edges`` gives each cycle's edges,
+    each once) and one capacity row per used edge, in edge order: the used
+    edges are numbered once, and each column lists its edges' rows.  The
+    LP has no arcs.  Returns the LP result and the edge of each row.
     """
-    rows_by_edge: dict[int, dict] = {}
-    for i, edges in enumerate(cycle_edges):
-        for e in edges:
-            rows_by_edge.setdefault(e, {})[i] = 1
-    row_edges = sorted(rows_by_edge)
+    row_edges = sorted(set(chain.from_iterable(cycle_edges)))
+    row_of = {e: i for i, e in enumerate(row_edges)}.__getitem__
     lp = solve_lp([1] * len(cycle_edges),
-                  [rows_by_edge[e] for e in row_edges],
+                  [tuple(map(row_of, edges)) for edges in cycle_edges],
                   [caps[e] for e in row_edges])
     return lp, row_edges
 
@@ -270,35 +269,39 @@ def solve_fractional(instance: Instance) -> EdgeFlowSolution:
     n_flow = len(demands) * per
     # int data throughout, and an int answer
     c = [0] * n_flow + [1] * len(demands)
-
-    A_eq, b_eq = [], []
-    for di, d in enumerate(demands):
-        s, t = g.edges[d]
-        rows = [{} for _ in range(g.n)]
-        for k, e in enumerate(supply):
-            a, b = g.edges[e]
-            if a == b:
-                continue  # a supply loop can never lie on a simple D-cycle
-            col = di * per + 2 * k
-            rows[a][col], rows[b][col] = -1, 1
-            rows[a][col + 1], rows[b][col + 1] = 1, -1
-        # the demand edge carries w_d from t back to s
-        rows[t][n_flow + di] = -1
-        for v, row in enumerate(rows):
-            # one conservation row per demand (that of s) is redundant;
-            # leaving it out makes s the root of the node-arc rows, whose
-            # spanning forest is both engines' start
-            if v != s and row:
-                A_eq.append(row)
-                b_eq.append(0)
-
     # capacity rows: the supply edges, then the demand edges
-    A_ub = [{di * per + 2 * k + side: 1 for di in range(len(demands))
-             for side in (0, 1)} for k in range(len(supply))]
-    A_ub += [{n_flow + di: 1} for di in range(len(demands))]
+    rows = [(k,) for k in range(len(supply) + len(demands))]
+    cols = [rows[k] for k in range(len(supply)) for _ in (0, 1)] \
+        * len(demands) + rows[len(supply):]
     b_ub = [instance.caps[e] for e in supply + demands]
 
-    res = solve_lp(c, A_ub, b_ub, A_eq, b_eq)
+    # one conservation row per demand and vertex, in that order, except
+    # for the vertices that neither a flow column nor the demand edge
+    # touches, and for s: its row is redundant, and leaving it out makes s
+    # the root of the arcs, whose spanning forest is both engines' start.
+    # x+ runs from slot0 to slot1, x- back; a supply loop can never lie on
+    # a simple D-cycle, so its columns have no arc
+    ends = [g.edges[e] for e in supply]
+    touched = {v for a, b in ends if a != b for v in (a, b)}
+    head, tail, w_tail = [], [], []
+    m_eq = 0
+    for d in demands:
+        s, t = g.edges[d]
+        row = [-1] * g.n
+        for v in range(g.n):
+            if v != s and (v == t or v in touched):
+                row[v] = m_eq
+                m_eq += 1
+        for a, b in ends:
+            ra, rb = (row[a], row[b]) if a != b else (-1, -1)
+            head += (rb, ra)
+            tail += (ra, rb)
+        # the demand edge carries w_d from t back to s
+        w_tail.append(row[t])
+    head += [-1] * len(demands)
+    tail += w_tail
+
+    res = solve_lp(c, cols, b_ub, (head, tail, m_eq))
 
     X = res.X
     flow = {}

@@ -1,20 +1,21 @@
 """Self-contained simplex solvers over exact integers.
 
-``solve_lp`` maximizes ``c . x`` subject to ``A_ub x <= b_ub``,
-``A_eq x = b_eq``, ``x >= 0`` and returns an exactly optimal primal/dual
-pair.  The data are the LPs the package poses, the compact edge-flow LP and
-the cycle LP: Python ints throughout (0/+-1 rows, integer capacities) with
-non-negative right-hand sides.  Both engines and the certificate use the
-ints as they are, and every row's slack or artificial starts basic at a
-non-negative value.  Neither engine has a phase 1: equality rows must be
-node-arc rows with zero right-hand sides (the compact LP's conservation
-rows; the cycle LP has none), both engines start from one spanning forest
-of them (``_spanning_forest``), and other equality rows are refused.  The
-answer stays in ints too: ``x`` is ``X / dx`` and ``y`` is ``Y / dy``, int
-numerators over one positive denominator per vector, the least one.  The
-float snap works in ints too, so the only rational ``solve_lp`` makes is
-the objective value; its callers make a ``QQ`` where a value leaves them.
-There are two engines, each with its own tableau code:
+``solve_lp`` maximizes ``c . x`` subject to ``A x <= b_ub``, ``N x = 0``,
+``x >= 0`` and returns an exactly optimal primal/dual pair.  It takes the
+one shape of LP the package poses, the compact edge-flow LP and the cycle
+LP, by columns: ``A`` is 0/1, column ``j`` having a 1 in each capacity row
+that ``cols[j]`` lists, and ``N`` is a node-arc matrix, column ``j`` an
+arc with a ``+1`` in conservation row ``head[j]`` and a ``-1`` in row
+``tail[j]`` (``-1`` for a missing end), given as ``arcs = (head, tail,
+m_eq)`` (the cycle LP has none).  ``c`` and the capacities ``b_ub >= 0``
+are Python ints, so every row's slack or artificial starts basic at a
+non-negative value.  Neither engine has a phase 1: both start from one
+spanning forest of the arcs (``_spanning_forest``).  The answer stays in
+ints too: ``x`` is ``X / dx`` and ``y`` is ``Y / dy``, int numerators over
+one positive denominator per vector, the least one.  The float snap works
+in ints too, so the only rational ``solve_lp`` makes is the objective
+value; its callers make a ``QQ`` where a value leaves them.  There are two
+engines, each with its own tableau code, filled from the columns:
 
 - Bland's rule from the forest (the reference path, immune to cycling) on
   a fraction-free tableau: each row is a list of int numerators over one
@@ -40,27 +41,29 @@ There are two engines, each with its own tableau code:
   wider.  Every form gives each touched entry
   ``T[i, j] - T[i, pc] * prow[j]``, and every other entry would only
   subtract zero, so the pivot sequence is that of a full dense update.  The
-  tableau is filled with one coordinate assignment per block of rows.  A
-  chunk and a block hold at most ``_CHUNK`` entries (or one row), so no
-  temporary outgrows a small fixed size or one row.
+  capacity block is filled with one coordinate assignment per block of
+  columns.  A chunk and a block hold at most ``_CHUNK`` entries (or one
+  row or column), so no temporary outgrows a small fixed size or one row.
 
 Either way the result is certified: the returned dual is exactly feasible
 with objective equal to the primal's, so optimality never rests on floating
-point.  ``check_certificate`` decides this on the answer's ints, so on int
-data every test is an integer sum.
+point.  ``check_certificate`` decides this on the answer's ints, so every
+test is an integer sum.
 
-An LP of the wrong shape raises ``PreconditionError``: a ``b_ub`` or
-``b_eq`` of another length than its rows, or a column outside
-``0..len(c) - 1``, found where the forest and the tableau builds read
-every entry.
+An LP of the wrong shape raises ``PreconditionError``: ``cols``, ``head``
+or ``tail`` of another length than ``c``, an arc end outside
+``0..m_eq - 1``, an arc whose head is its tail, or a capacity row outside
+``0..len(b_ub) - 1`` or listed twice in a column, found where the tableau
+builds read every entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import chain
+from itertools import chain, compress, count
 from math import gcd, lcm
+from operator import eq, mul
 from typing import Sequence
 
 import numpy as np
@@ -104,81 +107,93 @@ class LPResult:
     engine: str
 
 
-def solve_lp(c: Sequence[int], A_ub: Sequence[dict], b_ub: Sequence[int],
-             A_eq: Sequence[dict] = (), b_eq: Sequence[int] = ()) -> LPResult:
-    """Maximize ``c . x`` over the given system; all data Python ints.
+def solve_lp(c: Sequence[int], cols: Sequence[tuple], b_ub: Sequence[int],
+             arcs: tuple | None = None) -> LPResult:
+    """Maximize ``c . x`` over the LP given by its columns (see the module
+    docstring); all data Python ints.
 
-    Rows are sparse dicts ``{column: int coefficient}``.  An entry of ``c``,
-    ``b_ub`` or ``b_eq`` that is not an ``int`` (a bool, a float, a
-    ``Fraction``) raises ``TypeError``.  A negative ``b_ub`` entry, equality
-    rows other than node-arc rows with zero right-hand sides (see
-    ``_spanning_forest``), an LP of the wrong shape (see the module
+    ``cols[j]`` lists column ``j``'s capacity rows, each once, and
+    ``arcs``, ``(head, tail, m_eq)`` or ``None`` for no conservation rows,
+    gives its arc.  An entry of ``c`` or ``b_ub``, or an ``m_eq``, that is
+    not an ``int`` (a bool, a float, a ``Fraction``) raises ``TypeError``.
+    A negative ``b_ub`` entry, an LP of the wrong shape (see the module
     docstring) and unbounded input raise ``PreconditionError``; there is no
     infeasible case, as ``x = 0`` is feasible.
     """
-    for v in chain(c, b_ub, b_eq):
+    given = arcs is not None
+    arcs = _arcs(len(c), cols, arcs)
+    for v in chain(c, b_ub, arcs[2:]):
         if type(v) is not int:
             raise TypeError("LP data must be ints, got %s %r"
                             % (type(v).__name__, v))
-    _check_rhs_lengths(A_ub, b_ub, A_eq, b_eq)
     if min(b_ub, default=0) < 0:
         raise PreconditionError("right-hand sides must be non-negative")
-    forest = _spanning_forest(len(c), A_eq, b_eq)
+    if given:
+        _check_ends(*arcs)
+    tree = _spanning_forest(*arcs)
 
     engine, got = "float+certify", None
     if len(c) > _FLOAT_THRESHOLD:
-        got = _float_then_snap(c, A_ub, b_ub, A_eq, b_eq, forest)
+        got = _float_then_snap(c, cols, b_ub, arcs, tree)
     if got is None:
         engine = "exact"
-        got = _simplex_exact(c, A_ub, b_ub, A_eq, b_eq, forest)
+        got = _simplex_exact(c, cols, b_ub, arcs, tree)
     X, dx, Y_ub, Y_eq, dy = got
     value = QQ(sum(ci * xi for ci, xi in zip(c, X) if xi), dx)
     return LPResult(X, dx, Y_ub, Y_eq, dy, value, engine)
 
 
-def _check_rhs_lengths(A_ub, b_ub, A_eq, b_eq) -> None:
-    if len(b_ub) != len(A_ub) or len(b_eq) != len(A_eq):
+def _arcs(n: int, cols, arcs) -> tuple:
+    """``arcs``, or for ``None`` the missing arcs of ``n`` columns over no
+    conservation row; per-column data of another length than ``c`` raise
+    ``PreconditionError``."""
+    if arcs is None:
+        arcs = ([-1] * n, [-1] * n, 0)
+    head, tail, _ = arcs
+    if len(cols) != n or len(head) != n or len(tail) != n:
         raise PreconditionError(
-            "%d and %d right-hand sides for %d and %d rows"
-            % (len(b_ub), len(b_eq), len(A_ub), len(A_eq)))
+            "%d costs, but %d, %d and %d columns of rows, heads and tails"
+            % (n, len(cols), len(head), len(tail)))
+    return arcs
 
 
-def _column_error(n: int) -> PreconditionError:
-    return PreconditionError("a row has a column outside 0..%d" % (n - 1))
+def _check_ends(head, tail, m_eq) -> None:
+    """Refuse an arc end outside ``0..m_eq - 1`` and an arc whose head is
+    its tail."""
+    if m_eq < 0 or head and (min(head) < -1 or min(tail) < -1
+                             or max(head) >= m_eq or max(tail) >= m_eq):
+        raise PreconditionError("an arc end outside 0..%d" % (m_eq - 1))
+    # a column without an arc has -1 at both ends
+    if any(map(eq, head, tail)) and any(
+            h == t >= 0 for h, t in zip(head, tail)):
+        raise PreconditionError("an arc's head is its tail")
 
 
-def _spanning_forest(n: int, A_eq, b_eq) -> tuple:
-    """``(tree, head, tail)``: the arcs phase 1 would pivot in, in order,
-    and each column's head and tail row (``-1`` for none).
+def _row_error(m_ub: int) -> PreconditionError:
+    return PreconditionError("a column lists a capacity row outside 0..%d "
+                             "or twice" % (m_ub - 1))
 
-    A nonzero ``b_eq``, or a column with an equality entry besides one
-    ``+1`` (its head) and one ``-1`` (its tail), raises
-    ``PreconditionError``.  Phase 1 on node-arc rows only grows a spanning
-    forest: its reduced costs stay in {-1, 0, 1}, so Dantzig's and Bland's
-    rules both pick the lowest column whose head row is unreached and whose
-    tail row is reached or absent; it enters at its head row at ratio 0
-    with pivot 1 (the only ratio 0 where every ``b_ub`` is positive; the
-    forest is a feasible start either way), so the arcs come off a heap of
-    column indices.  Unreached rows keep their artificials.
+
+def _spanning_forest(head, tail, m_eq) -> list:
+    """The arcs phase 1 would pivot in, in order.
+
+    Phase 1 on node-arc rows only grows a spanning forest: its reduced
+    costs stay in {-1, 0, 1}, so Dantzig's and Bland's rules both pick the
+    lowest column whose head row is unreached and whose tail row is reached
+    or absent; it enters at its head row at ratio 0 with pivot 1 (the only
+    ratio 0 where every ``b_ub`` is positive; the forest is a feasible
+    start either way), so the arcs come off a heap of column indices.
+    Unreached rows keep their artificials.
     """
-    if any(b_eq):
-        raise PreconditionError("equality right-hand sides must be zero")
-    head, tail = [-1] * n, [-1] * n
-    out = [[] for _ in A_eq]  # the columns leaving each row
-    for r, row in enumerate(A_eq):
-        for j, v in row.items():
-            if not 0 <= j < n:
-                raise _column_error(n)
-            if v == 1 and head[j] < 0:
-                head[j] = r
-            elif v == -1 and tail[j] < 0:
-                tail[j] = r
-                out[r].append(j)
-            else:
-                raise PreconditionError("equality rows must be node-arc rows")
-    # the lowest entering column first; arcs out of no row start the heap
-    heap = [j for j, h, t in zip(range(n), head, tail) if h >= 0 > t]
-    reached = [False] * len(A_eq)
+    if not m_eq:
+        return []
+    # the columns leaving each row; slot m_eq, end -1, gets those leaving
+    # no row, which start the heap, lowest entering column first
+    out = [[] for _ in range(m_eq + 1)]
+    for j, t in enumerate(tail):
+        out[t].append(j)
+    reached = [False] * m_eq + [True]  # an arc into no row never enters
+    heap = out[-1]
     tree = []
     while heap:
         j = heappop(heap)
@@ -187,64 +202,65 @@ def _spanning_forest(n: int, A_eq, b_eq) -> tuple:
             reached[h] = True
             tree.append(j)
             for k in out[h]:
-                if head[k] >= 0 and not reached[head[k]]:
+                if not reached[head[k]]:
                     heappush(heap, k)
-    return tree, head, tail
+    return tree
 
 
-def check_certificate(c, A_ub, b_ub, A_eq, b_eq, X, dx, Y_ub, Y_eq,
-                      dy) -> bool:
+def check_certificate(c, cols, b_ub, arcs, X, dx, Y_ub, Y_eq, dy) -> bool:
     """Exact optimality check of ``x = X / dx`` and ``y = Y / dy``:
     primal/dual feasible with equal objectives.
 
-    ``X``, ``Y_ub`` and ``Y_eq`` are int numerators and ``dx``, ``dy``
-    their denominators, as ``LPResult`` holds them.  The tests are
-    ``X >= 0``, ``A X <= b dx``, ``Y_ub >= 0``, ``A^T Y >= c dy`` and
-    ``c X dy == b Y dx``: integer sums on int data, on any equality rows
-    (not only node-arc ones; rational data are decided exactly too, through
-    ``Fraction``).  The primal tests come first, so a snapped ``x`` that
-    breaks a row is refused before ``y`` is read.  A vector of the wrong
-    length or a denominator that is not positive gives ``False``; a
-    ``b_ub`` or ``b_eq`` of the wrong length raises ``PreconditionError``.
-    Columns are read as given: ``solve_lp`` refuses a bad one before it
-    certifies anything.
+    The LP is given as ``solve_lp`` takes it, and ``X``, ``Y_ub`` and
+    ``Y_eq`` are int numerators and ``dx``, ``dy`` their denominators, as
+    ``LPResult`` holds them.  The tests are ``X >= 0``, ``A X <= b dx``
+    and ``N X = 0``, summed over the support of ``X``, then ``Y_ub >= 0``,
+    ``A^T Y_ub + N^T Y_eq >= c dy``, one column at a time, and
+    ``c X dy == b Y_ub dx``: integer sums on int data.  The primal tests
+    come first, so a snapped ``x`` that breaks a row is refused before
+    ``y`` is read.  A vector of the wrong length or a denominator that is
+    not positive gives ``False``; per-column data of another length than
+    ``c`` raise ``PreconditionError``.  Rows and arc ends are read as
+    given: ``solve_lp`` refuses a bad one before it certifies anything.
     """
-    _check_rhs_lengths(A_ub, b_ub, A_eq, b_eq)
     n = len(c)
-    if (len(X) != n or len(Y_ub) != len(A_ub) or len(Y_eq) != len(A_eq)
+    head, tail, m_eq = _arcs(n, cols, arcs)
+    if (len(X) != n or len(Y_ub) != len(b_ub) or len(Y_eq) != m_eq
             or dx <= 0 or dy <= 0):
         return False
     if min(X, default=0) < 0:
         return False
-    for row, b in zip(A_ub, b_ub):
-        if sum(coef * X[j] for j, coef in row.items()) > b * dx:
-            return False
-    for row, b in zip(A_eq, b_eq):
-        if sum(coef * X[j] for j, coef in row.items()) != b * dx:
-            return False
+    # a missing arc end (-1) lands in the last slot of net, which no row
+    # reads
+    load, net = [0] * len(b_ub), [0] * (m_eq + 1)
+    for j in compress(range(n), X):
+        x = X[j]
+        for r in cols[j]:
+            load[r] += x
+        net[head[j]] += x
+        net[tail[j]] -= x
+    if any(net[:m_eq]) or any(v > b * dx for v, b in zip(load, b_ub)):
+        return False
 
     if min(Y_ub, default=0) < 0:
         return False
-    # dual feasibility per column: A^T y >= c
-    col_tot = [0] * n
-    for rows, ys in ((A_ub, Y_ub), (A_eq, Y_eq)):
-        for row, y in zip(rows, ys):
-            if y:
-                for j, coef in row.items():
-                    col_tot[j] += coef * y
-    if any(tot < cj * dy for tot, cj in zip(col_tot, c)):
-        return False
-    primal = sum(cj * xj for cj, xj in zip(c, X))
-    dual = sum(b * y for b, y in zip(b_ub, Y_ub)) + \
-        sum(b * y for b, y in zip(b_eq, Y_eq))
-    return primal * dy == dual * dx
+    # dual feasibility per column: A^T y >= c, where a missing end's price
+    # is the last slot's 0; the capacity prices are summed only when the
+    # arc's prices leave a need, as they are non-negative
+    price = Y_ub.__getitem__
+    ends = [*Y_eq, 0]
+    for rows, h, t, cj in zip(cols, head, tail, c):
+        need = cj * dy - ends[h] + ends[t]
+        if need > 0 and sum(map(price, rows)) < need:
+            return False
+    return sum(map(mul, c, X)) * dy == sum(map(mul, b_ub, Y_ub)) * dx
 
 
 # ---------------------------------------------------------------------------
 # exact integer tableau
 # ---------------------------------------------------------------------------
 
-def _simplex_exact(c, A_ub, b_ub, A_eq, b_eq, forest):
+def _simplex_exact(c, cols, b_ub, arcs, tree):
     """Bland's rule from the spanning forest on a fraction-free tableau.
 
     Row ``i`` holds the rationals ``tab[i][j] / den[i]``: int numerators
@@ -259,20 +275,25 @@ def _simplex_exact(c, A_ub, b_ub, A_eq, b_eq, forest):
     denominators cancel), so no rational is made: the answer is
     ``(X, dx, Y_ub, Y_eq, dy)``, each vector over its least denominator.
     """
-    n, m_ub, m_eq = len(c), len(A_ub), len(A_eq)
+    head, tail, m_eq = arcs
+    n, m_ub = len(c), len(b_ub)
     m = m_ub + m_eq
     art_lo = n + m_ub
     width = art_lo + m_eq + 1  # structural | slacks | artificials | rhs
-    tab = []
-    for i, (row, b) in enumerate(chain(zip(A_ub, b_ub), zip(A_eq, b_eq))):
-        r = [0] * width
-        for j, v in row.items():
-            if not 0 <= j < n:
-                raise _column_error(n)
-            r[j] = v
+    tab = [[0] * width for _ in range(m)]
+    for j, rows in enumerate(cols):
+        for r in rows:
+            if not 0 <= r < m_ub or tab[r][j]:
+                raise _row_error(m_ub)
+            tab[r][j] = 1
+    eq = tab[m_ub:] + [[0] * width]  # the last row takes missing ends
+    for j, h, t in zip(count(), head, tail):
+        eq[h][j] = 1
+        eq[t][j] = -1
+    for i, r in enumerate(tab):
         r[n + i] = 1
-        r[-1] = b
-        tab.append(r)
+    for r, b in zip(tab, b_ub):
+        r[-1] = b  # the conservation rows' right-hand sides stay 0
     basis = list(range(n, n + m))
     tab.append(list(c) + [0] * (width - n))  # row m: the objective
     den = [1] * (m + 1)
@@ -295,13 +316,13 @@ def _simplex_exact(c, A_ub, b_ub, A_eq, b_eq, forest):
                 for j, w in nz:
                     r[j] -= a * w
                 d = den[i] * dp
-                g = gcd(d, *r)
-                if g > 1:
-                    r = [v // g for v in r]
-                    d //= g
+                if d != 1:  # over 1 the entries are ints: the gcd is 1
+                    g = gcd(d, *r)
+                    if g > 1:
+                        r = [v // g for v in r]
+                        d //= g
                 tab[i], den[i] = r, d
 
-    tree, head, _ = forest
     for j in tree:
         pivot(m_ub + head[j], j)
         basis[m_ub + head[j]] = j
@@ -355,34 +376,43 @@ def _lowest(nums: list, d: int) -> tuple:
 # float warm start
 # ---------------------------------------------------------------------------
 
-def _simplex_float(c, A_ub, b_ub, A_eq, b_eq, forest):
-    n, m_ub, m_eq = len(c), len(A_ub), len(A_eq)
+def _simplex_float(c, cols, b_ub, arcs, tree):
+    head, tail, m_eq = arcs
+    n, m_ub = len(c), len(b_ub)
     m = m_ub + m_eq
     art_lo = n + m_ub
     width = art_lo + m_eq + 1  # structural | slacks | artificials | rhs
     # rows 0..m-1 the constraints, row m the objective c
     T = np.zeros((m + 1, width))
-    A = list(chain(A_ub, A_eq))
-    lens = [len(row) for row in A]
-    # the rows' entries as one coordinate assignment per block of rows,
-    # at most _CHUNK entries a block (or one row)
-    step = max(1, _CHUNK // max(1, *lens))
-    for lo in range(0, m, step):
-        block, sizes = A[lo:lo + step], lens[lo:lo + step]
+    # the capacity block's 1s as one coordinate assignment per block of
+    # columns, at most _CHUNK entries a block (or one column)
+    lens = list(map(len, cols))
+    step = max(1, _CHUNK // max(1, max(lens, default=0)))
+    for lo in range(0, n, step):
+        sizes = lens[lo:lo + step]
         nnz = sum(sizes)
-        cols = np.fromiter(chain.from_iterable(block), np.intp, nnz)
-        if nnz and (cols.min() < 0 or cols.max() >= n):
-            raise _column_error(n)
-        T[np.repeat(np.arange(lo, lo + len(block)), sizes), cols] = \
-            np.fromiter(chain.from_iterable(row.values() for row in block),
-                        float, nnz)
+        rows = np.fromiter(chain.from_iterable(cols[lo:lo + step]), np.intp,
+                           nnz)
+        if nnz and (rows.min() < 0 or rows.max() >= m_ub):
+            raise _row_error(m_ub)
+        # added, not assigned, so that a row listed twice shows as a 2
+        where = (rows, np.repeat(np.arange(lo, lo + len(sizes)), sizes))
+        np.add.at(T, where, 1.0)
+        if nnz and T[where].max() > 1.0:
+            raise _row_error(m_ub)
+    if m_eq:
+        js = np.arange(n)
+        for ends, v in ((head, 1.0), (tail, -1.0)):
+            ends = np.fromiter(ends, np.intp, n)
+            some = ends >= 0
+            T[m_ub + ends[some], js[some]] = v
     # row i's slack or artificial is column n + i in either block
     np.fill_diagonal(T[:m, n:n + m], 1.0)
-    T[:m, -1] = np.fromiter(chain(b_ub, b_eq), float, m)
+    T[:m_ub, -1] = np.fromiter(b_ub, float, m_ub)
     T[m, :n] = c
     basis = np.arange(n, n + m)
-    if m_eq:
-        _forest_start(T, basis, c, A_ub, forest)
+    if tree:
+        _forest_start(T, basis, c, cols, arcs, tree)
     tol = 1e-9
     rhs = T[:m, -1]
     obj = T[m, :art_lo]  # the artificials never enter
@@ -432,27 +462,28 @@ def _simplex_float(c, A_ub, b_ub, A_eq, b_eq, forest):
         (-T[m, art_lo:-1]).tolist()
 
 
-def _forest_start(T, basis, c, A_ub, forest) -> None:
+def _forest_start(T, basis, c, cols, arcs, tree) -> None:
     """Put ``T`` and ``basis`` in the state the forest's pivots make: each
     reached row the sum of its subtree's original rows (artificial columns
     included), and every other row, ``c``'s too, less its original entry on
-    each tree arc times the arc's row.  Every value is a small int."""
-    tree, head, tail = forest
-    m_ub, m = len(A_ub), len(T) - 1
-    eq = list(T[m_ub:m])  # row views
+    each tree arc times the arc's row.  Every value is a small int, so the
+    order of the sums does not matter."""
+    head, tail, m_eq = arcs
+    m = len(T) - 1
+    eq = list(T[m - m_eq:m])  # row views
     # children before parents: each reached row the sum of its subtree's
     for j in reversed(tree):
         if tail[j] >= 0:
             eq[tail[j]] += eq[head[j]]
-    # every other row, the objective's too, loses its original entry on
-    # each tree arc times the arc's row
-    arcs = set(tree)
-    for i, row in zip([*range(m_ub), m], [*A_ub, {j: c[j] for j in tree}]):
-        for j, a in row.items():
-            if a and j in arcs:
-                s = eq[head[j]]
-                T[i] -= s if a == 1 else a * s
-    basis[[m_ub + head[j] for j in tree]] = tree
+    # each tree arc's capacity rows, and the objective if the arc has a
+    # cost, lose the arc's row
+    for j in tree:
+        s = eq[head[j]]
+        for r in cols[j]:
+            T[r] -= s
+        if c[j]:
+            T[m] -= c[j] * s
+    basis[[m - m_eq + head[j] for j in tree]] = tree
 
 
 def _expand(v: float) -> tuple:
@@ -510,8 +541,8 @@ def _snap(values, denom, memo):
     return [num[v] for v in values], d
 
 
-def _float_then_snap(c, A_ub, b_ub, A_eq, b_eq, forest):
-    got = _simplex_float(c, A_ub, b_ub, A_eq, b_eq, forest)
+def _float_then_snap(c, cols, b_ub, arcs, tree):
+    got = _simplex_float(c, cols, b_ub, arcs, tree)
     if got is None:
         return None
     xf, yubf, yeqf = got
@@ -525,7 +556,6 @@ def _float_then_snap(c, A_ub, b_ub, A_eq, b_eq, forest):
         X, dx = _snap(xf, denom, memo)
         Y, dy = _snap(yf, denom, memo)
         Y_ub, Y_eq = Y[:m_ub], Y[m_ub:]
-        if check_certificate(c, A_ub, b_ub, A_eq, b_eq, X, dx, Y_ub, Y_eq,
-                             dy):
+        if check_certificate(c, cols, b_ub, arcs, X, dx, Y_ub, Y_eq, dy):
             return X, dx, Y_ub, Y_eq, dy
     return None

@@ -590,13 +590,29 @@ def int_answer(x, y_ub, y_eq) -> tuple:
             numerators_over(map(QQ, y_eq), dy), dy)
 
 
-def reference_check_certificate(c, A_ub, b_ub, A_eq, b_eq, x, y_ub,
-                                y_eq) -> bool:
-    """``lp.check_certificate`` entry by entry over rationals, as the
-    reference its integer version must agree with."""
+def dict_rows(cols, b_ub, arcs=None) -> tuple:
+    """An LP in ``lp``'s column form as the dict rows ``(A_ub, A_eq)``,
+    ``{column: coefficient}`` each, that the references read: a 1 in each
+    capacity row a column lists, and each arc's ``+1`` at its head row and
+    ``-1`` at its tail row."""
+    head, tail, m_eq = arcs or ((), (), 0)
+    A_ub, A_eq = [{} for _ in b_ub], [{} for _ in range(m_eq)]
+    for j, rows in enumerate(cols):
+        for r in rows:
+            A_ub[r][j] = 1
+    for j, (h, t) in enumerate(zip(head, tail)):
+        if h >= 0:
+            A_eq[h][j] = 1
+        if t >= 0:
+            A_eq[t][j] = -1
+    return A_ub, A_eq
+
+
+def reference_check_certificate(c, cols, b_ub, arcs, x, y_ub, y_eq) -> bool:
+    """``lp.check_certificate`` entry by entry over rationals and the dict
+    rows, as the reference its integer version must agree with."""
+    A_ub, A_eq = dict_rows(cols, b_ub, arcs)
     n = len(c)
-    if len(b_ub) != len(A_ub) or len(b_eq) != len(A_eq):
-        raise PreconditionError("right-hand sides do not match the rows")
     if len(y_ub) != len(A_ub) or len(y_eq) != len(A_eq):
         return False
     if len(x) != n or any(v < 0 for v in x):
@@ -604,48 +620,44 @@ def reference_check_certificate(c, A_ub, b_ub, A_eq, b_eq, x, y_ub,
     for row, b in zip(A_ub, b_ub):
         if sum((coef * x[j] for j, coef in row.items()), ZERO) > b:
             return False
-    for row, b in zip(A_eq, b_eq):
-        if sum((coef * x[j] for j, coef in row.items()), ZERO) != b:
+    for row in A_eq:
+        if sum((coef * x[j] for j, coef in row.items()), ZERO) != 0:
             return False
     if any(v < 0 for v in y_ub):
         return False
     # dual feasibility per column: A^T y >= c
     col_tot = [ZERO] * n
-    for row, y in zip(A_ub, y_ub):
-        if y:
-            for j, coef in row.items():
-                col_tot[j] += coef * y
-    for row, y in zip(A_eq, y_eq):
+    for row, y in zip(A_ub + A_eq, [*y_ub, *y_eq]):
         if y:
             for j, coef in row.items():
                 col_tot[j] += coef * y
     if any(col_tot[j] < c[j] for j in range(n)):
         return False
     primal = sum((c[j] * x[j] for j in range(n)), ZERO)
-    dual = sum((b * y for b, y in zip(b_ub, y_ub)), ZERO) + \
-        sum((b * y for b, y in zip(b_eq, y_eq)), ZERO)
+    dual = sum((b * y for b, y in zip(b_ub, y_ub)), ZERO)
     return primal == dual
 
 
-def with_forest(c, A_ub, b_ub, A_eq, b_eq) -> tuple:
-    """The LP and its spanning forest: the arguments ``lp``'s engines
-    take."""
-    return c, A_ub, b_ub, A_eq, b_eq, lp._spanning_forest(len(c), A_eq, b_eq)
+def with_forest(c, cols, b_ub, arcs=None) -> tuple:
+    """The LP, with the missing arcs of ``None`` spelled out, and its
+    spanning forest: the arguments ``lp``'s engines take."""
+    arcs = lp._arcs(len(c), cols, arcs)
+    return c, cols, b_ub, arcs, lp._spanning_forest(*arcs)
 
 
-def reference_simplex_exact(c, A_ub, b_ub, A_eq, b_eq):
-    """Two-phase simplex on a dense ``QQ`` tableau: Bland's entering rule,
-    basis-index ties and zero-artificial drive-out in both phases, one
-    rational per entry.  On node-arc equality rows with positive ``b_ub``
-    its phase 1 ends where ``lp._simplex_exact``'s forest starts, so the
-    integer tableau must agree with it value for value; it also takes
-    general equality rows, which ``lp`` refuses."""
+def reference_simplex_exact(c, cols, b_ub, arcs=None):
+    """Two-phase simplex on a dense ``QQ`` tableau of the dict rows:
+    Bland's entering rule, basis-index ties and zero-artificial drive-out in
+    both phases, one rational per entry.  With positive ``b_ub`` its phase
+    1 ends where ``lp._simplex_exact``'s forest starts, so the integer
+    tableau must agree with it value for value."""
+    A_ub, A_eq = dict_rows(cols, b_ub, arcs)
     n, m_ub, m_eq = len(c), len(A_ub), len(A_eq)
     width = n + m_ub + m_eq + 1
     art_lo = n + m_ub
     art_set = set(range(art_lo, art_lo + m_eq))
     rows, basis = [], []
-    for i, (row, b) in enumerate(zip(A_ub, b_ub)):
+    for i, (row, b) in enumerate(zip(A_ub + A_eq, [*b_ub, *[0] * m_eq])):
         r = [ZERO] * width
         for j, coef in row.items():
             r[j] = rat(coef)
@@ -653,15 +665,6 @@ def reference_simplex_exact(c, A_ub, b_ub, A_eq, b_eq):
         r[-1] = rat(b)
         rows.append(r)
         basis.append(n + i)
-    for i, (row, b) in enumerate(zip(A_eq, b_eq)):
-        r = [ZERO] * width
-        sign = 1 if b >= 0 else -1
-        for j, coef in row.items():
-            r[j] = rat(coef * sign)
-        r[art_lo + i] = rat(1)
-        r[-1] = rat(b * sign)
-        rows.append(r)
-        basis.append(art_lo + i)
     m = len(rows)
     # phase 1 maximizes -sum(artificials): its reduced costs are the sums
     # of the artificial rows, zero on the artificial columns
@@ -705,44 +708,33 @@ def reference_simplex_exact(c, A_ub, b_ub, A_eq, b_eq):
 
     if m_eq:
         run(obj1, [obj1, obj2])
-        if sum((rows[i][-1] for i in range(m) if basis[i] in art_set), ZERO):
-            raise PreconditionError("LP is infeasible")
     run(obj2, [obj2])
     x = [ZERO] * n
     for i in range(m):
         if basis[i] < n:
             x[basis[i]] = rows[i][-1]
-    y_ub = [-obj2[n + i] for i in range(m_ub)]
-    y_eq = [-obj2[art_lo + i] * (1 if b >= 0 else -1)
-            for i, b in enumerate(b_eq)]
-    return x, y_ub, y_eq
+    y = [-obj2[n + i] for i in range(m)]
+    return x, y[:m_ub], y[m_ub:]
 
 
-def reference_simplex_float(c, A_ub, b_ub, A_eq, b_eq):
-    """``lp._simplex_float`` with separate objective arrays and a
-    full-width update of each touched row: the reference whose pivot
-    sequence, and so whose returned floats, the float engine must
-    reproduce."""
+def reference_simplex_float(c, cols, b_ub, arcs=None):
+    """``lp._simplex_float`` with separate objective arrays, a dense fill
+    from the dict rows and a full-width update of each touched row: the
+    reference whose pivot sequence, and so whose returned floats, the float
+    engine must reproduce."""
+    A_ub, A_eq = dict_rows(cols, b_ub, arcs)
     n = len(c)
     m_ub, m_eq = len(A_ub), len(A_eq)
     m = m_ub + m_eq
     width = n + m_ub + m_eq + 1
     art_lo = n + m_ub
     T = np.zeros((m, width))
-    basis = []
-    for i, (row, b) in enumerate(zip(A_ub, b_ub)):
+    for i, (row, b) in enumerate(zip(A_ub + A_eq, [*b_ub, *[0] * m_eq])):
         for j, coef in row.items():
             T[i, j] = float(coef)
         T[i, n + i] = 1.0
         T[i, -1] = float(b)
-        basis.append(n + i)
-    for i, (row, b) in enumerate(zip(A_eq, b_eq)):
-        sign = 1.0 if b >= 0 else -1.0
-        for j, coef in row.items():
-            T[m_ub + i, j] = float(coef) * sign
-        T[m_ub + i, art_lo + i] = 1.0
-        T[m_ub + i, -1] = float(b) * sign
-        basis.append(art_lo + i)
+    basis = np.arange(n, n + m)
     obj1 = T[m_ub:].sum(axis=0) if m_eq else np.zeros(width)
     obj1[art_lo:art_lo + m_eq] = 0.0
     obj2 = np.zeros(width)
@@ -750,7 +742,6 @@ def reference_simplex_float(c, A_ub, b_ub, A_eq, b_eq):
     tol = 1e-9
     art_cols = np.zeros(width, dtype=bool)
     art_cols[art_lo:art_lo + m_eq] = True
-    basis = np.array(basis)
 
     def run(obj, objs):
         for it in range(60000):
@@ -796,20 +787,16 @@ def reference_simplex_float(c, A_ub, b_ub, A_eq, b_eq):
     for i in range(m):
         if basis[i] < n:
             x[basis[i]] = T[i, -1]
-    y_ub = [-obj2[n + i] for i in range(m_ub)]
-    y_eq = []
-    for i in range(m_eq):
-        sign = 1.0 if b_eq[i] >= 0 else -1.0
-        y_eq.append(-obj2[art_lo + i] * sign)
-    return list(x), y_ub, y_eq
+    y = [-obj2[n + i] for i in range(m)]
+    return list(x), y[:m_ub], y[m_ub:]
 
 
-def reference_ladder(c, A_ub, b_ub, A_eq, b_eq) -> list:
+def reference_ladder(c, cols, b_ub, arcs=None) -> list:
     """The rational ``(x, y_ub, y_eq)`` of every rung of ``lp``'s snap
     ladder, as it was first written: each vector snapped with its own memo
     at each denominator of the ladder, and every snapped price of ``y_ub``
     clamped at zero afterwards.  Empty when the float engine gives up."""
-    got = lp._simplex_float(*with_forest(c, A_ub, b_ub, A_eq, b_eq))
+    got = lp._simplex_float(*with_forest(c, cols, b_ub, arcs))
     if got is None:
         return []
 
@@ -828,13 +815,13 @@ def reference_ladder(c, A_ub, b_ub, A_eq, b_eq) -> list:
              snap(yeqf, denom)) for denom in lp._SNAP_DENOMS]
 
 
-def reference_float_then_snap(c, A_ub, b_ub, A_eq, b_eq):
+def reference_float_then_snap(c, cols, b_ub, arcs=None):
     """``lp._float_then_snap`` on rationals: the first rung of
     ``reference_ladder`` that ``reference_check_certificate`` certifies,
     as ``(x, y_ub, y_eq)``, or ``None``."""
-    return next((rung for rung in reference_ladder(c, A_ub, b_ub, A_eq, b_eq)
-                 if reference_check_certificate(c, A_ub, b_ub, A_eq, b_eq,
-                                                *rung)), None)
+    return next((rung for rung in reference_ladder(c, cols, b_ub, arcs)
+                 if reference_check_certificate(c, cols, b_ub, arcs, *rung)),
+                None)
 
 
 def reference_shortest_path_length(instance: Instance, s: int, t: int,

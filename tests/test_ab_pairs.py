@@ -29,17 +29,20 @@ TOOL = load_tool()
 # a stand-in for perfbench/run.py: echoes its arguments as a metric
 STUB = """import json, sys
 print("perfbench stub")
-print(json.dumps({"correct": %s, "attempted": 2, "failed": %d,
+print(json.dumps({"correct": %s, "attempted": %d, "failed": %d,
                   "metrics": {"wall_s": {"value": 1.5, "unit": "s"},
                               "argv": {"value": sys.argv[1:],
                                        "unit": "count"}}}))
 """
 
 
-def stub_tree(tmp_path, correct=True):
-    (tmp_path / "perfbench").mkdir()
-    (tmp_path / "perfbench" / "run.py").write_text(
-        STUB % (correct, 0 if correct else 1))
+def stub(correct=True, attempted=2) -> str:
+    return STUB % (correct, attempted, 0 if correct else 1)
+
+
+def stub_tree(tmp_path, correct=True, attempted=2):
+    (tmp_path / "perfbench").mkdir(parents=True)
+    (tmp_path / "perfbench" / "run.py").write_text(stub(correct, attempted))
     return tmp_path
 
 
@@ -70,7 +73,7 @@ def test_extract_reads_the_revision_only(tmp_path):
     TOOL.extract(repo, "HEAD", dest)
     assert sorted(str(p.relative_to(dest)) for p in dest.rglob("*")) == [
         "perfbench", "perfbench/run.py"]
-    assert (dest / "perfbench" / "run.py").read_text() == STUB % (True, 0)
+    assert (dest / "perfbench" / "run.py").read_text() == stub()
     assert git_files(repo) == before
 
 
@@ -94,7 +97,7 @@ def test_pairs_run_in_the_extracted_base(tmp_path, monkeypatch):
 
     def run_once(tree, workload, seed):
         runs.append((tree == repo, (tree / "perfbench" / "run.py").exists()))
-        return {"wall_s": 1.0}
+        return 2, {"wall_s": 1.0}
 
     monkeypatch.setattr(TOOL, "run_once", run_once)
     assert TOOL.main(["--base", "HEAD", "--workload", "planar",
@@ -113,9 +116,31 @@ def test_metrics_are_the_benchmarks_end_to_end():
 
 def test_run_once_reads_the_last_line(tmp_path):
     got = TOOL.run_once(stub_tree(tmp_path), "planar", 2)
-    assert got == {"wall_s": 1.5, "argv": [
+    assert got == (2, {"wall_s": 1.5, "argv": [
         "--workload", "planar", "--seed", "2", "--seconds", "30",
-        "--trace", "0"]}
+        "--trace", "0"]})
+
+
+@pytest.mark.parametrize("work_attempted", [22, 23])
+def test_pairs_mark_unequal_passes(tmp_path, monkeypatch, capsys,
+                                   work_attempted):
+    """Each pair prints both sides' attempted counts, and a pair whose
+    sides attempted different counts is marked and counted."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(TOOL, "ROOT", stub_tree(tmp_path / "work",
+                                                attempted=work_attempted))
+    monkeypatch.setattr(TOOL, "end_to_end", lambda: [("wall_s", "lower",
+                                                      0.25)])
+    monkeypatch.setattr(TOOL, "extract", lambda repo, rev, dest: stub_tree(
+        dest, attempted=22))
+    assert TOOL.main(["--base", "HEAD", "--workload", "planar",
+                      "--pairs", "2"]) == 0
+    out = capsys.readouterr().out
+    mark = " (unequal passes)" if work_attempted != 22 else ""
+    for pair, first in ((1, "base"), (2, "work")):
+        assert "pair %d (%s first): attempted 22 -> %d%s, wall_s 1.5 -> 1.5" \
+            % (pair, first, work_attempted, mark) in out
+    assert "2 pairs (%d with unequal passes)" % (2 if mark else 0) in out
 
 
 def test_run_once_refuses_failed_instances(tmp_path):

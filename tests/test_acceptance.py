@@ -173,8 +173,8 @@ class TestAcceptance:
             ok &= check_cyclic_order(sets)
             cols = sorted({e for es in sets for e in es})
             lp = solve_lp([1] * kk,
-                          [{i: 1 for i, es in enumerate(sets) if e in es}
-                           for e in cols],
+                          [tuple(r for r, e in enumerate(cols) if e in es)
+                           for es in sets],
                           [caps[e] for e in cols])
             ok &= 2 * sum(greedy_values(sets, caps)) >= lp.value
         # the classification's cyclic orders satisfy the arc property

@@ -3,7 +3,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -39,33 +39,13 @@ def R(*vals):
     return [rat(v) for v in vals]
 
 
-def row(**kw):
-    return {int(k[1:]): v for k, v in kw.items()}
+# a degenerate LP: three zero right-hand sides tie the ratio tests at 0,
+# and Bland's rule must still end, at x5 = 1
+DEGENERATE = ([1] * 6, [(0, 3), (1, 3), (2, 3), (0, 1), (1, 2), (3,)],
+              [0, 0, 0, 1], None)
 
-
-def int_lp(c, A_ub, b_ub):
-    """The same LP, without equality rows, over ints, as ``solve_lp`` takes
-    it: ``c``, and each row with its right-hand side, scaled by the lcm of
-    their denominators.  The feasible set, and so the optimal ``x``, stay
-    the same."""
-    def scaled(vec):
-        d = lcm(*(Fraction(v).denominator for v in vec))
-        return [int(v * d) for v in vec]
-
-    A_out, b_out = [], []
-    for r, rhs in zip(A_ub, b_ub):
-        *coefs, rhs = scaled([*r.values(), rhs])
-        A_out.append(dict(zip(r, coefs)))
-        b_out.append(rhs)
-    return scaled(c), A_out, b_out, [], []
-
-
-# Beale's cycling example, scaled to ints: degenerate ties under Bland's
-# rule; its optimum 1/20 becomes 5 with ``c`` scaled by 100
-BEALE = int_lp(R("3/4", -150, "1/50", -6),
-               [{0: rat("1/4"), 1: -60, 2: rat("-1/25"), 3: 9},
-                {0: rat("1/2"), 1: -90, 2: rat("-1/50"), 3: 3}, {2: 1}],
-               [0, 0, 1])
+# the odd triangle: its one optimum puts 1/2 on each column
+TRIANGLE = ([1, 1, 1], [(0, 2), (0, 1), (1, 2)], [1, 1, 1], None)
 
 
 def torus(seed):
@@ -82,8 +62,8 @@ def spied_lp(monkeypatch, solve):
     ``solve_lp`` through ``flows``."""
     got = []
 
-    def spy(c, A_ub, b_ub, A_eq=(), b_eq=()):
-        args = (c, A_ub, b_ub, A_eq, b_eq)
+    def spy(c, cols, b_ub, arcs=None):
+        args = (c, cols, b_ub, arcs)
         got.append((args, solve_lp(*args)))
         return got[-1][1]
 
@@ -120,7 +100,7 @@ WIDEST_CYCLE_SEED = 939657385
 def root_cycle_lp(monkeypatch, seed=7):
     """The arguments and result of the oracle's root cycle LP on a 30-edge
     planar instance of the ``oracle`` mix: at seed 7, 1,029 unit columns,
-    30 capacity rows, no equality rows."""
+    30 capacity rows, no arcs."""
     inst = generate_planar_random(size=30, n_demands=3, cap_mode="random",
                                   seed=seed)
     cycle_edges = [tuple(d >> 1 for d in c.darts)
@@ -165,92 +145,68 @@ def digest(res):
 
 
 class TestExactSimplex:
+    # max 3x + 5y  s.t.  x <= 4, y <= 6, x + y <= 8
+    LP = ([3, 5], [(0, 2), (1, 2)], [4, 6, 8], None)
+
     def test_simple_2d(self):
-        # max 3x + 5y  s.t.  x <= 4, 2y <= 12, 3x + 2y <= 18
-        res = solve_lp([3, 5],
-                       [row(x0=1), row(x1=2), row(x0=3, x1=2)],
-                       [4, 12, 18])
+        res = solve_lp(*self.LP)
         assert res.value == rat(36)
         assert lp_answer(res)[0] == R(2, 6)
         assert res.engine == "exact"
         assert least_ints(*answer_of(res))
 
     def test_duals_satisfy_certificate(self):
-        c = [3, 5]
-        A = [row(x0=1), row(x1=2), row(x0=3, x1=2)]
-        b = [4, 12, 18]
-        res = solve_lp(c, A, b)
-        assert check_certificate(c, A, b, [], [], *answer_of(res))
-        assert sum(y * bi for y, bi in zip(lp_answer(res)[1], b)) == res.value
+        res = solve_lp(*self.LP)
+        assert check_certificate(*self.LP, *answer_of(res))
+        assert sum(y * bi for y, bi in zip(lp_answer(res)[1], self.LP[2])) \
+            == res.value
 
     def test_fractional_optimum(self):
-        # max x + y  s.t.  2x + y <= 3, x + 2y <= 3  ->  x = y = 1 at corner,
-        # then perturb to force a non-integer vertex
-        res = solve_lp([1, 1], [row(x0=2, x1=1), row(x0=1, x1=2)], [3, 3])
+        # max x + y  s.t.  x <= 1, x + y <= 2: an integral corner; the odd
+        # triangle's one optimum is all halves
+        res = solve_lp([1, 1], [(0, 1), (1,)], [1, 2])
         assert res.value == rat(2)
-        res = solve_lp([2, 1], [row(x0=3, x1=1), row(x0=1, x1=3)], [4, 4])
-        assert lp_answer(res)[0] == [rat(1), rat(1)]
-        assert res.value == rat(3)
+        res = solve_lp(*TRIANGLE)
+        assert lp_answer(res)[0] == R("1/2", "1/2", "1/2")
+        assert res.value == rat("3/2")
 
     def test_node_arc_equality_row(self):
-        # max x + 2y  s.t.  y - x = 0,  4y <= 3: x runs out of the row,
+        # max x + 2y  s.t.  y - x = 0,  x + y <= 3: x runs out of the row,
         # y into it
-        res = solve_lp([1, 2], [row(x1=4)], [3], [row(x0=-1, x1=1)], [0])
-        assert lp_answer(res)[0] == [rat("3/4"), rat("3/4")]
-        assert (res.X, res.dx) == ([3, 3], 4)
-        assert res.value == rat("9/4")
-        assert check_certificate([1, 2], [row(x1=4)], [3],
-                                 [row(x0=-1, x1=1)], [0], *answer_of(res))
-
-    def test_general_equality_row_refused(self):
-        """``x + y = 1`` is no node-arc row: two ``+1``s and a nonzero
-        right-hand side."""
-        with pytest.raises(PreconditionError, match="equality"):
-            solve_lp([1, 2], [row(x1=4)], [3], [row(x0=1, x1=1)], [1])
-
-    def test_infeasible_equalities_refused(self):
-        """``x = 1, x = 2`` would be infeasible; their nonzero right-hand
-        sides are refused, and with zero ones the column's two ``+1``s."""
-        with pytest.raises(PreconditionError, match="zero"):
-            solve_lp([1], [row(x0=1)], [1],
-                     [row(x0=1), row(x0=1)], [1, 2])
-        with pytest.raises(PreconditionError, match="node-arc"):
-            solve_lp([1], [row(x0=1)], [1],
-                     [row(x0=1), row(x0=1)], [0, 0])
+        lp_ = ([1, 2], [(0,), (0,)], [3], ([-1, 0], [0, -1], 1))
+        res = solve_lp(*lp_)
+        assert lp_answer(res)[0] == [rat("3/2"), rat("3/2")]
+        assert (res.X, res.dx) == ([3, 3], 2)
+        assert res.value == rat("9/2")
+        assert check_certificate(*lp_, *answer_of(res))
 
     def test_unbounded(self):
         with pytest.raises(PreconditionError):
-            solve_lp([1, 1], [row(x0=1)], [5])
+            solve_lp([1, 1], [(0,), ()], [5])
 
     def test_negative_ub_rhs_rejected(self):
         with pytest.raises(PreconditionError):
-            solve_lp([1], [row(x0=-1)], [-1])
-
-    def test_negative_eq_rhs_rejected(self):
-        """``-x = -1`` is refused, not negated: no equality right-hand side
-        but 0 is taken."""
-        with pytest.raises(PreconditionError):
-            solve_lp([1], [], [], [row(x0=-1)], [-1])
+            solve_lp([1], [(0,)], [-1])
 
     def test_zero_objective(self):
-        res = solve_lp([0, 0], [row(x0=1, x1=1)], [2])
+        res = solve_lp([0, 0], [(0,), (0,)], [2])
         assert res.value == 0
 
-    @pytest.mark.parametrize("where", ["c", "b_ub", "b_eq"])
+    @pytest.mark.parametrize("where", ["c", "b_ub", "m_eq"])
     @pytest.mark.parametrize("bad", [
         True, 1.0, pytest.param(Fraction(1), id="Fraction")])
     def test_bool_and_float_data_refused(self, where, bad):
         """Only ints: a bool, a float or a ``Fraction``, even an integral
         one, is refused."""
-        data = {"c": [1, 1], "b_ub": [2], "b_eq": [1]}
+        data = {"c": [1, 1], "b_ub": [2], "m_eq": [1]}
         data[where] = [bad] + data[where][1:]
         with pytest.raises(TypeError):
-            solve_lp(data["c"], [{0: 1, 1: 1}], data["b_ub"], [{0: 1}],
-                     data["b_eq"])
+            solve_lp(data["c"], [(0,), (0,)], data["b_ub"],
+                     ([0, -1], [-1, 0], *data["m_eq"]))
 
     def test_degenerate_does_not_cycle(self):
-        # classic cycling-prone instance (Beale); Bland's rule must terminate
-        assert solve_lp(*BEALE).value == rat(5)
+        # ties at ratio 0 under Bland's rule; it must terminate
+        assert solve_lp(*DEGENERATE).value == rat(1)
 
 
 class TestExactPinned:
@@ -297,29 +253,60 @@ class TestShape:
     @pytest.mark.parametrize("n", [1, WIDE], ids=["exact", "float"])
     @pytest.mark.parametrize("past_end", [True, False],
                              ids=["past-end", "negative"])
-    def test_column_outside_c_refused(self, n, past_end):
-        """Column ``n`` would land in row 0's slack, column ``-1`` in the
-        right-hand side."""
-        row = {j: 1 for j in range(n)}
-        row[n if past_end else -1] = 1
-        with pytest.raises(PreconditionError, match="column"):
-            solve_lp([1] * n, [row], [5])
+    def test_capacity_row_outside_b_ub_refused(self, n, past_end):
+        """Row 1 would land in the objective (exact) or the first
+        conservation row, row -1 in the objective."""
+        cols = [(0,)] * n
+        cols[-1] = (0, 1 if past_end else -1)
+        with pytest.raises(PreconditionError, match="capacity row"):
+            solve_lp([1] * n, cols, [5], ([-1] * n, [-1] * n, 1))
 
-    @pytest.mark.parametrize("lp_", [
-        ([1], [{0: 1}], [5, 0], [], []),
-        ([1], [{0: 1}, {0: 1}], [5], [], []),
-        ([1], [{0: 1}], [5], [{0: 1}], []),
-        ([1], [{0: 1}], [5], [], [1]),
-    ], ids=["long-b_ub", "short-b_ub", "short-b_eq", "long-b_eq"])
-    def test_rhs_length_refused(self, lp_):
-        with pytest.raises(PreconditionError, match="right-hand sides"):
+    @pytest.mark.parametrize("n", [1, WIDE], ids=["exact", "float"])
+    def test_capacity_row_listed_twice_refused(self, n):
+        """A repeated row would be one 1 in the tableau but count twice in
+        the certificate."""
+        cols = [(0,)] * n
+        cols[-1] = (0, 0)
+        with pytest.raises(PreconditionError, match="twice"):
+            solve_lp([1] * n, cols, [5])
+
+    @pytest.mark.parametrize("end", [1, -2], ids=["past-m_eq", "below-minus-1"])
+    @pytest.mark.parametrize("which", ["head", "tail"])
+    def test_arc_end_outside_rows_refused(self, end, which):
+        """End 1 would land in the objective row or past it, end -2 in the
+        last capacity row."""
+        arcs = {"head": [0, -1], "tail": [-1, 0]}
+        arcs[which][0] = end
+        with pytest.raises(PreconditionError, match="arc end"):
+            solve_lp([1, 1], [(0,), (0,)], [2],
+                     (arcs["head"], arcs["tail"], 1))
+
+    def test_negative_m_eq_refused(self):
+        with pytest.raises(PreconditionError, match="arc end"):
+            solve_lp([1], [(0,)], [2], ([-1], [-1], -1))
+
+    def test_arc_from_its_head_refused(self):
+        """``head == tail`` would put ``+1`` and ``-1`` in one entry; a
+        column with no arc has ``-1`` at both ends and is taken."""
+        with pytest.raises(PreconditionError, match="head is its tail"):
+            solve_lp([1, 1], [(0,), (0,)], [2], ([-1, 0], [-1, 0], 1))
+        assert solve_lp([1, 1], [(0,), (0,)], [2],
+                        ([-1, -1], [-1, -1], 1)).value == 2
+
+    @pytest.mark.parametrize("which, change", [
+        (1, [(0,)] * 3), (1, [(0,)]), (3, ([0], [-1, 0], 1)),
+        (3, ([0, -1], [-1, 0, -1], 1))],
+        ids=["long-cols", "short-cols", "short-head", "long-tail"])
+    def test_column_data_length_refused(self, which, change):
+        lp_ = list(self.LP)
+        lp_[which] = change
+        with pytest.raises(PreconditionError, match="columns"):
             solve_lp(*lp_)
-        with pytest.raises(PreconditionError, match="right-hand sides"):
-            check_certificate(*lp_, [0], 1, [0] * len(lp_[1]),
-                              [0] * len(lp_[3]), 1)
+        with pytest.raises(PreconditionError, match="columns"):
+            check_certificate(*lp_, *self.CERT)
 
     # max x0 + x1 s.t. x0 + x1 <= 2, x0 - x1 = 0: x = (1, 1), y = (1, 0)
-    LP = ([1, 1], [{0: 1, 1: 1}], [2], [{0: 1, 1: -1}], [0])
+    LP = ([1, 1], [(0,), (0,)], [2], ([0, -1], [-1, 0], 1))
     CERT = ([1, 1], 1, [1], [0], 1)
 
     @pytest.mark.parametrize("which, change", [
@@ -350,41 +337,34 @@ def update_form(mp, block, row_span, chunk):
 
 class TestFloatPath:
     def test_large_lp_uses_float_warm_start(self):
-        # transportation-style LP with > 160 columns and a rational optimum:
-        # row sums at most i + 1/2, column sums at most j + 2/3
+        # transportation-style LP with > 160 columns: row sums at most
+        # 2i + 1, column sums at most 3j + 2
         k = 15
         n = k * k
         c = [(i % 7) + 1 for i in range(n)]
-        A_ub, b_ub = [], []
-        for i in range(k):  # row sums
-            A_ub.append({i * k + j: 2 for j in range(k)})
-            b_ub.append(2 * i + 1)
-        for j in range(k):  # column sums
-            A_ub.append({i * k + j: 3 for i in range(k)})
-            b_ub.append(3 * j + 2)
-        res = solve_lp(c, A_ub, b_ub)
-        assert check_certificate(c, A_ub, b_ub, [], [], *answer_of(res))
-        snapped = _float_then_snap(*with_forest(c, A_ub, b_ub, [], []))
+        cols = [(i, k + j) for i in range(k) for j in range(k)]
+        b_ub = [2 * i + 1 for i in range(k)] + [3 * j + 2 for j in range(k)]
+        res = solve_lp(c, cols, b_ub)
+        assert check_certificate(c, cols, b_ub, None, *answer_of(res))
+        snapped = _float_then_snap(*with_forest(c, cols, b_ub))
         if snapped is not None:
             X, dx = snapped[:2]
             assert rat(sum(ci * xi for ci, xi in zip(c, X))) / dx == \
                 res.value
 
     def test_rows_without_entries(self):
-        """A float-engine LP whose every row is empty: no block of the
-        tableau build is sized by a zero row length."""
-        res = solve_lp([0] * WIDE, [{}], [5], [{}], [0])
+        """A float-engine LP whose every column is empty: no block of the
+        tableau build is sized by a zero column length."""
+        res = solve_lp([0] * WIDE, [()] * WIDE, [5],
+                       ([-1] * WIDE, [-1] * WIDE, 1))
         assert res.engine == "float+certify" and res.value == 0
 
     def test_snap_recovers_halves(self):
-        c = [1, 1]
-        A = [row(x0=2), row(x1=2), row(x0=1, x1=1)]
-        b = [1, 1, 1]
-        got = _float_then_snap(*with_forest(c, A, b, [], []))
+        got = _float_then_snap(*with_forest(*TRIANGLE))
         assert got is not None
         X, dx = got[:2]
-        assert sum(X) == dx and dx == 2
-        assert check_certificate(c, A, b, [], [], *got)
+        assert X == [1, 1, 1] and dx == 2
+        assert check_certificate(*TRIANGLE, *got)
 
     def test_snap_makes_no_fraction(self, monkeypatch):
         """The ladder snaps in ints: no rung makes a ``Fraction``."""
@@ -448,8 +428,8 @@ class TestFloatPath:
         "7200c6ad74a78599bd731a01251ac86de1ce62e92fcba9916377822858064cf4"
 
     def test_root_cycle_lp_is_pinned(self, monkeypatch):
-        (c, A_ub, _, A_eq, _), res = root_cycle_lp(monkeypatch)
-        assert len(c) > _FLOAT_THRESHOLD and len(A_ub) == 30 and not A_eq
+        (c, _, b_ub, arcs), res = root_cycle_lp(monkeypatch)
+        assert len(c) > _FLOAT_THRESHOLD and len(b_ub) == 30 and arcs is None
         assert res.engine == "float+certify"
         assert digest(res) == self.CYCLE_PINNED
 
@@ -515,8 +495,8 @@ class TestFloatPath:
         else:
             seed = 7 if lp_of == "cycle" else WIDEST_CYCLE_SEED
             args = root_cycle_lp(monkeypatch, seed)[0]
-        c, A_ub, _, A_eq, _ = args
-        m = len(A_ub) + len(A_eq)
+        c, _, b_ub, arcs = args
+        m = len(b_ub) + (arcs[2] if arcs else 0)
         width = len(c) + m + 1
         tracemalloc.start()
         try:
@@ -529,37 +509,40 @@ class TestFloatPath:
     @pytest.mark.parametrize("make", [torus, planar])
     def test_compact_lp_data_are_ints(self, monkeypatch, make):
         """solve_fractional hands solve_lp no rational: every entry of ``c``,
-        ``b`` and the rows is an int; the answer is ints over their least
-        denominators, and only the value is ``QQ``."""
-        (c, A_ub, b_ub, A_eq, b_eq), res = compact_lp(monkeypatch, make(0))
-        data = list(chain(c, b_ub, b_eq,
-                          *(row.values() for row in A_ub + A_eq)))
+        ``b_ub``, the columns and the arcs is an int; the answer is ints
+        over their least denominators, and only the value is ``QQ``."""
+        (c, cols, b_ub, (head, tail, m_eq)), res = compact_lp(monkeypatch,
+                                                              make(0))
+        data = list(chain(c, b_ub, head, tail, [m_eq], *cols))
         assert data and all(type(v) is int for v in data)
         assert least_ints(*answer_of(res))
         assert type(res.value) is QQ
 
 
-FRACS = st.fractions(min_value=-3, max_value=3, max_denominator=6)
-COEFS = st.one_of(st.integers(-3, 3), FRACS)
+def by_columns(rows, n) -> list:
+    """Each of ``n`` columns' capacity rows, from each row's columns."""
+    cols = [[] for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].append(i)
+    return [tuple(col) for col in cols]
 
 
 @st.composite
 def network_lps(draw, columns=(_FLOAT_THRESHOLD + 1, _FLOAT_THRESHOLD + 60),
                 verts=(8, 40)):
-    """A node-arc LP, the form ``_spanning_forest`` takes, with positive
-    ``b_ub``, so that the forest is where the two-phase references' phase 1
-    ends: every ``b_eq`` is 0, and a column has at most a ``+1`` in its
-    head's row and a ``-1`` in its tail's row.  By default it is above
+    """An LP with arcs and positive ``b_ub``, so that the forest is where
+    the two-phase references' phase 1 ends.  By default it is above
     ``_FLOAT_THRESHOLD``; ``columns`` and ``verts`` bound its size.
 
     The first vertices are roots with no row, so an arc at a root keeps
-    only its other entry.  The last vertices are islands that only islands
-    point into, so their rows stay unreached.  Some columns have no
-    equality entry, and some repeat or reverse an earlier arc, so parallel
-    and antiparallel arcs abound.  The rows come in a drawn order.  ``A_ub``
-    has coefficients in {-1, 1, 2}, and its last row, over every column,
-    keeps the LP bounded; every arc has a nonzero cost.  Hypothesis draws
-    the shape and a seed; the entries come from the seed.
+    only its other end.  The last vertices are islands that only islands
+    point into, so their rows stay unreached.  Some columns have no arc,
+    and some repeat or reverse an earlier arc, so parallel and antiparallel
+    arcs abound.  The rows come in a drawn order.  The capacity rows have
+    0/1 supports, and the last one, over every column, keeps the LP
+    bounded; every arc has a nonzero cost.  Hypothesis draws the shape and
+    a seed; the entries come from the seed.
     """
     n = draw(st.integers(*columns))
     verts = draw(st.integers(*verts))
@@ -576,7 +559,7 @@ def network_lps(draw, columns=(_FLOAT_THRESHOLD + 1, _FLOAT_THRESHOLD + 60),
     while len(arcs) < n:
         kind = rng.random()
         if kind < 0.1:
-            arcs.append(None)  # no equality entry
+            arcs.append(None)  # no arc
         elif kind < 0.3 and any(arcs):
             u, v = rng.choice([a for a in arcs if a])
             if kind < 0.2:
@@ -590,96 +573,66 @@ def network_lps(draw, columns=(_FLOAT_THRESHOLD + 1, _FLOAT_THRESHOLD + 60),
     order = list(range(roots, verts))
     rng.shuffle(order)
     row_of = {v: i for i, v in enumerate(order)}
-    A_eq = [{} for _ in order]
-    for j, arc in enumerate(arcs):
-        if arc:
-            u, v = arc
-            if u in row_of:
-                A_eq[row_of[u]][j] = -1
-            if v in row_of:
-                A_eq[row_of[v]][j] = 1
+    head = [row_of.get(arc[1], -1) if arc else -1 for arc in arcs]
+    tail = [row_of.get(arc[0], -1) if arc else -1 for arc in arcs]
     c = [rng.choice((-2, -1, 1, 2)) if arc else rng.choice((0, 1, 2))
          for arc in arcs]
-    A_ub = [{j: rng.choice((-1, 1, 2)) for j in range(n)
-             if rng.random() < density} for _ in range(m_ub)]
-    b_ub = [rng.randint(1, 3) for _ in A_ub]
-    A_ub.append({j: 1 for j in range(n)})
-    b_ub.append(rng.randint(1, 6))
-    return c, A_ub, b_ub, A_eq, [0] * len(A_eq)
+    rows = [[j for j in range(n) if rng.random() < density]
+            for _ in range(m_ub)]
+    rows.append(range(n))
+    b_ub = [rng.randint(1, 3) for _ in range(m_ub)] + [rng.randint(1, 6)]
+    return c, by_columns(rows, n), b_ub, (head, tail, len(order))
 
 
-# the size of the node-arc LPs the exact engine is checked on beside the
+# the size of the LPs with arcs the exact engine is checked on beside the
 # ``QQ`` reference
 SMALL_NETWORK = {"columns": (1, 24), "verts": (2, 10)}
 
 
 @st.composite
 def feasible_lps(draw):
-    """A small bounded LP without equality rows, over ints, with a known
-    feasible point ``x0``; the equality rows come from ``network_lps``.
-
-    Some examples are drawn with ``int`` data, as the compact LP has, and
-    some with rational data; ``int_lp`` scales the latter row by row to
-    ints.
-    """
-    ints = draw(st.booleans())
-    if ints:
-        point, objective, coefs = (st.integers(0, 2), st.integers(-3, 3),
-                                   st.integers(-3, 3))
-        cast = int
-    else:
-        point, objective, coefs = (st.fractions(0, 2, max_denominator=6),
-                                   FRACS, COEFS)
-        cast = rat
+    """A small bounded LP without arcs, with 0/1 capacity supports and a
+    known feasible point ``x0``; the arcs come from ``network_lps``."""
     n = draw(st.integers(1, 4))
-    x0 = draw(st.lists(point, min_size=n, max_size=n))
-    c = [cast(v) for v in draw(st.lists(objective, min_size=n, max_size=n))]
-
-    def rows(k):
-        return [{j: v for j, v in enumerate(draw(st.lists(
-                    coefs, min_size=n, max_size=n))) if v}
-                for _ in range(k)]
-
-    def at(row, x):
-        return sum((coef * x[j] for j, coef in row.items()), Fraction(0))
-
-    A_ub = rows(draw(st.integers(0, 3)))
-    b_ub = [cast(max(at(row, x0), 0) + draw(point)) for row in A_ub]
-    A_ub.append({j: 1 for j in range(n)})  # keeps the LP bounded
-    b_ub.append(cast(sum(x0) + 1))
-    return int_lp(c, A_ub, b_ub)
+    x0 = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    c = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    rows = [[j for j, on in enumerate(draw(st.lists(
+        st.booleans(), min_size=n, max_size=n))) if on]
+        for _ in range(draw(st.integers(0, 3)))]
+    b_ub = [sum(x0[j] for j in row) + draw(st.integers(0, 2))
+            for row in rows]
+    rows.append(range(n))  # keeps the LP bounded
+    b_ub.append(sum(x0) + 1)
+    return c, by_columns(rows, n), b_ub, None
 
 
 class TestIntegerCertificate:
     """The integer certificate gives the rational reference's verdict."""
 
-    # (c, A_ub, b_ub, A_eq, b_eq, x, y_ub, y_eq), each failing exactly one
-    # test of the certificate, which random mutations rarely isolate
+    # (c, cols, b_ub, arcs, x, y_ub, y_eq), each failing exactly one test
+    # of the certificate, which random mutations rarely isolate
     ONE_FAULT = {
-        "negative x": ([0], [{0: 1}], [0], [], [], [-1], [0], []),
-        "negative y_ub": ([0], [{0: -1}], [0], [], [], [0], [-1], []),
-        "inequality row": ([0], [{0: 1}], [0], [], [], [1], [0], []),
-        "equality row": ([0], [{0: 1}], [2], [{0: 1}], [1], [0], [0], [0]),
-        "dual row": ([1], [{0: 1}], [0], [], [], [0], [0], []),
-        "objective": ([1], [{0: 1}], [1], [], [], [0], [1], []),
+        "negative x": ([0], [(0,)], [0], None, [-1], [0], []),
+        "negative y_ub": ([-1], [(0,)], [0], None, [0], [-1], []),
+        "inequality row": ([0], [(0,)], [0], None, [1], [0], []),
+        "equality row": ([0], [(0,)], [2], ([0], [-1], 1), [1], [0], [0]),
+        "dual row": ([1], [(0,)], [0], None, [0], [0], []),
+        "dual arc": ([1], [()], [], ([0], [-1], 1), [0], [], [0]),
+        "objective": ([1], [(0,)], [1], None, [0], [1], []),
     }
 
     @pytest.mark.parametrize("denom", [1, 3])
     @pytest.mark.parametrize("halved", [False, True])
     @pytest.mark.parametrize("fault", sorted(ONE_FAULT))
     def test_each_test_alone(self, fault, halved, denom):
-        """On int data (no rescale) and halved data (scale 2) alike, with
-        the certificate's ints over denominator 1 or 3."""
-        c, A_ub, b_ub, A_eq, b_eq, *cert = self.ONE_FAULT[fault]
-        if halved:
-            c, b_ub, b_eq = ([Fraction(v, 2) for v in vec]
-                             for vec in (c, b_ub, b_eq))
-            A_ub, A_eq = ([{j: Fraction(v, 2) for j, v in row.items()}
-                           for row in rows] for rows in (A_ub, A_eq))
-        lp = (c, A_ub, b_ub, A_eq, b_eq)
-        assert not reference_check_certificate(*lp, *cert)
-        X, Y_ub, Y_eq = ([denom * v for v in vec] for vec in cert)
-        assert not check_certificate(*lp, X, denom, Y_ub, Y_eq, denom)
+        """With the certificate's ints over denominator 1 or 3, and the
+        dual's over the same denominator or (halved) over twice it."""
+        *lp_, x, y_ub, y_eq = self.ONE_FAULT[fault]
+        assert not reference_check_certificate(*lp_, x, y_ub, y_eq)
+        dy = 2 * denom if halved else denom
+        X = [denom * v for v in x]
+        Y_ub, Y_eq = ([dy * v for v in vec] for vec in (y_ub, y_eq))
+        assert not check_certificate(*lp_, X, denom, Y_ub, Y_eq, dy)
 
     @settings(max_examples=150, deadline=None, database=None,
               derandomize=True)
@@ -723,11 +676,13 @@ def any_lps(draw):
     """``feasible_lps`` or a small ``network_lps`` with, sometimes, the
     bounding row (the last) dropped: the LP may be unbounded.  The drawn
     data keep their degenerate ties."""
-    c, A_ub, b_ub, A_eq, b_eq = draw(st.one_of(
+    c, cols, b_ub, arcs = draw(st.one_of(
         feasible_lps(), network_lps(**SMALL_NETWORK)))
     if draw(st.booleans()):
-        A_ub, b_ub = A_ub[:-1], b_ub[:-1]
-    return c, A_ub, b_ub, A_eq, b_eq
+        last = len(b_ub) - 1
+        cols = [tuple(r for r in rows if r != last) for rows in cols]
+        b_ub = b_ub[:-1]
+    return c, cols, b_ub, arcs
 
 
 def outcome(engine, lp):
@@ -744,15 +699,6 @@ def outcome(engine, lp):
     return [list(vec) for vec in got]
 
 
-def assert_refused(lp_):
-    """``solve_lp`` and ``_spanning_forest`` refuse ``lp_``'s equality
-    rows."""
-    with pytest.raises(PreconditionError, match="equality"):
-        _spanning_forest(len(lp_[0]), lp_[3], lp_[4])
-    with pytest.raises(PreconditionError, match="equality"):
-        solve_lp(*lp_)
-
-
 class TestIntegerTableau:
     """The fraction-free engine against the ``QQ`` tableau it replaced."""
 
@@ -764,34 +710,22 @@ class TestIntegerTableau:
             outcome(reference_simplex_exact, lp)
 
     @pytest.mark.parametrize("lp", [
-        BEALE,
+        DEGENERATE,
         # -x = 0: x runs out of a row no arc reaches, whose artificial stays
         # basic at zero; without the drive-out, x would grow to 3
-        ([1], [{0: 1}], [3], [{0: -1}], [0]),
+        ([1], [(0,)], [3], ([-1], [0], 1)),
         # two rows joined by antiparallel arcs and no root: no forest arc,
         # and x0 drives row 1's artificial out
-        ([1, 1], [{0: 1, 1: 1}], [3], [{0: 1, 1: -1}, {0: -1, 1: 1}],
-         [0, 0]),
-        ([1, 1], [{0: 1}], [5], [], []),             # unbounded
-    ], ids=["beale", "drive-out", "rootless-cycle", "unbounded"])
+        ([1, 1], [(0,), (0,)], [3], ([0, 1], [1, 0], 2)),
+        ([1, 1], [(0,), ()], [5], None),             # unbounded
+    ], ids=["degenerate", "drive-out", "rootless-cycle", "unbounded"])
     def test_edge_cases_match_reference(self, lp):
         assert outcome(exact_engine, lp) == \
             outcome(reference_simplex_exact, lp)
 
     @pytest.mark.parametrize("lp", [
-        # two parallel equality rows, one of them redundant
-        ([1, 1], [{0: 1, 1: 1}], [3], [{0: 1, 1: -2}, {0: 2, 1: -4}],
-         [1, 2]),
-        ([1], [], [], [{0: 1}, {0: 1}], [1, 2]),     # infeasible
-        ([2], [{0: 1}], [3], [{0: -2}], [0]),        # -2 x = 0
-    ], ids=["parallel-equalities", "infeasible", "coefficient-2"])
-    def test_general_equality_rows_refused(self, lp):
-        """The equality rows the two-phase reference still solves."""
-        assert_refused(lp)
-
-    @pytest.mark.parametrize("lp", [
-        "compact", ([2, 3], [{0: 1, 1: 1}, {0: 2}], [4, 3],
-                    [{0: -1, 1: 1}], [0])], ids=["compact", "equality-row"])
+        "compact", ([2, 3], [(0, 1), (0,)], [4, 3], ([-1, 0], [0, -1], 1))],
+        ids=["compact", "equality-row"])
     def test_int_data_make_no_fraction(self, monkeypatch, lp):
         """On int data the engine makes no rational: its answer is ints
         over one denominator per vector."""
@@ -812,56 +746,70 @@ class TestIntegerTableau:
         assert any(chain(got[0], got[2], got[3]))
         assert reference_check_certificate(*lp, *rationals(*got))
 
+    @pytest.mark.parametrize("lp_", ["compact", TRIANGLE],
+                             ids=["compact", "triangle"])
+    def test_pivot_over_one_skips_the_gcd(self, monkeypatch, lp_):
+        """A touched row whose new denominator is 1 holds ints over 1, so
+        the pivot takes no gcd of it (the row's gcd is the only one with a
+        row's width plus one arguments), and the answer is the
+        reference's all the same.  The compact LP keeps every row over 1;
+        the triangle's halves take some gcds."""
+        if lp_ == "compact":
+            lp_ = compact_lp(monkeypatch, generate_planar_random(
+                size=12, n_demands=3, cap_mode="random", seed=0))[0]
+        c, cols, b_ub, arcs = with_forest(*lp_)[:4]
+        width = len(c) + len(b_ub) + arcs[2] + 1
+        rows = []
+
+        def counting(*args):
+            if len(args) == width + 1:
+                rows.append(args[0])
+            return gcd(*args)
+
+        monkeypatch.setattr(lp, "gcd", counting)
+        got = exact_engine(*lp_)
+        monkeypatch.undo()
+        assert rationals(*got) == reference_simplex_exact(*lp_)
+        assert 1 not in rows and bool(rows) == (lp_ is TRIANGLE)
+
 
 @st.composite
 def wide_lps(draw):
-    """An LP above ``_FLOAT_THRESHOLD`` without equality rows, with 0/+-1
-    rows, costs in 0..2 and right-hand sides that are often 0, so pricing
-    and ratio ties abound; the equality rows come from ``network_lps``.
+    """An LP above ``_FLOAT_THRESHOLD`` without arcs, with 0/1 capacity
+    supports, costs in 0..2 and right-hand sides that are often 0, so
+    pricing and ratio ties abound; the arcs come from ``network_lps``.
 
     Hypothesis draws the shape and a seed; the hundreds of entries come
-    from the seed.  ``b_ub`` is non-negative, at or above ``A_ub x0`` for a
-    drawn ``x0 >= 0``.
+    from the seed.  ``b_ub`` is at or above ``A x0`` for a drawn
+    ``x0 >= 0``.
     """
     n = draw(st.integers(_FLOAT_THRESHOLD + 1, _FLOAT_THRESHOLD + 60))
     m_ub = draw(st.integers(1, 12))
     density = draw(st.sampled_from([0.02, 0.1, 0.4]))
-    values = draw(st.sampled_from([(1,), (-1, 1), (-1, 0, 1, 1)]))
     bounded = draw(st.booleans())
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
 
-    def at(row):
-        return sum(v * x0[j] for j, v in row.items())
-
     x0 = [rng.choice((0, 0, 1, 2)) for _ in range(n)]
     c = [rng.choice((0, 1, 1, 2)) for _ in range(n)]
-    A_ub = [{j: v for j in range(n) if rng.random() < density
-             for v in [rng.choice(values)] if v} for _ in range(m_ub)]
-    b_ub = [max(at(row), 0) + rng.choice((0, 0, 1)) for row in A_ub]
+    rows = [[j for j in range(n) if rng.random() < density]
+            for _ in range(m_ub)]
+    b_ub = [sum(x0[j] for j in row) + rng.choice((0, 0, 1)) for row in rows]
     if bounded:
-        A_ub.append({j: 1 for j in range(n)})
+        rows.append(range(n))
         b_ub.append(sum(x0) + 1)
-    return c, A_ub, b_ub, [], []
-
-
-def node_arc(lp_) -> bool:
-    """Whether ``_spanning_forest`` takes ``lp_``'s equality rows: every
-    ``b_eq`` is 0, and every column has at most one ``+1`` and at most one
-    ``-1`` and no other entry among them."""
-    _, _, _, A_eq, b_eq = lp_
-    entries = [(j, v) for row in A_eq for j, v in row.items()]
-    return (not any(b_eq) and all(v in (1, -1) for _, v in entries)
-            and len(set(entries)) == len(entries))
+    return c, by_columns(rows, n), b_ub, None
 
 
 def network_lp(n=_FLOAT_THRESHOLD + 10):
-    """A node-arc LP the forest start takes: vertex 0 has no row, column
-    ``j`` runs from vertex ``j % 6`` to vertex ``(j + 1) % 6``, and one row
-    bounds the total flow."""
-    A_eq = [{j: 1 if (j + 1) % 6 == v else -1 for j in range(n)
-             if v in (j % 6, (j + 1) % 6)} for v in range(1, 6)]
-    return ([1 + j % 3 for j in range(n)], [{j: 1 for j in range(n)}], [7],
-            A_eq, [0] * 5)
+    """An LP with arcs that the forest start takes: vertex 0 has no row,
+    column ``j`` runs from vertex ``j % 6`` to vertex ``(j + 1) % 6``, and
+    one row bounds the total flow."""
+    def row(v):
+        return v - 1  # vertex 0's row is -1, none
+
+    return ([1 + j % 3 for j in range(n)], [(0,)] * n, [7],
+            ([row((j + 1) % 6) for j in range(n)],
+             [row(j % 6) for j in range(n)], 5))
 
 
 class TestFloatTableau:
@@ -886,18 +834,17 @@ class TestFloatTableau:
         assert solve_lp(*lp_).engine == "float+certify"
 
     @pytest.mark.parametrize("change", [
-        "coefficient-2", "two-heads", "nonzero-b_eq"])
-    def test_outside_the_forest_form_refused(self, change):
-        c, A_ub, b_ub, A_eq, b_eq = network_lp()
-        if change == "coefficient-2":
-            A_eq[0][0] = 2  # column 0 runs into vertex 1
-        elif change == "two-heads":
-            A_eq[2][0] = 1  # and into vertex 3
+        "end-past-rows", "end-below-minus-1", "loop"])
+    def test_outside_the_arc_form_refused(self, change):
+        c, cols, b_ub, (head, tail, m_eq) = network_lp()
+        if change == "end-past-rows":
+            head[0] = m_eq  # the objective row
+        elif change == "end-below-minus-1":
+            tail[1] = -2  # the capacity row
         else:
-            b_eq[0] = 1
-        lp_ = (c, A_ub, b_ub, A_eq, b_eq)
-        assert not node_arc(lp_)
-        assert_refused(lp_)
+            tail[2] = head[2]
+        with pytest.raises(PreconditionError):
+            solve_lp(c, cols, b_ub, (head, tail, m_eq))
 
     @pytest.mark.parametrize("arc", [0, 5], ids=["tree-arc", "other-arc"])
     def test_zero_b_ub_is_answered_from_the_forest(self, arc):
@@ -905,10 +852,12 @@ class TestFloatTableau:
         instead (a tie at ratio 0 that the slack's lower index wins); the
         forest is a feasible start all the same.  Either way the certified
         answer has the two-phase reference's value."""
-        c, A_ub, b_ub, A_eq, b_eq = network_lp()
-        lp_ = (c, A_ub + [{arc: 1}], b_ub + [0], A_eq, b_eq)
-        tree = _spanning_forest(len(c), A_eq, b_eq)[0]
-        assert node_arc(lp_) and (arc in tree) == (arc == 0)
+        c, cols, b_ub, arcs = network_lp()
+        cols = list(cols)
+        cols[arc] += (1,)
+        lp_ = (c, cols, b_ub + [0], arcs)
+        tree = _spanning_forest(*arcs)
+        assert (arc in tree) == (arc == 0)
         x = reference_simplex_exact(*lp_)[0]
         value = sum((ci * xi for ci, xi in zip(c, x)), QQ(0))
         res = solve_lp(*lp_)
@@ -939,7 +888,7 @@ class TestFloatTableau:
 
 
 class TestForestStart:
-    """Both engines start from the spanning forest.  On node-arc LPs with
+    """Both engines start from the spanning forest.  On LPs with arcs and
     positive ``b_ub`` they give the answers of the two-phase references,
     whose phase 1 pivots: the float engine its floats under each update
     form, the exact engine its rationals."""
@@ -950,7 +899,7 @@ class TestForestStart:
               derandomize=True)
     @given(lp_=network_lps())
     def test_same_result_as_reference(self, form, lp_):
-        assert node_arc(lp_) and min(lp_[2]) > 0
+        assert min(lp_[2]) > 0
         with pytest.MonkeyPatch.context() as mp:
             update_form(mp, *form)
             got = float_engine(*lp_)
@@ -967,25 +916,21 @@ class TestForestStart:
     @settings(max_examples=60, deadline=None, database=None,
               derandomize=True)
     @given(lp_=network_lps(), change=st.sampled_from(
-        ["coefficient", "repeat", "b_eq"]), data=st.data())
+        ["past-rows", "below-minus-1", "loop"]), data=st.data())
     def test_outside_the_form_refused(self, lp_, change, data):
-        """One change takes the equality rows out of the node-arc form: an
-        entry other than ``+-1``, an entry repeated in another row, or a
-        nonzero right-hand side."""
-        c, A_ub, b_ub, A_eq, b_eq = lp_
-        A_eq, b_eq = [dict(r) for r in A_eq], list(b_eq)
-        entries = [(r, j, v) for r, row in enumerate(A_eq)
-                   for j, v in row.items()]
-        assume(entries)
-        r, j, v = data.draw(st.sampled_from(entries))
-        if change == "coefficient":
-            A_eq[r][j] = data.draw(st.sampled_from([0, 2 * v, -2 * v]))
-        elif change == "repeat":
-            other = data.draw(st.sampled_from(
-                [k for k in range(len(A_eq)) if k != r]))
-            A_eq[other][j] = v
+        """One change takes the arcs out of their form: an end past the
+        last row or below -1, or an arc from its head into it."""
+        c, cols, b_ub, (head, tail, m_eq) = lp_
+        head, tail = list(head), list(tail)
+        ends = [(side, j) for side in (head, tail)
+                for j, e in enumerate(side) if e >= 0]
+        assume(ends)
+        side, j = data.draw(st.sampled_from(ends))
+        if change == "past-rows":
+            side[j] = m_eq + data.draw(st.integers(0, 2))
+        elif change == "below-minus-1":
+            side[j] = -data.draw(st.integers(2, 4))
         else:
-            b_eq[r] = data.draw(st.sampled_from([-1, 1, 2]))
-        lp_ = (c, A_ub, b_ub, A_eq, b_eq)
-        assert not node_arc(lp_)
-        assert_refused(lp_)
+            head[j] = tail[j] = side[j]
+        with pytest.raises(PreconditionError, match="arc"):
+            solve_lp(c, cols, b_ub, (head, tail, m_eq))

@@ -189,10 +189,10 @@ class TestGreedy:
             assert check_cyclic_order(sets)
             vals = greedy_values(sets, caps)
             cols = sorted({e for es in sets for e in es})
-            col_of = {e: i for i, e in enumerate(cols)}
-            rows = [{i: 1 for i, es in enumerate(sets) if e in es}
-                    for e in cols]
-            lp = solve_lp([1] * k, rows, [caps[e] for e in cols])
+            lp = solve_lp([1] * k,
+                          [tuple(r for r, e in enumerate(cols) if e in es)
+                           for es in sets],
+                          [caps[e] for e in cols])
             assert 2 * sum(vals) >= lp.value
 
     def test_greedy_requires_cyclic_order(self):

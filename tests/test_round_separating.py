@@ -99,8 +99,8 @@ class TestHalfIntegralize:
         f = Multiflow(inst, {}, 4)
         f.add(DCycle.from_darts(inst, [0, 2, 9]), 3)
         half_integralize(f)
-        ((c, A_ub, b_ub),) = got
-        data = [*c, *b_ub, *(v for row in A_ub for v in row.values())]
+        ((c, cols, b_ub),) = got
+        data = [*c, *b_ub, *(r for rows in cols for r in rows)]
         assert data and all(type(v) is int for v in data)
 
     def test_non_half_integral_vertex_is_an_invariant_failure(

@@ -18,7 +18,9 @@ host's speed does not favour either side.  The runs write only where
 
 For each pair the end-to-end metrics of ``BENCHMARK.json`` are printed,
 base then working tree, from the JSON object on each run's last output
-line.  Then, per metric, the medians of both sides, the change of the
+line, with each side's count of attempted instances.  A pair whose sides
+attempted different counts is marked ``unequal passes``: its
+``peak_rss_mb`` compares runs of unequal length.  Then, per metric, the medians of both sides, the change of the
 medians, the number of pairs the working tree won by the metric's
 direction (a tie wins neither side), the quartiles of both sides, and one
 verdict:
@@ -69,8 +71,9 @@ def extract(repo: Path, rev: str, dest: Path) -> None:
         raise SystemExit("ab_pairs: could not extract %s" % rev)
 
 
-def run_once(tree: Path, workload: str, seed: int) -> dict:
-    """One benchmark run in ``tree``: its metric values by name."""
+def run_once(tree: Path, workload: str, seed: int) -> tuple:
+    """One benchmark run in ``tree``: its count of attempted instances and
+    its metric values by name."""
     cmd = [sys.executable, str(tree.joinpath(*RUN)), "--workload", workload,
            "--seed", str(seed), "--seconds", SECONDS, "--trace", "0"]
     out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
@@ -82,7 +85,8 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
     if not result["correct"]:
         raise SystemExit("ab_pairs: %d failed instance(s) in %s"
                          % (result["failed"], tree))
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    return result["attempted"], {name: m["value"]
+                                 for name, m in result["metrics"].items()}
 
 
 def wins(base: float, work: float, better: str) -> bool:
@@ -141,7 +145,7 @@ def main(argv=None) -> int:
 
     tmp = Path(tempfile.mkdtemp(prefix="ab_pairs-"))
     base_tree = tmp / "base"
-    pairs = []
+    pairs, unequal = [], 0
     try:
         extract(ROOT, args.base, base_tree)
         for i in range(args.pairs):
@@ -150,16 +154,19 @@ def main(argv=None) -> int:
             for side in order:
                 tree = base_tree if side == "base" else ROOT
                 sides[side] = run_once(tree, args.workload, args.seed)
-            pairs.append((sides["base"], sides["work"]))
-            print("pair %d (%s first): %s" % (
-                i + 1, order[0], ", ".join(
-                    "%s %.4g -> %.4g" % (name, sides["base"][name],
-                                         sides["work"][name])
+            (n_base, base), (n_work, work) = sides["base"], sides["work"]
+            pairs.append((base, work))
+            unequal += n_base != n_work
+            print("pair %d (%s first): attempted %d -> %d%s, %s" % (
+                i + 1, order[0], n_base, n_work,
+                "" if n_base == n_work else " (unequal passes)", ", ".join(
+                    "%s %.4g -> %.4g" % (name, base[name], work[name])
                     for name, _, _ in metrics)), flush=True)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-    print("%s seed %d, %d pairs, base %s against the working tree:"
-          % (args.workload, args.seed, len(pairs), args.base))
+    print("%s seed %d, %d pairs (%d with unequal passes), base %s against "
+          "the working tree:" % (args.workload, args.seed, len(pairs),
+                                 unequal, args.base))
     report(pairs, metrics)
     return 0
 
